@@ -1,9 +1,8 @@
-//! Shared benchmark workloads for the simulation substrate.
+//! Workload builders for measuring the simulation substrate.
 //!
-//! The criterion benches (`benches/substrate.rs`) and the standalone JSON
-//! runner (`src/bin/substrate_bench.rs`, via `cargo xtask bench`) drive the
-//! exact same workload functions, so the committed `BENCH_substrate.json`
-//! baseline and the interactive criterion numbers describe the same code.
+//! `flexbench` (the benchmark of record, see `BENCHMARK.json`) times the
+//! calendar and multipod workloads per layer, and the root package's
+//! `tests/alloc_free_datapath.rs` counts allocations over [`datapath_sim`].
 
 use flexpass::{FlexPassConfig, FlexPassFactory};
 use flexpass_simcore::event::EventQueue;
@@ -17,40 +16,19 @@ use flexpass_simnet::switch::{ClassMap, SwitchProfile};
 use flexpass_simnet::topology::ClosParams;
 use flexpass_simnet::{partition, FlowSpec, NullObserver, ParSim, Sim, Topology};
 
-#[cfg(feature = "alloc-count")]
-pub mod alloc_counter;
-
-/// Which calendar backend a workload runs against.
+/// Which calendar backend a workload runs against. The timing wheel is
+/// the only one; the parameter is kept for `flexbench`'s call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The hierarchical timing wheel (production default).
+    /// The hierarchical timing wheel.
     Wheel,
-    /// The legacy binary heap (kept for differential testing).
-    Heap,
-}
-
-impl Backend {
-    /// Display name used in bench labels and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Wheel => "wheel",
-            Backend::Heap => "heap",
-        }
-    }
-
-    fn queue(self) -> EventQueue<u64> {
-        match self {
-            Backend::Wheel => EventQueue::new_wheel_backed(),
-            Backend::Heap => EventQueue::new_heap_backed(),
-        }
-    }
 }
 
 /// Uniform batch workload: schedules `n` events at random instants within
 /// a ~1 s horizon, then drains the calendar. Exercises raw push/pop cost
 /// with no cancellations. Returns the number of events delivered.
-pub fn uniform_workload(backend: Backend, n: u64) -> u64 {
-    let mut q = backend.queue();
+pub fn uniform_workload(_backend: Backend, n: u64) -> u64 {
+    let mut q = EventQueue::new();
     let mut rng = SimRng::new(1);
     for i in 0..n {
         q.schedule(Time::from_nanos(rng.next_below(1 << 30)), i);
@@ -67,12 +45,11 @@ pub fn uniform_workload(backend: Backend, n: u64) -> u64 {
 /// horizon) while re-arming a cancellable RTO-style timer ~1 ms out — 90%
 /// of which are cancelled before they fire, the common fate of a
 /// retransmission timer under steady acks. The calendar population is
-/// dominated by pending-and-doomed far timers, so a comparison-ordered
-/// backend pays their `log n` on every hot-path operation while the wheel
-/// parks them in a coarse level until cascade-time reaping discards them.
+/// dominated by pending-and-doomed far timers, which the wheel parks in a
+/// coarse level until cascade-time reaping discards them.
 /// Returns the number of *live* events delivered.
-pub fn timer_heavy_workload(backend: Backend, n: u64) -> u64 {
-    let mut q = backend.queue();
+pub fn timer_heavy_workload(_backend: Backend, n: u64) -> u64 {
+    let mut q = EventQueue::new();
     let mut rng = SimRng::new(7);
     let mut rto = std::collections::VecDeque::with_capacity(16);
     let mut now = Time::ZERO;
@@ -104,9 +81,9 @@ pub fn timer_heavy_workload(backend: Backend, n: u64) -> u64 {
 
 /// Builds the warm-datapath workload: a star fabric with every host pair
 /// exchanging one long FlexPass flow, sized so the network stays busy for
-/// several simulated milliseconds. Used by the `--alloc-count` sanitizer:
-/// warm it up with [`Sim::run_until`], snapshot the allocator counters,
-/// run a measured window, and divide the allocation delta by the
+/// several simulated milliseconds. The alloc-free-datapath test warms it
+/// up with [`Sim::run_until`], snapshots its allocator counter, runs a
+/// measured window, and divides the allocation delta by the
 /// [`Sim::events_processed`] delta. At steady state (all flows started,
 /// none finished, every queue and timer table at its working size) that
 /// ratio is what the `alloc-in-datapath` lint bounds statically.
@@ -148,7 +125,7 @@ pub fn datapath_sim(hosts: usize, flow_bytes: u64) -> Sim<NullObserver> {
 /// Hosts in the multipod workload fabric.
 pub const MULTIPOD_HOSTS: usize = 64;
 
-/// The 64-host two-pod Clos used by the `multipod` bench entry: 8 ToRs of
+/// The 64-host two-pod Clos used by the multipod workloads: 8 ToRs of
 /// 8 hosts, two aggs per pod. `partition(_, 2)` cuts it one pod per
 /// domain; `partition(_, 4)` into rack pairs.
 pub fn multipod_params() -> ClosParams {
@@ -233,18 +210,6 @@ pub fn multipod_par_sim(domains: usize) -> ParSim<NullObserver> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workloads_deliver_identically_on_both_backends() {
-        assert_eq!(
-            uniform_workload(Backend::Wheel, 10_000),
-            uniform_workload(Backend::Heap, 10_000)
-        );
-        assert_eq!(
-            timer_heavy_workload(Backend::Wheel, 10_000),
-            timer_heavy_workload(Backend::Heap, 10_000)
-        );
-    }
 
     #[test]
     fn uniform_delivers_everything() {

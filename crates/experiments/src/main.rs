@@ -51,6 +51,24 @@ use flexpass_experiments::{
     ablation, fig1, fig17, fig18, fig5, fig7, fig8, fig9, queue_study, sweep,
 };
 
+const USAGE: &str = "usage: flexpass-experiments [--fig NAME|all] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--trace[=FILTER]] [--inject-panic LABEL]";
+
+/// Prints `msg` and the usage line, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following the flag at `args[i]`; a usage error if it is the
+/// last argument.
+fn value(args: &[String], i: usize) -> &str {
+    match args.get(i + 1) {
+        Some(v) => v,
+        None => usage_error(&format!("{} requires a value", args[i])),
+    }
+}
+
 fn main() {
     let mut fig = String::from("all");
     let mut out = PathBuf::from("results");
@@ -64,11 +82,11 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--fig" => {
-                fig = args[i + 1].clone();
+                fig = value(&args, i).to_string();
                 i += 2;
             }
             "--out" => {
-                out = PathBuf::from(&args[i + 1]);
+                out = PathBuf::from(value(&args, i));
                 i += 2;
             }
             "--plot" => {
@@ -93,15 +111,17 @@ fn main() {
                 i += 1;
             }
             "--scale" => {
-                scale = RunScale::parse(&args[i + 1]).unwrap_or_else(|| {
-                    eprintln!("unknown scale {} (smoke|default|full)", args[i + 1]);
+                let v = value(&args, i);
+                scale = RunScale::parse(v).unwrap_or_else(|| {
+                    eprintln!("unknown scale {v} (smoke|default|full)");
                     std::process::exit(2);
                 });
                 i += 2;
             }
             "--jobs" => {
-                let n: usize = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs takes a positive integer, got {}", args[i + 1]);
+                let v = value(&args, i);
+                let n: usize = v.parse().unwrap_or_else(|_| {
+                    eprintln!("--jobs takes a positive integer, got {v}");
                     std::process::exit(2);
                 });
                 if n == 0 {
@@ -112,8 +132,9 @@ fn main() {
                 i += 2;
             }
             "--par-sim" => {
-                let n: usize = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("--par-sim takes a positive integer, got {}", args[i + 1]);
+                let v = value(&args, i);
+                let n: usize = v.parse().unwrap_or_else(|_| {
+                    eprintln!("--par-sim takes a positive integer, got {v}");
                     std::process::exit(2);
                 });
                 if n == 0 {
@@ -124,14 +145,10 @@ fn main() {
                 i += 2;
             }
             "--inject-panic" => {
-                orchestrate::inject_panic(Some(args[i + 1].clone()));
+                orchestrate::inject_panic(Some(value(&args, i).to_string()));
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!("usage: flexpass-experiments [--fig NAME|all] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--trace[=FILTER]] [--inject-panic LABEL]");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
 

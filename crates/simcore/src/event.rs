@@ -5,11 +5,9 @@
 //! two events scheduled for the same instant fire in the order they were
 //! scheduled, independent of calendar internals.
 //!
-//! The calendar is backed by a hierarchical [`TimingWheel`] (see
-//! [`crate::wheel`]) for O(1) near-future scheduling; the original binary
-//! heap survives as [`HeapCalendar`], selectable per-queue for differential
-//! tests/benches or workspace-wide via the `calendar-heap` cargo feature.
-//! Both backends pop the byte-identical `(time, seq)` sequence.
+//! The calendar is a hierarchical [`TimingWheel`] (see [`crate::wheel`])
+//! for O(1) near-future scheduling. `tests/event_properties.rs` pins it
+//! differentially against a plain binary heap over `(time, seq)`.
 //!
 //! On top of the plain calendar sits a cancellable timer layer:
 //! [`EventQueue::schedule_cancelable`] returns a generation-tagged
@@ -27,7 +25,7 @@ use std::sync::Arc;
 
 use crate::progress::{ProgressProbe, PUBLISH_EVERY};
 use crate::time::Time;
-use crate::wheel::{HeapCalendar, TimingWheel};
+use crate::wheel::TimingWheel;
 
 /// Identifies one armed cancellable timer.
 ///
@@ -51,7 +49,7 @@ struct Scheduled<E> {
 /// Liveness filter for cascade-time reaping: flags cancelled entries so
 /// the wheel drops them at the first cascade touch, recycling their slab
 /// slot on the spot (the generation was already bumped by `cancel`).
-/// Borrows the slab fields individually so the store can be borrowed
+/// Borrows the slab fields individually so the wheel can be borrowed
 /// mutably alongside.
 fn dead_filter<'a, E>(
     gens: &'a [u32],
@@ -67,46 +65,6 @@ fn dead_filter<'a, E>(
             true
         }
         _ => false,
-    }
-}
-
-/// Calendar backend: the timing wheel by default, the reference binary
-/// heap behind the `calendar-heap` feature or an explicit constructor.
-enum Store<T> {
-    Wheel(TimingWheel<T>),
-    Heap(HeapCalendar<T>),
-}
-
-impl<T> Store<T> {
-    /// Push with a liveness filter: the wheel drops `dead` entries at the
-    /// first cascade touch (see [`TimingWheel::push_reap`]); the heap has
-    /// no cascades, so dead entries simply wait to be reaped at pop.
-    fn push(&mut self, time: Time, seq: u64, payload: T, dead: &mut dyn FnMut(&T) -> bool) {
-        match self {
-            Store::Wheel(w) => w.push_reap(time, seq, payload, dead),
-            Store::Heap(h) => h.push(time, seq, payload),
-        }
-    }
-
-    fn pop(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<(Time, u64, T)> {
-        match self {
-            Store::Wheel(w) => w.pop_reap(dead),
-            Store::Heap(h) => h.pop(),
-        }
-    }
-
-    fn peek(&self) -> Option<(Time, u64, &T)> {
-        match self {
-            Store::Wheel(w) => w.peek(),
-            Store::Heap(h) => h.peek(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Store::Wheel(w) => w.len(),
-            Store::Heap(h) => h.len(),
-        }
     }
 }
 
@@ -140,7 +98,7 @@ impl<T> Store<T> {
 /// assert_eq!(q.pop(), Some((Time::from_nanos(20), "later")));
 /// ```
 pub struct EventQueue<E> {
-    store: Store<Scheduled<E>>,
+    wheel: TimingWheel<Scheduled<E>>,
     next_seq: u64,
     popped: u64,
     last_time: Time,
@@ -166,8 +124,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar on the default backend (the timing wheel,
-    /// or the reference heap when built with the `calendar-heap` feature).
+    /// Creates an empty calendar.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
@@ -175,36 +132,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar pre-sized for roughly `n` concurrent
     /// events, avoiding repeated growth at sweep start.
     pub fn with_capacity(n: usize) -> Self {
-        #[cfg(not(feature = "calendar-heap"))]
-        let store = Store::Wheel(TimingWheel::with_capacity(n));
-        #[cfg(feature = "calendar-heap")]
-        let store = Store::Heap(HeapCalendar::with_capacity(n));
-        Self::from_store(store, n)
-    }
-
-    /// Creates a calendar explicitly backed by the hierarchical timing
-    /// wheel, regardless of the `calendar-heap` feature. For differential
-    /// tests and benchmarks.
-    pub fn new_wheel_backed() -> Self {
-        Self::from_store(Store::Wheel(TimingWheel::new()), 0)
-    }
-
-    /// Creates a calendar explicitly backed by the reference binary heap
-    /// (the pre-wheel implementation). For differential tests and
-    /// benchmarks: both backends pop byte-identical `(time, seq)` orders.
-    pub fn new_heap_backed() -> Self {
-        Self::from_store(Store::Heap(HeapCalendar::new()), 0)
-    }
-
-    fn from_store(store: Store<Scheduled<E>>, cap: usize) -> Self {
         EventQueue {
-            store,
+            wheel: TimingWheel::with_capacity(n),
             next_seq: 0,
             popped: 0,
             last_time: Time::ZERO,
             clamped: 0,
             cancelled: 0,
-            timer_gens: Vec::with_capacity(cap.min(1 << 16)),
+            timer_gens: Vec::with_capacity(n.min(1 << 16)),
             free_slots: Vec::new(),
             probe: None,
         }
@@ -277,7 +212,7 @@ impl<E> EventQueue<E> {
         let time = time.max(self.last_time);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.store.push(
+        self.wheel.push_reap(
             time,
             seq,
             entry,
@@ -334,8 +269,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Time, E)> {
         loop {
             let (time, seq, entry) = self
-                .store
-                .pop(&mut dead_filter(&self.timer_gens, &mut self.free_slots))?;
+                .wheel
+                .pop_reap(&mut dead_filter(&self.timer_gens, &mut self.free_slots))?;
             if self.reap(&entry) {
                 continue;
             }
@@ -362,7 +297,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<Time> {
         loop {
             let dead = {
-                let (time, _, entry) = self.store.peek()?;
+                let (time, _, entry) = self.wheel.peek()?;
                 match entry.timer {
                     Some(h)
                         if self
@@ -377,8 +312,8 @@ impl<E> EventQueue<E> {
             };
             debug_assert!(dead);
             let (_, _, entry) = self
-                .store
-                .pop(&mut dead_filter(&self.timer_gens, &mut self.free_slots))
+                .wheel
+                .pop_reap(&mut dead_filter(&self.timer_gens, &mut self.free_slots))
                 .expect("peeked entry exists");
             let reaped = self.reap(&entry);
             debug_assert!(reaped);
@@ -388,12 +323,12 @@ impl<E> EventQueue<E> {
     /// Number of pending calendar entries, *including* cancelled ones not
     /// yet lazily discarded.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.wheel.len()
     }
 
     /// True when no calendar entries are pending (live or cancelled).
     pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
+        self.wheel.is_empty()
     }
 
     /// Total number of live events popped so far (a cheap progress metric).
@@ -576,25 +511,6 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.popped(), 0);
         assert_eq!(q.now(), Time::ZERO);
-    }
-
-    #[test]
-    fn heap_backed_matches_wheel_backed() {
-        let mut w = EventQueue::new_wheel_backed();
-        let mut h = EventQueue::new_heap_backed();
-        let times = [40u64, 7, 7, 100_000, 7, 2_000_000, 40];
-        for (i, &t) in times.iter().enumerate() {
-            w.schedule(Time::from_nanos(t), i);
-            h.schedule(Time::from_nanos(t), i);
-        }
-        loop {
-            let a = w.pop();
-            let b = h.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

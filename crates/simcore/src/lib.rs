@@ -7,9 +7,8 @@
 //! * [`event`] — a deterministic event calendar ([`EventQueue`]) ordered by
 //!   `(time, insertion sequence)` so equal-time events fire FIFO, with
 //!   cancellable timers ([`TimerHandle`]).
-//! * [`wheel`] — the hierarchical timing-wheel backend behind the calendar
-//!   (plus the reference [`wheel::HeapCalendar`] it is differentially
-//!   tested against).
+//! * [`wheel`] — the hierarchical timing wheel the calendar stores its
+//!   entries in.
 //! * [`rng`] — seeded deterministic randomness and a symmetric flow hash for
 //!   ECMP path selection.
 //! * [`progress`] — atomic progress counters ([`ProgressProbe`]) a running

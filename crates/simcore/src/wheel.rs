@@ -78,70 +78,12 @@ impl<T> Ord for CalEntry<T> {
     }
 }
 
-/// The reference calendar backend: one `BinaryHeap` over `(time, seq)`.
-///
-/// This is the pre-wheel implementation kept as a differential oracle: the
-/// proptests in `tests/event_properties.rs` and the `calendar-heap` cargo
-/// feature drive whole runs through it to prove the wheel pops a
-/// byte-identical sequence.
-pub struct HeapCalendar<T> {
-    heap: BinaryHeap<CalEntry<T>>,
-}
-
-impl<T> Default for HeapCalendar<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> HeapCalendar<T> {
-    /// Creates an empty calendar.
-    pub fn new() -> Self {
-        HeapCalendar {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Creates an empty calendar with room for `n` entries.
-    pub fn with_capacity(n: usize) -> Self {
-        HeapCalendar {
-            heap: BinaryHeap::with_capacity(n),
-        }
-    }
-
-    /// Inserts an entry. `seq` must be unique (the caller's insertion
-    /// counter); ties on `time` pop in `seq` order.
-    pub fn push(&mut self, time: Time, seq: u64, payload: T) {
-        self.heap.push(CalEntry { time, seq, payload });
-    }
-
-    /// Removes and returns the earliest `(time, seq)` entry.
-    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.payload))
-    }
-
-    /// The earliest entry without removing it.
-    pub fn peek(&self) -> Option<(Time, u64, &T)> {
-        self.heap.peek().map(|e| (e.time, e.seq, &e.payload))
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Hierarchical timing wheel with a sorted overflow level.
 ///
-/// Same `push`/`pop`/`peek` contract as [`HeapCalendar`] — pops are
-/// globally ordered by `(time, seq)` — but near-future scheduling is O(1)
-/// and pops touch only the small current-slot heap plus an occasional
-/// cascade, instead of sifting a single calendar-wide heap.
+/// Same `push`/`pop`/`peek` contract as one `BinaryHeap` over
+/// `(time, seq)` — pops are globally ordered — but near-future scheduling
+/// is O(1) and pops touch only the small current-slot heap plus an
+/// occasional cascade, instead of sifting a single calendar-wide heap.
 pub struct TimingWheel<T> {
     /// `LEVELS × SLOTS_PER_LEVEL` buckets, indexed `lvl * 64 + slot`.
     slots: Vec<Vec<CalEntry<T>>>,
@@ -394,6 +336,7 @@ impl<T> TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn drain<T>(w: &mut TimingWheel<T>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| w.pop().map(|(t, s, _)| (t.as_nanos(), s))).collect()
@@ -448,7 +391,7 @@ mod tests {
     fn interleaved_push_pop_matches_heap() {
         // Deterministic pseudo-random interleaving, wheel vs. reference heap.
         let mut w = TimingWheel::new();
-        let mut h = HeapCalendar::new();
+        let mut h: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = |range: u64| {
             state ^= state << 13;
@@ -469,11 +412,11 @@ mod tests {
                 };
                 let t = Time::from_nanos(last + dt);
                 w.push(t, seq, ());
-                h.push(t, seq, ());
+                h.push(Reverse((t, seq)));
                 seq += 1;
             } else {
                 let a = w.pop().map(|(t, s, _)| (t, s));
-                let b = h.pop().map(|(t, s, _)| (t, s));
+                let b = h.pop().map(|Reverse(e)| e);
                 assert_eq!(a, b);
                 if let Some((t, _)) = a {
                     last = t.as_nanos();
@@ -482,12 +425,12 @@ mod tests {
             assert_eq!(w.len(), h.len());
             assert_eq!(
                 w.peek().map(|(t, s, _)| (t, s)),
-                h.peek().map(|(t, s, _)| (t, s))
+                h.peek().map(|&Reverse(e)| e)
             );
         }
         loop {
             let a = w.pop().map(|(t, s, _)| (t, s));
-            let b = h.pop().map(|(t, s, _)| (t, s));
+            let b = h.pop().map(|Reverse(e)| e);
             assert_eq!(a, b);
             if a.is_none() {
                 break;

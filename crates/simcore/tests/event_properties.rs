@@ -5,9 +5,53 @@
 //! and events scheduled for the same instant fire in FIFO order. Both the
 //! batch and the interleaved schedule/pop paths must uphold it.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+
 use flexpass_simcore::event::EventQueue;
-use flexpass_simcore::time::Time;
+use flexpass_simcore::time::{Time, TimeDelta};
 use proptest::prelude::*;
+
+/// Reference model for the differential test: the calendar as one binary
+/// heap over `(time, insertion seq)` with cancellation as a set lookup at
+/// pop. The payload of every entry is its own sequence number, which also
+/// serves as the cancellation handle.
+#[derive(Default)]
+struct RefCalendar {
+    /// `(time, seq, cancellable)`, earliest first.
+    heap: BinaryHeap<Reverse<(Time, u64, bool)>>,
+    /// Cancellable entries neither fired nor cancelled yet.
+    pending: BTreeSet<u64>,
+    next_seq: u64,
+    popped: u64,
+}
+
+impl RefCalendar {
+    fn schedule(&mut self, time: Time, cancellable: bool) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq, cancellable)));
+        if cancellable {
+            self.pending.insert(seq);
+        }
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        self.pending.remove(&seq)
+    }
+
+    fn pop(&mut self) -> Option<(Time, u64)> {
+        loop {
+            let Reverse((time, seq, cancellable)) = self.heap.pop()?;
+            if cancellable && !self.pending.remove(&seq) {
+                continue;
+            }
+            self.popped += 1;
+            return Some((time, seq));
+        }
+    }
+}
 
 /// One step of the randomized differential tape, decoded from a raw
 /// `(kind, arg)` pair. Times are offsets from the last popped instant so
@@ -26,8 +70,9 @@ fn decode(kind: u8, arg: u64) -> Op {
     match kind % 7 {
         0 | 1 => Op::Pop,
         // Mix short offsets (dense ties, same-slot collisions) with long
-        // ones that overflow the wheel's near-future horizon.
-        2 | 3 => Op::Schedule(arg % 2_000_000),
+        // ones that reach every wheel level and the overflow heap.
+        2 => Op::Schedule(arg % 2_000_000),
+        3 => Op::Schedule(arg % (1 << 36)),
         4 | 5 => Op::ScheduleCancelable(arg % 2_000_000),
         _ => Op::Cancel(arg as usize),
     }
@@ -88,70 +133,64 @@ proptest! {
         }
     }
 
-    /// Differential check: the timing wheel and the legacy binary heap are
-    /// observably the same calendar. Any interleaving of schedules, pops and
+    /// Differential check: the calendar is observably a binary heap over
+    /// `(time, insertion order)`. Any interleaving of schedules, pops and
     /// cancellations — including same-instant ties and cancel-then-pop races
     /// (lazy deletion) — must yield the identical `(time, payload)` pop
-    /// sequence from both backends.
+    /// sequence from `EventQueue` and from the reference model.
     #[test]
     fn wheel_and_heap_pop_identically_under_cancellation(
         tape in prop::collection::vec((0u8..=255, 0u64..u64::MAX), 1..300),
     ) {
         let ops: Vec<Op> = tape.into_iter().map(|(k, a)| decode(k, a)).collect();
-        let mut wheel: EventQueue<u64> = EventQueue::new_wheel_backed();
-        let mut heap: EventQueue<u64> = EventQueue::new_heap_backed();
-        // Live cancellable handles, tracked per queue by insertion order so
-        // cancellation targets the "same" logical timer in both (handles
-        // themselves are slab-allocated and need not be compared).
-        let mut wheel_handles = Vec::new();
-        let mut heap_handles = Vec::new();
-        let mut next_payload = 0u64;
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap = RefCalendar::default();
+        // Outstanding cancellable timers as (queue handle, model seq) pairs,
+        // so a cancellation targets the same logical timer in both.
+        let mut handles = Vec::new();
         let mut last_time = Time::ZERO;
         for op in ops {
             match op {
                 Op::Pop => {
                     let a = wheel.pop();
                     let b = heap.pop();
-                    prop_assert_eq!(a, b, "backends diverged on pop");
+                    prop_assert_eq!(a, b, "calendar diverged from the heap on pop");
                     if let Some((t, _)) = a {
                         prop_assert!(t >= last_time, "time went backwards");
                         last_time = t;
                     }
                 }
                 Op::Schedule(dt) => {
-                    let at = last_time + flexpass_simcore::time::TimeDelta::nanos(dt);
-                    wheel.schedule(at, next_payload);
-                    heap.schedule(at, next_payload);
-                    next_payload += 1;
+                    let at = last_time + TimeDelta::nanos(dt);
+                    let seq = heap.schedule(at, false);
+                    wheel.schedule(at, seq);
                 }
                 Op::ScheduleCancelable(dt) => {
-                    let at = last_time + flexpass_simcore::time::TimeDelta::nanos(dt);
-                    wheel_handles.push(wheel.schedule_cancelable(at, next_payload));
-                    heap_handles.push(heap.schedule_cancelable(at, next_payload));
-                    next_payload += 1;
+                    let at = last_time + TimeDelta::nanos(dt);
+                    let seq = heap.schedule(at, true);
+                    handles.push((wheel.schedule_cancelable(at, seq), seq));
                 }
                 Op::Cancel(i) => {
-                    if !wheel_handles.is_empty() {
-                        let i = i % wheel_handles.len();
-                        let a = wheel.cancel(wheel_handles.swap_remove(i));
-                        let b = heap.cancel(heap_handles.swap_remove(i));
-                        prop_assert_eq!(a, b, "backends disagreed on cancel result");
+                    if !handles.is_empty() {
+                        let (h, seq) = handles.swap_remove(i % handles.len());
+                        prop_assert_eq!(
+                            wheel.cancel(h),
+                            heap.cancel(seq),
+                            "calendar disagreed with the heap on cancel result"
+                        );
                     }
                 }
             }
-            // NB: `len()` is deliberately not compared — it counts dead
-            // entries awaiting lazy discard, and the wheel reaps those at
-            // cascade time while the heap carries them to the head.
         }
         // Drain both to the end: the full residual sequence must match.
         loop {
             let a = wheel.pop();
             let b = heap.pop();
-            prop_assert_eq!(a, b, "backends diverged on final drain");
+            prop_assert_eq!(a, b, "calendar diverged from the heap on final drain");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.popped(), heap.popped());
+        prop_assert_eq!(wheel.popped(), heap.popped);
     }
 }

@@ -25,17 +25,6 @@ use flexpass_simnet::trace;
 
 use crate::common::{AckBuilder, PktState, Reassembly, RttEstimator};
 
-/// Debug tracing for one flow id, enabled via `EP_TRACE=<flow_id>`.
-fn trace_flow() -> u64 {
-    static FLOW: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *FLOW.get_or_init(|| {
-        std::env::var("EP_TRACE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(u64::MAX)
-    })
-}
-
 /// Timer kind: receiver credit pacing tick.
 const TK_CREDIT: u16 = 3;
 /// Timer kind: receiver feedback update.
@@ -207,18 +196,6 @@ impl EpSender {
     }
 
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
-        if self.spec.id == trace_flow() {
-            eprintln!(
-                "[{:?}] S credit idx={} done={} acked={}/{} next_pending={} lost={}",
-                ctx.now,
-                credit.idx,
-                self.done,
-                self.acked,
-                self.n,
-                self.next_pending,
-                self.lost.len()
-            );
-        }
         self.stats.credits_received += 1;
         if self.done {
             self.stats.credits_wasted += 1;
@@ -282,12 +259,6 @@ impl EpSender {
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        if self.spec.id == trace_flow() {
-            eprintln!(
-                "[{:?}] S ack cum={} sack_n={} acked={}/{}",
-                ctx.now, ack.cum, ack.sack_n, self.acked, self.n
-            );
-        }
         let prev_una = self.snd_una;
         let mut newly = 0;
         while self.snd_una < ack.cum.min(self.n) {
@@ -536,16 +507,6 @@ impl EpReceiver {
     }
 
     fn send_credit(&mut self, ctx: &mut EndpointCtx) {
-        if self.spec.id == trace_flow() {
-            eprintln!(
-                "[{:?}] R credit idx={} rate={:.0}Mbps rcvd={}/{}",
-                ctx.now,
-                self.credit_idx,
-                self.engine.rate() / 1e6,
-                self.reasm.received_count(),
-                self.reasm.total()
-            );
-        }
         let idx = self.credit_idx;
         self.credit_idx += 1;
         self.credits_sent += 1;

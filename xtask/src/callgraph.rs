@@ -28,7 +28,8 @@
 //! Unresolvable calls (trait-object dispatch, fn pointers, closures,
 //! macro-generated code) produce no edge: the rules are deliberately
 //! under-approximate and rely on the file-local rules plus the dynamic
-//! alloc-count gate to cover the remainder.
+//! allocation count of `tests/alloc_free_datapath.rs` to cover the
+//! remainder.
 
 use std::collections::BTreeMap;
 

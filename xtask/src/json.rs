@@ -1,9 +1,9 @@
 //! Dependency-free mini JSON reader and writer.
 //!
 //! The workspace builds offline with no serde; the few JSON files xtask
-//! touches (`lint-baseline.json`, `BENCH_substrate.json`, the lint report
-//! artifact) are small and regular, so a minimal recursive-descent value
-//! parser and an escaping writer cover everything needed. Numbers are kept
+//! touches (`lint-baseline.json`, the lint report artifact) are small and
+//! regular, so a minimal recursive-descent value parser and an escaping
+//! writer cover everything needed. Numbers are kept
 //! as `f64`, which is exact for every integer these files contain.
 
 /// A parsed JSON value.
@@ -31,13 +31,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -277,10 +270,7 @@ mod tests {
                 .and_then(|a| a[2].as_str()),
             Some("x\ny")
         );
-        assert_eq!(
-            v.get("c").and_then(|c| c.get("d")).and_then(Json::as_f64),
-            Some(-2.5)
-        );
+        assert_eq!(v.get("c").and_then(|c| c.get("d")), Some(&Json::Num(-2.5)));
     }
 
     #[test]

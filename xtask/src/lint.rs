@@ -113,8 +113,8 @@ pub const LINTED_EXTRA_FILES: &[&str] = &["crates/experiments/src/orchestrate.rs
 /// *only*. These layers (workloads, metrics, experiment drivers, benches)
 /// are allowed hash maps, casts and panics — but real time must not leak
 /// into anything that feeds the simulation: `std::time::Instant` stays
-/// confined to the bench runner ([`WALL_CLOCK_HOMES`]) and the experiment
-/// orchestrator (scoped `lint:allow` rationales).
+/// confined to the experiment orchestrator (scoped `lint:allow`
+/// rationales).
 const WALL_CLOCK_SWEEP_CRATES: &[&str] = &[
     "crates/simaudit",
     "crates/workload",
@@ -122,10 +122,6 @@ const WALL_CLOCK_SWEEP_CRATES: &[&str] = &[
     "crates/experiments",
     "crates/bench",
 ];
-
-/// Files whose entire purpose is wall-clock measurement: the standalone
-/// bench runner times real executions to report events/sec.
-const WALL_CLOCK_HOMES: &[&str] = &["crates/bench/src/bin/substrate_bench.rs"];
 
 /// `(name, rationale)` for every rule, for `--help`-style listings.
 pub const RULES: &[(&str, &str)] = &[
@@ -260,9 +256,7 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
             files.sort();
             for path in files {
                 let rel = rel_path(root, &path);
-                if WALL_CLOCK_HOMES.contains(&rel.as_str())
-                    || LINTED_EXTRA_FILES.contains(&rel.as_str())
-                {
+                if LINTED_EXTRA_FILES.contains(&rel.as_str()) {
                     continue;
                 }
                 let src = fs::read_to_string(&path)?;

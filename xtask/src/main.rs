@@ -12,9 +12,6 @@
 //!   panic/alloc-reachable witness chain; `--update-baseline` rewrites
 //!   `lint-baseline.json` from the current findings (shrink-only
 //!   workflow: review the diff before committing).
-//! * `bench` — the substrate benchmark with its regression gates.
-//!   `--alloc-count` rebuilds with the counting global allocator and gates
-//!   steady-state datapath allocations per event.
 //! * `trace-report` — post-mortem summary of `--trace` JSONL logs (see
 //!   `trace_report.rs` and DESIGN.md "Packet-lifecycle tracing").
 
@@ -51,7 +48,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("bench") => run_bench(&args[1..]),
         Some("trace-report") => match trace_report::run(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
@@ -125,9 +121,6 @@ fn print_usage() {
     eprintln!("  lint [--format human|json|github] [--report alloc|callgraph] [--update-baseline]");
     eprintln!("          run the determinism & units lint over the simulation crates;");
     eprintln!("          config in lint.toml, known findings in lint-baseline.json");
-    eprintln!("  bench [--smoke] [--out PATH] [--alloc-count]");
-    eprintln!("          run the substrate benchmark (release build) and emit the");
-    eprintln!("          BENCH_substrate.json report (default: workspace root)");
     eprintln!("  trace-report PATH...");
     eprintln!("          summarize packet-lifecycle trace logs (JSONL files or");
     eprintln!("          directories from the experiments binary's --trace)");
@@ -136,115 +129,6 @@ fn print_usage() {
     for (name, why) in lint::RULES {
         eprintln!("  {name:<20} {why}");
     }
-}
-
-/// Builds and runs the standalone substrate benchmark
-/// (`crates/bench/src/bin/substrate_bench.rs`) in release mode, writing
-/// `BENCH_substrate.json` (events/sec, ns/event, wheel-over-heap speedups).
-/// `--smoke` runs the fast CI-sized variant; `--out PATH` overrides the
-/// report location; `--alloc-count` rebuilds with the counting global
-/// allocator and gates datapath allocations per event against the
-/// committed report. The bench binary itself enforces the regression
-/// gates and sets the exit code.
-fn run_bench(args: &[String]) -> ExitCode {
-    let root = workspace_root();
-    let mut smoke = false;
-    let mut alloc_count = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--alloc-count" => alloc_count = true,
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown argument `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        root.join("BENCH_substrate.json")
-            .to_string_lossy()
-            .into_owned()
-    });
-    // With --alloc-count, gate against the committed report's number (read
-    // before the run overwrites the file).
-    let gate = if alloc_count {
-        committed_allocs_per_event(&root)
-    } else {
-        None
-    };
-    let mut cmd = std::process::Command::new(env!("CARGO"));
-    cmd.current_dir(&root)
-        .args(["run", "--release", "-p", "flexpass-bench"]);
-    if alloc_count {
-        cmd.args(["--features", "alloc-count"]);
-    }
-    cmd.args(["--bin", "substrate_bench", "--"]);
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    if let Some(g) = gate {
-        cmd.args(["--gate-alloc", &format!("{g}")]);
-    }
-    // Gate the serial (par-1) multipod rate against the committed report
-    // (read before the run overwrites the file): the partitioned engine
-    // must not slow the serial engine down.
-    if let Some(g) = committed_multipod_serial(&root) {
-        cmd.args(["--gate-multipod", &format!("{g}")]);
-    }
-    // Gate the scale point's peak RSS against the committed ceiling: the
-    // streaming recorder must keep metrics memory O(live flows).
-    if let Some(g) = committed_scale_rss_ceiling(&root) {
-        cmd.args(["--gate-scale-rss", &format!("{g}")]);
-    }
-    cmd.args(["--out", &out]);
-    match cmd.status() {
-        Ok(st) if st.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("xtask bench: failed to run cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Reads `alloc.datapath_allocs_per_event` from the committed
-/// BENCH_substrate.json, if present.
-fn committed_allocs_per_event(root: &std::path::Path) -> Option<f64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("alloc")?.get("datapath_allocs_per_event")?.as_f64()
-}
-
-/// Reads the committed serial (domains == 1) multipod rate from
-/// BENCH_substrate.json, if present.
-fn committed_multipod_serial(root: &std::path::Path) -> Option<f64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("multipod")?
-        .get("runs")?
-        .as_arr()?
-        .iter()
-        .find(|r| r.get("domains").and_then(xtask::json::Json::as_u64) == Some(1))?
-        .get("events_per_sec")?
-        .as_f64()
-}
-
-/// Reads the committed scale peak-RSS ceiling (MiB) from
-/// BENCH_substrate.json, if present.
-fn committed_scale_rss_ceiling(root: &std::path::Path) -> Option<u64> {
-    let src = std::fs::read_to_string(root.join("BENCH_substrate.json")).ok()?;
-    let doc = xtask::json::parse(&src).ok()?;
-    doc.get("scale")?.get("rss_ceiling_mb")?.as_u64()
 }
 
 fn run_lint(la: LintArgs) -> ExitCode {

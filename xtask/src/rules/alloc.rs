@@ -21,8 +21,8 @@
 //! context: a `push` on a preallocated buffer is fine at steady state but
 //! is where capacity growth would hide, so the report lists it while the
 //! lint stays quiet. The committed report is the work-list for the
-//! ROADMAP-1 arena/pool refactor, and the counting-allocator bench gate
-//! (`cargo xtask bench --alloc-count`) is its dynamic counterpart.
+//! ROADMAP-1 arena/pool refactor, and the counting-allocator test
+//! (`tests/alloc_free_datapath.rs`) is its dynamic counterpart.
 
 use std::collections::BTreeMap;
 
