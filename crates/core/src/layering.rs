@@ -6,14 +6,13 @@
 //! mitigates starvation of legacy traffic but, as §6.2 shows, the window
 //! needlessly throttles transmission even when no legacy traffic competes.
 
-use flexpass_simcore::time::{Time, TimeDelta};
-use flexpass_simnet::consts::{data_wire_bytes, packets_for, payload_of_packet, CTRL_WIRE};
+use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
-use flexpass_simnet::packet::{AckInfo, CreditInfo, DataInfo, FlowSpec, Packet, Payload, Subflow};
-use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv};
+use flexpass_simnet::packet::{AckInfo, CreditInfo, FlowSpec, Packet, Payload};
+use flexpass_simnet::sim::{timer_kind, NetEnv};
 use flexpass_simnet::trace;
-use flexpass_transport::common::{DctcpWindow, PktState, RttEstimator};
-use flexpass_transport::expresspass::EpConfig;
+use flexpass_transport::common::{data_packet, DctcpWindow, RtoTimer, Scoreboard};
+use flexpass_transport::expresspass::{waste_credit, EpConfig};
 
 /// Timer kind: sender retransmission backstop.
 const TK_RTO: u16 = 13;
@@ -22,21 +21,10 @@ const TK_RTO: u16 = 13;
 pub struct LySender {
     spec: FlowSpec,
     cfg: EpConfig,
-    n: u32,
-    states: Vec<PktState>,
+    sb: Scoreboard,
     win: DctcpWindow,
-    inflight: u32,
-    snd_una: u32,
-    next_pending: u32,
-    acked: u32,
     dupacks: u32,
-    rtt: RttEstimator,
-    last_progress: Time,
-    /// Deadline of the currently armed (cancellable) RTO, if any.
-    rto_deadline: Option<Time>,
-    rto_backoff: u32,
-    /// Packets currently marked `Lost`.
-    lost: std::collections::BTreeSet<u32>,
+    rto: RtoTimer,
     stats: TxStats,
     done: bool,
 }
@@ -44,23 +32,13 @@ pub struct LySender {
 impl LySender {
     /// Creates a sender for `spec`.
     pub fn new(spec: FlowSpec, cfg: EpConfig, _env: &NetEnv) -> Self {
-        let n = packets_for(spec.size).get();
         LySender {
             spec,
             cfg,
-            n,
-            states: vec![PktState::Pending; n as usize],
+            sb: Scoreboard::new(packets_for(spec.size).get()),
             win: DctcpWindow::new(10.0, 1.0 / 16.0, 4096.0),
-            inflight: 0,
-            snd_una: 0,
-            next_pending: 0,
-            acked: 0,
             dupacks: 0,
-            rtt: RttEstimator::new(cfg.min_rto),
-            last_progress: Time::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
-            lost: std::collections::BTreeSet::new(),
+            rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
         }
@@ -71,170 +49,56 @@ impl LySender {
         self.win.cwnd()
     }
 
-    fn rto(&self) -> TimeDelta {
-        self.rtt.rto() * (1u64 << self.rto_backoff.min(8))
-    }
-
-    /// Keeps the armed RTO tracking `last_progress + rto()` via
-    /// cancel-and-replace arming (monotone-maximum deadline, matching the
-    /// envelope of the old lazy fire-and-recheck chain); cancelled on done.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_RTO);
-        if self.done {
-            if self.rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.rto_deadline {
-            Some(d) => (self.last_progress + self.rto()).max(d),
-            None => ctx.now + self.rto(),
-        };
-        if self.rto_deadline != Some(at) {
-            self.rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
+        self.rto.update(ctx, !self.done, self.cfg.min_rto);
     }
 
     fn send_request(&mut self, ctx: &mut EndpointCtx) {
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.src,
-            self.spec.dst,
-            CTRL_WIRE,
+        let pkts = self.sb.total();
+        ctx.send(Packet::to_receiver(
+            &self.spec,
             self.cfg.ctrl_class,
-            Payload::CreditReq { pkts: self.n },
+            Payload::CreditReq { pkts },
         ));
         self.update_rto(ctx);
     }
 
-    fn pick(&mut self) -> Option<u32> {
-        if let Some(&s) = self.lost.iter().next() {
-            return Some(s);
-        }
-        while self.next_pending < self.n
-            && self.states[self.next_pending as usize] != PktState::Pending
-        {
-            self.next_pending += 1;
-        }
-        if self.next_pending < self.n {
-            let s = self.next_pending;
-            self.next_pending += 1;
-            return Some(s);
-        }
-        None
-    }
-
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
-        if self.done {
-            self.stats.credits_wasted += 1;
-            trace::credit_wasted(self.spec.id);
+        // The layering gate: credits beyond the DCTCP window are wasted,
+        // like credits with nothing left to send.
+        let picked = if self.done || self.sb.in_flight() >= self.win.cwnd_pkts() {
+            None
+        } else {
+            self.sb.pick()
+        };
+        let Some((seq, retx)) = picked else {
+            waste_credit(&mut self.stats, self.spec.id);
             return;
-        }
-        // The layering gate: credits beyond the DCTCP window are wasted.
-        if self.inflight >= self.win.cwnd_pkts() {
-            self.stats.credits_wasted += 1;
-            trace::credit_wasted(self.spec.id);
-            return;
-        }
-        match self.pick() {
-            Some(seq) => {
-                let retx = self.states[seq as usize] == PktState::Lost;
-                self.lost.remove(&seq);
-                self.states[seq as usize] = PktState::Sent;
-                self.inflight += 1;
-                let pay = payload_of_packet(self.spec.size, seq);
-                self.stats.data_pkts += 1;
-                self.stats.data_bytes += pay.get();
-                if retx {
-                    self.stats.retx_pkts += 1;
-                    self.stats.redundant_bytes += pay.get();
-                    trace::retransmit(self.spec.id, seq);
-                }
-                ctx.send(
-                    Packet::new(
-                        self.spec.id,
-                        self.spec.src,
-                        self.spec.dst,
-                        data_wire_bytes(pay),
-                        self.cfg.data_class,
-                        Payload::Data(DataInfo {
-                            flow_seq: seq,
-                            sub_seq: credit.idx,
-                            sub: Subflow::Only,
-                            payload: pay,
-                            retx,
-                        }),
-                    )
-                    .ecn(),
-                );
-                self.update_rto(ctx);
-            }
-            None => {
-                self.stats.credits_wasted += 1;
-                trace::credit_wasted(self.spec.id);
-            }
-        }
+        };
+        let class = self.cfg.data_class;
+        let pkt = data_packet(&self.spec, class, seq, credit.idx, retx, &mut self.stats);
+        ctx.send(pkt.ecn());
+        self.update_rto(ctx);
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.snd_una;
-        let mut newly = 0u64;
-        let mark = |states: &mut Vec<PktState>, seq: u32, acked: &mut u32, inflight: &mut u32| {
-            let st = &mut states[seq as usize];
-            if *st == PktState::Acked {
-                return 0u64;
-            }
-            if st.in_flight() {
-                *inflight -= 1;
-            }
-            *st = PktState::Acked;
-            *acked += 1;
-            1
-        };
-        while self.snd_una < ack.cum.min(self.n) {
-            let got = mark(
-                &mut self.states,
-                self.snd_una,
-                &mut self.acked,
-                &mut self.inflight,
-            );
-            if got > 0 {
-                self.lost.remove(&self.snd_una);
-            }
-            newly += got;
-            self.snd_una += 1;
-        }
-        for r in 0..ack.sack_n as usize {
-            let (lo, hi) = ack.sack[r];
-            for s in lo..hi.min(self.n) {
-                let got = mark(&mut self.states, s, &mut self.acked, &mut self.inflight);
-                if got > 0 {
-                    self.lost.remove(&s);
-                }
-                newly += got;
-            }
-        }
+        let prev_una = self.sb.snd_una();
+        let newly = self.sb.apply_ack(ack, |_| {});
         if newly > 0 {
-            self.last_progress = ctx.now;
-            self.rto_backoff = 0;
+            self.rto.progress(ctx.now);
             self.dupacks = 0;
             self.win
-                .on_ack(newly, ack.acked_flow_seq, ack.ece, self.next_pending);
-        } else if ack.cum == prev_una && ack.cum < self.n {
+                .on_ack(newly, ack.acked_flow_seq, ack.ece, self.sb.next_pending());
+        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
             self.dupacks += 1;
             if self.dupacks == 3 {
                 self.dupacks = 0;
-                if self.states[self.snd_una as usize] == PktState::Sent {
-                    self.states[self.snd_una as usize] = PktState::Lost;
-                    self.lost.insert(self.snd_una);
-                    self.inflight -= 1;
-                }
-                self.win.on_loss(ack.cum, self.next_pending);
+                self.sb.mark_lost(self.sb.snd_una());
+                self.win.on_loss(ack.cum, self.sb.next_pending());
             }
         }
-        if self.acked >= self.n && !self.done {
+        if self.sb.all_acked() && !self.done {
             self.done = true;
             ctx.emit(AppEvent::SenderDone {
                 flow: self.spec.id,
@@ -247,7 +111,7 @@ impl LySender {
 
 impl Endpoint for LySender {
     fn activate(&mut self, ctx: &mut EndpointCtx) {
-        self.last_progress = ctx.now;
+        self.rto.progress(ctx.now);
         self.send_request(ctx);
     }
 
@@ -263,26 +127,16 @@ impl Endpoint for LySender {
         if timer_kind(token) != TK_RTO {
             return;
         }
-        self.rto_deadline = None;
+        self.rto.fired();
         if self.done {
             return;
         }
-        self.rto_backoff += 1;
-        trace::rto(self.spec.id, self.rto_backoff);
-        let mut any_lost = false;
-        for s in self.snd_una..self.next_pending.min(self.n) {
-            if self.states[s as usize] == PktState::Sent {
-                self.states[s as usize] = PktState::Lost;
-                self.lost.insert(s);
-                self.inflight -= 1;
-                any_lost = true;
-            }
-        }
-        if any_lost {
+        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        // Only count a timeout when data was actually outstanding.
+        if self.sb.lose_outstanding() {
             self.stats.timeouts += 1;
         }
-        self.win.on_timeout(self.next_pending);
-        self.last_progress = ctx.now;
+        self.win.on_timeout(self.sb.next_pending());
         self.send_request(ctx);
     }
 
@@ -295,9 +149,9 @@ impl Endpoint for LySender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::Rate;
+    use flexpass_simcore::time::{Rate, Time, TimeDelta};
     use flexpass_simcore::units::Bytes;
-    use flexpass_simnet::packet::TrafficClass;
+    use flexpass_simnet::packet::{Subflow, TrafficClass};
 
     fn env() -> NetEnv {
         NetEnv {
@@ -320,11 +174,8 @@ mod tests {
     }
 
     fn credit(idx: u32) -> Packet {
-        Packet::new(
-            3,
-            1,
-            0,
-            CTRL_WIRE,
+        Packet::to_sender(
+            &spec(1460),
             TrafficClass::Credit,
             Payload::Credit(CreditInfo { idx }),
         )
@@ -367,7 +218,7 @@ mod tests {
         for i in 0..10 {
             s.on_packet(&credit(i), &mut ctx);
         }
-        assert_eq!(s.inflight, 10);
+        assert_eq!(s.sb.in_flight(), 10);
         let ack = AckInfo {
             sub: Subflow::Only,
             cum: 5,
@@ -377,10 +228,10 @@ mod tests {
             acked_flow_seq: 4,
         };
         s.on_packet(
-            &Packet::new(3, 1, 0, CTRL_WIRE, TrafficClass::NewCtrl, Payload::Ack(ack)),
+            &Packet::to_sender(&spec(1460), TrafficClass::NewCtrl, Payload::Ack(ack)),
             &mut ctx,
         );
-        assert_eq!(s.inflight, 5);
+        assert_eq!(s.sb.in_flight(), 5);
         s.on_packet(&credit(10), &mut ctx);
         assert_eq!(s.stats.data_pkts, 11);
     }

@@ -1,16 +1,12 @@
 //! The FlexPass receiver: reassembly across both sub-flows, per-sub-flow
 //! acknowledgment, and the ExpressPass credit loop scaled to `w_q`.
 
-use flexpass_simcore::time::TimeDelta;
-use flexpass_simnet::consts::{packets_for, CTRL_WIRE};
-use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats};
-use flexpass_simnet::packet::{
-    AckInfo, CreditInfo, DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
-};
-use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv};
-use flexpass_simnet::trace;
-use flexpass_transport::common::{AckBuilder, Reassembly};
-use flexpass_transport::expresspass::CreditEngine;
+use flexpass_simnet::consts::packets_for;
+use flexpass_simnet::endpoint::{Endpoint, EndpointCtx};
+use flexpass_simnet::packet::{DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
+use flexpass_simnet::sim::{timer_kind, NetEnv};
+use flexpass_transport::common::{AckBuilder, RxTail};
+use flexpass_transport::expresspass::CreditLoop;
 
 use crate::config::{CreditPolicy, FlexPassConfig};
 
@@ -25,20 +21,12 @@ const TK_LINGER: u16 = 12;
 pub struct FlexPassReceiver {
     spec: FlowSpec,
     cfg: FlexPassConfig,
-    reasm: Reassembly,
+    tail: RxTail,
     /// ACK scoreboard of the reactive sub-flow (rseq space).
     racks: AckBuilder,
     /// ACK scoreboard of the proactive sub-flow (pseq space).
     packs: AckBuilder,
-    engine: CreditEngine,
-    credit_idx: u32,
-    crediting: bool,
-    credit_chain_live: bool,
-    update_period: TimeDelta,
-    completed: bool,
-    torn_down: bool,
-    /// Total credits sent (introspection).
-    pub credits_sent: u64,
+    credit: CreditLoop,
 }
 
 impl FlexPassReceiver {
@@ -46,123 +34,58 @@ impl FlexPassReceiver {
     /// the host line rate scaled by `cfg.wq` (§4.1: credits are allocated
     /// against the minimum guaranteed bandwidth only).
     pub fn new(spec: FlowSpec, cfg: FlexPassConfig, env: &NetEnv) -> Self {
-        let n = packets_for(spec.size);
-        let reasm = Reassembly::new(spec.size, n);
-        let n = n.get();
+        let n = packets_for(spec.size).get();
         let mut ep = cfg.ep;
         if cfg.credit_policy == CreditPolicy::FixedRate {
             // pHost-style: pace at the guaranteed rate from the start and
-            // never adapt (the feedback timer is disabled in `on_timer`).
+            // never adapt (the feedback tick is dropped in `on_timer`).
             ep.init_rate_frac = 1.0;
         }
-        let engine = CreditEngine::new(ep, env, spec.id);
         FlexPassReceiver {
             spec,
             cfg,
-            reasm,
+            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
             racks: AckBuilder::new(n),
             packs: AckBuilder::new(n),
-            engine,
-            credit_idx: 0,
-            crediting: false,
-            credit_chain_live: false,
-            update_period: env.base_rtt.max(TimeDelta::micros(20)),
-            completed: false,
-            torn_down: false,
-            credits_sent: 0,
+            credit: CreditLoop::new(&spec, ep, env, TK_CREDIT, TK_FEEDBACK),
         }
     }
 
     /// Unique packets received so far (introspection).
     pub fn received(&self) -> u32 {
-        self.reasm.received_count()
+        self.tail.reasm().received_count()
     }
 
-    fn ctrl(&self, payload: Payload) -> Packet {
-        Packet::new(
-            self.spec.id,
-            self.spec.dst,
-            self.spec.src,
-            CTRL_WIRE,
-            TrafficClass::NewCtrl,
-            payload,
-        )
-    }
-
-    fn start_crediting(&mut self, ctx: &mut EndpointCtx) {
-        if self.crediting || self.completed {
-            return;
-        }
-        self.crediting = true;
-        if !self.credit_chain_live {
-            self.credit_chain_live = true;
-            ctx.arm_timer(ctx.now, timer_token(self.spec.id, TK_CREDIT));
-            ctx.arm_timer(
-                ctx.now + self.update_period,
-                timer_token(self.spec.id, TK_FEEDBACK),
-            );
-        }
-    }
-
-    fn send_credit(&mut self, ctx: &mut EndpointCtx) {
-        let idx = self.credit_idx;
-        self.credit_idx += 1;
-        self.credits_sent += 1;
-        self.engine.credits_sent_period += 1;
-        trace::credit_sent(self.spec.id, u64::from(idx));
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.dst,
-            self.spec.src,
-            CTRL_WIRE,
-            TrafficClass::Credit,
-            Payload::Credit(CreditInfo { idx }),
-        ));
+    /// Total credits sent (introspection).
+    pub fn credits_sent(&self) -> u64 {
+        self.credit.credits_sent()
     }
 
     fn on_data(&mut self, pkt: &Packet, d: DataInfo, ctx: &mut EndpointCtx) {
         // Reassemble on the per-flow sequence; duplicates (e.g. a reactive
         // original racing its proactive retransmission) are discarded here.
-        self.reasm.on_packet(d.flow_seq);
+        self.tail.on_data(d.flow_seq);
 
         // Acknowledge on the sub-flow the copy actually arrived on.
-        let info: AckInfo = match d.sub {
-            Subflow::Reactive => {
-                self.racks.on_packet(d.sub_seq);
-                self.racks
-                    .build(Subflow::Reactive, pkt.ecn_ce, d.flow_seq, d.sub_seq)
-            }
+        let (acks, sub) = match d.sub {
+            Subflow::Reactive => (&mut self.racks, Subflow::Reactive),
             Subflow::Proactive | Subflow::Only => {
-                self.engine.data_rcvd_period += 1;
-                self.packs.on_packet(d.sub_seq);
-                self.packs
-                    .build(Subflow::Proactive, pkt.ecn_ce, d.flow_seq, d.sub_seq)
+                self.credit.on_data();
+                (&mut self.packs, Subflow::Proactive)
             }
         };
-        ctx.send(self.ctrl(Payload::Ack(info)));
+        acks.on_packet(d.sub_seq);
+        let info = acks.build(sub, pkt.ecn_ce, d.flow_seq, d.sub_seq);
+        ctx.send(Packet::to_sender(
+            &self.spec,
+            TrafficClass::NewCtrl,
+            Payload::Ack(info),
+        ));
 
-        if self.reasm.complete() && !self.completed {
-            self.completed = true;
-            self.crediting = false;
-            // Completion is final (`start_crediting` refuses once
-            // completed), so both pacing chains can be cancelled outright.
-            // A mid-flow `CreditStop` must instead let the chain fire and
-            // observe `!crediting` — restart relies on that termination.
-            ctx.cancel_timer(timer_token(self.spec.id, TK_CREDIT));
-            ctx.cancel_timer(timer_token(self.spec.id, TK_FEEDBACK));
-            ctx.emit(AppEvent::FlowCompleted {
-                flow: self.spec.id,
-                stats: RxStats {
-                    pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
-                    dup_pkts: self.reasm.duplicates(),
-                    reorder_peak_bytes: self.reasm.reorder_peak().get(),
-                },
-            });
-            ctx.set_timer(
-                ctx.now + self.cfg.linger,
-                timer_token(self.spec.id, TK_LINGER),
-            );
+        if self.tail.completing() {
+            self.credit.halt(ctx);
         }
+        self.tail.finish_if_complete(ctx);
     }
 }
 
@@ -171,53 +94,35 @@ impl Endpoint for FlexPassReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
-            Payload::CreditReq { .. } => self.start_crediting(ctx),
-            Payload::CreditStop => self.crediting = false,
+            Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
+            Payload::CreditStop => self.credit.stop(),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        match timer_kind(token) {
-            TK_CREDIT => {
-                if self.crediting && !self.completed {
-                    self.send_credit(ctx);
-                    ctx.arm_timer(
-                        ctx.now + self.engine.credit_interval(),
-                        timer_token(self.spec.id, TK_CREDIT),
-                    );
-                } else {
-                    self.credit_chain_live = false;
-                }
-            }
-            TK_FEEDBACK
-                if self.crediting
-                    && !self.completed
-                    && self.cfg.credit_policy == CreditPolicy::EpFeedback =>
-            {
-                self.engine.feedback_update();
-                ctx.arm_timer(
-                    ctx.now + self.update_period,
-                    timer_token(self.spec.id, TK_FEEDBACK),
-                );
-            }
-            TK_LINGER => self.torn_down = true,
-            _ => {}
+        // A fixed-rate loop never adapts: its feedback chain ends at the
+        // first tick.
+        if timer_kind(token) == TK_FEEDBACK && self.cfg.credit_policy == CreditPolicy::FixedRate {
+            return;
         }
+        self.credit.on_timer(token, ctx);
+        self.tail.on_timer(token);
     }
 
     fn finished(&self) -> bool {
-        self.torn_down
+        self.tail.torn_down()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::{Rate, Time};
+    use flexpass_simcore::time::{Rate, Time, TimeDelta};
     use flexpass_simcore::units::Bytes;
-    use flexpass_simnet::consts::data_wire_bytes;
+    use flexpass_simnet::endpoint::AppEvent;
+    use flexpass_simnet::sim::timer_token;
 
     fn env() -> NetEnv {
         NetEnv {
@@ -279,30 +184,21 @@ mod tests {
     }
 
     fn data(flow_seq: u32, sub: Subflow, sub_seq: u32, ce: bool) -> Packet {
-        let mut p = Packet::new(
-            7,
-            0,
-            1,
-            data_wire_bytes(Bytes::new(1460)),
+        let mut p = Packet::data(
+            &spec(4 * 1460),
             TrafficClass::NewData,
-            Payload::Data(DataInfo {
-                flow_seq,
-                sub_seq,
-                sub,
-                payload: Bytes::new(1460),
-                retx: false,
-            }),
+            flow_seq,
+            sub,
+            sub_seq,
+            false,
         );
         p.ecn_ce = ce;
         p
     }
 
     fn req() -> Packet {
-        Packet::new(
-            7,
-            0,
-            1,
-            CTRL_WIRE,
+        Packet::to_receiver(
+            &spec(4 * 1460),
             TrafficClass::NewCtrl,
             Payload::CreditReq { pkts: 4 },
         )
@@ -324,7 +220,7 @@ mod tests {
                 .count();
         assert_eq!(credits, 1);
         assert_eq!(h.tx[0].class, TrafficClass::Credit);
-        assert_eq!(r.credits_sent, 1);
+        assert_eq!(r.credits_sent(), 1);
     }
 
     #[test]
@@ -392,7 +288,6 @@ mod tests {
         h.with(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Reactive, 0, false), ctx)
         });
-        assert!(!r.crediting);
         // The pacing timer fires once more and dies without sending.
         let before =
             h.tx.iter()
@@ -413,7 +308,7 @@ mod tests {
 
     impl FlexPassReceiver {
         fn reasm_complete_for_test(&self) -> bool {
-            self.reasm.complete()
+            self.tail.reasm().complete()
         }
     }
 }

@@ -2,15 +2,15 @@
 //! send buffer, with a credit-clocked proactive sub-flow and a
 //! DCTCP-windowed reactive sub-flow.
 
-use flexpass_simcore::time::{Time, TimeDelta};
-use flexpass_simnet::consts::{data_wire_bytes, packets_for, payload_of_packet, CTRL_WIRE};
+use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{
-    AckInfo, CreditInfo, DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
+    AckInfo, CreditInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
 };
-use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv};
+use flexpass_simnet::sim::{timer_kind, NetEnv};
 use flexpass_simnet::trace;
-use flexpass_transport::common::{DctcpWindow, PktState, RttEstimator};
+use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, SeqSet};
+use flexpass_transport::expresspass::waste_credit;
 
 use crate::config::{FlexPassConfig, SplitPolicy};
 
@@ -81,25 +81,6 @@ impl SubflowTx {
     }
 }
 
-/// Inserts `x` into the sorted set `v` (no-op if already present).
-///
-/// The per-flow seq sets (`lost`, `sent_reactive`) are small, churny, and
-/// regularly drain to empty. A `BTreeSet` frees its root node at that
-/// point and reallocates it on the next insert, which shows up as
-/// steady-state datapath allocations; a sorted `Vec` keeps its buffer.
-fn sorted_insert(v: &mut Vec<u32>, x: u32) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
-    }
-}
-
-/// Removes `x` from the sorted set `v` (no-op if absent).
-fn sorted_remove(v: &mut Vec<u32>, x: u32) {
-    if let Ok(pos) = v.binary_search(&x) {
-        v.remove(pos);
-    }
-}
-
 /// The FlexPass sender endpoint.
 pub struct FlexPassSender {
     spec: FlowSpec,
@@ -119,25 +100,19 @@ pub struct FlexPassSender {
     /// Frontier for RC3-style tail allocation.
     tail: i64,
     acked: u32,
-    rtt: RttEstimator,
-    last_progress: Time,
-    /// Deadline of the armed full-stall RTO, if any.
-    rto_deadline: Option<Time>,
-    rto_backoff: u32,
-    /// Last instant a reactive ACK closed outstanding slots.
-    r_last_progress: Time,
-    /// Deadline of the armed reactive tail-loss timer, if any.
-    r_rto_deadline: Option<Time>,
-    requested_credits: bool,
+    /// Full-stall timer: no ACK on either sub-flow for a (backed-off) RTO.
+    rto: RtoTimer,
+    /// Reactive tail-loss timer: progress is a reactive ACK closing
+    /// outstanding slots; it never backs off.
+    r_rto: RtoTimer,
     /// Reusable sub-seq scratch for ACK application and loss sweeps
     /// (take/restore around iteration; never reallocated once warm).
     seq_scratch: Vec<u32>,
-    /// Packets currently in state `Lost`, kept sorted (see [`sorted_insert`]
-    /// for why this is a `Vec` and not a `BTreeSet`).
-    lost: Vec<u32>,
+    /// Packets currently in state `Lost`.
+    lost: SeqSet,
     /// Packets currently in state `SentReactive` (proactive-retx
-    /// candidates), kept sorted.
-    sent_reactive: Vec<u32>,
+    /// candidates).
+    sent_reactive: SeqSet,
     stats: TxStats,
     done: bool,
 }
@@ -159,16 +134,11 @@ impl FlexPassSender {
             head: 0,
             tail: i64::from(n) - 1,
             acked: 0,
-            rtt: RttEstimator::new(cfg.min_rto),
-            last_progress: Time::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
-            r_last_progress: Time::ZERO,
-            r_rto_deadline: None,
-            requested_credits: false,
+            rto: RtoTimer::new(spec.id, TK_RTO),
+            r_rto: RtoTimer::new(spec.id, TK_R_RTO),
             seq_scratch: Vec::new(),
-            lost: Vec::new(),
-            sent_reactive: Vec::new(),
+            lost: SeqSet::default(),
+            sent_reactive: SeqSet::default(),
             stats: TxStats::default(),
             done: false,
         }
@@ -184,62 +154,21 @@ impl FlexPassSender {
         self.rwin.cwnd()
     }
 
-    fn rto(&self) -> TimeDelta {
-        self.rtt.rto() * (1u64 << self.rto_backoff.min(8))
-    }
-
-    /// Keeps the full-stall RTO tracking `last_progress + rto()` while the
-    /// flow is live (cancel-and-replace); cancelled once done. The deadline
-    /// is a monotone maximum (fresh arms start at `now + rto()`, re-arms
-    /// never move earlier), matching the envelope the old lazy
-    /// fire-and-recheck chain converged to.
+    /// Keeps the full-stall RTO armed while the flow is live.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_RTO);
-        if self.done {
-            if self.rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.rto_deadline {
-            Some(d) => (self.last_progress + self.rto()).max(d),
-            None => ctx.now + self.rto(),
-        };
-        if self.rto_deadline != Some(at) {
-            self.rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
+        self.rto.update(ctx, !self.done, self.cfg.min_rto);
     }
 
-    /// Keeps the reactive tail-loss timer tracking
-    /// `r_last_progress + rtt.rto()` while reactive slots are outstanding;
-    /// cancelled when the reactive pipe drains or the flow is done. Same
-    /// monotone-maximum deadline rule as [`Self::update_rto`].
+    /// Keeps the reactive tail-loss timer armed while reactive slots are
+    /// outstanding.
     fn update_reactive_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_R_RTO);
-        if self.done || self.reactive.inflight == 0 {
-            if self.r_rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.r_rto_deadline {
-            Some(d) => (self.r_last_progress + self.rtt.rto()).max(d),
-            None => ctx.now + self.rtt.rto(),
-        };
-        if self.r_rto_deadline != Some(at) {
-            self.r_rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
+        let live = !self.done && self.reactive.inflight > 0;
+        self.r_rto.update(ctx, live, self.cfg.min_rto);
     }
 
     fn send_request(&mut self, ctx: &mut EndpointCtx) {
-        self.requested_credits = true;
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.src,
-            self.spec.dst,
-            CTRL_WIRE,
+        ctx.send(Packet::to_receiver(
+            &self.spec,
             TrafficClass::NewCtrl,
             Payload::CreditReq { pkts: self.n },
         ));
@@ -262,36 +191,12 @@ impl FlexPassSender {
         (self.tail >= 0).then_some(self.tail as u32)
     }
 
-    fn first_lost(&self) -> Option<u32> {
-        self.lost.first().copied()
-    }
-
-    /// First packet still marked `SentReactive` (candidate for proactive
-    /// retransmission).
-    fn first_sent_reactive(&self) -> Option<u32> {
-        self.sent_reactive.first().copied()
-    }
-
     fn data_packet(&self, flow_seq: u32, sub: Subflow, sub_seq: u32, retx: bool) -> Packet {
-        let pay = payload_of_packet(self.spec.size, flow_seq);
-        let p = Packet::new(
-            self.spec.id,
-            self.spec.src,
-            self.spec.dst,
-            data_wire_bytes(pay),
-            if sub == Subflow::Reactive {
-                self.cfg.reactive_class
-            } else {
-                TrafficClass::NewData
-            },
-            Payload::Data(DataInfo {
-                flow_seq,
-                sub_seq,
-                sub,
-                payload: pay,
-                retx,
-            }),
-        );
+        let class = match sub {
+            Subflow::Reactive => self.cfg.reactive_class,
+            _ => TrafficClass::NewData,
+        };
+        let p = Packet::data(&self.spec, class, flow_seq, sub, sub_seq, retx);
         if sub == Subflow::Reactive {
             // Reactive packets are red (selectively droppable) and
             // ECN-capable so DCTCP-style marking throttles them early.
@@ -307,11 +212,10 @@ impl FlexPassSender {
         let sub_seq = self.reactive.assign(flow_seq);
         self.rseq_of[flow_seq as usize] = Some(sub_seq);
         self.states[flow_seq as usize] = PktState::SentReactive;
-        sorted_insert(&mut self.sent_reactive, flow_seq);
-        let pay = payload_of_packet(self.spec.size, flow_seq);
-        self.stats.data_pkts += 1;
-        self.stats.data_bytes += pay.get();
-        ctx.send(self.data_packet(flow_seq, Subflow::Reactive, sub_seq, false));
+        self.sent_reactive.insert(flow_seq);
+        let pkt = self.data_packet(flow_seq, Subflow::Reactive, sub_seq, false);
+        self.stats.count_data(pkt.payload_bytes(), false);
+        ctx.send(pkt);
         self.update_rto(ctx);
         self.update_reactive_rto(ctx);
     }
@@ -337,13 +241,9 @@ impl FlexPassSender {
     fn on_credit(&mut self, _credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
         if self.done {
-            self.stats.credits_wasted += 1;
-            trace::credit_wasted(self.spec.id);
-            ctx.send(Packet::new(
-                self.spec.id,
-                self.spec.src,
-                self.spec.dst,
-                CTRL_WIRE,
+            waste_credit(&mut self.stats, self.spec.id);
+            ctx.send(Packet::to_receiver(
+                &self.spec,
                 TrafficClass::NewCtrl,
                 Payload::CreditStop,
             ));
@@ -354,48 +254,34 @@ impl FlexPassSender {
             NewData,
             ProactiveRetx,
         }
-        let (flow_seq, kind) = if let Some(s) = self.first_lost() {
+        let retx_candidate = self.sent_reactive.first();
+        let (flow_seq, kind) = if let Some(s) = self.lost.first() {
             (s, Kind::LossRecovery)
         } else if let Some(s) = self.next_head_pending() {
             (s, Kind::NewData)
-        } else if self.cfg.proactive_retx {
-            match self.first_sent_reactive() {
-                Some(s) => (s, Kind::ProactiveRetx),
-                None => {
-                    self.stats.credits_wasted += 1;
-                    trace::credit_wasted(self.spec.id);
-                    return;
-                }
-            }
+        } else if let Some(s) = retx_candidate.filter(|_| self.cfg.proactive_retx) {
+            (s, Kind::ProactiveRetx)
         } else {
-            self.stats.credits_wasted += 1;
-            trace::credit_wasted(self.spec.id);
+            waste_credit(&mut self.stats, self.spec.id);
             return;
         };
-
-        let pay = payload_of_packet(self.spec.size, flow_seq);
         let retx = !matches!(kind, Kind::NewData);
-        match kind {
-            Kind::LossRecovery => {
-                self.stats.retx_pkts += 1;
-                self.stats.redundant_bytes += pay.get();
-                trace::retransmit(self.spec.id, flow_seq);
-            }
-            Kind::ProactiveRetx => {
-                self.stats.proactive_retx_pkts += 1;
-                self.stats.redundant_bytes += pay.get();
-                trace::retransmit(self.spec.id, flow_seq);
-            }
-            Kind::NewData => {}
-        }
         let sub_seq = self.proactive.assign(flow_seq);
         self.pseq_of[flow_seq as usize] = Some(sub_seq);
-        sorted_remove(&mut self.lost, flow_seq);
-        sorted_remove(&mut self.sent_reactive, flow_seq);
+        self.lost.remove(flow_seq);
+        self.sent_reactive.remove(flow_seq);
         self.states[flow_seq as usize] = PktState::SentProactive;
-        self.stats.data_pkts += 1;
-        self.stats.data_bytes += pay.get();
-        ctx.send(self.data_packet(flow_seq, Subflow::Proactive, sub_seq, retx));
+        let pkt = self.data_packet(flow_seq, Subflow::Proactive, sub_seq, retx);
+        self.stats
+            .count_data(pkt.payload_bytes(), matches!(kind, Kind::LossRecovery));
+        if let Kind::ProactiveRetx = kind {
+            self.stats.proactive_retx_pkts += 1;
+            self.stats.redundant_bytes += pkt.payload_bytes().get();
+        }
+        if retx {
+            trace::retransmit(self.spec.id, flow_seq);
+        }
+        ctx.send(pkt);
         self.update_rto(ctx);
         // A proactive send may have consumed a `SentReactive` packet; the
         // reactive timer keys off open slots, which are unchanged here, so
@@ -409,8 +295,8 @@ impl FlexPassSender {
             return;
         }
         self.states[flow_seq as usize] = PktState::Acked;
-        sorted_remove(&mut self.lost, flow_seq);
-        sorted_remove(&mut self.sent_reactive, flow_seq);
+        self.lost.remove(flow_seq);
+        self.sent_reactive.remove(flow_seq);
         self.acked += 1;
         if let Some(r) = self.rseq_of[flow_seq as usize] {
             self.reactive.close(r);
@@ -467,16 +353,15 @@ impl FlexPassSender {
             if self.states[flow_seq as usize] == PktState::SentReactive {
                 // Recovery happens on the proactive sub-flow (§4.2).
                 self.states[flow_seq as usize] = PktState::Lost;
-                sorted_remove(&mut self.sent_reactive, flow_seq);
-                sorted_insert(&mut self.lost, flow_seq);
+                self.sent_reactive.remove(flow_seq);
+                self.lost.insert(flow_seq);
             }
         }
         seqs.clear();
         self.seq_scratch = seqs;
         if n_new > 0 {
-            self.last_progress = ctx.now;
-            self.r_last_progress = ctx.now;
-            self.rto_backoff = 0;
+            self.rto.progress(ctx.now);
+            self.r_rto.progress(ctx.now);
             self.rwin.on_ack(
                 n_new,
                 self.reactive.high_acked,
@@ -504,8 +389,7 @@ impl FlexPassSender {
         let mut seqs = std::mem::take(&mut self.seq_scratch);
         Self::apply_subflow_ack(&mut self.proactive, ack, &mut seqs);
         if !seqs.is_empty() {
-            self.last_progress = ctx.now;
-            self.rto_backoff = 0;
+            self.rto.progress(ctx.now);
         }
         for &sub_seq in &seqs {
             let flow_seq = self.proactive.map[sub_seq as usize];
@@ -519,7 +403,7 @@ impl FlexPassSender {
             let flow_seq = self.proactive.map[sub_seq as usize];
             if self.states[flow_seq as usize] == PktState::SentProactive {
                 self.states[flow_seq as usize] = PktState::Lost;
-                sorted_insert(&mut self.lost, flow_seq);
+                self.lost.insert(flow_seq);
             }
         }
         seqs.clear();
@@ -546,7 +430,7 @@ impl FlexPassSender {
     /// slot (recovery rides the proactive sub-flow, §4.2) and restart the
     /// window conservatively.
     fn on_reactive_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.r_rto_deadline = None;
+        self.r_rto.fired();
         if self.done || self.reactive.inflight == 0 {
             return;
         }
@@ -557,29 +441,28 @@ impl FlexPassSender {
                 let flow_seq = self.reactive.map[s as usize];
                 if self.states[flow_seq as usize] == PktState::SentReactive {
                     self.states[flow_seq as usize] = PktState::Lost;
-                    sorted_remove(&mut self.sent_reactive, flow_seq);
-                    sorted_insert(&mut self.lost, flow_seq);
+                    self.sent_reactive.remove(flow_seq);
+                    self.lost.insert(flow_seq);
                 }
             }
             s += 1;
         }
         self.rwin.on_timeout(self.reactive.next_seq());
-        self.r_last_progress = ctx.now;
+        self.r_rto.progress(ctx.now);
         self.pump_reactive(ctx);
         self.update_rto(ctx);
         self.update_reactive_rto(ctx);
     }
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_deadline = None;
+        self.rto.fired();
         if self.done {
             return;
         }
         // Full stall: presume all in-flight packets lost, re-request
         // credits, and restart the reactive window from one packet. Only
         // count a timeout when data was actually outstanding.
-        self.rto_backoff += 1;
-        trace::rto(self.spec.id, self.rto_backoff);
+        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
         let mut any_lost = false;
         for s in 0..self.n as usize {
             if self.states[s].in_flight() {
@@ -591,15 +474,14 @@ impl FlexPassSender {
                     self.proactive.close(p);
                 }
                 self.states[s] = PktState::Lost;
-                sorted_remove(&mut self.sent_reactive, s as u32);
-                sorted_insert(&mut self.lost, s as u32);
+                self.sent_reactive.remove(s as u32);
+                self.lost.insert(s as u32);
             }
         }
         if any_lost {
             self.stats.timeouts += 1;
         }
         self.rwin.on_timeout(self.reactive.next_seq());
-        self.last_progress = ctx.now;
         self.send_request(ctx);
         // All reactive slots were closed above; retire the tail-loss timer.
         self.update_reactive_rto(ctx);
@@ -608,8 +490,8 @@ impl FlexPassSender {
 
 impl Endpoint for FlexPassSender {
     fn activate(&mut self, ctx: &mut EndpointCtx) {
-        self.last_progress = ctx.now;
-        self.r_last_progress = ctx.now;
+        self.rto.progress(ctx.now);
+        self.r_rto.progress(ctx.now);
         self.send_request(ctx);
         if self.cfg.reactive_first_rtt {
             // Unlike the proactive sub-flow (which waits one RTT for
@@ -648,9 +530,11 @@ impl Endpoint for FlexPassSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::Rate;
+    use flexpass_simcore::time::{Rate, Time, TimeDelta};
     use flexpass_simcore::units::Bytes;
-    use flexpass_simnet::packet::Color;
+    use flexpass_simnet::consts::CTRL_WIRE;
+    use flexpass_simnet::packet::{Color, DataInfo};
+    use flexpass_simnet::sim::timer_token;
 
     fn env() -> NetEnv {
         NetEnv {

@@ -44,18 +44,42 @@ impl Default for CustomSpec {
     }
 }
 
+/// A trace names a host the fabric of the chosen scale does not have.
+#[derive(Debug, PartialEq, Eq)]
+pub struct HostOutOfRange {
+    /// The offending host id.
+    pub host: usize,
+    /// Hosts in the fabric (valid ids are `0..n_hosts`).
+    pub n_hosts: usize,
+}
+
+impl std::fmt::Display for HostOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "trace host {} out of range for the {}-host fabric (use --scale full or renumber)",
+            self.host, self.n_hosts
+        )
+    }
+}
+
+impl std::error::Error for HostOutOfRange {}
+
 /// Replays `flows` (e.g. from [`parse_trace`]) under the spec. Returns the
-/// recorder for further analysis plus a summary CSV.
-pub fn run_trace(flows: &[FlowSpec], spec: &CustomSpec) -> (Recorder, ScenarioResult) {
+/// recorder for further analysis plus a summary CSV, or an error if a flow
+/// names a host beyond the fabric.
+pub fn run_trace(
+    flows: &[FlowSpec],
+    spec: &CustomSpec,
+) -> Result<(Recorder, ScenarioResult), HostOutOfRange> {
     let clos = spec.scale.clos();
     let n_hosts = clos.n_hosts();
-    for fl in flows {
-        assert!(
-            fl.src < n_hosts && fl.dst < n_hosts,
-            "trace host {} out of range for the {}-host fabric (use --scale full or renumber)",
-            fl.src.max(fl.dst),
-            n_hosts
-        );
+    if let Some(host) = flows
+        .iter()
+        .map(|fl| fl.src.max(fl.dst))
+        .find(|&h| h >= n_hosts)
+    {
+        return Err(HostOutOfRange { host, n_hosts });
     }
     let rack_of: Vec<usize> = (0..n_hosts).map(|h| h / clos.hosts_per_tor).collect();
     let mut rng = SimRng::new(spec.seed);
@@ -108,7 +132,7 @@ pub fn run_trace(flows: &[FlowSpec], spec: &CustomSpec) -> (Recorder, ScenarioRe
             f(rec.p99_small(tag) * 1e3),
         ]);
     }
-    (rec, ScenarioResult::new("custom_trace", csv))
+    Ok((rec, ScenarioResult::new("custom_trace", csv)))
 }
 
 /// Loads a trace file and replays it.
@@ -119,7 +143,7 @@ pub fn run_trace_file(
     let text = std::fs::read_to_string(path)?;
     let flows = parse_trace(&text, 0)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(run_trace(&flows, spec))
+    run_trace(&flows, spec).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
 }
 
 #[cfg(test)]
@@ -138,7 +162,7 @@ mod tests {
             scale: RunScale::Smoke,
             ..CustomSpec::default()
         };
-        let (rec, result) = run_trace(&flows, &spec);
+        let (rec, result) = run_trace(&flows, &spec).unwrap();
         assert_eq!(rec.completed(), 3);
         assert_eq!(result.csv.len(), 3);
         // Full deployment: everything upgraded.
@@ -157,18 +181,25 @@ mod tests {
             ratio: 0.5,
             ..CustomSpec::default()
         };
-        let (rec, _) = run_trace(&again, &spec);
+        let (rec, _) = run_trace(&again, &spec).unwrap();
         assert_eq!(rec.completed(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_hosts() {
         let flows = parse_trace("0,10000,100,0\n", 0).unwrap();
         let spec = CustomSpec {
             scale: RunScale::Smoke,
             ..CustomSpec::default()
         };
-        let _ = run_trace(&flows, &spec);
+        let err = run_trace(&flows, &spec).err();
+        let n_hosts = RunScale::Smoke.clos().n_hosts();
+        assert_eq!(
+            err,
+            Some(HostOutOfRange {
+                host: 10_000,
+                n_hosts
+            })
+        );
     }
 }

@@ -167,7 +167,10 @@ fn main() {
 
     let emit = |results: Vec<flexpass_experiments::ScenarioResult>| {
         for r in results {
-            r.csv.write(&out, &r.name).expect("write CSV");
+            if let Err(e) = r.csv.write(&out, &r.name) {
+                eprintln!("cannot write {}/{}.csv: {e}", out.display(), r.name);
+                std::process::exit(1);
+            }
             println!(
                 "wrote {}/{}.csv ({} rows)",
                 out.display(),

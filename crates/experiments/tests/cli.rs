@@ -42,3 +42,38 @@ fn unknown_flag_is_a_usage_error() {
     assert!(stderr.contains("usage:"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn trace_host_beyond_the_fabric_is_an_input_error() {
+    let dir = std::env::temp_dir().join(format!("flexpass-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let trace = dir.join("trace.csv");
+    std::fs::write(&trace, "src,dst,size_bytes,start_us\n0,10000,1000,0\n").expect("write trace");
+    let (code, stderr) = run(&[
+        "--fig",
+        "custom",
+        "--scale",
+        "smoke",
+        "--trace",
+        trace.to_str().expect("utf-8 temp path"),
+        "--out",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("trace host 10000 out of range"), "{stderr}");
+    assert!(stderr.contains("-host fabric"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn unwritable_out_dir_is_reported_not_panicked() {
+    // /proc rejects directory creation for every user, root included.
+    let (code, stderr) = run(&["--fig", "fig1a", "--scale", "smoke", "--out", "/proc/nope"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write /proc/nope/fig1a_ep_vs_dctcp.csv: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -7,6 +7,7 @@
 //! drains into the simulator.
 
 use flexpass_simcore::time::Time;
+use flexpass_simcore::units::Bytes;
 
 use crate::arena::{PacketArena, PacketId};
 use crate::packet::{FlowId, Packet};
@@ -31,6 +32,19 @@ pub struct TxStats {
     pub credits_received: u64,
     /// Credits that arrived with nothing useful to send (wasted credits).
     pub credits_wasted: u64,
+}
+
+impl TxStats {
+    /// Accounts for one transmitted data packet of `payload` application
+    /// bytes; `retx` marks a loss-recovery retransmission.
+    pub fn count_data(&mut self, payload: Bytes, retx: bool) {
+        self.data_pkts += 1;
+        self.data_bytes += payload.get();
+        if retx {
+            self.retx_pkts += 1;
+            self.redundant_bytes += payload.get();
+        }
+    }
 }
 
 /// Receiver-side statistics, reported on [`AppEvent::FlowCompleted`].

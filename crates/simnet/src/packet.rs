@@ -4,6 +4,8 @@ use flexpass_simcore::rng::symmetric_flow_hash;
 use flexpass_simcore::time::Time;
 use flexpass_simcore::units::{Bytes, WireBytes};
 
+use crate::consts::{data_wire_bytes, payload_of_packet, CTRL_WIRE};
+
 /// Globally unique flow identifier.
 pub type FlowId = u64;
 
@@ -203,6 +205,47 @@ impl Packet {
         }
     }
 
+    /// Data packet `flow_seq` of `spec`, sender to receiver, carrying that
+    /// packet's share of the flow's bytes as slot `sub_seq` of sub-flow
+    /// `sub`.
+    pub fn data(
+        spec: &FlowSpec,
+        class: TrafficClass,
+        flow_seq: u32,
+        sub: Subflow,
+        sub_seq: u32,
+        retx: bool,
+    ) -> Packet {
+        let payload = payload_of_packet(spec.size, flow_seq);
+        let info = DataInfo {
+            flow_seq,
+            sub_seq,
+            sub,
+            payload,
+            retx,
+        };
+        Packet::new(
+            spec.id,
+            spec.src,
+            spec.dst,
+            data_wire_bytes(payload),
+            class,
+            Payload::Data(info),
+        )
+    }
+
+    /// Control packet (credit request, credit stop) from `spec`'s sender to
+    /// its receiver.
+    pub fn to_receiver(spec: &FlowSpec, class: TrafficClass, payload: Payload) -> Packet {
+        Packet::new(spec.id, spec.src, spec.dst, CTRL_WIRE, class, payload)
+    }
+
+    /// Control packet (ACK, credit, grant) from `spec`'s receiver back to its
+    /// sender.
+    pub fn to_sender(spec: &FlowSpec, class: TrafficClass, payload: Payload) -> Packet {
+        Packet::new(spec.id, spec.dst, spec.src, CTRL_WIRE, class, payload)
+    }
+
     /// Inert filler for arena slots that have never held a real packet.
     pub(crate) fn placeholder() -> Packet {
         Packet::new(
@@ -250,7 +293,6 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consts::{data_wire_bytes, CTRL_WIRE};
 
     fn data_pkt(flow: FlowId, src: HostId, dst: HostId) -> Packet {
         Packet::new(

@@ -1,10 +1,19 @@
-//! Machinery shared by every transport: reassembly, ACK construction, RTT
-//! estimation, the per-packet scoreboard, and the DCTCP window core.
+//! The reliability kit shared by every transport.
+//!
+//! Sender side: the per-packet [`Scoreboard`] (cumulative + SACK marking,
+//! lost-first transmission order), the [`RtoTimer`], the [`RttEstimator`]
+//! and the [`DctcpWindow`]. Receiver side: [`Reassembly`], the
+//! [`AckBuilder`] and the completion-and-linger [`RxTail`]. Each transport
+//! keeps only its own policy: what clocks a transmission and how it reads
+//! duplicate ACKs.
 
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
-use flexpass_simnet::consts::payload_of_packet;
-use flexpass_simnet::packet::{AckInfo, Subflow, MAX_SACK};
+use flexpass_simnet::consts::{packets_for, payload_of_packet};
+use flexpass_simnet::endpoint::{AppEvent, EndpointCtx, RxStats, TxStats};
+use flexpass_simnet::packet::{AckInfo, FlowId, FlowSpec, Packet, Subflow, TrafficClass, MAX_SACK};
+use flexpass_simnet::sim::timer_token;
+use flexpass_simnet::trace;
 
 /// Per-packet sender-side state (Figure 4 of the paper uses the same set,
 /// with "sent" split by sub-flow; single-loop transports use `Sent`).
@@ -381,46 +390,372 @@ impl DctcpWindow {
     }
 }
 
-/// A tiny helper tracking timer generations so stale timers are ignored.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TimerGen {
-    armed: u32,
-    fired: u32,
-}
+/// A sorted set of sequence numbers (the `Lost` set, FlexPass's
+/// `SentReactive` set).
+///
+/// These sets are small, churny and regularly drain to empty. A `BTreeSet`
+/// frees its root node at that point and reallocates it on the next
+/// insert, which shows up as steady-state datapath allocations; a sorted
+/// `Vec` keeps its buffer.
+#[derive(Clone, Debug, Default)]
+pub struct SeqSet(Vec<u32>);
 
-impl TimerGen {
-    /// Arms a new generation, invalidating older timers. Returns the
-    /// generation number to embed in the token.
-    pub fn arm(&mut self) -> u32 {
-        self.armed = self.armed.wrapping_add(1);
-        self.armed
-    }
-
-    /// True if `generation` is the most recently armed one (and marks it
-    /// consumed).
-    pub fn accept(&mut self, generation: u32) -> bool {
-        if generation == self.armed && generation != self.fired {
-            self.fired = generation;
-            true
-        } else {
-            false
+impl SeqSet {
+    /// Inserts `x` (no-op if already present).
+    pub fn insert(&mut self, x: u32) {
+        if let Err(pos) = self.0.binary_search(&x) {
+            self.0.insert(pos, x);
         }
     }
 
-    /// Cancels any outstanding timer logically.
-    pub fn cancel(&mut self) {
-        self.armed = self.armed.wrapping_add(1);
+    /// Removes `x` (no-op if absent).
+    pub fn remove(&mut self, x: u32) {
+        if let Ok(pos) = self.0.binary_search(&x) {
+            self.0.remove(pos);
+        }
+    }
+
+    /// The lowest member.
+    pub fn first(&self) -> Option<u32> {
+        self.0.first().copied()
+    }
+
+    /// True when the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
-/// Computes an RTT sample from a send timestamp, guarding `None`.
-pub fn rtt_sample(sent_at: Option<Time>, now: Time) -> Option<TimeDelta> {
-    sent_at.map(|t| now.saturating_since(t))
+/// A single-loop sender's per-packet scoreboard: which packets are pending,
+/// in flight, lost or acknowledged, and which to transmit next.
+///
+/// The set of `Lost` packets always equals the packets whose state is
+/// [`PktState::Lost`], and `in_flight` the number whose state is
+/// [`PktState::Sent`]; every transition goes through the methods here.
+#[derive(Clone, Debug)]
+pub struct Scoreboard {
+    states: Vec<PktState>,
+    snd_una: u32,
+    next_pending: u32,
+    acked: u32,
+    in_flight: u32,
+    lost: SeqSet,
+}
+
+impl Scoreboard {
+    /// Creates a scoreboard of `n` pending packets.
+    pub fn new(n: u32) -> Self {
+        Scoreboard {
+            states: vec![PktState::Pending; n as usize],
+            snd_una: 0,
+            next_pending: 0,
+            acked: 0,
+            in_flight: 0,
+            lost: SeqSet::default(),
+        }
+    }
+
+    /// Number of packets in the flow.
+    pub fn total(&self) -> u32 {
+        self.states.len() as u32
+    }
+
+    /// Lowest sequence not yet cumulatively acknowledged.
+    pub fn snd_una(&self) -> u32 {
+        self.snd_una
+    }
+
+    /// The send frontier: every packet below it has been transmitted.
+    pub fn next_pending(&self) -> u32 {
+        self.next_pending
+    }
+
+    /// Packets currently in flight.
+    pub fn in_flight(&self) -> u32 {
+        self.in_flight
+    }
+
+    /// True once every packet is acknowledged.
+    pub fn all_acked(&self) -> bool {
+        self.acked >= self.total()
+    }
+
+    /// True while any packet is marked lost and not yet retransmitted.
+    pub fn has_lost(&self) -> bool {
+        !self.lost.is_empty()
+    }
+
+    /// Applies a cumulative + selective acknowledgment and returns how many
+    /// packets it newly acknowledged. `on_newly` sees each of them once:
+    /// the cumulative range first, then each SACK block, ascending.
+    pub fn apply_ack(&mut self, ack: &AckInfo, mut on_newly: impl FnMut(u32)) -> u64 {
+        let n = self.total();
+        let mut newly = 0;
+        while self.snd_una < ack.cum.min(n) {
+            newly += self.mark_acked(self.snd_una, &mut on_newly);
+            self.snd_una += 1;
+        }
+        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
+            for s in lo..hi.min(n) {
+                newly += self.mark_acked(s, &mut on_newly);
+            }
+        }
+        newly
+    }
+
+    fn mark_acked(&mut self, seq: u32, on_newly: &mut impl FnMut(u32)) -> u64 {
+        let st = &mut self.states[seq as usize];
+        if *st == PktState::Acked {
+            return 0;
+        }
+        if st.in_flight() {
+            self.in_flight -= 1;
+        }
+        *st = PktState::Acked;
+        self.lost.remove(seq);
+        self.acked += 1;
+        on_newly(seq);
+        1
+    }
+
+    /// Chooses the next packet to transmit — the lowest lost packet first,
+    /// then the next never-sent one — and marks it sent. Returns the
+    /// sequence and whether it is a retransmission.
+    pub fn pick(&mut self) -> Option<(u32, bool)> {
+        self.pick_below(self.total())
+    }
+
+    /// [`pick`](Self::pick), with new data limited to sequences below
+    /// `limit` (a grant); retransmissions are not limited.
+    pub fn pick_below(&mut self, limit: u32) -> Option<(u32, bool)> {
+        let n = self.total();
+        let (seq, retx) = match self.lost.first() {
+            Some(seq) => {
+                self.lost.remove(seq);
+                (seq, true)
+            }
+            None => {
+                while self.next_pending < n
+                    && self.states[self.next_pending as usize] != PktState::Pending
+                {
+                    self.next_pending += 1;
+                }
+                if self.next_pending >= limit.min(n) {
+                    return None;
+                }
+                self.next_pending += 1;
+                (self.next_pending - 1, false)
+            }
+        };
+        self.states[seq as usize] = PktState::Sent;
+        self.in_flight += 1;
+        Some((seq, retx))
+    }
+
+    /// Marks `seq` lost if it is in flight, so the next
+    /// [`pick`](Self::pick) retransmits it ahead of new data. Returns
+    /// whether it was.
+    pub fn mark_lost(&mut self, seq: u32) -> bool {
+        if !self.states[seq as usize].in_flight() {
+            return false;
+        }
+        self.states[seq as usize] = PktState::Lost;
+        self.lost.insert(seq);
+        self.in_flight -= 1;
+        true
+    }
+
+    /// Timeout reaction: presumes every in-flight packet lost. Returns
+    /// whether any was in flight.
+    pub fn lose_outstanding(&mut self) -> bool {
+        let mut any = false;
+        for s in self.snd_una..self.next_pending.min(self.total()) {
+            any |= self.mark_lost(s);
+        }
+        any
+    }
+}
+
+/// Builds data packet `seq` of a single-loop flow (riding slot `sub_seq`
+/// of the only sub-flow), accounts for it in `stats`, and traces a
+/// retransmission.
+pub fn data_packet(
+    spec: &FlowSpec,
+    class: TrafficClass,
+    seq: u32,
+    sub_seq: u32,
+    retx: bool,
+    stats: &mut TxStats,
+) -> Packet {
+    let pkt = Packet::data(spec, class, seq, Subflow::Only, sub_seq, retx);
+    stats.count_data(pkt.payload_bytes(), retx);
+    if retx {
+        trace::retransmit(spec.id, seq);
+    }
+    pkt
+}
+
+/// A sender's retransmission timer: one cancellable calendar entry kept at
+/// `last progress + rto`, where `rto` is the caller's base RTO doubled per
+/// consecutive timeout (capped at 2^8).
+///
+/// Arming is cancel-and-replace, so the timer fires only at a genuine
+/// timeout and a finished flow leaves nothing in the calendar. The deadline
+/// is a monotone maximum — a fresh arm starts at `now + rto`, a re-arm
+/// never moves an armed deadline earlier — so progress that shrinks the
+/// RTO (backoff reset, lower RTT estimate) cannot pull in a timeout the
+/// flow was already promised.
+#[derive(Clone, Copy, Debug)]
+pub struct RtoTimer {
+    token: u64,
+    deadline: Option<Time>,
+    backoff: u32,
+    last_progress: Time,
+}
+
+impl RtoTimer {
+    /// Creates an unarmed timer that fires with timer kind `kind` of `flow`.
+    pub fn new(flow: FlowId, kind: u16) -> Self {
+        RtoTimer {
+            token: timer_token(flow, kind),
+            deadline: None,
+            backoff: 0,
+            last_progress: Time::ZERO,
+        }
+    }
+
+    /// Records forward progress at `now` (flow start, newly acknowledged
+    /// data) and clears the backoff.
+    pub fn progress(&mut self, now: Time) {
+        self.last_progress = now;
+        self.backoff = 0;
+    }
+
+    /// Keeps the timer armed at its deadline while `live`; cancels it
+    /// otherwise. Issues a calendar command only when the armed state
+    /// changes. Only DCTCP samples RTTs, so only it passes an estimate as
+    /// `base_rto`; the other senders pass their configured `min_rto`.
+    pub fn update(&mut self, ctx: &mut EndpointCtx, live: bool, base_rto: TimeDelta) {
+        if !live {
+            if self.deadline.take().is_some() {
+                ctx.cancel_timer(self.token);
+            }
+            return;
+        }
+        let rto = base_rto * (1u64 << self.backoff.min(8));
+        let at = match self.deadline {
+            Some(d) => (self.last_progress + rto).max(d),
+            None => ctx.now + rto,
+        };
+        if self.deadline != Some(at) {
+            self.deadline = Some(at);
+            ctx.arm_timer(at, self.token);
+        }
+    }
+
+    /// The timer fired: its calendar entry is gone.
+    pub fn fired(&mut self) {
+        self.deadline = None;
+    }
+
+    /// A genuine timeout at `now`: doubles the next RTO and restarts the
+    /// progress clock. Returns the backoff exponent now in effect.
+    pub fn back_off(&mut self, now: Time) -> u32 {
+        self.backoff += 1;
+        self.last_progress = now;
+        self.backoff
+    }
+}
+
+/// The tail every receiver shares: reassembly, the one `FlowCompleted`
+/// report, and a linger period (to keep re-ACKing stray retransmissions)
+/// before teardown.
+#[derive(Clone, Debug)]
+pub struct RxTail {
+    flow: FlowId,
+    reasm: Reassembly,
+    linger: TimeDelta,
+    linger_token: u64,
+    completed: bool,
+    torn_down: bool,
+}
+
+impl RxTail {
+    /// Creates the tail for `spec`; the linger timer uses kind
+    /// `linger_kind`.
+    pub fn new(spec: &FlowSpec, linger: TimeDelta, linger_kind: u16) -> Self {
+        RxTail {
+            flow: spec.id,
+            reasm: Reassembly::new(spec.size, packets_for(spec.size)),
+            linger,
+            linger_token: timer_token(spec.id, linger_kind),
+            completed: false,
+            torn_down: false,
+        }
+    }
+
+    /// The reassembly state.
+    pub fn reasm(&self) -> &Reassembly {
+        &self.reasm
+    }
+
+    /// Records arrival of per-flow packet `flow_seq` (duplicates are
+    /// counted and otherwise ignored).
+    pub fn on_data(&mut self, flow_seq: u32) {
+        self.reasm.on_packet(flow_seq);
+    }
+
+    /// True once completion has been reported.
+    pub fn completed(&self) -> bool {
+        self.completed
+    }
+
+    /// True when every packet has arrived and completion is not yet
+    /// reported, i.e. [`finish_if_complete`](Self::finish_if_complete) is
+    /// about to report it.
+    pub fn completing(&self) -> bool {
+        self.reasm.complete() && !self.completed
+    }
+
+    /// Reports `FlowCompleted` and arms the linger timer, the first time
+    /// the flow is complete.
+    pub fn finish_if_complete(&mut self, ctx: &mut EndpointCtx) {
+        if !self.completing() {
+            return;
+        }
+        self.completed = true;
+        ctx.emit(AppEvent::FlowCompleted {
+            flow: self.flow,
+            stats: RxStats {
+                pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
+                dup_pkts: self.reasm.duplicates(),
+                reorder_peak_bytes: self.reasm.reorder_peak().get(),
+            },
+        });
+        ctx.set_timer(ctx.now + self.linger, self.linger_token);
+    }
+
+    /// Timer dispatch: the linger timer tears the receiver down.
+    pub fn on_timer(&mut self, token: u64) {
+        if token == self.linger_token {
+            self.torn_down = true;
+        }
+    }
+
+    /// True once the linger period has passed; the host may drop the
+    /// endpoint.
+    pub fn torn_down(&self) -> bool {
+        self.torn_down
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexpass_simcore::rng::SimRng;
+    use flexpass_simnet::arena::PacketArena;
+    use flexpass_simnet::endpoint::TimerCmd;
+    use proptest::prelude::*;
 
     #[test]
     fn rtt_estimator_basic() {
@@ -563,24 +898,180 @@ mod tests {
     }
 
     #[test]
-    fn timer_gen_accepts_only_latest() {
-        let mut t = TimerGen::default();
-        let g1 = t.arm();
-        let g2 = t.arm();
-        assert!(!t.accept(g1));
-        assert!(t.accept(g2));
-        assert!(!t.accept(g2), "double fire rejected");
-        t.cancel();
-        let g3 = t.arm();
-        assert!(t.accept(g3));
-    }
-
-    #[test]
     fn pkt_state_in_flight() {
         assert!(PktState::Sent.in_flight());
         assert!(PktState::SentReactive.in_flight());
         assert!(!PktState::Lost.in_flight());
         assert!(!PktState::Acked.in_flight());
         assert!(!PktState::Pending.in_flight());
+    }
+
+    /// Timer commands `f` issues in a callback at `now`.
+    fn timer_cmds(now: Time, f: impl FnOnce(&mut EndpointCtx)) -> Vec<TimerCmd> {
+        let mut arena = PacketArena::new();
+        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
+        f(&mut EndpointCtx::new(
+            now,
+            &mut arena,
+            &mut tx,
+            &mut timers,
+            &mut app,
+        ));
+        timers
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random progress / update / fire / back-off tapes the armed
+        /// deadline never moves earlier, a command is issued only when the
+        /// armed state changes, and a dead flow cancels exactly once.
+        #[test]
+        fn rto_timer_monotone_and_cancels_once(seed in 0u64..100_000) {
+            let mut rng = SimRng::new(seed);
+            let mut t = RtoTimer::new(9, 1);
+            let token = timer_token(9, 1);
+            let mut now = Time::ZERO;
+            let mut armed: Option<Time> = None;
+            for _ in 0..300 {
+                now += TimeDelta::micros(rng.next_below(3_000));
+                if let Some(d) = armed.filter(|&d| d <= now) {
+                    // The calendar would have fired it on the way.
+                    now = d;
+                    armed = None;
+                    t.fired();
+                    if rng.chance(0.5) {
+                        t.back_off(now);
+                    }
+                }
+                match rng.next_below(10) {
+                    0 => t.progress(now),
+                    op => {
+                        let live = op != 1;
+                        let base = TimeDelta::micros(100 + rng.next_below(4_000));
+                        let cmds = timer_cmds(now, |ctx| t.update(ctx, live, base));
+                        match (live, armed) {
+                            (false, Some(_)) => {
+                                prop_assert_eq!(&cmds, &vec![TimerCmd::Cancel(token)]);
+                                armed = None;
+                            }
+                            (false, None) => prop_assert!(cmds.is_empty()),
+                            (true, before) => {
+                                prop_assert!(cmds.len() <= 1);
+                                if let Some(&TimerCmd::Arm(at, tok)) = cmds.first() {
+                                    prop_assert_eq!(tok, token);
+                                    prop_assert!(at >= now);
+                                    prop_assert!(before.is_none_or(|d| at > d), "moved earlier");
+                                    armed = Some(at);
+                                } else {
+                                    prop_assert!(cmds.is_empty() && before.is_some());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `Scoreboard` against a naive per-packet model over random
+        /// send / cum+SACK / loss tapes.
+        #[test]
+        fn scoreboard_matches_naive_model(seed in 0u64..100_000, n in 1u32..120) {
+            let mut rng = SimRng::new(seed);
+            let mut sb = Scoreboard::new(n);
+            // The model: one flag per packet and property.
+            let mut acked = vec![false; n as usize];
+            let mut sent = vec![false; n as usize];
+            let mut lost = vec![false; n as usize];
+            let (mut una, mut frontier) = (0u32, 0u32);
+            for _ in 0..400 {
+                match rng.next_below(8) {
+                    0..=3 => {
+                        let limit = match rng.chance(0.5) {
+                            true => n,
+                            false => rng.next_below(u64::from(n) + 1) as u32,
+                        };
+                        let first_lost = lost.iter().position(|&l| l);
+                        if first_lost.is_none() {
+                            // ACKs may cover packets that were never sent.
+                            while frontier < n && acked[frontier as usize] {
+                                frontier += 1;
+                            }
+                        }
+                        let want = match first_lost {
+                            Some(s) => Some((s as u32, true)),
+                            None if frontier < limit => Some((frontier, false)),
+                            None => None,
+                        };
+                        prop_assert_eq!(sb.pick_below(limit), want);
+                        if let Some((s, retx)) = want {
+                            lost[s as usize] = false;
+                            sent[s as usize] = true;
+                            if !retx {
+                                frontier += 1;
+                            }
+                        }
+                    }
+                    4..=5 => {
+                        // Ranges may overlap, be empty, or run past the flow.
+                        let mut ack = AckInfo {
+                            sub: Subflow::Only,
+                            cum: rng.next_below(u64::from(frontier) + 2) as u32,
+                            sack: [(0, 0); MAX_SACK],
+                            sack_n: rng.next_below(MAX_SACK as u64 + 1) as u8,
+                            ece: false,
+                            acked_flow_seq: 0,
+                        };
+                        for r in 0..ack.sack_n as usize {
+                            let lo = rng.next_below(u64::from(frontier) + 1) as u32;
+                            ack.sack[r] = (lo, lo + rng.next_below(6) as u32);
+                        }
+                        let mut covered: Vec<u32> = (0..ack.cum.min(n)).collect();
+                        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
+                            covered.extend(lo..hi.min(n));
+                        }
+                        let mut want_new = Vec::new();
+                        for s in covered {
+                            if !acked[s as usize] {
+                                acked[s as usize] = true;
+                                sent[s as usize] = false;
+                                lost[s as usize] = false;
+                                want_new.push(s);
+                            }
+                        }
+                        una = una.max(ack.cum.min(n));
+                        let mut got_new = Vec::new();
+                        let newly = sb.apply_ack(&ack, |s| got_new.push(s));
+                        prop_assert_eq!(newly, want_new.len() as u64);
+                        prop_assert_eq!(got_new, want_new);
+                    }
+                    6 => {
+                        let s = rng.next_below(u64::from(n)) as u32;
+                        prop_assert_eq!(sb.mark_lost(s), sent[s as usize]);
+                        lost[s as usize] |= std::mem::take(&mut sent[s as usize]);
+                    }
+                    _ => {
+                        prop_assert_eq!(sb.lose_outstanding(), sent.iter().any(|&x| x));
+                        for s in 0..n as usize {
+                            lost[s] |= std::mem::take(&mut sent[s]);
+                        }
+                    }
+                }
+                prop_assert_eq!(sb.snd_una(), una);
+                prop_assert_eq!(sb.next_pending(), frontier);
+                prop_assert_eq!(sb.in_flight() as usize, sent.iter().filter(|&&x| x).count());
+                prop_assert_eq!(sb.has_lost(), lost.iter().any(|&x| x));
+                prop_assert_eq!(sb.all_acked(), acked.iter().all(|&x| x));
+                for s in 0..n {
+                    let want = match (acked[s as usize], sent[s as usize], lost[s as usize]) {
+                        (true, _, _) => PktState::Acked,
+                        (_, true, _) => PktState::Sent,
+                        (_, _, true) => PktState::Lost,
+                        _ => PktState::Pending,
+                    };
+                    prop_assert_eq!(sb.states[s as usize], want);
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,20 @@
 //! DCTCP [Alizadeh 2010]: the legacy reactive transport of the evaluation.
 //!
-//! Per-packet ACKs with SACK, triple-duplicate-ACK fast retransmit, a lazy
-//! retransmission timer with the paper's 4 ms `RTO_min`, and the DCTCP
-//! ECN-fraction window (see [`crate::common::DctcpWindow`]).
+//! Per-packet ACKs with SACK, triple-duplicate-ACK fast retransmit with
+//! NewReno partial-ACK recovery, a retransmission timer with the paper's
+//! 4 ms `RTO_min`, and the DCTCP ECN-fraction window (see
+//! [`crate::common::DctcpWindow`]).
 
 use flexpass_simcore::time::{Time, TimeDelta};
-use flexpass_simnet::consts::{data_wire_bytes, packets_for, payload_of_packet, CTRL_WIRE};
-use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
-use flexpass_simnet::packet::{
-    AckInfo, DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
-};
-use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
+use flexpass_simnet::consts::packets_for;
+use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
+use flexpass_simnet::packet::{AckInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
+use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 use flexpass_simnet::trace;
 
-use crate::common::{AckBuilder, DctcpWindow, PktState, Reassembly, RttEstimator};
+use crate::common::{
+    data_packet, AckBuilder, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard,
+};
 
 /// Timer kind: sender retransmission timer.
 const TK_RTO: u16 = 1;
@@ -62,14 +63,10 @@ impl Default for DctcpConfig {
 pub struct DctcpSender {
     spec: FlowSpec,
     cfg: DctcpConfig,
-    n: u32,
-    states: Vec<PktState>,
+    sb: Scoreboard,
     sent_at: Vec<Option<Time>>,
     win: DctcpWindow,
     rtt: RttEstimator,
-    snd_una: u32,
-    next_pending: u32,
-    in_flight: u32,
     dupacks: u32,
     /// Fast-recovery high-water mark: `Some(point)` while recovering from a
     /// triple-duplicate-ACK loss, where `point` was the send frontier when
@@ -77,13 +74,7 @@ pub struct DctcpSender {
     /// (NewReno): each one exposes the next hole, which is retransmitted
     /// immediately instead of waiting for three fresh duplicate ACKs.
     recovery: Option<u32>,
-    /// Deadline of the currently armed (cancellable) RTO, if any; used to
-    /// skip redundant re-arms when the deadline is unchanged.
-    rto_deadline: Option<Time>,
-    rto_backoff: u32,
-    last_progress: Time,
-    /// Packets currently marked `Lost`, kept sorted for O(log n) lookup.
-    lost: std::collections::BTreeSet<u32>,
+    rto: RtoTimer,
     stats: TxStats,
     done: bool,
 }
@@ -95,20 +86,13 @@ impl DctcpSender {
         DctcpSender {
             spec,
             cfg,
-            n,
-            states: vec![PktState::Pending; n as usize],
+            sb: Scoreboard::new(n),
             sent_at: vec![None; n as usize],
             win: DctcpWindow::new(cfg.init_cwnd, cfg.g, cfg.max_cwnd),
             rtt: RttEstimator::new(cfg.min_rto),
-            snd_una: 0,
-            next_pending: 0,
-            in_flight: 0,
             dupacks: 0,
             recovery: None,
-            rto_deadline: None,
-            rto_backoff: 0,
-            last_progress: Time::ZERO,
-            lost: std::collections::BTreeSet::new(),
+            rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
         }
@@ -124,228 +108,102 @@ impl DctcpSender {
         self.stats
     }
 
-    fn data_packet(&self, seq: u32, retx: bool) -> Packet {
-        let pay = payload_of_packet(self.spec.size, seq);
-        Packet::new(
-            self.spec.id,
-            self.spec.src,
-            self.spec.dst,
-            data_wire_bytes(pay),
-            self.cfg.class,
-            Payload::Data(DataInfo {
-                flow_seq: seq,
-                sub_seq: seq,
-                sub: Subflow::Only,
-                payload: pay,
-                retx,
-            }),
-        )
-        .ecn()
+    /// True while anything is in flight, awaiting retransmission or unsent.
+    fn has_work(&self) -> bool {
+        self.sb.in_flight() > 0 || self.sb.has_lost() || self.sb.next_pending() < self.sb.total()
     }
 
-    fn transmit(&mut self, seq: u32, retx: bool, ctx: &mut EndpointCtx) {
-        debug_assert!(!self.states[seq as usize].in_flight());
-        self.lost.remove(&seq);
-        self.states[seq as usize] = PktState::Sent;
-        self.sent_at[seq as usize] = Some(ctx.now);
-        self.in_flight += 1;
-        self.stats.data_pkts += 1;
-        let pay = payload_of_packet(self.spec.size, seq);
-        self.stats.data_bytes += pay.get();
-        if retx {
-            self.stats.retx_pkts += 1;
-            self.stats.redundant_bytes += pay.get();
-            trace::retransmit(self.spec.id, seq);
-        }
-        ctx.send(self.data_packet(seq, retx));
-    }
-
-    /// Keeps the armed RTO tracking `last_progress + rto()` using
-    /// cancel-and-replace arming: the timer only ever fires at a genuine
-    /// timeout, instead of the old lazy pattern where stale entries fired
-    /// as no-ops and re-armed themselves.
-    ///
-    /// The deadline is a monotone maximum — a fresh arm starts at
-    /// `now + rto()` and re-arms never move it earlier — which is exactly
-    /// the envelope the lazy fire-and-recheck chain used to converge to,
-    /// so timeout instants are unchanged.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_RTO);
-        let needed = !self.done
-            && (self.in_flight > 0 || !self.lost.is_empty() || self.next_pending < self.n);
-        if !needed {
-            if self.rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.rto_deadline {
-            Some(d) => (self.last_progress + self.rto()).max(d),
-            None => ctx.now + self.rto(),
-        };
-        if self.rto_deadline != Some(at) {
-            self.rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
-    }
-
-    fn rto(&self) -> TimeDelta {
-        self.rtt.rto() * (1u64 << self.rto_backoff.min(8))
+        let live = !self.done && self.has_work();
+        self.rto.update(ctx, live, self.rtt.rto());
     }
 
     /// Sends as much as the window allows: lost packets first, then new.
     fn pump(&mut self, ctx: &mut EndpointCtx) {
         let cwnd = self.win.cwnd_pkts();
-        while self.in_flight < cwnd {
-            // Retransmissions first.
-            if let Some(seq) = self.first_lost() {
-                self.transmit(seq, true, ctx);
-                continue;
-            }
-            // New data.
-            while self.next_pending < self.n
-                && self.states[self.next_pending as usize] != PktState::Pending
-            {
-                self.next_pending += 1;
-            }
-            if self.next_pending >= self.n {
+        while self.sb.in_flight() < cwnd {
+            let Some((seq, retx)) = self.sb.pick() else {
                 break;
-            }
-            let seq = self.next_pending;
-            self.next_pending += 1;
-            self.transmit(seq, false, ctx);
-        }
-    }
-
-    fn first_lost(&self) -> Option<u32> {
-        self.lost.iter().next().copied()
-    }
-
-    fn mark_acked(&mut self, seq: u32, now: Time) -> bool {
-        let st = &mut self.states[seq as usize];
-        if *st == PktState::Acked {
-            return false;
-        }
-        if st.in_flight() {
-            self.in_flight -= 1;
-        }
-        *st = PktState::Acked;
-        self.lost.remove(&seq);
-        if let Some(t) = self.sent_at[seq as usize] {
-            self.rtt.sample(now.saturating_since(t));
-        }
-        true
-    }
-
-    /// Marks `seq` lost (if still in flight) so [`Self::pump`] retransmits
-    /// it ahead of new data.
-    fn mark_lost(&mut self, seq: u32) {
-        if self.states[seq as usize].in_flight() {
-            self.states[seq as usize] = PktState::Lost;
-            self.lost.insert(seq);
-            self.in_flight -= 1;
+            };
+            self.sent_at[seq as usize] = Some(ctx.now);
+            let pkt = data_packet(&self.spec, self.cfg.class, seq, seq, retx, &mut self.stats);
+            ctx.send(pkt.ecn());
         }
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let mut newly = 0u64;
-        let prev_una = self.snd_una;
-        // Highest sequence this ACK presents evidence for: the top of the
-        // cumulative range and of each SACK block. `None` when the ACK
-        // carries no acknowledgment at all (pure duplicate, empty SACK).
-        let mut high: Option<u32> = match ack.cum.min(self.n) {
-            0 => None,
-            c => Some(c - 1),
-        };
-        while self.snd_una < ack.cum.min(self.n) {
-            if self.mark_acked(self.snd_una, ctx.now) {
-                newly += 1;
+        let n = self.sb.total();
+        let prev_una = self.sb.snd_una();
+        let (sent_at, rtt, now) = (&self.sent_at, &mut self.rtt, ctx.now);
+        let newly = self.sb.apply_ack(ack, |seq| {
+            if let Some(t) = sent_at[seq as usize] {
+                rtt.sample(now.saturating_since(t));
             }
-            self.snd_una += 1;
-        }
-        for r in 0..ack.sack_n as usize {
-            let (lo, hi) = ack.sack[r];
-            let hi = hi.min(self.n);
-            if lo < hi {
-                high = Some(high.map_or(hi - 1, |h| h.max(hi - 1)));
-            }
-            for s in lo..hi {
-                if self.mark_acked(s, ctx.now) {
-                    newly += 1;
+        });
+        if newly > 0 {
+            self.rto.progress(ctx.now);
+            // Highest sequence this ACK presents evidence for: the top of
+            // the cumulative range and of each SACK block.
+            let mut high = ack.cum.min(n).checked_sub(1);
+            for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
+                if lo < hi.min(n) {
+                    high = high.max(Some(hi.min(n) - 1));
                 }
             }
-        }
-        if newly > 0 {
-            self.last_progress = ctx.now;
-            self.rto_backoff = 0;
             if let Some(high) = high {
-                self.win.on_ack(newly, high, ack.ece, self.next_pending);
+                self.win
+                    .on_ack(newly, high, ack.ece, self.sb.next_pending());
             }
         }
-        if self.snd_una > prev_una {
+        if self.sb.snd_una() > prev_una {
             // The cumulative point advanced: duplicate-ACK counting restarts.
             self.dupacks = 0;
             match self.recovery {
-                Some(point) if self.snd_una < point => {
+                Some(point) if self.sb.snd_una() < point => {
                     // Partial ACK (NewReno): the packet now at snd_una is the
                     // next hole from the same loss event. Retransmit it
                     // immediately; the window was already reduced when
                     // recovery started.
-                    self.mark_lost(self.snd_una);
+                    self.sb.mark_lost(self.sb.snd_una());
                 }
                 Some(_) => self.recovery = None,
                 None => {}
             }
-        } else if ack.cum == prev_una && ack.cum < self.n {
+        } else if ack.cum == prev_una && ack.cum < n {
             // A duplicate cumulative ACK, even one whose SACK blocks carry
             // new information: the receiver is still missing snd_una.
             self.dupacks += 1;
             if self.dupacks >= 3 && self.recovery.is_none() {
                 // Fast retransmit the first unacked packet, once per window.
-                self.mark_lost(self.snd_una);
-                self.recovery = Some(self.next_pending);
-                self.win.on_loss(ack.cum, self.next_pending);
+                self.sb.mark_lost(self.sb.snd_una());
+                self.recovery = Some(self.sb.next_pending());
+                self.win.on_loss(ack.cum, self.sb.next_pending());
             }
         }
 
-        if self.snd_una >= self.n && !self.done {
+        if self.sb.snd_una() >= n && !self.done {
             self.done = true;
             ctx.emit(AppEvent::SenderDone {
                 flow: self.spec.id,
                 stats: self.stats,
             });
-            self.update_rto(ctx); // cancels the armed timer
-            return;
+        } else {
+            self.pump(ctx);
         }
-        self.pump(ctx);
         self.update_rto(ctx);
     }
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_deadline = None;
-        if self.done {
+        self.rto.fired();
+        if self.done || !self.has_work() {
             return;
         }
-        if self.in_flight == 0 && self.first_lost().is_none() && self.next_pending >= self.n {
-            // Everything sent and acked-or-pending-ack; nothing to do.
-            return;
-        }
-        // Timeout: every in-flight packet is presumed lost. (With
-        // cancel-and-replace arming a fire always means the deadline
-        // genuinely passed — no lazy re-check needed.)
+        // Timeout: every in-flight packet is presumed lost.
         self.stats.timeouts += 1;
-        self.rto_backoff += 1;
+        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
         self.recovery = None;
-        trace::rto(self.spec.id, self.rto_backoff);
-        for s in self.snd_una..self.next_pending.min(self.n) {
-            if self.states[s as usize].in_flight() {
-                self.states[s as usize] = PktState::Lost;
-                self.lost.insert(s);
-                self.in_flight -= 1;
-            }
-        }
-        self.win.on_timeout(self.next_pending);
-        self.last_progress = ctx.now;
+        self.sb.lose_outstanding();
+        self.win.on_timeout(self.sb.next_pending());
         self.pump(ctx);
         self.update_rto(ctx);
     }
@@ -353,7 +211,7 @@ impl DctcpSender {
 
 impl Endpoint for DctcpSender {
     fn activate(&mut self, ctx: &mut EndpointCtx) {
-        self.last_progress = ctx.now;
+        self.rto.progress(ctx.now);
         self.pump(ctx);
         self.update_rto(ctx);
     }
@@ -383,40 +241,22 @@ impl Endpoint for DctcpSender {
 pub struct DctcpReceiver {
     spec: FlowSpec,
     cfg: DctcpConfig,
-    reasm: Reassembly,
+    tail: RxTail,
     acks: AckBuilder,
     /// In-order packets received since the last ACK (delayed acking).
     unacked: u32,
-    completed: bool,
-    torn_down: bool,
 }
 
 impl DctcpReceiver {
     /// Creates a receiver for `spec`.
     pub fn new(spec: FlowSpec, cfg: DctcpConfig, _env: &NetEnv) -> Self {
-        let n = packets_for(spec.size);
-        let reasm = Reassembly::new(spec.size, n);
-        let n = n.get();
         DctcpReceiver {
             spec,
             cfg,
-            reasm,
-            acks: AckBuilder::new(n),
+            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            acks: AckBuilder::new(packets_for(spec.size).get()),
             unacked: 0,
-            completed: false,
-            torn_down: false,
         }
-    }
-
-    fn ack_packet(&self, info: AckInfo) -> Packet {
-        Packet::new(
-            self.spec.id,
-            self.spec.dst,
-            self.spec.src,
-            CTRL_WIRE,
-            self.cfg.class,
-            Payload::Ack(info),
-        )
     }
 }
 
@@ -425,7 +265,7 @@ impl Endpoint for DctcpReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         if let Payload::Data(d) = pkt.payload {
-            self.reasm.on_packet(d.flow_seq);
+            self.tail.on_data(d.flow_seq);
             let in_order = d.sub_seq == self.acks.cum();
             self.acks.on_packet(d.sub_seq);
             self.unacked += 1;
@@ -434,40 +274,28 @@ impl Endpoint for DctcpReceiver {
             let must_ack = pkt.ecn_ce
                 || !in_order
                 || self.unacked >= self.cfg.ack_every
-                || self.reasm.complete();
+                || self.tail.reasm().complete();
             if must_ack {
                 self.unacked = 0;
                 let info = self
                     .acks
                     .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
-                ctx.send(self.ack_packet(info));
+                ctx.send(Packet::to_sender(
+                    &self.spec,
+                    self.cfg.class,
+                    Payload::Ack(info),
+                ));
             }
-            if self.reasm.complete() && !self.completed {
-                self.completed = true;
-                ctx.emit(AppEvent::FlowCompleted {
-                    flow: self.spec.id,
-                    stats: RxStats {
-                        pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
-                        dup_pkts: self.reasm.duplicates(),
-                        reorder_peak_bytes: self.reasm.reorder_peak().get(),
-                    },
-                });
-                ctx.set_timer(
-                    ctx.now + self.cfg.linger,
-                    timer_token(self.spec.id, TK_LINGER),
-                );
-            }
+            self.tail.finish_if_complete(ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, _ctx: &mut EndpointCtx) {
-        if timer_kind(token) == TK_LINGER {
-            self.torn_down = true;
-        }
+        self.tail.on_timer(token);
     }
 
     fn finished(&self) -> bool {
-        self.torn_down
+        self.tail.torn_down()
     }
 }
 
@@ -511,6 +339,7 @@ mod tests {
     use flexpass_simcore::units::{Bytes, WireBytes};
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
+    use flexpass_simnet::sim::timer_token;
     use flexpass_simnet::sim::{NetObserver, NodeId, NullObserver, Sim};
     use flexpass_simnet::switch::{ClassMap, SwitchProfile};
     use flexpass_simnet::topology::Topology;
@@ -969,22 +798,8 @@ mod tests {
         let mut timers = Vec::new();
         let mut app = Vec::new();
         let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_v, &mut timers, &mut app);
-        let mk = |seq: u32| {
-            Packet::new(
-                9,
-                0,
-                1,
-                data_wire_bytes(Bytes::new(1460)),
-                TrafficClass::Legacy,
-                Payload::Data(DataInfo {
-                    flow_seq: seq,
-                    sub_seq: seq,
-                    sub: Subflow::Only,
-                    payload: Bytes::new(1460),
-                    retx: false,
-                }),
-            )
-        };
+        let mk =
+            |seq: u32| Packet::data(&spec, TrafficClass::Legacy, seq, Subflow::Only, seq, false);
         rx.on_packet(&mk(0), &mut ctx);
         rx.on_packet(&mk(1), &mut ctx);
         assert!(!rx.finished(), "receiver lingers after completion");

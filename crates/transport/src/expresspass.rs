@@ -8,22 +8,21 @@
 //!
 //! This implementation follows the SIGCOMM '17 algorithm: per-update-period
 //! credit-loss measurement, binary-search increase `w ← (w + w_max)/2`, and
-//! multiplicative decrease on excess loss. FlexPass reuses this endpoint
-//! pair for its proactive sub-flow with the credit rate scaled by `w_q`.
+//! multiplicative decrease on excess loss. FlexPass reuses the receiver's
+//! [`CreditLoop`] for its proactive sub-flow with the credit rate scaled by
+//! `w_q`.
 
 use flexpass_simcore::rng::SimRng;
-use flexpass_simcore::time::{Rate, Time, TimeDelta};
-use flexpass_simnet::consts::{
-    data_wire_bytes, packets_for, payload_of_packet, CTRL_WIRE, DATA_WIRE,
-};
-use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
+use flexpass_simcore::time::{Rate, TimeDelta};
+use flexpass_simnet::consts::{packets_for, DATA_WIRE};
+use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{
-    AckInfo, CreditInfo, DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
+    AckInfo, CreditInfo, DataInfo, FlowId, FlowSpec, Packet, Payload, Subflow, TrafficClass,
 };
 use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
 use flexpass_simnet::trace;
 
-use crate::common::{AckBuilder, PktState, Reassembly, RttEstimator};
+use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
 
 /// Timer kind: receiver credit pacing tick.
 const TK_CREDIT: u16 = 3;
@@ -90,23 +89,20 @@ impl Default for EpConfig {
     }
 }
 
+/// Accounts for (and traces) a credit of `flow` that arrived with nothing
+/// it could trigger.
+pub fn waste_credit(stats: &mut TxStats, flow: FlowId) {
+    stats.credits_wasted += 1;
+    trace::credit_wasted(flow);
+}
+
 /// ExpressPass sender: transmits one data packet per received credit.
 pub struct EpSender {
     spec: FlowSpec,
     cfg: EpConfig,
-    n: u32,
-    states: Vec<PktState>,
-    snd_una: u32,
-    next_pending: u32,
+    sb: Scoreboard,
     dupacks: u32,
-    acked: u32,
-    rtt: RttEstimator,
-    last_progress: Time,
-    /// Deadline of the currently armed (cancellable) RTO, if any.
-    rto_deadline: Option<Time>,
-    rto_backoff: u32,
-    /// Packets currently marked `Lost`, kept sorted for O(log n) lookup.
-    lost: std::collections::BTreeSet<u32>,
+    rto: RtoTimer,
     stats: TxStats,
     done: bool,
 }
@@ -114,21 +110,12 @@ pub struct EpSender {
 impl EpSender {
     /// Creates a sender for `spec`.
     pub fn new(spec: FlowSpec, cfg: EpConfig, _env: &NetEnv) -> Self {
-        let n = packets_for(spec.size).get();
         EpSender {
             spec,
             cfg,
-            n,
-            states: vec![PktState::Pending; n as usize],
-            snd_una: 0,
-            next_pending: 0,
+            sb: Scoreboard::new(packets_for(spec.size).get()),
             dupacks: 0,
-            acked: 0,
-            rtt: RttEstimator::new(cfg.min_rto),
-            last_progress: Time::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
-            lost: std::collections::BTreeSet::new(),
+            rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
         }
@@ -140,152 +127,55 @@ impl EpSender {
     }
 
     fn send_request(&mut self, ctx: &mut EndpointCtx) {
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.src,
-            self.spec.dst,
-            CTRL_WIRE,
+        let pkts = self.sb.total();
+        ctx.send(Packet::to_receiver(
+            &self.spec,
             self.cfg.ctrl_class,
-            Payload::CreditReq { pkts: self.n },
+            Payload::CreditReq { pkts },
         ));
     }
 
-    /// Keeps the armed RTO tracking `last_progress + rto()` via
-    /// cancel-and-replace arming; cancelled outright once the flow is done.
-    /// The deadline is a monotone maximum (fresh arms start at
-    /// `now + rto()`, re-arms never move earlier), matching the envelope
-    /// the old lazy fire-and-recheck chain converged to.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_RTO);
-        if self.done {
-            if self.rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.rto_deadline {
-            Some(d) => (self.last_progress + self.rto()).max(d),
-            None => ctx.now + self.rto(),
-        };
-        if self.rto_deadline != Some(at) {
-            self.rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
-    }
-
-    fn rto(&self) -> TimeDelta {
-        self.rtt.rto() * (1u64 << self.rto_backoff.min(8))
-    }
-
-    /// Picks the packet a fresh credit should carry: lost first, then new.
-    fn pick(&mut self) -> Option<u32> {
-        if let Some(&seq) = self.lost.iter().next() {
-            return Some(seq);
-        }
-        while self.next_pending < self.n
-            && self.states[self.next_pending as usize] != PktState::Pending
-        {
-            self.next_pending += 1;
-        }
-        if self.next_pending < self.n {
-            let s = self.next_pending;
-            self.next_pending += 1;
-            return Some(s);
-        }
-        None
+        self.rto.update(ctx, !self.done, self.cfg.min_rto);
     }
 
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
         if self.done {
-            self.stats.credits_wasted += 1;
-            trace::credit_wasted(self.spec.id);
-            ctx.send(Packet::new(
-                self.spec.id,
-                self.spec.src,
-                self.spec.dst,
-                CTRL_WIRE,
+            waste_credit(&mut self.stats, self.spec.id);
+            ctx.send(Packet::to_receiver(
+                &self.spec,
                 self.cfg.ctrl_class,
                 Payload::CreditStop,
             ));
             return;
         }
-        match self.pick() {
-            Some(seq) => {
-                let retx = self.states[seq as usize] == PktState::Lost;
-                self.lost.remove(&seq);
-                self.states[seq as usize] = PktState::Sent;
-                let pay = payload_of_packet(self.spec.size, seq);
-                self.stats.data_pkts += 1;
-                self.stats.data_bytes += pay.get();
-                if retx {
-                    self.stats.retx_pkts += 1;
-                    self.stats.redundant_bytes += pay.get();
-                    trace::retransmit(self.spec.id, seq);
-                }
-                ctx.send(Packet::new(
-                    self.spec.id,
-                    self.spec.src,
-                    self.spec.dst,
-                    data_wire_bytes(pay),
-                    self.cfg.data_class,
-                    Payload::Data(DataInfo {
-                        flow_seq: seq,
-                        sub_seq: credit.idx,
-                        sub: Subflow::Only,
-                        payload: pay,
-                        retx,
-                    }),
-                ));
+        // A fresh credit carries a lost packet first, then new data.
+        match self.sb.pick() {
+            Some((seq, retx)) => {
+                let class = self.cfg.data_class;
+                let pkt = data_packet(&self.spec, class, seq, credit.idx, retx, &mut self.stats);
+                ctx.send(pkt);
                 self.update_rto(ctx);
             }
-            None => {
-                self.stats.credits_wasted += 1;
-                trace::credit_wasted(self.spec.id);
-            }
+            None => waste_credit(&mut self.stats, self.spec.id),
         }
-    }
-
-    fn mark_acked(&mut self, seq: u32, now: Time) -> u64 {
-        let st = &mut self.states[seq as usize];
-        if *st == PktState::Acked {
-            return 0;
-        }
-        *st = PktState::Acked;
-        self.lost.remove(&seq);
-        self.acked += 1;
-        self.last_progress = now;
-        1
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.snd_una;
-        let mut newly = 0;
-        while self.snd_una < ack.cum.min(self.n) {
-            newly += self.mark_acked(self.snd_una, ctx.now);
-            self.snd_una += 1;
-        }
-        for r in 0..ack.sack_n as usize {
-            let (lo, hi) = ack.sack[r];
-            for s in lo..hi.min(self.n) {
-                newly += self.mark_acked(s, ctx.now);
-            }
-        }
-        if newly > 0 {
-            self.rto_backoff = 0;
+        let prev_una = self.sb.snd_una();
+        if self.sb.apply_ack(ack, |_| {}) > 0 {
+            self.rto.progress(ctx.now);
             self.dupacks = 0;
-        } else if ack.cum == prev_una && ack.cum < self.n {
+        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
             self.dupacks += 1;
             if self.dupacks == 3 {
                 self.dupacks = 0;
-                if self.states[self.snd_una as usize] == PktState::Sent {
-                    // Next credit will carry the retransmission.
-                    self.states[self.snd_una as usize] = PktState::Lost;
-                    self.lost.insert(self.snd_una);
-                }
+                // Next credit will carry the retransmission.
+                self.sb.mark_lost(self.sb.snd_una());
             }
         }
-        if self.acked >= self.n && !self.done {
+        if self.sb.all_acked() && !self.done {
             self.done = true;
             ctx.emit(AppEvent::SenderDone {
                 flow: self.spec.id,
@@ -296,7 +186,7 @@ impl EpSender {
     }
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_deadline = None;
+        self.rto.fired();
         if self.done {
             return;
         }
@@ -304,20 +194,10 @@ impl EpSender {
         // stalled; re-request credits. Only count a timeout when data was
         // actually outstanding — a credit-starved idle sender re-requesting
         // credits is not a loss-recovery timeout.
-        self.rto_backoff += 1;
-        trace::rto(self.spec.id, self.rto_backoff);
-        let mut any_lost = false;
-        for s in self.snd_una..self.next_pending.min(self.n) {
-            if self.states[s as usize] == PktState::Sent {
-                self.states[s as usize] = PktState::Lost;
-                self.lost.insert(s);
-                any_lost = true;
-            }
-        }
-        if any_lost {
+        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        if self.sb.lose_outstanding() {
             self.stats.timeouts += 1;
         }
-        self.last_progress = ctx.now;
         self.send_request(ctx);
         self.update_rto(ctx);
     }
@@ -325,7 +205,7 @@ impl EpSender {
 
 impl Endpoint for EpSender {
     fn activate(&mut self, ctx: &mut EndpointCtx) {
-        self.last_progress = ctx.now;
+        self.rto.progress(ctx.now);
         // Proactive transports wait one RTT for credits (no unscheduled
         // packets in plain ExpressPass).
         self.send_request(ctx);
@@ -445,121 +325,163 @@ impl CreditEngine {
     }
 }
 
+/// The receiver half of the credit loop: paces credits towards the sender
+/// at the [`CreditEngine`]'s rate and lets the engine re-tune that rate once
+/// per update period. Shared by the ExpressPass receiver and the FlexPass
+/// proactive sub-flow, which differ only in the engine's configuration.
+pub struct CreditLoop {
+    spec: FlowSpec,
+    engine: CreditEngine,
+    /// Index of the next credit; also the number sent so far.
+    credit_idx: u32,
+    crediting: bool,
+    /// A pacing tick is in the calendar (whether or not `crediting`).
+    chain_live: bool,
+    update_period: TimeDelta,
+    credit_token: u64,
+    feedback_token: u64,
+}
+
+impl CreditLoop {
+    /// Creates an idle loop for `spec` whose pacing and feedback timers use
+    /// the owner's timer kinds `credit_kind` and `feedback_kind`.
+    pub fn new(
+        spec: &FlowSpec,
+        cfg: EpConfig,
+        env: &NetEnv,
+        credit_kind: u16,
+        feedback_kind: u16,
+    ) -> Self {
+        CreditLoop {
+            spec: *spec,
+            engine: CreditEngine::new(cfg, env, spec.id),
+            credit_idx: 0,
+            crediting: false,
+            chain_live: false,
+            update_period: env.base_rtt.max(TimeDelta::micros(20)),
+            credit_token: timer_token(spec.id, credit_kind),
+            feedback_token: timer_token(spec.id, feedback_kind),
+        }
+    }
+
+    /// Current credit rate (as the data rate it would trigger, bps).
+    pub fn rate(&self) -> f64 {
+        self.engine.rate()
+    }
+
+    /// Total credits sent.
+    pub fn credits_sent(&self) -> u64 {
+        u64::from(self.credit_idx)
+    }
+
+    /// Starts (or resumes) issuing credits. A new pacing chain is armed only
+    /// when the previous one has died.
+    pub fn start(&mut self, ctx: &mut EndpointCtx) {
+        if self.crediting {
+            return;
+        }
+        self.crediting = true;
+        if !self.chain_live {
+            self.chain_live = true;
+            ctx.arm_timer(ctx.now, self.credit_token);
+            ctx.arm_timer(ctx.now + self.update_period, self.feedback_token);
+        }
+    }
+
+    /// Mid-flow `CreditStop`: stops issuing credits. The pacing chain is
+    /// left to fire once more and observe `!crediting`; that stale fire is
+    /// what tells a later [`start`](Self::start) to arm a new chain.
+    pub fn stop(&mut self) {
+        self.crediting = false;
+    }
+
+    /// The flow completed. Completion is final (the owner never restarts a
+    /// completed flow), so both chains are cancelled outright.
+    pub fn halt(&mut self, ctx: &mut EndpointCtx) {
+        self.crediting = false;
+        ctx.cancel_timer(self.credit_token);
+        ctx.cancel_timer(self.feedback_token);
+    }
+
+    /// Counts one credit-triggered data packet towards this period's
+    /// credit-loss measurement.
+    pub fn on_data(&mut self) {
+        self.engine.data_rcvd_period += 1;
+    }
+
+    /// Timer dispatch for the pacing and feedback chains; other tokens are
+    /// ignored.
+    pub fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        if token == self.credit_token {
+            if !self.crediting {
+                self.chain_live = false;
+                return;
+            }
+            let idx = self.credit_idx;
+            self.credit_idx += 1;
+            self.engine.credits_sent_period += 1;
+            trace::credit_sent(self.spec.id, u64::from(idx));
+            ctx.send(Packet::to_sender(
+                &self.spec,
+                TrafficClass::Credit,
+                Payload::Credit(CreditInfo { idx }),
+            ));
+            ctx.arm_timer(ctx.now + self.engine.credit_interval(), token);
+        } else if token == self.feedback_token && self.crediting {
+            self.engine.feedback_update();
+            ctx.arm_timer(ctx.now + self.update_period, token);
+        }
+    }
+}
+
 /// ExpressPass receiver: paces credits under feedback control, reassembles
 /// data, and acknowledges every packet.
 pub struct EpReceiver {
     spec: FlowSpec,
     cfg: EpConfig,
-    reasm: Reassembly,
+    tail: RxTail,
     acks: AckBuilder,
-    engine: CreditEngine,
-    credit_idx: u32,
-    crediting: bool,
-    credit_chain_live: bool,
-    update_period: TimeDelta,
-    completed: bool,
-    torn_down: bool,
-    /// Total credits sent (introspection).
-    pub credits_sent: u64,
+    credit: CreditLoop,
 }
 
 impl EpReceiver {
     /// Creates a receiver for `spec`.
     pub fn new(spec: FlowSpec, cfg: EpConfig, env: &NetEnv) -> Self {
-        let n = packets_for(spec.size);
-        let reasm = Reassembly::new(spec.size, n);
-        let n = n.get();
-        let engine = CreditEngine::new(cfg, env, spec.id);
         EpReceiver {
             spec,
             cfg,
-            reasm,
-            acks: AckBuilder::new(n),
-            engine,
-            credit_idx: 0,
-            crediting: false,
-            credit_chain_live: false,
-            update_period: env.base_rtt.max(TimeDelta::micros(20)),
-            completed: false,
-            torn_down: false,
-            credits_sent: 0,
+            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            acks: AckBuilder::new(packets_for(spec.size).get()),
+            credit: CreditLoop::new(&spec, cfg, env, TK_CREDIT, TK_FEEDBACK),
         }
     }
 
     /// Current credit rate (as the data rate it would trigger, bps).
     pub fn credit_rate(&self) -> f64 {
-        self.engine.rate()
+        self.credit.rate()
     }
 
-    fn start_crediting(&mut self, ctx: &mut EndpointCtx) {
-        if self.crediting {
-            return;
-        }
-        self.crediting = true;
-        if !self.credit_chain_live {
-            self.credit_chain_live = true;
-            ctx.arm_timer(ctx.now, timer_token(self.spec.id, TK_CREDIT));
-            ctx.arm_timer(
-                ctx.now + self.update_period,
-                timer_token(self.spec.id, TK_FEEDBACK),
-            );
-        }
-    }
-
-    fn send_credit(&mut self, ctx: &mut EndpointCtx) {
-        let idx = self.credit_idx;
-        self.credit_idx += 1;
-        self.credits_sent += 1;
-        self.engine.credits_sent_period += 1;
-        trace::credit_sent(self.spec.id, u64::from(idx));
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.dst,
-            self.spec.src,
-            CTRL_WIRE,
-            TrafficClass::Credit,
-            Payload::Credit(CreditInfo { idx }),
-        ));
+    /// Total credits sent (introspection).
+    pub fn credits_sent(&self) -> u64 {
+        self.credit.credits_sent()
     }
 
     fn on_data(&mut self, pkt: &Packet, d: DataInfo, ctx: &mut EndpointCtx) {
-        self.engine.data_rcvd_period += 1;
-        self.reasm.on_packet(d.flow_seq);
+        self.credit.on_data();
+        self.tail.on_data(d.flow_seq);
         self.acks.on_packet(d.flow_seq);
         let info = self
             .acks
             .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.flow_seq);
-        ctx.send(Packet::new(
-            self.spec.id,
-            self.spec.dst,
-            self.spec.src,
-            CTRL_WIRE,
+        ctx.send(Packet::to_sender(
+            &self.spec,
             self.cfg.ctrl_class,
             Payload::Ack(info),
         ));
-        if self.reasm.complete() && !self.completed {
-            self.completed = true;
-            self.crediting = false;
-            // Completion is final (`CreditReq` is ignored once completed),
-            // so the pacing chains can be cancelled outright instead of
-            // firing one last stale tick each. A mid-flow `CreditStop`, by
-            // contrast, must let the chain fire and observe `!crediting` —
-            // restart depends on that stale-fire termination.
-            ctx.cancel_timer(timer_token(self.spec.id, TK_CREDIT));
-            ctx.cancel_timer(timer_token(self.spec.id, TK_FEEDBACK));
-            ctx.emit(AppEvent::FlowCompleted {
-                flow: self.spec.id,
-                stats: RxStats {
-                    pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
-                    dup_pkts: self.reasm.duplicates(),
-                    reorder_peak_bytes: self.reasm.reorder_peak().get(),
-                },
-            });
-            ctx.set_timer(
-                ctx.now + self.cfg.linger,
-                timer_token(self.spec.id, TK_LINGER),
-            );
+        if self.tail.completing() {
+            self.credit.halt(ctx);
         }
+        self.tail.finish_if_complete(ctx);
     }
 }
 
@@ -568,46 +490,20 @@ impl Endpoint for EpReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
-            Payload::CreditReq { .. } if !self.completed => {
-                self.start_crediting(ctx);
-            }
-            Payload::CreditStop => {
-                self.crediting = false;
-            }
+            Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
+            Payload::CreditStop => self.credit.stop(),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        match timer_kind(token) {
-            TK_CREDIT => {
-                if self.crediting && !self.completed {
-                    self.send_credit(ctx);
-                    ctx.arm_timer(
-                        ctx.now + self.engine.credit_interval(),
-                        timer_token(self.spec.id, TK_CREDIT),
-                    );
-                } else {
-                    self.credit_chain_live = false;
-                }
-            }
-            TK_FEEDBACK if self.crediting && !self.completed => {
-                self.engine.feedback_update();
-                ctx.arm_timer(
-                    ctx.now + self.update_period,
-                    timer_token(self.spec.id, TK_FEEDBACK),
-                );
-            }
-            TK_LINGER => {
-                self.torn_down = true;
-            }
-            _ => {}
-        }
+        self.credit.on_timer(token, ctx);
+        self.tail.on_timer(token);
     }
 
     fn finished(&self) -> bool {
-        self.torn_down
+        self.tail.torn_down()
     }
 }
 
@@ -647,8 +543,9 @@ impl TransportFactory for ExpressPassFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexpass_simcore::time::Time;
     use flexpass_simcore::units::{Bytes, WireBytes};
-    use flexpass_simnet::consts::CREDIT_RATE_FULL_FRACTION;
+    use flexpass_simnet::consts::{CREDIT_RATE_FULL_FRACTION, CTRL_WIRE};
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
     use flexpass_simnet::sim::{NetObserver, NullObserver, Sim};
@@ -856,5 +753,78 @@ mod tests {
         // Credits beyond the single packet are wasted until the ACK returns.
         let _ = NullObserver;
         assert!(sim.observer.wasted > 0);
+    }
+
+    /// A mid-flow stop lets the stale pacing chain fire once and die
+    /// silently; the restart then arms exactly one new chain.
+    #[test]
+    fn credit_loop_stop_then_restart_rearms_one_chain() {
+        use flexpass_simnet::endpoint::TimerCmd;
+
+        let env = NetEnv {
+            host_rate: Rate::from_gbps(10),
+            base_rtt: TimeDelta::micros(20),
+            n_hosts: 2,
+        };
+        let spec = flow(7, 0, 1, 100 * 1460, Time::ZERO);
+        let (credit, feedback) = (timer_token(7, TK_CREDIT), timer_token(7, TK_FEEDBACK));
+        let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
+        // One callback at `at`; returns the timer commands and packets sent.
+        let mut call = |at: Time, f: &mut dyn FnMut(&mut EndpointCtx)| {
+            f(&mut EndpointCtx::new(
+                at,
+                &mut arena,
+                &mut tx,
+                &mut timers,
+                &mut app,
+            ));
+            (std::mem::take(&mut timers), std::mem::take(&mut tx).len())
+        };
+        let us = Time::from_micros;
+
+        let (cmds, sent) = call(us(0), &mut |ctx| cl.start(ctx));
+        assert_eq!(sent, 0);
+        assert_eq!(
+            cmds,
+            vec![
+                TimerCmd::Arm(us(0), credit),
+                TimerCmd::Arm(us(20), feedback)
+            ]
+        );
+        // A second request while crediting arms nothing.
+        assert!(call(us(0), &mut |ctx| cl.start(ctx)).0.is_empty());
+        // The live chain sends a credit and re-arms itself.
+        let (cmds, sent) = call(us(0), &mut |ctx| cl.on_timer(credit, ctx));
+        assert_eq!((cmds.len(), sent), (1, 1));
+        assert!(matches!(cmds[0], TimerCmd::Arm(at, tok) if tok == credit && at > us(0)));
+
+        cl.stop();
+        // Restarting before the stale tick fires must not stack a second
+        // chain on the one still in the calendar.
+        assert!(call(us(1), &mut |ctx| cl.start(ctx)).0.is_empty());
+        cl.stop();
+        // The stale ticks fire, send nothing and do not re-arm.
+        assert_eq!(
+            call(us(2), &mut |ctx| cl.on_timer(credit, ctx)),
+            (vec![], 0)
+        );
+        assert_eq!(
+            call(us(20), &mut |ctx| cl.on_timer(feedback, ctx)),
+            (vec![], 0)
+        );
+        assert_eq!(cl.credits_sent(), 1);
+        // Now the restart arms one new pacing tick and one feedback tick.
+        let (cmds, _) = call(us(30), &mut |ctx| cl.start(ctx));
+        assert_eq!(
+            cmds,
+            vec![
+                TimerCmd::Arm(us(30), credit),
+                TimerCmd::Arm(us(50), feedback)
+            ]
+        );
+        assert_eq!(call(us(30), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
+        assert_eq!(cl.credits_sent(), 2);
     }
 }

@@ -9,17 +9,17 @@
 //! transports (real Homa uses resend requests; the difference is immaterial
 //! for the aggregate-throughput motivation experiment this backs).
 
-use flexpass_simcore::time::{Time, TimeDelta};
+use flexpass_simcore::time::TimeDelta;
 use flexpass_simcore::units::Bytes;
-use flexpass_simnet::consts::{data_wire_bytes, packets_for, payload_of_packet, CTRL_WIRE};
-use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
+use flexpass_simnet::consts::packets_for;
+use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{
-    AckInfo, DataInfo, FlowSpec, GrantInfo, Packet, Payload, Subflow, TrafficClass,
+    AckInfo, FlowSpec, GrantInfo, Packet, Payload, Subflow, TrafficClass,
 };
-use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
+use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 use flexpass_simnet::trace;
 
-use crate::common::{AckBuilder, PktState, Reassembly, RttEstimator};
+use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
 
 /// Timer kind: sender retransmission backstop.
 const TK_RTO: u16 = 7;
@@ -72,20 +72,10 @@ impl HomaConfig {
 pub struct HomaSender {
     spec: FlowSpec,
     cfg: HomaConfig,
-    n: u32,
-    states: Vec<PktState>,
+    sb: Scoreboard,
     granted: u32,
-    snd_una: u32,
-    next_pending: u32,
-    acked: u32,
     dupacks: u32,
-    rtt: RttEstimator,
-    last_progress: Time,
-    /// Deadline of the currently armed (cancellable) RTO, if any.
-    rto_deadline: Option<Time>,
-    rto_backoff: u32,
-    /// Packets currently marked `Lost`.
-    lost: std::collections::BTreeSet<u32>,
+    rto: RtoTimer,
     stats: TxStats,
     done: bool,
 }
@@ -97,140 +87,45 @@ impl HomaSender {
         HomaSender {
             spec,
             cfg,
-            n,
-            states: vec![PktState::Pending; n as usize],
+            sb: Scoreboard::new(n),
             granted: cfg.rtt_pkts().min(n),
-            snd_una: 0,
-            next_pending: 0,
-            acked: 0,
             dupacks: 0,
-            rtt: RttEstimator::new(cfg.min_rto),
-            last_progress: Time::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
-            lost: std::collections::BTreeSet::new(),
+            rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
         }
     }
 
-    fn transmit(&mut self, seq: u32, prio: u8, retx: bool, ctx: &mut EndpointCtx) {
-        self.lost.remove(&seq);
-        self.states[seq as usize] = PktState::Sent;
-        let pay = payload_of_packet(self.spec.size, seq);
-        self.stats.data_pkts += 1;
-        self.stats.data_bytes += pay.get();
-        if retx {
-            self.stats.retx_pkts += 1;
-            self.stats.redundant_bytes += pay.get();
-            trace::retransmit(self.spec.id, seq);
-        }
-        ctx.send(
-            Packet::new(
-                self.spec.id,
-                self.spec.src,
-                self.spec.dst,
-                data_wire_bytes(pay),
-                self.cfg.data_class,
-                Payload::Data(DataInfo {
-                    flow_seq: seq,
-                    sub_seq: seq,
-                    sub: Subflow::Only,
-                    payload: pay,
-                    retx,
-                }),
-            )
-            .with_prio(prio),
-        );
-    }
-
-    /// Keeps the armed RTO tracking `last_progress + rto()` via
-    /// cancel-and-replace arming (monotone-maximum deadline, matching the
-    /// envelope of the old lazy fire-and-recheck chain); cancelled on done.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        let token = timer_token(self.spec.id, TK_RTO);
-        if self.done {
-            if self.rto_deadline.take().is_some() {
-                ctx.cancel_timer(token);
-            }
-            return;
-        }
-        let at = match self.rto_deadline {
-            Some(d) => (self.last_progress + self.rto()).max(d),
-            None => ctx.now + self.rto(),
-        };
-        if self.rto_deadline != Some(at) {
-            self.rto_deadline = Some(at);
-            ctx.arm_timer(at, token);
-        }
+        self.rto.update(ctx, !self.done, self.cfg.min_rto);
     }
 
-    fn rto(&self) -> TimeDelta {
-        self.rtt.rto() * (1u64 << self.rto_backoff.min(8))
-    }
-
-    /// Sends everything currently authorized by `granted`.
+    /// Sends everything currently authorized by `granted`: retransmissions
+    /// first, all at priority `prio`.
     fn pump(&mut self, prio: u8, ctx: &mut EndpointCtx) {
-        loop {
-            // Retransmissions first (at the scheduled priority).
-            if let Some(&seq) = self.lost.iter().next() {
-                self.transmit(seq, prio, true, ctx);
-                continue;
-            }
-            while self.next_pending < self.n
-                && self.states[self.next_pending as usize] != PktState::Pending
-            {
-                self.next_pending += 1;
-            }
-            if self.next_pending >= self.granted.min(self.n) {
-                break;
-            }
-            let seq = self.next_pending;
-            self.next_pending += 1;
-            self.transmit(seq, prio, false, ctx);
+        while let Some((seq, retx)) = self.sb.pick_below(self.granted) {
+            let class = self.cfg.data_class;
+            let pkt = data_packet(&self.spec, class, seq, seq, retx, &mut self.stats);
+            ctx.send(pkt.with_prio(prio));
         }
         self.update_rto(ctx);
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.snd_una;
-        let mut newly = 0u64;
-        while self.snd_una < ack.cum.min(self.n) {
-            if self.states[self.snd_una as usize] != PktState::Acked {
-                self.states[self.snd_una as usize] = PktState::Acked;
-                self.lost.remove(&self.snd_una);
-                self.acked += 1;
-                newly += 1;
-            }
-            self.snd_una += 1;
-        }
-        for r in 0..ack.sack_n as usize {
-            let (lo, hi) = ack.sack[r];
-            for s in lo..hi.min(self.n) {
-                if self.states[s as usize] != PktState::Acked {
-                    self.states[s as usize] = PktState::Acked;
-                    self.lost.remove(&s);
-                    self.acked += 1;
-                    newly += 1;
-                }
-            }
-        }
-        if newly > 0 {
-            self.last_progress = ctx.now;
-            self.rto_backoff = 0;
+        let prev_una = self.sb.snd_una();
+        if self.sb.apply_ack(ack, |_| {}) > 0 {
+            self.rto.progress(ctx.now);
             self.dupacks = 0;
-        } else if ack.cum == prev_una && ack.cum < self.n {
+        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
             self.dupacks += 1;
             if self.dupacks == 3 {
                 self.dupacks = 0;
-                if self.states[self.snd_una as usize] == PktState::Sent {
-                    self.states[self.snd_una as usize] = PktState::Lost;
-                    self.lost.insert(self.snd_una);
+                if self.sb.mark_lost(self.sb.snd_una()) {
                     self.pump(self.cfg.sched_prio, ctx);
                 }
             }
         }
-        if self.acked >= self.n && !self.done {
+        if self.sb.all_acked() && !self.done {
             self.done = true;
             ctx.emit(AppEvent::SenderDone {
                 flow: self.spec.id,
@@ -243,7 +138,7 @@ impl HomaSender {
 
 impl Endpoint for HomaSender {
     fn activate(&mut self, ctx: &mut EndpointCtx) {
-        self.last_progress = ctx.now;
+        self.rto.progress(ctx.now);
         // Unscheduled burst: one RTT of data, blindly.
         self.pump(self.cfg.unsched_prio, ctx);
     }
@@ -251,7 +146,7 @@ impl Endpoint for HomaSender {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
             Payload::Grant(g) => {
-                self.granted = self.granted.max(g.upto.min(self.n));
+                self.granted = self.granted.max(g.upto.min(self.sb.total()));
                 self.pump(g.prio, ctx);
             }
             Payload::Ack(a) => self.on_ack(&a, ctx),
@@ -263,20 +158,13 @@ impl Endpoint for HomaSender {
         if timer_kind(token) != TK_RTO {
             return;
         }
-        self.rto_deadline = None;
+        self.rto.fired();
         if self.done {
             return;
         }
         self.stats.timeouts += 1;
-        self.rto_backoff += 1;
-        trace::rto(self.spec.id, self.rto_backoff);
-        for s in self.snd_una..self.next_pending.min(self.n) {
-            if self.states[s as usize] == PktState::Sent {
-                self.states[s as usize] = PktState::Lost;
-                self.lost.insert(s);
-            }
-        }
-        self.last_progress = ctx.now;
+        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.sb.lose_outstanding();
         self.pump(self.cfg.sched_prio, ctx);
     }
 
@@ -291,29 +179,21 @@ impl Endpoint for HomaSender {
 pub struct HomaReceiver {
     spec: FlowSpec,
     cfg: HomaConfig,
-    n: u32,
-    reasm: Reassembly,
+    tail: RxTail,
     acks: AckBuilder,
     granted: u32,
-    completed: bool,
-    torn_down: bool,
 }
 
 impl HomaReceiver {
     /// Creates a receiver for `spec`.
     pub fn new(spec: FlowSpec, cfg: HomaConfig, _env: &NetEnv) -> Self {
-        let n = packets_for(spec.size);
-        let reasm = Reassembly::new(spec.size, n);
-        let n = n.get();
+        let n = packets_for(spec.size).get();
         HomaReceiver {
             spec,
             cfg,
-            n,
-            reasm,
+            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
             acks: AckBuilder::new(n),
             granted: cfg.rtt_pkts().min(n),
-            completed: false,
-            torn_down: false,
         }
     }
 }
@@ -323,61 +203,34 @@ impl Endpoint for HomaReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         if let Payload::Data(d) = pkt.payload {
-            self.reasm.on_packet(d.flow_seq);
+            self.tail.on_data(d.flow_seq);
             self.acks.on_packet(d.sub_seq);
             let info = self
                 .acks
                 .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
-            ctx.send(Packet::new(
-                self.spec.id,
-                self.spec.dst,
-                self.spec.src,
-                CTRL_WIRE,
-                self.cfg.ctrl_class,
-                Payload::Ack(info),
-            ));
+            let class = self.cfg.ctrl_class;
+            ctx.send(Packet::to_sender(&self.spec, class, Payload::Ack(info)));
             // Grant to keep one RTT of data outstanding (self-clocked).
-            let target = (self.reasm.received_count() + self.cfg.rtt_pkts()).min(self.n);
-            if target > self.granted && !self.reasm.complete() {
+            let reasm = self.tail.reasm();
+            let target = (reasm.received_count() + self.cfg.rtt_pkts()).min(reasm.total());
+            if target > self.granted && !reasm.complete() {
                 self.granted = target;
-                ctx.send(Packet::new(
-                    self.spec.id,
-                    self.spec.dst,
-                    self.spec.src,
-                    CTRL_WIRE,
-                    self.cfg.ctrl_class,
-                    Payload::Grant(GrantInfo {
-                        upto: target,
-                        prio: self.cfg.sched_prio,
-                    }),
-                ));
+                let grant = GrantInfo {
+                    upto: target,
+                    prio: self.cfg.sched_prio,
+                };
+                ctx.send(Packet::to_sender(&self.spec, class, Payload::Grant(grant)));
             }
-            if self.reasm.complete() && !self.completed {
-                self.completed = true;
-                ctx.emit(AppEvent::FlowCompleted {
-                    flow: self.spec.id,
-                    stats: RxStats {
-                        pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
-                        dup_pkts: self.reasm.duplicates(),
-                        reorder_peak_bytes: self.reasm.reorder_peak().get(),
-                    },
-                });
-                ctx.set_timer(
-                    ctx.now + self.cfg.linger,
-                    timer_token(self.spec.id, TK_LINGER),
-                );
-            }
+            self.tail.finish_if_complete(ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, _ctx: &mut EndpointCtx) {
-        if timer_kind(token) == TK_LINGER {
-            self.torn_down = true;
-        }
+        self.tail.on_timer(token);
     }
 
     fn finished(&self) -> bool {
-        self.torn_down
+        self.tail.torn_down()
     }
 }
 
@@ -409,7 +262,7 @@ impl TransportFactory for HomaFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::Rate;
+    use flexpass_simcore::time::{Rate, Time};
     use flexpass_simcore::units::WireBytes;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;

@@ -10,8 +10,12 @@
 //! * [`homa`] — a simplified Homa [Montazeri 2018]: receiver-driven grants
 //!   over strict priority queues; used for the motivation experiment
 //!   (Figure 1b).
-//! * [`common`] — reassembly, ACK construction, RTT estimation, and the
-//!   per-packet scoreboard shared by every transport here and by FlexPass.
+//! * [`common`] — the reliability kit every transport here and FlexPass
+//!   compose: the sender's [`Scoreboard`](common::Scoreboard) (cumulative +
+//!   SACK marking, sorted lost set, lost-first pick),
+//!   [`RtoTimer`](common::RtoTimer), [`RttEstimator`] and [`DctcpWindow`];
+//!   the receiver's [`Reassembly`], [`AckBuilder`] and
+//!   [`RxTail`](common::RxTail) (completion report + linger).
 
 pub mod common;
 pub mod dctcp;

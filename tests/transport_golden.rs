@@ -86,11 +86,7 @@ fn run(factory: Box<dyn TransportFactory>, profile: &SwitchProfile) -> Golden {
     };
     let g = Golden {
         events_processed: sim.events_processed(),
-        sum_fct_ns: rec
-            .flows
-            .iter()
-            .map(|r| (r.fct * 1e9).round() as u64)
-            .sum(),
+        sum_fct_ns: rec.flows.iter().map(|r| (r.fct * 1e9).round() as u64).sum(),
         timeouts: tx(|s| s.timeouts),
         retx_pkts: tx(|s| s.retx_pkts),
         proactive_retx_pkts: tx(|s| s.proactive_retx_pkts),
