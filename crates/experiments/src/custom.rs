@@ -81,9 +81,8 @@ pub fn run_trace(
     {
         return Err(HostOutOfRange { host, n_hosts });
     }
-    let rack_of: Vec<usize> = (0..n_hosts).map(|h| h / clos.hosts_per_tor).collect();
     let mut rng = SimRng::new(spec.seed);
-    let deployment = Deployment::by_rack_ratio(&rack_of, spec.ratio, &mut rng);
+    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), spec.ratio, &mut rng);
     let mut flows: Vec<FlowSpec> = flows.to_vec();
     for fl in &mut flows {
         fl.tag = deployment.tag_for(fl);

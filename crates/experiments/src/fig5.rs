@@ -53,9 +53,8 @@ fn run_variant_probed(
     };
     let clos = scale.clos();
     let n_hosts = clos.n_hosts();
-    let rack_of: Vec<usize> = (0..n_hosts).map(|h| h / clos.hosts_per_tor).collect();
     let mut rng = SimRng::new(77);
-    let deployment = Deployment::by_rack_ratio(&rack_of, ratio, &mut rng);
+    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
     let flows = build_flows(&spec, &deployment, n_hosts);
     let frac = deployment.upgraded_byte_fraction(&flows);
     let params = ProfileParams::simulation(clos.link_rate);

@@ -231,9 +231,8 @@ fn run_point_once(
 ) -> SweepPoint {
     let clos = spec.scale.clos();
     let n_hosts = clos.n_hosts();
-    let rack_of: Vec<usize> = (0..n_hosts).map(|h| h / clos.hosts_per_tor).collect();
     let mut rng = SimRng::new(spec.seed.wrapping_mul(0x9E37).wrapping_add(7));
-    let deployment = Deployment::by_rack_ratio(&rack_of, ratio, &mut rng);
+    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
     let flows = build_flows(spec, &deployment, n_hosts);
     let frac = deployment.upgraded_byte_fraction(&flows);
 

@@ -18,6 +18,8 @@
 //!   admitted.)
 //! * **Shared-buffer bounds** — a switch's claimed shared-buffer usage must
 //!   stay within `[0, pool]`.
+//! * **Shared-buffer count** — the running byte count a switch admits
+//!   against must equal the sum over its dynamically thresholded queues.
 //! * **Credit-shaper bounds** — a token bucket's level must stay within
 //!   `[0, burst]` after every refill and spend.
 //! * **Event order** — event timestamps popped from the calendar must be
@@ -52,6 +54,8 @@ pub enum Invariant {
     QueueConservation,
     /// Shared-buffer usage left `[0, pool]`.
     BufferBounds,
+    /// A switch's running shared-buffer count diverged from its queues.
+    BufferCount,
     /// A token bucket exceeded its burst or went negative.
     CreditShaper,
     /// Event calendar popped out of order (time or FIFO tie-break), or an
@@ -70,6 +74,7 @@ impl fmt::Display for Invariant {
         let s = match self {
             Invariant::QueueConservation => "queue-conservation",
             Invariant::BufferBounds => "buffer-bounds",
+            Invariant::BufferCount => "buffer-count",
             Invariant::CreditShaper => "credit-shaper",
             Invariant::EventOrder => "event-order",
             Invariant::FlowConservation => "flow-conservation",
@@ -546,6 +551,21 @@ pub fn on_shared_buffer(sw: ComponentId, used: u64, pool: u64) {
     });
 }
 
+/// Switch `sw` counts `counted` shared-buffer bytes in use while its
+/// dynamically thresholded queues hold `queued` between them.
+pub fn on_shared_count(sw: ComponentId, counted: u64, queued: u64) {
+    with_auditor(|a| {
+        if counted != queued {
+            a.violate(
+                Invariant::BufferCount,
+                sw,
+                None,
+                format!("shared-buffer count {counted} B, queues hold {queued} B"),
+            );
+        }
+    });
+}
+
 /// Token bucket `shaper` holds `tokens` of at most `burst` (both in
 /// bit-nanoseconds; see `simnet::port`). Called after refills and spends.
 pub fn on_shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
@@ -733,8 +753,11 @@ mod tests {
         on_shaper_tokens(s, 101, 100);
         on_shared_buffer(s, 5, 10);
         on_shared_buffer(s, 11, 10);
+        on_shared_count(s, 7, 7);
+        on_shared_count(s, 7, 8);
         let report = finish();
-        assert_eq!(report.total_violations, 2);
+        assert_eq!(report.total_violations, 3);
+        assert_eq!(report.violations[2].invariant, Invariant::BufferCount);
     }
 
     #[test]

@@ -64,6 +64,18 @@ pub fn shared_buffer(sw: ComponentId, used: WireBytes, pool: WireBytes) {
     let _ = (sw, used, pool);
 }
 
+/// Switch `sw` counts `counted` bytes in its dynamically thresholded queues;
+/// `scan` recomputes that from the queues and runs only while an auditor is
+/// installed.
+pub fn shared_count(sw: ComponentId, counted: WireBytes, scan: impl FnOnce() -> WireBytes) {
+    #[cfg(feature = "audit")]
+    if is_active() {
+        flexpass_simaudit::on_shared_count(sw, counted.get(), scan().get());
+    }
+    #[cfg(not(feature = "audit"))]
+    let _ = (sw, counted, scan);
+}
+
 /// Token bucket `shaper` holds `tokens` of at most `burst` bit-nanoseconds.
 pub fn shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
     #[cfg(feature = "audit")]

@@ -305,6 +305,28 @@ mod tests {
         }
     }
 
+    /// Cutting the fabric moves switches between node tables but copies no
+    /// routing state: every domain's switches still route by the one
+    /// host→rack table the builder installed.
+    #[test]
+    fn domains_share_the_rack_table() {
+        let p = profile();
+        let part = partition(Topology::clos(two_pod_64(), &p, &p), 4)
+            .ok()
+            .expect("two-pod clos partitions");
+        let tables: Vec<_> = part
+            .parts
+            .iter()
+            .flat_map(|t| &t.nodes)
+            .filter_map(|n| match n {
+                Node::Switch(s) => Some(s.rack_table()),
+                Node::Host(_) => None,
+            })
+            .collect();
+        assert_eq!(tables.len(), 2 + 4 + 8);
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, tables[0])));
+    }
+
     #[test]
     fn two_pods_two_domains_cuts_at_core() {
         let p = profile();

@@ -13,6 +13,9 @@
 //! pending, the port reports the next token-eligibility instant so the
 //! simulator can schedule a wake-up.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 use flexpass_simcore::units::WireBytes;
 
@@ -76,6 +79,43 @@ impl PortConfig {
             rate,
             queues: vec![(QueueConfig::plain(), QueueSched::strict(0))],
         }
+    }
+}
+
+/// Bytes queued against one switch's shared buffer.
+///
+/// The count lives with the ports, not the switch: every port of a switch
+/// holds the same pool, charges it when a dynamically thresholded
+/// (uncapped) queue admits a packet and credits it when that queue is
+/// served, so the count is exact for any caller of [`Port::enqueue`] and
+/// [`Port::next_packet`], whether or not it goes through the switch.
+///
+/// The cell is an atomic only so that ports (and so the simulator) stay
+/// `Send`. A switch and its ports are driven by one thread at a time, so
+/// an update is a `Relaxed` load and a `Relaxed` store — two plain moves —
+/// and not a `fetch_add`: a locked read-modify-write is a full fence, and
+/// on every switch hop it would wait for the datapath's outstanding store
+/// misses (arena slots, queue links) to drain, tying the cost of a hop to
+/// memory latency at that moment.
+#[derive(Debug, Default)]
+pub(crate) struct BufferPool(AtomicU64);
+
+impl BufferPool {
+    /// Bytes currently queued against the pool.
+    pub(crate) fn used(&self) -> WireBytes {
+        WireBytes::new(self.0.load(Ordering::Relaxed))
+    }
+
+    fn charge(&self, bytes: WireBytes) {
+        let used = self.0.load(Ordering::Relaxed);
+        self.0
+            .store(used.wrapping_add(bytes.get()), Ordering::Relaxed);
+    }
+
+    fn credit(&self, bytes: WireBytes) {
+        let used = self.0.load(Ordering::Relaxed);
+        self.0
+            .store(used.wrapping_sub(bytes.get()), Ordering::Relaxed);
     }
 }
 
@@ -198,6 +238,11 @@ struct QState {
     deficit: f64,
     /// DWRR per-visit quantum, in wire bytes.
     quantum: f64,
+    /// Index into `Port::levels` of this queue's priority level.
+    level: usize,
+    /// The switch's shared-buffer pool, if this queue counts against it
+    /// (uncapped queues of switch ports).
+    pool: Option<Arc<BufferPool>>,
 }
 
 /// Per-port transmit counters.
@@ -242,6 +287,8 @@ impl Port {
                 shaper: sched.shaper.map(|(r, b)| Shaper::new(r, b)),
                 deficit: 0.0,
                 quantum: 0.0,
+                level: 0,
+                pool: None,
             })
             .collect();
 
@@ -278,7 +325,7 @@ impl Port {
 
         // DWRR quantum: proportional to weight, scaled so the largest weight
         // in a level gets one MTU per round.
-        for level in &levels {
+        for (li, level) in levels.iter().enumerate() {
             let wmax = level
                 .members
                 .iter()
@@ -290,6 +337,7 @@ impl Port {
                 // lint:allow(panic-path): f64 ratio; wmax >= weight > 0
                 // (weights are asserted positive in QueueSched::weighted).
                 q.quantum = (q.sched.weight / wmax * DATA_WIRE.as_f64()).max(1.0);
+                q.level = li;
             }
         }
 
@@ -303,6 +351,18 @@ impl Port {
             pending_wake: None,
             counters: PortCounters::default(),
         }
+    }
+
+    /// A switch port: as [`Port::new`], with every uncapped queue counted
+    /// against the switch's shared-buffer `pool`.
+    pub(crate) fn with_pool(cfg: &PortConfig, pool: &Arc<BufferPool>) -> Self {
+        let mut port = Port::new(cfg);
+        for q in &mut port.qs {
+            if q.queue.config().cap_bytes == WireBytes::MAX {
+                q.pool = Some(Arc::clone(pool));
+            }
+        }
+        port
     }
 
     /// Number of queues.
@@ -356,8 +416,14 @@ impl Port {
             .qs
             .get_mut(qidx)
             .expect("queue index within num_queues");
+        let before = q.queue.bytes();
         match q.queue.offer(arena, id) {
-            Enqueue::Admitted => Ok(()),
+            Enqueue::Admitted => {
+                if let Some(pool) = &q.pool {
+                    pool.charge(q.queue.bytes() - before);
+                }
+                Ok(())
+            }
             Enqueue::Dropped(r) => Err(r),
         }
     }
@@ -461,11 +527,13 @@ impl Port {
         let id = q.queue.dequeue(arena).expect("serve on empty queue");
         let wire = arena.get(id).expect("served id is live").wire;
         let size = wire.as_f64();
+        if let Some(pool) = &q.pool {
+            pool.credit(wire);
+        }
         // Update DWRR state if this queue shares its level.
         let level = self
             .levels
-            .iter_mut()
-            .find(|l| l.members.contains(&qi))
+            .get_mut(q.level)
             .expect("queue belongs to a level");
         if level.members.len() > 1 {
             q.deficit -= size;

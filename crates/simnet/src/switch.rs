@@ -1,12 +1,20 @@
 //! Output-queued switch with shared-buffer dynamic thresholds, per-class
 //! queue mapping, and ECMP routing.
+//!
+//! What a packet touches here does not grow with the fabric: the route
+//! lookup reads the shared host→rack table, then one candidate list of
+//! this switch's per-rack table (or, for a host attached here, its access
+//! port); shared-buffer admission reads one byte count that the ports
+//! keep up to date themselves (`port::BufferPool`).
+
+use std::sync::Arc;
 
 use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
 use crate::audit;
 use crate::packet::{Packet, TrafficClass};
-use crate::port::{Port, PortConfig};
+use crate::port::{BufferPool, Port, PortConfig};
 use crate::queue::DropReason;
 
 /// How packets map to egress queues (the DSCP → queue configuration an
@@ -123,6 +131,18 @@ impl QueueSample {
     }
 }
 
+/// The hosts attached to a switch: their rack and access ports.
+#[derive(Debug)]
+struct Access {
+    /// Rack this switch serves, or `u32::MAX` when no host attaches here.
+    rack: u32,
+    /// Lowest attached host id.
+    base: usize,
+    /// `ports[host - base]` is the access port towards `host`
+    /// (`u16::MAX` for a host id in the range that attaches elsewhere).
+    ports: Vec<u16>,
+}
+
 /// An output-queued switch.
 #[derive(Debug)]
 pub struct Switch {
@@ -131,9 +151,16 @@ pub struct Switch {
     pub tier: u8,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// ECMP candidates: `routes[dst_host]` lists egress port indices on
-    /// shortest paths towards that host.
+    /// ECMP candidates: `routes[rack]` lists egress port indices on
+    /// shortest paths towards that rack's switch (empty for the rack this
+    /// switch serves itself: its hosts resolve through the access table).
     pub routes: Vec<Vec<u16>>,
+    /// Rack of every host; one table shared by all switches of a fabric.
+    rack_of: Arc<[u32]>,
+    /// Hosts attached to this switch.
+    access: Access,
+    /// Bytes queued in this switch's dynamically thresholded queues.
+    pool: Arc<BufferPool>,
     class_map: ClassMap,
     shared_buffer: Option<(WireBytes, f64)>,
     counters: SwitchCounters,
@@ -143,10 +170,20 @@ pub struct Switch {
 impl Switch {
     /// Creates a switch with `nports` identical ports from `profile`.
     pub fn new(profile: &SwitchProfile, nports: usize, tier: u8) -> Self {
+        let pool = Arc::new(BufferPool::default());
         Switch {
             tier,
-            ports: (0..nports).map(|_| Port::new(&profile.port)).collect(),
+            ports: (0..nports)
+                .map(|_| Port::with_pool(&profile.port, &pool))
+                .collect(),
             routes: Vec::new(),
+            rack_of: Arc::from([]),
+            access: Access {
+                rack: u32::MAX,
+                base: 0,
+                ports: Vec::new(),
+            },
+            pool,
             class_map: profile.class_map,
             shared_buffer: profile.shared_buffer,
             counters: SwitchCounters::default(),
@@ -164,6 +201,55 @@ impl Switch {
         self.class_map
     }
 
+    /// Installs the fabric's shared host→rack table and an empty candidate
+    /// list per rack (the topology builder fills them in).
+    pub(crate) fn install_routes(&mut self, rack_of: Arc<[u32]>, n_racks: usize) {
+        self.rack_of = rack_of;
+        self.routes = vec![Vec::new(); n_racks];
+    }
+
+    /// Makes this the switch of `rack`, with its `(host, access port)`
+    /// pairs.
+    pub(crate) fn attach_hosts(&mut self, rack: usize, hosts: &[(usize, u16)]) {
+        assert!(self.access.ports.is_empty(), "switch serves two racks");
+        let base = hosts.iter().map(|&(h, _)| h).min().unwrap_or(0);
+        let end = hosts.iter().map(|&(h, _)| h + 1).max().unwrap_or(0);
+        let mut ports = vec![u16::MAX; end - base];
+        for &(h, port) in hosts {
+            ports[h - base] = port;
+        }
+        self.access = Access {
+            rack: u32::try_from(rack).expect("rack index fits u32"),
+            base,
+            ports,
+        };
+    }
+
+    /// The fabric-wide host→rack table this switch routes by.
+    #[cfg(test)]
+    pub(crate) fn rack_table(&self) -> &Arc<[u32]> {
+        &self.rack_of
+    }
+
+    /// Egress ports on shortest paths towards host `dst`, in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not a host of the fabric.
+    pub fn candidates(&self, dst: usize) -> &[u16] {
+        let rack = *self
+            .rack_of
+            .get(dst)
+            .expect("destination host in rack table");
+        if rack == self.access.rack {
+            let port = self.access.ports.get(dst.wrapping_sub(self.access.base));
+            return std::slice::from_ref(port.expect("local host in access table"));
+        }
+        self.routes
+            .get(rack as usize)
+            .expect("destination rack in route table")
+    }
+
     /// Selects the egress port for `pkt` by ECMP over the shortest-path
     /// candidates, using the tier-specific slice of the symmetric flow hash.
     ///
@@ -171,11 +257,8 @@ impl Switch {
     ///
     /// Panics if no route exists to the packet's destination.
     pub fn route(&self, pkt: &Packet) -> usize {
-        let cands = self
-            .routes
-            .get(pkt.dst)
-            .expect("destination host in route table");
-        if let &[only] = cands.as_slice() {
+        let cands = self.candidates(pkt.dst);
+        if let &[only] = cands {
             return only as usize;
         }
         assert!(!cands.is_empty(), "no route to host {}", pkt.dst);
@@ -187,8 +270,16 @@ impl Switch {
     }
 
     /// Bytes currently admitted against the shared buffer (dynamically
-    /// thresholded queues only; statically capped queues are exempt).
+    /// thresholded queues only; statically capped queues are exempt). Read
+    /// off the pool the ports charge and credit, so it is exact however
+    /// the ports are filled and drained.
     pub fn shared_used(&self) -> WireBytes {
+        self.pool.used()
+    }
+
+    /// [`Switch::shared_used`] recomputed from the queues themselves: the
+    /// reference the audit layer holds the pool count to.
+    fn scan_shared(&self) -> WireBytes {
         self.ports
             .iter()
             .map(|p| {
@@ -228,6 +319,7 @@ impl Switch {
                     return Err((DropReason::Buffer, id));
                 }
                 audit::shared_buffer(self.audit_id, used + size, total);
+                audit::shared_count(self.audit_id, used, || self.scan_shared());
             }
         }
 
@@ -326,7 +418,8 @@ mod tests {
 
     fn wired_switch() -> Switch {
         let mut sw = Switch::new(&flexpass_profile(), 2, 0);
-        // Hosts 0 and 1 behind ports 0 and 1.
+        // Host 0 (rack 0) behind port 0, host 1 (rack 1) behind port 1.
+        sw.install_routes(Arc::from([0, 1]), 2);
         sw.routes = vec![vec![0], vec![1]];
         sw
     }

@@ -7,6 +7,15 @@
 //! hash, guarantees that a flow's forward data path and reverse credit/ACK
 //! path traverse the same links — the property ExpressPass credit shaping
 //! depends on.
+//!
+//! Routes are keyed by destination *rack* — the switch a host attaches
+//! to — not by host: a host has exactly one link, so every path to it is a
+//! path to its rack's switch plus the access link. One BFS per rack fills
+//! one candidate list per (switch, rack); what a switch stores is therefore
+//! independent of how many hosts hang off each rack.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use flexpass_simcore::time::{Rate, TimeDelta};
 
@@ -70,6 +79,14 @@ impl ClosParams {
     /// Total host count.
     pub fn n_hosts(&self) -> usize {
         self.n_tor * self.hosts_per_tor
+    }
+
+    /// Rack (ToR index) of every host, indexed by host id: hosts are
+    /// numbered rack by rack.
+    pub fn rack_of(&self) -> Vec<usize> {
+        (0..self.n_hosts())
+            .map(|h| h / self.hosts_per_tor)
+            .collect()
     }
 
     /// A proportionally shrunk fabric for quick tests and benches
@@ -172,18 +189,82 @@ impl Graph {
             }
         }
 
-        // Shortest-path ECMP tables: BFS from each host over the graph.
+        // Racks: every host of a rack attaches to the same switch, and no
+        // two racks share one.
+        assert_eq!(rack_of.len(), n_hosts, "one rack per host");
+        #[derive(Clone)]
+        struct Rack {
+            /// Node id of the switch the rack's hosts attach to.
+            switch: usize,
+            /// `(host, access port on the switch)` of every host.
+            access: Vec<(usize, u16)>,
+            /// The two largest access-link delays (for `base_rtt`).
+            far: [TimeDelta; 2],
+        }
+        let n_racks = rack_of.iter().max().map_or(0, |&r| r + 1);
+        let mut racks = vec![
+            Rack {
+                switch: usize::MAX,
+                access: Vec::new(),
+                far: [TimeDelta::ZERO; 2],
+            };
+            n_racks
+        ];
+        for (h, &r) in rack_of.iter().enumerate() {
+            let (sw, prop) = self.adj[hosts[h]][0];
+            let rack = &mut racks[r];
+            assert!(
+                rack.switch == usize::MAX || rack.switch == sw,
+                "rack {r} spans two switches"
+            );
+            rack.switch = sw;
+            let port = self.adj[sw]
+                .iter()
+                .position(|&(v, _)| v == hosts[h])
+                .expect("links are duplex");
+            rack.access.push((h, port as u16));
+            let [a, b] = &mut rack.far;
+            if prop > *a {
+                (*a, *b) = (prop, *a);
+            } else if prop > *b {
+                *b = prop;
+            }
+        }
+        let host_rack: Arc<[u32]> = rack_of
+            .iter()
+            .map(|&r| u32::try_from(r).expect("rack index fits u32"))
+            .collect();
+        for node in &mut nodes {
+            if let Node::Switch(s) = node {
+                s.install_routes(Arc::clone(&host_rack), n_racks);
+            }
+        }
+        for (r, rack) in racks.iter().enumerate() {
+            if let Some(Node::Switch(s)) = nodes.get_mut(rack.switch) {
+                s.attach_hosts(r, &rack.access);
+            }
+        }
+
+        // Shortest-path ECMP tables: one BFS per rack, from its switch,
+        // over the switch graph (hosts are leaves and relay nothing).
+        // `prop_to` follows the first-discovered path, so `base_rtt` is
+        // the worst access + fabric + access delay over host pairs.
         let mut max_prop = TimeDelta::ZERO;
-        for h in 0..n_hosts {
-            let dst = hosts[h];
-            let mut dist = vec![u32::MAX; n];
-            let mut prop_to = vec![TimeDelta::ZERO; n];
-            let mut queue = std::collections::VecDeque::new();
-            dist[dst] = 0;
-            queue.push_back(dst);
+        let mut dist = vec![u32::MAX; n];
+        let mut prop_to = vec![TimeDelta::ZERO; n];
+        let mut queue = VecDeque::new();
+        for (r, rack) in racks.iter().enumerate() {
+            let root = rack.switch;
+            if root == usize::MAX {
+                continue; // rack id with no hosts
+            }
+            dist.fill(u32::MAX);
+            dist[root] = 0;
+            prop_to[root] = TimeDelta::ZERO;
+            queue.push_back(root);
             while let Some(u) = queue.pop_front() {
                 for &(v, prop) in &self.adj[u] {
-                    if dist[v] == u32::MAX {
+                    if dist[v] == u32::MAX && self.host_of[v].is_none() {
                         dist[v] = dist[u] + 1;
                         prop_to[v] = prop_to[u] + prop;
                         queue.push_back(v);
@@ -191,25 +272,24 @@ impl Graph {
                 }
             }
             for (id, node) in nodes.iter_mut().enumerate() {
-                if let Node::Switch(sw) = node {
-                    if sw.routes.len() <= h {
-                        sw.routes.resize(n_hosts, Vec::new());
-                    }
-                    if dist[id] == u32::MAX {
-                        continue;
-                    }
-                    let cands: Vec<u16> = self.adj[id]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &(v, _))| dist[v] + 1 == dist[id])
-                        .map(|(pi, _)| pi as u16)
-                        .collect();
-                    sw.routes[h] = cands;
+                let Node::Switch(sw) = node else { continue };
+                if id == root || dist[id] == u32::MAX {
+                    continue;
                 }
+                sw.routes[r] = self.adj[id]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(v, _))| dist[v].checked_add(1) == Some(dist[id]))
+                    .map(|(pi, _)| pi as u16)
+                    .collect();
             }
-            for other in 0..n_hosts {
-                if other != h {
-                    max_prop = max_prop.max(prop_to[hosts[other]]);
+            // Two hosts of this rack, or one here and one in another rack.
+            if rack.access.len() >= 2 {
+                max_prop = max_prop.max(rack.far[0] + rack.far[1]);
+            }
+            for (r2, other) in racks.iter().enumerate() {
+                if r2 != r && dist.get(other.switch).is_some_and(|&d| d != u32::MAX) {
+                    max_prop = max_prop.max(rack.far[0] + prop_to[other.switch] + other.far[0]);
                 }
             }
         }
@@ -310,14 +390,10 @@ impl Topology {
         }
 
         // Hosts to ToRs (port order: hosts first, then uplinks — ascending).
-        let mut rack_of = Vec::with_capacity(n_hosts);
-        for t in 0..p.n_tor {
-            for s in 0..p.hosts_per_tor {
-                let h = t * p.hosts_per_tor + s;
-                g.host_of[host_base + h] = Some(h);
-                g.link(tor_base + t, host_base + h, p.host_prop);
-                rack_of.push(t);
-            }
+        let rack_of = p.rack_of();
+        for (h, &t) in rack_of.iter().enumerate() {
+            g.host_of[host_base + h] = Some(h);
+            g.link(tor_base + t, host_base + h, p.host_prop);
         }
         // ToRs to both aggs in their pod, ascending agg order.
         for t in 0..p.n_tor {
@@ -385,9 +461,11 @@ mod tests {
         match &t.nodes[0] {
             Node::Switch(s) => {
                 assert_eq!(s.ports.len(), 9);
-                assert_eq!(s.routes.len(), 9);
+                // One rack, served here: no fabric candidates, every host
+                // behind its own access port.
+                assert_eq!(s.routes, vec![Vec::<u16>::new()]);
                 for h in 0..9 {
-                    assert_eq!(s.routes[h], vec![h as u16]);
+                    assert_eq!(s.candidates(h), [h as u16]);
                 }
             }
             _ => panic!("node 0 should be the switch"),
@@ -450,9 +528,12 @@ mod tests {
         match &t.nodes[24] {
             Node::Switch(tor0) => {
                 assert_eq!(tor0.tier, 0);
-                assert_eq!(tor0.routes[far_host].len(), 2);
+                assert_eq!(tor0.routes.len(), 32);
+                assert_eq!(tor0.candidates(far_host), [6, 7]);
+                assert_eq!(tor0.routes[t.rack_of[far_host]], [6, 7]);
                 // To a local host: exactly one (the access port).
-                assert_eq!(tor0.routes[0].len(), 1);
+                assert_eq!(tor0.candidates(0), [0]);
+                assert!(tor0.routes[0].is_empty());
             }
             _ => panic!("node 24 should be ToR 0"),
         }
@@ -460,7 +541,10 @@ mod tests {
         match &t.nodes[8] {
             Node::Switch(agg0) => {
                 assert_eq!(agg0.tier, 1);
-                assert_eq!(agg0.routes[far_host].len(), 4);
+                assert_eq!(agg0.routes.len(), 32);
+                assert_eq!(agg0.candidates(far_host).len(), 4);
+                // Into its own pod: the one downlink to that ToR.
+                assert_eq!(agg0.candidates(0).len(), 1);
             }
             _ => panic!("node 8 should be Agg 0"),
         }
@@ -541,5 +625,141 @@ mod tests {
         assert_eq!(path[1], 0);
         assert_eq!(path[2], 1);
         assert_eq!(t.base_rtt, TimeDelta::micros(8));
+    }
+
+    /// The per-host construction the rack-keyed tables replaced, kept as
+    /// the reference: one BFS per destination *host* over the whole graph
+    /// (rebuilt from the wired ports), one candidate list per (switch,
+    /// host), and `base_rtt` from a hosts² maximum. Returns
+    /// `tables[node][host]` (empty for host nodes) and the base RTT.
+    fn per_host_reference(t: &Topology) -> (Vec<Vec<Vec<u16>>>, TimeDelta) {
+        let adj: Vec<Vec<(usize, TimeDelta)>> = t
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Switch(s) => s.ports.iter().map(|p| (p.peer, p.prop)).collect(),
+                Node::Host(h) => vec![(h.nic.peer, h.nic.prop)],
+            })
+            .collect();
+        let n = adj.len();
+        let n_hosts = t.hosts.len();
+        let mut tables: Vec<Vec<Vec<u16>>> = t
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Switch(_) => vec![Vec::new(); n_hosts],
+                Node::Host(_) => Vec::new(),
+            })
+            .collect();
+        let mut max_prop = TimeDelta::ZERO;
+        for h in 0..n_hosts {
+            let dst = t.hosts[h];
+            let mut dist = vec![u32::MAX; n];
+            let mut prop_to = vec![TimeDelta::ZERO; n];
+            let mut queue = VecDeque::new();
+            dist[dst] = 0;
+            queue.push_back(dst);
+            while let Some(u) = queue.pop_front() {
+                for &(v, prop) in &adj[u] {
+                    if dist[v] == u32::MAX {
+                        dist[v] = dist[u] + 1;
+                        prop_to[v] = prop_to[u] + prop;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for (id, table) in tables.iter_mut().enumerate() {
+                if table.is_empty() || dist[id] == u32::MAX {
+                    continue;
+                }
+                table[h] = adj[id]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(v, _))| dist[v] + 1 == dist[id])
+                    .map(|(pi, _)| pi as u16)
+                    .collect();
+            }
+            for other in 0..n_hosts {
+                if other != h {
+                    max_prop = max_prop.max(prop_to[t.hosts[other]]);
+                }
+            }
+        }
+        (tables, max_prop * 2)
+    }
+
+    /// Every (switch, destination host) resolves to the same candidate
+    /// ports in the same order as the per-host reference — hence the same
+    /// ECMP pick for any `path_hash` — and `base_rtt` is equal.
+    fn assert_matches_reference(name: &str, t: &Topology) {
+        let (tables, base_rtt) = per_host_reference(t);
+        assert_eq!(t.base_rtt, base_rtt, "{name}: base_rtt");
+        let mut checked = 0usize;
+        for (id, node) in t.nodes.iter().enumerate() {
+            let Node::Switch(s) = node else { continue };
+            for (h, cands) in tables[id].iter().enumerate() {
+                assert_eq!(
+                    s.candidates(h),
+                    cands.as_slice(),
+                    "{name}: switch {id} -> host {h}"
+                );
+                assert!(!cands.is_empty(), "{name}: no route");
+                for flow in [0u64, 1, 0xdead_beef, u64::MAX] {
+                    let p = pkt(flow, (h + 1) % t.hosts.len(), h);
+                    let slice = p.path_hash >> (16 * s.tier as u64);
+                    let want = cands[(slice % cands.len() as u64) as usize];
+                    assert_eq!(s.route(&p), want as usize);
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn rack_keyed_routes_match_per_host_reference() {
+        let p = profile();
+        let g10 = Rate::from_gbps(10);
+        let us = TimeDelta::micros;
+        assert_matches_reference("star", &Topology::star(9, g10, us(5), &p, &p));
+        assert_matches_reference(
+            "dumbbell",
+            &Topology::dumbbell(3, 2, g10, us(1), us(2), &p, &p),
+        );
+        // Unequal access delays exercise the farthest-pair bookkeeping.
+        assert_matches_reference(
+            "lopsided dumbbell",
+            &Topology::dumbbell(1, 4, g10, us(7), us(2), &p, &p),
+        );
+        for (name, params) in [
+            ("clos default", ClosParams::default()),
+            ("clos small", ClosParams::small()),
+            ("clos with_hosts(1)", ClosParams::with_hosts(1)),
+        ] {
+            assert_matches_reference(name, &Topology::clos(params, &p, &p));
+        }
+    }
+
+    /// At 10,240 hosts no switch holds more than one candidate list per
+    /// rack, and every switch shares the one host→rack table: a per-host
+    /// table cannot come back unnoticed.
+    #[test]
+    fn route_state_is_per_rack_at_scale() {
+        let params = ClosParams::with_hosts(10_240);
+        let t = Topology::clos(params, &profile(), &profile());
+        assert_eq!(t.rack_of, params.rack_of());
+        let n_racks = params.n_tor;
+        let mut tables = Vec::new();
+        for node in &t.nodes {
+            let Node::Switch(s) = node else { continue };
+            assert!(s.routes.len() <= n_racks, "{} lists", s.routes.len());
+            let cands: usize = s.routes.iter().map(Vec::len).sum();
+            assert!(cands <= n_racks * s.ports.len());
+            tables.push(s.rack_table());
+        }
+        assert_eq!(tables.len(), params.n_core + params.n_agg + params.n_tor);
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, tables[0])));
+        assert_eq!(tables[0].len(), 10_240);
+        assert_eq!(t.base_rtt, TimeDelta::micros(28));
     }
 }

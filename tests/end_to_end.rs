@@ -63,11 +63,8 @@ fn flexpass_full_deployment_completes_cleanly() {
 fn mid_rollout_all_schemes_complete() {
     for scheme in Scheme::ALL {
         let (clos, mut flows) = clos_flows(150, 7);
-        let rack_of: Vec<usize> = (0..clos.n_hosts())
-            .map(|h| h / clos.hosts_per_tor)
-            .collect();
         let mut rng = SimRng::new(3);
-        let deployment = Deployment::by_rack_ratio(&rack_of, 0.5, &mut rng);
+        let deployment = Deployment::by_rack_ratio(&clos.rack_of(), 0.5, &mut rng);
         for f in &mut flows {
             f.tag = deployment.tag_for(f);
         }
