@@ -9,22 +9,13 @@
 //!   fixed-rate tokens (§4.3 extensibility).
 
 use flexpass::config::{CreditPolicy, FlexPassConfig};
-use flexpass::profiles::ProfileParams;
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory, TAG_UPGRADED};
+use flexpass::schemes::{Scheme, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::rng::SimRng;
-use flexpass_simcore::time::TimeDelta;
-use flexpass_simnet::topology::Topology;
-use flexpass_workload::FlowSizeCdf;
-
-use std::sync::Arc;
-
-use flexpass_simcore::ProgressProbe;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
-use crate::sweep::{build_flows, SweepSpec};
+use crate::orchestrate::{self, Task};
+use crate::runner::{RunScale, ScenarioResult};
+use crate::sweep::{run_spec_point, SweepSpec};
 
 /// One ablation variant.
 struct Variant {
@@ -65,48 +56,20 @@ fn variants() -> Vec<Variant> {
 
 /// Runs one FlexPass variant at `ratio` deployment; returns
 /// `(p99 small upgraded, avg upgraded, timeouts, redundancy)`.
-fn run_variant(
-    cfg: FlexPassConfig,
-    ratio: f64,
-    scale: RunScale,
-    probe: Option<Arc<ProgressProbe>>,
-) -> (f64, f64, u64, f64) {
+fn run_variant(cfg: FlexPassConfig, ratio: f64, scale: RunScale) -> (f64, f64, u64, f64) {
     let spec = SweepSpec {
-        schemes: vec![Scheme::FlexPass],
-        ratios: vec![ratio],
-        cdf: FlowSizeCdf::web_search(),
-        load: 0.5,
-        mixed: false,
-        scale,
         seed: 61,
-        wq: 0.5,
-        sel_drop: 150_000,
-        n_flows: if scale == RunScale::Default {
-            Some(600)
-        } else {
-            None
-        },
-        seeds: 1,
+        n_flows: SweepSpec::reduced_flows(scale),
+        ..SweepSpec::fig10(scale)
     };
-    let clos = scale.clos();
-    let n_hosts = clos.n_hosts();
-    let mut rng = SimRng::new(13);
-    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
-    let flows = build_flows(&spec, &deployment, n_hosts);
-    let frac = deployment.upgraded_byte_fraction(&flows);
-    let params = ProfileParams::simulation(clos.link_rate);
-    let profile = Scheme::FlexPass.profile(&params, frac);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, cfg, frac);
-    let rec = run_flows_probed(
-        topo,
-        Box::new(factory),
+    let rec = run_spec_point(
+        Scheme::FlexPass,
+        ratio,
+        &spec,
+        13,
+        cfg,
         Recorder::new(),
-        &flows,
         None,
-        TimeDelta::millis(20),
-        probe,
     );
     (
         rec.p99_small(Some(TAG_UPGRADED)),
@@ -132,10 +95,9 @@ pub fn ablation(scale: RunScale) -> ScenarioResult {
     for v in variants() {
         for &ratio in &ratios {
             let cfg = v.cfg;
-            tasks.push(Task::new(
-                format!("{}:r{ratio:.2}", v.name),
-                move |ctx: &TaskCtx| run_variant(cfg, ratio, scale, Some(Arc::clone(&ctx.probe))),
-            ));
+            tasks.push(Task::new(format!("{}:r{ratio:.2}", v.name), move || {
+                run_variant(cfg, ratio, scale)
+            }));
         }
     }
     let mut results = orchestrate::run_tasks("ablation", tasks).into_iter();

@@ -76,7 +76,7 @@ fn render_row(out: &mut String, cells: &[String]) {
     out.push('\n');
 }
 
-/// Formats a float with 4 significant decimals for CSV cells.
+/// Formats a float with six decimal places for CSV cells.
 pub fn f(v: f64) -> String {
     format!("{v:.6}")
 }

@@ -2,20 +2,15 @@
 //! any deployment scheme and report per-type FCT statistics.
 
 use flexpass::config::FlexPassConfig;
-use flexpass::profiles::ProfileParams;
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory, TAG_LEGACY, TAG_UPGRADED};
+use flexpass::schemes::{Scheme, TAG_LEGACY, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::rng::SimRng;
-use flexpass_simcore::time::TimeDelta;
 use flexpass_simnet::packet::FlowSpec;
-use flexpass_simnet::topology::Topology;
 use flexpass_workload::parse_trace;
 
-use std::sync::Arc;
-
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
+use crate::orchestrate;
+use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+use crate::sweep::{build_point, rollout, SEL_DROP};
 
 /// Settings for a custom trace replay.
 #[derive(Clone, Debug)]
@@ -81,29 +76,17 @@ pub fn run_trace(
     {
         return Err(HostOutOfRange { host, n_hosts });
     }
-    let mut rng = SimRng::new(spec.seed);
-    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), spec.ratio, &mut rng);
-    let mut flows: Vec<FlowSpec> = flows.to_vec();
-    for fl in &mut flows {
-        fl.tag = deployment.tag_for(fl);
-    }
-    let frac = deployment.upgraded_byte_fraction(&flows);
-    let mut params = ProfileParams::simulation(clos.link_rate);
-    params.wq = spec.wq;
-    let profile = spec.scheme.profile(&params, frac);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-    let factory = SchemeFactory::new(spec.scheme, deployment, FlexPassConfig::new(spec.wq), frac);
-    let rec = orchestrate::run_isolated("custom", "trace", Recorder::new, move |ctx: &TaskCtx| {
-        run_flows_probed(
-            topo,
-            Box::new(factory),
-            Recorder::new(),
-            &flows,
-            None,
-            TimeDelta::millis(20),
-            Some(Arc::clone(&ctx.probe)),
-        )
+    let (topo, factory, flows) = build_point(
+        clos,
+        spec.scheme,
+        rollout(&clos, spec.ratio, spec.seed),
+        flows.to_vec(),
+        FlexPassConfig::new(spec.wq),
+        spec.wq,
+        SEL_DROP,
+    );
+    let rec = orchestrate::run_isolated("custom", "trace", Recorder::new, move || {
+        run(topo, factory, Recorder::new(), &flows, None, DRAINED)
     });
 
     let mut csv = Csv::new(&[

@@ -9,15 +9,14 @@ use flexpass_simcore::units::Bytes;
 use flexpass_simnet::endpoint::Endpoint;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::{NetEnv, TransportFactory};
+use flexpass_simnet::topology::Topology;
 use flexpass_transport::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
 use flexpass_transport::expresspass::{EpConfig, EpReceiver, EpSender};
 use flexpass_transport::homa::{HomaConfig, HomaReceiver, HomaSender};
 
-use std::sync::Arc;
-
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, TaskCtx};
-use crate::runner::{run_window_probed, star_topo, ScenarioResult};
+use crate::orchestrate;
+use crate::runner::{run, star_topo, ScenarioResult, Stop};
 
 /// Dispatches each flow to one of two transports by its tag
 /// (0 = legacy DCTCP, 1 = the new transport).
@@ -78,7 +77,7 @@ impl TransportFactory for TagFactory {
 }
 
 /// A long flow (effectively infinite within the measured window).
-fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
+pub(crate) fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
     FlowSpec {
         id,
         src,
@@ -90,7 +89,27 @@ fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
     }
 }
 
-fn series_csv(rec: &Recorder, window_ms: u64, labels: [&str; 2]) -> Csv {
+/// Runs long `flows` on a 10 G star for `window_ms` with 1 ms throughput
+/// bins — the drive shared by the testbed figures (1, 7, 9).
+pub(crate) fn run_testbed(
+    topo: Topology,
+    factory: Box<dyn TransportFactory>,
+    flows: &[FlowSpec],
+    window_ms: u64,
+) -> Recorder {
+    run(
+        topo,
+        factory,
+        Recorder::new().with_throughput(TimeDelta::millis(1)),
+        flows,
+        None,
+        Stop::At(Time::from_millis(window_ms)),
+    )
+}
+
+/// The per-millisecond throughput of tag 0 (`labels[0]`) and tag 1
+/// (`labels[1]`) over the window, in Gbps.
+pub(crate) fn series_csv(rec: &Recorder, window_ms: u64, labels: [&str; 2]) -> Csv {
     let mut csv = Csv::new(&["time_ms", labels[0], labels[1]]);
     let a = rec.throughput_gbps(0);
     let b = rec.throughput_gbps(1);
@@ -107,20 +126,12 @@ fn series_csv(rec: &Recorder, window_ms: u64, labels: [&str; 2]) -> Csv {
 /// Figure 1(a): 1 ExpressPass vs 1 DCTCP long flow into one 10 G receiver,
 /// naive (shared-queue, full-credit-rate) configuration.
 pub fn fig1a() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig1a", "ep_vs_dctcp", Recorder::new, |ctx: &TaskCtx| {
+    let rec = orchestrate::run_isolated("fig1a", "ep_vs_dctcp", Recorder::new, || {
         let params = ProfileParams::testbed(Rate::from_gbps(10));
-        let profile = naive_profile(&params);
-        let topo = star_topo(3, &profile);
         let factory = TagFactory::dctcp_vs_ep(EpConfig::default());
-        let flows = vec![long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)];
-        run_window_probed(
-            topo,
-            Box::new(factory),
-            Recorder::new().with_throughput(TimeDelta::millis(1)),
-            &flows,
-            Time::from_millis(120),
-            Some(Arc::clone(&ctx.probe)),
-        )
+        let flows = [long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)];
+        let topo = star_topo(3, &naive_profile(&params));
+        run_testbed(topo, Box::new(factory), &flows, 120)
     });
     ScenarioResult::new(
         "fig1a_ep_vs_dctcp",
@@ -131,50 +142,46 @@ pub fn fig1a() -> ScenarioResult {
 /// Figure 1(b): 16 Homa + 16 DCTCP flows sharing a 10 G link; DCTCP mapped
 /// to the highest-priority queue (paper footnote 3).
 pub fn fig1b() -> ScenarioResult {
-    let rec =
-        orchestrate::run_isolated("fig1b", "homa_vs_dctcp", Recorder::new, |ctx: &TaskCtx| {
-            let params = ProfileParams::testbed(Rate::from_gbps(10));
-            let profile = homa_mix_profile(&params);
-            let topo = star_topo(33, &profile);
-            // DCTCP rides the highest-priority queue (footnote 3); Homa's
-            // high-priority traffic (unscheduled bursts and its currently granted
-            // messages) shares that queue, so the aggregate standing queue of 16
-            // granted flows — one RTT of data each — sits in front of DCTCP's ECN
-            // marking threshold and collapses its window.
-            let homa = HomaConfig {
-                unsched_prio: 0,
-                sched_prio: 0,
-                ..HomaConfig::default()
-            };
-            let factory = TagFactory::dctcp_vs_homa(homa);
-            let mut flows = Vec::new();
-            for i in 0..16u64 {
-                flows.push(long_flow(i, i as usize, 32, 0)); // DCTCP
-                flows.push(long_flow(16 + i, 16 + i as usize, 32, 1)); // Homa
-            }
-            run_window_probed(
-                topo,
-                Box::new(factory),
-                Recorder::new().with_throughput(TimeDelta::millis(1)),
-                &flows,
-                Time::from_millis(120),
-                Some(Arc::clone(&ctx.probe)),
-            )
-        });
+    let rec = orchestrate::run_isolated("fig1b", "homa_vs_dctcp", Recorder::new, || {
+        let params = ProfileParams::testbed(Rate::from_gbps(10));
+        // DCTCP rides the highest-priority queue (footnote 3); Homa's
+        // high-priority traffic (unscheduled bursts and its currently granted
+        // messages) shares that queue, so the aggregate standing queue of 16
+        // granted flows — one RTT of data each — sits in front of DCTCP's ECN
+        // marking threshold and collapses its window.
+        let homa = HomaConfig {
+            unsched_prio: 0,
+            sched_prio: 0,
+            ..HomaConfig::default()
+        };
+        let factory = TagFactory::dctcp_vs_homa(homa);
+        let mut flows = Vec::new();
+        for i in 0..16u64 {
+            flows.push(long_flow(i, i as usize, 32, 0)); // DCTCP
+            flows.push(long_flow(16 + i, 16 + i as usize, 32, 1)); // Homa
+        }
+        let topo = star_topo(33, &homa_mix_profile(&params));
+        run_testbed(topo, Box::new(factory), &flows, 120)
+    });
     ScenarioResult::new(
         "fig1b_homa_vs_dctcp",
         series_csv(&rec, 120, ["dctcp_gbps", "homa_gbps"]),
     )
 }
 
-/// Mean throughput of each series over the second half of the window
-/// (steady state), in Gbps — used by tests and EXPERIMENTS.md.
-pub fn steady_share(rec: &Recorder, tag: u32, window_ms: usize) -> f64 {
-    let tp = rec.throughput_gbps(tag);
+/// Mean of a per-millisecond series over the second half of the window
+/// (steady state).
+pub(crate) fn steady_mean(series: &[f64], window_ms: usize) -> f64 {
     let lo = window_ms / 2;
-    let hi = window_ms.min(tp.len());
+    let hi = window_ms.min(series.len());
     if lo >= hi {
         return 0.0;
     }
-    tp[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+    series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+}
+
+/// Mean throughput of each series over the second half of the window
+/// (steady state), in Gbps — used by tests and EXPERIMENTS.md.
+pub fn steady_share(rec: &Recorder, tag: u32, window_ms: usize) -> f64 {
+    steady_mean(&rec.throughput_gbps(tag), window_ms)
 }

@@ -3,10 +3,9 @@
 //! queue bound) but degrades overall average FCT (more reactive drops).
 
 use flexpass::schemes::Scheme;
-use flexpass_workload::FlowSizeCdf;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
+use crate::orchestrate::{self, Task};
 use crate::runner::{RunScale, ScenarioResult};
 use crate::sweep::{run_point, SweepSpec};
 
@@ -19,19 +18,11 @@ pub fn fig17(scale: RunScale) -> ScenarioResult {
         .iter()
         .map(|&thr| {
             let spec = SweepSpec {
-                schemes: vec![Scheme::FlexPass],
-                ratios: vec![1.0],
-                cdf: FlowSizeCdf::web_search(),
-                load: 0.5,
-                mixed: false,
-                scale,
                 seed: 21,
-                wq: 0.5,
                 sel_drop: thr,
-                n_flows: None,
-                seeds: 1,
+                ..SweepSpec::fig10(scale)
             };
-            Task::new(format!("thr{}k", thr / 1000), move |_: &TaskCtx| {
+            Task::new(format!("thr{}k", thr / 1000), move || {
                 let p = run_point(Scheme::FlexPass, 1.0, &spec);
                 (p.p99_small[0], p.avg[0])
             })

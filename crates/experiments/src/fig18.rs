@@ -3,10 +3,9 @@
 //! FCT at full deployment.
 
 use flexpass::schemes::Scheme;
-use flexpass_workload::FlowSizeCdf;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
+use crate::orchestrate::{self, Task};
 use crate::runner::{RunScale, ScenarioResult};
 use crate::sweep::{run_point, SweepSpec};
 
@@ -26,32 +25,18 @@ pub fn fig18(scale: RunScale) -> ScenarioResult {
     for &wq in &weights {
         for &ratio in &ratios {
             let spec = SweepSpec {
-                schemes: vec![Scheme::FlexPass],
-                ratios: vec![ratio],
-                cdf: FlowSizeCdf::web_search(),
-                load: 0.5,
-                mixed: false,
-                scale,
                 seed: 31,
                 wq,
-                sel_drop: 150_000,
-                n_flows: if scale == RunScale::Default {
-                    Some(600)
-                } else {
-                    None
-                },
-                seeds: 1,
+                n_flows: SweepSpec::reduced_flows(scale),
+                ..SweepSpec::fig10(scale)
             };
-            tasks.push(Task::new(
-                format!("wq{wq:.2}:r{ratio:.2}"),
-                move |_: &TaskCtx| {
-                    let p = run_point(Scheme::FlexPass, ratio, &spec);
-                    SweepPointLite {
-                        p99_small_all: p.p99_small[0],
-                        p99_small_legacy: p.p99_small[1],
-                    }
-                },
-            ));
+            tasks.push(Task::new(format!("wq{wq:.2}:r{ratio:.2}"), move || {
+                let p = run_point(Scheme::FlexPass, ratio, &spec);
+                SweepPointLite {
+                    p99_small_all: p.p99_small[0],
+                    p99_small_legacy: p.p99_small[1],
+                }
+            }));
         }
     }
     let mut results = orchestrate::run_tasks("fig18", tasks).into_iter();

@@ -4,116 +4,80 @@
 //! sub-flow in the legacy queue) across deployment ratios.
 
 use flexpass::config::FlexPassConfig;
-use flexpass::profiles::ProfileParams;
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory, TAG_UPGRADED};
+use flexpass::schemes::{Scheme, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::rng::SimRng;
-use flexpass_simcore::time::TimeDelta;
-use flexpass_simnet::topology::Topology;
-use flexpass_workload::FlowSizeCdf;
-
-use std::sync::Arc;
-
-use flexpass_simcore::ProgressProbe;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
-use crate::sweep::{build_flows, SweepSpec};
+use crate::orchestrate::{self, Task};
+use crate::runner::{RunScale, ScenarioResult};
+use crate::sweep::{reorder_mean, run_spec_point, SweepSpec};
 
 /// Runs FlexPass with a given protocol configuration at one deployment
 /// ratio; returns `(p99 small all, p99 small upgraded, mean reorder peak of
 /// upgraded flows)`.
 pub fn run_variant(cfg: FlexPassConfig, ratio: f64, scale: RunScale) -> (f64, f64, f64) {
-    run_variant_probed(cfg, ratio, scale, None)
-}
-
-fn run_variant_probed(
-    cfg: FlexPassConfig,
-    ratio: f64,
-    scale: RunScale,
-    probe: Option<Arc<ProgressProbe>>,
-) -> (f64, f64, f64) {
     let spec = SweepSpec {
-        schemes: vec![Scheme::FlexPass],
-        ratios: vec![ratio],
-        cdf: FlowSizeCdf::web_search(),
-        load: 0.5,
-        mixed: false,
-        scale,
         seed: 11,
         wq: cfg.wq,
-        sel_drop: 150_000,
-        n_flows: if scale == RunScale::Default {
-            Some(600)
-        } else {
-            None
-        },
-        seeds: 1,
+        n_flows: SweepSpec::reduced_flows(scale),
+        ..SweepSpec::fig10(scale)
     };
-    let clos = scale.clos();
-    let n_hosts = clos.n_hosts();
-    let mut rng = SimRng::new(77);
-    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
-    let flows = build_flows(&spec, &deployment, n_hosts);
-    let frac = deployment.upgraded_byte_fraction(&flows);
-    let params = ProfileParams::simulation(clos.link_rate);
-    let profile = Scheme::FlexPass.profile(&params, frac);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, cfg, frac);
-    let rec = run_flows_probed(
-        topo,
-        Box::new(factory),
+    let rec = run_spec_point(
+        Scheme::FlexPass,
+        ratio,
+        &spec,
+        77,
+        cfg,
         Recorder::new(),
-        &flows,
         None,
-        TimeDelta::millis(20),
-        probe,
     );
-    let upgraded: Vec<f64> = rec
-        .flows
-        .iter()
-        .filter(|r| r.tag == TAG_UPGRADED)
-        .map(|r| r.reorder_peak as f64)
-        .collect();
-    let reorder = if upgraded.is_empty() {
-        0.0
-    } else {
-        upgraded.iter().sum::<f64>() / upgraded.len() as f64
-    };
     (
         rec.p99_small(None),
         rec.p99_small(Some(TAG_UPGRADED)),
-        reorder,
+        reorder_mean(&rec),
     )
 }
 
-/// Figure 5(a): FlexPass vs RC3-style splitting at 25/50/75/100 %
-/// deployment — p99 FCT of small flows vs mean reordering buffer.
-pub fn fig5a(scale: RunScale) -> ScenarioResult {
-    let grid: Vec<(&str, FlexPassConfig, f64)> = [0.5, 1.0]
+/// FlexPass against one alternative design at each of `ratios`, every
+/// (variant, ratio) pair a pool task: the rows `(label, ratio, run_variant
+/// result)` in grid order, NaN where a point failed.
+fn versus(
+    group: &str,
+    other: (&'static str, FlexPassConfig),
+    ratios: &[f64],
+    scale: RunScale,
+) -> Vec<(&'static str, f64, (f64, f64, f64))> {
+    let grid: Vec<(&str, FlexPassConfig, f64)> = ratios
         .iter()
         .flat_map(|&ratio| {
             [
                 ("flexpass", FlexPassConfig::new(0.5), ratio),
-                ("rc3_split", FlexPassConfig::rc3_splitting(0.5), ratio),
+                (other.0, other.1, ratio),
             ]
         })
         .collect();
-    let tasks: Vec<Task<(f64, f64, f64)>> = grid
+    let tasks = grid
         .iter()
         .map(|&(label, cfg, ratio)| {
-            Task::new(format!("{label}:r{ratio:.2}"), move |ctx: &TaskCtx| {
-                run_variant_probed(cfg, ratio, scale, Some(Arc::clone(&ctx.probe)))
+            Task::new(format!("{label}:r{ratio:.2}"), move || {
+                run_variant(cfg, ratio, scale)
             })
         })
         .collect();
+    grid.iter()
+        .zip(orchestrate::run_tasks(group, tasks))
+        .map(|(&(label, _, ratio), r)| (label, ratio, r.unwrap_or((f64::NAN, f64::NAN, f64::NAN))))
+        .collect()
+}
+
+/// Figure 5(a): FlexPass vs RC3-style splitting at 50/100 % deployment —
+/// p99 FCT of small flows vs mean reordering buffer.
+pub fn fig5a(scale: RunScale) -> ScenarioResult {
+    let other = ("rc3_split", FlexPassConfig::rc3_splitting(0.5));
     let mut csv = Csv::new(&["variant", "deploy_ratio", "p99_small_ms", "reorder_mean_kb"]);
-    for ((label, _, ratio), r) in grid.iter().zip(orchestrate::run_tasks("fig5a", tasks)) {
-        let (p99, _p99u, reorder) = r.unwrap_or((f64::NAN, f64::NAN, f64::NAN));
+    for (label, ratio, (p99, _p99u, reorder)) in versus("fig5a", other, &[0.5, 1.0], scale) {
         csv.row(&[
-            (*label).into(),
+            label.into(),
             format!("{ratio:.2}"),
             f(p99 * 1e3),
             f(reorder / 1e3),
@@ -124,31 +88,10 @@ pub fn fig5a(scale: RunScale) -> ScenarioResult {
 
 /// Figure 5(b): FlexPass vs alternative queueing across deployment ratios.
 pub fn fig5b(scale: RunScale) -> ScenarioResult {
-    let grid: Vec<(&str, FlexPassConfig, f64)> = [0.25, 0.5, 0.75, 1.0]
-        .iter()
-        .flat_map(|&ratio| {
-            [
-                ("flexpass", FlexPassConfig::new(0.5), ratio),
-                (
-                    "alternative",
-                    FlexPassConfig::alternative_queueing(0.5),
-                    ratio,
-                ),
-            ]
-        })
-        .collect();
-    let tasks: Vec<Task<(f64, f64, f64)>> = grid
-        .iter()
-        .map(|&(label, cfg, ratio)| {
-            Task::new(format!("{label}:r{ratio:.2}"), move |ctx: &TaskCtx| {
-                run_variant_probed(cfg, ratio, scale, Some(Arc::clone(&ctx.probe)))
-            })
-        })
-        .collect();
+    let other = ("alternative", FlexPassConfig::alternative_queueing(0.5));
     let mut csv = Csv::new(&["variant", "deploy_ratio", "p99_small_ms"]);
-    for ((label, _, ratio), r) in grid.iter().zip(orchestrate::run_tasks("fig5b", tasks)) {
-        let (p99, _, _) = r.unwrap_or((f64::NAN, f64::NAN, f64::NAN));
-        csv.row(&[(*label).into(), format!("{ratio:.2}"), f(p99 * 1e3)]);
+    for (label, ratio, (p99, _, _)) in versus("fig5b", other, &[0.25, 0.5, 0.75, 1.0], scale) {
+        csv.row(&[label.into(), format!("{ratio:.2}"), f(p99 * 1e3)]);
     }
     ScenarioResult::new("fig5b_alt_queueing", csv)
 }

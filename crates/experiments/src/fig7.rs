@@ -6,53 +6,26 @@ use flexpass::config::FlexPassConfig;
 use flexpass::profiles::{flexpass_profile, ProfileParams};
 use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::time::{Rate, Time, TimeDelta};
-use flexpass_simcore::units::Bytes;
+use flexpass_simcore::time::Rate;
 use flexpass_simnet::packet::{FlowSpec, Subflow};
 
-use std::sync::Arc;
-
-use flexpass_simcore::ProgressProbe;
-
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, TaskCtx};
-use crate::runner::{run_window_probed, star_topo, ScenarioResult};
+use crate::fig1::{long_flow, run_testbed, steady_mean};
+use crate::orchestrate;
+use crate::runner::{star_topo, ScenarioResult};
 
-fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
-    FlowSpec {
-        id,
-        src,
-        dst,
-        size: Bytes::new(500_000_000),
-        start: Time::ZERO,
-        tag,
-        fg: false,
-    }
-}
-
-fn run(
-    flows: Vec<FlowSpec>,
-    upgraded_hosts: &[usize],
-    window_ms: u64,
-    probe: Option<Arc<ProgressProbe>>,
-) -> Recorder {
+/// FlexPass on the 3-host star with `upgraded_hosts` upgraded (w_q = 0.5).
+/// Figure 9(b) is the same testbed with a DCTCP competitor.
+pub(crate) fn run(flows: &[FlowSpec], upgraded_hosts: &[usize], window_ms: u64) -> Recorder {
     let params = ProfileParams::testbed(Rate::from_gbps(10));
-    let profile = flexpass_profile(&params);
-    let topo = star_topo(3, &profile);
+    let topo = star_topo(3, &flexpass_profile(&params));
     let mut up = vec![false; 3];
     for &h in upgraded_hosts {
         up[h] = true;
     }
     let deployment = Deployment::from_hosts(up);
     let factory = SchemeFactory::new(Scheme::FlexPass, deployment, FlexPassConfig::new(0.5), 0.5);
-    run_window_probed(
-        topo,
-        Box::new(factory),
-        Recorder::new().with_throughput(TimeDelta::millis(1)),
-        &flows,
-        Time::from_millis(window_ms),
-        probe,
-    )
+    run_testbed(topo, Box::new(factory), flows, window_ms)
 }
 
 fn subflow_csv(rec: &Recorder, window_ms: u64) -> Csv {
@@ -82,13 +55,8 @@ fn subflow_csv(rec: &Recorder, window_ms: u64) -> Csv {
 /// Figure 7(a): one FlexPass flow alone — proactive takes w_q of the link,
 /// reactive soaks up the rest.
 pub fn fig7a() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig7a", "one_flexpass", Recorder::new, |ctx: &TaskCtx| {
-        run(
-            vec![long_flow(1, 0, 2, 1)],
-            &[0, 1, 2],
-            45,
-            Some(Arc::clone(&ctx.probe)),
-        )
+    let rec = orchestrate::run_isolated("fig7a", "one_flexpass", Recorder::new, || {
+        run(&[long_flow(1, 0, 2, 1)], &[0, 1, 2], 45)
     });
     ScenarioResult::new("fig7a_one_flexpass", subflow_csv(&rec, 45))
 }
@@ -96,12 +64,11 @@ pub fn fig7a() -> ScenarioResult {
 /// Figure 7(b): two FlexPass flows — proactive sub-flows share the
 /// guaranteed half; reactive sub-flows starve.
 pub fn fig7b() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig7b", "two_flexpass", Recorder::new, |ctx: &TaskCtx| {
+    let rec = orchestrate::run_isolated("fig7b", "two_flexpass", Recorder::new, || {
         run(
-            vec![long_flow(1, 0, 2, 1), long_flow(2, 1, 2, 1)],
+            &[long_flow(1, 0, 2, 1), long_flow(2, 1, 2, 1)],
             &[0, 1, 2],
             90,
-            Some(Arc::clone(&ctx.probe)),
         )
     });
     ScenarioResult::new("fig7b_two_flexpass", subflow_csv(&rec, 90))
@@ -110,29 +77,18 @@ pub fn fig7b() -> ScenarioResult {
 /// Figure 7(c): one DCTCP + one FlexPass flow — each transport gets its
 /// guaranteed half; the reactive sub-flow finds no spare bandwidth.
 pub fn fig7c() -> ScenarioResult {
-    let rec =
-        orchestrate::run_isolated("fig7c", "dctcp_flexpass", Recorder::new, |ctx: &TaskCtx| {
-            run(
-                vec![long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)],
-                &[1, 2],
-                90,
-                Some(Arc::clone(&ctx.probe)),
-            )
-        });
+    let rec = orchestrate::run_isolated("fig7c", "dctcp_flexpass", Recorder::new, || {
+        run(&[long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)], &[1, 2], 90)
+    });
     ScenarioResult::new("fig7c_dctcp_flexpass", subflow_csv(&rec, 90))
 }
 
 /// Helper for tests: steady-state mean of a sub-flow series over the last
 /// half of the window, in Gbps.
 pub fn steady_subflow_gbps(rec: &Recorder, sub: Subflow, window_ms: usize) -> f64 {
-    let bins = match rec.series((1, sub)) {
-        Some(s) => s.bins(),
+    let gbps: Vec<f64> = match rec.series((1, sub)) {
+        Some(s) => s.bins().iter().map(|b| b * 8.0 / 1e6).collect(),
         None => return 0.0,
     };
-    let lo = window_ms / 2;
-    let hi = window_ms.min(bins.len());
-    if lo >= hi {
-        return 0.0;
-    }
-    bins[lo..hi].iter().map(|b| b * 8.0 / 1e6).sum::<f64>() / (hi - lo) as f64
+    steady_mean(&gbps, window_ms)
 }

@@ -6,20 +6,16 @@ use flexpass::config::FlexPassConfig;
 use flexpass::profiles::{dctcp_profile, flexpass_profile, naive_profile, ProfileParams};
 use flexpass::FlexPassFactory;
 use flexpass_metrics::Recorder;
-use flexpass_simcore::time::{Rate, Time, TimeDelta};
+use flexpass_simcore::time::{Rate, Time};
 use flexpass_simnet::sim::TransportFactory;
 use flexpass_simnet::switch::SwitchProfile;
 use flexpass_transport::dctcp::DctcpFactory;
 use flexpass_transport::expresspass::ExpressPassFactory;
 use flexpass_workload::incast;
 
-use std::sync::Arc;
-
-use flexpass_simcore::ProgressProbe;
-
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, star_topo, ScenarioResult};
+use crate::orchestrate::{self, Task};
+use crate::runner::{run, star_topo, ScenarioResult, DRAINED};
 
 /// One incast run: `n_flows` of 64 kB spread over 8 senders to host 8.
 /// Returns `(max FCT seconds, sender timeouts)`.
@@ -29,28 +25,10 @@ pub fn run_incast(
     n_flows: usize,
     seed_offset: u64,
 ) -> (f64, u64) {
-    run_incast_probed(profile, factory, n_flows, seed_offset, None)
-}
-
-fn run_incast_probed(
-    profile: &SwitchProfile,
-    factory: Box<dyn TransportFactory>,
-    n_flows: usize,
-    seed_offset: u64,
-    probe: Option<Arc<ProgressProbe>>,
-) -> (f64, u64) {
     let topo = star_topo(9, profile);
     let senders: Vec<usize> = (0..n_flows).map(|i| i % 8).collect();
     let flows = incast(&senders, 8, 64_000, Time::from_micros(10 + seed_offset), 0);
-    let rec = run_flows_probed(
-        topo,
-        factory,
-        Recorder::new(),
-        &flows,
-        None,
-        TimeDelta::millis(20),
-        probe,
-    );
+    let rec = run(topo, factory, Recorder::new(), &flows, None, DRAINED);
     (rec.fct_stats(|_| true).max, rec.total_timeouts())
 }
 
@@ -65,7 +43,7 @@ pub fn fig8() -> ScenarioResult {
     let mut tasks: Vec<Task<(f64, u64)>> = Vec::new();
     for &n in &ns {
         for &tr in &TRANSPORTS {
-            tasks.push(Task::new(format!("{tr}:n{n}"), move |ctx: &TaskCtx| {
+            tasks.push(Task::new(format!("{tr}:n{n}"), move || {
                 let params = ProfileParams::testbed(Rate::from_gbps(10));
                 // Average the longest FCT over two runs, like the paper.
                 let mut fct = 0.0;
@@ -81,13 +59,7 @@ pub fn fig8() -> ScenarioResult {
                             flexpass_profile(&params),
                         ),
                     };
-                    let (m, t) = run_incast_probed(
-                        &profile,
-                        factory,
-                        n,
-                        r * 3,
-                        Some(Arc::clone(&ctx.probe)),
-                    );
+                    let (m, t) = run_incast(&profile, factory, n, r * 3);
                     fct += m / 2.0;
                     timeouts += t;
                 }

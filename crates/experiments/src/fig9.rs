@@ -4,63 +4,37 @@
 //! (c) starvation time — the fraction of time a transport held < 20 % of
 //! the link.
 
-use flexpass::config::FlexPassConfig;
-use flexpass::profiles::{flexpass_profile, naive_profile, ProfileParams};
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
+use flexpass::profiles::{naive_profile, ProfileParams};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::time::{Rate, Time, TimeDelta};
-use flexpass_simcore::units::Bytes;
+use flexpass_simcore::time::{Rate, Time};
 use flexpass_simnet::packet::FlowSpec;
+use flexpass_transport::expresspass::EpConfig;
 
 use crate::csvout::{f, Csv};
-use crate::fig1::TagFactory;
-use crate::runner::{run_window, star_topo, ScenarioResult};
-use flexpass_transport::expresspass::EpConfig;
+use crate::fig1::{long_flow, run_testbed, series_csv, TagFactory};
+use crate::orchestrate::{self, Task};
+use crate::runner::{star_topo, ScenarioResult};
 
 const WINDOW_MS: u64 = 90;
 
-fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
-    FlowSpec {
-        id,
-        src,
-        dst,
-        size: Bytes::new(500_000_000),
-        start: Time::ZERO,
-        tag,
-        fg: false,
-    }
+/// One legacy DCTCP flow (host 0) and one upgraded flow (host 1) into
+/// host 2.
+fn competitors() -> [FlowSpec; 2] {
+    [long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)]
 }
 
 /// Runs ExpressPass vs DCTCP (naive rollout).
 pub fn run_ep_vs_dctcp() -> Recorder {
     let params = ProfileParams::testbed(Rate::from_gbps(10));
-    let profile = naive_profile(&params);
-    let topo = star_topo(3, &profile);
+    let topo = star_topo(3, &naive_profile(&params));
     let factory = TagFactory::dctcp_vs_ep(EpConfig::default());
-    run_window(
-        topo,
-        Box::new(factory),
-        Recorder::new().with_throughput(TimeDelta::millis(1)),
-        &[long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)],
-        Time::from_millis(WINDOW_MS),
-    )
+    run_testbed(topo, Box::new(factory), &competitors(), WINDOW_MS)
 }
 
 /// Runs FlexPass vs DCTCP (FlexPass switch configuration, w_q = 0.5).
 pub fn run_fp_vs_dctcp() -> Recorder {
-    let params = ProfileParams::testbed(Rate::from_gbps(10));
-    let profile = flexpass_profile(&params);
-    let topo = star_topo(3, &profile);
     // Hosts 1 and 2 upgraded: flow 2 runs FlexPass, flow 1 stays DCTCP.
-    let deployment = Deployment::from_hosts(vec![false, true, true]);
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, FlexPassConfig::new(0.5), 0.5);
-    run_window(
-        topo,
-        Box::new(factory),
-        Recorder::new().with_throughput(TimeDelta::millis(1)),
-        &[long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)],
-        Time::from_millis(WINDOW_MS),
-    )
+    crate::fig7::run(&competitors(), &[1, 2], WINDOW_MS)
 }
 
 /// Starvation fraction of a tag over the steady window (threshold 20 % of
@@ -80,15 +54,11 @@ pub fn starvation(rec: &Recorder, tag: u32) -> f64 {
 /// pool; a failed run falls back to an empty recorder (all-zero series)
 /// and is reported at exit.
 pub fn fig9() -> Vec<ScenarioResult> {
-    let mut results = crate::orchestrate::run_tasks(
+    let mut results = orchestrate::run_tasks(
         "fig9",
         vec![
-            crate::orchestrate::Task::new("ep_vs_dctcp", |_: &crate::orchestrate::TaskCtx| {
-                run_ep_vs_dctcp()
-            }),
-            crate::orchestrate::Task::new("fp_vs_dctcp", |_: &crate::orchestrate::TaskCtx| {
-                run_fp_vs_dctcp()
-            }),
+            Task::new("ep_vs_dctcp", run_ep_vs_dctcp),
+            Task::new("fp_vs_dctcp", run_fp_vs_dctcp),
         ],
     )
     .into_iter();
@@ -101,32 +71,12 @@ pub fn fig9() -> Vec<ScenarioResult> {
     let ep = next();
     let fp = next();
 
-    let series = |rec: &Recorder, new_label: &str| {
-        let mut csv = Csv::new(&["time_ms", "dctcp_gbps", new_label]);
-        let a = rec.throughput_gbps(0);
-        let b = rec.throughput_gbps(1);
-        for t in 0..WINDOW_MS as usize {
-            csv.row(&[
-                t.to_string(),
-                f(a.get(t).copied().unwrap_or(0.0)),
-                f(b.get(t).copied().unwrap_or(0.0)),
-            ]);
-        }
-        csv
-    };
-
     let mut bars = Csv::new(&["scheme", "dctcp_starved_frac", "new_starved_frac"]);
-    bars.row(&[
-        "expresspass".into(),
-        f(starvation(&ep, 0)),
-        f(starvation(&ep, 1)),
-    ]);
-    bars.row(&[
-        "flexpass".into(),
-        f(starvation(&fp, 0)),
-        f(starvation(&fp, 1)),
-    ]);
+    for (scheme, rec) in [("expresspass", &ep), ("flexpass", &fp)] {
+        bars.row(&[scheme.into(), f(starvation(rec, 0)), f(starvation(rec, 1))]);
+    }
 
+    let series = |rec, new_label| series_csv(rec, WINDOW_MS, ["dctcp_gbps", new_label]);
     vec![
         ScenarioResult::new("fig9a_ep_vs_dctcp", series(&ep, "expresspass_gbps")),
         ScenarioResult::new("fig9b_fp_vs_dctcp", series(&fp, "flexpass_gbps")),

@@ -1,24 +1,34 @@
 //! Experiment harness reproducing every table and figure of the FlexPass
 //! paper (EuroSys '23).
 //!
-//! Each scenario module builds the exact topology, switch configuration,
-//! workload and schemes of one paper figure, runs the simulator, and
-//! returns rows matching the figure's series. The `flexpass-experiments`
-//! binary writes them as CSV; `EXPERIMENTS.md` records paper-vs-measured.
+//! Each scenario module supplies the workload, switch configuration and
+//! schemes of one paper figure and returns rows matching the figure's
+//! series. The `flexpass-experiments` binary dispatches `--fig NAME` from
+//! its one figure table and writes the rows as CSV; `EXPERIMENTS.md`
+//! records paper-vs-measured.
+//!
+//! Three pieces are shared by every scenario and exist once:
+//! [`sweep::build_point`] builds a deployment point on the Clos (the
+//! rollout figures differ only in its arguments and in the fields of a
+//! [`sweep::SweepSpec`] they override), [`runner::run`] drives an engine
+//! to a [`runner::Stop`] condition, and [`orchestrate`] fans points across
+//! the worker pool, installing each task's progress probe and packet
+//! tracer on the worker thread.
 //!
 //! | Module | Paper figure | What it reproduces |
 //! |--------|--------------|--------------------|
-//! | [`fig1`] | Fig. 1 (a, b) | ExpressPass / Homa starving DCTCP on a shared 10 G link |
+//! | [`fig1`] | Fig. 1 (a, b) | ExpressPass / Homa starving DCTCP on a shared 10 G link; the long-flow testbed helpers figures 7 and 9 reuse |
 //! | [`fig5`] | Fig. 5 (a, b) | RC3-style splitting and alternative queueing comparisons |
 //! | [`fig7`] | Fig. 7 (a–c) | per-sub-flow throughput on the testbed topology |
 //! | [`fig8`] | Fig. 8 | incast tail FCT vs number of flows |
 //! | [`fig9`] | Fig. 9 (a–c) | coexistence throughput + starvation time |
-//! | [`sweep`] | Figs. 10–16 | deployment-ratio sweeps (schemes × ratios × workloads × loads) |
+//! | [`sweep`] | Figs. 10–16 | the point builder and the deployment-ratio sweeps (schemes × ratios × workloads × loads) |
 //! | [`fig17`] | Fig. 17 | selective-dropping threshold trade-off |
 //! | [`fig18`] | Fig. 18 | queue weight (w_q) trade-off |
 //! | [`queue_study`] | §6.2 text | bounded-queue occupancy and redundancy fraction |
 //! | [`ablation`] | (extension) | design-choice ablations: proactive retx, first-RTT reactive, credit policy |
 //! | [`scale`] | (extension) | O(10k)-host Clos with streaming (bounded-memory) FCT sketches |
+//! | [`custom`] | (extension) | replay of a user flow trace under any scheme, ratio or w_q |
 
 pub mod ablation;
 pub mod csvout;

@@ -5,16 +5,14 @@
 //!
 //! ```text
 //! flexpass-experiments --fig all            [--out results] [--scale default] [--jobs N]
-//! flexpass-experiments --fig fig10          # one figure
+//! flexpass-experiments --fig NAME           # one figure
 //! ```
 //!
-//! Figures: fig1a fig1b fig5a fig5b fig7 fig8 fig9 fig10 fig11 fig14
-//! fig15 fig17 fig18 queue ablation  (fig10 also produces the per-type
-//! data of figs 12–13; fig15 covers fig16's average-FCT series; ablation
-//! is this reproduction's design-choice study). `--fig custom --trace F`
-//! replays a user flow trace (`src,dst,size_bytes,start_us`). `--fig
-//! scale` (explicit-only, never part of `all`) drives an O(10k)-host
-//! Clos with the streaming bounded-memory recorder; combine with
+//! The figure names are the first column of the `FIGURES` table below;
+//! an unknown `--fig` lists them. Two entries are explicit-only, never
+//! part of `all`: the trace replay (`--trace F` names its input, a
+//! `src,dst,size_bytes,start_us` flow trace) and the O(10k)-host Clos on
+//! the streaming bounded-memory recorder — combine that one with
 //! `--par-sim N` for the partitioned engine and watch the heartbeat for
 //! events/sec, arena growth, and process RSS.
 //!
@@ -26,9 +24,9 @@
 //!
 //! `--par-sim N` partitions each simulation into `N` parallel domains
 //! (rack-granular fabric cut, conservative windowed synchronization; see
-//! DESIGN.md §14). `--par-sim 1` (the default) is the serial engine,
-//! byte-identical to previous releases; topologies too small to cut
-//! (e.g. single-rack stars) silently fall back to serial.
+//! DESIGN.md §14). `--par-sim 1` (the default) is the serial engine;
+//! topologies too small to cut (e.g. single-rack stars) silently fall
+//! back to serial.
 //!
 //! `--jobs N` sets the worker-thread count for the experiment pool
 //! (default: available parallelism; `--jobs 1` runs serially). Output is
@@ -41,17 +39,82 @@
 //! to exercise that path end to end.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 // lint:allow(wall-clock): per-figure elapsed-time reporting only.
 use std::time::Instant;
 
 use flexpass_experiments::custom::{run_trace_file, CustomSpec};
 use flexpass_experiments::orchestrate;
-use flexpass_experiments::runner::RunScale;
+use flexpass_experiments::runner::{RunScale, ScenarioResult};
 use flexpass_experiments::{
-    ablation, fig1, fig17, fig18, fig5, fig7, fig8, fig9, queue_study, sweep,
+    ablation, fig1, fig17, fig18, fig5, fig7, fig8, fig9, queue_study, scale, sweep,
 };
 
 const USAGE: &str = "usage: flexpass-experiments [--fig NAME|all] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--trace[=FILTER]] [--inject-panic LABEL]";
+
+/// One `--fig` name: whether `--fig all` includes it, and what it runs.
+type Figure = (&'static str, bool, fn(RunScale) -> Vec<ScenarioResult>);
+
+/// Every figure the binary can produce, in `--fig all` order.
+const FIGURES: &[Figure] = &[
+    ("fig1a", true, |_| vec![fig1::fig1a()]),
+    ("fig1b", true, |_| vec![fig1::fig1b()]),
+    ("fig5a", true, |s| vec![fig5::fig5a(s)]),
+    ("fig5b", true, |s| vec![fig5::fig5b(s)]),
+    ("fig7", true, |_| {
+        vec![fig7::fig7a(), fig7::fig7b(), fig7::fig7c()]
+    }),
+    ("fig8", true, |_| vec![fig8::fig8()]),
+    ("fig9", true, |_| fig9::fig9()),
+    // Also produces the per-type data of Figures 12–13.
+    ("fig10", true, |s| sweep::fig10_or_11(s, false)),
+    ("fig11", true, |s| sweep::fig10_or_11(s, true)),
+    ("fig14", true, |s| vec![sweep::fig14(s)]),
+    // Covers Figure 16's average-FCT series.
+    ("fig15", true, |s| vec![sweep::fig15_16(s)]),
+    ("fig17", true, |s| vec![fig17::fig17(s)]),
+    ("fig18", true, |s| vec![fig18::fig18(s)]),
+    ("queue", true, |s| vec![queue_study::queue_study(s)]),
+    // This reproduction's design-choice study.
+    ("ablation", true, |s| vec![ablation::ablation(s)]),
+    // Explicit-only: the default point simulates a 10,240-host fabric.
+    ("scale", false, scale::scenario),
+    // Explicit-only: needs `--trace FILE`.
+    ("custom", false, replay),
+];
+
+/// The table entries `--fig fig` selects, in table order: the `in_all`
+/// ones for `all`, otherwise the one of that name (none if unknown).
+fn selected(fig: &str) -> impl Iterator<Item = &'static Figure> + '_ {
+    FIGURES
+        .iter()
+        .filter(move |(name, in_all, _)| if fig == "all" { *in_all } else { *name == fig })
+}
+
+/// The replay input (`--trace FILE`).
+static REPLAY: OnceLock<PathBuf> = OnceLock::new();
+
+/// Replays the `--trace FILE` flows on the Clos of `scale`.
+fn replay(scale: RunScale) -> Vec<ScenarioResult> {
+    let Some(path) = REPLAY.get() else {
+        usage_error("the trace replay requires --trace FILE (src,dst,size_bytes,start_us)");
+    };
+    let spec = CustomSpec {
+        scale,
+        ..CustomSpec::default()
+    };
+    let (rec, result) = run_trace_file(path, &spec).unwrap_or_else(|e| {
+        eprintln!("trace replay failed: {e}");
+        std::process::exit(2);
+    });
+    eprintln!(
+        "replayed {} flows: avg {:.3} ms, p99(<100kB) {:.3} ms",
+        rec.completed(),
+        rec.avg_fct(None) * 1e3,
+        rec.p99_small(None) * 1e3
+    );
+    vec![result]
+}
 
 /// Prints `msg` and the usage line, then exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -69,11 +132,23 @@ fn value(args: &[String], i: usize) -> &str {
     }
 }
 
+/// The positive integer following the flag at `args[i]`; a usage error
+/// otherwise.
+fn positive(args: &[String], i: usize) -> usize {
+    match value(args, i).parse() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!(
+            "{} takes a positive integer, got {}",
+            args[i],
+            value(args, i)
+        )),
+    }
+}
+
 fn main() {
     let mut fig = String::from("all");
     let mut out = PathBuf::from("results");
     let mut scale = RunScale::Default;
-    let mut trace: Option<PathBuf> = None;
     let mut packet_trace: Option<String> = None;
     let mut plot = false;
 
@@ -93,13 +168,13 @@ fn main() {
                 plot = true;
                 i += 1;
             }
-            // `--trace FILE` (replay input for --fig custom) predates
+            // `--trace FILE` (the replay figure's input) predates
             // `--trace[=FILTER]` (packet-lifecycle tracing). A following
             // non-flag argument keeps the legacy replay meaning; bare
             // `--trace` (last arg or followed by a flag) arms tracing.
             "--trace" => {
                 if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                    trace = Some(PathBuf::from(&args[i + 1]));
+                    REPLAY.get_or_init(|| PathBuf::from(&args[i + 1]));
                     i += 2;
                 } else {
                     packet_trace = Some(String::new());
@@ -113,35 +188,16 @@ fn main() {
             "--scale" => {
                 let v = value(&args, i);
                 scale = RunScale::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v} (smoke|default|full)");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown scale {v} (smoke|default|full)"))
                 });
                 i += 2;
             }
             "--jobs" => {
-                let v = value(&args, i);
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs takes a positive integer, got {v}");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("--jobs must be >= 1");
-                    std::process::exit(2);
-                }
-                orchestrate::set_jobs(n);
+                orchestrate::set_jobs(positive(&args, i));
                 i += 2;
             }
             "--par-sim" => {
-                let v = value(&args, i);
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--par-sim takes a positive integer, got {v}");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("--par-sim must be >= 1");
-                    std::process::exit(2);
-                }
-                orchestrate::set_par_sim(n);
+                orchestrate::set_par_sim(positive(&args, i));
                 i += 2;
             }
             "--inject-panic" => {
@@ -160,13 +216,19 @@ fn main() {
         eprintln!("packet tracing armed -> {}/traces/", out.display());
     }
 
-    let all = fig == "all";
     // `--fig none --plot` renders charts from existing CSVs only.
-    let want = |name: &str| all || fig == name;
-    let mut ran = 0;
-
-    let emit = |results: Vec<flexpass_experiments::ScenarioResult>| {
-        for r in results {
+    if selected(&fig).next().is_none() && !plot {
+        let names: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+        usage_error(&format!(
+            "no figure matched '{fig}'; figures: all {}",
+            names.join(" ")
+        ));
+    }
+    for (name, _, run) in selected(&fig) {
+        // lint:allow(wall-clock): figure wall-time banner.
+        let t = Instant::now();
+        eprintln!("== {name} ==");
+        for r in run(scale) {
             if let Err(e) = r.csv.write(&out, &r.name) {
                 eprintln!("cannot write {}/{}.csv: {e}", out.display(), r.name);
                 std::process::exit(1);
@@ -178,67 +240,7 @@ fn main() {
                 r.csv.len()
             );
         }
-    };
-
-    macro_rules! run {
-        ($name:expr, $body:expr) => {
-            if want($name) {
-                // lint:allow(wall-clock): figure wall-time banner.
-                let t = Instant::now();
-                eprintln!("== {} ==", $name);
-                emit($body);
-                eprintln!("== {} done in {:.1?} ==", $name, t.elapsed());
-                ran += 1;
-            }
-        };
-    }
-
-    run!("fig1a", vec![fig1::fig1a()]);
-    run!("fig1b", vec![fig1::fig1b()]);
-    run!("fig5a", vec![fig5::fig5a(scale)]);
-    run!("fig5b", vec![fig5::fig5b(scale)]);
-    run!("fig7", vec![fig7::fig7a(), fig7::fig7b(), fig7::fig7c()]);
-    run!("fig8", vec![fig8::fig8()]);
-    run!("fig9", fig9::fig9());
-    run!("fig10", sweep::fig10_or_11(scale, false));
-    run!("fig11", sweep::fig10_or_11(scale, true));
-    run!("fig14", vec![sweep::fig14(scale)]);
-    run!("fig15", vec![sweep::fig15_16(scale)]);
-    run!("fig17", vec![fig17::fig17(scale)]);
-    run!("fig18", vec![fig18::fig18(scale)]);
-    run!("queue", vec![queue_study::queue_study(scale)]);
-    run!("ablation", vec![ablation::ablation(scale)]);
-    // Explicit-only (not part of `all`): the default point simulates a
-    // 10,240-host fabric.
-    if fig == "scale" {
-        // lint:allow(wall-clock): figure wall-time banner.
-        let t = Instant::now();
-        eprintln!("== scale ==");
-        emit(flexpass_experiments::scale::scenario(scale));
-        eprintln!("== scale done in {:.1?} ==", t.elapsed());
-        ran += 1;
-    }
-    if fig == "custom" {
-        let path = trace.unwrap_or_else(|| {
-            eprintln!("--fig custom requires --trace FILE (src,dst,size_bytes,start_us)");
-            std::process::exit(2);
-        });
-        let spec = CustomSpec {
-            scale,
-            ..CustomSpec::default()
-        };
-        let (rec, result) = run_trace_file(&path, &spec).unwrap_or_else(|e| {
-            eprintln!("trace replay failed: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "replayed {} flows: avg {:.3} ms, p99(<100kB) {:.3} ms",
-            rec.completed(),
-            rec.avg_fct(None) * 1e3,
-            rec.p99_small(None) * 1e3
-        );
-        emit(vec![result]);
-        ran += 1;
+        eprintln!("== {name} done in {:.1?} ==", t.elapsed());
     }
 
     if plot {
@@ -246,12 +248,6 @@ fn main() {
             Ok(n) => println!("rendered {n} SVG charts into {}", out.display()),
             Err(e) => eprintln!("plotting failed: {e}"),
         }
-        ran += 1;
-    }
-
-    if ran == 0 {
-        eprintln!("no figure matched '{fig}'");
-        std::process::exit(2);
     }
 
     let failures = orchestrate::take_failures();
@@ -262,5 +258,95 @@ fn main() {
         }
         eprintln!("the remaining points completed; failed cells render as NaN/empty rows");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(fig: &str) -> Vec<&'static str> {
+        selected(fig).map(|(name, ..)| *name).collect()
+    }
+
+    #[test]
+    fn figure_names_are_unique() {
+        let mut seen: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), FIGURES.len());
+        assert!(
+            !seen.contains(&"all"),
+            "`all` is the selector, not a figure"
+        );
+    }
+
+    #[test]
+    fn all_runs_the_in_all_entries_in_table_order() {
+        assert_eq!(
+            names("all"),
+            [
+                "fig1a", "fig1b", "fig5a", "fig5b", "fig7", "fig8", "fig9", "fig10", "fig11",
+                "fig14", "fig15", "fig17", "fig18", "queue", "ablation"
+            ]
+        );
+        assert_eq!(names("scale"), ["scale"]);
+        assert_eq!(names("custom"), ["custom"]);
+        assert_eq!(names("fig9"), ["fig9"]);
+        assert!(names("fig16").is_empty());
+        assert!(names("none").is_empty());
+    }
+
+    /// Every figure name a text prints after `--fig ` (placeholders such
+    /// as `NAME` excluded).
+    fn advertised(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for line in text.lines() {
+            let mut rest = line;
+            while let Some(at) = rest.find("--fig ") {
+                rest = &rest[at + "--fig ".len()..];
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                if !name.is_empty() && !name.chars().all(|c| c.is_ascii_uppercase()) {
+                    out.push(name);
+                }
+            }
+        }
+        out
+    }
+
+    /// A document cannot advertise a figure the binary rejects: every
+    /// name README.md and DESIGN.md print after `--fig`, and every name in
+    /// the first column of README's `--fig` table, is in [`FIGURES`].
+    #[test]
+    fn documented_figures_exist() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut checked = 0;
+        for doc in ["README.md", "DESIGN.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).expect("read the document");
+            let mut wanted = advertised(&text);
+            if doc == "README.md" {
+                // Rows of the `| `--fig` | Paper figure | Output |` table.
+                let rows = text
+                    .lines()
+                    .skip_while(|l| !l.starts_with("| `--fig` |"))
+                    .skip(2)
+                    .take_while(|l| l.starts_with('|'));
+                for row in rows {
+                    let cell = row.split('|').nth(1).expect("first column");
+                    wanted.extend(cell.split('`').skip(1).step_by(2).map(str::to_string));
+                }
+            }
+            for name in wanted {
+                assert!(
+                    name == "all" || name == "none" || names(&name) == [name.as_str()],
+                    "{doc} advertises `--fig {name}`, which the binary rejects"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= FIGURES.len(), "only {checked} names found");
     }
 }

@@ -30,6 +30,7 @@
 //! `simaudit` runtime auditor is thread-local, so per-point audits keep
 //! working on worker threads.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,8 +59,8 @@ static FAILURES: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
 static INJECT_PANIC: Mutex<Option<String>> = Mutex::new(None);
 
 /// Sets the worker-thread count used by [`run_tasks`]. `0` restores the
-/// default (available parallelism). `1` reproduces the historical serial
-/// behavior bit-for-bit.
+/// default (available parallelism). `1` runs the tasks one after another
+/// on a single worker; output is the same for every value.
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::SeqCst);
 }
@@ -114,24 +115,30 @@ impl std::fmt::Display for TaskFailure {
     }
 }
 
-/// Context handed to a running task: attach `probe` to the simulation
-/// (`Sim::attach_progress`, or the `*_probed` helpers in
-/// [`crate::runner`]) so the heartbeat can see live event counts.
-pub struct TaskCtx {
-    /// Live progress counters for this task's simulation.
-    pub probe: Arc<ProgressProbe>,
+thread_local! {
+    /// The probe of the pool task running on this worker thread. Set and
+    /// cleared by [`run_one`] only, like the thread-local tracer beside it.
+    static TASK_PROBE: RefCell<Option<Arc<ProgressProbe>>> = const { RefCell::new(None) };
+}
+
+/// The progress probe of the pool task running on the calling thread
+/// (`None` outside the pool). [`crate::runner::run`] attaches it to every
+/// simulation it drives, so the heartbeat sees each task's live event
+/// count without the task's closure naming the probe.
+pub(crate) fn task_probe() -> Option<Arc<ProgressProbe>> {
+    TASK_PROBE.with(|p| p.borrow().clone())
 }
 
 /// One labelled unit of work for [`run_tasks`].
 pub struct Task<T> {
     label: String,
-    run: Box<dyn FnOnce(&TaskCtx) -> T + Send>,
+    run: Box<dyn FnOnce() -> T + Send>,
 }
 
 impl<T> Task<T> {
     /// A task with a display label (used in heartbeats and failure
     /// reports) and the closure to run.
-    pub fn new(label: impl Into<String>, run: impl FnOnce(&TaskCtx) -> T + Send + 'static) -> Self {
+    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Self {
         Task {
             label: label.into(),
             run: Box::new(run),
@@ -186,7 +193,7 @@ pub fn run_isolated<T: Send>(
     group: &str,
     label: &str,
     fallback: impl FnOnce() -> T,
-    run: impl FnOnce(&TaskCtx) -> T + Send + 'static,
+    run: impl FnOnce() -> T + Send + 'static,
 ) -> T {
     run_tasks(group, vec![Task::new(label, run)])
         .pop()
@@ -292,13 +299,12 @@ fn run_one<T>(state: &PoolState, group: &str, task: Task<T>) -> Result<T, TaskFa
         .expect("inject registry poisoned")
         .as_deref()
         .is_some_and(|l| l == qualified || l == label);
-    let ctx = TaskCtx {
-        probe: Arc::clone(&probe),
-    };
     let run = task.run;
-    // Packet tracing (--trace) wraps every point: the tracer is
-    // thread-local, so install/collect must bracket the run on this
-    // worker thread. Observation-only — results are unaffected.
+    // The progress probe and the packet tracer (--trace) wrap every
+    // point the same way: both are thread-local, so install/collect must
+    // bracket the run on this worker thread. Observation-only — results
+    // are unaffected.
+    TASK_PROBE.with(|p| *p.borrow_mut() = Some(Arc::clone(&probe)));
     crate::tracecfg::install_for_run();
     let outcome = catch_unwind(AssertUnwindSafe(move || {
         if armed {
@@ -306,9 +312,10 @@ fn run_one<T>(state: &PoolState, group: &str, task: Task<T>) -> Result<T, TaskFa
             // per-point isolation in tests and CI.
             panic!("injected fault (--inject-panic)");
         }
-        run(&ctx)
+        run()
     }));
     crate::tracecfg::finish_run(&qualified);
+    TASK_PROBE.with(|p| p.borrow_mut().take());
 
     state
         .active
@@ -463,7 +470,7 @@ mod tests {
         for jobs in [1, 4] {
             let tasks: Vec<Task<usize>> = (0..16)
                 .map(|i| {
-                    Task::new(format!("t{i}"), move |_ctx: &TaskCtx| {
+                    Task::new(format!("t{i}"), move || {
                         // Stagger so later tasks can finish first.
                         std::thread::sleep(std::time::Duration::from_millis(((16 - i) % 5) as u64));
                         i * i
@@ -481,9 +488,9 @@ mod tests {
     #[test]
     fn panicking_task_is_isolated() {
         let tasks: Vec<Task<u32>> = vec![
-            Task::new("ok-a", |_: &TaskCtx| 1),
-            Task::new("boom", |_: &TaskCtx| panic!("deliberate test panic")),
-            Task::new("ok-b", |_: &TaskCtx| 3),
+            Task::new("ok-a", || 1),
+            Task::new("boom", || panic!("deliberate test panic")),
+            Task::new("ok-b", || 3),
         ];
         let out = run_tasks_on(2, "test", tasks);
         assert_eq!(out.len(), 3);
@@ -494,16 +501,44 @@ mod tests {
         assert!(err.message.contains("deliberate test panic"), "{err}");
     }
 
-    /// The probe handed to a task is live: counts published during the
-    /// run are visible afterwards (and folded into pool totals).
+    /// The probe installed for a task is live: counts published during
+    /// the run are visible afterwards (and folded into pool totals), and
+    /// the installation ends with the task.
     #[test]
     fn task_probe_is_observable() {
-        let tasks = vec![Task::new("probe", |ctx: &TaskCtx| {
-            ctx.probe.publish(12345, 67890);
-            ctx.probe.events()
+        assert!(task_probe().is_none(), "no probe outside the pool");
+        let tasks = vec![Task::new("probe", || {
+            let probe = task_probe().expect("installed by run_one");
+            probe.publish(12345, 67890);
+            probe.events()
         })];
         let out = run_tasks_on(1, "test", tasks);
         assert_eq!(*out[0].as_ref().expect("ok"), 12345);
+    }
+
+    /// The heartbeat blind spot: a task that only calls the frozen
+    /// `sweep::run_point` (as fig17/fig18 do) never names the probe, yet
+    /// its simulation must have published into it by the time it returns.
+    #[test]
+    fn run_point_publishes_into_its_tasks_probe() {
+        use crate::runner::RunScale;
+        use crate::sweep::{run_point, SweepSpec};
+        use flexpass::schemes::Scheme;
+
+        let spec = SweepSpec {
+            n_flows: Some(30),
+            ..SweepSpec::fig10(RunScale::Smoke)
+        };
+        let tasks = vec![Task::new("point", move || {
+            let point = run_point(Scheme::FlexPass, 0.5, &spec);
+            let probe = task_probe().expect("installed by run_one");
+            (point.flows, probe.events(), probe.vtime_ns())
+        })];
+        let out = run_tasks_on(1, "test", tasks);
+        let (flows, events, vtime_ns) = *out[0].as_ref().expect("ok");
+        assert!(flows > 0.0, "the point completed no flows");
+        assert!(events > 0, "no events reached the task's probe");
+        assert!(vtime_ns > 0, "no virtual time reached the task's probe");
     }
 
     #[test]

@@ -3,57 +3,29 @@
 //! rate, and the proactive-retransmission redundancy fraction.
 
 use flexpass::config::FlexPassConfig;
-use flexpass::profiles::ProfileParams;
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
+use flexpass::schemes::Scheme;
 use flexpass_metrics::Recorder;
-use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::TimeDelta;
-use flexpass_simnet::topology::Topology;
-use flexpass_workload::FlowSizeCdf;
-
-use std::sync::Arc;
-
-use flexpass_simcore::ProgressProbe;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
-use crate::sweep::{build_flows, SweepSpec};
+use crate::orchestrate::{self, Task};
+use crate::runner::{RunScale, ScenarioResult};
+use crate::sweep::{run_spec_point, SweepSpec};
 
 /// One deployment point with queue sampling enabled.
-fn run_queue_point(ratio: f64, scale: RunScale, probe: Option<Arc<ProgressProbe>>) -> Recorder {
+fn run_queue_point(ratio: f64, scale: RunScale) -> Recorder {
     let spec = SweepSpec {
-        schemes: vec![Scheme::FlexPass],
-        ratios: vec![ratio],
-        cdf: FlowSizeCdf::web_search(),
-        load: 0.5,
-        mixed: false,
-        scale,
         seed: 41,
-        wq: 0.5,
-        sel_drop: 150_000,
-        n_flows: None,
-        seeds: 1,
+        ..SweepSpec::fig10(scale)
     };
-    let clos = scale.clos();
-    let n_hosts = clos.n_hosts();
-    let mut rng = SimRng::new(99);
-    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
-    let flows = build_flows(&spec, &deployment, n_hosts);
-    let frac = deployment.upgraded_byte_fraction(&flows);
-    let params = ProfileParams::simulation(clos.link_rate);
-    let profile = Scheme::FlexPass.profile(&params, frac);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, FlexPassConfig::new(0.5), frac);
-    run_flows_probed(
-        topo,
-        Box::new(factory),
+    run_spec_point(
+        Scheme::FlexPass,
+        ratio,
+        &spec,
+        99,
+        FlexPassConfig::new(0.5),
         Recorder::new().with_queue_watch(1),
-        &flows,
         Some(TimeDelta::micros(100)),
-        TimeDelta::millis(20),
-        probe,
     )
 }
 
@@ -76,8 +48,8 @@ pub fn queue_study(scale: RunScale) -> ScenarioResult {
     let tasks: Vec<Task<Recorder>> = ratios
         .iter()
         .map(|&ratio| {
-            Task::new(format!("r{ratio:.2}"), move |ctx: &TaskCtx| {
-                run_queue_point(ratio, scale, Some(Arc::clone(&ctx.probe)))
+            Task::new(format!("r{ratio:.2}"), move || {
+                run_queue_point(ratio, scale)
             })
         })
         .collect();

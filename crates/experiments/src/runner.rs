@@ -1,10 +1,7 @@
 //! Shared scenario plumbing: scale presets and simulation helpers.
 
-use std::sync::Arc;
-
 use flexpass_metrics::Recorder;
 use flexpass_simcore::time::{Time, TimeDelta};
-use flexpass_simcore::ProgressProbe;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::{Sim, TransportFactory};
 use flexpass_simnet::switch::SwitchProfile;
@@ -72,34 +69,37 @@ impl ScenarioResult {
     }
 }
 
-/// Builds a simulator over `topo`, schedules `flows`, runs to completion
-/// (with `grace` drain), and returns the recorder.
-pub fn run_flows(
-    topo: Topology,
-    factory: Box<dyn TransportFactory>,
-    recorder: Recorder,
-    flows: &[FlowSpec],
-    sampling: Option<TimeDelta>,
-    grace: TimeDelta,
-) -> Recorder {
-    run_flows_probed(topo, factory, recorder, flows, sampling, grace, None)
+/// When [`run`] stops a simulation.
+#[derive(Clone, Copy, Debug)]
+pub enum Stop {
+    /// At this virtual time (long-running-flow microbenchmarks measure
+    /// throughput over a window rather than completion).
+    At(Time),
+    /// Once every flow has completed, plus this much drain.
+    Drained(TimeDelta),
 }
 
-/// [`run_flows`] with an optional [`ProgressProbe`] attached to the event
-/// calendar so the orchestrator's heartbeat can watch the run. Worker
-/// closures pass `Some(ctx.probe.clone())` (see [`crate::orchestrate`]);
-/// the probe is observational only and cannot change any outcome.
-#[allow(clippy::too_many_arguments)]
-pub fn run_flows_probed(
+/// Run to completion with the 20 ms drain every figure that waits for its
+/// flows allows.
+pub const DRAINED: Stop = Stop::Drained(TimeDelta::millis(20));
+
+/// The one drive loop: builds a simulator over `topo`, schedules `flows`,
+/// optionally samples the queues every `sampling`, runs to `stop`, and
+/// returns the recorder. `--par-sim N` selects the partitioned engine
+/// where the fabric cuts (see `build_par`). Inside a pool task, the
+/// progress probe [`orchestrate`] installed on the worker thread is
+/// attached so the heartbeat can watch the run; it is observational only
+/// and cannot change any outcome.
+pub fn run(
     topo: Topology,
     factory: Box<dyn TransportFactory>,
     recorder: Recorder,
     flows: &[FlowSpec],
     sampling: Option<TimeDelta>,
-    grace: TimeDelta,
-    probe: Option<Arc<ProgressProbe>>,
+    stop: Stop,
 ) -> Recorder {
-    let (topo, factory) = match build_par(orchestrate::par_sim(), topo, factory, &recorder, flows) {
+    let probe = orchestrate::task_probe();
+    match build_par(orchestrate::par_sim(), topo, factory, &recorder, flows) {
         Ok(mut par) => {
             if let Some(p) = probe {
                 par.attach_progress(p);
@@ -110,77 +110,36 @@ pub fn run_flows_probed(
             for f in flows {
                 par.schedule_flow(*f);
             }
-            par.run_to_completion(grace);
-            return merge_domains(recorder, par);
+            match stop {
+                Stop::At(deadline) => par.run_until(deadline),
+                Stop::Drained(grace) => par.run_to_completion(grace),
+            }
+            merge_domains(recorder, par)
         }
-        Err(back) => back,
-    };
-    let mut sim = Sim::with_flow_capacity(topo, factory, recorder, flows.len());
-    if let Some(p) = probe {
-        sim.attach_progress(p);
-    }
-    if let Some(every) = sampling {
-        sim.enable_sampling(every);
-    }
-    for f in flows {
-        sim.schedule_flow(*f);
-    }
-    sim.run_to_completion(grace);
-    sim.observer
-}
-
-/// Like [`run_flows`] but stops at a wall-clock deadline of virtual time
-/// (for long-running-flow microbenchmarks that measure throughput over a
-/// window rather than completion).
-pub fn run_window(
-    topo: Topology,
-    factory: Box<dyn TransportFactory>,
-    recorder: Recorder,
-    flows: &[FlowSpec],
-    until: Time,
-) -> Recorder {
-    run_window_probed(topo, factory, recorder, flows, until, None)
-}
-
-/// [`run_window`] with an optional [`ProgressProbe`], as
-/// [`run_flows_probed`].
-pub fn run_window_probed(
-    topo: Topology,
-    factory: Box<dyn TransportFactory>,
-    recorder: Recorder,
-    flows: &[FlowSpec],
-    until: Time,
-    probe: Option<Arc<ProgressProbe>>,
-) -> Recorder {
-    let (topo, factory) = match build_par(orchestrate::par_sim(), topo, factory, &recorder, flows) {
-        Ok(mut par) => {
+        Err((topo, factory)) => {
+            let mut sim = Sim::with_flow_capacity(topo, factory, recorder, flows.len());
             if let Some(p) = probe {
-                par.attach_progress(p);
+                sim.attach_progress(p);
+            }
+            if let Some(every) = sampling {
+                sim.enable_sampling(every);
             }
             for f in flows {
-                par.schedule_flow(*f);
+                sim.schedule_flow(*f);
             }
-            par.run_until(until);
-            return merge_domains(recorder, par);
+            match stop {
+                Stop::At(deadline) => sim.run_until(deadline),
+                Stop::Drained(grace) => sim.run_to_completion(grace),
+            }
+            sim.observer
         }
-        Err(back) => back,
-    };
-    let mut sim = Sim::with_flow_capacity(topo, factory, recorder, flows.len());
-    if let Some(p) = probe {
-        sim.attach_progress(p);
     }
-    for f in flows {
-        sim.schedule_flow(*f);
-    }
-    sim.run_until(until);
-    sim.observer
 }
 
 /// Builds the partitioned engine when `--par-sim` asks for more than one
 /// domain, the factory supports per-domain cloning, and the topology cuts
 /// usefully. Otherwise hands the topology and factory back (`Err`) so the
-/// caller runs the serial engine — byte-identically to a build without
-/// this branch.
+/// caller runs the serial engine.
 fn build_par(
     n: usize,
     topo: Topology,

@@ -1,6 +1,6 @@
-//! The `scale` scenario: a parameterized Clos driven to O(10k) hosts
-//! (ROADMAP item 3), built on the streaming recorder so metrics memory
-//! stays O(live flows) instead of O(flows).
+//! The `scale` scenario: a parameterized Clos driven to O(10k) hosts,
+//! built on the streaming recorder so metrics memory stays O(live flows)
+//! instead of O(flows).
 //!
 //! Unlike the paper figures (192-host fabric, exact per-flow records),
 //! this scenario exists to prove the substrate scales: a dense 40-host
@@ -14,22 +14,18 @@
 //! Invoked explicitly (`--fig scale`), never as part of `--fig all`:
 //! the default point simulates 10,240 hosts.
 
-use std::sync::Arc;
-
 use flexpass::config::FlexPassConfig;
-use flexpass::profiles::ProfileParams;
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
+use flexpass::schemes::{Deployment, Scheme};
 use flexpass_metrics::Recorder;
-use flexpass_simcore::time::TimeDelta;
-use flexpass_simcore::ProgressProbe;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::TransportFactory;
 use flexpass_simnet::topology::{ClosParams, Topology};
 use flexpass_workload::{background, BackgroundParams, FlowSizeCdf};
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
+use crate::orchestrate;
+use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+use crate::sweep::{self, SEL_DROP};
 
 /// Parameters of one scale point.
 #[derive(Clone, Copy, Debug)]
@@ -78,19 +74,14 @@ impl ScaleSpec {
 }
 
 /// Builds the topology, transport factory, and workload of one scale
-/// point. Shared with the substrate bench so the gated measurement runs
-/// exactly the scenario's simulation.
+/// point: [`sweep::build_point`] on the dense fabric, every host upgraded
+/// to FlexPass. `flexbench`'s `clos_scale` workload builds its simulation
+/// from this, so it measures exactly the scenario's point.
 pub fn build_point(spec: &ScaleSpec) -> (Topology, Box<dyn TransportFactory>, Vec<FlowSpec>) {
     let clos = ClosParams::with_hosts(spec.hosts);
     let n_hosts = clos.n_hosts();
-    let params = ProfileParams::simulation(clos.link_rate);
-    let profile = Scheme::FlexPass.profile(&params, 1.0);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-
-    let deployment = Deployment::from_hosts(vec![true; n_hosts]);
     let cdf = FlowSizeCdf::web_search().truncate(spec.size_cap);
-    let mut flows = background(
+    let flows = background(
         &cdf,
         &BackgroundParams {
             n_hosts,
@@ -102,27 +93,24 @@ pub fn build_point(spec: &ScaleSpec) -> (Topology, Box<dyn TransportFactory>, Ve
             first_id: 0,
         },
     );
-    for fl in &mut flows {
-        fl.tag = deployment.tag_for(fl);
-    }
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, FlexPassConfig::new(0.5), 1.0);
-    (topo, Box::new(factory), flows)
+    sweep::build_point(
+        clos,
+        Scheme::FlexPass,
+        Deployment::full(n_hosts),
+        flows,
+        FlexPassConfig::new(0.5),
+        0.5,
+        SEL_DROP,
+    )
 }
 
 /// Runs one scale point with a streaming recorder (exact mode would
 /// retain `n_flows` records — the failure mode this scenario exists to
 /// avoid).
-pub fn run_point(spec: &ScaleSpec, probe: Option<Arc<ProgressProbe>>) -> Recorder {
+pub fn run_point(spec: &ScaleSpec) -> Recorder {
     let (topo, factory, flows) = build_point(spec);
-    run_flows_probed(
-        topo,
-        factory,
-        Recorder::new().with_streaming(),
-        &flows,
-        None,
-        TimeDelta::millis(20),
-        probe,
-    )
+    let recorder = Recorder::new().with_streaming();
+    run(topo, factory, recorder, &flows, None, DRAINED)
 }
 
 /// Renders the per-(tag, size-decade) sketch table: counts are exact,
@@ -158,17 +146,8 @@ pub fn sketch_csv(rec: &Recorder) -> Csv {
 pub fn scenario(scale: RunScale) -> Vec<ScenarioResult> {
     let spec = ScaleSpec::preset(scale);
     let label = format!("{}h-{}f", spec.hosts, spec.n_flows);
-    let mut results = orchestrate::run_tasks(
-        "scale",
-        vec![Task::new(label, move |ctx: &TaskCtx| {
-            run_point(&spec, Some(Arc::clone(&ctx.probe)))
-        })],
-    )
-    .into_iter();
-    let rec = results
-        .next()
-        .expect("one result per scale point")
-        .unwrap_or_else(|_| Recorder::new().with_streaming());
+    let streaming = || Recorder::new().with_streaming();
+    let rec = orchestrate::run_isolated("scale", &label, streaming, move || run_point(&spec));
 
     let peak = flexpass_simcore::mem::peak_rss_bytes()
         .map(|b| format!("{} MiB", b / (1024 * 1024)))
@@ -213,15 +192,7 @@ mod tests {
             } else {
                 Recorder::new()
             };
-            run_flows_probed(
-                topo,
-                factory,
-                rec,
-                &flows,
-                None,
-                TimeDelta::millis(20),
-                None,
-            )
+            run(topo, factory, rec, &flows, None, DRAINED)
         };
         let exact = run(false);
         let stream = run(true);
@@ -254,6 +225,7 @@ mod tests {
     #[test]
     #[allow(clippy::float_cmp)] // bit-identical determinism is the claim
     fn par_sim_domain_merge_is_deterministic() {
+        use flexpass_simcore::time::TimeDelta;
         use flexpass_simnet::{partition, ParSim};
 
         let spec = ScaleSpec {
@@ -301,14 +273,13 @@ mod tests {
 
         // And the exact-side aggregates agree with a serial streaming run.
         let (topo, factory, flows) = build_point(&spec);
-        let serial = run_flows_probed(
+        let serial = run(
             topo,
             factory,
             Recorder::new().with_streaming(),
             &flows,
             None,
-            TimeDelta::millis(20),
-            None,
+            DRAINED,
         );
         assert_eq!(a.completed(), serial.completed());
     }

@@ -17,23 +17,25 @@
 //! variance): arithmetically averaging standard deviations would bias
 //! Figure 13 low, since the sqrt of a mean exceeds the mean of sqrts.
 
-use std::sync::Arc;
-
 use flexpass::config::FlexPassConfig;
-use flexpass::profiles::ProfileParams;
+use flexpass::profiles::{host_variant, ProfileParams};
 use flexpass::schemes::{Deployment, Scheme, SchemeFactory, TAG_LEGACY, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
 use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::TimeDelta;
-use flexpass_simcore::ProgressProbe;
+use flexpass_simcore::units::WireBytes;
 use flexpass_simnet::packet::FlowSpec;
-use flexpass_simnet::topology::Topology;
+use flexpass_simnet::sim::TransportFactory;
+use flexpass_simnet::topology::{ClosParams, Topology};
 use flexpass_workload::FlowSizeCdf;
 use flexpass_workload::{background, foreground_incast, BackgroundParams, ForegroundParams};
 
 use crate::csvout::{count, f, Csv};
-use crate::orchestrate::{self, Task, TaskCtx};
-use crate::runner::{run_flows_probed, RunScale, ScenarioResult};
+use crate::orchestrate::{self, Task};
+use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+
+/// The paper's selective-dropping threshold, bytes (§6.2).
+pub const SEL_DROP: u64 = 150_000;
 
 /// What to sweep.
 #[derive(Clone, Debug)]
@@ -76,10 +78,17 @@ impl SweepSpec {
             scale,
             seed: 1,
             wq: 0.5,
-            sel_drop: 150_000,
+            sel_drop: SEL_DROP,
             n_flows: None,
             seeds: 1,
         }
+    }
+
+    /// The flow-count override of the secondary figures (5, 14–16, 18,
+    /// ablation): 600 flows per point at the default scale, the preset's
+    /// count otherwise.
+    pub(crate) fn reduced_flows(scale: RunScale) -> Option<usize> {
+        (scale == RunScale::Default).then_some(600)
     }
 }
 
@@ -105,6 +114,24 @@ pub struct SweepPoint {
     pub redundancy: f64,
     /// Flows completed: per-run count, or the mean over seeds.
     pub flows: f64,
+}
+
+impl SweepPoint {
+    /// A point with every statistic set to `v`: the zero accumulator of
+    /// [`aggregate_seeds`], or the NaN row of a cell that lost every seed.
+    fn filled(scheme: &'static str, ratio: f64, v: f64) -> Self {
+        SweepPoint {
+            scheme,
+            ratio,
+            p99_small: [v; 3],
+            avg: [v; 3],
+            stddev_small: [v; 3],
+            reorder_mean: v,
+            timeouts: v,
+            redundancy: v,
+            flows: v,
+        }
+    }
 }
 
 /// Generates the workload for one sweep point and tags flows by deployment.
@@ -164,26 +191,14 @@ fn seed_for(spec: &SweepSpec, k: u32) -> u64 {
 ///
 /// Mean-like statistics — FCT means and percentiles, `reorder_mean`,
 /// `redundancy`, `timeouts`, `flows` — take the arithmetic mean over
-/// seeds (historically `timeouts`/`flows` were *summed* across seeds
-/// while everything else was averaged, so multi-seed tables mixed
-/// per-run and per-sweep units in one row). `stddev_small` pools
-/// variances — sqrt of the mean per-seed variance — because standard
-/// deviations do not average: the mean of sqrts under-estimates the
-/// pooled spread Figure 13 plots.
+/// seeds, so every column of a multi-seed row is in per-run units.
+/// `stddev_small` pools variances — sqrt of the mean per-seed variance —
+/// because standard deviations do not average: the mean of sqrts
+/// under-estimates the pooled spread Figure 13 plots.
 pub fn aggregate_seeds(points: &[SweepPoint]) -> SweepPoint {
     let first = points.first().expect("at least one seed result");
     let nf = points.len() as f64;
-    let mut agg = SweepPoint {
-        scheme: first.scheme,
-        ratio: first.ratio,
-        p99_small: [0.0; 3],
-        avg: [0.0; 3],
-        stddev_small: [0.0; 3],
-        reorder_mean: 0.0,
-        timeouts: 0.0,
-        redundancy: 0.0,
-        flows: 0.0,
-    };
+    let mut agg = SweepPoint::filled(first.scheme, first.ratio, 0.0);
     for p in points {
         for i in 0..3 {
             agg.p99_small[i] += p.p99_small[i];
@@ -207,6 +222,75 @@ pub fn aggregate_seeds(points: &[SweepPoint]) -> SweepPoint {
     agg
 }
 
+/// The rack-by-rack rollout of a Clos: `ratio` of the racks upgraded,
+/// chosen by an RNG seeded with `seed` (each figure keeps its own seed).
+pub fn rollout(clos: &ClosParams, ratio: f64, seed: u64) -> Deployment {
+    Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut SimRng::new(seed))
+}
+
+/// The one deployment point: `scheme` rolled out over `deployment` on the
+/// `clos` fabric. Tags `flows` by the deployment, derives the switch
+/// profile from the upgraded byte fraction, `wq` and the selective-drop
+/// threshold `sel_drop`, and pairs the topology with the scheme's
+/// transport factory (`cfg` configures FlexPass endpoints). Everything a
+/// figure varies is an argument; nothing else builds a Clos.
+pub fn build_point(
+    clos: ClosParams,
+    scheme: Scheme,
+    deployment: Deployment,
+    mut flows: Vec<FlowSpec>,
+    cfg: FlexPassConfig,
+    wq: f64,
+    sel_drop: u64,
+) -> (Topology, Box<dyn TransportFactory>, Vec<FlowSpec>) {
+    for fl in &mut flows {
+        fl.tag = deployment.tag_for(fl);
+    }
+    let frac = deployment.upgraded_byte_fraction(&flows);
+    let mut params = ProfileParams::simulation(clos.link_rate);
+    params.wq = wq;
+    params.fp_red = WireBytes::new(sel_drop);
+    let profile = scheme.profile(&params, frac);
+    let topo = Topology::clos(clos, &profile, &host_variant(&profile));
+    let factory = SchemeFactory::new(scheme, deployment, cfg, frac);
+    (topo, Box::new(factory), flows)
+}
+
+/// Runs one (scheme, ratio) point of `spec` to completion into
+/// `recorder`: the rollout drawn from `deploy_seed`, the workload of
+/// [`build_flows`], the fabric of [`build_point`].
+pub(crate) fn run_spec_point(
+    scheme: Scheme,
+    ratio: f64,
+    spec: &SweepSpec,
+    deploy_seed: u64,
+    cfg: FlexPassConfig,
+    recorder: Recorder,
+    sampling: Option<TimeDelta>,
+) -> Recorder {
+    let clos = spec.scale.clos();
+    let deployment = rollout(&clos, ratio, deploy_seed);
+    let flows = build_flows(spec, &deployment, clos.n_hosts());
+    let (topo, factory, flows) =
+        build_point(clos, scheme, deployment, flows, cfg, spec.wq, spec.sel_drop);
+    run(topo, factory, recorder, &flows, sampling, DRAINED)
+}
+
+/// Mean reorder-buffer peak over the upgraded flows of a run, bytes.
+pub(crate) fn reorder_mean(rec: &Recorder) -> f64 {
+    let upgraded: Vec<f64> = rec
+        .flows
+        .iter()
+        .filter(|r| r.tag == TAG_UPGRADED)
+        .map(|r| r.reorder_peak as f64)
+        .collect();
+    if upgraded.is_empty() {
+        0.0
+    } else {
+        upgraded.iter().sum::<f64>() / upgraded.len() as f64
+    }
+}
+
 /// Runs one (scheme, ratio) point serially on the calling thread,
 /// averaging over `spec.seeds` seeds (see [`aggregate_seeds`]). Library
 /// consumers (benches, examples, figure 17/18 cells) use this directly;
@@ -217,42 +301,21 @@ pub fn run_point(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
         .map(|k| {
             let mut s = spec.clone();
             s.seed = seed_for(spec, k);
-            run_point_once(scheme, ratio, &s, None)
+            run_point_once(scheme, ratio, &s)
         })
         .collect();
     aggregate_seeds(&per_seed)
 }
 
-fn run_point_once(
-    scheme: Scheme,
-    ratio: f64,
-    spec: &SweepSpec,
-    probe: Option<Arc<ProgressProbe>>,
-) -> SweepPoint {
-    let clos = spec.scale.clos();
-    let n_hosts = clos.n_hosts();
-    let mut rng = SimRng::new(spec.seed.wrapping_mul(0x9E37).wrapping_add(7));
-    let deployment = Deployment::by_rack_ratio(&clos.rack_of(), ratio, &mut rng);
-    let flows = build_flows(spec, &deployment, n_hosts);
-    let frac = deployment.upgraded_byte_fraction(&flows);
-
-    let mut params = ProfileParams::simulation(clos.link_rate);
-    params.wq = spec.wq;
-    params.fp_red = flexpass_simcore::units::WireBytes::new(spec.sel_drop);
-    let profile = scheme.profile(&params, frac);
-    let host = flexpass::profiles::host_variant(&profile);
-    let topo = Topology::clos(clos, &profile, &host);
-
-    let fp_cfg = FlexPassConfig::new(spec.wq);
-    let factory = SchemeFactory::new(scheme, deployment, fp_cfg, frac);
-    let rec = run_flows_probed(
-        topo,
-        Box::new(factory),
+fn run_point_once(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
+    let rec = run_spec_point(
+        scheme,
+        ratio,
+        spec,
+        spec.seed.wrapping_mul(0x9E37).wrapping_add(7),
+        FlexPassConfig::new(spec.wq),
         Recorder::new(),
-        &flows,
         None,
-        TimeDelta::millis(20),
-        probe,
     );
     point_from_recorder(scheme, ratio, &rec)
 }
@@ -267,20 +330,13 @@ fn point_from_recorder(scheme: Scheme, ratio: f64, rec: &Recorder) -> SweepPoint
         avg[i] = rec.avg_fct(*t);
         stddev_small[i] = rec.stddev_small(*t);
     }
-    let upgraded: Vec<&flexpass_metrics::FlowRecord> =
-        rec.flows.iter().filter(|r| r.tag == TAG_UPGRADED).collect();
-    let reorder_mean = if upgraded.is_empty() {
-        0.0
-    } else {
-        upgraded.iter().map(|r| r.reorder_peak as f64).sum::<f64>() / upgraded.len() as f64
-    };
     SweepPoint {
         scheme: scheme.label(),
         ratio,
         p99_small,
         avg,
         stddev_small,
-        reorder_mean,
+        reorder_mean: reorder_mean(rec),
         timeouts: rec.total_timeouts() as f64,
         redundancy: rec.redundancy_fraction(),
         flows: rec.completed() as f64,
@@ -297,9 +353,8 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepPoint> {
 /// Runs the full sweep with an explicit worker count: the flattened
 /// (scheme, ratio, seed) triples are independent tasks on the work queue,
 /// and results reassemble in spec order, so the output is byte-identical
-/// for every `jobs` value (`jobs = 1` reproduces the historical serial
-/// order exactly). A seed whose simulation panics is dropped from its
-/// cell (surviving seeds still aggregate) and surfaces through
+/// for every `jobs` value. A seed whose simulation panics is dropped from
+/// its cell (surviving seeds still aggregate) and surfaces through
 /// [`orchestrate::take_failures`]; a cell that loses *every* seed renders
 /// as NaN statistics rather than fabricated zeros.
 pub fn run_sweep_jobs(jobs: usize, group: &str, spec: &SweepSpec) -> Vec<SweepPoint> {
@@ -312,9 +367,7 @@ pub fn run_sweep_jobs(jobs: usize, group: &str, spec: &SweepSpec) -> Vec<SweepPo
                 s.seed = seed_for(spec, k);
                 tasks.push(Task::new(
                     format!("{}:r{ratio:.2}:s{k}", scheme.label()),
-                    move |ctx: &TaskCtx| {
-                        run_point_once(scheme, ratio, &s, Some(Arc::clone(&ctx.probe)))
-                    },
+                    move || run_point_once(scheme, ratio, &s),
                 ));
             }
         }
@@ -331,17 +384,7 @@ pub fn run_sweep_jobs(jobs: usize, group: &str, spec: &SweepSpec) -> Vec<SweepPo
                     "  [{group}] cell {}:r{ratio:.2} lost all {n_seeds} seed(s); emitting NaN row",
                     scheme.label()
                 );
-                SweepPoint {
-                    scheme: scheme.label(),
-                    ratio,
-                    p99_small: [f64::NAN; 3],
-                    avg: [f64::NAN; 3],
-                    stddev_small: [f64::NAN; 3],
-                    reorder_mean: f64::NAN,
-                    timeouts: f64::NAN,
-                    redundancy: f64::NAN,
-                    flows: f64::NAN,
-                }
+                SweepPoint::filled(scheme.label(), ratio, f64::NAN)
             } else {
                 aggregate_seeds(&cell)
             });
@@ -427,8 +470,10 @@ pub fn by_type_csv(points: &[SweepPoint], stddev: bool) -> Csv {
 /// Figure 10 (background only) or Figure 11 (mixed), plus the Figure 12/13
 /// per-type reshapes when running the background-only sweep.
 pub fn fig10_or_11(scale: RunScale, mixed: bool) -> Vec<ScenarioResult> {
-    let mut spec = SweepSpec::fig10(scale);
-    spec.mixed = mixed;
+    let spec = SweepSpec {
+        mixed,
+        ..SweepSpec::fig10(scale)
+    };
     let group = if mixed { "fig11" } else { "fig10" };
     let points = run_sweep_jobs(orchestrate::jobs(), group, &spec);
     if mixed {
@@ -454,13 +499,13 @@ pub fn fig14(scale: RunScale) -> ScenarioResult {
         "p99_small_upgraded_ms",
     ]);
     for &load in &[0.1, 0.4, 0.7] {
-        let mut spec = SweepSpec::fig10(scale);
-        spec.load = load;
-        spec.schemes = vec![Scheme::Naive, Scheme::FlexPass];
-        spec.ratios = vec![0.0, 0.5, 1.0];
-        if scale == RunScale::Default {
-            spec.n_flows = Some(600);
-        }
+        let spec = SweepSpec {
+            schemes: vec![Scheme::Naive, Scheme::FlexPass],
+            ratios: vec![0.0, 0.5, 1.0],
+            load,
+            n_flows: SweepSpec::reduced_flows(scale),
+            ..SweepSpec::fig10(scale)
+        };
         for p in run_sweep_jobs(orchestrate::jobs(), "fig14", &spec) {
             csv.row(&[
                 p.scheme.to_string(),
@@ -486,12 +531,12 @@ pub fn fig15_16(scale: RunScale) -> ScenarioResult {
         "p99_gain_vs_0",
     ]);
     for cdf in FlowSizeCdf::all() {
-        let mut spec = SweepSpec::fig10(scale);
-        spec.cdf = cdf.clone();
-        spec.ratios = vec![0.0, 0.5, 1.0];
-        if scale == RunScale::Default {
-            spec.n_flows = Some(600);
-        }
+        let spec = SweepSpec {
+            ratios: vec![0.0, 0.5, 1.0],
+            cdf: cdf.clone(),
+            n_flows: SweepSpec::reduced_flows(scale),
+            ..SweepSpec::fig10(scale)
+        };
         let points = run_sweep_jobs(orchestrate::jobs(), "fig15_16", &spec);
         // Gain relative to the 0 % (all-DCTCP) point of the same scheme.
         for &scheme in &spec.schemes {

@@ -1,5 +1,6 @@
-//! Command-line errors of `flexpass-experiments`: a flag missing its value
-//! or an unknown flag is a usage error (exit 2), never a panic.
+//! Command-line errors of `flexpass-experiments`: a flag missing its
+//! value, a malformed value, an unknown flag or an unknown figure is a
+//! usage error (exit 2, the message and the usage line), never a panic.
 
 use std::process::Command;
 
@@ -41,6 +42,45 @@ fn unknown_flag_is_a_usage_error() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Asserts a usage error whose message contains `needle`.
+fn assert_usage_error(args: &[&str], needle: &str) -> String {
+    let (code, stderr) = run(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn malformed_values_are_usage_errors() {
+    assert_usage_error(&["--scale", "x"], "unknown scale x");
+    for flag in ["--jobs", "--par-sim"] {
+        for bad in ["abc", "0"] {
+            assert_usage_error(
+                &[flag, bad],
+                &format!("{flag} takes a positive integer, got {bad}"),
+            );
+        }
+    }
+    assert_usage_error(&["--fig", "custom"], "requires --trace FILE");
+}
+
+#[test]
+fn unknown_figure_lists_the_valid_names() {
+    // `fig16` is a paper figure but not a `--fig` name (`fig15` emits its
+    // series), so documents have advertised it by mistake.
+    for fig in ["nope", "fig16"] {
+        let stderr = assert_usage_error(&["--fig", fig], &format!("no figure matched '{fig}'"));
+        for name in ["all", "fig1a", "fig15", "ablation", "scale", "custom"] {
+            assert!(
+                stderr.split_whitespace().any(|w| w == name),
+                "{fig}: `{name}` not listed: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -261,7 +261,7 @@ const SKETCH_BINS: usize = ((SKETCH_MAX_EXP - SKETCH_MIN_EXP) as usize) * SKETCH
 /// with exact count / mean / min / max / variance on the side.
 ///
 /// Each power-of-two octave of the sample range is split into
-/// [`SKETCH_SUBS`] linear sub-buckets, HDR-histogram style. Bucketing
+/// `SKETCH_SUBS` (64) linear sub-buckets, HDR-histogram style. Bucketing
 /// extracts the exponent and top mantissa bits of the `f64` directly — no
 /// floating-point log, so the bin index is platform-independent and exact.
 /// A bucket spans a relative width of `1/64`, so any quantile read from a

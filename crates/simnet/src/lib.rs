@@ -21,7 +21,7 @@
 //!   paper's 3-tier Clos (8 core / 16 agg / 32 ToR / 192 hosts, 3:1
 //!   oversubscribed).
 //! * [`sim`] — the deterministic event-driven driver tying it together.
-//! * [`partition`] / [`parsim`] — the partitioned parallel engine: the
+//! * [`mod@partition`] / [`parsim`] — the partitioned parallel engine: the
 //!   fabric cut into per-thread domains at rack granularity, advanced in
 //!   conservative lock-step windows bounded by the cut's minimum link
 //!   propagation (`--par-sim N` on the experiments binary).

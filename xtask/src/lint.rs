@@ -103,7 +103,7 @@ const LINTED_CRATES: &[&str] = &[
     "crates/core",
 ];
 
-/// Individual files outside [`LINTED_CRATES`] the pass also covers. The
+/// Individual files outside the linted crates the pass also covers. The
 /// orchestrator legitimately uses threads and wall-clock time — each use
 /// carries a scoped `lint:allow` rationale — while every other rule stays
 /// fully enforced for it.
