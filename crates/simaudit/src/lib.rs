@@ -33,8 +33,11 @@
 //! # Usage
 //!
 //! The auditor is thread-local (the simulator is single-threaded per run)
-//! and dormant unless installed, so instrumented hot paths cost one
-//! thread-local check when auditing is off:
+//! and dormant unless installed. Every hook is `#[inline]` and opens by
+//! testing a thread-local `Cell<bool>` that `install` sets and `finish` /
+//! `take_partial` clear; the ledger work sits behind it in a `#[cold]`
+//! out-of-line call. With no auditor installed an instrumented hot path
+//! therefore pays one thread-local load and one branch per hook:
 //!
 //! ```
 //! flexpass_simaudit::install();
@@ -43,7 +46,7 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -251,6 +254,8 @@ struct Auditor {
 
 thread_local! {
     static AUDITOR: RefCell<Option<Auditor>> = const { RefCell::new(None) };
+    /// Whether `AUDITOR` holds an auditor: what the hooks test.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static NEXT_COMPONENT: RefCell<u64> = const { RefCell::new(0) };
 }
 
@@ -269,11 +274,19 @@ pub fn new_component_id() -> ComponentId {
 /// Starts auditing on this thread. Replaces any previous auditor.
 pub fn install() {
     AUDITOR.with(|a| *a.borrow_mut() = Some(Auditor::default()));
+    ACTIVE.set(true);
 }
 
 /// True when an auditor is installed on this thread.
+#[inline]
 pub fn is_active() -> bool {
-    AUDITOR.with(|a| a.borrow().is_some())
+    ACTIVE.get()
+}
+
+/// Detaches this thread's auditor, if any, and lowers the hooks' flag.
+fn uninstall() -> Option<Auditor> {
+    ACTIVE.set(false);
+    AUDITOR.with(|a| a.borrow_mut().take())
 }
 
 /// Runs the final conservation checks, uninstalls the auditor, and returns
@@ -283,9 +296,7 @@ pub fn is_active() -> bool {
 ///
 /// Panics if no auditor is installed.
 pub fn finish() -> AuditReport {
-    let mut aud = AUDITOR
-        .with(|a| a.borrow_mut().take())
-        .expect("simaudit::finish() without install()");
+    let mut aud = uninstall().expect("simaudit::finish() without install()");
     aud.final_checks();
     AuditReport {
         violations: aud.violations,
@@ -308,15 +319,20 @@ pub struct PartialAudit(Auditor);
 /// raw state for merging on another thread, or `None` when no auditor is
 /// installed here.
 pub fn take_partial() -> Option<PartialAudit> {
-    AUDITOR.with(|a| a.borrow_mut().take()).map(PartialAudit)
+    uninstall().map(PartialAudit)
 }
 
 /// Merges a domain thread's partial state into this thread's auditor.
 /// A no-op when no auditor is installed.
 pub fn absorb_partial(p: PartialAudit) {
-    with_auditor(|a| a.merge(p.0));
+    if is_active() {
+        with_auditor(|a| a.merge(p.0));
+    }
 }
 
+/// The recording side of a hook; callers have tested [`is_active`].
+#[cold]
+#[inline(never)]
 fn with_auditor(f: impl FnOnce(&mut Auditor)) {
     AUDITOR.with(|a| {
         if let Some(aud) = a.borrow_mut().as_mut() {
@@ -425,11 +441,16 @@ impl Auditor {
 }
 
 // ---------------------------------------------------------------------------
-// Hooks. All are no-ops unless an auditor is installed.
+// Hooks. Each tests the thread's flag first and is a no-op unless an
+// auditor is installed.
 // ---------------------------------------------------------------------------
 
 /// A calendar event was popped at `time_ns` with insertion sequence `seq`.
+#[inline]
 pub fn on_event_pop(time_ns: u64, seq: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         a.counters.events += 1;
         if a.any_pop {
@@ -460,7 +481,11 @@ pub fn on_event_pop(time_ns: u64, seq: u64) {
 
 /// An event was offered to the calendar for `time_ns` while virtual time
 /// was `now_ns`.
+#[inline]
 pub fn on_event_schedule(time_ns: u64, now_ns: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         if time_ns < now_ns {
             a.counters.schedule_clamps += 1;
@@ -476,7 +501,11 @@ pub fn on_event_schedule(time_ns: u64, now_ns: u64) {
 
 /// Queue `q` admitted `pkt` and now claims `queue_bytes_after` queued wire
 /// bytes.
+#[inline]
 pub fn on_enqueue(q: ComponentId, pkt: PktInfo, queue_bytes_after: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         a.counters.enqueues += 1;
         let l = a.queues.entry(q.0).or_default();
@@ -502,7 +531,11 @@ pub fn on_enqueue(q: ComponentId, pkt: PktInfo, queue_bytes_after: u64) {
 /// bytes. The packet is about to serialize onto the wire, so per-flow
 /// in-flight accounting is unchanged (it moves from "queued" to "on wire"
 /// within the same hook pair).
+#[inline]
 pub fn on_dequeue(q: ComponentId, pkt: PktInfo, queue_bytes_after: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         a.counters.dequeues += 1;
         let l = a.queues.entry(q.0).or_default();
@@ -538,7 +571,11 @@ pub fn on_dequeue(q: ComponentId, pkt: PktInfo, queue_bytes_after: u64) {
 }
 
 /// Switch `sw` reports `used` of `pool` shared-buffer bytes in use.
+#[inline]
 pub fn on_shared_buffer(sw: ComponentId, used: u64, pool: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         if used > pool {
             a.violate(
@@ -553,7 +590,11 @@ pub fn on_shared_buffer(sw: ComponentId, used: u64, pool: u64) {
 
 /// Switch `sw` counts `counted` shared-buffer bytes in use while its
 /// dynamically thresholded queues hold `queued` between them.
+#[inline]
 pub fn on_shared_count(sw: ComponentId, counted: u64, queued: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         if counted != queued {
             a.violate(
@@ -568,7 +609,11 @@ pub fn on_shared_count(sw: ComponentId, counted: u64, queued: u64) {
 
 /// Token bucket `shaper` holds `tokens` of at most `burst` (both in
 /// bit-nanoseconds; see `simnet::port`). Called after refills and spends.
+#[inline]
 pub fn on_shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         if tokens > burst {
             a.violate(
@@ -582,8 +627,9 @@ pub fn on_shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
 }
 
 /// A data packet of `pkt.flow` left a sender endpoint towards its NIC.
+#[inline]
 pub fn on_flow_tx(pkt: PktInfo) {
-    if !pkt.data {
+    if !is_active() || !pkt.data {
         return;
     }
     with_auditor(|a| {
@@ -593,8 +639,9 @@ pub fn on_flow_tx(pkt: PktInfo) {
 }
 
 /// A data packet arrived at a host (whether or not an endpoint claimed it).
+#[inline]
 pub fn on_flow_rx(pkt: PktInfo) {
-    if !pkt.data {
+    if !is_active() || !pkt.data {
         return;
     }
     with_auditor(|a| {
@@ -605,8 +652,9 @@ pub fn on_flow_rx(pkt: PktInfo) {
 
 /// A data packet was dropped (queue cap, shared buffer, selective red,
 /// or injected loss).
+#[inline]
 pub fn on_flow_drop(pkt: PktInfo) {
-    if !pkt.data {
+    if !is_active() || !pkt.data {
         return;
     }
     with_auditor(|a| {
@@ -616,8 +664,9 @@ pub fn on_flow_drop(pkt: PktInfo) {
 }
 
 /// A data packet started propagating on a link (scheduled to arrive).
+#[inline]
 pub fn on_wire_depart(pkt: PktInfo) {
-    if !pkt.data {
+    if !is_active() || !pkt.data {
         return;
     }
     with_auditor(|a| {
@@ -629,7 +678,11 @@ pub fn on_wire_depart(pkt: PktInfo) {
 /// buffers after a flush. Capacity may grow (warm-up) — each growth bumps
 /// [`AuditCounters::scratch_grows`] — but must never shrink: a shrink means
 /// the buffer was replaced with a fresh allocation instead of being reused.
+#[inline]
 pub fn on_scratch_capacity(c: ComponentId, cap: u64) {
+    if !is_active() {
+        return;
+    }
     with_auditor(|a| {
         let last = a.scratch_caps.get(&c.0).copied().unwrap_or(0);
         if cap < last {
@@ -649,8 +702,9 @@ pub fn on_scratch_capacity(c: ComponentId, cap: u64) {
 }
 
 /// A packet finished propagating and reached a node.
+#[inline]
 pub fn on_wire_arrive(pkt: PktInfo) {
-    if !pkt.data {
+    if !is_active() || !pkt.data {
         return;
     }
     with_auditor(|a| {
@@ -826,10 +880,53 @@ mod tests {
     }
 
     #[test]
-    fn inactive_hooks_are_noops() {
-        // No install(): nothing panics, nothing accumulates.
+    fn inactive_hooks_record_nothing() {
+        // No install(): nothing panics, and nothing is kept for a later
+        // auditor to find.
         on_event_pop(5, 0);
         on_flow_tx(data_pkt(1, 0, 10, 20));
+        on_enqueue(new_component_id(), data_pkt(1, 0, 10, 20), 999);
+        assert!(!is_active());
+        install();
+        let report = finish();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.counters, AuditCounters::default());
+    }
+
+    #[test]
+    fn active_flag_follows_install_and_finish() {
+        assert!(!is_active());
+        install();
+        assert!(is_active());
+        install(); // replacing an auditor keeps the hooks armed
+        assert!(is_active());
+        let _ = finish();
+        assert!(!is_active());
+    }
+
+    /// The `--par-sim` protocol: a domain thread installs, runs, detaches
+    /// its state; the parent absorbs it into its own auditor. The flag the
+    /// hooks test is per thread and follows each step.
+    #[test]
+    fn active_flag_follows_partial_handoff_between_threads() {
+        let partial = std::thread::spawn(|| {
+            assert!(!is_active());
+            install();
+            assert!(is_active());
+            on_event_pop(1, 0);
+            let partial = take_partial().expect("installed");
+            assert!(!is_active());
+            on_event_pop(2, 1); // detached: not recorded anywhere
+            partial
+        })
+        .join()
+        .expect("domain thread");
+        assert!(!is_active(), "a domain thread's install armed the parent");
+        install();
+        absorb_partial(partial);
+        assert!(is_active());
+        let report = finish();
+        assert_eq!(report.counters.events, 1);
         assert!(!is_active());
     }
 }

@@ -21,6 +21,7 @@
 //! reach the audit hooks — so a run with cancellations pops the same
 //! delivered sequence as if the cancelled events had never been scheduled.
 
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use crate::progress::{ProgressProbe, PUBLISH_EVERY};
@@ -33,10 +34,20 @@ use crate::wheel::TimingWheel;
 /// Slots are recycled, but each reuse bumps the generation, so a stale
 /// handle (already fired or cancelled) can never alias a newer timer:
 /// [`EventQueue::cancel`] and [`EventQueue::is_pending`] on it are no-ops.
+///
+/// Slot 0 of the slab is never handed out, so the slot number is non-zero
+/// and `Option<TimerHandle>` costs the same 8 bytes as the handle: every
+/// calendar entry carries one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerHandle {
-    slot: u32,
+    slot: NonZeroU32,
     generation: u32,
+}
+
+impl TimerHandle {
+    fn index(self) -> usize {
+        self.slot.get() as usize
+    }
 }
 
 /// In-calendar payload wrapper: cancellable entries carry their slab slot
@@ -53,14 +64,10 @@ struct Scheduled<E> {
 /// mutably alongside.
 fn dead_filter<'a, E>(
     gens: &'a [u32],
-    free: &'a mut Vec<u32>,
+    free: &'a mut Vec<NonZeroU32>,
 ) -> impl FnMut(&Scheduled<E>) -> bool + 'a {
     move |e| match e.timer {
-        Some(h)
-            if gens
-                .get(h.slot as usize)
-                .is_some_and(|&g| g != h.generation) =>
-        {
+        Some(h) if gens.get(h.index()).is_some_and(|&g| g != h.generation) => {
             free.push(h.slot);
             true
         }
@@ -109,9 +116,10 @@ pub struct EventQueue<E> {
     cancelled: u64,
     /// Generation counter per timer slab slot. A calendar entry whose
     /// recorded generation no longer matches is dead and is skipped on pop.
+    /// Slot 0 is a placeholder no handle refers to (see [`TimerHandle`]).
     timer_gens: Vec<u32>,
     /// Slab slots whose calendar entry has drained and can be reused.
-    free_slots: Vec<u32>,
+    free_slots: Vec<NonZeroU32>,
     /// Observational progress counters published every
     /// [`PUBLISH_EVERY`] pops; never read back by the simulation.
     probe: Option<Arc<ProgressProbe>>,
@@ -132,6 +140,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar pre-sized for roughly `n` concurrent
     /// events, avoiding repeated growth at sweep start.
     pub fn with_capacity(n: usize) -> Self {
+        let mut timer_gens = Vec::with_capacity(n.min(1 << 16) + 1);
+        timer_gens.push(0);
         EventQueue {
             wheel: TimingWheel::with_capacity(n),
             next_seq: 0,
@@ -139,7 +149,7 @@ impl<E> EventQueue<E> {
             last_time: Time::ZERO,
             clamped: 0,
             cancelled: 0,
-            timer_gens: Vec::with_capacity(n.min(1 << 16)),
+            timer_gens,
             free_slots: Vec::new(),
             probe: None,
         }
@@ -178,14 +188,17 @@ impl<E> EventQueue<E> {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                let s = self.timer_gens.len() as u32;
+                let s = u32::try_from(self.timer_gens.len())
+                    .ok()
+                    .and_then(NonZeroU32::new)
+                    .expect("timer slab holds slot 0 and fewer than 2^32 slots");
                 self.timer_gens.push(0);
                 s
             }
         };
         let generation = *self
             .timer_gens
-            .get(slot as usize)
+            .get(slot.get() as usize)
             .expect("slab slot just allocated");
         let handle = TimerHandle { slot, generation };
         self.schedule_entry(
@@ -224,7 +237,7 @@ impl<E> EventQueue<E> {
     /// was still live; `false` (a no-op) if it already fired or was
     /// already cancelled. O(1): the calendar entry is discarded lazily.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        match self.timer_gens.get_mut(handle.slot as usize) {
+        match self.timer_gens.get_mut(handle.index()) {
             Some(g) if *g == handle.generation => {
                 *g = g.wrapping_add(1);
                 self.cancelled += 1;
@@ -237,7 +250,7 @@ impl<E> EventQueue<E> {
     /// True while `handle`'s event is still scheduled (not yet fired or
     /// cancelled).
     pub fn is_pending(&self, handle: TimerHandle) -> bool {
-        self.timer_gens.get(handle.slot as usize) == Some(&handle.generation)
+        self.timer_gens.get(handle.index()) == Some(&handle.generation)
     }
 
     /// True if the entry is a cancelled leftover; recycles its slab slot
@@ -248,7 +261,7 @@ impl<E> EventQueue<E> {
             Some(h) => {
                 let g = self
                     .timer_gens
-                    .get_mut(h.slot as usize)
+                    .get_mut(h.index())
                     .expect("slab slot valid while its handle is outstanding");
                 let dead = *g != h.generation;
                 if !dead {
@@ -302,7 +315,7 @@ impl<E> EventQueue<E> {
                     Some(h)
                         if self
                             .timer_gens
-                            .get(h.slot as usize)
+                            .get(h.index())
                             .is_some_and(|&g| g != h.generation) =>
                     {
                         true
@@ -358,6 +371,19 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::TimeDelta;
+
+    /// Regression pin: a calendar entry around a 16-byte payload (the size
+    /// of `simnet::sim::Event`) is 40 bytes — time, sequence, payload and
+    /// an 8-byte optional timer handle. At 64 bytes (a 12-byte `Option`
+    /// around a niche-less handle, a 32-byte event) every sort and sift
+    /// moved a cache line per entry.
+    #[test]
+    fn calendar_entry_is_forty_bytes() {
+        use crate::wheel::CalEntry;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<TimerHandle>>(), 8);
+        assert!(size_of::<CalEntry<Scheduled<[u64; 2]>>>() <= 40);
+    }
 
     #[test]
     fn pops_in_time_order() {

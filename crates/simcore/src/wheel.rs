@@ -11,21 +11,26 @@
 //!   64× coarser, so the wheel covers `2^(SLOT_BITS + 6·LEVELS)` ns
 //!   (≈ 17 s) past the cursor. Anything farther goes to a sorted
 //!   *overflow* heap and is re-distributed when the cursor reaches it.
-//! * **Current-slot heap.** Entries at or before the cursor's level-0 slot
-//!   live in a small binary heap (`cur`) ordered by `(time, seq)`. The
-//!   global minimum is always `cur.peek()`: every entry outside `cur` sits
-//!   in a strictly later level-0 slot, hence at a strictly later time.
-//!   Same-instant entries always share a slot, so FIFO tie-breaks reduce to
-//!   the `seq` ordering inside `cur` — identical to a plain binary heap.
+//! * **Current slot: a sorted run plus a side heap.** When the cursor
+//!   reaches a level-0 slot its bucket is sorted once by `(time, seq)`
+//!   (keys are unique, so the order is fully determined) into `run`, stored
+//!   latest-first so a pop is `Vec::pop` off the back. Entries that arrive
+//!   at or before the cursor's slot *after* that — a same-slot reschedule,
+//!   or the head of a cascaded block — go to a binary heap (`cur`).
+//!   The global minimum is the earlier of `run.last()` and `cur.peek()`:
+//!   every other entry sits in a strictly later level-0 slot, hence at a
+//!   strictly later time. Same-instant entries always share a slot, so
+//!   FIFO tie-breaks reduce to the `seq` ordering between those two heads
+//!   — identical to a plain binary heap.
 //! * **Eager normalisation.** After every `push`/`pop` the wheel restores
-//!   the invariant *`cur` is non-empty whenever `len > 0`* by advancing the
-//!   cursor to the next occupied slot (cascading coarser levels down as
-//!   needed). This keeps `peek` a `&self` O(1) operation, matching the
-//!   `BinaryHeap` contract the simulator was built against.
+//!   the invariant *`run` or `cur` is non-empty whenever `len > 0`* by
+//!   advancing the cursor to the next occupied slot (cascading coarser
+//!   levels down as needed). This keeps `peek` a `&self` O(1) operation,
+//!   matching the `BinaryHeap` contract the simulator was built against.
 //!
 //! Scheduling earlier than the cursor's slot is legal (the cursor can run
 //! ahead of the last *popped* time after normalisation); such entries land
-//! in `cur` and are ordered by the heap like any other.
+//! in `cur` and are ordered against the run like any other.
 //!
 //! Occupancy is tracked as one `u64` bitmask per level, so "find the next
 //! occupied slot" is a masked `trailing_zeros`, and an idle wheel costs
@@ -48,7 +53,7 @@ pub const LEVELS: usize = 4;
 const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 
 /// A calendar entry: `(time, seq)` orders pops, `payload` rides along.
-struct CalEntry<T> {
+pub(crate) struct CalEntry<T> {
     time: Time,
     seq: u64,
     payload: T,
@@ -82,14 +87,19 @@ impl<T> Ord for CalEntry<T> {
 ///
 /// Same `push`/`pop`/`peek` contract as one `BinaryHeap` over
 /// `(time, seq)` — pops are globally ordered — but near-future scheduling
-/// is O(1) and pops touch only the small current-slot heap plus an
-/// occasional cascade, instead of sifting a single calendar-wide heap.
+/// is O(1) and pops take the back of the current slot's sorted run (or the
+/// head of its side heap) plus an occasional cascade, instead of
+/// sifting a single calendar-wide heap.
 pub struct TimingWheel<T> {
     /// `LEVELS × SLOTS_PER_LEVEL` buckets, indexed `lvl * 64 + slot`.
     slots: Vec<Vec<CalEntry<T>>>,
     /// One occupancy bit per slot, per level.
     occ: [u64; LEVELS],
-    /// Entries at or before the cursor's level-0 slot, earliest-first.
+    /// The bucket promoted at the cursor's level-0 slot, sorted
+    /// latest-first: the back is its earliest entry.
+    run: Vec<CalEntry<T>>,
+    /// Entries placed at or before the cursor's slot since that promotion,
+    /// earliest-first.
     cur: BinaryHeap<CalEntry<T>>,
     /// Entries beyond the wheel horizon, earliest-first.
     overflow: BinaryHeap<CalEntry<T>>,
@@ -112,12 +122,13 @@ impl<T> TimingWheel<T> {
 
     /// Creates an empty wheel sized for roughly `n` concurrent entries.
     ///
-    /// Only the current-slot heap is pre-sized (wheel buckets grow on
+    /// Only the current-slot side heap is pre-sized (wheel buckets grow on
     /// demand and stay allocated once touched).
     pub fn with_capacity(n: usize) -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
+            run: Vec::new(),
             cur: BinaryHeap::with_capacity(n.min(SLOTS_PER_LEVEL)),
             overflow: BinaryHeap::new(),
             cur_slot: 0,
@@ -137,7 +148,7 @@ impl<T> TimingWheel<T> {
     /// Dropping is unobservable in the pop sequence (the caller would have
     /// discarded the entry at the head anyway), but on cancellation-heavy
     /// schedules it keeps dead timers from cascading through every level
-    /// and sifting the current-slot heap.
+    /// and being sorted into the current slot.
     pub fn push_reap(
         &mut self,
         time: Time,
@@ -147,7 +158,7 @@ impl<T> TimingWheel<T> {
     ) {
         self.place(CalEntry { time, seq, payload });
         self.len += 1;
-        if self.cur.is_empty() {
+        if self.run.is_empty() && self.cur.is_empty() {
             self.advance(dead);
         }
     }
@@ -159,13 +170,17 @@ impl<T> TimingWheel<T> {
 
     /// [`pop`](Self::pop) with a liveness filter (see
     /// [`push_reap`](Self::push_reap)). The returned entry itself is *not*
-    /// filtered — entries already promoted into the current-slot heap are
+    /// filtered — entries already promoted into the current slot are
     /// delivered and discarded by the caller — only the cascade work this
     /// pop triggers.
     pub fn pop_reap(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<(Time, u64, T)> {
-        let e = self.cur.pop()?;
+        let e = if self.run_is_next() {
+            self.run.pop()
+        } else {
+            self.cur.pop()
+        }?;
         self.len -= 1;
-        if self.cur.is_empty() && self.len > 0 {
+        if self.run.is_empty() && self.cur.is_empty() && self.len > 0 {
             self.advance(dead);
         }
         Some((e.time, e.seq, e.payload))
@@ -173,10 +188,24 @@ impl<T> TimingWheel<T> {
 
     /// The earliest entry without removing it.
     ///
-    /// O(1): normalisation guarantees the global minimum sits at the head
-    /// of the current-slot heap.
+    /// O(1): normalisation guarantees the global minimum is the back of
+    /// the sorted run or the head of the side heap.
     pub fn peek(&self) -> Option<(Time, u64, &T)> {
-        self.cur.peek().map(|e| (e.time, e.seq, &e.payload))
+        let e = if self.run_is_next() {
+            self.run.last()
+        } else {
+            self.cur.peek()
+        }?;
+        Some((e.time, e.seq, &e.payload))
+    }
+
+    /// True when the next pop comes off the sorted run rather than the
+    /// side heap. `CalEntry`'s order is reversed (earliest is greatest).
+    fn run_is_next(&self) -> bool {
+        match (self.run.last(), self.cur.peek()) {
+            (Some(r), Some(h)) => r > h,
+            (r, _) => r.is_some(),
+        }
     }
 
     /// Number of stored entries.
@@ -189,8 +218,9 @@ impl<T> TimingWheel<T> {
         self.len == 0
     }
 
-    /// Routes one entry to the current-slot heap, a wheel level, or the
-    /// overflow heap, relative to the current cursor. Does not touch `len`.
+    /// Routes one entry to the current slot's side heap, a wheel level, or
+    /// the overflow heap, relative to the current cursor. Does not touch
+    /// `len`.
     fn place(&mut self, e: CalEntry<T>) {
         let s0 = e.time.as_nanos() >> SLOT_BITS;
         if s0 <= self.cur_slot {
@@ -223,15 +253,16 @@ impl<T> TimingWheel<T> {
         (m != 0).then(|| m.trailing_zeros())
     }
 
-    /// Advances the cursor until the current-slot heap is non-empty,
+    /// Advances the cursor until the current slot holds an entry,
     /// cascading coarser levels (and the overflow heap) down as needed.
     /// Entries flagged by `dead` are dropped at the first touch instead of
     /// being re-placed or promoted.
     ///
-    /// Precondition: `cur` is empty (no-op when the wheel is empty).
+    /// Precondition: `run` and `cur` are empty (no-op when the wheel is
+    /// empty).
     fn advance(&mut self, dead: &mut dyn FnMut(&T) -> bool) {
         loop {
-            if !self.cur.is_empty() || self.len == 0 {
+            if !self.run.is_empty() || !self.cur.is_empty() || self.len == 0 {
                 return;
             }
             // Next occupied level-0 slot in the cursor's block: promote it.
@@ -248,18 +279,17 @@ impl<T> TimingWheel<T> {
                 let before = bucket.len();
                 bucket.retain(|e| !dead(&e.payload));
                 self.len -= before - bucket.len();
-                // `cur` is empty here, so the whole bucket heapifies in
-                // O(n) instead of n log n pushes. The spent current-slot
-                // buffer is recycled into the promoted slot: without the
-                // swap-back every promotion dropped one grown buffer and
-                // left a zero-capacity slot behind, so each slot re-grew
-                // through the same doubling sequence on every wheel
-                // rotation (the dominant steady-state allocation source).
-                // lint:allow(alloc-in-datapath): BinaryHeap::from(Vec) is an
-                // in-place heapify reusing the bucket's allocation.
-                let spent = std::mem::replace(&mut self.cur, BinaryHeap::from(bucket));
+                // One in-place sort instead of a heapify plus a sift per
+                // pop: `(time, seq)` keys are unique, so the unstable sort
+                // has exactly one result. The spent run buffer is recycled
+                // into the promoted slot: without the swap-back every
+                // promotion dropped one grown buffer and left a
+                // zero-capacity slot behind, so each slot re-grew through
+                // the same doubling sequence on every wheel rotation (the
+                // dominant steady-state allocation source).
+                bucket.sort_unstable();
                 // lint:allow(panic-path): same idx bound as the take above.
-                self.slots[idx as usize] = spent.into_vec();
+                self.slots[idx as usize] = std::mem::replace(&mut self.run, bucket);
                 // If the whole bucket was dead, keep advancing.
                 continue;
             }
@@ -385,6 +415,66 @@ mod tests {
         w.push(Time::from_nanos(10_000), 0, ());
         w.push(Time::from_nanos(200), 1, ());
         assert_eq!(drain(&mut w), vec![(200, 1), (10_000, 0)]);
+    }
+
+    #[test]
+    fn push_behind_the_run_tail_pops_first() {
+        // Slot 1 (1024..2048 ns) is promoted into a sorted run when slot 0
+        // drains; entries placed into it afterwards go to the side heap and
+        // must still interleave with the run in (time, seq) order.
+        let mut w = TimingWheel::new();
+        w.push(Time::from_nanos(5), 0, ());
+        for (seq, t) in [(1, 1500), (2, 1100), (3, 1900), (4, 1500)] {
+            w.push(Time::from_nanos(t), seq, ());
+        }
+        assert_eq!(w.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 0)));
+        assert_eq!(w.run.len(), 4, "slot 1 promoted into the run");
+        // Earlier than the run tail, equal to a run entry (FIFO by seq: it
+        // follows both 1500s already there), later than the run head, and
+        // earlier than the cursor's slot altogether.
+        for (seq, t) in [(5, 1050), (6, 1500), (7, 1950), (8, 900)] {
+            w.push(Time::from_nanos(t), seq, ());
+        }
+        assert_eq!(w.cur.len(), 4, "late arrivals wait in the side heap");
+        assert_eq!(w.peek().map(|(t, s, _)| (t.as_nanos(), s)), Some((900, 8)));
+        assert_eq!(
+            drain(&mut w),
+            vec![
+                (900, 8),
+                (1050, 5),
+                (1100, 2),
+                (1500, 1),
+                (1500, 4),
+                (1500, 6),
+                (1900, 3),
+                (1950, 7),
+            ]
+        );
+    }
+
+    #[test]
+    fn promoted_bucket_capacity_returns_to_its_slot() {
+        // Regression: a promotion that drops the spent current-slot buffer
+        // leaves a zero-capacity slot behind, and every slot re-grows on
+        // every wheel rotation (`tests/alloc_free_datapath.rs` counts it).
+        let mut w = TimingWheel::new();
+        w.push(Time::from_nanos(5), 0, ()); // holds the cursor at slot 0
+        for i in 1..=100u64 {
+            w.push(Time::from_nanos((1 << SLOT_BITS) + i), i, ());
+        }
+        w.push(Time::from_nanos(2 << SLOT_BITS), 101, ());
+        let grown = w.slots[1].capacity();
+        assert!(grown >= 100);
+        // Leaving slot 0 promotes slot 1's bucket, buffer and all.
+        w.pop();
+        assert_eq!((w.cur_slot, w.run.capacity()), (1, grown));
+        // Draining it promotes slot 2, which receives the spent buffer.
+        for _ in 0..100 {
+            w.pop();
+        }
+        assert_eq!(w.cur_slot, 2);
+        assert_eq!(w.slots[2].capacity(), grown, "spent run buffer dropped");
+        assert_eq!(w.len(), 1);
     }
 
     #[test]

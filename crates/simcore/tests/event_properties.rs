@@ -10,6 +10,8 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use flexpass_simcore::event::EventQueue;
 use flexpass_simcore::time::{Time, TimeDelta};
+use flexpass_simcore::wheel::SLOT_BITS;
+use flexpass_simcore::TimerHandle;
 use proptest::prelude::*;
 
 /// Reference model for the differential test: the calendar as one binary
@@ -50,6 +52,60 @@ impl RefCalendar {
             self.popped += 1;
             return Some((time, seq));
         }
+    }
+}
+
+/// The calendar and the reference model driven in lock step: every
+/// schedule, cancellation and pop goes to both, and every observable they
+/// return is compared on the spot.
+#[derive(Default)]
+struct Pair {
+    wheel: EventQueue<u64>,
+    heap: RefCalendar,
+    /// Outstanding cancellable timers as (queue handle, model seq) pairs,
+    /// so a cancellation targets the same logical timer in both. Entries
+    /// stay after their timer fires: cancelling those must fail in both.
+    handles: Vec<(TimerHandle, u64)>,
+    last_time: Time,
+}
+
+impl Pair {
+    fn schedule(&mut self, dt: u64, cancellable: bool) {
+        let at = self.last_time + TimeDelta::nanos(dt);
+        let seq = self.heap.schedule(at, cancellable);
+        if cancellable {
+            self.handles
+                .push((self.wheel.schedule_cancelable(at, seq), seq));
+        } else {
+            self.wheel.schedule(at, seq);
+        }
+    }
+
+    fn cancel(&mut self, i: usize) {
+        if !self.handles.is_empty() {
+            let (h, seq) = self.handles.swap_remove(i % self.handles.len());
+            assert_eq!(
+                self.wheel.cancel(h),
+                self.heap.cancel(seq),
+                "calendar disagreed with the heap on cancel result"
+            );
+        }
+    }
+
+    fn pop(&mut self) -> bool {
+        let a = self.wheel.pop();
+        assert_eq!(a, self.heap.pop(), "calendar diverged from the heap on pop");
+        if let Some((t, _)) = a {
+            assert!(t >= self.last_time, "time went backwards");
+            self.last_time = t;
+        }
+        a.is_some()
+    }
+
+    /// Drains both to the end: the full residual sequence must match.
+    fn drain(mut self) {
+        while self.pop() {}
+        assert_eq!(self.wheel.popped(), self.heap.popped);
     }
 }
 
@@ -142,55 +198,65 @@ proptest! {
     fn wheel_and_heap_pop_identically_under_cancellation(
         tape in prop::collection::vec((0u8..=255, 0u64..u64::MAX), 1..300),
     ) {
-        let ops: Vec<Op> = tape.into_iter().map(|(k, a)| decode(k, a)).collect();
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap = RefCalendar::default();
-        // Outstanding cancellable timers as (queue handle, model seq) pairs,
-        // so a cancellation targets the same logical timer in both.
-        let mut handles = Vec::new();
-        let mut last_time = Time::ZERO;
-        for op in ops {
-            match op {
+        let mut pair = Pair::default();
+        for (kind, arg) in tape {
+            match decode(kind, arg) {
                 Op::Pop => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    prop_assert_eq!(a, b, "calendar diverged from the heap on pop");
-                    if let Some((t, _)) = a {
-                        prop_assert!(t >= last_time, "time went backwards");
-                        last_time = t;
-                    }
+                    pair.pop();
                 }
-                Op::Schedule(dt) => {
-                    let at = last_time + TimeDelta::nanos(dt);
-                    let seq = heap.schedule(at, false);
-                    wheel.schedule(at, seq);
-                }
-                Op::ScheduleCancelable(dt) => {
-                    let at = last_time + TimeDelta::nanos(dt);
-                    let seq = heap.schedule(at, true);
-                    handles.push((wheel.schedule_cancelable(at, seq), seq));
-                }
-                Op::Cancel(i) => {
-                    if !handles.is_empty() {
-                        let (h, seq) = handles.swap_remove(i % handles.len());
-                        prop_assert_eq!(
-                            wheel.cancel(h),
-                            heap.cancel(seq),
-                            "calendar disagreed with the heap on cancel result"
-                        );
-                    }
-                }
+                Op::Schedule(dt) => pair.schedule(dt, false),
+                Op::ScheduleCancelable(dt) => pair.schedule(dt, true),
+                Op::Cancel(i) => pair.cancel(i),
             }
         }
-        // Drain both to the end: the full residual sequence must match.
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b, "calendar diverged from the heap on final drain");
-            if a.is_none() {
-                break;
+        pair.drain();
+    }
+
+    /// The same differential check aimed at the current slot's sorted run.
+    /// Each round parks a bucket of entries in one level-0 slot ahead of the
+    /// cursor, pops into it — the calendar sorts the bucket into its run —
+    /// and then, with the run part-drained, schedules more entries around
+    /// it: at the instant just popped, before the run's next entry, after
+    /// it, and past the slot's end. Those cannot join the sorted run; they
+    /// must still interleave with it in `(time, seq)` order. Cancellations
+    /// hit entries inside the run, entries beside it and timers that have
+    /// already fired.
+    #[test]
+    fn pushes_into_a_part_drained_run_pop_in_order(
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec((0u64..(1 << SLOT_BITS), any::<bool>()), 4..40),
+                0usize..40,
+                prop::collection::vec((0u64..(3 << (SLOT_BITS - 1)), any::<bool>()), 0..12),
+                prop::collection::vec(any::<usize>(), 0..8),
+                0usize..20,
+            ),
+            1..12,
+        ),
+    ) {
+        let mut pair = Pair::default();
+        for (bucket, pops, around, cancels, more_pops) in rounds {
+            // An entry at the current instant keeps the cursor where it is
+            // while the bucket fills two slots ahead.
+            pair.schedule(0, false);
+            let now = pair.last_time.as_nanos();
+            let slot_start = ((now >> SLOT_BITS) + 2) << SLOT_BITS;
+            for (offset, cancellable) in bucket {
+                pair.schedule(slot_start + offset - now, cancellable);
+            }
+            for _ in 0..=pops {
+                pair.pop();
+            }
+            for (dt, cancellable) in around {
+                pair.schedule(dt, cancellable);
+            }
+            for i in cancels {
+                pair.cancel(i);
+            }
+            for _ in 0..more_pops {
+                pair.pop();
             }
         }
-        prop_assert_eq!(wheel.popped(), heap.popped);
+        pair.drain();
     }
 }

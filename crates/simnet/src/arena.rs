@@ -11,8 +11,9 @@
 //! live ones — a queued packet's successor link costs no allocation and no
 //! separate node. The slab is preallocated by
 //! [`crate::sim::Sim::with_flow_capacity`] from the topology's queue
-//! capacity hints; post-warmup growth is telemetry ([`PacketArena::grows`])
-//! that the zero-alloc gate watches.
+//! capacity hints; an acquire that finds it full doubles it, so a shortfall
+//! of any size costs O(log n) growth events, each counted as telemetry
+//! ([`PacketArena::grows`]) that the zero-alloc gate watches.
 //!
 //! Lifecycle: `acquire` (endpoint send) → enqueue (NIC/switch queue links
 //! the id) → dequeue (port serves the id) → `release` (deliver or drop
@@ -113,12 +114,17 @@ impl PacketArena {
         }
     }
 
+    /// One growth event: every slot is live, so double the slab.
+    #[cold]
+    fn grow(&mut self) {
+        self.grows += 1;
+        self.grow_to(self.slots.len().saturating_mul(2).max(1));
+    }
+
     /// Store `pkt` in a free slot and mint the id for it.
     pub fn acquire(&mut self, pkt: Packet) -> PacketId {
         if self.free == NIL {
-            self.grows += 1;
-            let want = self.slots.len().saturating_add(1);
-            self.grow_to(want);
+            self.grow();
         }
         let idx = self.free;
         let slot = self
@@ -232,8 +238,8 @@ impl PacketArena {
         self.slots.len()
     }
 
-    /// Post-construction slab growth events. Zero in steady state once
-    /// the arena is sized to the workload.
+    /// Post-construction slab growth events (each doubles the slab). Zero
+    /// in steady state once the arena is sized to the workload.
     pub fn grows(&self) -> u64 {
         self.grows
     }
@@ -353,16 +359,38 @@ mod tests {
         }
     }
 
+    /// Regression: the slab grew one slot per miss, so a 256 → 1,262-slot
+    /// warm-up reported 1,006 growth events. It doubles instead: `grows`
+    /// counts growth events, not slots, and ids minted before a growth
+    /// stay valid across it.
     #[test]
-    fn grow_on_demand_counts_growth() {
+    fn growth_doubles_and_keeps_ids_valid() {
         let mut a = PacketArena::with_capacity(2);
-        let ids: Vec<PacketId> = (0..5).map(|i| a.acquire(pkt(i))).collect();
-        assert_eq!(a.live(), 5);
-        assert_eq!(a.grows(), 3, "three acquires missed the preallocation");
-        assert!(a.capacity() >= 5);
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(a.get(*id).map(seq_of), Some(i as u32));
+        let mut ids: Vec<PacketId> = Vec::new();
+        for (n, cap, grows) in [(2, 2, 0), (3, 4, 1), (4, 4, 1), (5, 8, 2), (9, 16, 3)] {
+            while ids.len() < n {
+                ids.push(a.acquire(pkt(ids.len() as u32)));
+            }
+            assert_eq!((a.capacity(), a.grows()), (cap, grows), "at {n} live");
+            for (i, id) in ids.iter().enumerate() {
+                assert_eq!(a.get(*id).map(seq_of), Some(i as u32));
+            }
         }
+        assert_eq!((a.live(), a.high_water()), (9, 9));
+        // A slot released before a growth is reused after it, and the id
+        // it had stays dead.
+        let old = ids.swap_remove(0);
+        assert!(a.release(old).is_some());
+        while a.capacity() == 16 {
+            ids.push(a.acquire(pkt(99)));
+        }
+        assert!(a.get(old).is_none());
+        assert_eq!(a.grows(), 4);
+        // An empty arena grows from nothing.
+        let mut empty = PacketArena::new();
+        let id = empty.acquire(pkt(7));
+        assert_eq!(empty.get(id).map(seq_of), Some(7));
+        assert_eq!(empty.grows(), 1);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! With the `audit` feature (the default) every function forwards to
 //! [`flexpass_simaudit`], which checks queue byte conservation, shared-buffer
-//! and credit-shaper bounds, and end-to-end flow byte conservation. Without
-//! the feature the whole module compiles to no-ops and zero-sized state, so
-//! instrumented call sites need no `cfg` of their own.
+//! and credit-shaper bounds, and end-to-end flow byte conservation — but
+//! only while an auditor is installed. The shims and the hooks behind them
+//! are `#[inline]`, and a shim that takes a packet tests [`is_active`]
+//! before it reads the packet into a [`PktInfo`], so with no auditor each
+//! call site is a thread-local load and a branch. Without the feature the
+//! whole module compiles to no-ops and zero-sized state, so instrumented
+//! call sites need no `cfg` of their own.
 //!
 //! The typical test-side protocol:
 //!
@@ -41,22 +45,29 @@ fn info(pkt: &Packet) -> PktInfo {
 }
 
 /// Queue `q` admitted `pkt`; the queue now claims `bytes_after` queued bytes.
+#[inline]
 pub fn enqueue(q: ComponentId, pkt: &Packet, bytes_after: WireBytes) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_enqueue(q, info(pkt), bytes_after.get());
+    if is_active() {
+        flexpass_simaudit::on_enqueue(q, info(pkt), bytes_after.get());
+    }
     #[cfg(not(feature = "audit"))]
     let _ = (q, pkt, bytes_after);
 }
 
 /// Queue `q` released `pkt`; the queue now claims `bytes_after` queued bytes.
+#[inline]
 pub fn dequeue(q: ComponentId, pkt: &Packet, bytes_after: WireBytes) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_dequeue(q, info(pkt), bytes_after.get());
+    if is_active() {
+        flexpass_simaudit::on_dequeue(q, info(pkt), bytes_after.get());
+    }
     #[cfg(not(feature = "audit"))]
     let _ = (q, pkt, bytes_after);
 }
 
 /// Switch `sw` has `used` of `pool` shared-buffer bytes admitted.
+#[inline]
 pub fn shared_buffer(sw: ComponentId, used: WireBytes, pool: WireBytes) {
     #[cfg(feature = "audit")]
     flexpass_simaudit::on_shared_buffer(sw, used.get(), pool.get());
@@ -67,6 +78,7 @@ pub fn shared_buffer(sw: ComponentId, used: WireBytes, pool: WireBytes) {
 /// Switch `sw` counts `counted` bytes in its dynamically thresholded queues;
 /// `scan` recomputes that from the queues and runs only while an auditor is
 /// installed.
+#[inline]
 pub fn shared_count(sw: ComponentId, counted: WireBytes, scan: impl FnOnce() -> WireBytes) {
     #[cfg(feature = "audit")]
     if is_active() {
@@ -77,6 +89,7 @@ pub fn shared_count(sw: ComponentId, counted: WireBytes, scan: impl FnOnce() -> 
 }
 
 /// Token bucket `shaper` holds `tokens` of at most `burst` bit-nanoseconds.
+#[inline]
 pub fn shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
     #[cfg(feature = "audit")]
     flexpass_simaudit::on_shaper_tokens(shaper, tokens, burst);
@@ -85,26 +98,35 @@ pub fn shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
 }
 
 /// An endpoint handed `pkt` to its NIC.
+#[inline]
 pub fn flow_tx(pkt: &Packet) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_flow_tx(info(pkt));
+    if is_active() {
+        flexpass_simaudit::on_flow_tx(info(pkt));
+    }
     #[cfg(not(feature = "audit"))]
     let _ = pkt;
 }
 
 /// `pkt` arrived at a host.
+#[inline]
 pub fn flow_rx(pkt: &Packet) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_flow_rx(info(pkt));
+    if is_active() {
+        flexpass_simaudit::on_flow_rx(info(pkt));
+    }
     #[cfg(not(feature = "audit"))]
     let _ = pkt;
 }
 
 /// `pkt` was dropped (queue cap, shared buffer, selective red, or injected
 /// loss).
+#[inline]
 pub fn flow_drop(pkt: &Packet) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_flow_drop(info(pkt));
+    if is_active() {
+        flexpass_simaudit::on_flow_drop(info(pkt));
+    }
     #[cfg(not(feature = "audit"))]
     let _ = pkt;
 }
@@ -112,6 +134,7 @@ pub fn flow_drop(pkt: &Packet) {
 /// Component `c` reports `cap` total scratch-buffer capacity after a flush.
 /// Growth is warm-up; a shrink (buffer replaced, not reused) is a
 /// violation.
+#[inline]
 pub fn scratch_capacity(c: ComponentId, cap: u64) {
     #[cfg(feature = "audit")]
     flexpass_simaudit::on_scratch_capacity(c, cap);
@@ -120,17 +143,23 @@ pub fn scratch_capacity(c: ComponentId, cap: u64) {
 }
 
 /// `pkt` started propagating on a link.
+#[inline]
 pub fn wire_depart(pkt: &Packet) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_wire_depart(info(pkt));
+    if is_active() {
+        flexpass_simaudit::on_wire_depart(info(pkt));
+    }
     #[cfg(not(feature = "audit"))]
     let _ = pkt;
 }
 
 /// `pkt` finished propagating and reached a node.
+#[inline]
 pub fn wire_arrive(pkt: &Packet) {
     #[cfg(feature = "audit")]
-    flexpass_simaudit::on_wire_arrive(info(pkt));
+    if is_active() {
+        flexpass_simaudit::on_wire_arrive(info(pkt));
+    }
     #[cfg(not(feature = "audit"))]
     let _ = pkt;
 }

@@ -196,29 +196,31 @@ impl Shaper {
     }
 }
 
-#[derive(Debug)]
+/// Most queues a port can hold (Homa's eight strict queues are the widest
+/// profile). Bounds the inline level and index tables of [`Port`].
+pub const MAX_QUEUES: usize = 8;
+
+/// One strict-priority level: a run of adjacent queues in [`Port`]'s
+/// queue block, plus the DWRR pointer over them.
+#[derive(Clone, Copy, Debug, Default)]
 struct Level {
-    /// Queue indices at this level, in configuration order.
-    members: Vec<usize>,
-    /// Round-robin pointer into `members`.
-    pos: usize,
+    /// Block position of the level's first queue.
+    first: u8,
+    /// Queues at this level, in configuration order.
+    len: u8,
+    /// Round-robin pointer, as an offset from `first`.
+    pos: u8,
     /// Whether the queue under the pointer still needs its visit quantum.
     fresh: bool,
+    /// The level's only queue has a token-bucket shaper.
+    shaped: bool,
 }
 
 impl Level {
-    /// Queue index under the round-robin pointer.
-    fn current(&self) -> usize {
-        *self
-            .members
-            .get(self.pos)
-            .expect("pos stays within members")
-    }
-
     /// Rotates the pointer to the next member and marks it fresh.
     fn advance(&mut self) {
         self.pos += 1;
-        if self.pos >= self.members.len() {
+        if self.pos >= self.len {
             self.pos = 0;
         }
         self.fresh = true;
@@ -229,21 +231,28 @@ impl Level {
 /// the pieces in a single struct (instead of parallel `Vec`s indexed by
 /// queue id) means one bounds check per service decision and no way for
 /// the arrays to fall out of sync.
+///
+/// `repr(C)` and the 64-byte alignment put the DWRR counters and the
+/// queue's list ends and byte ledgers — all a service decision reads and
+/// writes here, and what an admission touches first — in the entry's first
+/// cache line; policy, counters, shaper and observer ids follow it.
 #[derive(Debug)]
+#[repr(C, align(64))]
 struct QState {
-    queue: PacketQueue,
-    sched: QueueSched,
-    shaper: Option<Shaper>,
     /// DWRR deficit counter, in wire bytes.
     deficit: f64,
     /// DWRR per-visit quantum, in wire bytes.
     quantum: f64,
-    /// Index into `Port::levels` of this queue's priority level.
-    level: usize,
-    /// The switch's shared-buffer pool, if this queue counts against it
-    /// (uncapped queues of switch ports).
-    pool: Option<Arc<BufferPool>>,
+    queue: PacketQueue,
+    sched: QueueSched,
+    shaper: Option<Shaper>,
 }
+
+// Regression pin: the DWRR counters plus the queue's list ends and byte
+// ledgers must fit the entry's first cache line. A field added ahead of the
+// queue's configuration, or a wider id, costs every service decision a
+// second line per queue.
+const _: () = assert!(std::mem::offset_of!(QState, queue) + PacketQueue::HOT_BYTES <= 64);
 
 /// Per-port transmit counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -256,6 +265,13 @@ pub struct PortCounters {
 
 /// An egress port: a set of queues plus the scheduler state, attached to a
 /// simplex link towards `peer`.
+///
+/// The port owns one heap block, the queue entries, stored by strict level
+/// (configuration order within a level) so a level is a contiguous range of
+/// it. The level table, the map from configured queue index to block
+/// position and the packet backlog are inline: an idle poll reads this
+/// header alone, and a service decision reads it plus one cache line per
+/// queue it inspects.
 #[derive(Debug)]
 pub struct Port {
     /// Line rate.
@@ -264,91 +280,114 @@ pub struct Port {
     pub peer: usize,
     /// Propagation delay of the attached link.
     pub prop: TimeDelta,
-    qs: Vec<QState>,
-    levels: Vec<Level>,
     /// End of the in-flight serialization, if transmitting.
     pub busy_until: Option<Time>,
     /// Earliest already-scheduled idle wake-up (dedup for shaper waits).
     pub pending_wake: Option<Time>,
+    /// Packets queued across all queues.
+    backlog: u32,
+    n_levels: u8,
+    /// Bit `i` set: the queue at block position `i` counts against `pool`.
+    pooled: u8,
+    levels: [Level; MAX_QUEUES],
+    /// Block position of each configured queue index (`u8::MAX` past the
+    /// last queue).
+    slot_of: [u8; MAX_QUEUES],
+    qs: Vec<QState>,
+    /// The switch's shared-buffer pool, for the uncapped queues of switch
+    /// ports.
+    pool: Option<Arc<BufferPool>>,
     counters: PortCounters,
 }
 
 impl Port {
     /// Builds a port from its configuration. `peer`/`prop` are filled in by
     /// the topology wiring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has no queue or more than
+    /// [`MAX_QUEUES`], or shapes a queue that shares its priority level.
     pub fn new(cfg: &PortConfig) -> Self {
-        assert!(!cfg.queues.is_empty(), "port needs at least one queue");
-        let mut qs: Vec<QState> = cfg
-            .queues
-            .iter()
-            .map(|&(qc, sched)| QState {
-                queue: PacketQueue::new(qc),
-                sched,
-                shaper: sched.shaper.map(|(r, b)| Shaper::new(r, b)),
-                deficit: 0.0,
-                quantum: 0.0,
-                level: 0,
-                pool: None,
-            })
-            .collect();
+        let n = cfg.queues.len();
+        assert!(
+            (1..=MAX_QUEUES).contains(&n),
+            "port needs between 1 and {MAX_QUEUES} queues"
+        );
 
-        // Group queues into strict levels, ascending.
-        let mut level_ids: Vec<u8> = qs.iter().map(|q| q.sched.level).collect();
-        level_ids.sort_unstable();
-        level_ids.dedup();
-        let levels: Vec<Level> = level_ids
-            .iter()
-            .map(|&l| Level {
-                members: qs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| q.sched.level == l)
-                    .map(|(i, _)| i)
-                    .collect(),
-                pos: 0,
-                fresh: true,
-            })
-            .collect();
-
-        // Shapers only on single-queue levels (covers every paper config).
-        for level in &levels {
-            if level.members.len() > 1 {
-                for &i in &level.members {
-                    let q = qs.get(i).expect("level members index queues");
-                    assert!(
-                        q.sched.shaper.is_none(),
-                        "shaped queues must be alone at their priority level"
-                    );
-                }
-            }
+        // Block order: by strict level, configuration order within a level.
+        // A queue's position is the number of queues that sort before it.
+        let level_of = |i: usize| cfg.queues.get(i).map_or(u8::MAX, |q| q.1.level);
+        let mut slot_of = [u8::MAX; MAX_QUEUES];
+        let mut order = [0usize; MAX_QUEUES];
+        for (i, slot) in slot_of.iter_mut().enumerate().take(n) {
+            let key = (level_of(i), i);
+            let rank = (0..n).filter(|&j| (level_of(j), j) < key).count();
+            *slot = rank as u8;
+            *order.get_mut(rank).expect("rank below the queue count") = i;
         }
+        let mut qs: Vec<QState> = order
+            .iter()
+            .take(n)
+            .map(|&i| {
+                let &(qc, sched) = cfg.queues.get(i).expect("order holds configured indices");
+                QState {
+                    deficit: 0.0,
+                    quantum: 0.0,
+                    queue: PacketQueue::new(qc),
+                    sched,
+                    shaper: sched.shaper.map(|(r, b)| Shaper::new(r, b)),
+                }
+            })
+            .collect();
 
-        // DWRR quantum: proportional to weight, scaled so the largest weight
-        // in a level gets one MTU per round.
-        for (li, level) in levels.iter().enumerate() {
-            let wmax = level
-                .members
+        // Cut the block into strict levels, ascending.
+        let mut levels = [Level::default(); MAX_QUEUES];
+        let mut n_levels = 0u8;
+        let mut first = 0u8;
+        let runs = qs.chunk_by_mut(|a, b| a.sched.level == b.sched.level);
+        for (level, members) in levels.iter_mut().zip(runs) {
+            // Shapers only on single-queue levels (covers every paper config).
+            let shaped = members.iter().any(|q| q.shaper.is_some());
+            assert!(
+                members.len() == 1 || !shaped,
+                "shaped queues must be alone at their priority level"
+            );
+            // DWRR quantum: proportional to weight, scaled so the largest
+            // weight in a level gets one MTU per round.
+            let wmax = members
                 .iter()
-                .filter_map(|&i| qs.get(i))
                 .map(|q| q.sched.weight)
                 .fold(0.0_f64, f64::max);
-            for &i in &level.members {
-                let q = qs.get_mut(i).expect("level members index queues");
+            for q in members.iter_mut() {
                 // lint:allow(panic-path): f64 ratio; wmax >= weight > 0
                 // (weights are asserted positive in QueueSched::weighted).
                 q.quantum = (q.sched.weight / wmax * DATA_WIRE.as_f64()).max(1.0);
-                q.level = li;
             }
+            *level = Level {
+                first,
+                len: members.len() as u8,
+                pos: 0,
+                fresh: true,
+                shaped,
+            };
+            first += level.len;
+            n_levels += 1;
         }
 
         Port {
             rate: cfg.rate,
             peer: usize::MAX,
             prop: TimeDelta::ZERO,
-            qs,
-            levels,
             busy_until: None,
             pending_wake: None,
+            backlog: 0,
+            n_levels,
+            pooled: 0,
+            levels,
+            slot_of,
+            qs,
+            pool: None,
             counters: PortCounters::default(),
         }
     }
@@ -357,11 +396,12 @@ impl Port {
     /// against the switch's shared-buffer `pool`.
     pub(crate) fn with_pool(cfg: &PortConfig, pool: &Arc<BufferPool>) -> Self {
         let mut port = Port::new(cfg);
-        for q in &mut port.qs {
+        for (slot, q) in port.qs.iter().enumerate() {
             if q.queue.config().cap_bytes == WireBytes::MAX {
-                q.pool = Some(Arc::clone(pool));
+                port.pooled |= 1 << slot;
             }
         }
+        port.pool = Some(Arc::clone(pool));
         port
     }
 
@@ -370,13 +410,17 @@ impl Port {
         self.qs.len()
     }
 
+    /// The entry of configured queue `idx`.
+    fn state(&self, idx: usize) -> &QState {
+        self.slot_of
+            .get(idx)
+            .and_then(|&slot| self.qs.get(usize::from(slot)))
+            .expect("queue index within num_queues")
+    }
+
     /// Immutable access to a queue (metrics / admission checks).
     pub fn queue(&self, idx: usize) -> &PacketQueue {
-        &self
-            .qs
-            .get(idx)
-            .expect("queue index within num_queues")
-            .queue
+        &self.state(idx).queue
     }
 
     /// Sum of bytes across all queues.
@@ -386,7 +430,7 @@ impl Port {
 
     /// True if any queue holds packets.
     pub fn has_backlog(&self) -> bool {
-        self.qs.iter().any(|q| !q.queue.is_empty())
+        self.backlog != 0
     }
 
     /// Transmit counters.
@@ -396,11 +440,7 @@ impl Port {
 
     /// Scheduling attributes of queue `idx`.
     pub fn sched(&self, idx: usize) -> &QueueSched {
-        &self
-            .qs
-            .get(idx)
-            .expect("queue index within num_queues")
-            .sched
+        &self.state(idx).sched
     }
 
     /// Offers the packet behind `id` to queue `qidx` applying that
@@ -412,15 +452,19 @@ impl Port {
         qidx: usize,
         id: PacketId,
     ) -> Result<(), DropReason> {
+        let slot = usize::from(*self.slot_of.get(qidx).unwrap_or(&u8::MAX));
         let q = self
             .qs
-            .get_mut(qidx)
+            .get_mut(slot)
             .expect("queue index within num_queues");
         let before = q.queue.bytes();
         match q.queue.offer(arena, id) {
             Enqueue::Admitted => {
-                if let Some(pool) = &q.pool {
-                    pool.charge(q.queue.bytes() - before);
+                self.backlog += 1;
+                if self.pooled & (1 << slot) != 0 {
+                    if let Some(pool) = &self.pool {
+                        pool.charge(q.queue.bytes() - before);
+                    }
                 }
                 Ok(())
             }
@@ -435,35 +479,49 @@ impl Port {
 
     /// Runs the scheduler for one service opportunity at `now`.
     pub fn next_packet(&mut self, arena: &mut PacketArena, now: Time) -> Decision {
+        // The scan below changes nothing when every queue is empty (no
+        // shaper refill, no DWRR rotation), so an idle poll can stop at the
+        // header.
+        if self.backlog == 0 {
+            return Decision::Idle;
+        }
         let mut wake: Option<Time> = None;
-        let mut chosen: Option<usize> = None;
-        for level in &mut self.levels {
-            if let &[qi] = level.members.as_slice() {
-                let q = self.qs.get_mut(qi).expect("level members index queues");
+        let mut chosen: Option<(usize, usize)> = None;
+        let n_levels = usize::from(self.n_levels);
+        for (li, level) in self.levels.iter_mut().take(n_levels).enumerate() {
+            let first = usize::from(level.first);
+            if level.len == 1 {
+                let q = self.qs.get_mut(first).expect("level ranges index queues");
                 let Some(head) = q.queue.head_bytes(arena) else {
                     continue; // empty queue
                 };
-                if let Some(shaper) = q.shaper.as_mut() {
-                    shaper.refill(now);
-                    let need = Shaper::need(head);
-                    if shaper.tokens < need {
-                        let at = shaper.eligible_at(now, need);
-                        wake = Some(wake.map_or(at, |w: Time| w.min(at)));
-                        // Work conserving: fall through to lower levels.
-                        continue;
+                if level.shaped {
+                    if let Some(shaper) = q.shaper.as_mut() {
+                        shaper.refill(now);
+                        let need = Shaper::need(head);
+                        if shaper.tokens < need {
+                            let at = shaper.eligible_at(now, need);
+                            wake = Some(wake.map_or(at, |w: Time| w.min(at)));
+                            // Work conserving: fall through to lower levels.
+                            continue;
+                        }
+                        shaper.spend(need);
                     }
-                    shaper.spend(need);
                 }
-                chosen = Some(qi);
+                chosen = Some((li, first));
                 break;
             }
-            if let Some(qi) = Self::dwrr_pick(level, &mut self.qs, arena) {
-                chosen = Some(qi);
+            let members = self
+                .qs
+                .get_mut(first..first + usize::from(level.len))
+                .expect("level ranges index queues");
+            if let Some(off) = Self::dwrr_pick(level, members, arena) {
+                chosen = Some((li, first + off));
                 break;
             }
         }
         match chosen {
-            Some(qi) => self.serve(arena, qi),
+            Some((li, slot)) => self.serve(arena, li, slot),
             None => match wake {
                 Some(t) => Decision::WaitUntil(t),
                 None => Decision::Idle,
@@ -471,9 +529,9 @@ impl Port {
         }
     }
 
-    /// DWRR selection among the queues of `level`. Returns the queue to
-    /// serve, or `None` if the level has no backlog.
-    fn dwrr_pick(level: &mut Level, qs: &mut [QState], arena: &PacketArena) -> Option<usize> {
+    /// DWRR selection among `members`, the queues of `level`. Returns the
+    /// offset of the queue to serve, or `None` if the level has no backlog.
+    fn dwrr_pick(level: &mut Level, members: &mut [QState], arena: &PacketArena) -> Option<usize> {
         // Progress bound: one full cycle adds `quantum` to every backlogged
         // queue's deficit, so the queue whose head needs the fewest
         // additional quanta is served within that many cycles. This is
@@ -482,10 +540,8 @@ impl Port {
         // heuristic, which under-counts whenever a head packet is large
         // relative to its own queue's quantum (e.g. a jumbo frame on a
         // tiny-weight queue) and then trips the unreachable!() below.
-        let min_rounds = level
-            .members
+        let min_rounds = members
             .iter()
-            .filter_map(|&i| qs.get(i))
             .filter_map(|q| {
                 let head = q.queue.head_bytes(arena)?.as_f64();
                 let need = (head - q.deficit).max(0.0);
@@ -495,10 +551,10 @@ impl Port {
                 Some((need / q.quantum).ceil() as usize)
             })
             .min()?; // no backlog at this level
-        let max_passes = level.members.len() * (min_rounds + 2);
+        let max_passes = members.len() * (min_rounds + 2);
         for _ in 0..=max_passes {
-            let qi = level.current();
-            let q = qs.get_mut(qi).expect("level members index queues");
+            let off = usize::from(level.pos);
+            let q = members.get_mut(off).expect("pos stays within the level");
             let Some(head) = q.queue.head_bytes(arena) else {
                 q.deficit = 0.0;
                 level.advance();
@@ -509,7 +565,7 @@ impl Port {
                 level.fresh = false;
             }
             if q.deficit >= head.as_f64() {
-                return Some(qi);
+                return Some(off);
             }
             level.advance();
         }
@@ -518,24 +574,24 @@ impl Port {
         unreachable!("DWRR failed to make progress");
     }
 
-    /// Dequeues from `qi`, updating deficits and counters.
-    fn serve(&mut self, arena: &mut PacketArena, qi: usize) -> Decision {
+    /// Dequeues from the queue at block position `slot` of level `li`,
+    /// updating deficits and counters.
+    fn serve(&mut self, arena: &mut PacketArena, li: usize, slot: usize) -> Decision {
         let q = self
             .qs
-            .get_mut(qi)
-            .expect("served queue index within num_queues");
+            .get_mut(slot)
+            .expect("served position within the queue block");
         let id = q.queue.dequeue(arena).expect("serve on empty queue");
         let wire = arena.get(id).expect("served id is live").wire;
         let size = wire.as_f64();
-        if let Some(pool) = &q.pool {
-            pool.credit(wire);
+        if self.pooled & (1 << slot) != 0 {
+            if let Some(pool) = &self.pool {
+                pool.credit(wire);
+            }
         }
         // Update DWRR state if this queue shares its level.
-        let level = self
-            .levels
-            .get_mut(q.level)
-            .expect("queue belongs to a level");
-        if level.members.len() > 1 {
+        let level = self.levels.get_mut(li).expect("queue belongs to a level");
+        if level.len > 1 {
             q.deficit -= size;
             let advance = match q.queue.head_bytes(arena) {
                 None => {
@@ -548,6 +604,7 @@ impl Port {
                 level.advance();
             }
         }
+        self.backlog -= 1;
         self.counters.tx_pkts += 1;
         self.counters.tx_bytes += wire;
         Decision::Send(id)
@@ -627,6 +684,340 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The scheduler in the shape it had before the queue block was
+    /// flattened: queue entries in configuration order, a `Vec` of levels
+    /// each owning the `Vec` of its member indices, every level scanned on
+    /// every call, no backlog count. It shares [`PacketQueue`] and
+    /// [`Shaper`] with [`Port`]; what it pins is the service order.
+    struct RefPort {
+        qs: Vec<RefQueue>,
+        levels: Vec<RefLevel>,
+        counters: PortCounters,
+    }
+
+    struct RefQueue {
+        queue: PacketQueue,
+        shaper: Option<Shaper>,
+        deficit: f64,
+        quantum: f64,
+        level: usize,
+    }
+
+    struct RefLevel {
+        members: Vec<usize>,
+        pos: usize,
+        fresh: bool,
+    }
+
+    impl RefLevel {
+        fn advance(&mut self) {
+            self.pos = (self.pos + 1) % self.members.len();
+            self.fresh = true;
+        }
+    }
+
+    impl RefPort {
+        fn new(cfg: &PortConfig) -> Self {
+            let mut qs: Vec<RefQueue> = cfg
+                .queues
+                .iter()
+                .map(|&(qc, sched)| RefQueue {
+                    queue: PacketQueue::new(qc),
+                    shaper: sched.shaper.map(|(r, b)| Shaper::new(r, b)),
+                    deficit: 0.0,
+                    quantum: 0.0,
+                    level: 0,
+                })
+                .collect();
+            let mut ids: Vec<u8> = cfg.queues.iter().map(|q| q.1.level).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let levels: Vec<RefLevel> = ids
+                .iter()
+                .map(|&l| RefLevel {
+                    members: (0..qs.len())
+                        .filter(|&i| cfg.queues[i].1.level == l)
+                        .collect(),
+                    pos: 0,
+                    fresh: true,
+                })
+                .collect();
+            for (li, level) in levels.iter().enumerate() {
+                let weight = |i: usize| cfg.queues[i].1.weight;
+                let wmax = level.members.iter().map(|&i| weight(i)).fold(0.0, f64::max);
+                for &i in &level.members {
+                    qs[i].quantum = (weight(i) / wmax * DATA_WIRE.as_f64()).max(1.0);
+                    qs[i].level = li;
+                }
+            }
+            RefPort {
+                qs,
+                levels,
+                counters: PortCounters::default(),
+            }
+        }
+
+        fn enqueue(
+            &mut self,
+            arena: &mut PacketArena,
+            qidx: usize,
+            id: PacketId,
+        ) -> Result<(), DropReason> {
+            match self.qs[qidx].queue.offer(arena, id) {
+                Enqueue::Admitted => Ok(()),
+                Enqueue::Dropped(r) => Err(r),
+            }
+        }
+
+        fn backlog_bytes(&self) -> WireBytes {
+            self.qs.iter().map(|q| q.queue.bytes()).sum()
+        }
+
+        fn next_packet(&mut self, arena: &mut PacketArena, now: Time) -> Decision {
+            let mut wake: Option<Time> = None;
+            let mut chosen = None;
+            for level in &mut self.levels {
+                if let &[qi] = level.members.as_slice() {
+                    let q = &mut self.qs[qi];
+                    let Some(head) = q.queue.head_bytes(arena) else {
+                        continue;
+                    };
+                    if let Some(shaper) = q.shaper.as_mut() {
+                        shaper.refill(now);
+                        let need = Shaper::need(head);
+                        if shaper.tokens < need {
+                            let at = shaper.eligible_at(now, need);
+                            wake = Some(wake.map_or(at, |w: Time| w.min(at)));
+                            continue;
+                        }
+                        shaper.spend(need);
+                    }
+                    chosen = Some(qi);
+                    break;
+                }
+                if let Some(qi) = Self::dwrr_pick(level, &mut self.qs, arena) {
+                    chosen = Some(qi);
+                    break;
+                }
+            }
+            match chosen {
+                Some(qi) => self.serve(arena, qi),
+                None => wake.map_or(Decision::Idle, Decision::WaitUntil),
+            }
+        }
+
+        fn dwrr_pick(
+            level: &mut RefLevel,
+            qs: &mut [RefQueue],
+            arena: &PacketArena,
+        ) -> Option<usize> {
+            let min_rounds = level
+                .members
+                .iter()
+                .filter_map(|&i| {
+                    let q = &qs[i];
+                    let head = q.queue.head_bytes(arena)?.as_f64();
+                    Some(((head - q.deficit).max(0.0) / q.quantum).ceil() as usize)
+                })
+                .min()?;
+            for _ in 0..=level.members.len() * (min_rounds + 2) {
+                let qi = level.members[level.pos];
+                let q = &mut qs[qi];
+                let Some(head) = q.queue.head_bytes(arena) else {
+                    q.deficit = 0.0;
+                    level.advance();
+                    continue;
+                };
+                if level.fresh {
+                    q.deficit += q.quantum;
+                    level.fresh = false;
+                }
+                if q.deficit >= head.as_f64() {
+                    return Some(qi);
+                }
+                level.advance();
+            }
+            unreachable!("reference DWRR failed to make progress");
+        }
+
+        fn serve(&mut self, arena: &mut PacketArena, qi: usize) -> Decision {
+            let q = &mut self.qs[qi];
+            let id = q.queue.dequeue(arena).expect("serve on empty queue");
+            let wire = arena.get(id).expect("served id is live").wire;
+            let level = &mut self.levels[q.level];
+            if level.members.len() > 1 {
+                q.deficit -= wire.as_f64();
+                let advance = match q.queue.head_bytes(arena) {
+                    None => {
+                        q.deficit = 0.0;
+                        true
+                    }
+                    Some(next_head) => q.deficit < next_head.as_f64(),
+                };
+                if advance {
+                    level.advance();
+                }
+            }
+            self.counters.tx_pkts += 1;
+            self.counters.tx_bytes += wire;
+            Decision::Send(id)
+        }
+    }
+
+    /// The paper's FlexPass port: shaped, capped credit queue above two
+    /// DWRR data queues with marking and selective dropping.
+    fn flexpass_cfg() -> PortConfig {
+        PortConfig {
+            rate: Rate::from_gbps(10),
+            queues: vec![
+                (
+                    QueueConfig::capped(WireBytes::new(1_000)),
+                    QueueSched::strict(0).shaped(Rate::from_mbps(400), CTRL_WIRE * 2),
+                ),
+                (
+                    QueueConfig::plain()
+                        .with_ecn(WireBytes::new(20_000))
+                        .with_red_threshold(WireBytes::new(30_000)),
+                    QueueSched::weighted(1, 0.3),
+                ),
+                (
+                    QueueConfig::plain().with_ecn(WireBytes::new(25_000)),
+                    QueueSched::weighted(1, 0.7),
+                ),
+            ],
+        }
+    }
+
+    /// Homa's eight strict queues: the widest profile, one queue per level.
+    fn homa_cfg() -> PortConfig {
+        PortConfig {
+            rate: Rate::from_gbps(10),
+            queues: (0..8)
+                .map(|i| (QueueConfig::plain(), QueueSched::strict(i)))
+                .collect(),
+        }
+    }
+
+    /// Levels out of configuration order: the queue block is a permutation
+    /// of the configured indices (no shipped profile is).
+    fn shuffled_cfg() -> PortConfig {
+        PortConfig {
+            rate: Rate::from_gbps(10),
+            queues: vec![
+                (QueueConfig::plain(), QueueSched::weighted(2, 0.2)),
+                (QueueConfig::plain(), QueueSched::strict(0)),
+                (QueueConfig::plain(), QueueSched::weighted(2, 0.5)),
+                (
+                    QueueConfig::capped(WireBytes::new(4_000)),
+                    QueueSched::strict(1).shaped(Rate::from_gbps(1), CTRL_WIRE * 4),
+                ),
+                (QueueConfig::plain(), QueueSched::weighted(2, 0.3)),
+            ],
+        }
+    }
+
+    /// Property: the flat port and the reference scheduler, fed the same
+    /// seeded tape of enqueues and service opportunities, agree after
+    /// every step on the decision (which packet, which wake-up instant),
+    /// the transmit and per-queue counters and the backlog — under the
+    /// auditor, which holds both to queue byte conservation and shaper
+    /// bounds throughout.
+    #[test]
+    fn flat_port_serves_like_the_reference_scheduler() {
+        use flexpass_simcore::rng::SimRng;
+
+        let profiles = [
+            ("flexpass", flexpass_cfg()),
+            ("homa", homa_cfg()),
+            ("fifo", PortConfig::single_fifo(Rate::from_gbps(10))),
+            ("shuffled", shuffled_cfg()),
+        ];
+        audit::install();
+        for (name, cfg) in &profiles {
+            for seed in 0..8u64 {
+                let mut rng = SimRng::new(0x9027 ^ seed);
+                let (mut flat, mut flat_arena) = (Port::new(cfg), PacketArena::new());
+                let (mut reference, mut ref_arena) = (RefPort::new(cfg), PacketArena::new());
+                let mut now = Time::from_micros(1);
+                let mut sent = 0u64;
+                for step in 0..3_000u64 {
+                    let at = format!("{name} seed {seed} step {step}");
+                    // Fill faster than the drain at first, then let it empty.
+                    if rng.chance(if step < 2_000 { 0.55 } else { 0.3 }) {
+                        let q = rng.index(cfg.queues.len());
+                        let wire = CTRL_WIRE.get() + rng.next_below(1_500);
+                        // A control payload: the tape drives ports, not
+                        // flows, so the auditor's end-to-end flow ledger
+                        // has nothing to balance.
+                        let mut pkt = Packet::new(
+                            step,
+                            0,
+                            1,
+                            WireBytes::new(wire),
+                            TrafficClass::NewCtrl,
+                            Payload::CreditStop,
+                        );
+                        if rng.chance(0.3) {
+                            pkt = pkt.red();
+                        }
+                        if rng.chance(0.5) {
+                            pkt = pkt.ecn();
+                        }
+                        let got = enq(&mut flat, &mut flat_arena, q, pkt);
+                        let id = ref_arena.acquire(pkt);
+                        let want = reference.enqueue(&mut ref_arena, q, id).inspect_err(|_| {
+                            ref_arena.release(id);
+                        });
+                        assert_eq!(got, want, "admission diverged at {at}");
+                    } else {
+                        now += TimeDelta::nanos(rng.next_below(2_000));
+                        let got = next(&mut flat, &mut flat_arena, now);
+                        let want = match reference.next_packet(&mut ref_arena, now) {
+                            Decision::Send(id) => {
+                                Out::Send(ref_arena.release(id).expect("sent id is live"))
+                            }
+                            Decision::WaitUntil(t) => Out::WaitUntil(t),
+                            Decision::Idle => Out::Idle,
+                        };
+                        match (&got, &want) {
+                            (Out::Send(g), Out::Send(w)) => {
+                                assert_eq!((g.flow, g.ecn_ce), (w.flow, w.ecn_ce), "{at}");
+                                sent += 1;
+                            }
+                            (Out::WaitUntil(g), Out::WaitUntil(w)) => {
+                                assert_eq!(g, w, "{at}");
+                                // Sometimes sleep until the shaper allows.
+                                if rng.chance(0.5) {
+                                    now = *g;
+                                }
+                            }
+                            (Out::Idle, Out::Idle) => {}
+                            _ => panic!("decision diverged at {at}: {got:?} vs {want:?}"),
+                        }
+                    }
+                    assert_eq!(flat.backlog_bytes(), reference.backlog_bytes(), "{at}");
+                    assert_eq!(flat.has_backlog(), flat_arena.live() > 0, "{at}");
+                    assert_eq!(flat_arena.live(), ref_arena.live(), "{at}");
+                    assert_eq!(flat.counters().tx_pkts, reference.counters.tx_pkts, "{at}");
+                    assert_eq!(
+                        flat.counters().tx_bytes,
+                        reference.counters.tx_bytes,
+                        "{at}"
+                    );
+                    for (i, q) in reference.qs.iter().enumerate() {
+                        assert_eq!(flat.queue(i).counters(), q.queue.counters(), "{at} q{i}");
+                        assert_eq!(flat.queue(i).len(), q.queue.len(), "{at} q{i}");
+                    }
+                }
+                assert!(sent > 500, "{name} seed {seed}: tape served only {sent}");
+            }
+        }
+        let report = audit::finish();
+        assert!(report.is_clean(), "{report}");
+        #[cfg(feature = "audit")]
+        assert!(report.counters.dequeues > 0, "the auditor saw the tape");
     }
 
     #[test]

@@ -117,14 +117,21 @@ pub struct QueueCounters {
 }
 
 /// A FIFO egress queue: an intrusive list of arena-resident packets.
+///
+/// `repr(C)` fixes the field order: the list ends and the byte ledgers —
+/// what every `offer`, `dequeue` and `head_bytes` reads and writes — come
+/// first (`HOT_BYTES` of them), so a port can lay them in
+/// one cache line with its own per-queue scheduler state; configuration,
+/// counters and observer ids follow.
 #[derive(Debug)]
+#[repr(C)]
 pub struct PacketQueue {
-    cfg: QueueConfig,
     head: Option<PacketId>,
     tail: Option<PacketId>,
     len: usize,
     bytes: WireBytes,
     red_bytes: WireBytes,
+    cfg: QueueConfig,
     counters: QueueCounters,
     audit_id: audit::ComponentId,
     trace_id: trace::QueueId,
@@ -141,17 +148,20 @@ pub enum Enqueue {
 }
 
 impl PacketQueue {
+    /// Bytes at the front of the struct holding the list ends and ledgers.
+    pub(crate) const HOT_BYTES: usize = std::mem::offset_of!(PacketQueue, cfg);
+
     /// Creates an empty queue with the given configuration. The queue
     /// itself owns no packet storage — backing slots live in the shared
     /// [`PacketArena`], pre-sized from [`QueueConfig::capacity_hint`].
     pub fn new(cfg: QueueConfig) -> Self {
         PacketQueue {
-            cfg,
             head: None,
             tail: None,
             len: 0,
             bytes: WireBytes::ZERO,
             red_bytes: WireBytes::ZERO,
+            cfg,
             counters: QueueCounters::default(),
             audit_id: audit::new_component_id(),
             trace_id: trace::new_queue_id(),

@@ -136,38 +136,69 @@ pub trait TransportFactory: Send {
 }
 
 /// Simulation events.
+///
+/// Every calendar entry carries one, and a calendar pop moves it, so it is
+/// kept to 16 bytes: node ids and flow-table indices are stored as `u32`,
+/// port indices as `u16` (the width route tables already use), and a timer
+/// names its flow through the token's high bits (see [`timer_token`]).
 #[derive(Debug)]
 pub enum Event {
     /// A packet finishes propagating to `node`.
     Arrive {
         /// Receiving node.
-        node: NodeId,
+        node: u32,
         /// The packet's arena id (the packet itself stays in the slab).
         pkt: PacketId,
     },
     /// Egress port `port` of `node` may transmit.
     PortReady {
         /// Node owning the port.
-        node: NodeId,
+        node: u32,
         /// Port index.
-        port: usize,
+        port: u16,
     },
     /// An endpoint timer fires.
     Timer {
         /// Host node.
-        host: NodeId,
-        /// Flow owning the timer.
-        flow: FlowId,
-        /// Opaque token the endpoint registered.
+        host: u32,
+        /// Opaque token the endpoint registered; the owning flow is
+        /// `token >> 16`.
         token: u64,
     },
     /// A scheduled flow begins.
     FlowStart {
         /// Index into the flow table.
-        idx: usize,
+        idx: u32,
     },
     /// Periodic queue sampling tick.
     Sample,
+}
+
+impl Event {
+    fn node(id: NodeId) -> u32 {
+        u32::try_from(id).expect("node id fits u32")
+    }
+
+    fn arrive(node: NodeId, pkt: PacketId) -> Self {
+        Event::Arrive {
+            node: Self::node(node),
+            pkt,
+        }
+    }
+
+    fn port_ready(node: NodeId, port: usize) -> Self {
+        Event::PortReady {
+            node: Self::node(node),
+            port: u16::try_from(port).expect("port index fits u16"),
+        }
+    }
+
+    fn timer(host: NodeId, token: u64) -> Self {
+        Event::Timer {
+            host: Self::node(host),
+            token,
+        }
+    }
 }
 
 /// The simulator.
@@ -435,7 +466,7 @@ impl<O: NetObserver> Sim<O> {
     pub fn schedule_flow_role(&mut self, spec: FlowSpec, role: FlowRole) {
         assert!(spec.src != spec.dst, "flow to self");
         assert!(spec.src < self.hosts.len() && spec.dst < self.hosts.len());
-        let idx = self.flows.len();
+        let idx = u32::try_from(self.flows.len()).expect("flow table index fits u32");
         self.events.schedule(spec.start, Event::FlowStart { idx });
         self.flows.push(spec);
         self.roles.push(role);
@@ -483,7 +514,7 @@ impl<O: NetObserver> Sim<O> {
     /// at or beyond the window horizon.
     pub fn inject_arrival(&mut self, at: Time, node: NodeId, pkt: Packet) {
         let pid = self.arena.acquire(pkt);
-        self.events.schedule(at, Event::Arrive { node, pkt: pid });
+        self.events.schedule(at, Event::arrive(node, pid));
     }
 
     /// Instant the most recent flow completed locally (receiver side);
@@ -541,9 +572,12 @@ impl<O: NetObserver> Sim<O> {
     fn dispatch(&mut self, now: Time, ev: Event) {
         trace::now(now);
         match ev {
-            Event::Arrive { node, pkt } => self.arrive(now, node, pkt),
-            Event::PortReady { node, port } => self.port_ready(now, node, port),
-            Event::Timer { host, flow, token } => {
+            Event::Arrive { node, pkt } => self.arrive(now, node as NodeId, pkt),
+            Event::PortReady { node, port } => {
+                self.port_ready(now, node as NodeId, usize::from(port))
+            }
+            Event::Timer { host, token } => {
+                let host = host as NodeId;
                 self.scratch.clear();
                 if let Some(Node::Host(h)) = self.nodes.get_mut(host) {
                     // If this delivery consumed the armed timer for the
@@ -555,14 +589,14 @@ impl<O: NetObserver> Sim<O> {
                         }
                     }
                     let mut ctx = self.scratch.ctx(now, &mut self.arena);
-                    h.fire_timer(flow, token, &mut ctx);
+                    h.fire_timer(token >> 16, token, &mut ctx);
                 } else {
                     // lint:allow(panic-path): timers are only armed by hosts
                     unreachable!("timer on a switch");
                 }
                 self.flush(now, host);
             }
-            Event::FlowStart { idx } => self.flow_start(now, idx),
+            Event::FlowStart { idx } => self.flow_start(now, idx as usize),
             Event::Sample => {
                 // Split borrow: the switch list is read-only while the
                 // observer and the reusable sample buffer mutate.
@@ -613,13 +647,7 @@ impl<O: NetObserver> Sim<O> {
                             .get(port_idx)
                             .is_some_and(|p| p.busy_until.is_none());
                         if idle {
-                            self.events.schedule(
-                                now,
-                                Event::PortReady {
-                                    node,
-                                    port: port_idx,
-                                },
-                            );
+                            self.events.schedule(now, Event::port_ready(node, port_idx));
                         }
                     }
                     Err((reason, pid)) => {
@@ -682,7 +710,7 @@ impl<O: NetObserver> Sim<O> {
                 p.busy_until = Some(now + ser);
                 audit::wire_depart(self.arena.get(pid).expect("sent id is live"));
                 self.events
-                    .schedule(now + ser, Event::PortReady { node, port });
+                    .schedule(now + ser, Event::port_ready(node, port));
                 if self.is_foreign(peer) {
                     // The link crosses a domain cut: the packet leaves this
                     // domain's arena (its id dies here — generation safety
@@ -691,19 +719,14 @@ impl<O: NetObserver> Sim<O> {
                     let pkt = self.arena.release(pid).expect("sent id is live");
                     self.outbox.push((now + ser + prop, peer, pkt));
                 } else {
-                    self.events.schedule(
-                        now + ser + prop,
-                        Event::Arrive {
-                            node: peer,
-                            pkt: pid,
-                        },
-                    );
+                    self.events
+                        .schedule(now + ser + prop, Event::arrive(peer, pid));
                 }
             }
             Decision::WaitUntil(t) => {
                 if p.pending_wake.is_none_or(|w| t < w) {
                     p.pending_wake = Some(t);
-                    self.events.schedule(t, Event::PortReady { node, port });
+                    self.events.schedule(t, Event::port_ready(node, port));
                 }
             }
             Decision::Idle => {}
@@ -767,8 +790,7 @@ impl<O: NetObserver> Sim<O> {
                         .get(node)
                         .is_some_and(|n| n.port(0).busy_until.is_none());
                     if nic_idle {
-                        self.events
-                            .schedule(now, Event::PortReady { node, port: 0 });
+                        self.events.schedule(now, Event::port_ready(node, 0));
                     }
                 }
                 Err((reason, pid)) => {
@@ -788,30 +810,18 @@ impl<O: NetObserver> Sim<O> {
             for cmd in scratch.timers.drain(..) {
                 // The flow a timer belongs to rides in the token's high
                 // bits (tokens are namespaced per endpoint; see
-                // [`timer_token`]).
+                // [`timer_token`]) and is read back at dispatch.
                 match cmd {
                     TimerCmd::Set(at, token) => {
-                        self.events.schedule(
-                            at.max(now),
-                            Event::Timer {
-                                host: node,
-                                flow: token >> 16,
-                                token,
-                            },
-                        );
+                        self.events.schedule(at.max(now), Event::timer(node, token));
                     }
                     TimerCmd::Arm(at, token) => {
                         if let Some(old) = h.take_armed(token) {
                             self.events.cancel(old);
                         }
-                        let hd = self.events.schedule_cancelable(
-                            at.max(now),
-                            Event::Timer {
-                                host: node,
-                                flow: token >> 16,
-                                token,
-                            },
-                        );
+                        let hd = self
+                            .events
+                            .schedule_cancelable(at.max(now), Event::timer(node, token));
                         h.arm_timer(token, hd);
                     }
                     TimerCmd::Cancel(token) => {
@@ -998,6 +1008,16 @@ mod tests {
         }
     }
 
+    /// Regression pin: the calendar is sized around a 16-byte, 8-aligned
+    /// event (see `simcore::event::tests::calendar_entry_is_forty_bytes`).
+    /// A `usize` node id or a flow id carried beside its token puts it
+    /// back at 24–32 bytes.
+    #[test]
+    fn event_is_sixteen_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 16);
+        assert!(std::mem::align_of::<Event>() <= 8);
+    }
+
     /// The whole driver must be `Send` so one sweep point can run on a
     /// worker thread: `Endpoint` and `TransportFactory` carry `Send`
     /// supertraits, everything else is owned data. A compile-time check.
@@ -1069,6 +1089,26 @@ mod tests {
             (got - expect_ns).abs() < 10.0,
             "FCT {got} ns vs expected {expect_ns} ns"
         );
+    }
+
+    /// The hooks find the auditor through a thread-local flag, not through
+    /// anything captured when the simulator was built: one installed after
+    /// construction still sees every event of the run.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn auditor_installed_after_construction_counts_every_event() {
+        let p = profile(Rate::from_gbps(10));
+        let topo = Topology::star(3, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+        let mut sim = Sim::new(topo, Box::new(BlastFactory), NullObserver);
+        sim.schedule_flow(flow(1, 0, 2, 100_000, Time::ZERO));
+        sim.schedule_flow(flow(2, 1, 2, 60_000, Time::from_micros(3)));
+        audit::install();
+        sim.run_to_completion(TimeDelta::millis(1));
+        let report = audit::finish();
+        assert!(report.is_clean(), "{report}");
+        assert!(sim.events_processed() > 500);
+        assert_eq!(report.counters.events, sim.events_processed());
+        assert_eq!(report.counters.enqueues, report.counters.dequeues);
     }
 
     #[test]

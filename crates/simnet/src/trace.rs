@@ -2,9 +2,11 @@
 //!
 //! With the `trace` feature (the default) every function forwards to
 //! [`flexpass_simtrace`], which records typed packet-lifecycle events into a
-//! thread-local bounded ring buffer — but only while a tracer is installed;
-//! otherwise each hook is a thread-local load and a branch. Without the
-//! feature the whole module compiles to no-ops and zero-sized state, so
+//! thread-local bounded ring buffer — but only while a tracer is installed.
+//! The shims and the hooks behind them are `#[inline]`, and a shim that
+//! takes a packet tests [`is_active`] before it reads the packet, so with
+//! no tracer each call site is a thread-local load and a branch. Without
+//! the feature the whole module compiles to no-ops and zero-sized state, so
 //! instrumented call sites need no `cfg` of their own.
 //!
 //! Tracing is strictly observation-only: no hook returns a value and no
@@ -48,6 +50,7 @@ fn seq_of(pkt: &Packet) -> i64 {
 }
 
 /// Advances the tracer clock to the dispatch time `now`.
+#[inline]
 pub fn now(t: Time) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_event_time(t.as_nanos());
@@ -56,33 +59,43 @@ pub fn now(t: Time) {
 }
 
 /// Queue `q` admitted `pkt`; the queue now holds `bytes_after`.
+#[inline]
 pub fn enqueue(q: QueueId, pkt: &Packet, bytes_after: WireBytes) {
     #[cfg(feature = "trace")]
-    flexpass_simtrace::on_enqueue(q, pkt.flow, seq_of(pkt), bytes_after.get());
+    if is_active() {
+        flexpass_simtrace::on_enqueue(q, pkt.flow, seq_of(pkt), bytes_after.get());
+    }
     #[cfg(not(feature = "trace"))]
     let _ = (q, pkt, bytes_after);
 }
 
 /// Queue `q` released `pkt`; the queue now holds `bytes_after`.
+#[inline]
 pub fn dequeue(q: QueueId, pkt: &Packet, bytes_after: WireBytes) {
     #[cfg(feature = "trace")]
-    flexpass_simtrace::on_dequeue(q, pkt.flow, seq_of(pkt), bytes_after.get());
+    if is_active() {
+        flexpass_simtrace::on_dequeue(q, pkt.flow, seq_of(pkt), bytes_after.get());
+    }
     #[cfg(not(feature = "trace"))]
     let _ = (q, pkt, bytes_after);
 }
 
 /// Queue `q` ECN-marked `pkt` on admission.
+#[inline]
 pub fn ecn_mark(q: QueueId, pkt: &Packet) {
     #[cfg(feature = "trace")]
-    flexpass_simtrace::on_ecn_mark(q, pkt.flow, seq_of(pkt));
+    if is_active() {
+        flexpass_simtrace::on_ecn_mark(q, pkt.flow, seq_of(pkt));
+    }
     #[cfg(not(feature = "trace"))]
     let _ = (q, pkt);
 }
 
 /// `pkt` was dropped at `node` for `reason` (congestion or buffer).
+#[inline]
 pub fn dropped(node: NodeId, pkt: &Packet, reason: DropReason) {
     #[cfg(feature = "trace")]
-    {
+    if is_active() {
         let cause = match reason {
             DropReason::QueueCap => DropCause::QueueCap,
             DropReason::Buffer => DropCause::Buffer,
@@ -95,14 +108,18 @@ pub fn dropped(node: NodeId, pkt: &Packet, reason: DropReason) {
 }
 
 /// `pkt` was destroyed by injected (non-congestion) loss at `node`.
+#[inline]
 pub fn injected_loss(node: NodeId, pkt: &Packet) {
     #[cfg(feature = "trace")]
-    flexpass_simtrace::on_drop(node as u64, pkt.flow, seq_of(pkt), DropCause::InjectedLoss);
+    if is_active() {
+        flexpass_simtrace::on_drop(node as u64, pkt.flow, seq_of(pkt), DropCause::InjectedLoss);
+    }
     #[cfg(not(feature = "trace"))]
     let _ = (node, pkt);
 }
 
 /// A receiver sent credit `idx` for `flow`.
+#[inline]
 pub fn credit_sent(flow: u64, idx: u64) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_credit_sent(flow, idx);
@@ -111,6 +128,7 @@ pub fn credit_sent(flow: u64, idx: u64) {
 }
 
 /// A credit reached `flow`'s sender with no data left to spend it on.
+#[inline]
 pub fn credit_wasted(flow: u64) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_credit_wasted(flow);
@@ -119,6 +137,7 @@ pub fn credit_wasted(flow: u64) {
 }
 
 /// `flow`'s sender retransmitted data sequence `seq`.
+#[inline]
 pub fn retransmit(flow: u64, seq: u32) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_retransmit(flow, i64::from(seq));
@@ -127,6 +146,7 @@ pub fn retransmit(flow: u64, seq: u32) {
 }
 
 /// `flow`'s retransmission timer fired at backoff level `backoff`.
+#[inline]
 pub fn rto(flow: u64, backoff: u32) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_rto(flow, backoff);
@@ -135,6 +155,7 @@ pub fn rto(flow: u64, backoff: u32) {
 }
 
 /// An armed endpoint timer identified by `token` was cancelled.
+#[inline]
 pub fn timer_cancel(token: u64) {
     #[cfg(feature = "trace")]
     flexpass_simtrace::on_timer_cancel(token >> 16, crate::sim::timer_kind(token));

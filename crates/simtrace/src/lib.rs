@@ -4,15 +4,18 @@
 //! `flexpass-simaudit`: the simulation crates call tiny hook functions at
 //! every interesting datapath transition (enqueue, dequeue, ECN mark, drop,
 //! credit send/waste, retransmit, RTO, timer cancel), and when a tracer is
-//! installed the events land in a bounded ring buffer, newest-wins. When no
-//! tracer is installed every hook is a thread-local load and a branch, so
-//! traced and untraced runs execute the identical simulation — tracing is
-//! observation-only and never feeds back into simulation state.
+//! installed the events land in a bounded ring buffer, newest-wins. Every
+//! hook is `#[inline]` and opens by testing a thread-local `Cell<bool>`
+//! that `install` sets and `finish` clears, with the recording behind it
+//! in a `#[cold]` out-of-line call: when no tracer is installed a hook is
+//! a thread-local load and a branch. Traced and untraced runs execute the
+//! identical simulation — tracing is observation-only and never feeds back
+//! into simulation state.
 //!
 //! Events serialize to JSON Lines via a hand-rolled codec (the workspace has
 //! no serde); [`TraceEvent::parse_json_line`] round-trips every variant.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -530,6 +533,8 @@ impl Tracer {
 
 thread_local! {
     static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
+    /// Whether `TRACER` holds a tracer: what the hooks test.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static NEXT_QUEUE: RefCell<u64> = const { RefCell::new(0) };
 }
 
@@ -553,11 +558,13 @@ pub fn install_with_capacity(capacity: usize, filter: TraceFilter) {
             dropped_oldest: 0,
         });
     });
+    ACTIVE.set(true);
 }
 
 /// Whether a tracer is installed on this thread.
+#[inline]
 pub fn is_active() -> bool {
-    TRACER.with(|t| t.borrow().is_some())
+    ACTIVE.get()
 }
 
 /// Uninstalls the tracer and returns its log.
@@ -566,6 +573,7 @@ pub fn is_active() -> bool {
 /// Panics if no tracer is installed (`install` was never called, or
 /// `finish` was called twice).
 pub fn finish() -> TraceLog {
+    ACTIVE.set(false);
     let tracer = TRACER
         .with(|t| t.borrow_mut().take())
         .expect("simtrace::finish() without a matching install()");
@@ -588,6 +596,9 @@ pub fn new_queue_id() -> QueueId {
     })
 }
 
+/// The recording side of a hook; callers have tested [`is_active`].
+#[cold]
+#[inline(never)]
 fn with_tracer(f: impl FnOnce(&mut Tracer)) {
     TRACER.with(|t| {
         if let Some(tracer) = t.borrow_mut().as_mut() {
@@ -597,12 +608,20 @@ fn with_tracer(f: impl FnOnce(&mut Tracer)) {
 }
 
 /// Advances the tracer clock; called once per dispatched simulation event.
+#[inline]
 pub fn on_event_time(t_ns: u64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| t.clock_ns = t_ns);
 }
 
 /// Records a queue admission.
+#[inline]
 pub fn on_enqueue(queue: QueueId, flow: u64, seq: i64, bytes_after: u64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::Enqueue {
             t_ns: t.clock_ns,
@@ -616,7 +635,11 @@ pub fn on_enqueue(queue: QueueId, flow: u64, seq: i64, bytes_after: u64) {
 }
 
 /// Records a queue departure.
+#[inline]
 pub fn on_dequeue(queue: QueueId, flow: u64, seq: i64, bytes_after: u64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::Dequeue {
             t_ns: t.clock_ns,
@@ -630,7 +653,11 @@ pub fn on_dequeue(queue: QueueId, flow: u64, seq: i64, bytes_after: u64) {
 }
 
 /// Records an ECN mark.
+#[inline]
 pub fn on_ecn_mark(queue: QueueId, flow: u64, seq: i64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::EcnMark {
             t_ns: t.clock_ns,
@@ -643,7 +670,11 @@ pub fn on_ecn_mark(queue: QueueId, flow: u64, seq: i64) {
 }
 
 /// Records a packet drop.
+#[inline]
 pub fn on_drop(node: u64, flow: u64, seq: i64, cause: DropCause) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::Drop {
             t_ns: t.clock_ns,
@@ -657,7 +688,11 @@ pub fn on_drop(node: u64, flow: u64, seq: i64, cause: DropCause) {
 }
 
 /// Records a credit send.
+#[inline]
 pub fn on_credit_sent(flow: u64, idx: u64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::CreditSent {
             t_ns: t.clock_ns,
@@ -669,7 +704,11 @@ pub fn on_credit_sent(flow: u64, idx: u64) {
 }
 
 /// Records a wasted credit.
+#[inline]
 pub fn on_credit_wasted(flow: u64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::CreditWasted {
             t_ns: t.clock_ns,
@@ -680,7 +719,11 @@ pub fn on_credit_wasted(flow: u64) {
 }
 
 /// Records a retransmission.
+#[inline]
 pub fn on_retransmit(flow: u64, seq: i64) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::Retransmit {
             t_ns: t.clock_ns,
@@ -692,7 +735,11 @@ pub fn on_retransmit(flow: u64, seq: i64) {
 }
 
 /// Records a retransmission-timeout fire.
+#[inline]
 pub fn on_rto(flow: u64, backoff: u32) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::Rto {
             t_ns: t.clock_ns,
@@ -704,7 +751,11 @@ pub fn on_rto(flow: u64, backoff: u32) {
 }
 
 /// Records a timer cancellation.
+#[inline]
 pub fn on_timer_cancel(flow: u64, kind: u16) {
+    if !is_active() {
+        return;
+    }
     with_tracer(|t| {
         let ev = TraceEvent::TimerCancel {
             t_ns: t.clock_ns,
@@ -860,10 +911,37 @@ mod tests {
 
     #[test]
     fn hooks_are_inert_without_install() {
-        // Must not panic or leak state.
+        // Must not panic, and must leave nothing for a later tracer.
         on_event_time(5);
         on_enqueue(QueueId(1), 1, 0, 10);
         on_drop(0, 1, 0, DropCause::Buffer);
+        assert!(!is_active());
+        install(TraceFilter::all());
+        on_credit_wasted(1);
+        let log = finish();
+        assert_eq!(log.total, 1);
+        assert_eq!(
+            log.events[0].t_ns(),
+            0,
+            "an uninstalled hook moved the clock"
+        );
+    }
+
+    #[test]
+    fn active_flag_is_per_thread() {
+        install(TraceFilter::all());
+        std::thread::spawn(|| {
+            assert!(!is_active(), "another thread's tracer armed this one");
+            on_credit_wasted(1); // inert here
+            install(TraceFilter::all());
+            assert!(is_active());
+            assert_eq!(finish().total, 0);
+            assert!(!is_active());
+        })
+        .join()
+        .expect("worker thread");
+        assert!(is_active());
+        assert_eq!(finish().total, 0);
         assert!(!is_active());
     }
 }
