@@ -147,7 +147,10 @@ impl<'a> EndpointCtx<'a> {
     /// Arms a cancellable timer for `token` at absolute time `at`,
     /// *replacing* any previously armed timer with the same token
     /// (cancel-and-replace semantics). At most one armed timer exists per
-    /// `(endpoint host, token)` at a time.
+    /// `(endpoint host, token)` at a time, and an endpoint may hold at most
+    /// [`MAX_ARMED_KINDS`](crate::host::MAX_ARMED_KINDS) kinds armed at
+    /// once. A timer still armed when the endpoint finishes is not
+    /// cancelled: it fires into nobody.
     pub fn arm_timer(&mut self, at: Time, token: u64) {
         self.timers.push(TimerCmd::Arm(at, token));
     }

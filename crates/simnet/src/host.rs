@@ -2,16 +2,46 @@
 //!
 //! A host owns one NIC egress [`Port`] — configured exactly like an edge
 //! switch port (§5, footnote 6: "NIC is essentially a special type of edge
-//! switch") — and a table of live transport [`Endpoint`]s keyed by flow.
+//! switch") — and one table of live transport [`Endpoint`]s keyed by flow.
 //!
-//! Both per-flow tables (endpoints and armed timers) are sorted `Vec`s
-//! rather than `BTreeMap`s: lookups stay `O(log n)` via binary search,
-//! iteration order stays deterministic (ascending key, same as the maps
-//! they replace), and the backing slabs are preallocated through
-//! [`Host::reserve_flows`] so steady-state insert/remove churn never
-//! touches the heap — `BTreeMap` node splits were one of the last
-//! allocation sources on the hot datapath.
+//! # The flow table
+//!
+//! An incast receiver holds hundreds of live flows and re-arms a pacing
+//! timer on nearly every event, so neither a lookup nor a re-arm may cost
+//! more than a few cache lines, whatever the table holds:
+//!
+//! * **Slots.** Each live flow owns one slot of a slab: its id, its boxed
+//!   endpoint, and the calendar handles of its armed cancellable timers,
+//!   inline and keyed by timer kind (at most [`MAX_ARMED_KINDS`] at once).
+//!   Retired slots go on a free list threaded through the slots
+//!   themselves and are reused; nothing ever shifts.
+//! * **Index.** `FlowId → slot` is an open-addressed table (linear
+//!   probing from `mix64(flow)`, at most half full, backward-shift
+//!   deletion so there are no tombstones). It is only ever probed, never
+//!   iterated, and it is rebuilt from the slab in slot order, so its
+//!   layout cannot leak into the run.
+//!
+//! A delivered packet, a timer event and a `TimerCmd::Arm` / `Cancel` each
+//! resolve their flow with **one index probe** ([`Host::deliver`],
+//! [`Host::fire_timer`], `Host::find`) and then work on the slot: a re-arm
+//! cancels the handle the slot holds and overwrites it in place.
+//!
+//! # Retirement
+//!
+//! An endpoint that reports `finished()` keeps its slot until the
+//! simulator has applied the commands that callback staged
+//! (`Host::retire_finished`, called at the end of `Sim::flush`), so a
+//! `Cancel` issued while finishing still finds the handle it names. Timers
+//! left armed at that point are *forgotten*, not cancelled: their calendar
+//! entries still pop as events, find no flow, and do nothing — exactly the
+//! event sequence of a table that kept them.
+//!
+//! The slab and the index are sized by [`Host::reserve_flows`]
+//! (proportional to its argument; [`Host::new`] allocates nothing) and
+//! otherwise double, so steady-state churn stays off the heap.
 
+use flexpass_simcore::event::EventQueue;
+use flexpass_simcore::rng::mix64;
 use flexpass_simcore::time::Time;
 use flexpass_simcore::units::Bytes;
 use flexpass_simcore::TimerHandle;
@@ -21,7 +51,13 @@ use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, TimerCmd};
 use crate::packet::{FlowId, HostId, Packet};
 use crate::port::Port;
 use crate::queue::DropReason;
+use crate::sim::{timer_flow, timer_kind};
 use crate::switch::{ClassMap, SwitchProfile};
+
+/// Most cancellable timer kinds one endpoint may hold armed at once; a
+/// slot stores their handles inline. The transports arm at most three
+/// (credit pacing, feedback, linger); [`Host`] panics on a fifth.
+pub const MAX_ARMED_KINDS: usize = 4;
 
 /// Per-host counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,6 +70,87 @@ pub struct HostCounters {
     pub rx_data_bytes: Bytes,
 }
 
+/// What a live flow keeps in its slot.
+struct Live {
+    flow: FlowId,
+    endpoint: Box<dyn Endpoint>,
+    /// `kinds[i]` is the timer kind of `armed[i]` while that is `Some`.
+    kinds: [u16; MAX_ARMED_KINDS],
+    armed: [Option<TimerHandle>; MAX_ARMED_KINDS],
+}
+
+/// One slab entry of the flow table.
+enum Slot {
+    Live(Live),
+    /// On the free list, naming the next free slot ([`NO_SLOT`] ends it).
+    Free(u32),
+}
+
+/// The slot number no slot has.
+const NO_SLOT: u32 = u32::MAX;
+
+impl Live {
+    /// The cell holding the handle armed for timer `kind`, if one is.
+    fn armed_mut(&mut self, kind: u16) -> Option<&mut Option<TimerHandle>> {
+        let cells = self.kinds.iter().zip(&mut self.armed);
+        cells
+            .filter(|(k, a)| **k == kind && a.is_some())
+            .map(|(_, a)| a)
+            .next()
+    }
+}
+
+/// A live slot of one host's flow table: what an index probe resolves a
+/// flow to. Valid until that flow retires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FlowSlot(u32);
+
+impl FlowSlot {
+    fn pos(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One entry of the open-addressed `FlowId → slot` index. The key sits
+/// beside the slot number so a probe compares without leaving the index.
+#[derive(Clone, Copy)]
+struct IndexEntry {
+    flow: FlowId,
+    slot: u32,
+}
+
+impl IndexEntry {
+    const VACANT: IndexEntry = IndexEntry {
+        flow: 0,
+        slot: NO_SLOT,
+    };
+
+    fn is_vacant(&self) -> bool {
+        self.slot == Self::VACANT.slot
+    }
+}
+
+/// Where `flow`'s probe sequence starts in an index of `mask + 1` entries.
+fn home(flow: FlowId, mask: usize) -> usize {
+    mix64(flow) as usize & mask
+}
+
+/// Writes `flow → slot` into the first vacant entry of `flow`'s probe
+/// sequence. The caller keeps the index at most half full and `flow`
+/// absent from it.
+fn index_put(index: &mut [IndexEntry], flow: FlowId, slot: u32) {
+    let mask = index.len().wrapping_sub(1);
+    let mut i = home(flow, mask);
+    loop {
+        let e = index.get_mut(i).expect("probe stays inside the index");
+        if e.is_vacant() {
+            *e = IndexEntry { flow, slot };
+            return;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
 /// An end host: NIC port + transport endpoints.
 pub struct Host {
     /// This host's index in the topology host list.
@@ -41,14 +158,19 @@ pub struct Host {
     /// NIC egress port towards the ToR (or single switch).
     pub nic: Port,
     class_map: ClassMap,
-    // Sorted by flow id: any iteration over live flows must be
-    // deterministic (hash-map order would vary run to run and break
-    // replayability).
-    flows: Vec<(FlowId, Box<dyn Endpoint>)>,
-    /// Calendar handle of the armed cancellable timer per token, sorted by
-    /// token. Entries are removed when the timer is cancelled or its event
-    /// is delivered.
-    armed: Vec<(u64, TimerHandle)>,
+    slots: Vec<Slot>,
+    /// Head of the list of slots whose flow retired, reused last-in
+    /// first-out.
+    free_head: u32,
+    /// Empty, or a power of two of entries at least twice `live`.
+    index: Vec<IndexEntry>,
+    // 10,240 hosts sit inline in the scale point's node table: counters
+    // are as wide as a slot number, not wider.
+    live: u32,
+    /// Handles held across all slots.
+    armed: u32,
+    /// The slot whose endpoint finished in the callback now being flushed.
+    finished: Option<u32>,
     counters: HostCounters,
 }
 
@@ -61,18 +183,27 @@ impl Host {
             host_id,
             nic: Port::new(&profile.port),
             class_map: profile.class_map,
-            flows: Vec::new(),
-            armed: Vec::new(),
+            slots: Vec::new(),
+            free_head: NO_SLOT,
+            index: Vec::new(),
+            live: 0,
+            armed: 0,
+            finished: None,
             counters: HostCounters::default(),
         }
     }
 
-    /// Preallocates the per-flow tables for `n` concurrent flows, so
-    /// steady-state registration and timer churn stays off the heap.
+    /// Reserves the flow table for `n` concurrent flows, so steady-state
+    /// registration and timer churn stays off the heap. Only capacity is
+    /// taken: a host writes its table when it first registers a flow, and
+    /// one that never does never touches the memory.
     pub fn reserve_flows(&mut self, n: usize) {
-        self.flows.reserve(n);
-        // Transports arm a handful of timer kinds per flow.
-        self.armed.reserve(n.saturating_mul(4));
+        if n > 0 {
+            let len = n.saturating_mul(2).next_power_of_two();
+            self.slots.reserve_exact(n.saturating_sub(self.slots.len()));
+            self.index
+                .reserve_exact(len.saturating_sub(self.index.len()));
+        }
     }
 
     /// Counters snapshot.
@@ -82,102 +213,219 @@ impl Host {
 
     /// Number of live endpoints.
     pub fn live_flows(&self) -> usize {
-        self.flows.len()
+        self.live as usize
     }
 
-    /// Number of currently armed cancellable timers (table entries).
+    /// Number of cancellable timers live endpoints currently hold armed.
     pub fn armed_timers(&self) -> usize {
-        self.armed.len()
+        self.armed as usize
     }
 
-    /// Records `hd` as the armed cancellable timer for `token`, returning
-    /// the handle it replaced (if the token was already armed).
-    pub(crate) fn arm_timer(&mut self, token: u64, hd: TimerHandle) -> Option<TimerHandle> {
-        match self.armed.binary_search_by_key(&token, |e| e.0) {
-            Ok(pos) => {
-                let entry = self.armed.get_mut(pos).expect("binary_search hit in range");
-                Some(std::mem::replace(&mut entry.1, hd))
-            }
-            Err(pos) => {
-                self.armed.insert(pos, (token, hd));
-                None
+    /// Resizes the index to `len` entries (a power of two) and re-enters
+    /// every live slot, in slot order.
+    fn rebuild_index(&mut self, len: usize) {
+        self.index.clear();
+        self.index.resize(len, IndexEntry::VACANT);
+        for (pos, slot) in self.slots.iter().enumerate() {
+            if let Slot::Live(live) = slot {
+                let pos = u32::try_from(pos).expect("slab holds fewer than 2^32 slots");
+                index_put(&mut self.index, live.flow, pos);
             }
         }
     }
 
-    /// The armed handle for `token`, if any (read-only peek).
-    pub(crate) fn armed_handle(&self, token: u64) -> Option<TimerHandle> {
-        match self.armed.binary_search_by_key(&token, |e| e.0) {
-            Ok(pos) => self.armed.get(pos).map(|e| e.1),
-            Err(_) => None,
+    /// Position of `flow`'s entry in the index and the slot it names: the
+    /// one probe every lookup makes.
+    fn probe(&self, flow: FlowId) -> Option<(usize, u32)> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut i = home(flow, mask);
+        loop {
+            // An empty index has no entry at any position.
+            let e = self.index.get(i)?;
+            if e.is_vacant() {
+                return None;
+            }
+            if e.flow == flow {
+                return Some((i, e.slot));
+            }
+            i = (i + 1) & mask;
         }
     }
 
-    /// Removes and returns the armed-timer entry for `token`.
-    pub(crate) fn take_armed(&mut self, token: u64) -> Option<TimerHandle> {
-        match self.armed.binary_search_by_key(&token, |e| e.0) {
-            Ok(pos) => Some(self.armed.remove(pos).1),
-            Err(_) => None,
-        }
+    /// The slot holding `flow`, if the flow is live here.
+    pub(crate) fn find(&self, flow: FlowId) -> Option<FlowSlot> {
+        self.probe(flow).map(|(_, slot)| FlowSlot(slot))
     }
 
-    fn flow_pos(&self, flow: FlowId) -> Result<usize, usize> {
-        self.flows.binary_search_by_key(&flow, |e| e.0)
+    /// Vacates `flow`'s index entry, shifting the rest of its probe run
+    /// back over the hole so no lookup ever meets a tombstone.
+    fn index_remove(&mut self, flow: FlowId) {
+        let Some((mut hole, _)) = self.probe(flow) else {
+            return;
+        };
+        let mask = self.index.len().wrapping_sub(1);
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let e = *self.index.get(i).expect("probe stays inside the index");
+            if e.is_vacant() {
+                break;
+            }
+            // `e` may move into the hole unless its home lies cyclically
+            // after the hole: it must stay reachable from its home.
+            if (i.wrapping_sub(home(e.flow, mask)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                *self.index.get_mut(hole).expect("hole is an index position") = e;
+                hole = i;
+            }
+        }
+        *self.index.get_mut(hole).expect("hole is an index position") = IndexEntry::VACANT;
     }
 
     /// Registers an endpoint for `flow` and runs its `activate` callback.
+    /// An endpoint registered under a live flow's id replaces that flow's
+    /// endpoint and inherits its armed timers.
     pub fn register(&mut self, flow: FlowId, mut ep: Box<dyn Endpoint>, ctx: &mut EndpointCtx) {
+        debug_assert!(self.finished.is_none(), "previous callback not flushed");
         ep.activate(ctx);
-        if !ep.finished() {
-            match self.flow_pos(flow) {
-                Ok(pos) => {
-                    let entry = self.flows.get_mut(pos).expect("binary_search hit in range");
-                    entry.1 = ep;
-                }
-                Err(pos) => self.flows.insert(pos, (flow, ep)),
+        if ep.finished() {
+            return;
+        }
+        if let Some(s) = self.find(flow) {
+            self.live_mut(s).endpoint = ep;
+            return;
+        }
+        if (self.live_flows() + 1) * 2 > self.index.len() {
+            // Double, or take at once what `reserve_flows` set aside: the
+            // largest power of two the buffer holds.
+            let reserved = (self.index.capacity() + 1).next_power_of_two() / 2;
+            self.rebuild_index((self.index.len() * 2).max(4).max(reserved));
+        }
+        let live = Slot::Live(Live {
+            flow,
+            endpoint: ep,
+            kinds: [0; MAX_ARMED_KINDS],
+            armed: [None; MAX_ARMED_KINDS],
+        });
+        let pos = match self.slots.get_mut(self.free_head as usize) {
+            Some(slot) => {
+                let Slot::Free(next) = *slot else {
+                    // lint:allow(panic-path): the free list names free slots
+                    unreachable!("live slot on the free list");
+                };
+                *slot = live;
+                std::mem::replace(&mut self.free_head, next)
             }
+            // `NO_SLOT`: nothing to reuse.
+            None => {
+                let pos =
+                    u32::try_from(self.slots.len()).expect("slab holds fewer than 2^32 slots");
+                self.slots.push(live);
+                pos
+            }
+        };
+        index_put(&mut self.index, flow, pos);
+        self.live += 1;
+    }
+
+    fn live_mut(&mut self, s: FlowSlot) -> &mut Live {
+        match self.slots.get_mut(s.pos()) {
+            Some(Slot::Live(live)) => live,
+            // lint:allow(panic-path): the index names live slots only
+            _ => unreachable!("an indexed slot is live"),
         }
     }
 
     /// Delivers an arriving packet to the owning endpoint. Returns `false`
     /// if no endpoint claimed it (stray late packet — dropped).
     pub fn deliver(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) -> bool {
+        debug_assert!(self.finished.is_none(), "previous callback not flushed");
         if pkt.is_data() {
             self.counters.rx_data_bytes += pkt.payload_bytes();
         }
-        match self.flow_pos(pkt.flow) {
-            Ok(pos) => {
-                let ep = &mut self
-                    .flows
-                    .get_mut(pos)
-                    .expect("binary_search hit in range")
-                    .1;
-                ep.on_packet(pkt, ctx);
-                if ep.finished() {
-                    self.flows.remove(pos);
-                }
-                true
-            }
-            Err(_) => {
-                self.counters.stray_rx += 1;
-                false
-            }
+        let Some(s) = self.find(pkt.flow) else {
+            self.counters.stray_rx += 1;
+            return false;
+        };
+        let ep = &mut self.live_mut(s).endpoint;
+        ep.on_packet(pkt, ctx);
+        if ep.finished() {
+            self.finished = Some(s.0);
+        }
+        true
+    }
+
+    /// Fires the timer `token` on its flow's endpoint; a timer whose flow
+    /// has departed is a no-op. `events` is the calendar the timer popped
+    /// from: if this delivery consumed the handle the slot holds for the
+    /// token's kind (it went stale when the calendar popped the entry),
+    /// the slot forgets it. A `Set` timer sharing the token leaves an
+    /// armed one pending.
+    pub fn fire_timer<E>(&mut self, token: u64, events: &EventQueue<E>, ctx: &mut EndpointCtx) {
+        debug_assert!(self.finished.is_none(), "previous callback not flushed");
+        let Some(s) = self.find(timer_flow(token)) else {
+            return;
+        };
+        let consumed = self
+            .live_mut(s)
+            .armed_mut(timer_kind(token))
+            .and_then(|a| a.take_if(|hd| !events.is_pending(*hd)));
+        if consumed.is_some() {
+            self.armed -= 1;
+        }
+        let ep = &mut self.live_mut(s).endpoint;
+        ep.on_timer(token, ctx);
+        if ep.finished() {
+            self.finished = Some(s.0);
         }
     }
 
-    /// Fires a timer for `flow`; stale timers for departed flows are no-ops.
-    pub fn fire_timer(&mut self, flow: FlowId, token: u64, ctx: &mut EndpointCtx) {
-        if let Ok(pos) = self.flow_pos(flow) {
-            let ep = &mut self
-                .flows
-                .get_mut(pos)
-                .expect("binary_search hit in range")
-                .1;
-            ep.on_timer(token, ctx);
-            if ep.finished() {
-                self.flows.remove(pos);
-            }
-        }
+    /// Removes and returns the handle slot `s` holds armed for `kind`.
+    pub(crate) fn take_armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
+        let hd = self.live_mut(s).armed_mut(kind)?.take();
+        self.armed -= 1;
+        hd
+    }
+
+    /// Records `hd` as slot `s`'s armed timer of `kind`. The caller has
+    /// taken any previous handle of that kind ([`Host::take_armed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint already holds [`MAX_ARMED_KINDS`] other
+    /// kinds armed.
+    pub(crate) fn set_armed(&mut self, s: FlowSlot, kind: u16, hd: TimerHandle) {
+        let live = self.live_mut(s);
+        let (k, a) = live
+            .kinds
+            .iter_mut()
+            .zip(&mut live.armed)
+            .find(|(_, a)| a.is_none())
+            .expect("an endpoint arms at most MAX_ARMED_KINDS timer kinds at once");
+        *k = kind;
+        *a = Some(hd);
+        self.armed += 1;
+    }
+
+    /// Retires the endpoint that finished in the callback just flushed,
+    /// if one did: its slot joins the free list and its index entry is
+    /// vacated. Handles it still held are forgotten, not cancelled — the
+    /// calendar entries pop as events that find no flow.
+    pub(crate) fn retire_finished(&mut self) {
+        let Some(pos) = self.finished.take() else {
+            return;
+        };
+        let slot = self.live_mut(FlowSlot(pos));
+        let flow = slot.flow;
+        let forgotten = slot.armed.iter().flatten().count();
+        self.armed -= u32::try_from(forgotten).expect("at most MAX_ARMED_KINDS");
+        self.index_remove(flow);
+        // Drops the endpoint.
+        *self
+            .slots
+            .get_mut(pos as usize)
+            .expect("slot is in the slab") = Slot::Free(self.free_head);
+        self.free_head = pos;
+        self.live -= 1;
     }
 
     /// Offers the packet behind `id` to the NIC egress queue chosen by the
@@ -247,8 +495,10 @@ mod tests {
     use crate::packet::{Payload, TrafficClass};
     use crate::port::{PortConfig, QueueSched};
     use crate::queue::QueueConfig;
-    use flexpass_simcore::time::Rate;
+    use crate::sim::{timer_token, MAX_FLOW_ID};
+    use flexpass_simcore::time::{Rate, TimeDelta};
     use flexpass_simcore::units::WireBytes;
+    use flexpass_simcore::SimRng;
 
     fn profile() -> SwitchProfile {
         SwitchProfile {
@@ -300,27 +550,44 @@ mod tests {
         )
     }
 
+    /// Length of the free list.
+    fn free_slots(h: &Host) -> usize {
+        let mut n = 0;
+        let mut next = h.free_head;
+        while let Some(Slot::Free(after)) = h.slots.get(next as usize) {
+            n += 1;
+            next = *after;
+        }
+        assert_eq!(next, NO_SLOT, "free list ends at a live slot");
+        n
+    }
+
+    fn count_ep(done_after: u32) -> Box<dyn Endpoint> {
+        Box::new(CountEp { got: 0, done_after })
+    }
+
+    /// `deliver` as the simulator performs it: the callback, then the
+    /// retirement that ends its flush.
+    fn deliver(h: &mut Host, flow: FlowId, scratch: &mut Scratch, arena: &mut PacketArena) -> bool {
+        let claimed = h.deliver(&ctrl_pkt(flow), &mut scratch.ctx(Time::ZERO, arena));
+        h.retire_finished();
+        claimed
+    }
+
     #[test]
     fn delivery_and_cleanup() {
         let mut h = Host::new(0, &profile());
         let mut arena = PacketArena::new();
         let mut scratch = Scratch::default();
-        h.register(
-            7,
-            Box::new(CountEp {
-                got: 0,
-                done_after: 2,
-            }),
-            &mut scratch.ctx(Time::ZERO, &mut arena),
-        );
+        h.register(7, count_ep(2), &mut scratch.ctx(Time::ZERO, &mut arena));
         assert_eq!(h.live_flows(), 1);
-        assert!(h.deliver(&ctrl_pkt(7), &mut scratch.ctx(Time::ZERO, &mut arena)));
+        assert!(deliver(&mut h, 7, &mut scratch, &mut arena));
         assert_eq!(h.live_flows(), 1);
-        assert!(h.deliver(&ctrl_pkt(7), &mut scratch.ctx(Time::ZERO, &mut arena)));
+        assert!(deliver(&mut h, 7, &mut scratch, &mut arena));
         // Endpoint reached its target and was dropped.
         assert_eq!(h.live_flows(), 0);
         // Late packet counts as stray.
-        assert!(!h.deliver(&ctrl_pkt(7), &mut scratch.ctx(Time::ZERO, &mut arena)));
+        assert!(!deliver(&mut h, 7, &mut scratch, &mut arena));
         assert_eq!(h.counters().stray_rx, 1);
     }
 
@@ -329,39 +596,53 @@ mod tests {
         let mut h = Host::new(0, &profile());
         let mut arena = PacketArena::new();
         let mut scratch = Scratch::default();
-        h.register(
-            9,
-            Box::new(CountEp {
-                got: 0,
-                done_after: 0,
-            }),
-            &mut scratch.ctx(Time::ZERO, &mut arena),
-        );
+        h.register(9, count_ep(0), &mut scratch.ctx(Time::ZERO, &mut arena));
         assert_eq!(h.live_flows(), 0);
     }
 
+    /// `Sim` builds 10,240 of these for the scale point: an idle host owns
+    /// no table memory, and a reservation is as large as asked, not larger.
     #[test]
-    fn flow_table_stays_sorted_under_out_of_order_registration() {
+    fn table_memory_follows_the_reservation() {
+        use std::mem::size_of;
+        assert_eq!((size_of::<Slot>(), size_of::<IndexEntry>()), (64, 16));
+        let mut h = Host::new(0, &profile());
+        assert_eq!((h.slots.capacity(), h.index.capacity()), (0, 0));
+        h.reserve_flows(0);
+        assert_eq!(h.index.capacity(), 0);
+        h.reserve_flows(2);
+        assert_eq!((h.slots.capacity(), h.index.capacity()), (2, 4));
+        h.reserve_flows(600);
+        assert_eq!((h.slots.capacity(), h.index.capacity()), (600, 2048));
+        // Reserved, not written: the first registration sizes the index
+        // to the whole reservation in one step.
+        assert_eq!(h.index.len(), 0);
+        let mut arena = PacketArena::new();
+        let mut scratch = Scratch::default();
+        h.register(1, count_ep(1), &mut scratch.ctx(Time::ZERO, &mut arena));
+        assert_eq!((h.index.len(), h.index.capacity()), (2048, 2048));
+    }
+
+    /// Registration past the reservation doubles the index, a freed slot
+    /// is reused, and every flow resolves whatever order it arrived in.
+    #[test]
+    fn table_grows_and_reuses_slots() {
         let mut h = Host::new(0, &profile());
         let mut arena = PacketArena::new();
         let mut scratch = Scratch::default();
-        h.reserve_flows(8);
-        for flow in [9u64, 2, 17, 5] {
-            h.register(
-                flow,
-                Box::new(CountEp {
-                    got: 0,
-                    done_after: 10,
-                }),
-                &mut scratch.ctx(Time::ZERO, &mut arena),
-            );
+        for flow in [9u64, 2, 17, 5, 1 << 40, 33] {
+            h.register(flow, count_ep(1), &mut scratch.ctx(Time::ZERO, &mut arena));
         }
-        assert_eq!(h.live_flows(), 4);
-        // Every flow resolves by binary search regardless of insert order.
-        for flow in [2u64, 5, 9, 17] {
-            assert!(h.deliver(&ctrl_pkt(flow), &mut scratch.ctx(Time::ZERO, &mut arena)));
+        assert_eq!((h.live_flows(), h.slots.len(), h.index.len()), (6, 6, 16));
+        assert!(deliver(&mut h, 17, &mut scratch, &mut arena));
+        assert_eq!((h.live_flows(), free_slots(&h)), (5, 1));
+        h.register(6, count_ep(1), &mut scratch.ctx(Time::ZERO, &mut arena));
+        assert_eq!((h.live_flows(), h.slots.len(), free_slots(&h)), (6, 6, 0));
+        for flow in [2u64, 5, 6, 9, 33, 1 << 40] {
+            assert!(deliver(&mut h, flow, &mut scratch, &mut arena));
         }
-        assert_eq!(h.counters().stray_rx, 0);
+        assert!(!deliver(&mut h, 17, &mut scratch, &mut arena));
+        assert_eq!((h.live_flows(), h.counters().stray_rx), (0, 1));
     }
 
     #[test]
@@ -388,7 +669,329 @@ mod tests {
         let mut h = Host::new(0, &profile());
         let mut arena = PacketArena::new();
         let mut scratch = Scratch::default();
+        let events: EventQueue<u64> = EventQueue::new();
         // No flow 3 registered; must not panic.
-        h.fire_timer(3, 1, &mut scratch.ctx(Time::ZERO, &mut arena));
+        h.fire_timer(
+            timer_token(3, 1),
+            &events,
+            &mut scratch.ctx(Time::ZERO, &mut arena),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_ARMED_KINDS")]
+    fn a_fifth_armed_kind_is_refused() {
+        let mut h = Host::new(0, &profile());
+        let mut arena = PacketArena::new();
+        let mut scratch = Scratch::default();
+        let mut events: EventQueue<u64> = EventQueue::new();
+        h.register(1, count_ep(1), &mut scratch.ctx(Time::ZERO, &mut arena));
+        let s = h.find(1).expect("registered");
+        for kind in 1..=5u16 {
+            let hd = events.schedule_cancelable(Time::from_micros(1), timer_token(1, kind));
+            h.set_armed(s, kind, hd);
+        }
+    }
+
+    /// The sorted-`Vec` tables `Host` held before the slab, kept as the
+    /// reference model. The method bodies are the ones this file had, with
+    /// the one specified difference: a retiring flow's armed entries are
+    /// forgotten (`retire_finished`), where the old table kept them until
+    /// they fired as no-ops.
+    struct RefTables {
+        flows: Vec<(FlowId, Box<dyn Endpoint>)>,
+        armed: Vec<(u64, TimerHandle)>,
+        finished: Option<FlowId>,
+    }
+
+    impl RefTables {
+        fn arm_timer(&mut self, token: u64, hd: TimerHandle) -> Option<TimerHandle> {
+            match self.armed.binary_search_by_key(&token, |e| e.0) {
+                Ok(pos) => Some(std::mem::replace(&mut self.armed[pos].1, hd)),
+                Err(pos) => {
+                    self.armed.insert(pos, (token, hd));
+                    None
+                }
+            }
+        }
+
+        fn armed_handle(&self, token: u64) -> Option<TimerHandle> {
+            match self.armed.binary_search_by_key(&token, |e| e.0) {
+                Ok(pos) => Some(self.armed[pos].1),
+                Err(_) => None,
+            }
+        }
+
+        fn take_armed(&mut self, token: u64) -> Option<TimerHandle> {
+            match self.armed.binary_search_by_key(&token, |e| e.0) {
+                Ok(pos) => Some(self.armed.remove(pos).1),
+                Err(_) => None,
+            }
+        }
+
+        fn flow_pos(&self, flow: FlowId) -> Result<usize, usize> {
+            self.flows.binary_search_by_key(&flow, |e| e.0)
+        }
+
+        fn register(&mut self, flow: FlowId, mut ep: Box<dyn Endpoint>, ctx: &mut EndpointCtx) {
+            ep.activate(ctx);
+            if !ep.finished() {
+                match self.flow_pos(flow) {
+                    Ok(pos) => self.flows[pos].1 = ep,
+                    Err(pos) => self.flows.insert(pos, (flow, ep)),
+                }
+            }
+        }
+
+        fn deliver(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) -> bool {
+            match self.flow_pos(pkt.flow) {
+                Ok(pos) => {
+                    let ep = &mut self.flows[pos].1;
+                    ep.on_packet(pkt, ctx);
+                    if ep.finished() {
+                        self.flows.remove(pos);
+                        self.finished = Some(pkt.flow);
+                    }
+                    true
+                }
+                Err(_) => false,
+            }
+        }
+
+        fn fire_timer(&mut self, flow: FlowId, token: u64, ctx: &mut EndpointCtx) {
+            if let Ok(pos) = self.flow_pos(flow) {
+                let ep = &mut self.flows[pos].1;
+                ep.on_timer(token, ctx);
+                if ep.finished() {
+                    self.flows.remove(pos);
+                    self.finished = Some(flow);
+                }
+            }
+        }
+
+        fn retire_finished(&mut self) {
+            if let Some(flow) = self.finished.take() {
+                self.armed.retain(|e| timer_flow(e.0) != flow);
+            }
+        }
+    }
+
+    /// Timer kinds a [`ScriptEp`] arms: four, the most a slot holds.
+    const KINDS: [u16; MAX_ARMED_KINDS] = [1, 5, 9, 14];
+
+    type CallLog = std::sync::Arc<std::sync::Mutex<Vec<(FlowId, u64)>>>;
+
+    /// An endpoint driven by its own seeded stream: every callback logs
+    /// itself, stages up to three timer commands on its own tokens, and
+    /// (outside `activate`) finishes one time in fifty — in that same
+    /// callback, commands and all.
+    struct ScriptEp {
+        flow: FlowId,
+        rng: SimRng,
+        done: bool,
+        log: CallLog,
+    }
+
+    impl ScriptEp {
+        fn act(&mut self, what: u64, may_finish: bool, ctx: &mut EndpointCtx) {
+            self.log.lock().expect("lock").push((self.flow, what));
+            for _ in 0..self.rng.next_below(4) {
+                let token = timer_token(self.flow, KINDS[self.rng.index(KINDS.len())]);
+                let at = ctx.now + TimeDelta::nanos(self.rng.next_below(40_000));
+                match self.rng.next_below(5) {
+                    0 => ctx.cancel_timer(token),
+                    1 => ctx.set_timer(at, token),
+                    _ => ctx.arm_timer(at, token),
+                }
+            }
+            self.done = may_finish && self.rng.chance(0.02);
+        }
+    }
+
+    impl Endpoint for ScriptEp {
+        fn activate(&mut self, ctx: &mut EndpointCtx) {
+            self.act(u64::MAX, false, ctx);
+        }
+        fn on_packet(&mut self, _pkt: &Packet, ctx: &mut EndpointCtx) {
+            self.act(u64::MAX - 1, true, ctx);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+            self.act(token, true, ctx);
+        }
+        fn finished(&self) -> bool {
+            self.done
+        }
+    }
+
+    /// The slab table and the reference under one calendar, each with its
+    /// own copy of every endpoint.
+    struct Pair {
+        host: Host,
+        reference: RefTables,
+        events: EventQueue<u64>,
+        arena: PacketArena,
+        scratch: [Scratch; 2],
+        logs: [CallLog; 2],
+    }
+
+    impl Pair {
+        fn endpoint(&self, side: usize, flow: FlowId, salt: u64) -> Box<dyn Endpoint> {
+            Box::new(ScriptEp {
+                flow,
+                rng: SimRng::new(mix64(flow) ^ salt),
+                done: false,
+                log: self.logs[side].clone(),
+            })
+        }
+
+        fn register(&mut self, flow: FlowId, salt: u64) {
+            let now = self.events.now();
+            let (a, b) = (self.endpoint(0, flow, salt), self.endpoint(1, flow, salt));
+            let [sa, sb] = &mut self.scratch;
+            self.host
+                .register(flow, a, &mut sa.ctx(now, &mut self.arena));
+            self.reference
+                .register(flow, b, &mut sb.ctx(now, &mut self.arena));
+            self.flush();
+        }
+
+        fn deliver(&mut self, flow: FlowId) {
+            let now = self.events.now();
+            let [sa, sb] = &mut self.scratch;
+            let pkt = ctrl_pkt(flow);
+            let claimed = self.host.deliver(&pkt, &mut sa.ctx(now, &mut self.arena));
+            let expect = self
+                .reference
+                .deliver(&pkt, &mut sb.ctx(now, &mut self.arena));
+            assert_eq!(claimed, expect, "flow {flow} claimed by one table only");
+            self.flush();
+        }
+
+        /// Pops the next timer event and fires it: the reference through
+        /// the old `Sim::dispatch` arm, verbatim.
+        fn fire(&mut self) {
+            let Some((now, token)) = self.events.pop() else {
+                return;
+            };
+            let [sa, sb] = &mut self.scratch;
+            self.host
+                .fire_timer(token, &self.events, &mut sa.ctx(now, &mut self.arena));
+            if let Some(hd) = self.reference.armed_handle(token) {
+                if !self.events.is_pending(hd) {
+                    self.reference.take_armed(token);
+                }
+            }
+            self.reference
+                .fire_timer(token >> 16, token, &mut sb.ctx(now, &mut self.arena));
+            self.flush();
+        }
+
+        /// `Sim::flush`'s timer loop over both tables, then the checks:
+        /// same endpoint called, same handle handed back for cancellation,
+        /// same table sizes.
+        fn flush(&mut self) {
+            let now = self.events.now();
+            let [sa, sb] = &mut self.scratch;
+            assert_eq!(
+                sa.timers, sb.timers,
+                "the two copies of an endpoint diverged"
+            );
+            let [la, lb] = &self.logs;
+            assert_eq!(
+                std::mem::take(&mut *la.lock().expect("lock")),
+                std::mem::take(&mut *lb.lock().expect("lock")),
+                "a different endpoint was called"
+            );
+            let (h, r) = (&mut self.host, &mut self.reference);
+            for cmd in sa.timers.drain(..) {
+                match cmd {
+                    TimerCmd::Set(at, token) => self.events.schedule(at.max(now), token),
+                    TimerCmd::Arm(at, token) => {
+                        let slot = h.find(timer_flow(token));
+                        let kind = timer_kind(token);
+                        let old = slot.and_then(|s| h.take_armed(s, kind));
+                        assert_eq!(old, r.take_armed(token), "re-arm of {token:#x}");
+                        if let Some(old) = old {
+                            self.events.cancel(old);
+                        }
+                        let hd = self.events.schedule_cancelable(at.max(now), token);
+                        if let Some(s) = slot {
+                            h.set_armed(s, kind, hd);
+                        }
+                        r.arm_timer(token, hd);
+                    }
+                    TimerCmd::Cancel(token) => {
+                        let slot = h.find(timer_flow(token));
+                        let old = slot.and_then(|s| h.take_armed(s, timer_kind(token)));
+                        assert_eq!(old, r.take_armed(token), "cancel of {token:#x}");
+                        if let Some(old) = old {
+                            self.events.cancel(old);
+                        }
+                    }
+                }
+            }
+            sb.clear();
+            h.retire_finished();
+            r.retire_finished();
+            assert_eq!(h.live_flows(), r.flows.len());
+            assert_eq!(h.armed_timers(), r.armed.len());
+        }
+    }
+
+    /// Differential test against the sorted-`Vec` reference: seeded random
+    /// register / re-register / deliver / stray / arm / re-arm / cancel /
+    /// fire / finish sequences with at least 1,000 flows live throughout.
+    #[test]
+    fn slab_table_matches_sorted_vec_reference() {
+        const LIVE: usize = 1_100;
+        for seed in 0..8u64 {
+            let mut rng = SimRng::new(seed);
+            let mut p = Pair {
+                host: Host::new(0, &profile()),
+                reference: RefTables {
+                    flows: Vec::new(),
+                    armed: Vec::new(),
+                    finished: None,
+                },
+                events: EventQueue::new(),
+                arena: PacketArena::new(),
+                scratch: Default::default(),
+                logs: Default::default(),
+            };
+            // Every id ever registered: the departed ones draw strays.
+            let mut ids: Vec<FlowId> = Vec::new();
+            let (mut fired, mut min_live, mut max_armed) = (0u64, usize::MAX, 0);
+            for step in 0..60_000u64 {
+                if p.host.live_flows() < LIVE {
+                    // Dense ids and ids spread over all 48 bits.
+                    let flow = if rng.chance(0.5) {
+                        step
+                    } else {
+                        rng.next_u64() & MAX_FLOW_ID
+                    };
+                    ids.push(flow);
+                    p.register(flow, seed);
+                    continue;
+                }
+                min_live = min_live.min(p.host.live_flows());
+                max_armed = max_armed.max(p.host.armed_timers());
+                let flow = ids[rng.index(ids.len())];
+                match rng.next_below(8) {
+                    0 => p.register(flow, step),
+                    1 | 2 => p.deliver(flow),
+                    _ => {
+                        p.fire();
+                        fired += 1;
+                    }
+                }
+            }
+            assert!(min_live >= 1_000, "seed {seed}: only {min_live} flows live");
+            assert!(max_armed >= 1_500, "seed {seed}: only {max_armed} armed");
+            assert!(fired > 30_000 && p.host.counters().stray_rx > 100);
+            assert_eq!(
+                free_slots(&p.host) + p.host.live_flows(),
+                p.host.slots.len()
+            );
+        }
     }
 }

@@ -281,7 +281,11 @@ impl<O: NetObserver + Send> ParSim<O> {
         let arena_grows: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
         let arena_hw: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
         let last_comp = AtomicU64::new(0);
-        let poisoned = AtomicBool::new(false);
+        // A faulted domain says so in the cell of the window it publishes
+        // into, like its t-min: a flag raised at any instant could be seen
+        // by one thread's decision and missed by another's, and the one
+        // that stayed would wait at the next barrier alone.
+        let poisoned = [AtomicBool::new(false), AtomicBool::new(false)];
         let drained_incomplete = AtomicBool::new(false);
         let panic_msg: OnceLock<String> = OnceLock::new();
 
@@ -360,7 +364,7 @@ impl<O: NetObserver + Send> ParSim<O> {
             // a drained calendar with incomplete flows is a transport bug.
             panic!("event queue drained with {done}/{total_flows} flows incomplete");
         }
-        if poisoned.load(Ordering::SeqCst) {
+        if poisoned.iter().any(|p| p.load(Ordering::SeqCst)) {
             let msg = panic_msg
                 .get()
                 .map(String::as_str)
@@ -386,7 +390,7 @@ struct DomainCtx<'a, 'sim, O: NetObserver + Send> {
     arena_grows: &'a [AtomicU64],
     arena_hw: &'a [AtomicU64],
     last_comp: &'a AtomicU64,
-    poisoned: &'a AtomicBool,
+    poisoned: &'a [AtomicBool; 2],
     drained_incomplete: &'a AtomicBool,
     panic_msg: &'a OnceLock<String>,
     probe: Option<&'a Arc<ProgressProbe>>,
@@ -448,6 +452,9 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
         Mode::Until(t) => Some(t),
     };
     let mut w: usize = 0;
+    // This domain caught a panic: it does no more work and says so at
+    // the next publication.
+    let mut faulted = false;
 
     loop {
         // B1: the previous window's channel sends are now visible.
@@ -455,7 +462,7 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
 
         // Catchable per-window work, phase 1: drain inboxes (ascending
         // sender order keeps calendar tie order deterministic).
-        if !poisoned.load(Ordering::SeqCst) {
+        if !faulted {
             let drained = catch_unwind(AssertUnwindSafe(|| {
                 for rx in &my_rx {
                     while let Ok((at, node, pkt)) = rx.try_recv() {
@@ -465,12 +472,14 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
             }));
             if let Err(e) = drained {
                 let _ = panic_msg.set(payload_msg(e));
-                poisoned.store(true, Ordering::SeqCst);
+                faulted = true;
             }
         }
 
         // Publish this domain's state for the window decision.
-        let my_min = if poisoned.load(Ordering::SeqCst) {
+        let poison = poisoned.get(w & 1).expect("two parity cells");
+        let my_min = if faulted {
+            poison.store(true, Ordering::SeqCst);
             u64::MAX
         } else {
             sim.next_event_time().map_or(u64::MAX, |t| t.as_nanos())
@@ -497,7 +506,7 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
 
         // Every thread computes the identical decision from the same
         // shared snapshot — no thread may diverge, or barriers deadlock.
-        if poisoned.load(Ordering::SeqCst) {
+        if poison.load(Ordering::SeqCst) {
             break;
         }
         let t_min = cell.load(Ordering::SeqCst);
@@ -550,9 +559,8 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
         }
 
         // Catchable per-window work, phase 2: run the window, then hand
-        // off cut-crossing packets. Send errors are ignored — they can
-        // only occur after a peer broke out poisoned, in which case this
-        // thread breaks at the next decision anyway.
+        // off cut-crossing packets. Send errors are ignored — every
+        // receiver lives until all domains leave at the same decision.
         let ran = catch_unwind(AssertUnwindSafe(|| {
             sim.run_window(horizon);
             let outbox_len = sim.outbox.len();
@@ -567,7 +575,7 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
         }));
         if let Err(e) = ran {
             let _ = panic_msg.set(payload_msg(e));
-            poisoned.store(true, Ordering::SeqCst);
+            faulted = true;
         }
         w += 1;
     }

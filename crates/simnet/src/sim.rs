@@ -452,7 +452,8 @@ impl<O: NetObserver> Sim<O> {
     ///
     /// # Panics
     ///
-    /// Panics if source and destination hosts coincide or are out of range.
+    /// Panics if source and destination hosts coincide or are out of
+    /// range, or if the flow id exceeds [`MAX_FLOW_ID`].
     pub fn schedule_flow(&mut self, spec: FlowSpec) {
         self.schedule_flow_role(spec, FlowRole::Both);
     }
@@ -462,10 +463,16 @@ impl<O: NetObserver> Sim<O> {
     ///
     /// # Panics
     ///
-    /// Panics if source and destination hosts coincide or are out of range.
+    /// Panics if source and destination hosts coincide or are out of
+    /// range, or if the flow id exceeds [`MAX_FLOW_ID`].
     pub fn schedule_flow_role(&mut self, spec: FlowSpec, role: FlowRole) {
         assert!(spec.src != spec.dst, "flow to self");
         assert!(spec.src < self.hosts.len() && spec.dst < self.hosts.len());
+        assert!(
+            spec.id <= MAX_FLOW_ID,
+            "flow id {} does not fit a timer token",
+            spec.id
+        );
         let idx = u32::try_from(self.flows.len()).expect("flow table index fits u32");
         self.events.schedule(spec.start, Event::FlowStart { idx });
         self.flows.push(spec);
@@ -580,16 +587,8 @@ impl<O: NetObserver> Sim<O> {
                 let host = host as NodeId;
                 self.scratch.clear();
                 if let Some(Node::Host(h)) = self.nodes.get_mut(host) {
-                    // If this delivery consumed the armed timer for the
-                    // token, retire its table entry (the handle went stale
-                    // when the calendar popped the entry).
-                    if let Some(hd) = h.armed_handle(token) {
-                        if !self.events.is_pending(hd) {
-                            h.take_armed(token);
-                        }
-                    }
                     let mut ctx = self.scratch.ctx(now, &mut self.arena);
-                    h.fire_timer(token >> 16, token, &mut ctx);
+                    h.fire_timer(token, &self.events, &mut ctx);
                 } else {
                     // lint:allow(panic-path): timers are only armed by hosts
                     unreachable!("timer on a switch");
@@ -801,38 +800,46 @@ impl<O: NetObserver> Sim<O> {
                 }
             }
         }
-        if !scratch.timers.is_empty() {
-            let h = match self.nodes.get_mut(node).expect("flush node id in range") {
-                Node::Host(h) => h,
-                // lint:allow(panic-path): flush is only called for hosts
-                Node::Switch(_) => unreachable!("flush on a switch"),
-            };
-            for cmd in scratch.timers.drain(..) {
-                // The flow a timer belongs to rides in the token's high
-                // bits (tokens are namespaced per endpoint; see
-                // [`timer_token`]) and is read back at dispatch.
-                match cmd {
-                    TimerCmd::Set(at, token) => {
-                        self.events.schedule(at.max(now), Event::timer(node, token));
+        let h = match self.nodes.get_mut(node).expect("flush node id in range") {
+            Node::Host(h) => h,
+            // lint:allow(panic-path): flush is only called for hosts
+            Node::Switch(_) => unreachable!("flush on a switch"),
+        };
+        for cmd in scratch.timers.drain(..) {
+            // The flow a timer belongs to rides in the token's high bits
+            // (tokens are namespaced per endpoint; see [`timer_token`]):
+            // one probe of the host's flow table finds the slot holding
+            // its armed handles. A flow that is not live holds none, and
+            // a timer armed for it fires as a no-op.
+            match cmd {
+                TimerCmd::Set(at, token) => {
+                    self.events.schedule(at.max(now), Event::timer(node, token));
+                }
+                TimerCmd::Arm(at, token) => {
+                    let slot = h.find(timer_flow(token));
+                    let kind = timer_kind(token);
+                    if let Some(old) = slot.and_then(|s| h.take_armed(s, kind)) {
+                        self.events.cancel(old);
                     }
-                    TimerCmd::Arm(at, token) => {
-                        if let Some(old) = h.take_armed(token) {
-                            self.events.cancel(old);
-                        }
-                        let hd = self
-                            .events
-                            .schedule_cancelable(at.max(now), Event::timer(node, token));
-                        h.arm_timer(token, hd);
+                    let hd = self
+                        .events
+                        .schedule_cancelable(at.max(now), Event::timer(node, token));
+                    if let Some(s) = slot {
+                        h.set_armed(s, kind, hd);
                     }
-                    TimerCmd::Cancel(token) => {
-                        if let Some(old) = h.take_armed(token) {
-                            self.events.cancel(old);
-                            trace::timer_cancel(token);
-                        }
+                }
+                TimerCmd::Cancel(token) => {
+                    let slot = h.find(timer_flow(token));
+                    if let Some(old) = slot.and_then(|s| h.take_armed(s, timer_kind(token))) {
+                        self.events.cancel(old);
+                        trace::timer_cancel(token);
                     }
                 }
             }
         }
+        // Only now may an endpoint that finished in this callback leave
+        // the table: the commands above could still name its timers.
+        h.retire_finished();
         for ev in scratch.app.drain(..) {
             if matches!(ev, AppEvent::FlowCompleted { .. }) {
                 self.completed += 1;
@@ -853,6 +860,10 @@ impl<O: NetObserver> Sim<O> {
     }
 }
 
+/// Largest flow id a timer token can carry: the low 16 bits of a token
+/// hold the timer kind, so a wider id would alias another flow's timers.
+pub const MAX_FLOW_ID: FlowId = (1 << 48) - 1;
+
 /// Builds a timer token namespaced by flow id: the simulator routes the
 /// timer back to the owning endpoint via the high bits.
 ///
@@ -867,6 +878,11 @@ impl<O: NetObserver> Sim<O> {
 /// ```
 pub fn timer_token(flow: FlowId, kind: u16) -> u64 {
     (flow << 16) | kind as u64
+}
+
+/// Extracts the owning flow from a timer token.
+pub fn timer_flow(token: u64) -> FlowId {
+    token >> 16
 }
 
 /// Extracts the endpoint-local kind from a timer token.
@@ -1291,6 +1307,195 @@ mod tests {
         }
         // Each endpoint cancelled C and replaced B once: 2 endpoints x 2.
         assert_eq!(sim.timers_cancelled(), 4);
+    }
+
+    /// What an [`EdgeEp`] does when its driver timer (kind 1, 10 µs after
+    /// the flow starts) fires. Every variant but the last also finishes
+    /// in that same callback.
+    #[derive(Clone, Copy)]
+    enum AtDriver {
+        /// `arm_timer` kind 2 this many µs out.
+        Arm(u64),
+        /// `cancel_timer` kind 2.
+        Cancel,
+        /// Nothing: whatever is armed stays armed.
+        Leave,
+        /// No driver timer at all; the endpoint finishes when kind 2 fires.
+        RunToKind2,
+    }
+
+    /// Sender half: arms kind 2 at `armed_us` after activation if given,
+    /// then follows `at_driver`. Records every `on_timer` it receives.
+    struct EdgeEp {
+        flow: FlowId,
+        armed_us: Option<u64>,
+        at_driver: AtDriver,
+        done: bool,
+        fired: Fired,
+    }
+
+    impl Endpoint for EdgeEp {
+        fn activate(&mut self, ctx: &mut EndpointCtx) {
+            if !matches!(self.at_driver, AtDriver::RunToKind2) {
+                ctx.set_timer(ctx.now + TimeDelta::micros(10), timer_token(self.flow, 1));
+            }
+            if let Some(us) = self.armed_us {
+                ctx.arm_timer(ctx.now + TimeDelta::micros(us), timer_token(self.flow, 2));
+            }
+        }
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut EndpointCtx) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+            let mut fired = self.fired.lock().expect("lock");
+            fired.push((self.flow, timer_kind(token), ctx.now));
+            match self.at_driver {
+                AtDriver::Arm(us) => {
+                    ctx.arm_timer(ctx.now + TimeDelta::micros(us), timer_token(self.flow, 2))
+                }
+                AtDriver::Cancel => ctx.cancel_timer(timer_token(self.flow, 2)),
+                AtDriver::Leave | AtDriver::RunToKind2 => {}
+            }
+            self.done = true;
+        }
+        fn finished(&self) -> bool {
+            self.done
+        }
+    }
+
+    /// Receiver half: finished before it is ever registered.
+    struct Absent;
+
+    impl Endpoint for Absent {
+        fn activate(&mut self, _ctx: &mut EndpointCtx) {}
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut EndpointCtx) {}
+        fn on_timer(&mut self, _token: u64, _ctx: &mut EndpointCtx) {}
+        fn finished(&self) -> bool {
+            true
+        }
+    }
+
+    /// Builds an [`EdgeEp`] per flow from `(flow id, armed_us, at_driver)`.
+    struct EdgeFactory {
+        scripts: Vec<(FlowId, Option<u64>, AtDriver)>,
+        fired: Fired,
+    }
+
+    impl TransportFactory for EdgeFactory {
+        fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            let &(_, armed_us, at_driver) = self
+                .scripts
+                .iter()
+                .find(|s| s.0 == flow.id)
+                .expect("scripted flow");
+            Box::new(EdgeEp {
+                flow: flow.id,
+                armed_us,
+                at_driver,
+                done: false,
+                fired: self.fired.clone(),
+            })
+        }
+        fn receiver(&mut self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            Box::new(Absent)
+        }
+    }
+
+    type Fired = std::sync::Arc<std::sync::Mutex<Vec<(FlowId, u16, Time)>>>;
+
+    /// A two-host star whose senders follow `scripts`, and the record of
+    /// every timer they receive.
+    fn edge_sim(scripts: Vec<(FlowId, Option<u64>, AtDriver)>) -> (Sim<NullObserver>, Fired) {
+        let p = profile(Rate::from_gbps(10));
+        let topo = Topology::star(2, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+        let fired = Fired::default();
+        let factory = EdgeFactory {
+            scripts,
+            fired: fired.clone(),
+        };
+        (Sim::new(topo, Box::new(factory), NullObserver), fired)
+    }
+
+    /// Timers around an endpoint that finishes: the delivered event
+    /// sequence is that of a table which kept every armed entry until it
+    /// fired. The event and cancel counts are those of the sorted-`Vec`
+    /// tables at `6644693`, hard-coded.
+    #[test]
+    fn timers_around_a_finishing_endpoint() {
+        let (mut sim, fired) = edge_sim(vec![
+            // Arms and finishes in one callback: kind 2 pops at 30 µs and
+            // finds nobody.
+            (1, None, AtDriver::Arm(20)),
+            // Re-arms and finishes in one callback: the 50 µs arming is
+            // cancelled, the 30 µs one pops as a no-op.
+            (2, Some(50), AtDriver::Arm(20)),
+            // Cancels and finishes in one callback: nothing pops.
+            (3, Some(50), AtDriver::Cancel),
+            // Finishes with kind 2 still armed: it pops at 50 µs as a
+            // no-op, and is not counted as cancelled.
+            (4, Some(50), AtDriver::Leave),
+            // The same, armed far out (200 µs) ...
+            (5, Some(200), AtDriver::Leave),
+            // ... so that flow 6, started at 100 µs into the slot flow 5
+            // vacated (the last one freed) and holding the same kind
+            // armed for 300 µs, is live when 5's timer pops.
+            (6, Some(200), AtDriver::RunToKind2),
+        ]);
+        for id in 1..=5 {
+            sim.schedule_flow(flow(id, 0, 1, 100, Time::ZERO));
+        }
+        sim.schedule_flow(flow(6, 0, 1, 100, Time::from_micros(100)));
+        sim.run_until(Time::from_millis(1));
+
+        // Each driver timer reached its own endpoint, once; the only kind-2
+        // delivery is flow 6's own, at its own deadline.
+        let at = Time::from_micros;
+        assert_eq!(
+            fired.lock().expect("lock").as_slice(),
+            &[
+                (1, 1, at(10)),
+                (2, 1, at(10)),
+                (3, 1, at(10)),
+                (4, 1, at(10)),
+                (5, 1, at(10)),
+                (6, 2, at(300)),
+            ]
+        );
+        // 6 flow starts + 5 driver timers + no-op pops for flows 1, 2, 4, 5
+        // + flow 6's timer; the last event is that one.
+        assert_eq!(sim.events_processed(), 16);
+        assert_eq!(sim.now(), at(300));
+        // Flow 2's replaced arming and flow 3's cancel.
+        assert_eq!(sim.timers_cancelled(), 2);
+        assert_eq!(sim.next_event_time(), None);
+        for &n in &sim.hosts {
+            if let Node::Host(h) = &sim.nodes[n] {
+                assert_eq!((h.live_flows(), h.armed_timers()), (0, 0));
+            }
+        }
+    }
+
+    /// A flow id must fit the 48 bits a timer token leaves it: one bit
+    /// more would alias flow 0's timers.
+    #[test]
+    #[should_panic(expected = "does not fit a timer token")]
+    fn flow_id_beyond_the_token_is_refused() {
+        let (mut sim, _) = edge_sim(Vec::new());
+        sim.schedule_flow(flow(1 << 48, 0, 1, 100, Time::ZERO));
+    }
+
+    #[test]
+    fn largest_flow_id_arms_fires_and_drains() {
+        assert_eq!(MAX_FLOW_ID, (1 << 48) - 1);
+        let (mut sim, fired) = edge_sim(vec![(MAX_FLOW_ID, Some(40), AtDriver::RunToKind2)]);
+        sim.schedule_flow(flow(MAX_FLOW_ID, 0, 1, 100, Time::ZERO));
+        sim.run_until(Time::from_millis(1));
+        assert_eq!(
+            fired.lock().expect("lock").as_slice(),
+            &[(MAX_FLOW_ID, 2, Time::from_micros(40))]
+        );
+        assert_eq!((sim.events_processed(), sim.next_event_time()), (2, None));
+        if let Node::Host(h) = &sim.nodes[sim.hosts[0]] {
+            assert_eq!((h.live_flows(), h.armed_timers()), (0, 0));
+        }
     }
 
     #[test]
