@@ -208,18 +208,63 @@ pub fn svg_line_chart(title: &str, x_label: &str, y_label: &str, series: &[Serie
     svg
 }
 
-/// Parses one of our result CSVs into `(header, rows)`.
-fn parse_csv(text: &str) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut lines = text.lines();
-    let header: Vec<String> = lines
-        .next()
-        .unwrap_or("")
-        .split(',')
-        .map(str::to_string)
-        .collect();
-    let rows = lines
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| l.split(',').map(str::to_string).collect())
+/// Splits CSV text into records, each with the 1-based line it starts on —
+/// the inverse of `csvout::render_row` (RFC 4180): a quoted cell may hold
+/// commas, newlines and doubled quotes.
+fn csv_records(text: &str) -> Vec<(usize, Vec<String>)> {
+    let mut out = Vec::new();
+    let (mut row, mut cell) = (Vec::new(), String::new());
+    let (mut line, mut start, mut quoted) = (1, 1, false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c == '\n' {
+            line += 1;
+        }
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                cell.push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => row.push(std::mem::take(&mut cell)),
+            '\n' if !quoted => {
+                row.push(std::mem::take(&mut cell));
+                out.push((start, std::mem::take(&mut row)));
+                start = line;
+            }
+            '\r' if !quoted => {}
+            c => cell.push(c),
+        }
+    }
+    if !cell.is_empty() || !row.is_empty() {
+        row.push(cell);
+        out.push((start, row));
+    }
+    out
+}
+
+/// Parses one of our result CSVs into `(header, rows)`. A row narrower than
+/// the header (a run killed mid-write) is skipped with one stderr line
+/// naming `path` and the row's line number, so every returned row can be
+/// indexed by any header column.
+fn parse_csv(path: &Path, text: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let mut records = csv_records(text).into_iter();
+    let header = records.next().map(|(_, h)| h).unwrap_or_default();
+    let rows = records
+        .filter(|(_, r)| r.iter().any(|c| !c.trim().is_empty()))
+        .filter(|(line, r)| {
+            let whole = r.len() >= header.len();
+            if !whole {
+                eprintln!(
+                    "warning: {}:{line}: row has {} of {} columns, skipped",
+                    path.display(),
+                    r.len(),
+                    header.len()
+                );
+            }
+            whole
+        })
+        .map(|(_, r)| r)
         .collect();
     (header, rows)
 }
@@ -367,7 +412,7 @@ pub fn plot_results(dir: &Path) -> std::io::Result<usize> {
         let Ok(text) = std::fs::read_to_string(&csv_path) else {
             continue;
         };
-        let (header, rows) = parse_csv(&text);
+        let (header, rows) = parse_csv(&csv_path, &text);
         let series = if group.is_empty() || !header.iter().any(|h| h == group) {
             // Ungrouped: every numeric column vs x becomes a series.
             let xi = header.iter().position(|h| h == x);
@@ -440,7 +485,7 @@ mod tests {
 
     #[test]
     fn grouped_series_splits_by_column() {
-        let (h, r) = parse_csv("scheme,x,y\na,0,1\na,1,2\nb,0,3\n");
+        let (h, r) = parse_csv(Path::new("t.csv"), "scheme,x,y\na,0,1\na,1,2\nb,0,3\n");
         let s = grouped_series(&h, &r, "scheme", "x", "y");
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].points, vec![(0.0, 1.0), (1.0, 2.0)]);
@@ -451,15 +496,34 @@ mod tests {
     fn plot_results_renders_known_csvs() {
         let dir = std::env::temp_dir().join("flexpass_plot_test");
         std::fs::create_dir_all(&dir).unwrap();
+        // Grouped path. The last line is a run killed mid-write (used to
+        // panic indexing the missing columns); the quoted cell is what
+        // `csvout` writes for a name holding a comma (used to shift every
+        // later column of its row).
         std::fs::write(
             dir.join("fig8_incast.csv"),
-            "transport,n_flows,max_fct_ms,timeouts\ndctcp,8,1.0,0\ndctcp,16,2.0,0\nflexpass,8,0.5,0\n",
+            "transport,n_flows,max_fct_ms,timeouts\ndctcp,8,1.0,0\ndctcp,16,2.0,0\n\
+             flexpass,8,0.5,0\n\"homa, \"\"basic\"\"\",8,0.7,0\ndctcp,16",
+        )
+        .unwrap();
+        // Ungrouped path, same two defects.
+        std::fs::write(
+            dir.join("fig17_seldrop_threshold.csv"),
+            "sel_drop_kb,avg_fct_degradation,note\n50,1.5,\"a,b\"\n100,1.2,ok\n150\n",
         )
         .unwrap();
         let n = plot_results(&dir).unwrap();
-        assert!(n >= 1);
+        assert_eq!(n, 2);
         let svg = std::fs::read_to_string(dir.join("fig8_incast_max_fct_ms.svg")).unwrap();
         assert!(svg.contains("flexpass"));
+        assert!(svg.contains(">homa, \"basic\"<"), "{svg}");
+        assert_eq!(svg.matches("<polyline").count(), 3);
+        assert_eq!(svg.matches("<circle").count(), 4, "intact rows all plotted");
+        let svg =
+            std::fs::read_to_string(dir.join("fig17_seldrop_threshold_avg_fct_degradation.svg"))
+                .unwrap();
+        assert_eq!(svg.matches("<polyline").count(), 1, "`note` is not numeric");
+        assert_eq!(svg.matches("<circle").count(), 2);
     }
 
     #[test]

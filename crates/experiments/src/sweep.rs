@@ -506,7 +506,10 @@ pub fn fig14(scale: RunScale) -> ScenarioResult {
             n_flows: SweepSpec::reduced_flows(scale),
             ..SweepSpec::fig10(scale)
         };
-        for p in run_sweep_jobs(orchestrate::jobs(), "fig14", &spec) {
+        // The load is part of the group: the three sub-sweeps repeat the
+        // `scheme:rR:sK` labels, and a qualified label names one task.
+        let group = format!("fig14:l{load:.1}");
+        for p in run_sweep_jobs(orchestrate::jobs(), &group, &spec) {
             csv.row(&[
                 p.scheme.to_string(),
                 format!("{load:.1}"),
@@ -537,7 +540,8 @@ pub fn fig15_16(scale: RunScale) -> ScenarioResult {
             n_flows: SweepSpec::reduced_flows(scale),
             ..SweepSpec::fig10(scale)
         };
-        let points = run_sweep_jobs(orchestrate::jobs(), "fig15_16", &spec);
+        let group = format!("fig15_16:{}", cdf.name());
+        let points = run_sweep_jobs(orchestrate::jobs(), &group, &spec);
         // Gain relative to the 0 % (all-DCTCP) point of the same scheme.
         for &scheme in &spec.schemes {
             let base = points

@@ -6,17 +6,20 @@
 //! `orchestrate::run_one` on the worker thread). Each point writes
 //! `<out>/traces/<group>-<label>.jsonl`: the recorded events in time
 //! order, a `"kind":"meta"` line with the ring accounting, and one
-//! `"kind":"summary"` telemetry line (`flexpass_metrics::Telemetry`).
+//! `"kind":"summary"` telemetry line (`flexpass_metrics::Telemetry`). A
+//! file holds exactly one run: it is truncated on write, so re-running
+//! into the same `--out` replaces the traces instead of doubling them.
 //!
 //! Tracing is observation-only: the tracer records what the datapath
 //! already did and no simulation code branches on it, so experiment CSVs
 //! are byte-identical with tracing on or off (`tests/trace_determinism.rs`
 //! and the CI byte-diff hold this).
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, Once, OnceLock};
 
 use flexpass_metrics::Telemetry;
 use flexpass_simcore::time::TimeDelta;
@@ -28,7 +31,11 @@ const SUMMARY_BIN: TimeDelta = TimeDelta::micros(100);
 struct TraceCfg {
     filter: TraceFilter,
     dir: PathBuf,
+    /// Files this process has written, to catch two tasks sharing a label.
+    written: Mutex<BTreeSet<PathBuf>>,
 }
+
+static DUPLICATE_LABEL_WARNING: Once = Once::new();
 
 static CFG: OnceLock<TraceCfg> = OnceLock::new();
 
@@ -40,8 +47,12 @@ pub fn enable(spec: &str, out_dir: &Path) -> Result<(), String> {
     let filter = TraceFilter::parse(spec)?;
     let dir = out_dir.join("traces");
     fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    CFG.set(TraceCfg { filter, dir })
-        .map_err(|_| "packet tracing enabled twice".to_string())
+    CFG.set(TraceCfg {
+        filter,
+        dir,
+        written: Mutex::default(),
+    })
+    .map_err(|_| "packet tracing enabled twice".to_string())
 }
 
 /// Whether `--trace` was given.
@@ -75,11 +86,22 @@ pub fn finish_run(label: &str) {
         log.dropped_oldest,
         log.capacity
     );
+    let fresh = cfg
+        .written
+        .lock()
+        .expect("trace registry poisoned")
+        .insert(path.clone());
+    if !fresh {
+        DUPLICATE_LABEL_WARNING.call_once(|| {
+            eprintln!(
+                "warning: two tasks share the trace label `{label}`: {} keeps only the later \
+                 run (further collisions are not reported)",
+                path.display()
+            );
+        });
+    }
     let write = || -> std::io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
+        let mut f = fs::File::create(&path)?;
         f.write_all(log.to_jsonl().as_bytes())?;
         f.write_all(meta.as_bytes())?;
         f.write_all(telemetry.summary_json().as_bytes())?;

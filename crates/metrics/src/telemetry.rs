@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use flexpass_simcore::time::TimeDelta;
-use flexpass_simtrace::TraceEvent;
+use flexpass_simtrace::{EventKind, TraceEvent, TraceTotals};
 
 /// Binned counters and queue-depth series derived from one trace.
 #[derive(Clone, Debug)]
@@ -32,18 +32,9 @@ pub struct Telemetry {
     pub credits_wasted: Vec<u64>,
     /// Data retransmissions per bin.
     pub retransmits: Vec<u64>,
-    /// Retransmission-timeout fires over the whole trace.
-    pub rtos: u64,
-    /// Endpoint timer cancellations over the whole trace.
-    pub timer_cancels: u64,
-    /// Events folded in (the slice length).
-    pub events: u64,
-    /// Wasted credits whose issue was observed in the trace (per flow,
-    /// each waste is matched against a still-outstanding observed issue).
-    matched_waste: u64,
-    /// Wasted credits with no observed matching issue — evidence the
-    /// trace ring evicted the issue side, i.e. the trace is truncated.
-    unmatched_waste: u64,
+    /// Whole-trace totals the bins sum to: counts by kind (RTO fires and
+    /// timer cancellations included) and the per-flow waste matching.
+    pub totals: TraceTotals,
 }
 
 fn bump(series: &mut Vec<u64>, bin: usize) {
@@ -69,18 +60,10 @@ impl Telemetry {
             credits_sent: Vec::new(),
             credits_wasted: Vec::new(),
             retransmits: Vec::new(),
-            rtos: 0,
-            timer_cancels: 0,
-            events: events.len() as u64,
-            matched_waste: 0,
-            unmatched_waste: 0,
+            totals: TraceTotals::default(),
         };
-        // Outstanding observed credit issues per flow: a waste consumes
-        // one; a waste arriving with none outstanding had its issue
-        // evicted from the trace ring and must not count against the
-        // observed issue total.
-        let mut outstanding: BTreeMap<u64, u64> = BTreeMap::new();
         for ev in events {
+            t.totals.fold(ev);
             let b = (ev.t_ns() / w) as usize;
             match ev {
                 TraceEvent::Enqueue {
@@ -94,23 +77,10 @@ impl Telemetry {
                 } => t.note_depth(*queue, b, *bytes_after),
                 TraceEvent::EcnMark { .. } => bump(&mut t.ecn_marks, b),
                 TraceEvent::Drop { .. } => bump(&mut t.drops, b),
-                TraceEvent::CreditSent { flow, .. } => {
-                    bump(&mut t.credits_sent, b);
-                    *outstanding.entry(*flow).or_insert(0) += 1;
-                }
-                TraceEvent::CreditWasted { flow, .. } => {
-                    bump(&mut t.credits_wasted, b);
-                    match outstanding.get_mut(flow) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            t.matched_waste += 1;
-                        }
-                        _ => t.unmatched_waste += 1,
-                    }
-                }
+                TraceEvent::CreditSent { .. } => bump(&mut t.credits_sent, b),
+                TraceEvent::CreditWasted { .. } => bump(&mut t.credits_wasted, b),
                 TraceEvent::Retransmit { .. } => bump(&mut t.retransmits, b),
-                TraceEvent::Rto { .. } => t.rtos += 1,
-                TraceEvent::TimerCancel { .. } => t.timer_cancels += 1,
+                TraceEvent::Rto { .. } | TraceEvent::TimerCancel { .. } => {}
             }
         }
         t
@@ -152,11 +122,11 @@ impl Telemetry {
     /// longer push the ratio above 1.0; check [`Telemetry::truncated`]
     /// before trusting the figure on such a trace.
     pub fn credit_waste_fraction(&self) -> f64 {
-        let sent: u64 = self.credits_sent.iter().sum();
+        let sent = self.totals.count(EventKind::CreditSent);
         if sent == 0 {
             0.0
         } else {
-            (self.matched_waste as f64 / sent as f64).min(1.0)
+            (self.totals.matched_waste as f64 / sent as f64).min(1.0)
         }
     }
 
@@ -164,24 +134,17 @@ impl Telemetry {
     /// observed — the ring evicted part of the issue window, so
     /// [`Telemetry::credit_waste_fraction`] undercounts waste.
     pub fn truncated(&self) -> bool {
-        self.unmatched_waste > 0
-    }
-
-    /// Wasted credits with no observed matching issue (0 on a complete
-    /// trace).
-    pub fn unmatched_waste(&self) -> u64 {
-        self.unmatched_waste
+        self.totals.unmatched_waste > 0
     }
 
     /// Fraction of admitted packets that were CE-marked (0.0 when no
     /// packets were admitted).
     pub fn mark_fraction(&self) -> f64 {
-        let enq: u64 = self.enqueues.iter().sum();
-        let marks: u64 = self.ecn_marks.iter().sum();
+        let enq = self.totals.count(EventKind::Enqueue);
         if enq == 0 {
             0.0
         } else {
-            marks as f64 / enq as f64
+            self.totals.count(EventKind::EcnMark) as f64 / enq as f64
         }
     }
 
@@ -197,7 +160,7 @@ impl Telemetry {
     /// A one-line JSON summary, suitable for appending to a JSONL trace
     /// file (`"kind":"summary"` keeps it distinguishable from events).
     pub fn summary_json(&self) -> String {
-        let sum = |s: &[u64]| s.iter().sum::<u64>();
+        let n = |k| self.totals.count(k);
         let mut out = String::new();
         let _ = write!(
             out,
@@ -210,17 +173,17 @@ impl Telemetry {
              \"credit_waste_truncated\":{}}}",
             self.bin.as_nanos(),
             self.bins(),
-            self.events,
+            self.totals.events(),
             self.queue_peak_depth.len(),
             self.peak_depth_bytes(),
-            sum(&self.enqueues),
-            sum(&self.ecn_marks),
-            sum(&self.drops),
-            sum(&self.credits_sent),
-            sum(&self.credits_wasted),
-            sum(&self.retransmits),
-            self.rtos,
-            self.timer_cancels,
+            n(EventKind::Enqueue),
+            n(EventKind::EcnMark),
+            n(EventKind::Drop),
+            n(EventKind::CreditSent),
+            n(EventKind::CreditWasted),
+            n(EventKind::Retransmit),
+            n(EventKind::Rto),
+            n(EventKind::TimerCancel),
             self.mark_fraction(),
             self.credit_waste_fraction(),
             self.truncated(),
@@ -314,8 +277,8 @@ mod tests {
         assert_eq!(t.credits_sent, vec![0, 1, 1]);
         assert_eq!(t.credits_wasted, vec![0, 0, 1]);
         assert_eq!(t.retransmits, vec![0, 0, 1]);
-        assert_eq!(t.rtos, 1);
-        assert_eq!(t.timer_cancels, 1);
+        assert_eq!(t.totals.count(EventKind::Rto), 1);
+        assert_eq!(t.totals.count(EventKind::TimerCancel), 1);
         // Bin 0 peak is the post-enqueue high-water, bin 1 the post-dequeue
         // residue.
         assert_eq!(t.queue_peak_depth[&0], vec![3076, 1538]);
@@ -327,7 +290,7 @@ mod tests {
         let t = Telemetry::from_events(&sample_events(), TimeDelta::micros(1));
         assert_eq!(t.credit_waste_fraction(), 0.5);
         assert!(!t.truncated());
-        assert_eq!(t.unmatched_waste(), 0);
+        assert_eq!(t.totals.unmatched_waste, 0);
         assert_eq!(t.mark_fraction(), 0.5);
         let empty = Telemetry::from_events(&[], TimeDelta::micros(1));
         assert_eq!(empty.credit_waste_fraction(), 0.0);
@@ -358,7 +321,7 @@ mod tests {
         assert_eq!(t.credits_wasted.iter().sum::<u64>(), 3);
         assert_eq!(t.credit_waste_fraction(), 1.0);
         assert!(t.truncated());
-        assert_eq!(t.unmatched_waste(), 2);
+        assert_eq!(t.totals.unmatched_waste, 2);
         let s = t.summary_json();
         assert!(s.contains("\"credit_waste_fraction\":1.000000"));
         assert!(s.contains("\"credit_waste_truncated\":true"));

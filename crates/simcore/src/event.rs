@@ -217,7 +217,6 @@ impl<E> EventQueue<E> {
             "scheduled event at {time:?} before current time {:?}",
             self.last_time
         );
-        #[cfg(feature = "audit")]
         flexpass_simaudit::on_event_schedule(time.as_nanos(), self.last_time.as_nanos());
         if time < self.last_time {
             self.clamped += 1;
@@ -289,9 +288,6 @@ impl<E> EventQueue<E> {
             }
             self.popped += 1;
             self.last_time = time;
-            #[cfg(not(feature = "audit"))]
-            let _ = seq;
-            #[cfg(feature = "audit")]
             flexpass_simaudit::on_event_pop(time.as_nanos(), seq);
             if self.popped & (PUBLISH_EVERY - 1) == 0 {
                 if let Some(p) = &self.probe {

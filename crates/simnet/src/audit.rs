@@ -1,14 +1,12 @@
 //! Audit hook shim.
 //!
-//! With the `audit` feature (the default) every function forwards to
+//! The one `Packet` → [`PktInfo`] adapter: every function forwards to
 //! [`flexpass_simaudit`], which checks queue byte conservation, shared-buffer
 //! and credit-shaper bounds, and end-to-end flow byte conservation — but
 //! only while an auditor is installed. The shims and the hooks behind them
 //! are `#[inline]`, and a shim that takes a packet tests [`is_active`]
 //! before it reads the packet into a [`PktInfo`], so with no auditor each
-//! call site is a thread-local load and a branch. Without the feature the
-//! whole module compiles to no-ops and zero-sized state, so instrumented
-//! call sites need no `cfg` of their own.
+//! call site is a thread-local load and a branch.
 //!
 //! The typical test-side protocol:
 //!
@@ -23,13 +21,11 @@ use flexpass_simcore::units::WireBytes;
 
 use crate::packet::{Packet, Payload};
 
-#[cfg(feature = "audit")]
 pub use flexpass_simaudit::{
     absorb_partial, finish, install, is_active, new_component_id, take_partial, AuditCounters,
     AuditReport, ComponentId, Invariant, PartialAudit, PktInfo, Violation,
 };
 
-#[cfg(feature = "audit")]
 fn info(pkt: &Packet) -> PktInfo {
     let seq = match pkt.payload {
         Payload::Data(d) => d.flow_seq as u64,
@@ -47,32 +43,23 @@ fn info(pkt: &Packet) -> PktInfo {
 /// Queue `q` admitted `pkt`; the queue now claims `bytes_after` queued bytes.
 #[inline]
 pub fn enqueue(q: ComponentId, pkt: &Packet, bytes_after: WireBytes) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_enqueue(q, info(pkt), bytes_after.get());
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = (q, pkt, bytes_after);
 }
 
 /// Queue `q` released `pkt`; the queue now claims `bytes_after` queued bytes.
 #[inline]
 pub fn dequeue(q: ComponentId, pkt: &Packet, bytes_after: WireBytes) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_dequeue(q, info(pkt), bytes_after.get());
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = (q, pkt, bytes_after);
 }
 
 /// Switch `sw` has `used` of `pool` shared-buffer bytes admitted.
 #[inline]
 pub fn shared_buffer(sw: ComponentId, used: WireBytes, pool: WireBytes) {
-    #[cfg(feature = "audit")]
     flexpass_simaudit::on_shared_buffer(sw, used.get(), pool.get());
-    #[cfg(not(feature = "audit"))]
-    let _ = (sw, used, pool);
 }
 
 /// Switch `sw` counts `counted` bytes in its dynamically thresholded queues;
@@ -80,55 +67,40 @@ pub fn shared_buffer(sw: ComponentId, used: WireBytes, pool: WireBytes) {
 /// installed.
 #[inline]
 pub fn shared_count(sw: ComponentId, counted: WireBytes, scan: impl FnOnce() -> WireBytes) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_shared_count(sw, counted.get(), scan().get());
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = (sw, counted, scan);
 }
 
 /// Token bucket `shaper` holds `tokens` of at most `burst` bit-nanoseconds.
 #[inline]
 pub fn shaper_tokens(shaper: ComponentId, tokens: u128, burst: u128) {
-    #[cfg(feature = "audit")]
     flexpass_simaudit::on_shaper_tokens(shaper, tokens, burst);
-    #[cfg(not(feature = "audit"))]
-    let _ = (shaper, tokens, burst);
 }
 
 /// An endpoint handed `pkt` to its NIC.
 #[inline]
 pub fn flow_tx(pkt: &Packet) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_flow_tx(info(pkt));
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = pkt;
 }
 
 /// `pkt` arrived at a host.
 #[inline]
 pub fn flow_rx(pkt: &Packet) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_flow_rx(info(pkt));
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = pkt;
 }
 
 /// `pkt` was dropped (queue cap, shared buffer, selective red, or injected
 /// loss).
 #[inline]
 pub fn flow_drop(pkt: &Packet) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_flow_drop(info(pkt));
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = pkt;
 }
 
 /// Component `c` reports `cap` total scratch-buffer capacity after a flush.
@@ -136,96 +108,21 @@ pub fn flow_drop(pkt: &Packet) {
 /// violation.
 #[inline]
 pub fn scratch_capacity(c: ComponentId, cap: u64) {
-    #[cfg(feature = "audit")]
     flexpass_simaudit::on_scratch_capacity(c, cap);
-    #[cfg(not(feature = "audit"))]
-    let _ = (c, cap);
 }
 
 /// `pkt` started propagating on a link.
 #[inline]
 pub fn wire_depart(pkt: &Packet) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_wire_depart(info(pkt));
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = pkt;
 }
 
 /// `pkt` finished propagating and reached a node.
 #[inline]
 pub fn wire_arrive(pkt: &Packet) {
-    #[cfg(feature = "audit")]
     if is_active() {
         flexpass_simaudit::on_wire_arrive(info(pkt));
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = pkt;
 }
-
-// ---------------------------------------------------------------------------
-// No-op stand-ins when auditing is compiled out, so components can keep
-// zero-cost audit ids and test harnesses compile either way.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "audit"))]
-mod stub {
-    use std::fmt;
-
-    /// Zero-sized stand-in for an audit component id.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct ComponentId;
-
-    /// No-op: auditing is compiled out.
-    pub fn new_component_id() -> ComponentId {
-        ComponentId
-    }
-
-    /// No-op: auditing is compiled out.
-    pub fn install() {}
-
-    /// Always false: auditing is compiled out.
-    pub fn is_active() -> bool {
-        false
-    }
-
-    /// Trivially clean stand-in report.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct AuditReport;
-
-    impl AuditReport {
-        /// Always true: nothing was audited.
-        pub fn is_clean(&self) -> bool {
-            true
-        }
-    }
-
-    impl fmt::Display for AuditReport {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("audit: disabled (built without the `audit` feature)")
-        }
-    }
-
-    /// Trivially clean stand-in report.
-    pub fn finish() -> AuditReport {
-        AuditReport
-    }
-
-    /// Zero-sized stand-in for a domain thread's detached audit state.
-    pub struct PartialAudit;
-
-    /// Always `None`: auditing is compiled out.
-    pub fn take_partial() -> Option<PartialAudit> {
-        None
-    }
-
-    /// No-op: auditing is compiled out.
-    pub fn absorb_partial(_p: PartialAudit) {}
-}
-
-#[cfg(not(feature = "audit"))]
-pub use stub::{
-    absorb_partial, finish, install, is_active, new_component_id, take_partial, AuditReport,
-    ComponentId, PartialAudit,
-};

@@ -26,10 +26,9 @@
 //!   conservative lock-step windows bounded by the cut's minimum link
 //!   propagation (`--par-sim N` on the experiments binary).
 //! * [`audit`] — invariant-audit hooks (byte conservation ledgers, buffer
-//!   and shaper bounds), active under the default `audit` feature.
+//!   and shaper bounds), inert until an auditor is installed.
 //! * [`trace`] — packet-lifecycle trace hooks (enqueue/dequeue/mark/drop,
-//!   credits, retransmissions, timers), active under the default `trace`
-//!   feature and inert until a tracer is installed.
+//!   credits, retransmissions, timers), inert until a tracer is installed.
 //!
 //! Transport protocols implement [`endpoint::Endpoint`] and are plugged in
 //! through [`sim::TransportFactory`]; see the `flexpass-transport` and

@@ -322,7 +322,7 @@ impl<O: NetObserver + Send> ParSim<O> {
             let mut handles = Vec::with_capacity(k);
             for (me, ((sim, my_tx), my_rx)) in self.sims.iter_mut().zip(txs).zip(rxs).enumerate() {
                 // lint:allow(thread-spawn): the parallel engine's domain
-                // runners are a blessed thread home (see lint.toml).
+                // runners are a blessed thread home (xtask/src/config.rs).
                 handles.push(s.spawn(move || {
                     domain_loop(DomainCtx {
                         me,

@@ -1016,7 +1016,6 @@ mod tests {
         }
         let report = audit::finish();
         assert!(report.is_clean(), "{report}");
-        #[cfg(feature = "audit")]
         assert!(report.counters.dequeues > 0, "the auditor saw the tape");
     }
 

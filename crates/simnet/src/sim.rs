@@ -1110,7 +1110,6 @@ mod tests {
     /// The hooks find the auditor through a thread-local flag, not through
     /// anything captured when the simulator was built: one installed after
     /// construction still sees every event of the run.
-    #[cfg(feature = "audit")]
     #[test]
     fn auditor_installed_after_construction_counts_every_event() {
         let p = profile(Rate::from_gbps(10));

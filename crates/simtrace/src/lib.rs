@@ -16,7 +16,7 @@
 //! no serde); [`TraceEvent::parse_json_line`] round-trips every variant.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Default ring-buffer capacity, in events.
@@ -98,6 +98,14 @@ pub enum DropCause {
 }
 
 impl DropCause {
+    /// Every cause, in declaration order.
+    pub const ALL: [DropCause; 4] = [
+        DropCause::QueueCap,
+        DropCause::Buffer,
+        DropCause::SelectiveRed,
+        DropCause::InjectedLoss,
+    ];
+
     /// Stable wire name.
     pub fn name(self) -> &'static str {
         match self {
@@ -110,14 +118,7 @@ impl DropCause {
 
     /// Inverse of [`DropCause::name`].
     pub fn from_name(s: &str) -> Option<Self> {
-        [
-            DropCause::QueueCap,
-            DropCause::Buffer,
-            DropCause::SelectiveRed,
-            DropCause::InjectedLoss,
-        ]
-        .into_iter()
-        .find(|c| c.name() == s)
+        DropCause::ALL.iter().copied().find(|c| c.name() == s)
     }
 }
 
@@ -508,6 +509,64 @@ impl fmt::Display for TraceLog {
     }
 }
 
+/// Whole-trace totals: the one fold of a [`TraceEvent`] log. Consumers that
+/// need more — time bins (`flexpass-metrics`), files and retransmit
+/// timelines (`cargo xtask trace-report`) — fold their extras beside it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceTotals {
+    by_kind: [u64; EventKind::ALL.len()],
+    /// (node, cause) → packets dropped there.
+    pub drop_sites: BTreeMap<(u64, DropCause), u64>,
+    /// Wasted credits matched against a still-outstanding observed issue of
+    /// the same flow — the reliable numerator of the waste fraction.
+    pub matched_waste: u64,
+    /// Wasted credits whose issue was never observed: the ring evicted it,
+    /// so the trace is truncated and the waste fraction undercounts.
+    pub unmatched_waste: u64,
+    /// flow → observed issues not yet consumed by a waste.
+    outstanding: BTreeMap<u64, u64>,
+}
+
+impl TraceTotals {
+    /// Folds one more event in.
+    pub fn fold(&mut self, ev: &TraceEvent) {
+        self.by_kind[ev.kind() as usize] += 1;
+        match *ev {
+            TraceEvent::Drop { node, cause, .. } => {
+                *self.drop_sites.entry((node, cause)).or_insert(0) += 1;
+            }
+            TraceEvent::CreditSent { flow, .. } => {
+                *self.outstanding.entry(flow).or_insert(0) += 1;
+            }
+            TraceEvent::CreditWasted { flow, .. } => self.match_waste(flow),
+            _ => {}
+        }
+    }
+
+    /// The waste-matching rule: a waste consumes one outstanding observed
+    /// issue of its flow; with none outstanding its issue was evicted from
+    /// the ring and it must not count against the observed issue total.
+    fn match_waste(&mut self, flow: u64) {
+        match self.outstanding.get_mut(&flow) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                self.matched_waste += 1;
+            }
+            _ => self.unmatched_waste += 1,
+        }
+    }
+
+    /// Events of `kind` folded in.
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.by_kind[kind as usize]
+    }
+
+    /// Events of every kind folded in.
+    pub fn events(&self) -> u64 {
+        self.by_kind.iter().sum()
+    }
+}
+
 struct Tracer {
     clock_ns: u64,
     filter: TraceFilter,
@@ -821,6 +880,63 @@ mod tests {
                 kind: 1,
             },
         ]
+    }
+
+    /// Each `ALL` roster lists every variant at its declaration index. The
+    /// matches are wildcard-free on purpose: a new variant stops this test
+    /// compiling until it has an arm, and the arm fails the assertion until
+    /// the variant is in the roster (and so in `from_name` and the filter).
+    #[test]
+    fn rosters_list_every_variant() {
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            let at = match k {
+                EventKind::Enqueue => 0,
+                EventKind::Dequeue => 1,
+                EventKind::EcnMark => 2,
+                EventKind::Drop => 3,
+                EventKind::CreditSent => 4,
+                EventKind::CreditWasted => 5,
+                EventKind::Retransmit => 6,
+                EventKind::Rto => 7,
+                EventKind::TimerCancel => 8,
+            };
+            assert_eq!((at, k as usize), (i, i), "{k:?}");
+            assert_eq!(EventKind::from_name(k.name()), Some(k));
+        }
+        for (i, c) in DropCause::ALL.into_iter().enumerate() {
+            let at = match c {
+                DropCause::QueueCap => 0,
+                DropCause::Buffer => 1,
+                DropCause::SelectiveRed => 2,
+                DropCause::InjectedLoss => 3,
+            };
+            assert_eq!((at, c as usize), (i, i), "{c:?}");
+            assert_eq!(DropCause::from_name(c.name()), Some(c));
+        }
+        assert_eq!(EventKind::from_name("summary"), None);
+        assert_eq!(DropCause::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn totals_count_by_kind_and_match_waste_per_flow() {
+        let mut t = TraceTotals::default();
+        sample_events().iter().for_each(|ev| t.fold(ev));
+        assert_eq!(t.events(), 9);
+        for k in EventKind::ALL {
+            assert_eq!(t.count(k), 1, "{k:?}");
+        }
+        assert_eq!(t.drop_sites[&(9, DropCause::SelectiveRed)], 1);
+        assert_eq!((t.matched_waste, t.unmatched_waste), (1, 0));
+        // Flow 8 has no issue outstanding any more, and flow 3's issue
+        // cannot pay for it: matching is per flow.
+        t.fold(&TraceEvent::CreditSent {
+            t_ns: 20,
+            flow: 3,
+            idx: 0,
+        });
+        t.fold(&TraceEvent::CreditWasted { t_ns: 21, flow: 8 });
+        assert_eq!((t.matched_waste, t.unmatched_waste), (1, 1));
+        assert_eq!(t.count(EventKind::CreditWasted), 2);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct FnNode {
     pub hot: bool,
     /// Constructor by the alloc rule's definition (never an entry point).
     pub is_ctor: bool,
-    /// Named in `lint.toml [callgraph] known-infallible`: the BFS does not
+    /// Named in `LintConfig::known_infallible`: the BFS does not
     /// traverse into it and its leaves are trusted to be unreachable.
     pub infallible: bool,
     /// Resolved callees (node indices), sorted by callee qname.

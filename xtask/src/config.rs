@@ -1,51 +1,37 @@
-//! Per-rule lint configuration (`lint.toml`).
+//! The lint policy.
 //!
-//! The defaults compiled into this module are the committed workspace
-//! policy; `lint.toml` at the workspace root overlays them so the hot-module
-//! list, ordered-type allowlist, and trace-enum wiring can evolve without
-//! recompiling. The reader is a deliberately small TOML subset — tables,
-//! array-of-tables, `key = value` with strings / bools / integers / string
-//! arrays (single- or multi-line), and `#` comments — which is all the
-//! committed file uses. Unknown keys are ignored so the format can grow.
-
-use std::collections::BTreeMap;
-use std::path::Path;
-
-/// Wiring for one trace-exhaustiveness check: every variant of `enum_name`
-/// (defined in `defined_in`) must be mentioned in one of the `emit_fns`
-/// (functions or consts) of `emit_file`.
-#[derive(Debug, Clone)]
-pub struct TraceEnumCfg {
-    pub enum_name: String,
-    pub defined_in: String,
-    pub emit_file: String,
-    pub emit_fns: Vec<String>,
-}
+//! [`LintConfig::default`] *is* the committed workspace policy — there is
+//! no configuration file. Changing which modules are hot, which types
+//! iterate in a defined order or which fns the call graph trusts is an edit
+//! to this file, reviewed as a diff like any other code. The fields stay
+//! public so the fixture corpus can lint a pretend tree under a variation
+//! of the policy (`tests/fixtures.rs` extends `known_infallible`).
 
 /// The full lint configuration.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Baseline file path, relative to the workspace root.
+    /// Baseline file path, relative to the workspace root: known findings
+    /// that don't fail the build (shrink-only; rewrite with `cargo xtask
+    /// lint --update-baseline` and review the diff).
     pub baseline_path: String,
-    /// Per-rule enable flags; absent rules default to enabled.
-    pub rule_enabled: BTreeMap<String, bool>,
-    /// Files (workspace-relative) whose item bodies are the per-event hot
-    /// datapath for `alloc-in-datapath`.
+    /// Files (workspace-relative) whose fn bodies are the per-event hot
+    /// datapath: `alloc-in-datapath` and the hot half of `panic-path` apply
+    /// there, `--report alloc` inventories them, and every non-test,
+    /// non-constructor fn in them is a call-graph entry point for
+    /// `panic-reachable` / `alloc-reachable`.
     pub hot_modules: Vec<String>,
-    /// Exact fn names exempt from the alloc rule (constructors).
+    /// Exact fn names exempt from the alloc rule: constructors are where
+    /// preallocation is supposed to happen.
     pub constructor_names: Vec<String>,
     /// Fn-name prefixes exempt from the alloc rule.
     pub constructor_prefixes: Vec<String>,
-    /// Type roots whose iteration order is deterministic
-    /// (`unordered-iteration` allowlist).
+    /// Type roots whose iteration order is deterministic; iterating
+    /// anything else (when the receiver's type is resolvable) is
+    /// `unordered-iteration`.
     pub ordered_types: Vec<String>,
-    /// Trace-exhaustiveness wiring.
-    pub trace_enums: Vec<TraceEnumCfg>,
-    /// Extra call-graph entry points (fn qnames) beyond the hot-module
-    /// fns, for `panic-reachable` / `alloc-reachable`.
-    pub entry_points: Vec<String>,
     /// Fns (qname `Owner::name` or bare name) the call graph treats as
-    /// infallible and never traverses into.
+    /// infallible and never traverses into — reserved for hand-proven
+    /// helpers where per-call-site `lint:allow` would be noise.
     pub known_infallible: Vec<String>,
     /// Files (workspace-relative) that are blessed thread homes: the
     /// `thread-spawn` rule does not apply inside them (the experiment
@@ -53,376 +39,108 @@ pub struct LintConfig {
     /// runners are structural and live here instead).
     pub thread_homes: Vec<String>,
     /// Files (workspace-relative) where `std::sync::Mutex`/`RwLock` are
-    /// banned (`sync-locks`): the parallel engine synchronizes with
-    /// channels and barriers only, so a lock in these modules is either a
-    /// hot-path serialization point or a deadlock risk at the window
-    /// barriers.
+    /// banned (`sync-locks`): the per-event hot datapath (a blocking lock
+    /// there is a serialization point) and the parallel engine (a lock held
+    /// across a window barrier deadlocks the lock-step protocol) —
+    /// cross-domain state moves over channels and barriers only.
     pub lock_free_modules: Vec<String>,
+}
+
+/// The per-event datapath, shared by the hot-module and lock-free lists.
+const HOT_MODULES: [&str; 9] = [
+    "crates/simnet/src/arena.rs",
+    "crates/simnet/src/queue.rs",
+    "crates/simnet/src/port.rs",
+    "crates/simnet/src/sim.rs",
+    "crates/simnet/src/packet.rs",
+    "crates/simnet/src/host.rs",
+    "crates/simnet/src/endpoint.rs",
+    "crates/simcore/src/wheel.rs",
+    "crates/simcore/src/event.rs",
+];
+
+/// The parallel engine: a blessed thread home, and lock-free like the
+/// datapath.
+const PARSIM: &str = "crates/simnet/src/parsim.rs";
+
+fn strings(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
+        let mut lock_free_modules = strings(&HOT_MODULES);
+        lock_free_modules.extend(strings(&[PARSIM, "crates/simnet/src/partition.rs"]));
         LintConfig {
             baseline_path: "lint-baseline.json".to_string(),
-            rule_enabled: BTreeMap::new(),
-            hot_modules: vec![
-                "crates/simnet/src/queue.rs".to_string(),
-                "crates/simnet/src/port.rs".to_string(),
-                "crates/simnet/src/sim.rs".to_string(),
-                "crates/simnet/src/packet.rs".to_string(),
-                "crates/simcore/src/wheel.rs".to_string(),
-                "crates/simcore/src/event.rs".to_string(),
-            ],
-            constructor_names: vec!["new".to_string(), "default".to_string()],
-            constructor_prefixes: vec!["new_".to_string(), "with_".to_string()],
-            ordered_types: vec![
-                "Vec".to_string(),
-                "VecDeque".to_string(),
-                "BTreeMap".to_string(),
-                "BTreeSet".to_string(),
-                "BinaryHeap".to_string(),
-                "Option".to_string(),
-                "Range".to_string(),
-                "array".to_string(),
-                "tuple".to_string(),
-                "String".to_string(),
-                "str".to_string(),
-                "Slab".to_string(),
-            ],
-            trace_enums: vec![
-                TraceEnumCfg {
-                    enum_name: "DropCause".to_string(),
-                    defined_in: "crates/simtrace/src/lib.rs".to_string(),
-                    emit_file: "crates/simtrace/src/lib.rs".to_string(),
-                    emit_fns: vec!["name".to_string(), "from_name".to_string()],
-                },
-                TraceEnumCfg {
-                    enum_name: "EventKind".to_string(),
-                    defined_in: "crates/simtrace/src/lib.rs".to_string(),
-                    emit_file: "crates/simtrace/src/lib.rs".to_string(),
-                    emit_fns: vec!["name".to_string(), "ALL".to_string()],
-                },
-                TraceEnumCfg {
-                    enum_name: "DropReason".to_string(),
-                    defined_in: "crates/simnet/src/queue.rs".to_string(),
-                    emit_file: "crates/simnet/src/trace.rs".to_string(),
-                    emit_fns: vec!["dropped".to_string()],
-                },
-            ],
-            entry_points: Vec::new(),
-            known_infallible: Vec::new(),
-            thread_homes: vec!["crates/simnet/src/parsim.rs".to_string()],
-            lock_free_modules: vec![
-                "crates/simnet/src/arena.rs".to_string(),
-                "crates/simnet/src/queue.rs".to_string(),
-                "crates/simnet/src/port.rs".to_string(),
-                "crates/simnet/src/sim.rs".to_string(),
-                "crates/simnet/src/packet.rs".to_string(),
-                "crates/simcore/src/wheel.rs".to_string(),
-                "crates/simcore/src/event.rs".to_string(),
-                "crates/simnet/src/parsim.rs".to_string(),
-                "crates/simnet/src/partition.rs".to_string(),
-            ],
+            hot_modules: strings(&HOT_MODULES),
+            constructor_names: strings(&["new", "default"]),
+            constructor_prefixes: strings(&["new_", "with_"]),
+            ordered_types: strings(&[
+                "Vec",
+                "VecDeque",
+                "BTreeMap",
+                "BTreeSet",
+                "BinaryHeap",
+                "Option",
+                "Range",
+                "array",
+                "tuple",
+                "String",
+                "str",
+                "Slab",
+            ]),
+            // SimRng::next_u64 is the xoshiro256** core: every subscript is
+            // a constant index into the fixed [u64; 4] state array, so no
+            // bounds check can fail.
+            known_infallible: strings(&["SimRng::next_u64"]),
+            thread_homes: strings(&[PARSIM]),
+            lock_free_modules,
         }
     }
-}
-
-impl LintConfig {
-    /// Whether a rule is enabled (default true).
-    pub fn rule_enabled(&self, rule: &str) -> bool {
-        self.rule_enabled.get(rule).copied().unwrap_or(true)
-    }
-
-    /// Loads `lint.toml` from the workspace root if present, overlaying the
-    /// defaults. A missing file is not an error; a malformed one is.
-    pub fn load(root: &Path) -> Result<LintConfig, String> {
-        let path = root.join("lint.toml");
-        match std::fs::read_to_string(&path) {
-            Ok(src) => LintConfig::from_toml(&src).map_err(|e| format!("{}: {e}", path.display())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(LintConfig::default()),
-            Err(e) => Err(format!("{}: {e}", path.display())),
-        }
-    }
-
-    /// Parses a `lint.toml` document, overlaying the defaults. List-valued
-    /// keys *replace* the default list when present.
-    pub fn from_toml(src: &str) -> Result<LintConfig, String> {
-        let mut cfg = LintConfig::default();
-        let mut table = String::new();
-        let mut trace_current: Option<TraceEnumCfg> = None;
-        let mut lines = src.lines().enumerate().peekable();
-        while let Some((lineno, raw)) = lines.next() {
-            let line = strip_comment(raw).trim().to_string();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                if let Some(t) = trace_current.take() {
-                    cfg.trace_enums.push(t);
-                }
-                let name = name.trim();
-                if name == "trace" {
-                    // First `[[trace]]` table replaces the defaults wholesale.
-                    if table != "trace" {
-                        cfg.trace_enums.clear();
-                    }
-                    trace_current = Some(TraceEnumCfg {
-                        enum_name: String::new(),
-                        defined_in: String::new(),
-                        emit_file: String::new(),
-                        emit_fns: Vec::new(),
-                    });
-                }
-                table = name.to_string();
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                if let Some(t) = trace_current.take() {
-                    cfg.trace_enums.push(t);
-                }
-                table = name.trim().to_string();
-                continue;
-            }
-            let Some(eq) = line.find('=') else {
-                return Err(format!("line {}: expected `key = value`", lineno + 1));
-            };
-            let key = line[..eq].trim().trim_matches('"').to_string();
-            let mut value = line[eq + 1..].trim().to_string();
-            // Multi-line arrays: keep consuming lines until brackets balance.
-            while value.starts_with('[') && !brackets_balanced(&value) {
-                match lines.next() {
-                    Some((_, more)) => {
-                        value.push(' ');
-                        value.push_str(strip_comment(more).trim());
-                    }
-                    None => return Err(format!("line {}: unterminated array", lineno + 1)),
-                }
-            }
-            apply_kv(&mut cfg, &mut trace_current, &table, &key, &value)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        }
-        if let Some(t) = trace_current.take() {
-            cfg.trace_enums.push(t);
-        }
-        for t in &cfg.trace_enums {
-            if t.enum_name.is_empty() || t.defined_in.is_empty() || t.emit_file.is_empty() {
-                return Err(
-                    "each [[trace]] table needs `enum`, `defined-in`, and `emit-file`".to_string(),
-                );
-            }
-        }
-        Ok(cfg)
-    }
-}
-
-fn apply_kv(
-    cfg: &mut LintConfig,
-    trace: &mut Option<TraceEnumCfg>,
-    table: &str,
-    key: &str,
-    value: &str,
-) -> Result<(), String> {
-    match table {
-        "baseline" if key == "path" => {
-            cfg.baseline_path = parse_string(value)?;
-        }
-        "rules" => {
-            let enabled = parse_bool(value)?;
-            cfg.rule_enabled.insert(key.to_string(), enabled);
-        }
-        "alloc" => match key {
-            "hot-modules" => cfg.hot_modules = parse_string_array(value)?,
-            "constructor-names" => cfg.constructor_names = parse_string_array(value)?,
-            "constructor-prefixes" => cfg.constructor_prefixes = parse_string_array(value)?,
-            _ => {}
-        },
-        "iteration" if key == "ordered-types" => {
-            cfg.ordered_types = parse_string_array(value)?;
-        }
-        "callgraph" => match key {
-            "entry-points" => cfg.entry_points = parse_string_array(value)?,
-            "known-infallible" => cfg.known_infallible = parse_string_array(value)?,
-            _ => {}
-        },
-        "determinism" => match key {
-            "thread-homes" => cfg.thread_homes = parse_string_array(value)?,
-            "lock-free-modules" => cfg.lock_free_modules = parse_string_array(value)?,
-            _ => {}
-        },
-        "trace" => {
-            let t = trace
-                .as_mut()
-                .ok_or_else(|| "key outside a [[trace]] table".to_string())?;
-            match key {
-                "enum" => t.enum_name = parse_string(value)?,
-                "defined-in" => t.defined_in = parse_string(value)?,
-                "emit-file" => t.emit_file = parse_string(value)?,
-                "emit-fns" => t.emit_fns = parse_string_array(value)?,
-                _ => {}
-            }
-        }
-        _ => {} // unknown table: ignore
-    }
-    Ok(())
-}
-
-/// Strips a `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn brackets_balanced(s: &str) -> bool {
-    let mut depth = 0i64;
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' if !in_str => depth += 1,
-            ']' if !in_str => depth -= 1,
-            _ => {}
-        }
-    }
-    depth == 0
-}
-
-fn parse_string(v: &str) -> Result<String, String> {
-    let v = v.trim();
-    v.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("expected a quoted string, got `{v}`"))
-}
-
-fn parse_bool(v: &str) -> Result<bool, String> {
-    match v.trim() {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("expected true/false, got `{other}`")),
-    }
-}
-
-fn parse_string_array(v: &str) -> Result<Vec<String>, String> {
-    let v = v.trim();
-    let inner = v
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected an array, got `{v}`"))?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue; // trailing comma
-        }
-        out.push(parse_string(part)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The policy by name: a module that drops out of (or sneaks into)
+    /// either list fails here before it changes a lint report.
     #[test]
-    fn defaults_cover_the_hot_modules() {
+    fn policy_names_the_hot_and_lock_free_modules() {
         let cfg = LintConfig::default();
-        assert!(cfg
-            .hot_modules
-            .iter()
-            .any(|m| m == "crates/simnet/src/queue.rs"));
-        assert!(cfg.rule_enabled("alloc-in-datapath"));
-        assert_eq!(cfg.trace_enums.len(), 3);
-    }
-
-    #[test]
-    fn toml_overlay_rules_and_lists() {
-        let cfg = LintConfig::from_toml(
-            "# policy\n\
-             [baseline]\n\
-             path = \"other.json\"\n\
-             [rules]\n\
-             wall-clock = false\n\
-             [iteration]\n\
-             ordered-types = [\n  \"Vec\", # fast\n  \"BTreeMap\",\n]\n",
-        )
-        .expect("parse");
-        assert_eq!(cfg.baseline_path, "other.json");
-        assert!(!cfg.rule_enabled("wall-clock"));
-        assert!(cfg.rule_enabled("panic-path"));
-        assert_eq!(cfg.ordered_types, ["Vec", "BTreeMap"]);
-        // Untouched sections keep their defaults.
-        assert_eq!(cfg.hot_modules.len(), 6);
-    }
-
-    #[test]
-    fn trace_tables_replace_defaults() {
-        let cfg = LintConfig::from_toml(
-            "[[trace]]\n\
-             enum = \"DropCause\"\n\
-             defined-in = \"a.rs\"\n\
-             emit-file = \"b.rs\"\n\
-             emit-fns = [\"name\"]\n\
-             [[trace]]\n\
-             enum = \"E2\"\n\
-             defined-in = \"c.rs\"\n\
-             emit-file = \"d.rs\"\n\
-             emit-fns = [\"f\", \"g\"]\n",
-        )
-        .expect("parse");
-        assert_eq!(cfg.trace_enums.len(), 2);
-        assert_eq!(cfg.trace_enums[1].enum_name, "E2");
-        assert_eq!(cfg.trace_enums[1].emit_fns, ["f", "g"]);
-    }
-
-    #[test]
-    fn callgraph_table_parses() {
-        let cfg = LintConfig::from_toml(
-            "[callgraph]\n\
-             entry-points = [\"Sim::run_until\"]\n\
-             known-infallible = [\n  \"Wheel::place\", # masked ring index\n  \"saturating_gap\",\n]\n",
-        )
-        .expect("parse");
-        assert_eq!(cfg.entry_points, ["Sim::run_until"]);
-        assert_eq!(cfg.known_infallible, ["Wheel::place", "saturating_gap"]);
-        // Untouched by default.
-        assert!(LintConfig::default().entry_points.is_empty());
-    }
-
-    #[test]
-    fn determinism_table_parses() {
-        let cfg = LintConfig::from_toml(
-            "[determinism]\n\
-             thread-homes = [\"crates/simnet/src/parsim.rs\"]\n\
-             lock-free-modules = [\"crates/simnet/src/sim.rs\", \"crates/simnet/src/parsim.rs\"]\n",
-        )
-        .expect("parse");
-        assert_eq!(cfg.thread_homes, ["crates/simnet/src/parsim.rs"]);
+        assert_eq!(
+            cfg.hot_modules,
+            [
+                "crates/simnet/src/arena.rs",
+                "crates/simnet/src/queue.rs",
+                "crates/simnet/src/port.rs",
+                "crates/simnet/src/sim.rs",
+                "crates/simnet/src/packet.rs",
+                "crates/simnet/src/host.rs",
+                "crates/simnet/src/endpoint.rs",
+                "crates/simcore/src/wheel.rs",
+                "crates/simcore/src/event.rs",
+            ]
+        );
         assert_eq!(
             cfg.lock_free_modules,
-            ["crates/simnet/src/sim.rs", "crates/simnet/src/parsim.rs"]
+            [
+                "crates/simnet/src/arena.rs",
+                "crates/simnet/src/queue.rs",
+                "crates/simnet/src/port.rs",
+                "crates/simnet/src/sim.rs",
+                "crates/simnet/src/packet.rs",
+                "crates/simnet/src/host.rs",
+                "crates/simnet/src/endpoint.rs",
+                "crates/simcore/src/wheel.rs",
+                "crates/simcore/src/event.rs",
+                "crates/simnet/src/parsim.rs",
+                "crates/simnet/src/partition.rs",
+            ]
         );
-        // Defaults bless the parallel engine and ban locks across the hot
-        // modules plus the engine files.
-        let d = LintConfig::default();
-        assert!(d.thread_homes.iter().any(|f| f.ends_with("parsim.rs")));
-        assert!(d.lock_free_modules.iter().any(|f| f.ends_with("parsim.rs")));
-        assert!(d
-            .lock_free_modules
-            .iter()
-            .any(|f| f.ends_with("partition.rs")));
-    }
-
-    #[test]
-    fn malformed_input_is_an_error() {
-        assert!(LintConfig::from_toml("[rules]\nwall-clock = maybe\n").is_err());
-        assert!(LintConfig::from_toml("[[trace]]\nenum = \"X\"\n").is_err());
-        assert!(LintConfig::from_toml("just some words\n").is_err());
+        assert_eq!(cfg.thread_homes, ["crates/simnet/src/parsim.rs"]);
+        assert_eq!(cfg.known_infallible, ["SimRng::next_u64"]);
+        assert_eq!(cfg.baseline_path, "lint-baseline.json");
     }
 }

@@ -9,8 +9,8 @@
 //! * [`tokenize`] — hand-rolled lexer producing spanned tokens + comments.
 //! * [`parse`] — recursive-descent parser grouping tokens into items with
 //!   bodies, fields, variants and use-trees, plus expression extractors.
-//! * [`config`] — `lint.toml` (rule toggles, hot modules, ordered-type
-//!   allowlist, trace-enum wiring) with built-in defaults.
+//! * [`config`] — the lint policy, as code: hot modules, ordered-type
+//!   allowlist, known-infallible fns, thread homes, lock-free modules.
 //! * [`baseline`] — `lint-baseline.json` load/apply/update: known findings
 //!   are suppressed, *new* findings fail the build.
 //! * [`callgraph`] — workspace-wide call graph (nodes, resolved edges,

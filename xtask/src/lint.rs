@@ -1,4 +1,4 @@
-//! Determinism & units static-analysis pass (v3, AST-based).
+//! Determinism & units static-analysis pass (AST-based).
 //!
 //! The simulation must be bit-for-bit reproducible under a fixed seed, its
 //! byte accounting must keep the payload and wire domains apart (see
@@ -37,15 +37,14 @@
 //! * `thread-spawn` — `std::thread` (spawn/scope/sleep/…). A simulation
 //!   is a single-threaded event loop; parallelism belongs to the
 //!   experiment orchestrator (per-site `lint:allow`) and the partitioned
-//!   engine's domain runners (`lint.toml [determinism] thread-homes`),
-//!   which run whole simulations or domains on worker threads but never
-//!   thread *inside* one.
+//!   engine's domain runners (`LintConfig::thread_homes`), which run whole
+//!   simulations or domains on worker threads but never thread *inside*
+//!   one.
 //! * `sync-locks` — `std::sync::Mutex` / `RwLock` in the lock-free
-//!   modules (`lint.toml [determinism] lock-free-modules`: the hot
-//!   datapath plus the parallel engine). A blocking lock there is either
-//!   a per-event serialization point or a deadlock risk at the engine's
-//!   window barriers; cross-domain state moves over channels and
-//!   barriers only.
+//!   modules (`LintConfig::lock_free_modules`: the hot datapath plus the
+//!   parallel engine). A blocking lock there is either a per-event
+//!   serialization point or a deadlock risk at the engine's window
+//!   barriers; cross-domain state moves over channels and barriers only.
 //! * `raw-header-size` — the numeric literals `78`, `84` and `1538`
 //!   (any spelling: `1_538`, `1538u64`, `1538.0`) outside the unit homes.
 //!   Unlike every other rule this one applies to `#[cfg(test)]` code too,
@@ -60,22 +59,18 @@
 //!   ungated growth sites.
 //! * `unordered-iteration` — iteration over a type outside the
 //!   ordered-collections allowlist, where resolvable from declared types.
-//! * `trace-exhaustiveness` — cross-file: every variant of the trace
-//!   enums wired in `lint.toml [[trace]]` must be mentioned in each of its
-//!   emit fns (hand-maintained name/roster/adapter lists the compiler
-//!   cannot check).
 //! * `panic-reachable` / `alloc-reachable` — interprocedural: a BFS over
 //!   the workspace call graph (`crate::callgraph`) from the hot-module
 //!   entry points must reach no panic or allocation leaf *outside* the hot
 //!   modules (inside them the file-local rules already apply); violations
-//!   report shortest witness chains. Config: `lint.toml [callgraph]`
-//!   (`entry-points`, `known-infallible`).
+//!   report shortest witness chains. `LintConfig::known_infallible` names
+//!   the fns the BFS trusts.
 //!
 //! Escape hatch: a `lint:allow(<rule>)` comment on the offending line,
 //! directly above it (comment runs count as one block), or directly above
-//! the statement containing it suppresses that rule. Configuration
-//! (per-rule toggles, hot modules, ordered types, trace wiring) comes from
-//! `lint.toml`; known findings live in `lint-baseline.json` and are
+//! the statement containing it suppresses that rule. The policy (hot
+//! modules, ordered types, lock-free modules) is `LintConfig::default()`
+//! in `config.rs`; known findings live in `lint-baseline.json` and are
 //! subtracted by [`lint_workspace`] — they are visible in
 //! [`lint_workspace_full`]'s outcome, and stale entries (matching nothing)
 //! are reported so the baseline only ever shrinks.
@@ -137,7 +132,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("raw-header-size", rules::WHY_HEADER_SIZE),
     ("alloc-in-datapath", rules::WHY_ALLOC),
     ("unordered-iteration", rules::WHY_ITER),
-    ("trace-exhaustiveness", rules::WHY_TRACE),
     ("panic-reachable", rules::WHY_PANIC_REACH),
     ("alloc-reachable", rules::WHY_ALLOC_REACH),
 ];
@@ -194,12 +188,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 }
 
 /// Lints every `src/**/*.rs` file of the covered crates under `root`, plus
-/// the individually covered [`LINTED_EXTRA_FILES`], the cross-file trace
-/// check, and the restricted sweeps (header sizes in `tests/`, wall-clock
-/// in the outer layers); then applies the baseline and builds the hot-
-/// module allocation report.
+/// the individually covered [`LINTED_EXTRA_FILES`] and the restricted
+/// sweeps (header sizes in `tests/`, wall-clock in the outer layers); then
+/// applies the baseline and builds the hot-module allocation report.
 pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
-    let cfg = LintConfig::load(root).map_err(io::Error::other)?;
+    let cfg = LintConfig::default();
     let mut findings = Vec::new();
     // The fully linted sources double as the call-graph universe.
     let mut cg_sources: Vec<(String, String)> = Vec::new();
@@ -268,32 +261,10 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
             }
         }
     }
-    // Cross-file trace-exhaustiveness: read exactly the files the wiring
-    // names (they may live outside the linted crates, e.g. simtrace).
-    if cfg.rule_enabled("trace-exhaustiveness") {
-        let mut sources: Vec<(String, String)> = Vec::new();
-        for t in &cfg.trace_enums {
-            for rel in [&t.defined_in, &t.emit_file] {
-                if sources.iter().any(|(p, _)| p == rel.as_str()) {
-                    continue;
-                }
-                if let Ok(src) = fs::read_to_string(root.join(rel)) {
-                    sources.push((rel.clone(), src));
-                }
-                // Unreadable files are left out: check_sources reports the
-                // missing file as a finding.
-            }
-        }
-        findings.extend(rules::trace_ex::check_sources(&sources, &cfg));
-    }
     // Interprocedural pass: call graph over all linted sources, witness
     // chains from the hot-module entry points.
-    let mut callgraph = rules::reachable::CallgraphReport::default();
-    if cfg.rule_enabled("panic-reachable") || cfg.rule_enabled("alloc-reachable") {
-        let (cg_findings, report) = rules::reachable::analyze(&cg_sources, &cfg);
-        findings.extend(cg_findings);
-        callgraph = report;
-    }
+    let (cg_findings, callgraph) = rules::reachable::analyze(&cg_sources, &cfg);
+    findings.extend(cg_findings);
     // Several witnesses can anchor at the same entry token; the text
     // tie-break keeps the order (and every downstream report) byte-stable.
     findings.sort_by(|a, b| {
@@ -410,8 +381,8 @@ impl Suppressor {
     }
 }
 
-/// Lints one file's source text with the built-in default configuration
-/// (no baseline). `file` is the workspace-relative path, used for
+/// Lints one file's source text under the workspace policy (no
+/// baseline). `file` is the workspace-relative path, used for
 /// reporting and the per-file home exemptions.
 pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
     lint_source_with(file, src, &LintConfig::default())

@@ -1,5 +1,5 @@
 //! `alloc-in-datapath`: allocation-shaped expressions in the hot per-event
-//! modules (configured in `lint.toml [alloc] hot-modules`).
+//! modules (`LintConfig::hot_modules`).
 //!
 //! The rule classifies every fn body in a hot module, excluding test code
 //! and *constructors* (named `new`/`default`, prefixed `new_`/`with_`, or

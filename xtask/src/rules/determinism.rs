@@ -10,7 +10,7 @@
 //! to the token pass, which only saw `std :: thread` spelled out — is now
 //! caught through the expanded use-tree.
 //!
-//! Two file-scoped gates from `lint.toml [determinism]`: `thread-spawn`
+//! Two file-scoped gates from `LintConfig`: `thread-spawn`
 //! is skipped in the blessed thread homes (the parallel engine's domain
 //! runners), and `sync-locks` fires only in the lock-free modules, where
 //! a blocking lock is either a hot-path serialization point or a deadlock

@@ -1,6 +1,6 @@
 //! `unordered-iteration`: loops and iterator-method calls over types
-//! outside the ordered-collections allowlist (`lint.toml [iteration]
-//! ordered-types`) in deterministic code.
+//! outside the ordered-collections allowlist (`LintConfig::ordered_types`)
+//! in deterministic code.
 //!
 //! `hash-collections` already bans the std hash types wholesale; this rule
 //! closes the gap for *other* unordered sources — third-party maps, slab

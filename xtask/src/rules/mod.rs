@@ -2,10 +2,9 @@
 //!
 //! Each submodule contributes *candidates* — `(token, rule, rationale)`
 //! triples — from one family of checks; the driver in `lint.rs` applies
-//! `lint:allow` suppression, rule toggles from `lint.toml`, and the
-//! baseline on top. Splitting candidates from findings keeps every rule a
-//! pure function of the token stream + AST, which is what the fixture
-//! corpus pins down.
+//! `lint:allow` suppression and the baseline on top. Splitting candidates
+//! from findings keeps every rule a pure function of the token stream +
+//! AST, which is what the fixture corpus pins down.
 //!
 //! Rule families:
 //!
@@ -22,9 +21,6 @@
 //!   hot per-event modules, plus the `--report alloc` inventory.
 //! * [`iteration`] — `unordered-iteration`: loops over types without an
 //!   ordering guarantee.
-//! * [`trace_ex`] — `trace-exhaustiveness`: cross-file check that every
-//!   trace-enum variant reaches its emit fns (runs at workspace level, not
-//!   per file).
 //! * [`reachable`] — `panic-reachable` / `alloc-reachable`: interprocedural
 //!   twins of `panic-path` and `alloc-in-datapath` over the workspace call
 //!   graph (`crate::callgraph`), reporting shortest witness chains from
@@ -35,7 +31,6 @@ pub mod determinism;
 pub mod iteration;
 pub mod panics;
 pub mod reachable;
-pub mod trace_ex;
 pub mod units;
 
 use crate::config::LintConfig;
@@ -63,11 +58,9 @@ pub const WHY_ALLOC: &str =
     "allocation in the per-event datapath; preallocate in a constructor or reuse a buffer";
 pub const WHY_ITER: &str =
     "iteration over a type outside the ordered-collections allowlist; event order may drift";
-pub const WHY_TRACE: &str =
-    "trace enum variant missing from an emit fn; update the fns wired in lint.toml [[trace]]";
 pub const WHY_PANIC_REACH: &str =
     "panic reachable from a datapath entry point; make the chain infallible, allowlist a \
-     proven-infallible fn in lint.toml [callgraph], or baseline the witness";
+     proven-infallible fn in xtask/src/config.rs, or baseline the witness";
 pub const WHY_ALLOC_REACH: &str =
     "allocation reachable from a datapath entry point; preallocate, hoist the allocation out \
      of the chain, or baseline the witness";
@@ -283,8 +276,7 @@ fn collect_fns<'a>(
 }
 
 /// Runs every per-file rule, returning deduplicated, position-sorted
-/// candidates. (`trace-exhaustiveness` is workspace-level and not run
-/// here.)
+/// candidates.
 pub fn run_file_rules(ctx: &FileCtx) -> Vec<Cand> {
     let mut cands = Vec::new();
     determinism::candidates(ctx, &mut cands);
@@ -292,7 +284,6 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Cand> {
     panics::candidates(ctx, &mut cands);
     alloc::candidates(ctx, &mut cands);
     iteration::candidates(ctx, &mut cands);
-    cands.retain(|c| ctx.cfg.rule_enabled(c.rule));
     cands.sort_by_key(|c| (c.tok, c.rule));
     cands.dedup_by_key(|c| (c.tok, c.rule));
     cands

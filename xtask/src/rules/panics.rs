@@ -8,7 +8,7 @@
 //!
 //! Implicit sites — subscripts (`x[i]`, including slicing) and bare `/` /
 //! `%` on non-literal operands — are flagged only inside the hot modules
-//! (`lint.toml [alloc] hot-modules`): there an out-of-range index or a
+//! (`LintConfig::hot_modules`): there an out-of-range index or a
 //! zero divisor aborts the event loop mid-run. Divisions whose adjacent
 //! operand is a float literal, or whose divisor is a nonzero integer
 //! literal, cannot panic and are skipped; divisions on variables the rule

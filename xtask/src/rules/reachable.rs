@@ -3,16 +3,16 @@
 //! (`crate::callgraph`).
 //!
 //! Entry points are every non-test, non-constructor fn defined in a hot
-//! module (`lint.toml [alloc] hot-modules`), plus any extra qnames in
-//! `[callgraph] entry-points`. A BFS from the entries must reach no panic
-//! or allocation leaf; each violation reports the *shortest* witness chain
-//! `entry -> f -> g` ending at the leaf's file, kind, and source line. The
-//! chain text deliberately omits line numbers so baseline entries survive
-//! line churn (the `--report callgraph` JSON carries exact positions).
+//! module (`LintConfig::hot_modules`). A BFS from the entries must reach
+//! no panic or allocation leaf; each violation reports the *shortest*
+//! witness chain `entry -> f -> g` ending at the leaf's file, kind, and
+//! source line. The chain text deliberately omits line numbers so baseline
+//! entries survive line churn (the `--report callgraph` JSON carries exact
+//! positions).
 //!
 //! Leaves inside hot-module files are *not* reported here — the file-local
 //! rules already flag them — so the interprocedural rules cover exactly
-//! the cross-file blind spot. Fns named in `[callgraph] known-infallible`
+//! the cross-file blind spot. Fns named in `LintConfig::known_infallible`
 //! are not traversed into: the allowlist is for hand-proven helpers (e.g.
 //! masked ring indexing) where a `lint:allow` at every call site would be
 //! noise. A `lint:allow(panic-path)` / `lint:allow(panic-reachable)` (or
@@ -71,16 +71,14 @@ pub struct CallgraphReport {
 }
 
 /// Runs the interprocedural analysis over `(path, source)` pairs,
-/// returning the per-rule findings (respecting `[rules]` toggles) and the
-/// full report.
+/// returning the per-rule findings and the full report.
 pub fn analyze(sources: &[(String, String)], cfg: &LintConfig) -> (Vec<Finding>, CallgraphReport) {
     let graph = callgraph::build(sources, cfg);
 
     let mut entry_ids: Vec<usize> = (0..graph.fns.len())
         .filter(|&i| {
             let f = &graph.fns[i];
-            !f.infallible
-                && ((f.hot && !f.is_ctor) || cfg.entry_points.iter().any(|e| e == &f.qname))
+            !f.infallible && f.hot && !f.is_ctor
         })
         .collect();
     entry_ids.sort_by(|&a, &b| {
@@ -151,7 +149,6 @@ pub fn analyze(sources: &[(String, String)], cfg: &LintConfig) -> (Vec<Finding>,
 
     let findings = witnesses
         .iter()
-        .filter(|w| cfg.rule_enabled(w.rule))
         .map(|w| Finding {
             file: w.entry_file.clone(),
             line: w.entry_line,

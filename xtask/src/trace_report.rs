@@ -15,70 +15,31 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use flexpass_simtrace::TraceEvent;
+use flexpass_simtrace::{EventKind, TraceEvent, TraceTotals};
 
-/// Aggregated view over every parsed event.
+/// Aggregated view over every parsed event: the shared totals plus what
+/// only a post-mortem over files needs.
 #[derive(Default)]
-struct Report {
+pub struct Report {
     files: usize,
-    events: u64,
     summaries: u64,
     skipped: u64,
-    by_kind: BTreeMap<&'static str, u64>,
-    /// (node, cause name) → drop count.
-    drop_sites: BTreeMap<(u64, &'static str), u64>,
-    enqueues: u64,
-    ecn_marks: u64,
-    credits_sent: u64,
-    credits_wasted: u64,
-    /// Wasted credits matched against a still-outstanding observed issue
-    /// for the same flow — the reliable numerator for the waste ratio.
-    matched_waste: u64,
-    /// Wasted credits whose issue was never observed (ring-evicted):
-    /// evidence the trace is truncated and the ratio undercounts.
-    unmatched_waste: u64,
-    /// flow → observed issues not yet consumed by a waste.
-    credit_outstanding: BTreeMap<u64, u64>,
-    rtos: u64,
-    timer_cancels: u64,
+    /// Counts by kind, drop sites and credit-waste matching, across files.
+    pub totals: TraceTotals,
     /// flow → retransmit (t_ns, seq) timeline, in file order.
     retx: BTreeMap<u64, Vec<(u64, i64)>>,
 }
 
 impl Report {
     fn fold(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        *self.by_kind.entry(ev.kind().name()).or_insert(0) += 1;
-        match ev {
-            TraceEvent::Enqueue { .. } => self.enqueues += 1,
-            TraceEvent::EcnMark { .. } => self.ecn_marks += 1,
-            TraceEvent::Drop { node, cause, .. } => {
-                *self.drop_sites.entry((*node, cause.name())).or_insert(0) += 1;
-            }
-            TraceEvent::CreditSent { flow, .. } => {
-                self.credits_sent += 1;
-                *self.credit_outstanding.entry(*flow).or_insert(0) += 1;
-            }
-            TraceEvent::CreditWasted { flow, .. } => {
-                self.credits_wasted += 1;
-                match self.credit_outstanding.get_mut(flow) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        self.matched_waste += 1;
-                    }
-                    _ => self.unmatched_waste += 1,
-                }
-            }
-            TraceEvent::Retransmit { t_ns, flow, seq } => {
-                self.retx.entry(*flow).or_default().push((*t_ns, *seq));
-            }
-            TraceEvent::Rto { .. } => self.rtos += 1,
-            TraceEvent::TimerCancel { .. } => self.timer_cancels += 1,
-            TraceEvent::Dequeue { .. } => {}
+        self.totals.fold(ev);
+        if let TraceEvent::Retransmit { t_ns, flow, seq } = *ev {
+            self.retx.entry(flow).or_default().push((t_ns, seq));
         }
     }
 
-    fn fold_text(&mut self, text: &str) {
+    /// Folds one JSONL file's text in.
+    pub fn fold_text(&mut self, text: &str) {
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() {
@@ -96,26 +57,41 @@ impl Report {
         }
     }
 
-    fn render(&self) -> String {
+    /// The report text `cargo xtask trace-report` prints.
+    pub fn render(&self) -> String {
+        let t = &self.totals;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "trace-report: {} file(s), {} event(s), {} meta/summary line(s), {} unparsed",
-            self.files, self.events, self.summaries, self.skipped
+            self.files,
+            t.events(),
+            self.summaries,
+            self.skipped
         );
-        if self.events == 0 {
+        if t.events() == 0 {
             return out;
         }
         let _ = writeln!(out, "\nevents by kind:");
-        for (kind, n) in &self.by_kind {
+        let mut kinds: Vec<_> = EventKind::ALL
+            .iter()
+            .map(|&k| (k.name(), t.count(k)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        kinds.sort_unstable();
+        for (kind, n) in kinds {
             let _ = writeln!(out, "  {kind:<14} {n}");
         }
 
-        if !self.drop_sites.is_empty() {
-            let mut sites: Vec<_> = self.drop_sites.iter().collect();
-            sites.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        if !t.drop_sites.is_empty() {
+            let mut sites: Vec<_> = t
+                .drop_sites
+                .iter()
+                .map(|(&(node, cause), &n)| (node, cause.name(), n))
+                .collect();
+            sites.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
             let _ = writeln!(out, "\ntop drop sites:");
-            for ((node, cause), n) in sites.into_iter().take(10) {
+            for (node, cause, n) in sites.into_iter().take(10) {
                 let _ = writeln!(out, "  node {node:<5} {cause:<14} {n}");
             }
         }
@@ -131,14 +107,14 @@ impl Report {
         let _ = writeln!(
             out,
             "  ecn mark rate      {}",
-            ratio(self.ecn_marks, self.enqueues)
+            ratio(t.count(EventKind::EcnMark), t.count(EventKind::Enqueue))
         );
         // Only wastes with an observed matching issue count, so a
         // ring-truncated log can no longer render a >100 % waste rate.
-        let truncated = if self.unmatched_waste > 0 {
+        let truncated = if t.unmatched_waste > 0 {
             format!(
                 " [TRUNCATED: {} waste(s) without observed issue]",
-                self.unmatched_waste
+                t.unmatched_waste
             )
         } else {
             String::new()
@@ -146,10 +122,14 @@ impl Report {
         let _ = writeln!(
             out,
             "  credit waste       {}{truncated}",
-            ratio(self.matched_waste, self.credits_sent)
+            ratio(t.matched_waste, t.count(EventKind::CreditSent))
         );
-        let _ = writeln!(out, "  rto fires          {}", self.rtos);
-        let _ = writeln!(out, "  timer cancels      {}", self.timer_cancels);
+        let _ = writeln!(out, "  rto fires          {}", t.count(EventKind::Rto));
+        let _ = writeln!(
+            out,
+            "  timer cancels      {}",
+            t.count(EventKind::TimerCancel)
+        );
 
         if !self.retx.is_empty() {
             let mut flows: Vec<_> = self.retx.iter().collect();
@@ -291,10 +271,10 @@ mod tests {
             ..Default::default()
         };
         r.fold_text(&jsonl());
-        assert_eq!(r.events, 7);
+        assert_eq!(r.totals.events(), 7);
         assert_eq!(r.summaries, 2);
         assert_eq!(r.skipped, 1);
-        assert_eq!(r.drop_sites[&(4, "buffer")], 2);
+        assert_eq!(r.totals.drop_sites[&(4, DropCause::Buffer)], 2);
         assert_eq!(r.retx[&7], vec![(4_000, 1)]);
         let text = r.render();
         assert!(text.contains("top drop sites"), "{text}");
@@ -323,9 +303,9 @@ mod tests {
         let text: String = evs.iter().map(|e| e.to_json_line() + "\n").collect();
         let mut r = Report::default();
         r.fold_text(&text);
-        assert_eq!(r.credits_wasted, 3);
-        assert_eq!(r.matched_waste, 1);
-        assert_eq!(r.unmatched_waste, 2);
+        assert_eq!(r.totals.count(EventKind::CreditWasted), 3);
+        assert_eq!(r.totals.matched_waste, 1);
+        assert_eq!(r.totals.unmatched_waste, 2);
         let rendered = r.render();
         assert!(
             rendered.contains("credit waste       1.0000 (1/1)"),

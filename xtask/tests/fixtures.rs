@@ -7,16 +7,11 @@
 //! sorted. An empty sidecar asserts the fixture is clean — that's how the
 //! false-positive regressions are pinned.
 //!
-//! Fixtures with a `//@ trace:` directive instead exercise the cross-file
-//! trace-exhaustiveness check: the directive names the enum, its defining
-//! fixture path, the emitting fixture path, and the emit fns; *all*
-//! fixture files are offered as sources under their declared paths.
-//!
 //! A *directory* `tests/lint_fixtures/<name>/` is a multi-file fixture for
 //! the interprocedural call-graph rules: every member `.rs` file declares
 //! its pretended path with `//@ file:` (so one member can live in a hot
 //! module and another outside it), `//@ infallible:` lines extend the
-//! `[callgraph] known-infallible` allowlist, and an optional
+//! `known_infallible` allowlist, and an optional
 //! `baseline.json` in the directory is applied before comparison. The
 //! sidecar `<name>.expected` sits next to the directory and uses
 //! `file:line:col rule` lines (the file disambiguates multi-file anchors).
@@ -26,9 +21,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use xtask::baseline::Baseline;
-use xtask::config::{LintConfig, TraceEnumCfg};
+use xtask::config::LintConfig;
 use xtask::lint;
-use xtask::rules::{reachable, trace_ex};
+use xtask::rules::reachable;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures")
@@ -39,8 +34,6 @@ struct Fixture {
     src: String,
     /// Path the fixture pretends to live at.
     file: String,
-    /// `(enum, defined-in, emit-file, emit-fns)` for trace fixtures.
-    trace: Option<(String, String, String, Vec<String>)>,
     expected: Vec<String>,
 }
 
@@ -61,22 +54,12 @@ fn load_fixtures() -> Vec<Fixture> {
             .into_owned();
         let src = fs::read_to_string(&path).expect("read fixture");
         let mut file = "crates/simnet/src/fixture.rs".to_string();
-        let mut trace = None;
         for line in src.lines() {
             let Some(d) = line.strip_prefix("//@ ") else {
                 continue;
             };
             if let Some(v) = d.strip_prefix("file:") {
                 file = v.trim().to_string();
-            } else if let Some(v) = d.strip_prefix("trace:") {
-                let parts: Vec<&str> = v.split_whitespace().collect();
-                assert_eq!(parts.len(), 4, "{name}: //@ trace: ENUM DEF EMIT FN[,FN]");
-                trace = Some((
-                    parts[0].to_string(),
-                    parts[1].to_string(),
-                    parts[2].to_string(),
-                    parts[3].split(',').map(str::to_string).collect(),
-                ));
             } else {
                 panic!("{name}: unknown directive `{line}`");
             }
@@ -93,7 +76,6 @@ fn load_fixtures() -> Vec<Fixture> {
             name,
             src,
             file,
-            trace,
             expected,
         });
     }
@@ -270,28 +252,9 @@ fn dir_fixtures_match_expected_witnesses() {
 
 #[test]
 fn fixtures_match_expected_diagnostics() {
-    let fixtures = load_fixtures();
-    let sources: Vec<(String, String)> = fixtures
-        .iter()
-        .map(|f| (f.file.clone(), f.src.clone()))
-        .collect();
     let mut failures = Vec::new();
-    for f in &fixtures {
-        let got = if let Some((en, def, emit, fns)) = &f.trace {
-            let mut cfg = LintConfig {
-                trace_enums: vec![TraceEnumCfg {
-                    enum_name: en.clone(),
-                    defined_in: def.clone(),
-                    emit_file: emit.clone(),
-                    emit_fns: fns.clone(),
-                }],
-                ..LintConfig::default()
-            };
-            cfg.rule_enabled.clear();
-            format_findings(&trace_ex::check_sources(&sources, &cfg))
-        } else {
-            format_findings(&lint::lint_source(&f.file, &f.src))
-        };
+    for f in &load_fixtures() {
+        let got = format_findings(&lint::lint_source(&f.file, &f.src));
         let mut want = f.expected.clone();
         want.sort();
         if got != want {
