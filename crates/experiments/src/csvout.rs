@@ -20,15 +20,23 @@ impl Csv {
         }
     }
 
-    /// Appends a row (must match the header width).
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
+    /// The column names.
+    pub fn header(&self) -> &[String] {
+        &self.header
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn push<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+    /// Appends a row (must match the header width).
+    pub fn row(&mut self, cells: impl IntoIterator<Item = String>) {
+        let cells: Vec<String> = cells.into_iter().collect();
+        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
+        self.rows.push(cells);
+    }
+
+    /// Appends a row computed column by column: `cell` maps a column name
+    /// to that column's cell.
+    pub fn row_by(&mut self, cell: impl Fn(&str) -> String) {
+        let row: Vec<String> = self.header.iter().map(|column| cell(column)).collect();
+        self.rows.push(row);
     }
 
     /// Number of data rows.
@@ -99,8 +107,8 @@ mod tests {
     #[test]
     fn renders_csv() {
         let mut c = Csv::new(&["a", "b"]);
-        c.push(&[1, 2]);
-        c.row(&["x".into(), "y".into()]);
+        c.row(["1".into(), "2".into()]);
+        c.row(["x".into(), "y".into()]);
         assert_eq!(c.render(), "a,b\n1,2\nx,y\n");
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
@@ -111,8 +119,8 @@ mod tests {
     #[test]
     fn quotes_special_cells() {
         let mut c = Csv::new(&["label", "value"]);
-        c.row(&["has,comma".into(), "plain".into()]);
-        c.row(&["say \"hi\"".into(), "line\nbreak".into()]);
+        c.row(["has,comma".into(), "plain".into()]);
+        c.row(["say \"hi\"".into(), "line\nbreak".into()]);
         assert_eq!(
             c.render(),
             "label,value\n\"has,comma\",plain\n\"say \"\"hi\"\"\",\"line\nbreak\"\n"
@@ -130,14 +138,14 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn rejects_wrong_width() {
         let mut c = Csv::new(&["a", "b"]);
-        c.push(&[1]);
+        c.row(["1".into()]);
     }
 
     #[test]
     fn writes_file() {
         let dir = std::env::temp_dir().join("flexpass_csv_test");
         let mut c = Csv::new(&["x"]);
-        c.push(&[42]);
+        c.row(["42".into()]);
         c.write(&dir, "t").unwrap();
         let s = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(s, "x\n42\n");

@@ -1,15 +1,19 @@
 //! Trace-driven custom scenarios: replay a user-provided flow trace under
 //! any deployment scheme and report per-type FCT statistics.
 
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
 use flexpass::config::FlexPassConfig;
 use flexpass::schemes::{Scheme, TAG_LEGACY, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_workload::parse_trace;
 
-use crate::csvout::{f, Csv};
-use crate::orchestrate;
-use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+use crate::csvout::{count, f, Csv};
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::{run, RunScale, DRAINED};
 use crate::sweep::{build_point, rollout, SEL_DROP};
 
 /// Settings for a custom trace replay.
@@ -60,13 +64,15 @@ impl std::fmt::Display for HostOutOfRange {
 
 impl std::error::Error for HostOutOfRange {}
 
-/// Replays `flows` (e.g. from [`parse_trace`]) under the spec. Returns the
-/// recorder for further analysis plus a summary CSV, or an error if a flow
+/// Replays `flows` (e.g. from [`parse_trace`]) under the spec as a one-cell
+/// grid. Returns the recorder for further analysis (`None` if the run
+/// failed) plus the summary table under `columns`, or an error if a flow
 /// names a host beyond the fabric.
 pub fn run_trace(
     flows: &[FlowSpec],
     spec: &CustomSpec,
-) -> Result<(Recorder, ScenarioResult), HostOutOfRange> {
+    columns: &[&str],
+) -> Result<(Option<Recorder>, Csv), HostOutOfRange> {
     let clos = spec.scale.clos();
     let n_hosts = clos.n_hosts();
     if let Some(host) = flows
@@ -76,62 +82,89 @@ pub fn run_trace(
     {
         return Err(HostOutOfRange { host, n_hosts });
     }
-    let (topo, factory, flows) = build_point(
-        clos,
-        spec.scheme,
-        rollout(&clos, spec.ratio, spec.seed),
-        flows.to_vec(),
-        FlexPassConfig::new(spec.wq),
-        spec.wq,
-        SEL_DROP,
+    let mut cells = grid(
+        "custom",
+        vec!["trace"],
+        |l| l.to_string(),
+        |_| {
+            let (topo, factory, flows) = build_point(
+                clos,
+                spec.scheme,
+                rollout(&clos, spec.ratio, spec.seed),
+                flows.to_vec(),
+                FlexPassConfig::new(spec.wq),
+                spec.wq,
+                SEL_DROP,
+            );
+            run(topo, factory, Recorder::new(), &flows, None, DRAINED)
+        },
     );
-    let rec = orchestrate::run_isolated("custom", "trace", Recorder::new, move || {
-        run(topo, factory, Recorder::new(), &flows, None, DRAINED)
-    });
+    let rec = cells.pop().and_then(|(_, rec)| rec);
 
-    let mut csv = Csv::new(&[
-        "flow_type",
-        "flows",
-        "avg_fct_ms",
-        "p50_fct_ms",
-        "p99_fct_ms",
-        "max_fct_ms",
-        "p99_small_ms",
-    ]);
+    let mut csv = Csv::new(columns);
     for (label, tag) in [
         ("all", None),
         ("legacy", Some(TAG_LEGACY)),
         ("upgraded", Some(TAG_UPGRADED)),
     ] {
-        let stats = rec.fct_stats(|r| tag.is_none_or(|t| r.tag == t));
-        csv.row(&[
-            label.into(),
-            stats.count.to_string(),
-            f(stats.avg * 1e3),
-            f(stats.p50 * 1e3),
-            f(stats.p99 * 1e3),
-            f(stats.max * 1e3),
-            f(rec.p99_small(tag) * 1e3),
-        ]);
+        let [n, in_ms @ ..] = or_nan(rec.as_ref().map(|rec| {
+            let stats = rec.fct_stats(|r| tag.is_none_or(|t| r.tag == t));
+            let p99_small = rec.p99_small(tag);
+            [
+                stats.count as f64,
+                stats.avg,
+                stats.p50,
+                stats.p99,
+                stats.max,
+                p99_small,
+            ]
+        }));
+        let in_ms = in_ms.map(|seconds| f(seconds * 1e3));
+        csv.row([label.into(), count(n)].into_iter().chain(in_ms));
     }
-    Ok((rec, ScenarioResult::new("custom_trace", csv)))
+    Ok((rec, csv))
 }
 
-/// Loads a trace file and replays it.
-pub fn run_trace_file(
-    path: &std::path::Path,
-    spec: &CustomSpec,
-) -> std::io::Result<(Recorder, ScenarioResult)> {
-    let text = std::fs::read_to_string(path)?;
-    let flows = parse_trace(&text, 0)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    run_trace(&flows, spec).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+/// The replay input (`--trace FILE`); the binary sets it.
+pub static TRACE_FILE: OnceLock<PathBuf> = OnceLock::new();
+
+/// The `custom` figure: replays the flows of [`TRACE_FILE`] on the Clos of
+/// `scale` under the default spec.
+pub fn replay(scale: RunScale, out: &[Output]) -> Result<Vec<Csv>, String> {
+    let path = TRACE_FILE
+        .get()
+        .ok_or("the trace replay requires --trace FILE (src,dst,size_bytes,start_us)")?;
+    let spec = CustomSpec {
+        scale,
+        ..CustomSpec::default()
+    };
+    let failed = |e: &dyn std::fmt::Display| format!("trace replay failed: {e}");
+    let text = std::fs::read_to_string(path).map_err(|e| failed(&e))?;
+    let flows = parse_trace(&text, 0).map_err(|e| failed(&e))?;
+    let (rec, csv) = run_trace(&flows, &spec, out[0].columns).map_err(|e| failed(&e))?;
+    if let Some(rec) = rec {
+        eprintln!(
+            "replayed {} flows: avg {:.3} ms, p99(<100kB) {:.3} ms",
+            rec.completed(),
+            rec.avg_fct(None) * 1e3,
+            rec.p99_small(None) * 1e3
+        );
+    }
+    Ok(vec![csv])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexpass_workload::render_trace;
+
+    /// The `custom` figure's column list, from the figure table.
+    fn columns() -> &'static [&'static str] {
+        let figure = crate::figures::selected("custom")
+            .next()
+            .expect("in the table");
+        figure.outputs[0].columns
+    }
 
     #[test]
     fn replays_small_trace() {
@@ -144,9 +177,10 @@ mod tests {
             scale: RunScale::Smoke,
             ..CustomSpec::default()
         };
-        let (rec, result) = run_trace(&flows, &spec).unwrap();
+        let (rec, csv) = run_trace(&flows, &spec, columns()).unwrap();
+        let rec = rec.expect("the replay ran");
         assert_eq!(rec.completed(), 3);
-        assert_eq!(result.csv.len(), 3);
+        assert_eq!(csv.len(), 3);
         // Full deployment: everything upgraded.
         let all = rec.fct_stats(|_| true);
         assert!(all.avg > 0.0);
@@ -163,8 +197,8 @@ mod tests {
             ratio: 0.5,
             ..CustomSpec::default()
         };
-        let (rec, _) = run_trace(&again, &spec).unwrap();
-        assert_eq!(rec.completed(), 2);
+        let (rec, _) = run_trace(&again, &spec, columns()).unwrap();
+        assert_eq!(rec.expect("the replay ran").completed(), 2);
     }
 
     #[test]
@@ -174,7 +208,7 @@ mod tests {
             scale: RunScale::Smoke,
             ..CustomSpec::default()
         };
-        let err = run_trace(&flows, &spec).err();
+        let err = run_trace(&flows, &spec, columns()).err();
         let n_hosts = RunScale::Smoke.clos().n_hosts();
         assert_eq!(
             err,

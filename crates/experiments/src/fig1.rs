@@ -15,8 +15,9 @@ use flexpass_transport::expresspass::{EpConfig, EpReceiver, EpSender};
 use flexpass_transport::homa::{HomaConfig, HomaReceiver, HomaSender};
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate;
-use crate::runner::{run, star_topo, ScenarioResult, Stop};
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::{run, star_topo, Stop};
 
 /// Dispatches each flow to one of two transports by its tag
 /// (0 = legacy DCTCP, 1 = the new transport).
@@ -107,42 +108,58 @@ pub(crate) fn run_testbed(
     )
 }
 
-/// The per-millisecond throughput of tag 0 (`labels[0]`) and tag 1
-/// (`labels[1]`) over the window, in Gbps.
-pub(crate) fn series_csv(rec: &Recorder, window_ms: u64, labels: [&str; 2]) -> Csv {
-    let mut csv = Csv::new(&["time_ms", labels[0], labels[1]]);
-    let a = rec.throughput_gbps(0);
-    let b = rec.throughput_gbps(1);
+/// The per-millisecond throughput of tag 0 and tag 1 over the window, in
+/// Gbps — what a two-transport testbed cell sends back from its worker.
+pub(crate) fn tag_series(rec: &Recorder, window_ms: u64) -> Vec<[f64; 2]> {
+    let by_tag = [rec.throughput_gbps(0), rec.throughput_gbps(1)];
+    (0..window_ms as usize)
+        .map(|t| by_tag.each_ref().map(|s| s.get(t).copied().unwrap_or(0.0)))
+        .collect()
+}
+
+/// The table of one testbed run: the millisecond, then that millisecond's
+/// `series` values (NaN in every row if the run failed).
+pub(crate) fn series_csv<const N: usize>(
+    columns: &[&str],
+    window_ms: u64,
+    series: Option<&[[f64; N]]>,
+) -> Csv {
+    let mut csv = Csv::new(columns);
     for t in 0..window_ms as usize {
-        csv.row(&[
-            t.to_string(),
-            f(a.get(t).copied().unwrap_or(0.0)),
-            f(b.get(t).copied().unwrap_or(0.0)),
-        ]);
+        let values = or_nan(series.map(|s| s[t]));
+        csv.row(std::iter::once(t.to_string()).chain(values.map(f)));
     }
     csv
 }
 
+/// One two-transport run on the star for 120 ms, as a one-cell grid.
+fn fig1(group: &str, label: &str, out: &[Output], run: fn() -> Recorder) -> Vec<Csv> {
+    let mut cells = grid(
+        group,
+        vec![label],
+        |l| l.to_string(),
+        |_| tag_series(&run(), 120),
+    );
+    let series = cells.pop().and_then(|(_, series)| series);
+    vec![series_csv(out[0].columns, 120, series.as_deref())]
+}
+
 /// Figure 1(a): 1 ExpressPass vs 1 DCTCP long flow into one 10 G receiver,
 /// naive (shared-queue, full-credit-rate) configuration.
-pub fn fig1a() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig1a", "ep_vs_dctcp", Recorder::new, || {
+pub fn fig1a(out: &[Output]) -> Vec<Csv> {
+    fig1("fig1a", "ep_vs_dctcp", out, || {
         let params = ProfileParams::testbed(Rate::from_gbps(10));
         let factory = TagFactory::dctcp_vs_ep(EpConfig::default());
         let flows = [long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)];
         let topo = star_topo(3, &naive_profile(&params));
         run_testbed(topo, Box::new(factory), &flows, 120)
-    });
-    ScenarioResult::new(
-        "fig1a_ep_vs_dctcp",
-        series_csv(&rec, 120, ["dctcp_gbps", "expresspass_gbps"]),
-    )
+    })
 }
 
 /// Figure 1(b): 16 Homa + 16 DCTCP flows sharing a 10 G link; DCTCP mapped
 /// to the highest-priority queue (paper footnote 3).
-pub fn fig1b() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig1b", "homa_vs_dctcp", Recorder::new, || {
+pub fn fig1b(out: &[Output]) -> Vec<Csv> {
+    fig1("fig1b", "homa_vs_dctcp", out, || {
         let params = ProfileParams::testbed(Rate::from_gbps(10));
         // DCTCP rides the highest-priority queue (footnote 3); Homa's
         // high-priority traffic (unscheduled bursts and its currently granted
@@ -162,11 +179,7 @@ pub fn fig1b() -> ScenarioResult {
         }
         let topo = star_topo(33, &homa_mix_profile(&params));
         run_testbed(topo, Box::new(factory), &flows, 120)
-    });
-    ScenarioResult::new(
-        "fig1b_homa_vs_dctcp",
-        series_csv(&rec, 120, ["dctcp_gbps", "homa_gbps"]),
-    )
+    })
 }
 
 /// Mean of a per-millisecond series over the second half of the window

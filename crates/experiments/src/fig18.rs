@@ -5,70 +5,50 @@
 use flexpass::schemes::Scheme;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task};
-use crate::runner::{RunScale, ScenarioResult};
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::RunScale;
 use crate::sweep::{run_point, SweepSpec};
 
-/// Runs the w_q sweep. Each weight needs three deployment points
-/// (baseline 0 %, mid-rollout, full); all 15 simulations are independent,
-/// so the whole grid is flattened onto the worker pool and the per-weight
-/// rows are assembled afterwards from results in task order.
-pub fn fig18(scale: RunScale) -> ScenarioResult {
-    let weights = [0.4, 0.45, 0.5, 0.55, 0.6];
-    // Mid-rollout ratios used to find the worst legacy degradation.
-    let mid_ratios = [0.5];
-    let ratios: Vec<f64> = std::iter::once(0.0)
-        .chain(mid_ratios)
-        .chain(std::iter::once(1.0))
+/// The deployment points of one weight: the all-DCTCP baseline under the
+/// same switch configuration, mid-rollout, full.
+const RATIOS: [f64; 3] = [0.0, 0.5, 1.0];
+
+/// Runs the w_q sweep. Each weight needs its three deployment points; all
+/// 15 simulations are independent, so the whole grid goes to the pool at
+/// once and each weight's row is assembled from its three cells.
+pub fn fig18(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let keys = [0.4, 0.45, 0.5, 0.55, 0.6]
+        .iter()
+        .flat_map(|&wq| RATIOS.map(|ratio| (wq, ratio)))
         .collect();
-    let mut tasks: Vec<Task<SweepPointLite>> = Vec::new();
-    for &wq in &weights {
-        for &ratio in &ratios {
+    let cells = grid(
+        "fig18",
+        keys,
+        |(wq, ratio)| format!("wq{wq:.2}:r{ratio:.2}"),
+        |&(wq, ratio)| {
             let spec = SweepSpec {
                 seed: 31,
                 wq,
                 n_flows: SweepSpec::reduced_flows(scale),
                 ..SweepSpec::fig10(scale)
             };
-            tasks.push(Task::new(format!("wq{wq:.2}:r{ratio:.2}"), move || {
-                let p = run_point(Scheme::FlexPass, ratio, &spec);
-                SweepPointLite {
-                    p99_small_all: p.p99_small[0],
-                    p99_small_legacy: p.p99_small[1],
-                }
-            }));
-        }
-    }
-    let mut results = orchestrate::run_tasks("fig18", tasks).into_iter();
-    let mut csv = Csv::new(&["wq", "legacy_p99_max_degradation", "p99_small_full_ms"]);
-    for &wq in &weights {
-        let mut next = || {
-            results
-                .next()
-                .expect("one result per (wq, ratio) task")
-                .unwrap_or(SweepPointLite {
-                    p99_small_all: f64::NAN,
-                    p99_small_legacy: f64::NAN,
-                })
+            let p = run_point(Scheme::FlexPass, ratio, &spec);
+            [p.p99_small[0], p.p99_small[1]]
+        },
+    );
+    let mut csv = Csv::new(out[0].columns);
+    for weight in cells.chunks(RATIOS.len()) {
+        let [[_, base], [_, mid], [full, _]] = [0, 1, 2].map(|i| or_nan(weight[i].1));
+        // Growth of the legacy tail over its baseline, floored at zero by
+        // comparison: `f64::max` would turn a failed cell's NaN into 0.
+        let growth = mid / base - 1.0;
+        let worst = if base == 0.0 || growth < 0.0 {
+            0.0
+        } else {
+            growth
         };
-        // Baseline: all-DCTCP under the same switch configuration.
-        let base = next().p99_small_legacy;
-        let mut worst = 0.0f64;
-        for _ in &mid_ratios {
-            let p = next();
-            if base > 0.0 && p.p99_small_legacy > 0.0 {
-                worst = worst.max(p.p99_small_legacy / base - 1.0);
-            }
-        }
-        let full = next();
-        csv.row(&[format!("{wq:.2}"), f(worst), f(full.p99_small_all * 1e3)]);
+        csv.row([format!("{:.2}", weight[0].0 .0), f(worst), f(full * 1e3)]);
     }
-    ScenarioResult::new("fig18_wq_tradeoff", csv)
-}
-
-/// The two statistics fig18 keeps per grid point.
-#[derive(Clone, Copy)]
-struct SweepPointLite {
-    p99_small_all: f64,
-    p99_small_legacy: f64,
+    vec![csv]
 }

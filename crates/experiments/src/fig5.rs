@@ -4,50 +4,25 @@
 //! sub-flow in the legacy queue) across deployment ratios.
 
 use flexpass::config::FlexPassConfig;
-use flexpass::schemes::{Scheme, TAG_UPGRADED};
-use flexpass_metrics::Recorder;
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task};
-use crate::runner::{RunScale, ScenarioResult};
-use crate::sweep::{reorder_mean, run_spec_point, SweepSpec};
-
-/// Runs FlexPass with a given protocol configuration at one deployment
-/// ratio; returns `(p99 small all, p99 small upgraded, mean reorder peak of
-/// upgraded flows)`.
-pub fn run_variant(cfg: FlexPassConfig, ratio: f64, scale: RunScale) -> (f64, f64, f64) {
-    let spec = SweepSpec {
-        seed: 11,
-        wq: cfg.wq,
-        n_flows: SweepSpec::reduced_flows(scale),
-        ..SweepSpec::fig10(scale)
-    };
-    let rec = run_spec_point(
-        Scheme::FlexPass,
-        ratio,
-        &spec,
-        77,
-        cfg,
-        Recorder::new(),
-        None,
-    );
-    (
-        rec.p99_small(None),
-        rec.p99_small(Some(TAG_UPGRADED)),
-        reorder_mean(&rec),
-    )
-}
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::RunScale;
+use crate::sweep::{reorder_mean, run_variant};
 
 /// FlexPass against one alternative design at each of `ratios`, every
-/// (variant, ratio) pair a pool task: the rows `(label, ratio, run_variant
-/// result)` in grid order, NaN where a point failed.
+/// (variant, ratio) pair a grid cell. One row per cell, by column: the
+/// variant, the ratio, the p99 in ms and — where `out` has a fourth, as
+/// Figure 5(a) does — the mean reorder buffer in kB.
 fn versus(
     group: &str,
     other: (&'static str, FlexPassConfig),
     ratios: &[f64],
     scale: RunScale,
-) -> Vec<(&'static str, f64, (f64, f64, f64))> {
-    let grid: Vec<(&str, FlexPassConfig, f64)> = ratios
+    out: &Output,
+) -> Vec<Csv> {
+    let keys = ratios
         .iter()
         .flat_map(|&ratio| {
             [
@@ -56,42 +31,38 @@ fn versus(
             ]
         })
         .collect();
-    let tasks = grid
-        .iter()
-        .map(|&(label, cfg, ratio)| {
-            Task::new(format!("{label}:r{ratio:.2}"), move || {
-                run_variant(cfg, ratio, scale)
-            })
-        })
-        .collect();
-    grid.iter()
-        .zip(orchestrate::run_tasks(group, tasks))
-        .map(|(&(label, _, ratio), r)| (label, ratio, r.unwrap_or((f64::NAN, f64::NAN, f64::NAN))))
-        .collect()
+    let cells = grid(
+        group,
+        keys,
+        |(label, _, ratio)| format!("{label}:r{ratio:.2}"),
+        |&(_, cfg, ratio)| {
+            let rec = run_variant(cfg, ratio, scale, 11, 77);
+            [rec.p99_small(None), reorder_mean(&rec)]
+        },
+    );
+    let mut csv = Csv::new(out.columns);
+    for ((label, _, ratio), cell) in cells {
+        let [p99, reorder] = or_nan(cell);
+        csv.row_by(|column| match column {
+            "variant" => label.into(),
+            "deploy_ratio" => format!("{ratio:.2}"),
+            "p99_small_ms" => f(p99 * 1e3),
+            "reorder_mean_kb" => f(reorder / 1e3),
+            other => panic!("figure 5 has no column `{other}`"),
+        });
+    }
+    vec![csv]
 }
 
 /// Figure 5(a): FlexPass vs RC3-style splitting at 50/100 % deployment —
 /// p99 FCT of small flows vs mean reordering buffer.
-pub fn fig5a(scale: RunScale) -> ScenarioResult {
+pub fn fig5a(scale: RunScale, out: &[Output]) -> Vec<Csv> {
     let other = ("rc3_split", FlexPassConfig::rc3_splitting(0.5));
-    let mut csv = Csv::new(&["variant", "deploy_ratio", "p99_small_ms", "reorder_mean_kb"]);
-    for (label, ratio, (p99, _p99u, reorder)) in versus("fig5a", other, &[0.5, 1.0], scale) {
-        csv.row(&[
-            label.into(),
-            format!("{ratio:.2}"),
-            f(p99 * 1e3),
-            f(reorder / 1e3),
-        ]);
-    }
-    ScenarioResult::new("fig5a_rc3_split", csv)
+    versus("fig5a", other, &[0.5, 1.0], scale, &out[0])
 }
 
 /// Figure 5(b): FlexPass vs alternative queueing across deployment ratios.
-pub fn fig5b(scale: RunScale) -> ScenarioResult {
+pub fn fig5b(scale: RunScale, out: &[Output]) -> Vec<Csv> {
     let other = ("alternative", FlexPassConfig::alternative_queueing(0.5));
-    let mut csv = Csv::new(&["variant", "deploy_ratio", "p99_small_ms"]);
-    for (label, ratio, (p99, _, _)) in versus("fig5b", other, &[0.25, 0.5, 0.75, 1.0], scale) {
-        csv.row(&[label.into(), format!("{ratio:.2}"), f(p99 * 1e3)]);
-    }
-    ScenarioResult::new("fig5b_alt_queueing", csv)
+    versus("fig5b", other, &[0.25, 0.5, 0.75, 1.0], scale, &out[0])
 }

@@ -9,10 +9,11 @@ use flexpass_metrics::Recorder;
 use flexpass_simcore::time::Rate;
 use flexpass_simnet::packet::{FlowSpec, Subflow};
 
-use crate::csvout::{f, Csv};
-use crate::fig1::{long_flow, run_testbed, steady_mean};
-use crate::orchestrate;
-use crate::runner::{star_topo, ScenarioResult};
+use crate::csvout::Csv;
+use crate::fig1::{long_flow, run_testbed, series_csv, steady_mean};
+use crate::figures::Output;
+use crate::orchestrate::grid;
+use crate::runner::star_topo;
 
 /// FlexPass on the 3-host star with `upgraded_hosts` upgraded (w_q = 0.5).
 /// Figure 9(b) is the same testbed with a DCTCP competitor.
@@ -28,59 +29,56 @@ pub(crate) fn run(flows: &[FlowSpec], upgraded_hosts: &[usize], window_ms: u64) 
     run_testbed(topo, Box::new(factory), flows, window_ms)
 }
 
-fn subflow_csv(rec: &Recorder, window_ms: u64) -> Csv {
-    let mut csv = Csv::new(&["time_ms", "proactive_gbps", "reactive_gbps", "dctcp_gbps"]);
-    let zero = Vec::new();
-    let pro = rec
-        .series((1, Subflow::Proactive))
-        .map(|s| s.bins().to_vec())
-        .unwrap_or(zero.clone());
-    let rea = rec
-        .series((1, Subflow::Reactive))
-        .map(|s| s.bins().to_vec())
-        .unwrap_or(zero.clone());
+/// Per-millisecond throughput of flow 1's proactive and reactive sub-flows
+/// and of the legacy tag over the window, in Gbps.
+fn subflow_series(rec: &Recorder, window_ms: u64) -> Vec<[f64; 3]> {
+    let bins = |sub| rec.series((1, sub)).map_or(&[][..], |s| s.bins());
+    let (pro, rea) = (bins(Subflow::Proactive), bins(Subflow::Reactive));
     let leg = rec.throughput_gbps(0);
-    let to_gbps = |v: &[f64], t: usize| v.get(t).copied().unwrap_or(0.0) * 8.0 / 1e6;
-    for t in 0..window_ms as usize {
-        csv.row(&[
-            t.to_string(),
-            f(to_gbps(&pro, t)),
-            f(to_gbps(&rea, t)),
-            f(leg.get(t).copied().unwrap_or(0.0)),
-        ]);
-    }
-    csv
+    let at = |v: &[f64], t: usize| v.get(t).copied().unwrap_or(0.0);
+    (0..window_ms as usize)
+        .map(|t| [at(pro, t) * 8.0 / 1e6, at(rea, t) * 8.0 / 1e6, at(&leg, t)])
+        .collect()
 }
 
-/// Figure 7(a): one FlexPass flow alone — proactive takes w_q of the link,
-/// reactive soaks up the rest.
-pub fn fig7a() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig7a", "one_flexpass", Recorder::new, || {
-        run(&[long_flow(1, 0, 2, 1)], &[0, 1, 2], 45)
-    });
-    ScenarioResult::new("fig7a_one_flexpass", subflow_csv(&rec, 45))
-}
-
-/// Figure 7(b): two FlexPass flows — proactive sub-flows share the
-/// guaranteed half; reactive sub-flows starve.
-pub fn fig7b() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig7b", "two_flexpass", Recorder::new, || {
-        run(
-            &[long_flow(1, 0, 2, 1), long_flow(2, 1, 2, 1)],
+/// Figure 7, one grid cell per panel: (a) one FlexPass flow alone —
+/// proactive takes w_q of the link, reactive soaks up the rest; (b) two
+/// FlexPass flows — the proactive sub-flows share the guaranteed half, the
+/// reactive ones starve; (c) one DCTCP + one FlexPass flow — each transport
+/// gets its guaranteed half and the reactive sub-flow finds no spare
+/// bandwidth.
+pub fn fig7(out: &[Output]) -> Vec<Csv> {
+    let (fp, dctcp) = (long_flow(1, 0, 2, 1), long_flow(1, 0, 2, 0));
+    let panels: Vec<(&str, Vec<FlowSpec>, &[usize], u64)> = vec![
+        ("one_flexpass", vec![fp], &[0, 1, 2], 45),
+        (
+            "two_flexpass",
+            vec![fp, long_flow(2, 1, 2, 1)],
             &[0, 1, 2],
             90,
-        )
-    });
-    ScenarioResult::new("fig7b_two_flexpass", subflow_csv(&rec, 90))
-}
-
-/// Figure 7(c): one DCTCP + one FlexPass flow — each transport gets its
-/// guaranteed half; the reactive sub-flow finds no spare bandwidth.
-pub fn fig7c() -> ScenarioResult {
-    let rec = orchestrate::run_isolated("fig7c", "dctcp_flexpass", Recorder::new, || {
-        run(&[long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)], &[1, 2], 90)
-    });
-    ScenarioResult::new("fig7c_dctcp_flexpass", subflow_csv(&rec, 90))
+        ),
+        (
+            "dctcp_flexpass",
+            vec![dctcp, long_flow(2, 1, 2, 1)],
+            &[1, 2],
+            90,
+        ),
+    ];
+    let cells = grid(
+        "fig7",
+        panels,
+        |(label, ..)| label.to_string(),
+        |(_, flows, upgraded, window_ms)| {
+            subflow_series(&run(flows, upgraded, *window_ms), *window_ms)
+        },
+    );
+    cells
+        .iter()
+        .zip(out)
+        .map(|(((.., window_ms), series), out)| {
+            series_csv(out.columns, *window_ms, series.as_deref())
+        })
+        .collect()
 }
 
 /// Helper for tests: steady-state mean of a sub-flow series over the last

@@ -13,9 +13,10 @@ use flexpass_transport::dctcp::DctcpFactory;
 use flexpass_transport::expresspass::ExpressPassFactory;
 use flexpass_workload::incast;
 
-use crate::csvout::{f, Csv};
-use crate::orchestrate::{self, Task};
-use crate::runner::{run, star_topo, ScenarioResult, DRAINED};
+use crate::csvout::{count, f, Csv};
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::{run, star_topo, DRAINED};
 
 /// One incast run: `n_flows` of 64 kB spread over 8 senders to host 8.
 /// Returns `(max FCT seconds, sender timeouts)`.
@@ -34,48 +35,47 @@ pub fn run_incast(
 
 const TRANSPORTS: [&str; 3] = ["dctcp", "expresspass", "flexpass"];
 
+/// The paper's two-run average of one (flow count, transport) pair:
+/// `[mean longest FCT in seconds, timeouts of both runs]`.
+fn average_of_two(n: usize, transport: &str) -> [f64; 2] {
+    let params = ProfileParams::testbed(Rate::from_gbps(10));
+    let mut fct = 0.0;
+    let mut timeouts = 0;
+    for r in 0..2 {
+        let (factory, profile): (Box<dyn TransportFactory>, SwitchProfile) = match transport {
+            "dctcp" => (Box::new(DctcpFactory::new()), dctcp_profile(&params)),
+            "expresspass" => (Box::new(ExpressPassFactory::new()), naive_profile(&params)),
+            _ => (
+                Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5))),
+                flexpass_profile(&params),
+            ),
+        };
+        let (m, t) = run_incast(&profile, factory, n, r * 3);
+        fct += m / 2.0;
+        timeouts += t;
+    }
+    [fct, timeouts as f64]
+}
+
 /// The full Figure-8 curve for the three transports. Every
-/// (flow count, transport) pair is one pool task running the paper's
-/// two-run average internally; both runs share the task so their mean is
-/// computed where the data is.
-pub fn fig8() -> ScenarioResult {
+/// (flow count, transport) pair is one grid cell running both runs of the
+/// average, so their mean is computed where the data is.
+pub fn fig8(out: &[Output]) -> Vec<Csv> {
     let ns = [8usize, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96];
-    let mut tasks: Vec<Task<(f64, u64)>> = Vec::new();
-    for &n in &ns {
-        for &tr in &TRANSPORTS {
-            tasks.push(Task::new(format!("{tr}:n{n}"), move || {
-                let params = ProfileParams::testbed(Rate::from_gbps(10));
-                // Average the longest FCT over two runs, like the paper.
-                let mut fct = 0.0;
-                let mut timeouts = 0;
-                for r in 0..2 {
-                    let (factory, profile): (Box<dyn TransportFactory>, SwitchProfile) = match tr {
-                        "dctcp" => (Box::new(DctcpFactory::new()), dctcp_profile(&params)),
-                        "expresspass" => {
-                            (Box::new(ExpressPassFactory::new()), naive_profile(&params))
-                        }
-                        _ => (
-                            Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5))),
-                            flexpass_profile(&params),
-                        ),
-                    };
-                    let (m, t) = run_incast(&profile, factory, n, r * 3);
-                    fct += m / 2.0;
-                    timeouts += t;
-                }
-                (fct, timeouts)
-            }));
-        }
+    let keys = ns
+        .iter()
+        .flat_map(|&n| TRANSPORTS.map(|tr| (n, tr)))
+        .collect();
+    let cells = grid(
+        "fig8",
+        keys,
+        |(n, tr)| format!("{tr}:n{n}"),
+        |&(n, tr)| average_of_two(n, tr),
+    );
+    let mut csv = Csv::new(out[0].columns);
+    for ((n, tr), cell) in cells {
+        let [fct, timeouts] = or_nan(cell);
+        csv.row([tr.into(), n.to_string(), f(fct * 1e3), count(timeouts)]);
     }
-    let mut results = orchestrate::run_tasks("fig8", tasks).into_iter();
-    let mut csv = Csv::new(&["transport", "n_flows", "max_fct_ms", "timeouts"]);
-    for &n in &ns {
-        for &tr in &TRANSPORTS {
-            match results.next().expect("one result per (n, transport)") {
-                Ok((fct, to)) => csv.row(&[tr.into(), n.to_string(), f(fct * 1e3), to.to_string()]),
-                Err(_) => csv.row(&[tr.into(), n.to_string(), f(f64::NAN), "nan".into()]),
-            }
-        }
-    }
-    ScenarioResult::new("fig8_incast", csv)
+    vec![csv]
 }

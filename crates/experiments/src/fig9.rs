@@ -11,9 +11,10 @@ use flexpass_simnet::packet::FlowSpec;
 use flexpass_transport::expresspass::EpConfig;
 
 use crate::csvout::{f, Csv};
-use crate::fig1::{long_flow, run_testbed, series_csv, TagFactory};
-use crate::orchestrate::{self, Task};
-use crate::runner::{star_topo, ScenarioResult};
+use crate::fig1::{long_flow, run_testbed, series_csv, tag_series, TagFactory};
+use crate::figures::Output;
+use crate::orchestrate::{grid, or_nan};
+use crate::runner::star_topo;
 
 const WINDOW_MS: u64 = 90;
 
@@ -50,36 +51,33 @@ pub fn starvation(rec: &Recorder, tag: u32) -> f64 {
 }
 
 /// The full Figure 9: two throughput time series plus the starvation bar.
-/// The two coexistence runs are independent, so they share the worker
-/// pool; a failed run falls back to an empty recorder (all-zero series)
-/// and is reported at exit.
-pub fn fig9() -> Vec<ScenarioResult> {
-    let mut results = orchestrate::run_tasks(
+/// The two coexistence runs are independent, so each is one grid cell that
+/// sends back its series and its two starvation fractions.
+pub fn fig9(out: &[Output]) -> Vec<Csv> {
+    /// A coexistence run: its cell label, its scheme in the bar table, and
+    /// the simulation.
+    type Run = (&'static str, &'static str, fn() -> Recorder);
+    let runs: Vec<Run> = vec![
+        ("ep_vs_dctcp", "expresspass", run_ep_vs_dctcp),
+        ("fp_vs_dctcp", "flexpass", run_fp_vs_dctcp),
+    ];
+    let cells = grid(
         "fig9",
-        vec![
-            Task::new("ep_vs_dctcp", run_ep_vs_dctcp),
-            Task::new("fp_vs_dctcp", run_fp_vs_dctcp),
-        ],
-    )
-    .into_iter();
-    let mut next = || {
-        results
-            .next()
-            .expect("one result per coexistence run")
-            .unwrap_or_else(|_| Recorder::new())
-    };
-    let ep = next();
-    let fp = next();
-
-    let mut bars = Csv::new(&["scheme", "dctcp_starved_frac", "new_starved_frac"]);
-    for (scheme, rec) in [("expresspass", &ep), ("flexpass", &fp)] {
-        bars.row(&[scheme.into(), f(starvation(rec, 0)), f(starvation(rec, 1))]);
+        runs,
+        |(label, ..)| label.to_string(),
+        |(.., run)| {
+            let rec = run();
+            let starved = [starvation(&rec, 0), starvation(&rec, 1)];
+            (tag_series(&rec, WINDOW_MS), starved)
+        },
+    );
+    let mut bars = Csv::new(out[2].columns);
+    let mut tables = Vec::new();
+    for (((_, scheme, _), cell), out) in cells.iter().zip(out) {
+        let (series, starved) = cell.as_ref().map(|(s, b)| (&s[..], *b)).unzip();
+        tables.push(series_csv(out.columns, WINDOW_MS, series));
+        bars.row(std::iter::once(scheme.to_string()).chain(or_nan(starved).map(f)));
     }
-
-    let series = |rec, new_label| series_csv(rec, WINDOW_MS, ["dctcp_gbps", new_label]);
-    vec![
-        ScenarioResult::new("fig9a_ep_vs_dctcp", series(&ep, "expresspass_gbps")),
-        ScenarioResult::new("fig9b_fp_vs_dctcp", series(&fp, "flexpass_gbps")),
-        ScenarioResult::new("fig9c_starvation", bars),
-    ]
+    tables.push(bars);
+    tables
 }

@@ -2,18 +2,21 @@
 //! paper (EuroSys '23).
 //!
 //! Each scenario module supplies the workload, switch configuration and
-//! schemes of one paper figure and returns rows matching the figure's
-//! series. The `flexpass-experiments` binary dispatches `--fig NAME` from
-//! its one figure table and writes the rows as CSV; `EXPERIMENTS.md`
-//! records paper-vs-measured.
+//! schemes of one paper figure and returns its tables. What a figure *is*
+//! — its `--fig` name, the CSV stems it writes, their columns, the charts
+//! drawn from them — is one row of [`figures::FIGURES`]; the modules take
+//! their headers from it, the `flexpass-experiments` binary dispatches
+//! `--fig NAME` through it and writes what comes back, and [`plot`] walks
+//! the same rows. `EXPERIMENTS.md` records paper-vs-measured.
 //!
-//! Three pieces are shared by every scenario and exist once:
+//! Three more pieces are shared by every scenario and exist once:
 //! [`sweep::build_point`] builds a deployment point on the Clos (the
 //! rollout figures differ only in its arguments and in the fields of a
 //! [`sweep::SweepSpec`] they override), [`runner::run`] drives an engine
-//! to a [`runner::Stop`] condition, and [`orchestrate`] fans points across
-//! the worker pool, installing each task's progress probe and packet
-//! tracer on the worker thread.
+//! to a [`runner::Stop`] condition, and [`orchestrate::grid`] fans a
+//! figure's points across the worker pool — keys in, `(key, result)` back
+//! in key order, a failed point `None` — installing each cell's progress
+//! probe and packet tracer on the worker thread.
 //!
 //! | Module | Paper figure | What it reproduces |
 //! |--------|--------------|--------------------|
@@ -40,6 +43,7 @@ pub mod fig5;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod figures;
 pub mod orchestrate;
 pub mod plot;
 pub mod queue_study;
@@ -48,4 +52,4 @@ pub mod scale;
 pub mod sweep;
 pub mod tracecfg;
 
-pub use runner::{RunScale, ScenarioResult};
+pub use runner::RunScale;

@@ -8,8 +8,12 @@
 //! flexpass-experiments --fig NAME           # one figure
 //! ```
 //!
-//! The figure names are the first column of the `FIGURES` table below;
-//! an unknown `--fig` lists them. Two entries are explicit-only, never
+//! The figure names are those of the library's figure table
+//! (`flexpass_experiments::figures::FIGURES`), which also owns each
+//! figure's CSV stems, columns and charts; this file parses flags and
+//! writes what the table's entries return. An unknown `--fig` lists the
+//! names; `--fig none` runs nothing (with `--plot`: render charts from the
+//! CSVs already in `--out`). Two entries are explicit-only, never
 //! part of `all`: the trace replay (`--trace F` names its input, a
 //! `src,dst,size_bytes,start_us` flow trace) and the O(10k)-host Clos on
 //! the streaming bounded-memory recorder — combine that one with
@@ -33,88 +37,21 @@
 //! byte-identical for every value — each simulation point is its own
 //! deterministic single-threaded run, and results reassemble in spec
 //! order. A point that panics is isolated: the rest of the sweep
-//! completes, the failed cells are listed at exit, and the exit code is
-//! nonzero. `--inject-panic LABEL` deliberately fails the named task
+//! completes, the numeric columns of its rows read `NaN`, the failed cells
+//! are listed at exit, and the exit code is nonzero (as it is when a CSV
+//! or a chart cannot be written). `--inject-panic LABEL` deliberately fails the named task
 //! (labels as printed in failure reports, e.g. `fig10:naive:r0.50:s0`)
 //! to exercise that path end to end.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
 // lint:allow(wall-clock): per-figure elapsed-time reporting only.
 use std::time::Instant;
 
-use flexpass_experiments::custom::{run_trace_file, CustomSpec};
-use flexpass_experiments::orchestrate;
-use flexpass_experiments::runner::{RunScale, ScenarioResult};
-use flexpass_experiments::{
-    ablation, fig1, fig17, fig18, fig5, fig7, fig8, fig9, queue_study, scale, sweep,
-};
+use flexpass_experiments::figures::{selected, FIGURES};
+use flexpass_experiments::runner::RunScale;
+use flexpass_experiments::{custom, orchestrate};
 
-const USAGE: &str = "usage: flexpass-experiments [--fig NAME|all] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--trace[=FILTER]] [--inject-panic LABEL]";
-
-/// One `--fig` name: whether `--fig all` includes it, and what it runs.
-type Figure = (&'static str, bool, fn(RunScale) -> Vec<ScenarioResult>);
-
-/// Every figure the binary can produce, in `--fig all` order.
-const FIGURES: &[Figure] = &[
-    ("fig1a", true, |_| vec![fig1::fig1a()]),
-    ("fig1b", true, |_| vec![fig1::fig1b()]),
-    ("fig5a", true, |s| vec![fig5::fig5a(s)]),
-    ("fig5b", true, |s| vec![fig5::fig5b(s)]),
-    ("fig7", true, |_| {
-        vec![fig7::fig7a(), fig7::fig7b(), fig7::fig7c()]
-    }),
-    ("fig8", true, |_| vec![fig8::fig8()]),
-    ("fig9", true, |_| fig9::fig9()),
-    // Also produces the per-type data of Figures 12–13.
-    ("fig10", true, |s| sweep::fig10_or_11(s, false)),
-    ("fig11", true, |s| sweep::fig10_or_11(s, true)),
-    ("fig14", true, |s| vec![sweep::fig14(s)]),
-    // Covers Figure 16's average-FCT series.
-    ("fig15", true, |s| vec![sweep::fig15_16(s)]),
-    ("fig17", true, |s| vec![fig17::fig17(s)]),
-    ("fig18", true, |s| vec![fig18::fig18(s)]),
-    ("queue", true, |s| vec![queue_study::queue_study(s)]),
-    // This reproduction's design-choice study.
-    ("ablation", true, |s| vec![ablation::ablation(s)]),
-    // Explicit-only: the default point simulates a 10,240-host fabric.
-    ("scale", false, scale::scenario),
-    // Explicit-only: needs `--trace FILE`.
-    ("custom", false, replay),
-];
-
-/// The table entries `--fig fig` selects, in table order: the `in_all`
-/// ones for `all`, otherwise the one of that name (none if unknown).
-fn selected(fig: &str) -> impl Iterator<Item = &'static Figure> + '_ {
-    FIGURES
-        .iter()
-        .filter(move |(name, in_all, _)| if fig == "all" { *in_all } else { *name == fig })
-}
-
-/// The replay input (`--trace FILE`).
-static REPLAY: OnceLock<PathBuf> = OnceLock::new();
-
-/// Replays the `--trace FILE` flows on the Clos of `scale`.
-fn replay(scale: RunScale) -> Vec<ScenarioResult> {
-    let Some(path) = REPLAY.get() else {
-        usage_error("the trace replay requires --trace FILE (src,dst,size_bytes,start_us)");
-    };
-    let spec = CustomSpec {
-        scale,
-        ..CustomSpec::default()
-    };
-    let (rec, result) = run_trace_file(path, &spec).unwrap_or_else(|e| {
-        eprintln!("trace replay failed: {e}");
-        std::process::exit(2);
-    });
-    eprintln!(
-        "replayed {} flows: avg {:.3} ms, p99(<100kB) {:.3} ms",
-        rec.completed(),
-        rec.avg_fct(None) * 1e3,
-        rec.p99_small(None) * 1e3
-    );
-    vec![result]
-}
+const USAGE: &str = "usage: flexpass-experiments [--fig NAME|all|none] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--plot] [--trace[=FILTER]] [--inject-panic LABEL]";
 
 /// Prints `msg` and the usage line, then exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -174,7 +111,7 @@ fn main() {
             // `--trace` (last arg or followed by a flag) arms tracing.
             "--trace" => {
                 if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                    REPLAY.get_or_init(|| PathBuf::from(&args[i + 1]));
+                    custom::TRACE_FILE.get_or_init(|| PathBuf::from(&args[i + 1]));
                     i += 2;
                 } else {
                     packet_trace = Some(String::new());
@@ -216,37 +153,41 @@ fn main() {
         eprintln!("packet tracing armed -> {}/traces/", out.display());
     }
 
-    // `--fig none --plot` renders charts from existing CSVs only.
-    if selected(&fig).next().is_none() && !plot {
-        let names: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+    // Only the literal `none` selects no figure.
+    if fig != "none" && selected(&fig).next().is_none() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
         usage_error(&format!(
-            "no figure matched '{fig}'; figures: all {}",
+            "no figure matched '{fig}'; figures: all none {}",
             names.join(" ")
         ));
     }
-    for (name, _, run) in selected(&fig) {
+    for figure in selected(&fig) {
         // lint:allow(wall-clock): figure wall-time banner.
         let t = Instant::now();
-        eprintln!("== {name} ==");
-        for r in run(scale) {
-            if let Err(e) = r.csv.write(&out, &r.name) {
-                eprintln!("cannot write {}/{}.csv: {e}", out.display(), r.name);
+        eprintln!("== {} ==", figure.name);
+        let tables = figure.run(scale).unwrap_or_else(|e| usage_error(&e));
+        for (output, csv) in tables {
+            if let Err(e) = csv.write(&out, output.stem) {
+                eprintln!("cannot write {}/{}.csv: {e}", out.display(), output.stem);
                 std::process::exit(1);
             }
             println!(
                 "wrote {}/{}.csv ({} rows)",
                 out.display(),
-                r.name,
-                r.csv.len()
+                output.stem,
+                csv.len()
             );
         }
-        eprintln!("== {name} done in {:.1?} ==", t.elapsed());
+        eprintln!("== {} done in {:.1?} ==", figure.name, t.elapsed());
     }
 
     if plot {
         match flexpass_experiments::plot::plot_results(&out) {
             Ok(n) => println!("rendered {n} SVG charts into {}", out.display()),
-            Err(e) => eprintln!("plotting failed: {e}"),
+            Err(e) => {
+                eprintln!("plotting failed: {e}");
+                std::process::exit(1);
+            }
         }
     }
 
@@ -256,97 +197,7 @@ fn main() {
         for failure in &failures {
             eprintln!("  {failure}");
         }
-        eprintln!("the remaining points completed; failed cells render as NaN/empty rows");
+        eprintln!("the remaining points completed; failed cells render as NaN");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn names(fig: &str) -> Vec<&'static str> {
-        selected(fig).map(|(name, ..)| *name).collect()
-    }
-
-    #[test]
-    fn figure_names_are_unique() {
-        let mut seen: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), FIGURES.len());
-        assert!(
-            !seen.contains(&"all"),
-            "`all` is the selector, not a figure"
-        );
-    }
-
-    #[test]
-    fn all_runs_the_in_all_entries_in_table_order() {
-        assert_eq!(
-            names("all"),
-            [
-                "fig1a", "fig1b", "fig5a", "fig5b", "fig7", "fig8", "fig9", "fig10", "fig11",
-                "fig14", "fig15", "fig17", "fig18", "queue", "ablation"
-            ]
-        );
-        assert_eq!(names("scale"), ["scale"]);
-        assert_eq!(names("custom"), ["custom"]);
-        assert_eq!(names("fig9"), ["fig9"]);
-        assert!(names("fig16").is_empty());
-        assert!(names("none").is_empty());
-    }
-
-    /// Every figure name a text prints after `--fig ` (placeholders such
-    /// as `NAME` excluded).
-    fn advertised(text: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let mut rest = line;
-            while let Some(at) = rest.find("--fig ") {
-                rest = &rest[at + "--fig ".len()..];
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() && !name.chars().all(|c| c.is_ascii_uppercase()) {
-                    out.push(name);
-                }
-            }
-        }
-        out
-    }
-
-    /// A document cannot advertise a figure the binary rejects: every
-    /// name README.md and DESIGN.md print after `--fig`, and every name in
-    /// the first column of README's `--fig` table, is in [`FIGURES`].
-    #[test]
-    fn documented_figures_exist() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let mut checked = 0;
-        for doc in ["README.md", "DESIGN.md"] {
-            let text = std::fs::read_to_string(format!("{root}/{doc}")).expect("read the document");
-            let mut wanted = advertised(&text);
-            if doc == "README.md" {
-                // Rows of the `| `--fig` | Paper figure | Output |` table.
-                let rows = text
-                    .lines()
-                    .skip_while(|l| !l.starts_with("| `--fig` |"))
-                    .skip(2)
-                    .take_while(|l| l.starts_with('|'));
-                for row in rows {
-                    let cell = row.split('|').nth(1).expect("first column");
-                    wanted.extend(cell.split('`').skip(1).step_by(2).map(str::to_string));
-                }
-            }
-            for name in wanted {
-                assert!(
-                    name == "all" || name == "none" || names(&name) == [name.as_str()],
-                    "{doc} advertises `--fig {name}`, which the binary rejects"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked >= FIGURES.len(), "only {checked} names found");
     }
 }

@@ -7,19 +7,21 @@
 //! so the only sound parallelism is across points, never within one. This
 //! module supplies that layer for every experiment module:
 //!
-//! * **Work queue** — [`run_tasks`] pops task indexes off a shared atomic
-//!   counter and runs each closure on one of `--jobs` scoped worker
-//!   threads ([`set_jobs`] / [`jobs`]). Results are reassembled in *spec
-//!   order* (task index), so output is byte-identical for any job count:
-//!   determinism lives inside each task, ordering lives here.
-//! * **Fault isolation** — each task runs under `catch_unwind`. A
-//!   panicking task becomes a [`TaskFailure`] carrying its label and the
-//!   panic message; the other tasks keep running. Failures are returned to
-//!   the caller *and* recorded in a process-wide registry the binary
-//!   drains at exit ([`take_failures`]) to report failed cells and exit
-//!   nonzero.
+//! * **Grid** — [`grid`] takes the keys of a figure's simulation points, a
+//!   label fn and a cell fn; `--jobs` scoped worker threads ([`set_jobs`] /
+//!   [`jobs`]) claim key indexes off a shared atomic counter and run the
+//!   cell fn on each. Every key comes back with its result in *key order*,
+//!   so output is byte-identical for any job count: determinism lives
+//!   inside each cell, ordering lives here. It is the only way a figure
+//!   reaches the pool.
+//! * **Fault isolation** — each cell runs under `catch_unwind`. A
+//!   panicking cell comes back as `None` and the other cells keep running;
+//!   its [`TaskFailure`] (label and panic message) goes to a process-wide
+//!   registry the binary drains at exit ([`take_failures`]) to report
+//!   failed cells and exit nonzero. What a failed cell looks like in a CSV
+//!   is decided once, in [`or_nan`]: every statistic is `NaN`.
 //! * **Heartbeat** — while tasks run, a monitor thread reports tasks
-//!   done / total, events popped (published by each task's
+//!   done / total, events popped (published by each cell's
 //!   `EventQueue` via a [`ProgressProbe`]), virtual time reached, and
 //!   wall-clock events/sec to stderr.
 //!
@@ -49,16 +51,14 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 static PAR_SIM: AtomicUsize = AtomicUsize::new(1);
 
 /// Process-wide record of every task that panicked, drained by the binary
-/// to report failed cells and choose its exit code. Tests use the
-/// per-call return value of [`run_tasks`] instead, so they never race on
-/// this registry.
+/// to report failed cells and choose its exit code.
 static FAILURES: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
 
 /// Fault-injection hook: a task whose qualified label equals this value
 /// panics on entry. Used by tests and CI to prove isolation end to end.
 static INJECT_PANIC: Mutex<Option<String>> = Mutex::new(None);
 
-/// Sets the worker-thread count used by [`run_tasks`]. `0` restores the
+/// Sets the worker-thread count used by [`grid`]. `0` restores the
 /// default (available parallelism). `1` runs the tasks one after another
 /// on a single worker; output is the same for every value.
 pub fn set_jobs(n: usize) {
@@ -129,28 +129,6 @@ pub(crate) fn task_probe() -> Option<Arc<ProgressProbe>> {
     TASK_PROBE.with(|p| p.borrow().clone())
 }
 
-/// One labelled unit of work for [`run_tasks`].
-pub struct Task<T> {
-    label: String,
-    run: Box<dyn FnOnce() -> T + Send>,
-}
-
-impl<T> Task<T> {
-    /// A task with a display label (used in heartbeats and failure
-    /// reports) and the closure to run.
-    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Self {
-        Task {
-            label: label.into(),
-            run: Box::new(run),
-        }
-    }
-
-    /// The task's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
 /// Shared progress state between workers and the heartbeat thread.
 struct PoolState {
     group: String,
@@ -176,39 +154,41 @@ impl PoolState {
     }
 }
 
-/// Runs `tasks` on the configured number of worker threads (see
-/// [`set_jobs`]) and returns one result per task **in task order**,
-/// regardless of completion order. Panicking tasks yield `Err` and are
-/// also recorded in the process-wide failure registry.
-pub fn run_tasks<T: Send>(group: &str, tasks: Vec<Task<T>>) -> Vec<Result<T, TaskFailure>> {
-    run_tasks_on(jobs(), group, tasks)
-}
-
-/// Runs a single closure through the pool so one-run figures get the same
-/// heartbeat and fault isolation as sweeps. On panic the failure is
-/// registered for the exit code and `fallback()` is returned (typically
-/// an empty recorder, so the figure still renders a — visibly empty —
-/// table).
-pub fn run_isolated<T: Send>(
+/// Runs one simulation per key on the configured number of worker threads
+/// (see [`set_jobs`]) — the one way a figure reaches the pool. `label`
+/// names a key's cell in heartbeats, failure reports, `--inject-panic` and
+/// trace file names (qualified as `group:label`); `cell` runs it. Returns
+/// every key with its cell's result **in key order**, regardless of
+/// completion order. A cell that panics is `None`: the other cells keep
+/// running, and the failure goes to the process-wide registry the binary
+/// drains for its exit code ([`take_failures`]).
+pub fn grid<K: Sync, T: Send>(
     group: &str,
-    label: &str,
-    fallback: impl FnOnce() -> T,
-    run: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    run_tasks(group, vec![Task::new(label, run)])
-        .pop()
-        .expect("one result for one task")
-        .unwrap_or_else(|_| fallback())
+    keys: Vec<K>,
+    label: impl Fn(&K) -> String + Sync,
+    cell: impl Fn(&K) -> T + Sync,
+) -> Vec<(K, Option<T>)> {
+    grid_on(jobs(), group, keys, label, cell)
 }
 
-/// [`run_tasks`] with an explicit worker count (tests use this to compare
-/// job counts without touching the global setting).
-pub fn run_tasks_on<T: Send>(
+/// The one failure rule: the statistics of a failed cell are all NaN, which
+/// every `csvout` formatter renders as `NaN` — never a fabricated zero.
+/// Arithmetic over them stays NaN as long as it avoids `f64::max`/`min`,
+/// which drop a NaN operand.
+pub fn or_nan<const N: usize>(cell: Option<[f64; N]>) -> [f64; N] {
+    cell.unwrap_or([f64::NAN; N])
+}
+
+/// [`grid`] with an explicit worker count (the sweep engine and tests
+/// compare job counts without touching the global setting).
+pub fn grid_on<K: Sync, T: Send>(
     jobs: usize,
     group: &str,
-    tasks: Vec<Task<T>>,
-) -> Vec<Result<T, TaskFailure>> {
-    let n = tasks.len();
+    keys: Vec<K>,
+    label: impl Fn(&K) -> String + Sync,
+    cell: impl Fn(&K) -> T + Sync,
+) -> Vec<(K, Option<T>)> {
+    let n = keys.len();
     let workers = jobs.max(1).min(n.max(1));
     let state = PoolState {
         group: group.to_string(),
@@ -218,15 +198,11 @@ pub fn run_tasks_on<T: Send>(
         active: Mutex::new(Vec::new()),
     };
 
-    // One write-once slot per task, claimed via the shared index counter.
+    // One write-once slot per key, claimed via the shared index counter.
     let slots: Vec<Mutex<Option<Result<T, TaskFailure>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    // Tasks are FnOnce: they are *moved* out of this vector (not cloned)
-    // exactly once each, guarded by the `next` counter.
-    let queue: Vec<Mutex<Option<Task<T>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
 
     // lint:allow(thread-spawn): the pool itself — the one blessed home of
     // threads in this workspace. Simulations stay single-threaded inside.
@@ -237,22 +213,15 @@ pub fn run_tasks_on<T: Send>(
                 if idx >= n {
                     return;
                 }
-                let task = queue[idx]
-                    .lock()
-                    .expect("task slot poisoned")
-                    .take()
-                    .expect("task taken twice");
-                let outcome = run_one(&state, group, task);
+                let key = &keys[idx];
+                let outcome = run_one(&state, label(key), || cell(key));
                 *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
             });
         }
         // Heartbeat: monitor-only; exits as soon as all workers are done.
         scope.spawn(|| heartbeat(&state, &stop));
-        // The scope implicitly joins the workers; the heartbeat needs an
-        // explicit stop signal first — emitted by a dedicated closer
-        // thread would be overkill, so workers' completion is detected by
-        // the scope joining *after* this closure returns. Instead, wait on
-        // the counter here.
+        // The scope joins the workers only after this closure returns, and
+        // the heartbeat needs its stop signal first: wait on the counter.
         while state.done.load(Ordering::SeqCst) < n {
             // lint:allow(thread-spawn, wall-clock): waiting for workers.
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -260,33 +229,31 @@ pub fn run_tasks_on<T: Send>(
         stop.store(true, Ordering::SeqCst);
     });
 
-    let results: Vec<Result<T, TaskFailure>> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
+    // Failures enter the registry in key order, whatever order they
+    // happened in.
+    let mut failures = FAILURES.lock().expect("failure registry poisoned");
+    keys.into_iter()
+        .zip(slots)
+        .map(|(key, slot)| {
+            let outcome = slot
+                .into_inner()
                 .expect("result slot poisoned")
-                .expect("every task index was claimed and completed")
+                .expect("every key was claimed and completed");
+            match outcome {
+                Ok(result) => (key, Some(result)),
+                Err(failure) => {
+                    failures.push(failure);
+                    (key, None)
+                }
+            }
         })
-        .collect();
-
-    let failed: Vec<TaskFailure> = results
-        .iter()
-        .filter_map(|r| r.as_ref().err().cloned())
-        .collect();
-    if !failed.is_empty() {
-        FAILURES
-            .lock()
-            .expect("failure registry poisoned")
-            .extend(failed);
-    }
-    results
+        .collect()
 }
 
-/// Runs one task under `catch_unwind`, maintaining the pool's progress
+/// Runs one cell under `catch_unwind`, maintaining the pool's progress
 /// accounting around it.
-fn run_one<T>(state: &PoolState, group: &str, task: Task<T>) -> Result<T, TaskFailure> {
-    let label = task.label.clone();
-    let qualified = format!("{group}:{label}");
+fn run_one<T>(state: &PoolState, label: String, run: impl FnOnce() -> T) -> Result<T, TaskFailure> {
+    let qualified = format!("{}:{label}", state.group);
     let probe = Arc::new(ProgressProbe::new());
     state
         .active
@@ -299,7 +266,6 @@ fn run_one<T>(state: &PoolState, group: &str, task: Task<T>) -> Result<T, TaskFa
         .expect("inject registry poisoned")
         .as_deref()
         .is_some_and(|l| l == qualified || l == label);
-    let run = task.run;
     // The progress probe and the packet tracer (--trace) wrap every
     // point the same way: both are thread-local, so install/collect must
     // bracket the run on this worker thread. Observation-only — results
@@ -463,60 +429,92 @@ fn rss_segment() -> String {
 mod tests {
     use super::*;
 
-    /// Results come back in task order for any job count, even when
+    /// Results come back in key order for any job count, even when
     /// completion order is scrambled.
     #[test]
-    fn results_in_task_order() {
-        for jobs in [1, 4] {
-            let tasks: Vec<Task<usize>> = (0..16)
-                .map(|i| {
-                    Task::new(format!("t{i}"), move || {
-                        // Stagger so later tasks can finish first.
-                        std::thread::sleep(std::time::Duration::from_millis(((16 - i) % 5) as u64));
-                        i * i
-                    })
-                })
-                .collect();
-            let out = run_tasks_on(jobs, "test", tasks);
-            let values: Vec<usize> = out.into_iter().map(|r| r.expect("task ok")).collect();
-            assert_eq!(values, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    fn grid_returns_results_in_key_order() {
+        for jobs in [1, 3] {
+            let cells = grid_on(
+                jobs,
+                "test",
+                (0..16u64).collect(),
+                |i| format!("t{i}"),
+                |&i| {
+                    // Stagger so later cells can finish first.
+                    std::thread::sleep(std::time::Duration::from_millis((16 - i) % 5));
+                    i * i
+                },
+            );
+            let want: Vec<(u64, Option<u64>)> = (0..16).map(|i| (i, Some(i * i))).collect();
+            assert_eq!(cells, want, "jobs {jobs}");
         }
     }
 
-    /// A panicking task is isolated: the others complete, the failure
-    /// carries the label and message.
+    /// A panicking cell is isolated: it comes back `None`, the others
+    /// complete, and the failure is registered for the exit code under its
+    /// `group:label` with the panic message.
     #[test]
-    fn panicking_task_is_isolated() {
-        let tasks: Vec<Task<u32>> = vec![
-            Task::new("ok-a", || 1),
-            Task::new("boom", || panic!("deliberate test panic")),
-            Task::new("ok-b", || 3),
-        ];
-        let out = run_tasks_on(2, "test", tasks);
-        assert_eq!(out.len(), 3);
-        assert_eq!(*out[0].as_ref().expect("a ok"), 1);
-        assert_eq!(*out[2].as_ref().expect("b ok"), 3);
-        let err = out[1].as_ref().expect_err("boom failed");
-        assert_eq!(err.label, "test:boom");
-        assert!(err.message.contains("deliberate test panic"), "{err}");
+    fn panicking_cell_is_none_and_registered() {
+        let cells = grid_on(
+            2,
+            "gridtest",
+            vec!["ok-a", "boom", "ok-b"],
+            |k| k.to_string(),
+            |&k| {
+                assert!(k != "boom", "deliberate test panic");
+                k.len()
+            },
+        );
+        assert_eq!(
+            cells,
+            [("ok-a", Some(4)), ("boom", None), ("ok-b", Some(4))]
+        );
+        // Other tests may have registered failures of their own; this one
+        // is told apart by its group.
+        let failures = take_failures();
+        let mine: Vec<&TaskFailure> = failures
+            .iter()
+            .filter(|f| f.label.starts_with("gridtest:"))
+            .collect();
+        assert_eq!(mine.len(), 1, "{failures:?}");
+        assert_eq!(mine[0].label, "gridtest:boom");
+        assert!(
+            mine[0].message.contains("deliberate test panic"),
+            "{}",
+            mine[0]
+        );
     }
 
-    /// The probe installed for a task is live: counts published during
+    /// The one failure rule: every statistic of a failed cell is NaN, and a
+    /// cell that ran is passed through.
+    #[test]
+    #[allow(clippy::float_cmp)] // values are passed through untouched
+    fn failed_cell_statistics_are_nan() {
+        assert!(or_nan::<3>(None).iter().all(|v| v.is_nan()));
+        assert_eq!(or_nan(Some([1.0, 2.0])), [1.0, 2.0]);
+    }
+
+    /// The probe installed for a cell is live: counts published during
     /// the run are visible afterwards (and folded into pool totals), and
-    /// the installation ends with the task.
+    /// the installation ends with the cell.
     #[test]
     fn task_probe_is_observable() {
         assert!(task_probe().is_none(), "no probe outside the pool");
-        let tasks = vec![Task::new("probe", || {
-            let probe = task_probe().expect("installed by run_one");
-            probe.publish(12345, 67890);
-            probe.events()
-        })];
-        let out = run_tasks_on(1, "test", tasks);
-        assert_eq!(*out[0].as_ref().expect("ok"), 12345);
+        let cells = grid_on(
+            1,
+            "test",
+            vec![()],
+            |()| "probe".to_string(),
+            |()| {
+                let probe = task_probe().expect("installed by run_one");
+                probe.publish(12345, 67890);
+                probe.events()
+            },
+        );
+        assert_eq!(cells[0].1, Some(12345));
     }
 
-    /// The heartbeat blind spot: a task that only calls the frozen
+    /// The heartbeat blind spot: a cell that only calls the frozen
     /// `sweep::run_point` (as fig17/fig18 do) never names the probe, yet
     /// its simulation must have published into it by the time it returns.
     #[test]
@@ -529,13 +527,18 @@ mod tests {
             n_flows: Some(30),
             ..SweepSpec::fig10(RunScale::Smoke)
         };
-        let tasks = vec![Task::new("point", move || {
-            let point = run_point(Scheme::FlexPass, 0.5, &spec);
-            let probe = task_probe().expect("installed by run_one");
-            (point.flows, probe.events(), probe.vtime_ns())
-        })];
-        let out = run_tasks_on(1, "test", tasks);
-        let (flows, events, vtime_ns) = *out[0].as_ref().expect("ok");
+        let cells = grid_on(
+            1,
+            "test",
+            vec![spec],
+            |_| "point".to_string(),
+            |spec| {
+                let point = run_point(Scheme::FlexPass, 0.5, spec);
+                let probe = task_probe().expect("installed by run_one");
+                (point.flows, probe.events(), probe.vtime_ns())
+            },
+        );
+        let (flows, events, vtime_ns) = cells[0].1.expect("ok");
         assert!(flows > 0.0, "the point completed no flows");
         assert!(events > 0, "no events reached the task's probe");
         assert!(vtime_ns > 0, "no virtual time reached the task's probe");

@@ -1,9 +1,14 @@
 //! Dependency-free SVG line charts for the result CSVs, so the repository
 //! regenerates *figures*, not just tables. `flexpass-experiments --plot`
-//! renders every known CSV in the output directory.
+//! renders every chart the figure table ([`crate::figures`]) declares for a
+//! CSV present in the output directory; which columns form a series, which
+//! are plotted and what the axes say is the table's business, not this
+//! module's.
 
 use std::fmt::Write as _;
 use std::path::Path;
+
+use crate::figures::{Chart, FIGURES};
 
 /// One plotted series.
 #[derive(Clone, Debug)]
@@ -57,7 +62,36 @@ fn fmt_tick(v: f64) -> String {
     }
 }
 
-/// Renders a line chart as a standalone SVG document.
+/// Escapes `text` for XML character data and attribute values.
+fn xml(text: &str) -> String {
+    text.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
+        .replace('"', "&quot;")
+}
+
+/// Appends a line from `a` to `b` drawn with the `stroke` attributes.
+fn line(svg: &mut String, a: (f64, f64), b: (f64, f64), stroke: &str) {
+    let ((x1, y1), (x2, y2)) = (a, b);
+    let _ = write!(
+        svg,
+        r#"<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>"#
+    );
+}
+
+/// Appends `content`, escaped, as a text element at `at` with the `attrs`
+/// attributes — the one place chart text enters the document.
+fn text(svg: &mut String, at: (f64, f64), attrs: &str, content: &str) {
+    let (x, y) = at;
+    let _ = write!(
+        svg,
+        r#"<text x="{x}" y="{y}" {attrs}>{}</text>"#,
+        xml(content)
+    );
+}
+
+/// Renders a line chart as a standalone SVG document; the title, the axis
+/// labels and the series names may hold any text.
 ///
 /// # Examples
 ///
@@ -74,103 +108,60 @@ fn fmt_tick(v: f64) -> String {
 /// assert!(svg.contains("polyline"));
 /// ```
 pub fn svg_line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
-    let pts: Vec<(f64, f64)> = series
-        .iter()
-        .flat_map(|s| s.points.iter().copied())
-        .collect();
-    let (x_lo, x_hi) = pts
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-            (lo.min(p.0), hi.max(p.0))
-        });
-    let (_, y_max) = pts
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-            (lo.min(p.1), hi.max(p.1))
-        });
-    let (x_lo, x_hi) = if pts.is_empty() {
+    let points = || series.iter().flat_map(|s| s.points.iter());
+    let x_lo = points().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let x_hi = points().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
+    let y_max = points().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
+    // Without points the x axis is the unit interval; y starts at zero.
+    let (x_lo, x_hi) = if x_lo > x_hi {
         (0.0, 1.0)
     } else {
         (x_lo, x_hi)
     };
-    let y_lo = 0.0;
-    let y_hi = if pts.is_empty() || y_max <= 0.0 {
-        1.0
-    } else {
-        y_max * 1.08
-    };
+    let y_hi = if y_max > 0.0 { y_max * 1.08 } else { 1.0 };
 
+    let (left, right, top, bottom) = (MARGIN_L, WIDTH - MARGIN_R, MARGIN_T, HEIGHT - MARGIN_B);
+    let (mid_x, mid_y) = ((left + right) / 2.0, (top + bottom) / 2.0);
     let px = |x: f64| {
-        MARGIN_L
-            + if x_hi > x_lo {
-                (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
-            } else {
-                0.0
-            }
+        let span = x_hi - x_lo;
+        left + if span > 0.0 {
+            (x - x_lo) / span * (right - left)
+        } else {
+            0.0
+        }
     };
-    let py =
-        |y: f64| HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B);
+    let py = |y: f64| bottom - y / y_hi * (bottom - top);
+    const BLACK: &str = r#"stroke="black""#;
+    const MIDDLE: &str = r#"text-anchor="middle""#;
 
-    let mut svg = String::new();
-    let _ = write!(
-        svg,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" font-family="sans-serif" font-size="12">"#
+    let mut svg = format!(
+        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" font-family="sans-serif" font-size="12"><rect width="100%" height="100%" fill="white"/>"#
     );
-    let _ = write!(svg, r#"<rect width="100%" height="100%" fill="white"/>"#);
-    let _ = write!(
-        svg,
-        r#"<text x="{}" y="22" text-anchor="middle" font-size="15" font-weight="bold">{}</text>"#,
-        (MARGIN_L + WIDTH - MARGIN_R) / 2.0,
-        title
-    );
+    let heading = r#"text-anchor="middle" font-size="15" font-weight="bold""#;
+    text(&mut svg, (mid_x, 22.0), heading, title);
 
-    // Axes.
-    let _ = write!(
-        svg,
-        r#"<line x1="{l}" y1="{b}" x2="{r}" y2="{b}" stroke="black"/><line x1="{l}" y1="{t}" x2="{l}" y2="{b}" stroke="black"/>"#,
-        l = MARGIN_L,
-        r = WIDTH - MARGIN_R,
-        t = MARGIN_T,
-        b = HEIGHT - MARGIN_B
-    );
-    for tx in nice_ticks(x_lo, x_hi) {
-        let x = px(tx);
-        let _ = write!(
-            svg,
-            r#"<line x1="{x}" y1="{b}" x2="{x}" y2="{b2}" stroke="black"/><text x="{x}" y="{ty}" text-anchor="middle">{lbl}</text>"#,
-            b = HEIGHT - MARGIN_B,
-            b2 = HEIGHT - MARGIN_B + 5.0,
-            ty = HEIGHT - MARGIN_B + 20.0,
-            lbl = fmt_tick(tx)
+    // Axes, ticks and grid.
+    line(&mut svg, (left, bottom), (right, bottom), BLACK);
+    line(&mut svg, (left, top), (left, bottom), BLACK);
+    for tick in nice_ticks(x_lo, x_hi) {
+        let x = px(tick);
+        line(&mut svg, (x, bottom), (x, bottom + 5.0), BLACK);
+        text(&mut svg, (x, bottom + 20.0), MIDDLE, &fmt_tick(tick));
+    }
+    for tick in nice_ticks(0.0, y_hi) {
+        let y = py(tick);
+        line(&mut svg, (left - 5.0, y), (left, y), BLACK);
+        line(&mut svg, (left, y), (right, y), r##"stroke="#dddddd""##);
+        text(
+            &mut svg,
+            (left - 9.0, y + 4.0),
+            r#"text-anchor="end""#,
+            &fmt_tick(tick),
         );
     }
-    for ty_v in nice_ticks(y_lo, y_hi) {
-        let y = py(ty_v);
-        let _ = write!(
-            svg,
-            r##"<line x1="{l1}" y1="{y}" x2="{l}" y2="{y}" stroke="black"/><line x1="{l}" y1="{y}" x2="{r}" y2="{y}" stroke="#dddddd"/><text x="{lx}" y="{yy}" text-anchor="end">{lbl}</text>"##,
-            l1 = MARGIN_L - 5.0,
-            l = MARGIN_L,
-            r = WIDTH - MARGIN_R,
-            lx = MARGIN_L - 9.0,
-            yy = y + 4.0,
-            lbl = fmt_tick(ty_v)
-        );
-    }
-    let _ = write!(
-        svg,
-        r#"<text x="{}" y="{}" text-anchor="middle">{}</text>"#,
-        (MARGIN_L + WIDTH - MARGIN_R) / 2.0,
-        HEIGHT - 12.0,
-        x_label
-    );
-    let _ = write!(
-        svg,
-        r#"<text x="16" y="{}" text-anchor="middle" transform="rotate(-90 16 {})">{}</text>"#,
-        (MARGIN_T + HEIGHT - MARGIN_B) / 2.0,
-        (MARGIN_T + HEIGHT - MARGIN_B) / 2.0,
-        y_label
-    );
+    text(&mut svg, (mid_x, HEIGHT - 12.0), MIDDLE, x_label);
+    let upright = format!(r#"{MIDDLE} transform="rotate(-90 16 {mid_y})""#);
+    text(&mut svg, (16.0, mid_y), &upright, y_label);
 
     // Series + legend.
     for (i, s) in series.iter().enumerate() {
@@ -193,15 +184,14 @@ pub fn svg_line_chart(title: &str, x_label: &str, y_label: &str, series: &[Serie
                 py(y)
             );
         }
-        let ly = MARGIN_T + 14.0 + i as f64 * 18.0;
-        let _ = write!(
-            svg,
-            r#"<line x1="{lx}" y1="{ly}" x2="{lx2}" y2="{ly}" stroke="{color}" stroke-width="2"/><text x="{tx}" y="{tly}">{}</text>"#,
-            s.name,
-            lx = WIDTH - MARGIN_R + 8.0,
-            lx2 = WIDTH - MARGIN_R + 28.0,
-            tx = WIDTH - MARGIN_R + 33.0,
-            tly = ly + 4.0
+        let y = top + 14.0 + i as f64 * 18.0;
+        let stroke = format!(r#"stroke="{color}" stroke-width="2""#);
+        line(&mut svg, (right + 8.0, y), (right + 28.0, y), &stroke);
+        text(
+            &mut svg,
+            (right + 33.0, y + 4.0),
+            r#"text-anchor="start""#,
+            &s.name,
         );
     }
     svg.push_str("</svg>");
@@ -269,180 +259,58 @@ fn parse_csv(path: &Path, text: &str) -> (Vec<String>, Vec<Vec<String>>) {
     (header, rows)
 }
 
-/// Builds one series per distinct value of `group_col`, plotting
-/// `x_col` vs `y_col`.
-fn grouped_series(
-    header: &[String],
-    rows: &[Vec<String>],
-    group_col: &str,
-    x_col: &str,
-    y_col: &str,
-) -> Vec<Series> {
+/// The series of `chart` over a parsed CSV: for each y column, one series
+/// per distinct tuple of the chart's key columns, named by the key values
+/// (and the y column, where the keys alone would not tell series apart).
+/// Cells that are not finite numbers — a failed point's `NaN` — are left
+/// out; `None` if the CSV lacks a column the chart names.
+fn chart_series(header: &[String], rows: &[Vec<String>], chart: &Chart) -> Option<Vec<Series>> {
     let idx = |name: &str| header.iter().position(|h| h == name);
-    let (Some(g), Some(x), Some(y)) = (idx(group_col), idx(x_col), idx(y_col)) else {
-        return Vec::new();
-    };
+    let keys: Vec<usize> = chart.series.iter().map(|k| idx(k)).collect::<Option<_>>()?;
+    let x = idx(chart.x)?;
+    let finite = |cell: &str| cell.parse::<f64>().ok().filter(|v| v.is_finite());
     let mut out: Vec<Series> = Vec::new();
-    for r in rows {
-        let (Ok(xv), Ok(yv)) = (r[x].parse::<f64>(), r[y].parse::<f64>()) else {
-            continue;
-        };
-        let name = &r[g];
-        match out.iter_mut().find(|s| &s.name == name) {
-            Some(s) => s.points.push((xv, yv)),
-            None => out.push(Series {
-                name: name.clone(),
-                points: vec![(xv, yv)],
-            }),
+    for &y_col in chart.y {
+        let y = idx(y_col)?;
+        for r in rows {
+            let (Some(xv), Some(yv)) = (finite(&r[x]), finite(&r[y])) else {
+                continue;
+            };
+            let mut name: Vec<&str> = keys.iter().map(|&k| r[k].as_str()).collect();
+            if keys.is_empty() || chart.y.len() > 1 {
+                name.push(y_col);
+            }
+            let name = name.join(" ");
+            match out.iter_mut().find(|s| s.name == name) {
+                Some(s) => s.points.push((xv, yv)),
+                None => out.push(Series {
+                    name,
+                    points: vec![(xv, yv)],
+                }),
+            }
         }
     }
-    out
+    Some(out)
 }
 
-/// The CSVs we know how to plot: `(file stem, group col, x col, y col,
-/// title, x label, y label)`.
-const CHARTS: &[(&str, &str, &str, &str, &str, &str, &str)] = &[
-    (
-        "fig10_sweep",
-        "scheme",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "Fig 10a: p99 FCT (<100kB) vs deployment",
-        "deployment ratio",
-        "p99 FCT (ms)",
-    ),
-    (
-        "fig10_sweep",
-        "scheme",
-        "deploy_ratio",
-        "avg_all_ms",
-        "Fig 10b: average FCT vs deployment",
-        "deployment ratio",
-        "avg FCT (ms)",
-    ),
-    (
-        "fig11_sweep",
-        "scheme",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "Fig 11a: p99 FCT (<100kB), mixed traffic",
-        "deployment ratio",
-        "p99 FCT (ms)",
-    ),
-    (
-        "fig12_p99_by_type",
-        "scheme",
-        "deploy_ratio",
-        "p99_small_upgraded_ms",
-        "Fig 12: upgraded-flow p99 by scheme",
-        "deployment ratio",
-        "p99 FCT (ms)",
-    ),
-    (
-        "fig13_stddev_by_type",
-        "scheme",
-        "deploy_ratio",
-        "stddev_small_legacy_ms",
-        "Fig 13: legacy small-flow FCT stddev",
-        "deployment ratio",
-        "stddev (ms)",
-    ),
-    (
-        "fig8_incast",
-        "transport",
-        "n_flows",
-        "max_fct_ms",
-        "Fig 8: incast tail FCT",
-        "number of flows",
-        "max FCT (ms)",
-    ),
-    (
-        "fig14_load_sweep",
-        "scheme",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "Fig 14: p99 FCT across loads",
-        "deployment ratio",
-        "p99 FCT (ms)",
-    ),
-    (
-        "fig17_seldrop_threshold",
-        "",
-        "sel_drop_kb",
-        "avg_fct_degradation",
-        "Fig 17: selective-drop threshold trade-off",
-        "threshold (kB)",
-        "value",
-    ),
-    (
-        "fig18_wq_tradeoff",
-        "",
-        "wq",
-        "legacy_p99_max_degradation",
-        "Fig 18: w_q trade-off",
-        "w_q",
-        "value",
-    ),
-    (
-        "fig1a_ep_vs_dctcp",
-        "",
-        "time_ms",
-        "dctcp_gbps",
-        "Fig 1a: DCTCP under naive ExpressPass",
-        "time (ms)",
-        "throughput (Gbps)",
-    ),
-    (
-        "fig9b_fp_vs_dctcp",
-        "",
-        "time_ms",
-        "dctcp_gbps",
-        "Fig 9b: DCTCP vs FlexPass",
-        "time (ms)",
-        "throughput (Gbps)",
-    ),
-];
-
-/// Renders SVGs for every known CSV present in `dir`. Returns the number
-/// of charts written.
+/// Renders every chart of the figure table whose CSV is present in `dir`,
+/// as `<stem>_<first y column>.svg`. Returns the number of charts written.
 pub fn plot_results(dir: &Path) -> std::io::Result<usize> {
     let mut written = 0;
-    for &(stem, group, x, y, title, xl, yl) in CHARTS {
-        let csv_path = dir.join(format!("{stem}.csv"));
+    for out in FIGURES.iter().flat_map(|fig| fig.outputs) {
+        let csv_path = dir.join(format!("{}.csv", out.stem));
         let Ok(text) = std::fs::read_to_string(&csv_path) else {
             continue;
         };
         let (header, rows) = parse_csv(&csv_path, &text);
-        let series = if group.is_empty() || !header.iter().any(|h| h == group) {
-            // Ungrouped: every numeric column vs x becomes a series.
-            let xi = header.iter().position(|h| h == x);
-            let Some(xi) = xi else { continue };
-            header
-                .iter()
-                .enumerate()
-                .filter(|(i, h)| {
-                    *i != xi
-                        && rows.iter().all(|r| r[*i].parse::<f64>().is_ok())
-                        && h.as_str() != group
-                })
-                .map(|(i, h)| Series {
-                    name: h.clone(),
-                    points: rows
-                        .iter()
-                        .filter_map(|r| Some((r[xi].parse().ok()?, r[i].parse().ok()?)))
-                        .collect(),
-                })
-                .collect()
-        } else {
-            grouped_series(&header, &rows, group, x, y)
-        };
-        if series.is_empty() {
-            continue;
+        for chart in out.charts {
+            let Some(series) = chart_series(&header, &rows, chart).filter(|s| !s.is_empty()) else {
+                continue;
+            };
+            let svg = svg_line_chart(chart.title, chart.x_label, chart.y_label, &series);
+            std::fs::write(dir.join(format!("{}_{}.svg", out.stem, chart.y[0])), svg)?;
+            written += 1;
         }
-        let svg = svg_line_chart(title, xl, yl, &series);
-        let out = dir.join(format!("{stem}_{y}.svg"));
-        std::fs::write(out, svg)?;
-        written += 1;
     }
     Ok(written)
 }
@@ -483,20 +351,131 @@ mod tests {
         assert!(svg.ends_with("</svg>"));
     }
 
+    fn chart(series: &'static [&'static str], y: &'static [&'static str]) -> Chart {
+        Chart {
+            series,
+            x: "x",
+            y,
+            title: "t",
+            x_label: "x",
+            y_label: "y",
+        }
+    }
+
     #[test]
-    fn grouped_series_splits_by_column() {
+    fn series_split_by_key_column() {
         let (h, r) = parse_csv(Path::new("t.csv"), "scheme,x,y\na,0,1\na,1,2\nb,0,3\n");
-        let s = grouped_series(&h, &r, "scheme", "x", "y");
+        let s = chart_series(&h, &r, &chart(&["scheme"], &["y"])).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s[0].points, vec![(0.0, 1.0), (1.0, 2.0)]);
-        assert_eq!(s[1].points, vec![(0.0, 3.0)]);
+        assert_eq!(
+            (s[0].name.as_str(), &s[0].points),
+            ("a", &vec![(0.0, 1.0), (1.0, 2.0)])
+        );
+        assert_eq!((s[1].name.as_str(), &s[1].points), ("b", &vec![(0.0, 3.0)]));
+        assert!(chart_series(&h, &r, &chart(&["absent"], &["y"])).is_none());
+    }
+
+    /// Without key columns each listed y column is a series named after
+    /// itself; unlisted columns are not plotted, and a failed point's `NaN`
+    /// is left out rather than drawn.
+    #[test]
+    fn keyless_chart_plots_the_listed_y_columns() {
+        let (h, r) = parse_csv(Path::new("t.csv"), "x,y,z,w\n0,1,5,9\n1,NaN,6,9\n");
+        let s = chart_series(&h, &r, &chart(&[], &["y", "z"])).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!((s[0].name.as_str(), &s[0].points), ("y", &vec![(0.0, 1.0)]));
+        assert_eq!(
+            (s[1].name.as_str(), &s[1].points),
+            ("z", &vec![(0.0, 5.0), (1.0, 6.0)])
+        );
+    }
+
+    /// The x coordinates of each polyline of `svg`, in document order.
+    fn polyline_xs(svg: &str) -> Vec<Vec<f64>> {
+        svg.split("<polyline ")
+            .skip(1)
+            .map(|rest| {
+                let points = rest.split("points=\"").nth(1).unwrap();
+                let points = &points[..points.find('"').unwrap()];
+                points
+                    .split(' ')
+                    .map(|p| p.split(',').next().unwrap().parse().unwrap())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Fig. 14's shape: the three loads repeat every deployment ratio, so a
+    /// chart keyed on the scheme alone folds them into one zig-zag line.
+    /// Keyed on (scheme, load), each line is one monotone-x curve.
+    #[test]
+    fn two_key_chart_draws_one_monotone_line_per_key_pair() {
+        let mut text = String::from("scheme,load,x,y\n");
+        for load in ["0.1", "0.4", "0.7"] {
+            for scheme in ["naive", "flexpass"] {
+                for (x, y) in [("0.00", 1.0), ("0.50", 2.0), ("1.00", 1.5)] {
+                    text.push_str(&format!("{scheme},{load},{x},{y}\n"));
+                }
+            }
+        }
+        let (h, r) = parse_csv(Path::new("t.csv"), &text);
+        let series = chart_series(&h, &r, &chart(&["scheme", "load"], &["y"])).unwrap();
+        let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "naive 0.1",
+                "flexpass 0.1",
+                "naive 0.4",
+                "flexpass 0.4",
+                "naive 0.7",
+                "flexpass 0.7"
+            ]
+        );
+        let lines = polyline_xs(&svg_line_chart("t", "x", "y", &series));
+        assert_eq!(lines.len(), 6);
+        for xs in &lines {
+            assert_eq!(xs.len(), 3);
+            assert!(xs.windows(2).all(|w| w[0] < w[1]), "{xs:?}");
+        }
+        // The defect: one key column joins the loads, and x runs backwards.
+        let joined = chart_series(&h, &r, &chart(&["scheme"], &["y"])).unwrap();
+        let lines = polyline_xs(&svg_line_chart("t", "x", "y", &joined));
+        assert!(lines.iter().all(|xs| xs.windows(2).any(|w| w[0] > w[1])));
+    }
+
+    /// Markup characters in any text the chart writes appear only escaped,
+    /// so the document stays well-formed.
+    #[test]
+    fn chart_text_is_xml_escaped() {
+        let series = [Series {
+            name: "a<b & \"c\"".into(),
+            points: vec![(0.0, 1.0)],
+        }];
+        let svg = svg_line_chart("p99 FCT (<100kB) & \"more\"", "x > 0", "y & z", &series);
+        for escaped in [
+            ">p99 FCT (&lt;100kB) &amp; &quot;more&quot;<",
+            ">x &gt; 0<",
+            ">y &amp; z<",
+            ">a&lt;b &amp; &quot;c&quot;<",
+        ] {
+            assert!(svg.contains(escaped), "{escaped}: {svg}");
+        }
+        // Outside tags, no raw `<`, `&` or `"` is left: every text node is
+        // made of plain characters and the four entities.
+        for node in svg.split('<').skip(1).filter_map(|tag| tag.split_once('>')) {
+            let text = ["&lt;", "&gt;", "&amp;", "&quot;"]
+                .iter()
+                .fold(node.1.to_string(), |t, entity| t.replace(entity, ""));
+            assert!(!text.contains(['&', '"', '>']), "{}", node.1);
+        }
     }
 
     #[test]
     fn plot_results_renders_known_csvs() {
         let dir = std::env::temp_dir().join("flexpass_plot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        // Grouped path. The last line is a run killed mid-write (used to
+        // A keyed chart. The last line is a run killed mid-write (used to
         // panic indexing the missing columns); the quoted cell is what
         // `csvout` writes for a name holding a comma (used to shift every
         // later column of its row).
@@ -506,23 +485,25 @@ mod tests {
              flexpass,8,0.5,0\n\"homa, \"\"basic\"\"\",8,0.7,0\ndctcp,16",
         )
         .unwrap();
-        // Ungrouped path, same two defects.
+        // A keyless chart, same two defects.
         std::fs::write(
             dir.join("fig17_seldrop_threshold.csv"),
-            "sel_drop_kb,avg_fct_degradation,note\n50,1.5,\"a,b\"\n100,1.2,ok\n150\n",
+            "sel_drop_kb,p99_small_ms,avg_fct_ms,avg_fct_degradation\n\
+             50,0.2,1.5,\"0.3\"\n100,0.2,1.2,0.1\n150\n",
         )
         .unwrap();
         let n = plot_results(&dir).unwrap();
         assert_eq!(n, 2);
         let svg = std::fs::read_to_string(dir.join("fig8_incast_max_fct_ms.svg")).unwrap();
         assert!(svg.contains("flexpass"));
-        assert!(svg.contains(">homa, \"basic\"<"), "{svg}");
+        // The quoted series name round-trips: CSV-unquoted, XML-escaped.
+        assert!(svg.contains(">homa, &quot;basic&quot;<"), "{svg}");
         assert_eq!(svg.matches("<polyline").count(), 3);
         assert_eq!(svg.matches("<circle").count(), 4, "intact rows all plotted");
         let svg =
             std::fs::read_to_string(dir.join("fig17_seldrop_threshold_avg_fct_degradation.svg"))
                 .unwrap();
-        assert_eq!(svg.matches("<polyline").count(), 1, "`note` is not numeric");
+        assert_eq!(svg.matches("<polyline").count(), 1, "only the listed y");
         assert_eq!(svg.matches("<circle").count(), 2);
     }
 

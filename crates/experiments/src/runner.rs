@@ -8,7 +8,6 @@ use flexpass_simnet::switch::SwitchProfile;
 use flexpass_simnet::topology::{ClosParams, Topology};
 use flexpass_simnet::{partition, ParSim};
 
-use crate::csvout::Csv;
 use crate::orchestrate;
 
 /// How large to run a scenario.
@@ -47,24 +46,6 @@ impl RunScale {
             "default" => Some(RunScale::Default),
             "full" => Some(RunScale::Full),
             _ => None,
-        }
-    }
-}
-
-/// A named CSV produced by one scenario.
-pub struct ScenarioResult {
-    /// Output file stem (e.g. `fig10_p99_small`).
-    pub name: String,
-    /// The table.
-    pub csv: Csv,
-}
-
-impl ScenarioResult {
-    /// Creates a result.
-    pub fn new(name: impl Into<String>, csv: Csv) -> Self {
-        ScenarioResult {
-            name: name.into(),
-            csv,
         }
     }
 }

@@ -23,8 +23,9 @@ use flexpass_simnet::topology::{ClosParams, Topology};
 use flexpass_workload::{background, BackgroundParams, FlowSizeCdf};
 
 use crate::csvout::{f, Csv};
-use crate::orchestrate;
-use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+use crate::figures::SKETCH_COLUMNS;
+use crate::orchestrate::grid;
+use crate::runner::{run, RunScale, DRAINED};
 use crate::sweep::{self, SEL_DROP};
 
 /// Parameters of one scale point.
@@ -47,28 +48,17 @@ impl ScaleSpec {
     /// The preset for a `--scale` level: smoke stays CI-sized, default
     /// and full drive the 10k-host fabric with growing flow counts.
     pub fn preset(scale: RunScale) -> ScaleSpec {
-        match scale {
-            RunScale::Smoke => ScaleSpec {
-                hosts: 2_560,
-                n_flows: 5_000,
-                size_cap: 100_000.0,
-                load: 0.1,
-                seed: 1,
-            },
-            RunScale::Default => ScaleSpec {
-                hosts: 10_240,
-                n_flows: 20_000,
-                size_cap: 1_000_000.0,
-                load: 0.1,
-                seed: 1,
-            },
-            RunScale::Full => ScaleSpec {
-                hosts: 10_240,
-                n_flows: 200_000,
-                size_cap: 10_000_000.0,
-                load: 0.1,
-                seed: 1,
-            },
+        let (hosts, n_flows, size_cap) = match scale {
+            RunScale::Smoke => (2_560, 5_000, 100_000.0),
+            RunScale::Default => (10_240, 20_000, 1_000_000.0),
+            RunScale::Full => (10_240, 200_000, 10_000_000.0),
+        };
+        ScaleSpec {
+            hosts,
+            n_flows,
+            size_cap,
+            load: 0.1,
+            seed: 1,
         }
     }
 }
@@ -117,17 +107,9 @@ pub fn run_point(spec: &ScaleSpec) -> Recorder {
 /// mean/max exact, p50/p99 within the sketch's documented relative
 /// error. Deterministic row order (BTreeMap key order).
 pub fn sketch_csv(rec: &Recorder) -> Csv {
-    let mut csv = Csv::new(&[
-        "tag",
-        "size_decade",
-        "flows",
-        "avg_fct_ms",
-        "p50_fct_ms",
-        "p99_fct_ms",
-        "max_fct_ms",
-    ]);
+    let mut csv = Csv::new(SKETCH_COLUMNS);
     for ((tag, decade), s) in rec.sketches() {
-        csv.row(&[
+        csv.row([
             tag.to_string(),
             decade.to_string(),
             s.count().to_string(),
@@ -140,14 +122,17 @@ pub fn sketch_csv(rec: &Recorder) -> Csv {
     csv
 }
 
-/// The full scenario: one point at the preset for `scale`, run through
-/// the worker pool so the heartbeat (events/sec, arena growth, RSS)
-/// covers it. A failed point renders as an empty table.
-pub fn scenario(scale: RunScale) -> Vec<ScenarioResult> {
+/// The full scenario: one point at the preset for `scale`, run as a
+/// one-cell grid so the heartbeat (events/sec, arena growth, RSS) covers
+/// it. The sketch rows are whatever (tag, size-decade) pairs the run saw,
+/// so a failed point has none: its table is the header alone.
+pub fn scenario(scale: RunScale) -> Vec<Csv> {
     let spec = ScaleSpec::preset(scale);
     let label = format!("{}h-{}f", spec.hosts, spec.n_flows);
-    let streaming = || Recorder::new().with_streaming();
-    let rec = orchestrate::run_isolated("scale", &label, streaming, move || run_point(&spec));
+    let mut cells = grid("scale", vec![spec], |_| label.clone(), run_point);
+    let Some(rec) = cells.pop().and_then(|(_, rec)| rec) else {
+        return vec![Csv::new(SKETCH_COLUMNS)];
+    };
 
     let peak = flexpass_simcore::mem::peak_rss_bytes()
         .map(|b| format!("{} MiB", b / (1024 * 1024)))
@@ -163,7 +148,7 @@ pub fn scenario(scale: RunScale) -> Vec<ScenarioResult> {
         peak,
     );
 
-    vec![ScenarioResult::new("scale_fct_sketch", sketch_csv(&rec))]
+    vec![sketch_csv(&rec)]
 }
 
 #[cfg(test)]
@@ -311,12 +296,13 @@ mod tests {
                 Time::from_micros(100 * (i as u64 + 1)),
             );
         }
-        let csv = sketch_csv(&r);
-        assert_eq!(csv.len(), 3);
-        let text = csv.render();
-        assert!(text.starts_with("tag,size_decade,flows,"), "{text}");
-        assert!(text.contains("1,3,1,"), "{text}");
-        assert!(text.contains("1,4,1,"), "{text}");
-        assert!(text.contains("1,6,1,"), "{text}");
+        // `flexbench` hashes these bytes into `clos_scale`'s digest.
+        assert_eq!(
+            sketch_csv(&r).render(),
+            "tag,size_decade,flows,avg_fct_ms,p50_fct_ms,p99_fct_ms,max_fct_ms\n\
+             1,3,1,0.100000,0.100000,0.100000,0.100000\n\
+             1,4,1,0.200000,0.200000,0.200000,0.200000\n\
+             1,6,1,0.300000,0.300000,0.300000,0.300000\n"
+        );
     }
 }

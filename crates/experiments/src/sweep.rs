@@ -3,7 +3,7 @@
 //! collected per flow type (legacy vs upgraded).
 //!
 //! Every (scheme, ratio, seed) triple is an independent deterministic
-//! simulation, so [`run_sweep`] fans them across the worker pool in
+//! simulation, so [`run_sweep_jobs`] fans them across the worker pool in
 //! [`crate::orchestrate`] and reassembles results in spec order — output
 //! is byte-identical for any `--jobs` value. A point that panics is
 //! isolated: surviving seeds of the cell still aggregate, and the failure
@@ -31,8 +31,9 @@ use flexpass_workload::FlowSizeCdf;
 use flexpass_workload::{background, foreground_incast, BackgroundParams, ForegroundParams};
 
 use crate::csvout::{count, f, Csv};
-use crate::orchestrate::{self, Task};
-use crate::runner::{run, RunScale, ScenarioResult, DRAINED};
+use crate::figures::{Output, SWEEP_COLUMNS};
+use crate::orchestrate;
+use crate::runner::{run, RunScale, DRAINED};
 
 /// The paper's selective-dropping threshold, bytes (§6.2).
 pub const SEL_DROP: u64 = 150_000;
@@ -117,19 +118,30 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// A point with every statistic set to `v`: the zero accumulator of
-    /// [`aggregate_seeds`], or the NaN row of a cell that lost every seed.
-    fn filled(scheme: &'static str, ratio: f64, v: f64) -> Self {
-        SweepPoint {
-            scheme,
-            ratio,
-            p99_small: [v; 3],
-            avg: [v; 3],
-            stddev_small: [v; 3],
-            reorder_mean: v,
-            timeouts: v,
-            redundancy: v,
-            flows: v,
+    /// The point's statistics, named once: the formatted cell of CSV
+    /// column `column`, for every table that carries sweep points.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is not a statistic of a sweep point.
+    fn cell(&self, column: &str) -> String {
+        match column {
+            "scheme" => self.scheme.to_string(),
+            "deploy_ratio" => format!("{:.2}", self.ratio),
+            "p99_small_all_ms" => f(self.p99_small[0] * 1e3),
+            "p99_small_legacy_ms" => f(self.p99_small[1] * 1e3),
+            "p99_small_upgraded_ms" => f(self.p99_small[2] * 1e3),
+            "avg_all_ms" => f(self.avg[0] * 1e3),
+            "avg_legacy_ms" => f(self.avg[1] * 1e3),
+            "avg_upgraded_ms" => f(self.avg[2] * 1e3),
+            "stddev_small_all_ms" => f(self.stddev_small[0] * 1e3),
+            "stddev_small_legacy_ms" => f(self.stddev_small[1] * 1e3),
+            "stddev_small_upgraded_ms" => f(self.stddev_small[2] * 1e3),
+            "reorder_mean_kb" => f(self.reorder_mean / 1e3),
+            "timeouts" => count(self.timeouts),
+            "redundancy_frac" => f(self.redundancy),
+            "flows" => count(self.flows),
+            other => panic!("a sweep point has no column `{other}`"),
         }
     }
 }
@@ -187,39 +199,33 @@ fn seed_for(spec: &SweepSpec, k: u32) -> u64 {
     spec.seed.wrapping_add(k as u64 * 7919)
 }
 
-/// Aggregates the per-seed results of one (scheme, ratio) cell.
+/// Aggregates the surviving per-seed results of the (scheme, ratio) cell.
 ///
 /// Mean-like statistics — FCT means and percentiles, `reorder_mean`,
 /// `redundancy`, `timeouts`, `flows` — take the arithmetic mean over
 /// seeds, so every column of a multi-seed row is in per-run units.
 /// `stddev_small` pools variances — sqrt of the mean per-seed variance —
 /// because standard deviations do not average: the mean of sqrts
-/// under-estimates the pooled spread Figure 13 plots.
-pub fn aggregate_seeds(points: &[SweepPoint]) -> SweepPoint {
-    let first = points.first().expect("at least one seed result");
+/// under-estimates the pooled spread Figure 13 plots. A cell that lost
+/// every seed is the mean of nothing: each statistic is 0/0 = NaN, never a
+/// fabricated zero.
+pub fn aggregate_seeds(scheme: &'static str, ratio: f64, points: &[SweepPoint]) -> SweepPoint {
     let nf = points.len() as f64;
-    let mut agg = SweepPoint::filled(first.scheme, first.ratio, 0.0);
-    for p in points {
-        for i in 0..3 {
-            agg.p99_small[i] += p.p99_small[i];
-            agg.avg[i] += p.avg[i];
-            agg.stddev_small[i] += p.stddev_small[i] * p.stddev_small[i];
-        }
-        agg.reorder_mean += p.reorder_mean;
-        agg.timeouts += p.timeouts;
-        agg.redundancy += p.redundancy;
-        agg.flows += p.flows;
+    let mean3 = |stat: fn(&SweepPoint) -> [f64; 3]| {
+        [0, 1, 2].map(|i| points.iter().map(|p| stat(p)[i]).sum::<f64>() / nf)
+    };
+    let mean = |stat: fn(&SweepPoint) -> f64| points.iter().map(stat).sum::<f64>() / nf;
+    SweepPoint {
+        scheme,
+        ratio,
+        p99_small: mean3(|p| p.p99_small),
+        avg: mean3(|p| p.avg),
+        stddev_small: mean3(|p| p.stddev_small.map(|s| s * s)).map(f64::sqrt),
+        reorder_mean: mean(|p| p.reorder_mean),
+        timeouts: mean(|p| p.timeouts),
+        redundancy: mean(|p| p.redundancy),
+        flows: mean(|p| p.flows),
     }
-    for i in 0..3 {
-        agg.p99_small[i] /= nf;
-        agg.avg[i] /= nf;
-        agg.stddev_small[i] = (agg.stddev_small[i] / nf).sqrt();
-    }
-    agg.reorder_mean /= nf;
-    agg.timeouts /= nf;
-    agg.redundancy /= nf;
-    agg.flows /= nf;
-    agg
 }
 
 /// The rack-by-rack rollout of a Clos: `ratio` of the racks upgraded,
@@ -276,26 +282,40 @@ pub(crate) fn run_spec_point(
     run(topo, factory, recorder, &flows, sampling, DRAINED)
 }
 
+/// One FlexPass point under the protocol variant `cfg`, at the secondary
+/// figures' flow count: the workload drawn from `seed`, the rollout from
+/// `deploy_seed`.
+pub(crate) fn run_variant(
+    cfg: FlexPassConfig,
+    ratio: f64,
+    scale: RunScale,
+    seed: u64,
+    deploy_seed: u64,
+) -> Recorder {
+    let spec = SweepSpec {
+        seed,
+        wq: cfg.wq,
+        n_flows: SweepSpec::reduced_flows(scale),
+        ..SweepSpec::fig10(scale)
+    };
+    let rec = Recorder::new();
+    run_spec_point(Scheme::FlexPass, ratio, &spec, deploy_seed, cfg, rec, None)
+}
+
 /// Mean reorder-buffer peak over the upgraded flows of a run, bytes.
 pub(crate) fn reorder_mean(rec: &Recorder) -> f64 {
-    let upgraded: Vec<f64> = rec
-        .flows
-        .iter()
-        .filter(|r| r.tag == TAG_UPGRADED)
-        .map(|r| r.reorder_peak as f64)
-        .collect();
-    if upgraded.is_empty() {
-        0.0
-    } else {
-        upgraded.iter().sum::<f64>() / upgraded.len() as f64
+    let upgraded = || rec.flows.iter().filter(|r| r.tag == TAG_UPGRADED);
+    match upgraded().count() {
+        0 => 0.0,
+        n => upgraded().map(|r| r.reorder_peak as f64).sum::<f64>() / n as f64,
     }
 }
 
 /// Runs one (scheme, ratio) point serially on the calling thread,
 /// averaging over `spec.seeds` seeds (see [`aggregate_seeds`]). Library
 /// consumers (benches, examples, figure 17/18 cells) use this directly;
-/// [`run_sweep`] runs the same per-seed simulations through the worker
-/// pool instead.
+/// [`run_sweep_jobs`] runs the same per-seed simulations through the
+/// worker pool instead.
 pub fn run_point(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
     let per_seed: Vec<SweepPoint> = (0..spec.seeds.max(1))
         .map(|k| {
@@ -304,7 +324,7 @@ pub fn run_point(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
             run_point_once(scheme, ratio, &s)
         })
         .collect();
-    aggregate_seeds(&per_seed)
+    aggregate_seeds(scheme.label(), ratio, &per_seed)
 }
 
 fn run_point_once(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
@@ -321,21 +341,15 @@ fn run_point_once(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
 }
 
 fn point_from_recorder(scheme: Scheme, ratio: f64, rec: &Recorder) -> SweepPoint {
-    let tags = [None, Some(TAG_LEGACY), Some(TAG_UPGRADED)];
-    let mut p99_small = [0.0; 3];
-    let mut avg = [0.0; 3];
-    let mut stddev_small = [0.0; 3];
-    for (i, t) in tags.iter().enumerate() {
-        p99_small[i] = rec.p99_small(*t);
-        avg[i] = rec.avg_fct(*t);
-        stddev_small[i] = rec.stddev_small(*t);
-    }
+    let by_type = |stat: fn(&Recorder, Option<u32>) -> f64| {
+        [None, Some(TAG_LEGACY), Some(TAG_UPGRADED)].map(|tag| stat(rec, tag))
+    };
     SweepPoint {
         scheme: scheme.label(),
         ratio,
-        p99_small,
-        avg,
-        stddev_small,
+        p99_small: by_type(Recorder::p99_small),
+        avg: by_type(Recorder::avg_fct),
+        stddev_small: by_type(Recorder::stddev_small),
         reorder_mean: reorder_mean(rec),
         timeouts: rec.total_timeouts() as f64,
         redundancy: rec.redundancy_fraction(),
@@ -343,54 +357,60 @@ fn point_from_recorder(scheme: Scheme, ratio: f64, rec: &Recorder) -> SweepPoint
     }
 }
 
-/// Runs the full sweep on the worker pool (see [`run_sweep_jobs`]) with
-/// the globally configured `--jobs` count under the generic group label
-/// `sweep`.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepPoint> {
-    run_sweep_jobs(orchestrate::jobs(), "sweep", spec)
-}
-
 /// Runs the full sweep with an explicit worker count: the flattened
-/// (scheme, ratio, seed) triples are independent tasks on the work queue,
-/// and results reassemble in spec order, so the output is byte-identical
+/// (scheme, ratio, seed) triples are independent cells of one grid, and
+/// results reassemble in spec order, so the output is byte-identical
 /// for every `jobs` value. A seed whose simulation panics is dropped from
 /// its cell (surviving seeds still aggregate) and surfaces through
 /// [`orchestrate::take_failures`]; a cell that loses *every* seed renders
-/// as NaN statistics rather than fabricated zeros.
+/// as NaN statistics (see [`aggregate_seeds`]).
 pub fn run_sweep_jobs(jobs: usize, group: &str, spec: &SweepSpec) -> Vec<SweepPoint> {
-    let n_seeds = spec.seeds.max(1);
-    let mut tasks: Vec<Task<SweepPoint>> = Vec::new();
-    for &scheme in &spec.schemes {
-        for &ratio in &spec.ratios {
-            for k in 0..n_seeds {
-                let mut s = spec.clone();
-                s.seed = seed_for(spec, k);
-                tasks.push(Task::new(
-                    format!("{}:r{ratio:.2}:s{k}", scheme.label()),
-                    move || run_point_once(scheme, ratio, &s),
-                ));
+    let sweeps = [(String::new(), spec.clone())];
+    run_sweeps(jobs, group, &sweeps).remove(0)
+}
+
+/// Runs several sweeps as one grid: every (sweep, scheme, ratio, seed) is a
+/// cell labelled `<prefix><scheme>:r<ratio>:s<seed>`, the prefix telling
+/// apart sweeps that repeat the `scheme:rR:sK` labels. Returns each
+/// sweep's points in spec order.
+fn run_sweeps(jobs: usize, group: &str, sweeps: &[(String, SweepSpec)]) -> Vec<Vec<SweepPoint>> {
+    let mut keys = Vec::new();
+    for (i, (_, spec)) in sweeps.iter().enumerate() {
+        for &scheme in &spec.schemes {
+            for &ratio in &spec.ratios {
+                keys.extend((0..spec.seeds.max(1)).map(|k| (i, scheme, ratio, k)));
             }
         }
     }
-    let mut results = orchestrate::run_tasks_on(jobs, group, tasks).into_iter();
-    let mut out = Vec::new();
-    for &scheme in &spec.schemes {
-        for &ratio in &spec.ratios {
-            let cell: Vec<SweepPoint> = (0..n_seeds)
-                .filter_map(|_| results.next().expect("one result per seed task").ok())
-                .collect();
-            out.push(if cell.is_empty() {
-                eprintln!(
-                    "  [{group}] cell {}:r{ratio:.2} lost all {n_seeds} seed(s); emitting NaN row",
-                    scheme.label()
-                );
-                SweepPoint::filled(scheme.label(), ratio, f64::NAN)
-            } else {
-                aggregate_seeds(&cell)
-            });
-        }
+    let cells = orchestrate::grid_on(
+        jobs,
+        group,
+        keys,
+        |&(i, scheme, ratio, k)| format!("{}{}:r{ratio:.2}:s{k}", sweeps[i].0, scheme.label()),
+        |&(i, scheme, ratio, k)| {
+            let mut s = sweeps[i].1.clone();
+            s.seed = seed_for(&s, k);
+            run_point_once(scheme, ratio, &s)
+        },
+    );
+    let mut out = vec![Vec::new(); sweeps.len()];
+    // A (scheme, ratio) cell is the run of keys over which the seed index
+    // climbs.
+    for seeds in cells.chunk_by(|a, b| a.0 .3 < b.0 .3) {
+        let (i, scheme, ratio, _) = seeds[0].0;
+        let survivors: Vec<SweepPoint> = seeds.iter().filter_map(|(_, p)| p.clone()).collect();
+        out[i].push(aggregate_seeds(scheme.label(), ratio, &survivors));
     }
     out
+}
+
+/// Renders `points` under `columns`, each a statistic of a sweep point.
+fn table(points: &[SweepPoint], columns: &[&str]) -> Csv {
+    let mut csv = Csv::new(columns);
+    for p in points {
+        csv.row_by(|column| p.cell(column));
+    }
+    csv
 }
 
 /// Renders sweep points as the CSVs behind Figures 10–13 (or 11 with
@@ -402,171 +422,93 @@ pub fn run_sweep_jobs(jobs: usize, group: &str, spec: &SweepSpec) -> Vec<SweepPo
 /// deviations (sqrt of the mean per-seed variance). See
 /// [`aggregate_seeds`].
 pub fn to_csv(points: &[SweepPoint]) -> Csv {
-    let mut csv = Csv::new(&[
-        "scheme",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "p99_small_legacy_ms",
-        "p99_small_upgraded_ms",
-        "avg_all_ms",
-        "avg_legacy_ms",
-        "avg_upgraded_ms",
-        "stddev_small_all_ms",
-        "stddev_small_legacy_ms",
-        "stddev_small_upgraded_ms",
-        "reorder_mean_kb",
-        "timeouts",
-        "redundancy_frac",
-        "flows",
-    ]);
-    for p in points {
-        csv.row(&[
-            p.scheme.to_string(),
-            format!("{:.2}", p.ratio),
-            f(p.p99_small[0] * 1e3),
-            f(p.p99_small[1] * 1e3),
-            f(p.p99_small[2] * 1e3),
-            f(p.avg[0] * 1e3),
-            f(p.avg[1] * 1e3),
-            f(p.avg[2] * 1e3),
-            f(p.stddev_small[0] * 1e3),
-            f(p.stddev_small[1] * 1e3),
-            f(p.stddev_small[2] * 1e3),
-            f(p.reorder_mean / 1e3),
-            count(p.timeouts),
-            f(p.redundancy),
-            count(p.flows),
-        ]);
-    }
-    csv
+    table(points, SWEEP_COLUMNS)
 }
 
-/// Reshapes sweep points into the per-scheme, per-flow-type series of
-/// Figure 12 (p99) or Figure 13 (stddev).
-pub fn by_type_csv(points: &[SweepPoint], stddev: bool) -> Csv {
-    let metric = if stddev { "stddev_small" } else { "p99_small" };
-    let mut csv = Csv::new(&[
-        "scheme",
-        "deploy_ratio",
-        &format!("{metric}_legacy_ms"),
-        &format!("{metric}_upgraded_ms"),
-    ]);
-    for p in points {
-        let v = if stddev {
-            &p.stddev_small
-        } else {
-            &p.p99_small
-        };
-        csv.row(&[
-            p.scheme.to_string(),
-            format!("{:.2}", p.ratio),
-            f(v[1] * 1e3),
-            f(v[2] * 1e3),
-        ]);
-    }
-    csv
-}
-
-/// Figure 10 (background only) or Figure 11 (mixed), plus the Figure 12/13
-/// per-type reshapes when running the background-only sweep.
-pub fn fig10_or_11(scale: RunScale, mixed: bool) -> Vec<ScenarioResult> {
+/// Figure 10 (background only) or Figure 11 (mixed): the sweep's points
+/// under each output's columns — the wide table and, for Figure 10, the
+/// per-flow-type reshapes of Figures 12 (p99) and 13 (stddev).
+pub fn fig10_or_11(group: &str, mixed: bool, scale: RunScale, out: &[Output]) -> Vec<Csv> {
     let spec = SweepSpec {
         mixed,
         ..SweepSpec::fig10(scale)
     };
-    let group = if mixed { "fig11" } else { "fig10" };
     let points = run_sweep_jobs(orchestrate::jobs(), group, &spec);
-    if mixed {
-        vec![ScenarioResult::new("fig11_sweep", to_csv(&points))]
-    } else {
-        vec![
-            ScenarioResult::new("fig10_sweep", to_csv(&points)),
-            ScenarioResult::new("fig12_p99_by_type", by_type_csv(&points, false)),
-            ScenarioResult::new("fig13_stddev_by_type", by_type_csv(&points, true)),
-        ]
-    }
+    out.iter().map(|o| table(&points, o.columns)).collect()
 }
 
 /// Figure 14: p99 small-flow FCT vs deployment under loads 10/40/70 % for
-/// naive ExpressPass vs FlexPass.
-pub fn fig14(scale: RunScale) -> ScenarioResult {
-    let mut csv = Csv::new(&[
-        "scheme",
-        "load",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "p99_small_legacy_ms",
-        "p99_small_upgraded_ms",
-    ]);
-    for &load in &[0.1, 0.4, 0.7] {
-        let spec = SweepSpec {
-            schemes: vec![Scheme::Naive, Scheme::FlexPass],
-            ratios: vec![0.0, 0.5, 1.0],
-            load,
-            n_flows: SweepSpec::reduced_flows(scale),
-            ..SweepSpec::fig10(scale)
-        };
-        // The load is part of the group: the three sub-sweeps repeat the
-        // `scheme:rR:sK` labels, and a qualified label names one task.
-        let group = format!("fig14:l{load:.1}");
-        for p in run_sweep_jobs(orchestrate::jobs(), &group, &spec) {
-            csv.row(&[
-                p.scheme.to_string(),
-                format!("{load:.1}"),
-                format!("{:.2}", p.ratio),
-                f(p.p99_small[0] * 1e3),
-                f(p.p99_small[1] * 1e3),
-                f(p.p99_small[2] * 1e3),
-            ]);
+/// naive ExpressPass vs FlexPass — three sweeps, one grid.
+pub fn fig14(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let loads = [0.1, 0.4, 0.7];
+    let sweeps: Vec<(String, SweepSpec)> = loads
+        .iter()
+        .map(|&load| {
+            let spec = SweepSpec {
+                schemes: vec![Scheme::Naive, Scheme::FlexPass],
+                ratios: vec![0.0, 0.5, 1.0],
+                load,
+                n_flows: SweepSpec::reduced_flows(scale),
+                ..SweepSpec::fig10(scale)
+            };
+            (format!("l{load:.1}:"), spec)
+        })
+        .collect();
+    let mut csv = Csv::new(out[0].columns);
+    for (load, points) in loads
+        .iter()
+        .zip(run_sweeps(orchestrate::jobs(), "fig14", &sweeps))
+    {
+        for p in &points {
+            csv.row_by(|column| match column {
+                "load" => format!("{load:.1}"),
+                _ => p.cell(column),
+            });
         }
     }
-    ScenarioResult::new("fig14_load_sweep", csv)
+    vec![csv]
 }
 
-/// Figures 15/16: the sweep over all four realistic workloads.
-pub fn fig15_16(scale: RunScale) -> ScenarioResult {
-    let mut csv = Csv::new(&[
-        "workload",
-        "scheme",
-        "deploy_ratio",
-        "p99_small_all_ms",
-        "avg_all_ms",
-        "p99_gain_vs_0",
-    ]);
-    for cdf in FlowSizeCdf::all() {
-        let spec = SweepSpec {
-            ratios: vec![0.0, 0.5, 1.0],
-            cdf: cdf.clone(),
-            n_flows: SweepSpec::reduced_flows(scale),
-            ..SweepSpec::fig10(scale)
-        };
-        let group = format!("fig15_16:{}", cdf.name());
-        let points = run_sweep_jobs(orchestrate::jobs(), &group, &spec);
-        // Gain relative to the 0 % (all-DCTCP) point of the same scheme.
-        for &scheme in &spec.schemes {
-            let base = points
-                .iter()
-                .find(|p| p.scheme == scheme.label() && p.ratio == 0.0)
-                .map(|p| p.p99_small[0])
-                .unwrap_or(0.0);
-            for p in points.iter().filter(|p| p.scheme == scheme.label()) {
-                let gain = if base > 0.0 {
-                    1.0 - p.p99_small[0] / base
-                } else {
+/// Figures 15/16: the sweep over all four realistic workloads, one grid.
+pub fn fig15_16(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let ratios = vec![0.0, 0.5, 1.0];
+    let sweeps: Vec<(String, SweepSpec)> = FlowSizeCdf::all()
+        .into_iter()
+        .map(|cdf| {
+            let spec = SweepSpec {
+                ratios: ratios.clone(),
+                cdf,
+                n_flows: SweepSpec::reduced_flows(scale),
+                ..SweepSpec::fig10(scale)
+            };
+            (format!("{}:", spec.cdf.name()), spec)
+        })
+        .collect();
+    let mut csv = Csv::new(out[0].columns);
+    for ((_, spec), points) in
+        sweeps
+            .iter()
+            .zip(run_sweeps(orchestrate::jobs(), "fig15_16", &sweeps))
+    {
+        // Gain relative to the 0 % (all-DCTCP) point of the same scheme,
+        // the first of the scheme's run of ratios.
+        for of_scheme in points.chunks(ratios.len()) {
+            let base = of_scheme[0].p99_small[0];
+            for p in of_scheme {
+                let gain = if base == 0.0 {
                     0.0
+                } else {
+                    1.0 - p.p99_small[0] / base
                 };
-                csv.row(&[
-                    cdf.name().to_string(),
-                    p.scheme.to_string(),
-                    format!("{:.2}", p.ratio),
-                    f(p.p99_small[0] * 1e3),
-                    f(p.avg[0] * 1e3),
-                    f(gain),
-                ]);
+                csv.row_by(|column| match column {
+                    "workload" => spec.cdf.name().to_string(),
+                    "p99_gain_vs_0" => f(gain),
+                    _ => p.cell(column),
+                });
             }
         }
     }
-    ScenarioResult::new("fig15_16_workloads", csv)
+    vec![csv]
 }
 
 #[cfg(test)]
@@ -596,7 +538,8 @@ mod tests {
     /// the arithmetic mean of per-seed stddevs).
     #[test]
     fn aggregate_means_counts_and_pools_variance() {
-        let agg = aggregate_seeds(&[point(3.0, 10.0, 100.0), point(4.0, 20.0, 200.0)]);
+        let seeds = [point(3.0, 10.0, 100.0), point(4.0, 20.0, 200.0)];
+        let agg = aggregate_seeds("x", 0.5, &seeds);
         assert_eq!(agg.timeouts, 15.0);
         assert_eq!(agg.flows, 150.0);
         let pooled = ((9.0 + 16.0) / 2.0f64).sqrt();
@@ -614,9 +557,49 @@ mod tests {
     #[test]
     fn aggregate_single_seed_is_identity() {
         let p = point(3.0, 7.0, 30.0);
-        let agg = aggregate_seeds(std::slice::from_ref(&p));
+        let agg = aggregate_seeds(p.scheme, p.ratio, std::slice::from_ref(&p));
         assert_eq!(agg.stddev_small, p.stddev_small);
         assert_eq!(agg.timeouts, p.timeouts);
         assert_eq!(agg.flows, p.flows);
+    }
+
+    /// A cell that lost every seed is the mean of nothing: NaN in every
+    /// statistic, under its own scheme and ratio.
+    #[test]
+    fn aggregate_of_no_survivor_is_nan() {
+        let agg = aggregate_seeds("x", 0.5, &[]);
+        assert_eq!((agg.scheme, agg.ratio), ("x", 0.5));
+        let stats = [agg.reorder_mean, agg.timeouts, agg.redundancy, agg.flows];
+        let per_type = [agg.p99_small, agg.avg, agg.stddev_small];
+        assert!(stats
+            .iter()
+            .chain(per_type.iter().flatten())
+            .all(|v| v.is_nan()));
+    }
+
+    /// `flexbench` hashes these bytes into `clos_sweep`'s digest: the wide
+    /// table of a hand-built point, pinned against a literal.
+    #[test]
+    fn to_csv_bytes_are_pinned() {
+        let p = SweepPoint {
+            scheme: "flexpass",
+            ratio: 0.25,
+            p99_small: [0.001, 0.002, 0.003],
+            avg: [0.01, 0.02, 0.03],
+            stddev_small: [0.0001, 0.0002, 0.0003],
+            reorder_mean: 12_345.0,
+            timeouts: 7.0,
+            redundancy: 0.015,
+            flows: 300.5,
+        };
+        assert_eq!(
+            to_csv(&[p]).render(),
+            "scheme,deploy_ratio,p99_small_all_ms,p99_small_legacy_ms,p99_small_upgraded_ms,\
+             avg_all_ms,avg_legacy_ms,avg_upgraded_ms,stddev_small_all_ms,\
+             stddev_small_legacy_ms,stddev_small_upgraded_ms,reorder_mean_kb,timeouts,\
+             redundancy_frac,flows\n\
+             flexpass,0.25,1.000000,2.000000,3.000000,10.000000,20.000000,30.000000,\
+             0.100000,0.200000,0.300000,12.345000,7,0.015000,300.50\n"
+        );
     }
 }

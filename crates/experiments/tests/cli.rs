@@ -117,3 +117,94 @@ fn unwritable_out_dir_is_reported_not_panicked() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn only_none_selects_no_figure() {
+    // `--plot` used to let any unknown name through, having run nothing.
+    assert_usage_error(&["--fig", "fig99", "--plot"], "no figure matched 'fig99'");
+}
+
+/// Runs the binary at smoke scale into a fresh directory with `args`;
+/// returns the exit code and the data rows of each CSV named in `stems`.
+fn run_into_temp(tag: &str, args: &[&str], stems: &[&str]) -> (Option<i32>, Vec<Vec<Vec<String>>>) {
+    let dir = std::env::temp_dir().join(format!("flexpass-cli-{tag}-{}", std::process::id()));
+    let mut all = vec![
+        "--scale",
+        "smoke",
+        "--out",
+        dir.to_str().expect("utf-8 temp path"),
+    ];
+    all.extend(args);
+    let (code, _) = run(&all);
+    let tables = stems
+        .iter()
+        .map(|stem| {
+            let text = std::fs::read_to_string(dir.join(format!("{stem}.csv"))).expect("the csv");
+            let rows = text.lines().skip(1);
+            rows.map(|l| l.split(',').map(str::to_string).collect())
+                .collect()
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (code, tables)
+}
+
+fn finite(cell: &str) -> bool {
+    cell.parse::<f64>().is_ok_and(f64::is_finite)
+}
+
+/// A failed cell renders as NaN in what is computed from it — never as
+/// the zero that `f64::max` or an empty recorder used to fabricate — and
+/// the cells of the points that ran keep their values.
+#[test]
+fn failed_cells_render_as_nan_not_zero() {
+    let (code, tables) = run_into_temp(
+        "fig18",
+        &["--fig", "fig18", "--inject-panic", "fig18:wq0.50:r0.50"],
+        &["fig18_wq_tradeoff"],
+    );
+    assert_eq!(code, Some(1));
+    assert_eq!(tables[0].len(), 5);
+    for row in &tables[0] {
+        let (degradation, full) = (&row[1], &row[2]);
+        assert_eq!(degradation == "NaN", row[0] == "0.50", "{row:?}");
+        assert!(finite(full), "the full-deployment cell ran: {row:?}");
+    }
+
+    let (code, tables) = run_into_temp(
+        "fig9",
+        &["--fig", "fig9", "--inject-panic", "fig9:fp_vs_dctcp"],
+        &["fig9a_ep_vs_dctcp", "fig9b_fp_vs_dctcp", "fig9c_starvation"],
+    );
+    assert_eq!(code, Some(1));
+    let [ran, failed, bars] = &tables[..] else {
+        panic!("three tables")
+    };
+    assert!(ran.iter().all(|row| finite(&row[1]) && finite(&row[2])));
+    assert_eq!(failed.len(), 90);
+    assert!(failed
+        .iter()
+        .all(|row| !finite(&row[1]) && !finite(&row[2])));
+    for row in bars {
+        let ran = row[0] == "expresspass";
+        assert!(row.iter().skip(1).all(|c| finite(c) == ran), "{row:?}");
+    }
+}
+
+/// A chart that cannot be written fails the run like a CSV that cannot.
+#[test]
+fn plot_write_failure_exits_nonzero() {
+    let dir = std::env::temp_dir().join(format!("flexpass-cli-plot-{}", std::process::id()));
+    // The chart's file name is taken by a directory.
+    std::fs::create_dir_all(dir.join("fig8_incast_max_fct_ms.svg")).expect("create temp dir");
+    std::fs::write(
+        dir.join("fig8_incast.csv"),
+        "transport,n_flows,max_fct_ms,timeouts\ndctcp,8,1.0,0\n",
+    )
+    .expect("write csv");
+    let out = dir.to_str().expect("utf-8 temp path");
+    let (code, stderr) = run(&["--fig", "none", "--plot", "--out", out]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("plotting failed: "), "{stderr}");
+}

@@ -10,10 +10,6 @@
 /// The full lint configuration.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Baseline file path, relative to the workspace root: known findings
-    /// that don't fail the build (shrink-only; rewrite with `cargo xtask
-    /// lint --update-baseline` and review the diff).
-    pub baseline_path: String,
     /// Files (workspace-relative) whose fn bodies are the per-event hot
     /// datapath: `alloc-in-datapath` and the hot half of `panic-path` apply
     /// there, `--report alloc` inventories them, and every non-test,
@@ -72,7 +68,6 @@ impl Default for LintConfig {
         let mut lock_free_modules = strings(&HOT_MODULES);
         lock_free_modules.extend(strings(&[PARSIM, "crates/simnet/src/partition.rs"]));
         LintConfig {
-            baseline_path: "lint-baseline.json".to_string(),
             hot_modules: strings(&HOT_MODULES),
             constructor_names: strings(&["new", "default"]),
             constructor_prefixes: strings(&["new_", "with_"]),
@@ -141,6 +136,5 @@ mod tests {
         );
         assert_eq!(cfg.thread_homes, ["crates/simnet/src/parsim.rs"]);
         assert_eq!(cfg.known_infallible, ["SimRng::next_u64"]);
-        assert_eq!(cfg.baseline_path, "lint-baseline.json");
     }
 }

@@ -11,21 +11,16 @@
 //!   bodies, fields, variants and use-trees, plus expression extractors.
 //! * [`config`] — the lint policy, as code: hot modules, ordered-type
 //!   allowlist, known-infallible fns, thread homes, lock-free modules.
-//! * [`baseline`] — `lint-baseline.json` load/apply/update: known findings
-//!   are suppressed, *new* findings fail the build.
 //! * [`callgraph`] — workspace-wide call graph (nodes, resolved edges,
 //!   panic/alloc leaves) over the parsed sources.
 //! * [`rules`] — the rule implementations over the AST, including the
 //!   interprocedural `reachable` pair on top of the call graph.
-//! * [`lint`] — the driver: file sweep, suppression comments, baseline
-//!   application, and the allocation/callgraph reports.
-//! * [`json`] — dependency-free mini JSON reader/writer helpers.
+//! * [`lint`] — the driver: file sweep, suppression comments, and the
+//!   allocation/callgraph reports.
 //! * [`trace_report`] — post-mortem summary of `--trace` JSONL logs.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
-pub mod json;
 pub mod lint;
 pub mod parse;
 pub mod rules;

@@ -53,10 +53,8 @@
 //!   in workload tables.
 //! * `alloc-in-datapath` — allocation-shaped expressions (constructions,
 //!   `vec!`/`format!`, copying conversions, non-`Copy` clones) in the hot
-//!   per-event modules, outside constructors. The committed
-//!   `lint-baseline.json` carries the known inventory; *new* sites fail.
-//!   `xtask lint --report alloc` dumps the full inventory including
-//!   ungated growth sites.
+//!   per-event modules, outside constructors. `xtask lint --report alloc`
+//!   dumps the full inventory including ungated growth sites.
 //! * `unordered-iteration` — iteration over a type outside the
 //!   ordered-collections allowlist, where resolvable from declared types.
 //! * `panic-reachable` / `alloc-reachable` — interprocedural: a BFS over
@@ -70,10 +68,8 @@
 //! directly above it (comment runs count as one block), or directly above
 //! the statement containing it suppresses that rule. The policy (hot
 //! modules, ordered types, lock-free modules) is `LintConfig::default()`
-//! in `config.rs`; known findings live in `lint-baseline.json` and are
-//! subtracted by [`lint_workspace`] — they are visible in
-//! [`lint_workspace_full`]'s outcome, and stale entries (matching nothing)
-//! are reported so the baseline only ever shrinks.
+//! in `config.rs`. There is no ledger of grandfathered findings: every
+//! finding of [`lint_workspace_full`] fails the run.
 //!
 //! Beyond the simulation crates, the pass also covers the files in
 //! [`LINTED_EXTRA_FILES`] — currently the experiment orchestrator, whose
@@ -85,7 +81,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, Entry};
 use crate::config::LintConfig;
 use crate::rules::{self, alloc::AllocSite};
 use crate::tokenize::{scan, Comment, Kind};
@@ -164,33 +159,21 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Full result of a workspace sweep, before and after the baseline.
+/// Full result of a workspace sweep.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Findings not in the baseline — these fail the build.
-    pub new: Vec<Finding>,
-    /// Known findings absorbed by the baseline.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries that matched nothing (remove via
-    /// `--update-baseline`).
-    pub stale: Vec<Entry>,
+    /// The findings — any of them fails the build.
+    pub findings: Vec<Finding>,
     /// The allocation inventory of the hot modules (gated + growth sites).
     pub alloc_report: Vec<AllocSite>,
-    /// The call-graph summary and witness inventory (pre-baseline).
+    /// The call-graph summary and witness inventory.
     pub callgraph: rules::reachable::CallgraphReport,
-}
-
-/// Lints the workspace and returns the findings **not** covered by the
-/// committed baseline. This is the pass/fail surface: an empty result
-/// means clean.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(lint_workspace_full(root)?.new)
 }
 
 /// Lints every `src/**/*.rs` file of the covered crates under `root`, plus
 /// the individually covered [`LINTED_EXTRA_FILES`] and the restricted
 /// sweeps (header sizes in `tests/`, wall-clock in the outer layers); then
-/// applies the baseline and builds the hot-module allocation report.
+/// builds the hot-module allocation report.
 pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
     let cfg = LintConfig::default();
     let mut findings = Vec::new();
@@ -286,12 +269,8 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
     alloc_report
         .sort_by(|a, b| (&a.file, a.line, a.col, &a.kind).cmp(&(&b.file, b.line, b.col, &b.kind)));
 
-    let baseline = Baseline::load(&root.join(&cfg.baseline_path)).map_err(io::Error::other)?;
-    let applied = baseline.apply(findings);
     Ok(Outcome {
-        new: applied.new,
-        baselined: applied.baselined,
-        stale: applied.stale,
+        findings,
         alloc_report,
         callgraph,
     })
@@ -916,28 +895,23 @@ fn late_prod() { let _ = std::time::Instant::now(); }
 
     #[test]
     fn repo_is_currently_clean() {
-        // The workspace itself must pass its own lint (modulo the
-        // committed baseline); run it from the xtask test binary so
-        // `cargo test` catches regressions without a separate CI step.
+        // The workspace itself must pass its own lint; run it from the
+        // xtask test binary so `cargo test` catches regressions without a
+        // separate CI step.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .expect("workspace root")
             .to_path_buf();
         let outcome = lint_workspace_full(&root).expect("walk workspace");
         assert!(
-            outcome.new.is_empty(),
+            outcome.findings.is_empty(),
             "determinism/units lint found:\n{}",
             outcome
-                .new
+                .findings
                 .iter()
                 .map(|f| f.to_string())
                 .collect::<Vec<_>>()
                 .join("\n")
-        );
-        assert!(
-            outcome.stale.is_empty(),
-            "stale baseline entries (run `cargo xtask lint --update-baseline`):\n{:?}",
-            outcome.stale
         );
     }
 }

@@ -9,17 +9,13 @@
 //!   annotations (`--format github`). `--report alloc` dumps the
 //!   allocation-site inventory of the hot datapath modules instead, and
 //!   `--report callgraph` the call-graph summary with every
-//!   panic/alloc-reachable witness chain; `--update-baseline` rewrites
-//!   `lint-baseline.json` from the current findings (shrink-only
-//!   workflow: review the diff before committing).
+//!   panic/alloc-reachable witness chain.
 //! * `trace-report` — post-mortem summary of `--trace` JSONL logs (see
 //!   `trace_report.rs` and DESIGN.md "Packet-lifecycle tracing").
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::baseline::Baseline;
-use xtask::config::LintConfig;
 use xtask::{lint, trace_report};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -34,7 +30,6 @@ struct LintArgs {
     fmt: Format,
     report_alloc: bool,
     report_callgraph: bool,
-    update_baseline: bool,
 }
 
 fn main() -> ExitCode {
@@ -72,14 +67,9 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
         fmt: Format::Human,
         report_alloc: false,
         report_callgraph: false,
-        update_baseline: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if arg == "--update-baseline" {
-            la.update_baseline = true;
-            continue;
-        }
         if arg == "--report" {
             let what = it
                 .next()
@@ -118,9 +108,9 @@ fn print_usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint [--format human|json|github] [--report alloc|callgraph] [--update-baseline]");
+    eprintln!("  lint [--format human|json|github] [--report alloc|callgraph]");
     eprintln!("          run the determinism & units lint over the simulation crates;");
-    eprintln!("          policy in xtask/src/config.rs, known findings in lint-baseline.json");
+    eprintln!("          policy in xtask/src/config.rs");
     eprintln!("  trace-report PATH...");
     eprintln!("          summarize packet-lifecycle trace logs (JSONL files or");
     eprintln!("          directories from the experiments binary's --trace)");
@@ -148,30 +138,7 @@ fn run_lint(la: LintArgs) -> ExitCode {
         println!("{}", callgraph_report_json(&outcome.callgraph));
         return ExitCode::SUCCESS;
     }
-    if la.update_baseline {
-        let cfg = LintConfig::default();
-        let mut all = outcome.new.clone();
-        all.extend(outcome.baselined.iter().cloned());
-        let baseline = Baseline::from_findings(&all);
-        let path = root.join(&cfg.baseline_path);
-        if let Err(e) = std::fs::write(&path, baseline.to_json()) {
-            eprintln!("xtask lint: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "xtask lint: baseline rewritten with {} finding(s) ({} entr{}) at {}",
-            all.len(),
-            baseline.entries.len(),
-            if baseline.entries.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            cfg.baseline_path
-        );
-        return ExitCode::SUCCESS;
-    }
-    let findings = &outcome.new;
+    let findings = &outcome.findings;
     match la.fmt {
         Format::Human => {
             for f in findings {
@@ -206,19 +173,7 @@ fn run_lint(la: LintArgs) -> ExitCode {
             }
         }
     }
-    if !outcome.baselined.is_empty() {
-        eprintln!(
-            "xtask lint: {} baselined finding(s) suppressed (see lint-baseline.json)",
-            outcome.baselined.len()
-        );
-    }
-    for s in &outcome.stale {
-        eprintln!(
-            "xtask lint: stale baseline entry {}:[{}] {} (run --update-baseline)",
-            s.file, s.rule, s.text
-        );
-    }
-    if findings.is_empty() && outcome.stale.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

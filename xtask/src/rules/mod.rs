@@ -2,7 +2,7 @@
 //!
 //! Each submodule contributes *candidates* — `(token, rule, rationale)`
 //! triples — from one family of checks; the driver in `lint.rs` applies
-//! `lint:allow` suppression and the baseline on top. Splitting candidates
+//! `lint:allow` suppression on top. Splitting candidates
 //! from findings keeps every rule a pure function of the token stream +
 //! AST, which is what the fixture corpus pins down.
 //!
@@ -60,10 +60,10 @@ pub const WHY_ITER: &str =
     "iteration over a type outside the ordered-collections allowlist; event order may drift";
 pub const WHY_PANIC_REACH: &str =
     "panic reachable from a datapath entry point; make the chain infallible, allowlist a \
-     proven-infallible fn in xtask/src/config.rs, or baseline the witness";
+     proven-infallible fn in xtask/src/config.rs, or justify the leaf with a lint:allow";
 pub const WHY_ALLOC_REACH: &str =
     "allocation reachable from a datapath entry point; preallocate, hoist the allocation out \
-     of the chain, or baseline the witness";
+     of the chain, or justify the leaf with a lint:allow";
 
 /// The only file allowed to define/use the float↔time conversions.
 pub const FLOAT_TIME_HOME: &str = "crates/simcore/src/time.rs";

@@ -6,9 +6,8 @@
 //! module (`LintConfig::hot_modules`). A BFS from the entries must reach
 //! no panic or allocation leaf; each violation reports the *shortest*
 //! witness chain `entry -> f -> g` ending at the leaf's file, kind, and
-//! source line. The chain text deliberately omits line numbers so baseline
-//! entries survive line churn (the `--report callgraph` JSON carries exact
-//! positions).
+//! source line. The chain text deliberately omits line numbers, which the
+//! finding's own position and the `--report callgraph` JSON carry.
 //!
 //! Leaves inside hot-module files are *not* reported here — the file-local
 //! rules already flag them — so the interprocedural rules cover exactly
@@ -47,7 +46,7 @@ pub struct Witness {
 }
 
 impl Witness {
-    /// The baseline-stable finding text: chain + leaf, no line numbers.
+    /// The finding text: chain + leaf, no line numbers.
     pub fn chain_text(&self) -> String {
         format!(
             "{}\n  -> {} [{}] {}",
@@ -66,7 +65,7 @@ pub struct CallgraphReport {
     pub edge_count: usize,
     /// Entry-point qnames, sorted and deduplicated.
     pub entries: Vec<String>,
-    /// All witnesses (pre-baseline), sorted.
+    /// All witnesses, sorted.
     pub witnesses: Vec<Witness>,
 }
 

@@ -10,17 +10,15 @@
 //! A *directory* `tests/lint_fixtures/<name>/` is a multi-file fixture for
 //! the interprocedural call-graph rules: every member `.rs` file declares
 //! its pretended path with `//@ file:` (so one member can live in a hot
-//! module and another outside it), `//@ infallible:` lines extend the
-//! `known_infallible` allowlist, and an optional
-//! `baseline.json` in the directory is applied before comparison. The
-//! sidecar `<name>.expected` sits next to the directory and uses
-//! `file:line:col rule` lines (the file disambiguates multi-file anchors).
+//! module and another outside it) and `//@ infallible:` lines extend the
+//! `known_infallible` allowlist. The sidecar `<name>.expected` sits next
+//! to the directory and uses `file:line:col rule` lines (the file
+//! disambiguates multi-file anchors).
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xtask::baseline::Baseline;
 use xtask::config::LintConfig;
 use xtask::lint;
 use xtask::rules::reachable;
@@ -89,8 +87,6 @@ struct DirFixture {
     members: Vec<(String, String)>,
     /// Extra `known-infallible` names from `//@ infallible:` directives.
     infallible: Vec<String>,
-    /// Contents of `baseline.json`, if the directory has one.
-    baseline: Option<String>,
     expected: Vec<String>,
 }
 
@@ -138,7 +134,6 @@ fn load_dir_fixtures() -> Vec<DirFixture> {
             });
             members.push((file, src));
         }
-        let baseline = fs::read_to_string(path.join("baseline.json")).ok();
         let sidecar = path.with_extension("expected");
         let expected = fs::read_to_string(&sidecar)
             .unwrap_or_else(|_| panic!("{name}: missing sidecar {}", sidecar.display()))
@@ -151,7 +146,6 @@ fn load_dir_fixtures() -> Vec<DirFixture> {
             name,
             members,
             infallible,
-            baseline,
             expected,
         });
     }
@@ -177,7 +171,7 @@ fn fixtures_cover_every_rule() {
         fixtures.len()
     );
     assert!(
-        dir_fixtures.len() >= 4,
+        dir_fixtures.len() >= 3,
         "expected a call-graph corpus, found {}",
         dir_fixtures.len()
     );
@@ -222,15 +216,6 @@ fn dir_fixtures_match_expected_witnesses() {
         let mut cfg = LintConfig::default();
         cfg.known_infallible.extend(f.infallible.iter().cloned());
         let findings = reachable::check_sources(&f.members, &cfg);
-        let findings = match &f.baseline {
-            Some(src) => {
-                Baseline::from_json(src)
-                    .unwrap_or_else(|e| panic!("{}: bad baseline.json: {e}", f.name))
-                    .apply(findings)
-                    .new
-            }
-            None => findings,
-        };
         let mut got: Vec<String> = findings
             .iter()
             .map(|fi| format!("{}:{}:{} {}", fi.file, fi.line, fi.col, fi.rule))
