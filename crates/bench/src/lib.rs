@@ -11,10 +11,9 @@ use flexpass_simcore::time::{Rate, Time, TimeDelta};
 use flexpass_simcore::units::Bytes;
 use flexpass_simnet::port::{PortConfig, QueueSched};
 use flexpass_simnet::queue::QueueConfig;
-use flexpass_simnet::sim::TransportFactory;
 use flexpass_simnet::switch::{ClassMap, SwitchProfile};
 use flexpass_simnet::topology::ClosParams;
-use flexpass_simnet::{partition, FlowSpec, NullObserver, ParSim, Sim, Topology};
+use flexpass_simnet::{FlowSpec, NullObserver, ParSim, Sim, Topology};
 
 /// Which calendar backend a workload runs against. The timing wheel is
 /// the only one; the parameter is kept for `flexbench`'s call sites.
@@ -126,8 +125,8 @@ pub fn datapath_sim(hosts: usize, flow_bytes: u64) -> Sim<NullObserver> {
 pub const MULTIPOD_HOSTS: usize = 64;
 
 /// The 64-host two-pod Clos used by the multipod workloads: 8 ToRs of
-/// 8 hosts, two aggs per pod. `partition(_, 2)` cuts it one pod per
-/// domain; `partition(_, 4)` into rack pairs.
+/// 8 hosts, two aggs per pod. Two domains cut it one pod per domain,
+/// four into rack pairs.
 pub fn multipod_params() -> ClosParams {
     ClosParams {
         hosts_per_tor: 8,
@@ -183,24 +182,13 @@ pub fn multipod_sim() -> Sim<NullObserver> {
     sim
 }
 
-/// Builds the same workload cut into `domains` partitions on the parallel
-/// engine. Panics if the fabric does not partition (it always does for
-/// 2 ≤ `domains` ≤ 8 on the two-pod Clos).
+/// Builds the same workload on the engine asked for `domains` domains
+/// (the two-pod Clos cuts into any count from 2 to 8).
 pub fn multipod_par_sim(domains: usize) -> ParSim<NullObserver> {
     let profile = multipod_profile();
     let topo = Topology::clos(multipod_params(), &profile, &profile);
-    let part = match partition(topo, domains) {
-        Ok(p) => p,
-        Err(_) => panic!("two-pod clos must partition into {domains} domains"),
-    };
-    let k = part.n_domains();
-    let factories: Vec<Box<dyn TransportFactory>> = (0..k)
-        .map(|_| {
-            Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5))) as Box<dyn TransportFactory>
-        })
-        .collect();
-    let observers: Vec<NullObserver> = (0..k).map(|_| NullObserver).collect();
-    let mut sim = ParSim::new(part, factories, observers, MULTIPOD_HOSTS);
+    let factory = Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5)));
+    let mut sim = ParSim::new(topo, factory, domains, MULTIPOD_HOSTS, || NullObserver);
     for f in multipod_flows() {
         sim.schedule_flow(f);
     }
@@ -241,6 +229,13 @@ mod tests {
             per_domain.iter().all(|&e| e > 0),
             "idle domain: {per_domain:?}"
         );
+    }
+
+    /// `events_processed` on a scheduled engine that has not run yet
+    /// (it used to subtract every scheduled split flow and underflow).
+    #[test]
+    fn fresh_partitioned_engine_has_processed_nothing() {
+        assert_eq!(multipod_par_sim(2).events_processed(), 0);
     }
 
     #[test]

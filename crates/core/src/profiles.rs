@@ -212,16 +212,6 @@ pub fn homa_mix_profile(p: &ProfileParams) -> SwitchProfile {
     }
 }
 
-/// The Figure 5(b) "alternative queueing" profile: like FlexPass but the
-/// reactive sub-flow is classed as legacy, so it lands in Q2 with the
-/// legacy traffic (the endpoint sets `reactive_class = Legacy`).
-pub fn alt_queueing_profile(p: &ProfileParams) -> SwitchProfile {
-    // The switch side is identical to FlexPass (the classing happens at the
-    // endpoints); Q2 keeps its ECN threshold so reactive packets are
-    // still marked there.
-    flexpass_profile(p)
-}
-
 /// The host-NIC variant of a switch profile (§5 footnote 6: "NIC is
 /// essentially a special type of edge switch"). Queues, class mapping and
 /// — critically — the credit-queue shaper are identical to switch ports:

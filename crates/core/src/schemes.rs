@@ -193,12 +193,6 @@ impl SchemeFactory {
         }
     }
 
-    /// Overrides the DCTCP (legacy) configuration.
-    pub fn with_dctcp(mut self, cfg: DctcpConfig) -> Self {
-        self.dctcp = cfg;
-        self
-    }
-
     /// The deployment in effect (e.g. to tag flows consistently).
     pub fn deployment(&self) -> &Deployment {
         &self.deployment

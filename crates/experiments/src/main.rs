@@ -24,13 +24,16 @@
 //! every simulation point writes `<out>/traces/<group>-<label>.jsonl`
 //! (events + telemetry summary; `FILTER` is a comma-separated event-kind
 //! list, default all). Summarize with `cargo xtask trace-report`. Tracing
-//! is observation-only: CSVs stay byte-identical with it on or off.
+//! is observation-only: CSVs stay byte-identical with it on or off. The
+//! tracer is thread-local and the domain threads of a cut fabric do not
+//! carry it, so `--trace` together with `--par-sim N` for `N >= 2` is a
+//! usage error.
 //!
-//! `--par-sim N` partitions each simulation into `N` parallel domains
-//! (rack-granular fabric cut, conservative windowed synchronization; see
-//! DESIGN.md §14). `--par-sim 1` (the default) is the serial engine;
-//! topologies too small to cut (e.g. single-rack stars) silently fall
-//! back to serial.
+//! `--par-sim N` asks the engine to cut each simulation's fabric into up
+//! to `N` parallel domains (rack-granular cut, conservative windowed
+//! synchronization; see DESIGN.md §14). `--par-sim 1` (the default) and
+//! topologies with no useful cut (e.g. single-rack stars) run as one
+//! domain on the calling thread.
 //!
 //! `--jobs N` sets the worker-thread count for the experiment pool
 //! (default: available parallelism; `--jobs 1` runs serially). Output is
@@ -146,6 +149,11 @@ fn main() {
     }
 
     if let Some(spec) = &packet_trace {
+        if orchestrate::par_sim() >= 2 {
+            usage_error(
+                "--trace cannot be combined with --par-sim N >= 2: domain threads carry no tracer",
+            );
+        }
         if let Err(e) = flexpass_experiments::tracecfg::enable(spec, &out) {
             eprintln!("--trace: {e}");
             std::process::exit(2);

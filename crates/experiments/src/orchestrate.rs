@@ -47,7 +47,7 @@ const HEARTBEAT: std::time::Duration = std::time::Duration::from_secs(5);
 /// Requested worker count; 0 = use available parallelism.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Requested intra-simulation partition domains; 1 = the serial engine.
+/// Requested domain count of each simulation's engine (`--par-sim`).
 static PAR_SIM: AtomicUsize = AtomicUsize::new(1);
 
 /// Process-wide record of every task that panicked, drained by the binary
@@ -74,16 +74,15 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Sets the intra-simulation partition-domain count used by the runner
-/// helpers. `1` (the default) keeps the serial engine; `n > 1` asks
-/// [`crate::runner`] to cut each fabric into `n` domains and run them on
-/// the partitioned engine ([`flexpass_simnet::ParSim`]). Topologies the
-/// partitioner rejects (single rack, too few racks) fall back to serial.
+/// Sets the domain count [`crate::runner::run`] asks each simulation's
+/// engine ([`flexpass_simnet::ParSim`]) for. The engine cuts the fabric
+/// into at most that many domains; `1` (the default), or a fabric with no
+/// useful cut, is one domain run on the calling thread.
 pub fn set_par_sim(n: usize) {
     PAR_SIM.store(n, Ordering::SeqCst);
 }
 
-/// The effective partition-domain count (never 0).
+/// The requested domain count (never 0).
 pub fn par_sim() -> usize {
     PAR_SIM.load(Ordering::SeqCst).max(1)
 }
@@ -365,36 +364,25 @@ fn heartbeat(state: &PoolState, stop: &AtomicBool) {
     }
 }
 
-/// Renders the partitioned-engine suffix of a heartbeat line: per-domain
-/// load balance (worst max/min ratio over the active probes that publish
-/// domain counters) and summed packet-arena growth statistics. Empty when
-/// no active task runs partitioned and the arenas report nothing.
+/// Renders the engine suffix of a heartbeat line: per-domain load balance
+/// (worst max/min ratio over the active probes that publish domain
+/// counters) and summed packet-arena growth statistics. Empty when no
+/// active task runs a cut fabric and the arenas report nothing.
 fn partition_segment(active: &[(String, Arc<ProgressProbe>)]) -> String {
-    let mut worst: Option<(u64, u64)> = None;
-    let mut grows = 0u64;
-    let mut high_water = 0u64;
-    for (_, probe) in active {
-        if let Some((max, min)) = probe.domain_balance() {
-            let beats = match worst {
-                // Compare max/min ratios without dividing: a/b > c/d
-                // iff a*d > c*b for non-negative operands.
-                Some((wmax, wmin)) => max.saturating_mul(wmin) > wmax.saturating_mul(min),
-                None => true,
-            };
-            if beats {
-                worst = Some((max, min));
-            }
-        }
-        grows += probe.arena_grows();
-        high_water = high_water.max(probe.arena_high_water());
-    }
+    let probes = || active.iter().map(|(_, probe)| probe);
+    // A domain that has published no event yet makes its ratio infinite.
+    let ratio = |(max, min): (u64, u64)| match min {
+        0 => f64::INFINITY,
+        _ => max as f64 / min as f64,
+    };
+    let worst = probes()
+        .filter_map(|p| p.domain_balance())
+        .map(ratio)
+        .reduce(f64::max);
+    let grows: u64 = probes().map(|p| p.arena_grows()).sum();
+    let high_water = probes().map(|p| p.arena_high_water()).max().unwrap_or(0);
     let mut out = String::new();
-    if let Some((max, min)) = worst {
-        let ratio = if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        };
+    if let Some(ratio) = worst {
         out.push_str(&format!(" | domains max/min {ratio:.2}"));
     }
     if grows > 0 || high_water > 0 {

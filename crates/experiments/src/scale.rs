@@ -210,8 +210,7 @@ mod tests {
     #[test]
     #[allow(clippy::float_cmp)] // bit-identical determinism is the claim
     fn par_sim_domain_merge_is_deterministic() {
-        use flexpass_simcore::time::TimeDelta;
-        use flexpass_simnet::{partition, ParSim};
+        use flexpass_simnet::ParSim;
 
         let spec = ScaleSpec {
             hosts: 48,
@@ -222,23 +221,13 @@ mod tests {
         };
         let run_par = || {
             let (topo, factory, flows) = build_point(&spec);
-            let mut factories = Vec::new();
-            for _ in 0..2 {
-                factories.push(factory.try_clone().expect("scheme factory clones"));
-            }
-            let part = match partition(topo, 2) {
-                Ok(p) => p,
-                Err(_) => panic!("a multi-pod clos must partition"),
-            };
-            let base = Recorder::new().with_streaming();
-            let observers: Vec<Recorder> =
-                (0..part.n_domains()).map(|_| base.fresh_like()).collect();
-            let mut par = ParSim::new(part, factories, observers, flows.len());
+            let mut merged = Recorder::new().with_streaming();
+            let mut par = ParSim::new(topo, factory, 2, flows.len(), || merged.fresh_like());
+            assert_eq!(par.n_domains(), 2, "a multi-pod clos must partition");
             for fl in &flows {
                 par.schedule_flow(*fl);
             }
-            par.run_to_completion(TimeDelta::millis(20));
-            let mut merged = base;
+            par.run(DRAINED);
             for obs in par.into_observers() {
                 merged.absorb(obs);
             }

@@ -602,4 +602,98 @@ mod tests {
              0.100000,0.200000,0.300000,12.345000,7,0.015000,300.50\n"
         );
     }
+
+    /// An engine that does not cut is the bare `Sim` over the same fabric
+    /// and flows, down to the rendered sweep row: a star, a one-rack
+    /// fabric, one domain asked for, a factory that cannot clone.
+    #[test]
+    fn one_domain_engine_renders_the_bare_sims_bytes() {
+        use crate::runner::star_topo;
+        use flexpass_simnet::sim::NetEnv;
+        use flexpass_simnet::{Endpoint, ParSim, Sim};
+
+        struct NoClone(Box<dyn TransportFactory>);
+        impl TransportFactory for NoClone {
+            fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+                self.0.sender(flow, env)
+            }
+            fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+                self.0.receiver(flow, env)
+            }
+        }
+
+        let (scheme, ratio, deploy_seed) = (Scheme::FlexPass, 0.5, 7);
+        let spec = SweepSpec {
+            n_flows: Some(25),
+            ..SweepSpec::fig10(RunScale::Smoke)
+        };
+        let cfg = || FlexPassConfig::new(spec.wq);
+        let small = spec.scale.clos();
+        let one_rack = ClosParams {
+            n_core: 1,
+            n_agg: 1,
+            n_tor: 1,
+            aggs_per_pod: 1,
+            ..small
+        };
+        type Point = (Topology, Box<dyn TransportFactory>, Vec<FlowSpec>);
+        let point = |clos: ClosParams| -> Point {
+            let deployment = rollout(&clos, ratio, deploy_seed);
+            let flows = build_flows(&spec, &deployment, clos.n_hosts());
+            build_point(
+                clos,
+                scheme,
+                deployment,
+                flows,
+                cfg(),
+                spec.wq,
+                spec.sel_drop,
+            )
+        };
+        let star = || {
+            let (_, factory, flows) = point(one_rack);
+            let profile = scheme.profile(&ProfileParams::simulation(one_rack.link_rate), 0.5);
+            (star_topo(one_rack.n_hosts(), &profile), factory, flows)
+        };
+        let no_clone = || {
+            let (topo, factory, flows) = point(small);
+            let factory: Box<dyn TransportFactory> = Box::new(NoClone(factory));
+            (topo, factory, flows)
+        };
+        let csv = |rec: &Recorder| to_csv(&[point_from_recorder(scheme, ratio, rec)]).render();
+        let bare = |(topo, factory, flows): Point| {
+            let mut sim = Sim::with_flow_capacity(topo, factory, Recorder::new(), flows.len());
+            for f in &flows {
+                sim.schedule_flow(*f);
+            }
+            sim.run(DRAINED);
+            assert_eq!(sim.observer.completed(), flows.len());
+            csv(&sim.observer)
+        };
+
+        let cases: [(&str, &dyn Fn() -> Point, usize); 4] = [
+            ("star", &star, 4),
+            ("one rack", &|| point(one_rack), 2),
+            ("n = 1", &|| point(small), 1),
+            ("factory cannot clone", &no_clone, 2),
+        ];
+        for (name, build, n) in cases {
+            let (topo, factory, flows) = build();
+            let mut par = ParSim::new(topo, factory, n, flows.len(), Recorder::new);
+            assert_eq!(par.n_domains(), 1, "{name}");
+            for f in &flows {
+                par.schedule_flow(*f);
+            }
+            par.run(DRAINED);
+            let mut merged = Recorder::new();
+            for domain in par.into_observers() {
+                merged.absorb(domain);
+            }
+            assert_eq!(csv(&merged), bare(build()), "{name}");
+        }
+        // And through `runner::run`, which asks for `--par-sim`'s default 1.
+        let rec = Recorder::new();
+        let through_runner = run_spec_point(scheme, ratio, &spec, deploy_seed, cfg(), rec, None);
+        assert_eq!(csv(&through_runner), bare(point(small)));
+    }
 }

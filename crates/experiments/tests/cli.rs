@@ -68,6 +68,25 @@ fn malformed_values_are_usage_errors() {
     assert_usage_error(&["--fig", "custom"], "requires --trace FILE");
 }
 
+/// The tracer is thread-local and domain threads do not carry it: the
+/// combination used to exit 0 with every trace file reading `"total":0`.
+#[test]
+fn trace_with_a_cut_fabric_is_a_usage_error() {
+    for args in [
+        ["--fig", "none", "--par-sim", "2", "--trace=drop,rto"],
+        ["--fig", "none", "--trace", "--par-sim", "2"],
+    ] {
+        let stderr = assert_usage_error(&args, "--trace cannot be combined with --par-sim");
+        assert!(!stderr.contains("tracing armed"), "{stderr}");
+    }
+    // One domain runs on the calling thread, under its tracer.
+    let out = std::env::temp_dir().join(format!("flexpass-cli-trace-{}", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    let (code, stderr) = run(&["--fig", "none", "--par-sim", "1", "--trace", "--out", out]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let _ = std::fs::remove_dir_all(out);
+}
+
 #[test]
 fn unknown_figure_lists_the_valid_names() {
     // `fig16` is a paper figure but not a `--fig` name (`fig15` emits its

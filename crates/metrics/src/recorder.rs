@@ -435,15 +435,7 @@ impl Recorder {
         self.streamed += other.streamed;
         self.flows.extend(other.flows);
         for (tag, s) in other.tx_by_tag {
-            let agg = self.tx_by_tag.entry(tag).or_default();
-            agg.data_pkts += s.data_pkts;
-            agg.data_bytes += s.data_bytes;
-            agg.retx_pkts += s.retx_pkts;
-            agg.proactive_retx_pkts += s.proactive_retx_pkts;
-            agg.redundant_bytes += s.redundant_bytes;
-            agg.timeouts += s.timeouts;
-            agg.credits_received += s.credits_received;
-            agg.credits_wasted += s.credits_wasted;
+            self.tx_by_tag.entry(tag).or_default().add(&s);
         }
         for (reason, n) in other.drops {
             *self.drops.entry(reason).or_insert(0) += n;
@@ -509,15 +501,7 @@ impl NetObserver for Recorder {
             }
             AppEvent::SenderDone { flow, stats } => {
                 let tag = self.live.get(flow).map_or(0, |lf| lf.tag);
-                let agg = self.tx_by_tag.entry(tag).or_default();
-                agg.data_pkts += stats.data_pkts;
-                agg.data_bytes += stats.data_bytes;
-                agg.retx_pkts += stats.retx_pkts;
-                agg.proactive_retx_pkts += stats.proactive_retx_pkts;
-                agg.redundant_bytes += stats.redundant_bytes;
-                agg.timeouts += stats.timeouts;
-                agg.credits_received += stats.credits_received;
-                agg.credits_wasted += stats.credits_wasted;
+                self.tx_by_tag.entry(tag).or_default().add(stats);
                 if self.streaming {
                     if let Some(lf) = self.live.get_mut(flow) {
                         lf.done |= TX_DONE;

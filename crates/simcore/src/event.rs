@@ -22,9 +22,7 @@
 //! delivered sequence as if the cancelled events had never been scheduled.
 
 use std::num::NonZeroU32;
-use std::sync::Arc;
 
-use crate::progress::{ProgressProbe, PUBLISH_EVERY};
 use crate::time::Time;
 use crate::wheel::TimingWheel;
 
@@ -120,9 +118,6 @@ pub struct EventQueue<E> {
     timer_gens: Vec<u32>,
     /// Slab slots whose calendar entry has drained and can be reused.
     free_slots: Vec<NonZeroU32>,
-    /// Observational progress counters published every
-    /// [`PUBLISH_EVERY`] pops; never read back by the simulation.
-    probe: Option<Arc<ProgressProbe>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -151,17 +146,7 @@ impl<E> EventQueue<E> {
             cancelled: 0,
             timer_gens,
             free_slots: Vec::new(),
-            probe: None,
         }
-    }
-
-    /// Attaches a [`ProgressProbe`] the calendar publishes `(popped, now)`
-    /// into every [`PUBLISH_EVERY`] pops. Purely observational: the
-    /// simulation never reads the probe, so attaching one cannot change
-    /// any simulated outcome.
-    pub fn attach_probe(&mut self, probe: Arc<ProgressProbe>) {
-        probe.publish(self.popped, self.last_time.as_nanos());
-        self.probe = Some(probe);
     }
 
     /// Schedules `payload` to fire at absolute instant `time`.
@@ -277,7 +262,7 @@ impl<E> EventQueue<E> {
     ///
     /// Cancelled entries encountered on the way are discarded without any
     /// observable effect (no `popped` tick, no `now()` advance, no audit
-    /// callback, no probe publish).
+    /// callback).
     pub fn pop(&mut self) -> Option<(Time, E)> {
         loop {
             let (time, seq, entry) = self
@@ -289,11 +274,6 @@ impl<E> EventQueue<E> {
             self.popped += 1;
             self.last_time = time;
             flexpass_simaudit::on_event_pop(time.as_nanos(), seq);
-            if self.popped & (PUBLISH_EVERY - 1) == 0 {
-                if let Some(p) = &self.probe {
-                    p.publish(self.popped, time.as_nanos());
-                }
-            }
             return Some((time, entry.payload));
         }
     }
@@ -423,27 +403,6 @@ mod tests {
         q.schedule(Time::from_micros(3), ());
         q.pop();
         assert_eq!(q.now(), Time::from_micros(3));
-    }
-
-    #[test]
-    fn probe_publishes_on_pop_boundary() {
-        use crate::progress::{ProgressProbe, PUBLISH_EVERY};
-        use std::sync::Arc;
-
-        let mut q = EventQueue::new();
-        let probe = Arc::new(ProgressProbe::new());
-        q.attach_probe(Arc::clone(&probe));
-        for i in 0..PUBLISH_EVERY + 1 {
-            q.schedule(Time::from_nanos(i), i);
-        }
-        // Before the publish boundary the probe still shows the initial 0.
-        for _ in 0..PUBLISH_EVERY - 1 {
-            q.pop();
-        }
-        assert_eq!(probe.events(), 0);
-        q.pop(); // pop number PUBLISH_EVERY → publish fires
-        assert_eq!(probe.events(), PUBLISH_EVERY);
-        assert_eq!(probe.vtime_ns(), PUBLISH_EVERY - 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`rng`] — seeded deterministic randomness and a symmetric flow hash for
 //!   ECMP path selection.
 //! * [`progress`] — atomic progress counters ([`ProgressProbe`]) a running
-//!   calendar publishes into, for cross-thread heartbeat reporting.
+//!   simulation publishes into, for cross-thread heartbeat reporting.
 //! * [`stats`] — online mean/variance, exact percentiles, the bounded-memory
 //!   [`FctSketch`] quantile histogram, time-binned series.
 //! * [`mem`] — linux-gated process-RSS self-measurement for scale

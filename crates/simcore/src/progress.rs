@@ -1,20 +1,20 @@
 //! Cross-thread progress observation for long simulation runs.
 //!
 //! A [`ProgressProbe`] is a pair of atomic counters — events popped and
-//! virtual time reached — that a running [`EventQueue`](crate::event::EventQueue)
+//! virtual time reached — that a running simulation's event loop
 //! publishes into and an orchestration layer polls from another thread
 //! (e.g. a heartbeat printing points-done / events-per-second to stderr).
 //!
 //! The probe is strictly *observational*: nothing in the simulation ever
 //! reads it back, so attaching one cannot perturb event order or any other
 //! simulated outcome. Publishing uses relaxed atomics — the heartbeat
-//! tolerates slightly stale values, and the calendar publishes only every
+//! tolerates slightly stale values, and the loop publishes only every
 //! [`PUBLISH_EVERY`] pops to keep the hot path free of contention.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How many event pops elapse between probe publications. A power of two
-/// so the calendar can mask instead of dividing.
+/// so the loop can mask instead of dividing.
 pub const PUBLISH_EVERY: u64 = 1024;
 
 /// Maximum number of per-domain event slots a probe tracks (the partitioned

@@ -473,11 +473,6 @@ impl TimeSeries {
         self.bins[idx] += value;
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> TimeDelta {
-        self.bin
-    }
-
     /// All bins in time order (possibly empty trailing bins are absent).
     pub fn bins(&self) -> &[f64] {
         &self.bins

@@ -158,11 +158,6 @@ impl Rate {
         self.0
     }
 
-    /// Rate in (fractional) gigabits per second.
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time needed to serialize `bytes` at this rate, rounded up to the next
     /// nanosecond. A zero rate yields [`TimeDelta::MAX`].
     pub fn serialize(self, bytes: u64) -> TimeDelta {

@@ -35,6 +35,30 @@ pub struct TxStats {
 }
 
 impl TxStats {
+    /// Adds every counter of `other` to this one (per-tag and per-domain
+    /// aggregation). The destructuring is exhaustive: a new field that is
+    /// not summed here does not compile.
+    pub fn add(&mut self, other: &TxStats) {
+        let TxStats {
+            data_pkts,
+            data_bytes,
+            retx_pkts,
+            proactive_retx_pkts,
+            redundant_bytes,
+            timeouts,
+            credits_received,
+            credits_wasted,
+        } = *other;
+        self.data_pkts += data_pkts;
+        self.data_bytes += data_bytes;
+        self.retx_pkts += retx_pkts;
+        self.proactive_retx_pkts += proactive_retx_pkts;
+        self.redundant_bytes += redundant_bytes;
+        self.timeouts += timeouts;
+        self.credits_received += credits_received;
+        self.credits_wasted += credits_wasted;
+    }
+
     /// Accounts for one transmitted data packet of `payload` application
     /// bytes; `retx` marks a loss-recovery retransmission.
     pub fn count_data(&mut self, payload: Bytes, retx: bool) {

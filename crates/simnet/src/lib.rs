@@ -21,10 +21,11 @@
 //!   paper's 3-tier Clos (8 core / 16 agg / 32 ToR / 192 hosts, 3:1
 //!   oversubscribed).
 //! * [`sim`] — the deterministic event-driven driver tying it together.
-//! * [`mod@partition`] / [`parsim`] — the partitioned parallel engine: the
-//!   fabric cut into per-thread domains at rack granularity, advanced in
+//! * [`parsim`] / [`partition`] — the engine callers drive: [`ParSim`]
+//!   cuts the fabric itself into per-thread domains at rack granularity
+//!   (`--par-sim N` on the experiments binary) and advances them in
 //!   conservative lock-step windows bounded by the cut's minimum link
-//!   propagation (`--par-sim N` on the experiments binary).
+//!   propagation; a fabric it does not cut runs as one [`Sim`] inline.
 //! * [`audit`] — invariant-audit hooks (byte conservation ledgers, buffer
 //!   and shaper bounds), inert until an auditor is installed.
 //! * [`trace`] — packet-lifecycle trace hooks (enqueue/dequeue/mark/drop,
@@ -57,11 +58,11 @@ pub use packet::{
     Subflow, TrafficClass,
 };
 pub use parsim::ParSim;
-pub use partition::{partition, Partition};
 pub use port::{Port, PortConfig, QueueSched};
 pub use queue::{DropReason, QueueConfig};
 pub use sim::{
-    Event, FlowRole, NetEnv, NetObserver, NodeId, NullObserver, PartitionCtx, Sim, TransportFactory,
+    Event, FlowRole, NetEnv, NetObserver, NodeId, NullObserver, PartitionCtx, Sim, Stop,
+    TransportFactory,
 };
 pub use switch::{QueueSample, Switch, SwitchProfile};
 pub use topology::{ClosParams, Topology};

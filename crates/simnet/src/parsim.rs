@@ -1,7 +1,13 @@
-//! The partitioned parallel engine: conservative windowed synchronization
-//! over the per-domain simulators a [`Partition`] produces.
+//! The simulation engine the experiments, the bench crate and the engine
+//! tests drive: a whole [`Topology`] and one factory go in, and the engine
+//! cuts the fabric itself ([`partition`]). One domain — `domains < 2`, a
+//! fabric with no useful cut, a factory that cannot clone — is a plain
+//! [`Sim`] run inline on the calling thread, so thread-local observers
+//! (`audit`, `trace`) installed by the caller see every event. Two or
+//! more domains run on scoped threads under conservative windowed
+//! synchronization.
 //!
-//! # Protocol
+//! # Protocol (two or more domains)
 //!
 //! Each domain runs an ordinary [`Sim`] over its slice of the fabric. The
 //! engine advances all domains in lock-step windows. Per window, every
@@ -48,79 +54,74 @@ use flexpass_simcore::ProgressProbe;
 
 use crate::audit;
 use crate::packet::{FlowSpec, Packet};
-use crate::partition::Partition;
-use crate::sim::{FlowRole, NetObserver, NodeId, PartitionCtx, Sim, TransportFactory};
+use crate::partition::{partition, Partition};
+use crate::sim::{FlowRole, NetObserver, NodeId, PartitionCtx, Sim, Stop, TransportFactory};
+use crate::topology::Topology;
 
 /// A packet in flight across a domain cut: `(arrival instant, destination
 /// node, packet value)`. The packet left the sender domain's arena and
 /// will be re-acquired in the receiver domain's arena on injection.
 type Handoff = (Time, NodeId, Packet);
 
-/// How the engine decides when to stop.
-#[derive(Clone, Copy)]
-enum Mode {
-    /// Run until every scheduled flow completed, then drain a grace
-    /// period anchored at the global completion instant (mirrors
-    /// [`Sim::run_to_completion`]).
-    Completion(TimeDelta),
-    /// Run until virtual time would pass the deadline (mirrors
-    /// [`Sim::run_until`], inclusive).
-    Until(Time),
-}
-
-/// The partitioned parallel simulation driver: one [`Sim`] per domain,
-/// advanced in conservative lock-step windows on scoped threads.
+/// The simulation driver: one [`Sim`] per domain of the fabric it cut.
 pub struct ParSim<O: NetObserver + Send> {
     sims: Vec<Sim<O>>,
     domain_of: Arc<Vec<u32>>,
     host_domain: Vec<u32>,
     lookahead: TimeDelta,
     total_flows: usize,
-    split_flows: u64,
     probe: Option<Arc<ProgressProbe>>,
 }
 
 impl<O: NetObserver + Send> ParSim<O> {
-    /// Builds the engine from a [`Partition`], one factory clone and one
-    /// observer per domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factory or observer count does not match the domain
-    /// count.
+    /// Cuts `topo` into at most `domains` domains and builds one [`Sim`]
+    /// per domain, each with a clone of `factory`, an observer from
+    /// `observer` (called once per domain, in domain order) and calendar
+    /// and flow tables sized for `expected_flows`. A factory that cannot
+    /// [`TransportFactory::try_clone`] runs one domain.
     pub fn new(
-        part: Partition,
-        factories: Vec<Box<dyn TransportFactory>>,
-        observers: Vec<O>,
+        topo: Topology,
+        factory: Box<dyn TransportFactory>,
+        domains: usize,
         expected_flows: usize,
+        mut observer: impl FnMut() -> O,
     ) -> Self {
+        let clones: Option<Vec<_>> = (1..domains).map(|_| factory.try_clone()).collect();
+        let mut factories = clones.unwrap_or_default();
+        factories.push(factory);
+        // Fewer racks than factories: the surplus clones drop at the zip.
         let Partition {
             parts,
             domain_of,
             host_domain,
             lookahead,
-        } = part;
-        assert_eq!(parts.len(), factories.len(), "one factory per domain");
-        assert_eq!(parts.len(), observers.len(), "one observer per domain");
-        assert!(lookahead > TimeDelta::ZERO, "lookahead must be positive");
-        let mut sims = Vec::with_capacity(parts.len());
-        for (me, ((topo, factory), observer)) in
-            parts.into_iter().zip(factories).zip(observers).enumerate()
-        {
-            let mut sim = Sim::with_flow_capacity(topo, factory, observer, expected_flows);
-            sim.set_partition(PartitionCtx {
-                domain_of: Arc::clone(&domain_of),
-                me: u32::try_from(me).expect("domain count fits u32"),
-            });
-            sims.push(sim);
-        }
+        } = partition(topo, factories.len());
+        let cut = parts.len() > 1;
+        assert!(
+            !cut || lookahead > TimeDelta::ZERO,
+            "a cut needs positive lookahead"
+        );
+        let sims = parts
+            .into_iter()
+            .zip(factories)
+            .enumerate()
+            .map(|(me, (topo, factory))| {
+                let mut sim = Sim::with_flow_capacity(topo, factory, observer(), expected_flows);
+                if cut {
+                    sim.set_partition(PartitionCtx {
+                        domain_of: Arc::clone(&domain_of),
+                        me: u32::try_from(me).expect("domain count fits u32"),
+                    });
+                }
+                sim
+            })
+            .collect();
         ParSim {
             sims,
             domain_of,
             host_domain,
             lookahead,
             total_flows: 0,
-            split_flows: 0,
             probe: None,
         }
     }
@@ -130,68 +131,40 @@ impl<O: NetObserver + Send> ParSim<O> {
         self.sims.len()
     }
 
-    /// The conservative window width (minimum cut-link propagation).
-    pub fn lookahead(&self) -> TimeDelta {
-        self.lookahead
-    }
-
     /// Schedules a flow. An intra-domain flow registers both endpoint
     /// halves in its domain; a cut-crossing flow is split — receiver half
     /// in the destination host's domain, sender half in the source's.
     pub fn schedule_flow(&mut self, spec: FlowSpec) {
-        let sd = self
-            .host_domain
-            .get(spec.src)
-            .copied()
-            .expect("flow source host in range") as usize;
-        let rd = self
-            .host_domain
-            .get(spec.dst)
-            .copied()
-            .expect("flow destination host in range") as usize;
+        let domain = |host: usize| {
+            let d = self.host_domain.get(host).expect("flow endpoint in range");
+            *d as usize
+        };
+        let (sd, rd) = (domain(spec.src), domain(spec.dst));
         self.total_flows += 1;
+        let mut half = |d: usize, role| {
+            let sim = self.sims.get_mut(d).expect("host domain in range");
+            sim.schedule_flow_role(spec, role);
+        };
         if sd == rd {
-            self.sims
-                .get_mut(sd)
-                .expect("host domain in range")
-                .schedule_flow_role(spec, FlowRole::Both);
+            half(sd, FlowRole::Both);
         } else {
-            self.split_flows += 1;
-            self.sims
-                .get_mut(rd)
-                .expect("host domain in range")
-                .schedule_flow_role(spec, FlowRole::Receiver);
-            self.sims
-                .get_mut(sd)
-                .expect("host domain in range")
-                .schedule_flow_role(spec, FlowRole::Sender);
+            half(rd, FlowRole::Receiver);
+            half(sd, FlowRole::Sender);
         }
     }
 
-    /// Enables periodic queue sampling in every domain (stopped by the
-    /// engine at the first window barrier after global completion).
+    /// Enables periodic queue sampling in every domain (it stops once the
+    /// scheduled flows have completed).
     pub fn enable_sampling(&mut self, every: TimeDelta) {
         for sim in &mut self.sims {
             sim.enable_sampling(every);
         }
     }
 
-    /// Enables random non-congestion loss. Each domain draws from its own
-    /// stream (seed mixed with the domain index), so the realized loss
-    /// pattern differs from a serial run with the same seed — only the
-    /// statistical rate carries over.
-    pub fn inject_loss(&mut self, p: f64, seed: u64) {
-        for (d, sim) in self.sims.iter_mut().enumerate() {
-            sim.inject_loss(
-                p,
-                seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(d as u64 + 1)),
-            );
-        }
-    }
-
-    /// Attaches a progress probe; domain 0's thread publishes aggregated
-    /// event totals, per-domain counts, and arena statistics at window
-    /// boundaries.
+    /// Attaches a progress probe the next [`ParSim::run`] publishes into:
+    /// event totals, virtual time and arena statistics, plus per-domain
+    /// event counts when the fabric is cut (domain 0's thread publishes at
+    /// window boundaries).
     pub fn attach_progress(&mut self, probe: Arc<ProgressProbe>) {
         self.probe = Some(probe);
     }
@@ -202,18 +175,15 @@ impl<O: NetObserver + Send> ParSim<O> {
         self.sims.iter().map(|s| s.flows_completed()).sum()
     }
 
-    /// Unique flows scheduled.
-    pub fn flows_scheduled(&self) -> usize {
-        self.total_flows
-    }
-
-    /// Total events processed, adjusted to be comparable with a serial
-    /// run: a split flow pops one FlowStart event in each of its two
-    /// domains where the serial engine pops one, so the duplicate is
-    /// subtracted. All other event kinds map one-to-one.
+    /// Total events processed, comparable with a serial run: a split flow
+    /// pops one FlowStart in each of its two domains where the serial
+    /// engine pops one, so the sender halves' pops are subtracted. All
+    /// other event kinds map one-to-one.
     pub fn events_processed(&self) -> u64 {
-        let raw: u64 = self.sims.iter().map(|s| s.events_processed()).sum();
-        raw - self.split_flows
+        self.sims
+            .iter()
+            .map(|s| s.events_processed() - s.sender_half_starts)
+            .sum()
     }
 
     /// Raw events processed per domain (load-balance metric; includes the
@@ -222,72 +192,50 @@ impl<O: NetObserver + Send> ParSim<O> {
         self.sims.iter().map(|s| s.events_processed()).collect()
     }
 
-    /// Summed arena statistics `(live, high_water, capacity, grows)`
-    /// across the per-domain arenas.
-    pub fn arena_stats(&self) -> (usize, usize, usize, u64) {
-        let mut acc = (0usize, 0usize, 0usize, 0u64);
-        for s in &self.sims {
-            let (live, hw, cap, grows) = s.arena_stats();
-            acc = (acc.0 + live, acc.1 + hw, acc.2 + cap, acc.3 + grows);
-        }
-        acc
-    }
-
-    /// Packets dropped by loss injection, across domains.
-    pub fn injected_losses(&self) -> u64 {
-        self.sims.iter().map(|s| s.injected_losses()).sum()
-    }
-
     /// Consumes the engine, returning the per-domain observers in domain
     /// order (merge with the metrics layer's absorb operation).
     pub fn into_observers(self) -> Vec<O> {
         self.sims.into_iter().map(|s| s.observer).collect()
     }
 
-    /// Runs until every flow completes, then drains `grace` beyond the
-    /// global completion instant — the parallel analogue of
-    /// [`Sim::run_to_completion`].
+    /// [`ParSim::run`] to [`Stop::At`].
+    pub fn run_until(&mut self, deadline: Time) {
+        self.run(Stop::At(deadline));
+    }
+
+    /// Runs to `stop`: [`Sim::run`] inline for one domain, the window
+    /// protocol of the module doc for more. Under [`Stop::Drained`] the
+    /// drain is anchored at the global completion instant.
     ///
     /// # Panics
     ///
-    /// Panics if every calendar drains while flows are incomplete (same
-    /// contract as the serial engine), or if a domain thread panics (the
-    /// panic message is re-raised on the calling thread).
-    pub fn run_to_completion(&mut self, grace: TimeDelta) {
-        self.run_engine(Mode::Completion(grace));
-    }
-
-    /// Runs until virtual time would pass `deadline` (inclusive), the
-    /// parallel analogue of [`Sim::run_until`].
-    pub fn run_until(&mut self, deadline: Time) {
-        self.run_engine(Mode::Until(deadline));
-    }
-
-    fn run_engine(&mut self, mode: Mode) {
+    /// Panics under [`Stop::Drained`] if every calendar drains while flows
+    /// are incomplete (same contract as [`Sim::run`]), or if a domain
+    /// thread panics (the panic message is re-raised on the calling
+    /// thread).
+    pub fn run(&mut self, stop: Stop) {
+        if let [only] = self.sims.as_mut_slice() {
+            if let Some(probe) = &self.probe {
+                only.attach_progress(Arc::clone(probe));
+            }
+            return only.run(stop);
+        }
         let k = self.sims.len();
-        debug_assert!(k >= 2, "partition yields at least two domains");
-        let lookahead = self.lookahead;
-        let total_flows = self.total_flows;
-        let probe = self.probe.clone();
-        let domain_of = Arc::clone(&self.domain_of);
-
-        // Shared window state. The two t-min cells ping-pong by window
-        // parity: while window w's cell converges, domain 0 resets the
-        // other for window w+1 (ordered by the barriers on both sides).
-        let barrier = Barrier::new(k);
-        let tmin = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-        let completed: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(0)).collect();
-        let events: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let arena_grows: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let arena_hw: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let last_comp = AtomicU64::new(0);
-        // A faulted domain says so in the cell of the window it publishes
-        // into, like its t-min: a flag raised at any instant could be seen
-        // by one thread's decision and missed by another's, and the one
-        // that stayed would wait at the next barrier alone.
-        let poisoned = [AtomicBool::new(false), AtomicBool::new(false)];
-        let drained_incomplete = AtomicBool::new(false);
-        let panic_msg: OnceLock<String> = OnceLock::new();
+        let shared = Shared {
+            barrier: Barrier::new(k),
+            tmin: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
+            poisoned: [AtomicBool::new(false), AtomicBool::new(false)],
+            domains: (0..k).map(|_| DomainCounters::default()).collect(),
+            last_comp: AtomicU64::new(0),
+            drained_incomplete: AtomicBool::new(false),
+            panic_msg: OnceLock::new(),
+            probe: self.probe.as_deref(),
+            domain_of: &self.domain_of,
+            stop,
+            lookahead: self.lookahead,
+            total_flows: self.total_flows,
+            audit_active: audit::is_active(),
+        };
 
         // k×k cross-domain channels; txs[i][j] sends i→j, rxs[j][i]
         // receives from i. The self-channel exists but stays empty.
@@ -301,52 +249,13 @@ impl<O: NetObserver + Send> ParSim<O> {
             }
         }
 
-        // Domain threads install their own auditor when the calling
-        // thread has one active; partial states merge back afterwards.
-        let audit_active = audit::is_active();
-
         let partials: Vec<Option<audit::PartialAudit>> = std::thread::scope(|s| {
-            let barrier = &barrier;
-            let tmin = &tmin;
-            let completed = &completed;
-            let events = &events;
-            let arena_grows = &arena_grows;
-            let arena_hw = &arena_hw;
-            let last_comp = &last_comp;
-            let poisoned = &poisoned;
-            let drained_incomplete = &drained_incomplete;
-            let panic_msg = &panic_msg;
-            let probe = probe.as_ref();
-            let domain_of = &domain_of;
-
+            let shared = &shared;
             let mut handles = Vec::with_capacity(k);
             for (me, ((sim, my_tx), my_rx)) in self.sims.iter_mut().zip(txs).zip(rxs).enumerate() {
                 // lint:allow(thread-spawn): the parallel engine's domain
                 // runners are a blessed thread home (xtask/src/config.rs).
-                handles.push(s.spawn(move || {
-                    domain_loop(DomainCtx {
-                        me,
-                        sim,
-                        my_tx,
-                        my_rx,
-                        barrier,
-                        tmin,
-                        completed,
-                        events,
-                        arena_grows,
-                        arena_hw,
-                        last_comp,
-                        poisoned,
-                        drained_incomplete,
-                        panic_msg,
-                        probe,
-                        domain_of,
-                        mode,
-                        lookahead,
-                        total_flows,
-                        audit_active,
-                    })
-                }));
+                handles.push(s.spawn(move || domain_loop(shared, me, sim, &my_tx, &my_rx)));
             }
             handles
                 .into_iter()
@@ -354,51 +263,68 @@ impl<O: NetObserver + Send> ParSim<O> {
                 .collect()
         });
 
+        // Domain threads installed their own auditor when the calling
+        // thread has one active; their partial states merge back here.
         for p in partials.into_iter().flatten() {
             audit::absorb_partial(p);
         }
 
-        if drained_incomplete.load(Ordering::SeqCst) {
-            let done: usize = completed.iter().map(|c| c.load(Ordering::SeqCst)).sum();
+        if shared.drained_incomplete.load(Ordering::SeqCst) {
             // lint:allow(panic-path): same contract as the serial engine —
             // a drained calendar with incomplete flows is a transport bug.
-            panic!("event queue drained with {done}/{total_flows} flows incomplete");
+            panic!(
+                "event queue drained with {}/{} flows incomplete",
+                shared.completed(),
+                shared.total_flows
+            );
         }
-        if poisoned.iter().any(|p| p.load(Ordering::SeqCst)) {
-            let msg = panic_msg
-                .get()
-                .map(String::as_str)
-                .unwrap_or("domain thread panicked");
+        if shared.poisoned.iter().any(|p| p.load(Ordering::SeqCst)) {
+            let msg = shared.panic_msg.get().map(String::as_str);
             // lint:allow(panic-path): re-raise a domain thread's panic on
             // the calling thread so orchestrate's fault isolation sees it.
-            panic!("{msg}");
+            panic!("{}", msg.unwrap_or("domain thread panicked"));
         }
     }
 }
 
-/// Everything one domain thread needs; bundled so the spawn closure stays
-/// readable.
-struct DomainCtx<'a, 'sim, O: NetObserver + Send> {
-    me: usize,
-    sim: &'sim mut Sim<O>,
-    my_tx: Vec<Sender<Handoff>>,
-    my_rx: Vec<Receiver<Handoff>>,
-    barrier: &'a Barrier,
-    tmin: &'a [AtomicU64; 2],
-    completed: &'a [AtomicUsize],
-    events: &'a [AtomicU64],
-    arena_grows: &'a [AtomicU64],
-    arena_hw: &'a [AtomicU64],
-    last_comp: &'a AtomicU64,
-    poisoned: &'a [AtomicBool; 2],
-    drained_incomplete: &'a AtomicBool,
-    panic_msg: &'a OnceLock<String>,
-    probe: Option<&'a Arc<ProgressProbe>>,
-    domain_of: &'a Arc<Vec<u32>>,
-    mode: Mode,
+/// What one domain publishes at each window boundary.
+#[derive(Default)]
+struct DomainCounters {
+    completed: AtomicUsize,
+    events: AtomicU64,
+    arena_grows: AtomicU64,
+    arena_hw: AtomicU64,
+}
+
+/// The state the domain threads of one run share.
+struct Shared<'a> {
+    barrier: Barrier,
+    /// The window's global minimum event time. The two cells ping-pong by
+    /// window parity: while window w's cell converges, domain 0 resets the
+    /// other for window w+1 (ordered by the barriers on both sides).
+    tmin: [AtomicU64; 2],
+    /// A faulted domain says so in the cell of the window it publishes
+    /// into, like its t-min: a flag raised at any instant could be seen
+    /// by one thread's decision and missed by another's, and the one
+    /// that stayed would wait at the next barrier alone.
+    poisoned: [AtomicBool; 2],
+    domains: Vec<DomainCounters>,
+    last_comp: AtomicU64,
+    drained_incomplete: AtomicBool,
+    panic_msg: OnceLock<String>,
+    probe: Option<&'a ProgressProbe>,
+    domain_of: &'a [u32],
+    stop: Stop,
     lookahead: TimeDelta,
     total_flows: usize,
     audit_active: bool,
+}
+
+impl Shared<'_> {
+    fn completed(&self) -> usize {
+        let done = |d: &DomainCounters| d.completed.load(Ordering::SeqCst);
+        self.domains.iter().map(done).sum()
+    }
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -412,45 +338,25 @@ fn payload_msg(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit::PartialAudit> {
-    let DomainCtx {
-        me,
-        sim,
-        my_tx,
-        my_rx,
-        barrier,
-        tmin,
-        completed,
-        events,
-        arena_grows,
-        arena_hw,
-        last_comp,
-        poisoned,
-        drained_incomplete,
-        panic_msg,
-        probe,
-        domain_of,
-        mode,
-        lookahead,
-        total_flows,
-        audit_active,
-    } = ctx;
-
-    if audit_active {
+fn domain_loop<O: NetObserver + Send>(
+    sh: &Shared<'_>,
+    me: usize,
+    sim: &mut Sim<O>,
+    my_tx: &[Sender<Handoff>],
+    my_rx: &[Receiver<Handoff>],
+) -> Option<audit::PartialAudit> {
+    if sh.audit_active {
         audit::install();
     }
 
-    let grace = match mode {
-        Mode::Completion(g) => g,
-        Mode::Until(_) => TimeDelta::ZERO,
+    // The drain deadline, once known. `Stop::At` fixes it up front; under
+    // `Stop::Drained` every thread arms it at the same window, from the
+    // same shared completion snapshot.
+    let mut deadline: Option<Time> = match sh.stop {
+        Stop::At(t) => Some(t),
+        Stop::Drained(_) => None,
     };
-    // The drain deadline, once known. In Until mode it is fixed up
-    // front; in Completion mode every thread arms it at the same window,
-    // from the same shared completion snapshot.
-    let mut deadline: Option<Time> = match mode {
-        Mode::Completion(_) => None,
-        Mode::Until(t) => Some(t),
-    };
+    let mine = sh.domains.get(me).expect("one counter set per domain");
     let mut w: usize = 0;
     // This domain caught a panic: it does no more work and says so at
     // the next publication.
@@ -458,51 +364,45 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
 
     loop {
         // B1: the previous window's channel sends are now visible.
-        barrier.wait();
+        sh.barrier.wait();
 
         // Catchable per-window work, phase 1: drain inboxes (ascending
         // sender order keeps calendar tie order deterministic).
         if !faulted {
             let drained = catch_unwind(AssertUnwindSafe(|| {
-                for rx in &my_rx {
+                for rx in my_rx {
                     while let Ok((at, node, pkt)) = rx.try_recv() {
                         sim.inject_arrival(at, node, pkt);
                     }
                 }
             }));
             if let Err(e) = drained {
-                let _ = panic_msg.set(payload_msg(e));
+                let _ = sh.panic_msg.set(payload_msg(e));
                 faulted = true;
             }
         }
 
         // Publish this domain's state for the window decision.
-        let poison = poisoned.get(w & 1).expect("two parity cells");
+        let poison = sh.poisoned.get(w & 1).expect("two parity cells");
         let my_min = if faulted {
             poison.store(true, Ordering::SeqCst);
             u64::MAX
         } else {
             sim.next_event_time().map_or(u64::MAX, |t| t.as_nanos())
         };
-        let cell = tmin.get(w & 1).expect("two parity cells");
+        let cell = sh.tmin.get(w & 1).expect("two parity cells");
         cell.fetch_min(my_min, Ordering::SeqCst);
-        if let Some(c) = completed.get(me) {
-            c.store(sim.flows_completed(), Ordering::SeqCst);
-        }
-        if let Some(c) = events.get(me) {
-            c.store(sim.events_processed(), Ordering::SeqCst);
-        }
         let (_, hw, _, grows) = sim.arena_stats();
-        if let Some(c) = arena_grows.get(me) {
-            c.store(grows, Ordering::SeqCst);
-        }
-        if let Some(c) = arena_hw.get(me) {
-            c.store(hw as u64, Ordering::SeqCst);
-        }
-        last_comp.fetch_max(sim.last_completion().as_nanos(), Ordering::SeqCst);
+        mine.completed
+            .store(sim.flows_completed(), Ordering::SeqCst);
+        mine.events.store(sim.events_processed(), Ordering::SeqCst);
+        mine.arena_grows.store(grows, Ordering::SeqCst);
+        mine.arena_hw.store(hw as u64, Ordering::SeqCst);
+        sh.last_comp
+            .fetch_max(sim.last_completion().as_nanos(), Ordering::SeqCst);
 
         // B2: the global minimum and all counters are final.
-        barrier.wait();
+        sh.barrier.wait();
 
         // Every thread computes the identical decision from the same
         // shared snapshot — no thread may diverge, or barriers deadlock.
@@ -510,50 +410,53 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
             break;
         }
         let t_min = cell.load(Ordering::SeqCst);
-        let done: usize = completed.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-        if matches!(mode, Mode::Completion(_)) && deadline.is_none() && done >= total_flows {
-            // Global completion: anchor the grace window at the max
-            // per-domain completion instant (= the serial completion
-            // time) and stop periodic sampling, as the serial engine
-            // does when its flow table completes.
-            deadline = Some(Time::from_nanos(last_comp.load(Ordering::SeqCst)) + grace);
-            sim.stop_sampling();
+        if let (None, Stop::Drained(grace)) = (deadline, sh.stop) {
+            if sh.completed() >= sh.total_flows {
+                // Global completion: anchor the grace window at the max
+                // per-domain completion instant (= the serial completion
+                // time) and stop periodic sampling, as the serial engine
+                // does when its flow table completes.
+                deadline = Some(Time::from_nanos(sh.last_comp.load(Ordering::SeqCst)) + grace);
+                sim.stop_sampling();
+            }
         }
         if t_min == u64::MAX {
-            if matches!(mode, Mode::Completion(_)) && done < total_flows {
-                drained_incomplete.store(true, Ordering::SeqCst);
+            // Only `Stop::Drained` with flows still incomplete has no
+            // deadline here.
+            if deadline.is_none() {
+                sh.drained_incomplete.store(true, Ordering::SeqCst);
             }
             break;
         }
         let t_min = Time::from_nanos(t_min);
-        if let Some(dl) = deadline {
-            if t_min > dl {
-                break;
-            }
+        if deadline.is_some_and(|dl| t_min > dl) {
+            break;
         }
 
         if me == 0 {
             // Reset the other parity cell for window w+1. Safe: every
             // thread finished reading it (window w-1's decision) before
             // B1 of this window, and none writes it before B1 of w+1.
-            let other = tmin.get((w + 1) & 1).expect("two parity cells");
+            let other = sh.tmin.get((w + 1) & 1).expect("two parity cells");
             other.store(u64::MAX, Ordering::SeqCst);
-            if let Some(p) = probe {
-                let total: u64 = events.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-                p.publish(total, t_min.as_nanos());
-                for (d, c) in events.iter().enumerate() {
-                    p.publish_domain_events(d, c.load(Ordering::SeqCst));
+            if let Some(p) = sh.probe {
+                let (mut events, mut grows, mut hw) = (0, 0, 0);
+                for (d, c) in sh.domains.iter().enumerate() {
+                    let e = c.events.load(Ordering::SeqCst);
+                    p.publish_domain_events(d, e);
+                    events += e;
+                    grows += c.arena_grows.load(Ordering::SeqCst);
+                    hw += c.arena_hw.load(Ordering::SeqCst);
                 }
-                let grows: u64 = arena_grows.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-                let hw: u64 = arena_hw.iter().map(|c| c.load(Ordering::SeqCst)).sum();
+                p.publish(events, t_min.as_nanos());
                 p.publish_arena(grows, hw);
             }
         }
 
         // The causally closed window: [t_min, t_min + lookahead), capped
         // one past the drain deadline so deadline-instant events still
-        // run (run_until is inclusive).
-        let mut horizon = t_min.saturating_add(lookahead);
+        // run (`Stop::At` is inclusive).
+        let mut horizon = t_min.saturating_add(sh.lookahead);
         if let Some(dl) = deadline {
             horizon = horizon.min(dl.saturating_add(TimeDelta::nanos(1)));
         }
@@ -563,10 +466,8 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
         // receiver lives until all domains leave at the same decision.
         let ran = catch_unwind(AssertUnwindSafe(|| {
             sim.run_window(horizon);
-            let outbox_len = sim.outbox.len();
-            for i in 0..outbox_len {
-                let (at, node, pkt) = *sim.outbox.get(i).expect("outbox index in range");
-                let d = domain_of.get(node).copied().unwrap_or(0) as usize;
+            for &(at, node, pkt) in &sim.outbox {
+                let d = sh.domain_of.get(node).copied().unwrap_or(0) as usize;
                 if let Some(tx) = my_tx.get(d) {
                     let _ = tx.send((at, node, pkt));
                 }
@@ -574,13 +475,13 @@ fn domain_loop<O: NetObserver + Send>(ctx: DomainCtx<'_, '_, O>) -> Option<audit
             sim.outbox.clear();
         }));
         if let Err(e) = ran {
-            let _ = panic_msg.set(payload_msg(e));
+            let _ = sh.panic_msg.set(payload_msg(e));
             faulted = true;
         }
         w += 1;
     }
 
-    if audit_active {
+    if sh.audit_active {
         audit::take_partial()
     } else {
         None
@@ -592,12 +493,11 @@ mod tests {
     use super::*;
     use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
     use crate::packet::{DataInfo, Payload, Subflow, TrafficClass};
-    use crate::partition::partition;
     use crate::port::{PortConfig, QueueSched};
     use crate::queue::QueueConfig;
-    use crate::sim::{NetEnv, NodeId};
+    use crate::sim::NetEnv;
     use crate::switch::{ClassMap, QueueSample, SwitchProfile};
-    use crate::topology::{ClosParams, Topology};
+    use crate::topology::ClosParams;
     use flexpass_simcore::time::Rate;
     use flexpass_simcore::units::Bytes;
 
@@ -751,10 +651,14 @@ mod tests {
             .collect()
     }
 
-    fn run_serial(params: ClosParams, flows: &[FlowSpec]) -> (u64, usize, Vec<(u64, u64)>) {
-        let p = profile(Rate::from_gbps(40));
-        let topo = Topology::clos(params, &p, &p);
-        let mut sim = Sim::new(topo, Box::new(PacedFactory), FctLog::default());
+    type RunResult = (u64, usize, Vec<(u64, u64)>);
+
+    fn serial_over(
+        topo: Topology,
+        factory: Box<dyn TransportFactory>,
+        flows: &[FlowSpec],
+    ) -> RunResult {
+        let mut sim = Sim::new(topo, factory, FctLog::default());
         for f in flows {
             sim.schedule_flow(*f);
         }
@@ -764,20 +668,20 @@ mod tests {
         (sim.events_processed(), sim.flows_completed(), fcts)
     }
 
-    fn run_par(params: ClosParams, flows: &[FlowSpec], n: usize) -> (u64, usize, Vec<(u64, u64)>) {
-        let p = profile(Rate::from_gbps(40));
-        let topo = Topology::clos(params, &p, &p);
-        let part = partition(topo, n).ok().expect("clos partitions");
-        let k = part.n_domains();
-        let factories: Vec<Box<dyn TransportFactory>> = (0..k)
-            .map(|_| Box::new(PacedFactory) as Box<dyn TransportFactory>)
-            .collect();
-        let observers: Vec<FctLog> = (0..k).map(|_| FctLog::default()).collect();
-        let mut par = ParSim::new(part, factories, observers, flows.len());
+    /// Runs `flows` to completion on an engine asked for `n` domains;
+    /// also returns how many it cut.
+    fn par_over(
+        topo: Topology,
+        factory: Box<dyn TransportFactory>,
+        flows: &[FlowSpec],
+        n: usize,
+    ) -> (RunResult, usize) {
+        let mut par = ParSim::new(topo, factory, n, flows.len(), FctLog::default);
         for f in flows {
             par.schedule_flow(*f);
         }
-        par.run_to_completion(TimeDelta::micros(50));
+        par.run(Stop::Drained(TimeDelta::micros(50)));
+        let k = par.n_domains();
         let events = par.events_processed();
         let done = par.flows_completed();
         let mut fcts: Vec<(u64, u64)> = par
@@ -786,7 +690,22 @@ mod tests {
             .flat_map(|o| o.completed)
             .collect();
         fcts.sort_unstable();
-        (events, done, fcts)
+        ((events, done, fcts), k)
+    }
+
+    fn clos(params: ClosParams) -> Topology {
+        let p = profile(Rate::from_gbps(40));
+        Topology::clos(params, &p, &p)
+    }
+
+    fn run_serial(params: ClosParams, flows: &[FlowSpec]) -> RunResult {
+        serial_over(clos(params), Box::new(PacedFactory), flows)
+    }
+
+    fn run_par(params: ClosParams, flows: &[FlowSpec], n: usize) -> RunResult {
+        let (result, k) = par_over(clos(params), Box::new(PacedFactory), flows, n);
+        assert_eq!(k, n, "clos partitions");
+        result
     }
 
     #[test]
@@ -816,21 +735,15 @@ mod tests {
                 self.0 += 1;
             }
         }
-        let p = profile(Rate::from_gbps(40));
-        let topo = Topology::clos(ClosParams::small(), &p, &p);
-        let part = partition(topo, 2).ok().expect("clos partitions");
-        let k = part.n_domains();
-        let factories: Vec<Box<dyn TransportFactory>> = (0..k)
-            .map(|_| Box::new(PacedFactory) as Box<dyn TransportFactory>)
-            .collect();
-        let observers: Vec<SampleCount> = (0..k).map(|_| SampleCount(0)).collect();
-        let mut par = ParSim::new(part, factories, observers, 4);
+        let topo = clos(ClosParams::small());
+        let mut par = ParSim::new(topo, Box::new(PacedFactory), 2, 4, || SampleCount(0));
+        assert_eq!(par.n_domains(), 2, "clos partitions");
         par.enable_sampling(TimeDelta::micros(10));
         for f in clos_flows(48, 4) {
             par.schedule_flow(f);
         }
         // Terminates: sampling must not keep the run alive forever.
-        par.run_to_completion(TimeDelta::micros(50));
+        par.run(Stop::Drained(TimeDelta::micros(50)));
         let samples: u64 = par.into_observers().into_iter().map(|o| o.0).sum();
         assert!(samples > 0, "sampling ran");
     }
@@ -860,15 +773,9 @@ mod tests {
                 Some(Box::new(PanicFactory))
             }
         }
-        let p = profile(Rate::from_gbps(40));
-        let topo = Topology::clos(ClosParams::small(), &p, &p);
-        let part = partition(topo, 2).ok().expect("clos partitions");
-        let k = part.n_domains();
-        let factories: Vec<Box<dyn TransportFactory>> = (0..k)
-            .map(|_| Box::new(PanicFactory) as Box<dyn TransportFactory>)
-            .collect();
-        let observers: Vec<FctLog> = (0..k).map(|_| FctLog::default()).collect();
-        let mut par = ParSim::new(part, factories, observers, 1);
+        let topo = clos(ClosParams::small());
+        let mut par = ParSim::new(topo, Box::new(PanicFactory), 2, 1, FctLog::default);
+        assert_eq!(par.n_domains(), 2, "clos partitions");
         par.schedule_flow(FlowSpec {
             id: 1,
             src: 0,
@@ -879,10 +786,112 @@ mod tests {
             fg: false,
         });
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            par.run_to_completion(TimeDelta::micros(50));
+            par.run(Stop::Drained(TimeDelta::micros(50)));
         }))
         .expect_err("fault must propagate");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected domain fault"), "got: {msg}");
+    }
+
+    /// The same fabric, factory and flows on a bare [`Sim`] and on an engine
+    /// that cannot cut: identical events, completions and per-flow FCTs.
+    #[test]
+    fn one_domain_engine_is_the_bare_sim() {
+        /// A factory with the default `try_clone` (`None`).
+        struct NoClone;
+        impl TransportFactory for NoClone {
+            fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+                PacedFactory.sender(flow, env)
+            }
+            fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+                PacedFactory.receiver(flow, env)
+            }
+        }
+        let p = profile(Rate::from_gbps(40));
+        let star = || Topology::star(8, Rate::from_gbps(40), TimeDelta::micros(2), &p, &p);
+        let one_rack = || {
+            clos(ClosParams {
+                n_core: 1,
+                n_agg: 1,
+                n_tor: 1,
+                aggs_per_pod: 1,
+                ..ClosParams::small()
+            })
+        };
+        let small = || clos(ClosParams::small());
+        let paced = || Box::new(PacedFactory) as Box<dyn TransportFactory>;
+        let no_clone = || Box::new(NoClone) as Box<dyn TransportFactory>;
+        type Case<'a> = (
+            &'a str,
+            &'a dyn Fn() -> Topology,
+            &'a dyn Fn() -> Box<dyn TransportFactory>,
+            usize,
+        );
+        let cases: [Case; 4] = [
+            ("star", &star, &paced, 4),
+            ("one rack", &one_rack, &paced, 2),
+            ("n = 1", &small, &paced, 1),
+            ("factory cannot clone", &small, &no_clone, 2),
+        ];
+        for (name, topo, factory, n) in cases {
+            let flows = clos_flows(topo().hosts.len(), 12);
+            let serial = serial_over(topo(), factory(), &flows);
+            assert_eq!(serial.1, flows.len(), "{name}: serial run completes");
+            let (par, k) = par_over(topo(), factory(), &flows, n);
+            assert_eq!(k, 1, "{name}: one domain");
+            assert_eq!(par, serial, "{name}");
+        }
+    }
+
+    /// A one-domain run spawns no thread: the thread-local tracer and
+    /// auditor the caller installed see its events.
+    #[test]
+    fn one_domain_runs_on_the_calling_thread() {
+        let p = profile(Rate::from_gbps(40));
+        let topo = Topology::star(4, Rate::from_gbps(40), TimeDelta::micros(2), &p, &p);
+        crate::trace::install(Default::default());
+        audit::install();
+        let mut par = ParSim::new(topo, Box::new(PacedFactory), 4, 3, FctLog::default);
+        for f in clos_flows(4, 3) {
+            par.schedule_flow(f);
+        }
+        par.run(Stop::Drained(TimeDelta::micros(50)));
+        let report = audit::finish();
+        let log = crate::trace::finish();
+        assert_eq!(par.flows_completed(), 3);
+        assert_eq!(report.counters.events, par.events_processed());
+        assert!(log.total > 0, "the caller's tracer saw no event");
+    }
+
+    /// `events_processed` subtracts the duplicate FlowStarts *popped*, not
+    /// the split flows scheduled: nothing before the run, and only the
+    /// started ones after a deadline that falls between start times.
+    #[test]
+    fn events_processed_counts_popped_duplicates_only() {
+        let params = ClosParams::small();
+        // Host 0 and host 47 sit on opposite sides of a two-domain cut.
+        let flows: Vec<FlowSpec> = (0..4u64)
+            .map(|i| FlowSpec {
+                id: i,
+                src: 0,
+                dst: 47,
+                size: Bytes::new(20_000),
+                start: Time::from_micros(100 * i),
+                tag: 0,
+                fg: false,
+            })
+            .collect();
+        let mut par = ParSim::new(clos(params), Box::new(PacedFactory), 2, 4, FctLog::default);
+        let mut sim = Sim::new(clos(params), Box::new(PacedFactory), FctLog::default());
+        for f in &flows {
+            par.schedule_flow(*f);
+            sim.schedule_flow(*f);
+        }
+        assert_eq!(par.n_domains(), 2);
+        assert_eq!(par.events_processed(), 0, "nothing has run yet");
+        // Two of the four split flows have started by 150 us.
+        par.run_until(Time::from_micros(150));
+        sim.run_until(Time::from_micros(150));
+        assert_eq!(par.events_processed(), sim.events_processed());
     }
 }

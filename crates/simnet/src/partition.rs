@@ -1,15 +1,18 @@
-//! Fabric partitioning for the parallel simulation engine.
+//! Fabric partitioning for the simulation engine ([`crate::parsim`] is the
+//! only caller).
 //!
-//! [`partition`] cuts a wired [`Topology`] into `n` per-thread domains at
-//! rack granularity: racks are chunked contiguously (so a Clos pod never
-//! straddles a cut unless the domain count forces it), every host follows
-//! its rack, and switches join the domain most of their already-assigned
-//! neighbors live in (ToRs follow their hosts, aggs follow their ToRs,
-//! cores break ties towards the lowest domain). Each domain receives a
-//! full-length node table in which foreign slots hold inert placeholder
-//! hosts — global [`crate::sim::NodeId`]s, route tables, and peer indices stay
-//! valid without rewriting, and a packet that reaches a placeholder
-//! trips the misrouting debug assertion immediately.
+//! [`partition`] cuts a wired [`Topology`] into at most `n` per-thread
+//! domains at rack granularity — one domain holding the input unchanged
+//! when `n < 2` or the fabric has no useful cut (a star, a single rack).
+//! Racks are chunked contiguously (so a Clos pod never straddles a cut
+//! unless the domain count forces it), every host follows its rack, and
+//! switches join the domain most of their already-assigned neighbors live
+//! in (ToRs follow their hosts, aggs follow their ToRs, cores break ties
+//! towards the lowest domain). Each domain receives a full-length node
+//! table in which foreign slots hold inert placeholder hosts — global
+//! [`crate::sim::NodeId`]s, route tables, and peer indices stay valid
+//! without rewriting, and a packet that reaches a placeholder trips the
+//! misrouting debug assertion immediately.
 //!
 //! The cut's *lookahead* — the minimum propagation delay over all
 //! cut-crossing links — is what makes conservative synchronization sound:
@@ -30,7 +33,8 @@ use crate::topology::Topology;
 /// A fabric cut into per-thread domains.
 pub struct Partition {
     /// One full-length topology per domain; foreign node slots hold inert
-    /// placeholder hosts (`host_id == usize::MAX`).
+    /// placeholder hosts (`host_id == usize::MAX`). A one-domain partition
+    /// holds the input topology itself.
     pub parts: Vec<Topology>,
     /// Owning domain of every global node id.
     pub domain_of: Arc<Vec<u32>>,
@@ -45,6 +49,16 @@ impl Partition {
     pub fn n_domains(&self) -> usize {
         self.parts.len()
     }
+
+    /// The uncut fabric: one domain owning every node.
+    fn whole(topo: Topology) -> Partition {
+        Partition {
+            domain_of: Arc::new(vec![0; topo.nodes.len()]),
+            host_domain: vec![0; topo.hosts.len()],
+            lookahead: topo.base_rtt,
+            parts: vec![topo],
+        }
+    }
 }
 
 /// Egress ports of a node (hosts expose their NIC as a single port).
@@ -55,42 +69,35 @@ fn ports_of(node: &Node) -> &[Port] {
     }
 }
 
-/// Cuts `topo` into at most `n` domains. Returns the topology unchanged
-/// (`Err`) when a useful cut does not exist: `n < 2`, fewer than two
-/// racks, or a degenerate fabric with a zero-latency cut link (conservative
-/// sync needs strictly positive lookahead).
-pub fn partition(topo: Topology, n: usize) -> Result<Partition, Topology> {
-    if n < 2 || topo.hosts.len() < 2 {
-        return Err(topo);
-    }
-
+/// Cuts `topo` into at most `n` domains. Where a useful cut does not
+/// exist — `n < 2`, fewer than two racks, or a degenerate fabric with a
+/// zero-latency cut link (conservative sync needs strictly positive
+/// lookahead) — the result is one domain holding `topo` unchanged.
+pub fn partition(topo: Topology, n: usize) -> Partition {
     // Racks present, ascending. rack_of values are dense small indices
     // (ToR index in a Clos), so a direct-mapped table suffices.
     let mut racks: Vec<usize> = topo.rack_of.clone();
     racks.sort_unstable();
     racks.dedup();
-    if racks.len() < 2 {
-        return Err(topo);
+    if n < 2 || racks.len() < 2 {
+        return Partition::whole(topo);
     }
 
     // Contiguous rack chunks of near-equal size; k = number of nonempty
-    // chunks (≤ n when racks < n).
+    // chunks (≤ n when racks < n, ≥ 2 with two racks and n ≥ 2).
     let per_chunk = racks.len().div_ceil(n);
     let max_rack = *racks.last().expect("racks nonempty");
     let mut rack_dom: Vec<u32> = vec![0; max_rack + 1];
-    let mut k = 0u32;
+    let mut k = 0usize;
     for chunk in racks.chunks(per_chunk) {
+        let d = u32::try_from(k).expect("domain count fits u32");
         for &r in chunk {
             if let Some(slot) = rack_dom.get_mut(r) {
-                *slot = k;
+                *slot = d;
             }
         }
         k += 1;
     }
-    if k < 2 {
-        return Err(topo);
-    }
-    let k = k as usize;
 
     let host_domain: Vec<u32> = topo
         .rack_of
@@ -164,7 +171,7 @@ pub fn partition(topo: Topology, n: usize) -> Result<Partition, Topology> {
         None => topo.base_rtt,
         Some(l) if l > TimeDelta::ZERO => l,
         // A zero-latency cut would force zero-width windows.
-        Some(_) => return Err(topo),
+        Some(_) => return Partition::whole(topo),
     };
 
     // Split the single node table into per-domain full-length tables.
@@ -210,12 +217,12 @@ pub fn partition(topo: Topology, n: usize) -> Result<Partition, Topology> {
         })
         .collect();
 
-    Ok(Partition {
+    Partition {
         parts,
         domain_of: Arc::new(domain_of),
         host_domain,
         lookahead,
-    })
+    }
 }
 
 /// True when `node` is a foreign-slot placeholder rather than a real
@@ -254,19 +261,44 @@ mod tests {
         }
     }
 
+    /// Where no cut exists the partition is one domain holding the input's
+    /// own node table: a star, a single rack, `n = 1`.
     #[test]
-    fn star_falls_back_to_serial() {
+    fn uncuttable_inputs_are_one_domain_holding_the_input() {
         let p = profile();
-        let topo = Topology::star(4, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
-        // One rack: no cut exists.
-        assert!(partition(topo, 2).is_err());
-    }
-
-    #[test]
-    fn n1_falls_back_to_serial() {
-        let p = profile();
-        let topo = Topology::clos(ClosParams::small(), &p, &p);
-        assert!(partition(topo, 1).is_err());
+        let star = || Topology::star(4, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+        let one_rack = || {
+            let params = ClosParams {
+                n_core: 1,
+                n_agg: 1,
+                n_tor: 1,
+                aggs_per_pod: 1,
+                ..ClosParams::small()
+            };
+            Topology::clos(params, &p, &p)
+        };
+        let clos = || Topology::clos(ClosParams::small(), &p, &p);
+        let cases: [(&str, &dyn Fn() -> Topology, usize); 3] = [
+            ("star", &star, 2),
+            ("one rack", &one_rack, 4),
+            ("n = 1", &clos, 1),
+        ];
+        for (name, build, n) in cases {
+            let topo = build();
+            let table: Vec<*const Node> = topo.nodes.iter().map(std::ptr::from_ref).collect();
+            let (n_nodes, n_hosts) = (topo.nodes.len(), topo.hosts.len());
+            let part = partition(topo, n);
+            assert_eq!(part.n_domains(), 1, "{name}");
+            let kept: Vec<*const Node> =
+                part.parts[0].nodes.iter().map(std::ptr::from_ref).collect();
+            assert_eq!(
+                kept, table,
+                "{name}: the node table is the input's, not a copy"
+            );
+            assert_eq!(*part.domain_of, vec![0; n_nodes], "{name}");
+            assert_eq!(part.host_domain, vec![0; n_hosts], "{name}");
+            assert!(part.lookahead > TimeDelta::ZERO, "{name}");
+        }
     }
 
     #[test]
@@ -274,7 +306,7 @@ mod tests {
         let p = profile();
         let topo = Topology::clos(ClosParams::small(), &p, &p);
         let n_hosts = topo.hosts.len();
-        let part = partition(topo, 2).ok().expect("clos partitions");
+        let part = partition(topo, 2);
         assert_eq!(part.n_domains(), 2);
         let d0 = part.host_domain.iter().filter(|&&d| d == 0).count();
         assert_eq!(d0, n_hosts / 2, "hosts split evenly");
@@ -287,7 +319,7 @@ mod tests {
         let p = profile();
         let topo = Topology::clos(two_pod_64(), &p, &p);
         let n_nodes = topo.nodes.len();
-        let part = partition(topo, 4).ok().expect("two-pod clos partitions");
+        let part = partition(topo, 4);
         let mut owned = vec![0usize; n_nodes];
         for part_topo in &part.parts {
             assert_eq!(part_topo.nodes.len(), n_nodes, "full-length tables");
@@ -311,9 +343,7 @@ mod tests {
     #[test]
     fn domains_share_the_rack_table() {
         let p = profile();
-        let part = partition(Topology::clos(two_pod_64(), &p, &p), 4)
-            .ok()
-            .expect("two-pod clos partitions");
+        let part = partition(Topology::clos(two_pod_64(), &p, &p), 4);
         let tables: Vec<_> = part
             .parts
             .iter()
@@ -332,7 +362,7 @@ mod tests {
         let p = profile();
         let params = two_pod_64();
         let topo = Topology::clos(params, &p, &p);
-        let part = partition(topo, 2).ok().expect("two-pod clos partitions");
+        let part = partition(topo, 2);
         assert_eq!(part.n_domains(), 2);
         // 64 hosts, one pod per domain.
         assert_eq!(part.host_domain.len(), 64);

@@ -6,6 +6,7 @@
 //! behaviour is deterministic given the topology, factory, and workload.
 
 use flexpass_simcore::event::EventQueue;
+use flexpass_simcore::progress::PUBLISH_EVERY;
 use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 
@@ -86,6 +87,19 @@ pub struct NullObserver;
 
 impl NetObserver for NullObserver {}
 
+/// When a run stops — the one statement of the rule, for [`Sim::run`] and
+/// [`crate::ParSim::run`] alike.
+#[derive(Clone, Copy, Debug)]
+pub enum Stop {
+    /// Once every event at or before this virtual time has run
+    /// (long-running-flow microbenchmarks measure throughput over a
+    /// window rather than completion).
+    At(Time),
+    /// Once every scheduled flow has completed (receiver side), plus this
+    /// much drain so senders can finish their own cleanup.
+    Drained(TimeDelta),
+}
+
 /// Which endpoint halves of a flow this simulator instance owns. A serial
 /// run owns both; a partitioned run whose flow crosses a domain cut splits
 /// the flow, registering the sender half in the source host's domain and
@@ -129,7 +143,7 @@ pub trait TransportFactory: Send {
     /// `Some` asserts that endpoint construction is a pure function of
     /// `(flow, env)` — the clones never compare notes, so any shared
     /// mutable state would diverge between domains. `None` (the default)
-    /// makes the parallel engine fall back to the serial path.
+    /// makes the engine ([`crate::ParSim`]) run the fabric as one domain.
     fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
         None
     }
@@ -240,8 +254,10 @@ pub struct Sim<O: NetObserver> {
     pub(crate) outbox: Vec<(Time, NodeId, Packet)>,
     /// Instant the most recent flow completed (receiver side).
     last_completion: Time,
-    /// Progress probe for arena statistics (the calendar holds its own
-    /// clone for event counts).
+    /// FlowStarts popped for sender-only halves: the one pop a flow split
+    /// across a cut adds over a serial run.
+    pub(crate) sender_half_starts: u64,
+    /// Progress probe [`Sim::step`] publishes into.
     progress: Option<std::sync::Arc<flexpass_simcore::ProgressProbe>>,
 }
 
@@ -338,6 +354,7 @@ impl<O: NetObserver> Sim<O> {
             roles: Vec::with_capacity(expected_flows),
             outbox: Vec::with_capacity(64),
             last_completion: Time::ZERO,
+            sender_half_starts: 0,
             progress: None,
         }
     }
@@ -417,22 +434,16 @@ impl<O: NetObserver> Sim<O> {
         self.events.cancelled()
     }
 
-    /// Attaches a progress probe the event calendar publishes into while
-    /// the simulation runs (see [`flexpass_simcore::progress`]). Purely
-    /// observational — cannot change any simulated outcome.
+    /// Attaches a progress probe the event loop publishes into every
+    /// [`PUBLISH_EVERY`] events (see [`flexpass_simcore::progress`]).
+    /// Purely observational — cannot change any simulated outcome.
     pub fn attach_progress(&mut self, probe: std::sync::Arc<flexpass_simcore::ProgressProbe>) {
-        self.events.attach_probe(std::sync::Arc::clone(&probe));
         self.progress = Some(probe);
     }
 
     /// Number of flows that have completed (receiver side).
     pub fn flows_completed(&self) -> usize {
         self.completed
-    }
-
-    /// Number of flows scheduled.
-    pub fn flows_scheduled(&self) -> usize {
-        self.flows.len()
     }
 
     /// Number of flows whose endpoints have been created so far.
@@ -479,16 +490,44 @@ impl<O: NetObserver> Sim<O> {
         self.roles.push(role);
     }
 
-    /// Runs until the calendar empties or virtual time would pass `deadline`.
-    pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
+    /// Runs to `stop`.
+    ///
+    /// # Panics
+    ///
+    /// Under [`Stop::Drained`], panics if the calendar empties before all
+    /// flows complete (lost packets with no retransmission path — a
+    /// transport bug).
+    pub fn run(&mut self, stop: Stop) {
+        let deadline = match stop {
+            Stop::At(deadline) => deadline,
+            Stop::Drained(grace) => {
+                while self.completed < self.flows.len() {
+                    if !self.step() {
+                        // lint:allow(panic-path): a drained calendar with
+                        // incomplete flows means a transport lost its
+                        // retransmission path.
+                        panic!(
+                            "event queue drained with {}/{} flows incomplete",
+                            self.completed,
+                            self.flows.len()
+                        );
+                    }
+                }
+                self.now() + grace
             }
-            let (now, ev) = self.events.pop().expect("peeked");
-            self.dispatch(now, ev);
-            self.maybe_publish_arena();
-        }
+        };
+        self.run_window(deadline.saturating_add(TimeDelta::nanos(1)));
+    }
+
+    /// [`Sim::run`] to [`Stop::At`]: until the calendar empties or virtual
+    /// time would pass `deadline`.
+    pub fn run_until(&mut self, deadline: Time) {
+        self.run(Stop::At(deadline));
+    }
+
+    /// [`Sim::run`] to [`Stop::Drained`].
+    pub fn run_to_completion(&mut self, grace: TimeDelta) {
+        self.run(Stop::Drained(grace));
     }
 
     /// Runs every event strictly before `horizon` (the conservative-sync
@@ -497,14 +536,28 @@ impl<O: NetObserver> Sim<O> {
     /// a cross-cut arrival injected *at* the horizon is still in this
     /// domain's future).
     pub fn run_window(&mut self, horizon: Time) {
-        while let Some(t) = self.events.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            let (now, ev) = self.events.pop().expect("peeked");
-            self.dispatch(now, ev);
-            self.maybe_publish_arena();
+        while self.events.peek_time().is_some_and(|t| t < horizon) {
+            self.step();
         }
+    }
+
+    /// Pops and dispatches one event; `false` when the calendar is empty.
+    /// Every loop advances through here, so this is the progress probe's
+    /// only publisher.
+    fn step(&mut self) -> bool {
+        let Some((now, ev)) = self.events.pop() else {
+            return false;
+        };
+        self.dispatch(now, ev);
+        if let Some(probe) = &self.progress {
+            let popped = self.events.popped();
+            if popped & (PUBLISH_EVERY - 1) == 0 {
+                probe.publish(popped, now.as_nanos());
+                // lint:allow(raw-cast): slot count widened for the probe
+                probe.publish_arena(self.arena.grows(), self.arena.high_water() as u64);
+            }
+        }
+        true
     }
 
     /// Earliest pending event, or `None` when the calendar is empty. The
@@ -537,43 +590,6 @@ impl<O: NetObserver> Sim<O> {
     /// the serial engine's "stop when the local flow table completes").
     pub fn stop_sampling(&mut self) {
         self.sample_every = None;
-    }
-
-    fn maybe_publish_arena(&mut self) {
-        if let Some(probe) = &self.progress {
-            // Piggyback on the calendar's publication cadence.
-            if self.events.popped() & (flexpass_simcore::progress::PUBLISH_EVERY - 1) == 0 {
-                // lint:allow(raw-cast): slot count widened for the probe
-                probe.publish_arena(self.arena.grows(), self.arena.high_water() as u64);
-            }
-        }
-    }
-
-    /// Runs until every scheduled flow has completed (receiver side), then
-    /// keeps draining for `grace` so senders can finish their own cleanup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calendar empties before all flows complete (lost
-    /// packets with no retransmission path — a transport bug).
-    pub fn run_to_completion(&mut self, grace: TimeDelta) {
-        while self.completed < self.flows.len() {
-            match self.events.pop() {
-                Some((now, ev)) => {
-                    self.dispatch(now, ev);
-                    self.maybe_publish_arena();
-                }
-                // lint:allow(panic-path): a drained calendar with incomplete
-                // flows means a transport lost its retransmission path.
-                None => panic!(
-                    "event queue drained with {}/{} flows incomplete",
-                    self.completed,
-                    self.flows.len()
-                ),
-            }
-        }
-        let deadline = self.now() + grace;
-        self.run_until(deadline);
     }
 
     fn dispatch(&mut self, now: Time, ev: Event) {
@@ -736,6 +752,7 @@ impl<O: NetObserver> Sim<O> {
         self.started += 1;
         let spec = *self.flows.get(idx).expect("flow index from schedule_flow");
         let role = *self.roles.get(idx).expect("role recorded per flow");
+        self.sender_half_starts += u64::from(role == FlowRole::Sender);
         self.observer.on_flow_start(&spec, now);
 
         // Receiver first so the sender's first packet finds it (for a
@@ -1105,6 +1122,27 @@ mod tests {
             (got - expect_ns).abs() < 10.0,
             "FCT {got} ns vs expected {expect_ns} ns"
         );
+    }
+
+    /// The event loop publishes into an attached probe on every
+    /// `PUBLISH_EVERY`-th event and at no other time.
+    #[test]
+    fn probe_publishes_on_step_boundary() {
+        let p = profile(Rate::from_gbps(10));
+        let topo = Topology::star(2, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+        let mut sim = Sim::new(topo, Box::new(BlastFactory), NullObserver);
+        let probe = std::sync::Arc::new(flexpass_simcore::ProgressProbe::new());
+        sim.attach_progress(std::sync::Arc::clone(&probe));
+        sim.schedule_flow(flow(1, 0, 1, 1_000_000, Time::ZERO));
+        // Before the publish boundary the probe still shows the initial 0.
+        for _ in 0..PUBLISH_EVERY - 1 {
+            assert!(sim.step());
+        }
+        assert_eq!(probe.events(), 0);
+        assert!(sim.step()); // event number PUBLISH_EVERY → publish fires
+        assert_eq!(probe.events(), PUBLISH_EVERY);
+        assert_eq!(probe.vtime_ns(), sim.now().as_nanos());
+        assert!(probe.arena_high_water() > 0);
     }
 
     /// The hooks find the auditor through a thread-local flag, not through

@@ -17,10 +17,10 @@ use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStat
 use flexpass_simnet::packet::{DataInfo, Packet, Payload, Subflow, TrafficClass};
 use flexpass_simnet::port::{PortConfig, QueueSched};
 use flexpass_simnet::queue::QueueConfig;
-use flexpass_simnet::sim::{timer_token, NetEnv, NetObserver, Sim, TransportFactory};
+use flexpass_simnet::sim::{timer_token, NetEnv, NetObserver, Sim, Stop, TransportFactory};
 use flexpass_simnet::switch::{ClassMap, SwitchProfile};
 use flexpass_simnet::topology::{ClosParams, Topology};
-use flexpass_simnet::{partition, FlowSpec, ParSim};
+use flexpass_simnet::{FlowSpec, ParSim};
 use proptest::prelude::*;
 
 fn profile() -> SwitchProfile {
@@ -189,17 +189,18 @@ fn run_serial(params: ClosParams, flows: &[FlowSpec]) -> RunResult {
 fn run_par(params: ClosParams, flows: &[FlowSpec], n: usize) -> RunResult {
     let p = profile();
     let topo = Topology::clos(params, &p, &p);
-    let part = partition(topo, n).ok().expect("multi-pod clos partitions");
-    let k = part.n_domains();
-    let factories: Vec<Box<dyn TransportFactory>> = (0..k)
-        .map(|_| Box::new(PacedFactory) as Box<dyn TransportFactory>)
-        .collect();
-    let observers: Vec<FctLog> = (0..k).map(|_| FctLog::default()).collect();
-    let mut par = ParSim::new(part, factories, observers, flows.len());
+    let mut par = ParSim::new(
+        topo,
+        Box::new(PacedFactory),
+        n,
+        flows.len(),
+        FctLog::default,
+    );
+    assert!(par.n_domains() >= 2, "multi-pod clos partitions");
     for f in flows {
         par.schedule_flow(*f);
     }
-    par.run_to_completion(TimeDelta::micros(50));
+    par.run(Stop::Drained(TimeDelta::micros(50)));
     let events = par.events_processed();
     let done = par.flows_completed();
     let mut fcts: Vec<(u64, u64)> = par
