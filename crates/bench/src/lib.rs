@@ -78,6 +78,11 @@ pub fn timer_heavy_workload(_backend: Backend, n: u64) -> u64 {
     delivered
 }
 
+/// The FlexPass factory (`w_q` = 0.5) every workload here runs.
+fn flexpass_factory() -> Box<FlexPassFactory> {
+    Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5)))
+}
+
 /// Builds the warm-datapath workload: a star fabric with every host pair
 /// exchanging one long FlexPass flow, sized so the network stays busy for
 /// several simulated milliseconds. The alloc-free-datapath test warms it
@@ -97,14 +102,7 @@ pub fn datapath_sim(hosts: usize, flow_bytes: u64) -> Sim<NullObserver> {
         shared_buffer: None,
     };
     let topo = Topology::star(hosts, rate, TimeDelta::micros(5), &profile, &profile);
-    // Flow-capacity hint pre-sizes the calendar, per-host flow tables, and
-    // the packet arena so the measured window starts with warm slabs.
-    let mut sim = Sim::with_flow_capacity(
-        topo,
-        Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5))),
-        NullObserver,
-        hosts,
-    );
+    let mut sim = Sim::new(topo, flexpass_factory(), NullObserver);
     for i in 0..hosts as u64 {
         let src = i as usize;
         let dst = (src + 1) % hosts;
@@ -170,12 +168,7 @@ fn multipod_flows() -> Vec<FlowSpec> {
 pub fn multipod_sim() -> Sim<NullObserver> {
     let profile = multipod_profile();
     let topo = Topology::clos(multipod_params(), &profile, &profile);
-    let mut sim = Sim::with_flow_capacity(
-        topo,
-        Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5))),
-        NullObserver,
-        MULTIPOD_HOSTS,
-    );
+    let mut sim = Sim::new(topo, flexpass_factory(), NullObserver);
     for f in multipod_flows() {
         sim.schedule_flow(f);
     }
@@ -187,8 +180,7 @@ pub fn multipod_sim() -> Sim<NullObserver> {
 pub fn multipod_par_sim(domains: usize) -> ParSim<NullObserver> {
     let profile = multipod_profile();
     let topo = Topology::clos(multipod_params(), &profile, &profile);
-    let factory = Box::new(FlexPassFactory::new(FlexPassConfig::new(0.5)));
-    let mut sim = ParSim::new(topo, factory, domains, MULTIPOD_HOSTS, || NullObserver);
+    let mut sim = ParSim::new(topo, flexpass_factory(), domains, || NullObserver);
     for f in multipod_flows() {
         sim.schedule_flow(f);
     }

@@ -84,15 +84,10 @@ impl FlexPassFactory {
 }
 
 impl TransportFactory for FlexPassFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(FlexPassSender::new(*flow, self.cfg, env))
     }
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(FlexPassReceiver::new(*flow, self.cfg, env))
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        // Endpoints are a pure function of (flow, cfg, env): safe to clone
-        // per partition domain.
-        Some(Box::new(FlexPassFactory { cfg: self.cfg }))
     }
 }

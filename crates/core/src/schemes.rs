@@ -200,7 +200,7 @@ impl SchemeFactory {
 }
 
 impl TransportFactory for SchemeFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if !self.deployment.flow_upgraded(flow) {
             return Box::new(DctcpSender::new(*flow, self.dctcp, env));
         }
@@ -211,7 +211,7 @@ impl TransportFactory for SchemeFactory {
         }
     }
 
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if !self.deployment.flow_upgraded(flow) {
             return Box::new(DctcpReceiver::new(*flow, self.dctcp, env));
         }
@@ -221,19 +221,6 @@ impl TransportFactory for SchemeFactory {
             }
             Scheme::FlexPass => Box::new(FlexPassReceiver::new(*flow, self.fp, env)),
         }
-    }
-
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        // Scheme dispatch reads only immutable configuration and the
-        // deployment map: endpoint construction is a pure function of
-        // (flow, env), so per-domain clones never diverge.
-        Some(Box::new(SchemeFactory {
-            scheme: self.scheme,
-            deployment: self.deployment.clone(),
-            dctcp: self.dctcp,
-            ep: self.ep,
-            fp: self.fp,
-        }))
     }
 }
 

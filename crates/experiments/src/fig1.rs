@@ -26,7 +26,6 @@ pub struct TagFactory {
     upgraded: UpgradedKind,
 }
 
-#[derive(Clone, Copy)]
 enum UpgradedKind {
     Ep(EpConfig),
     Homa(HomaConfig),
@@ -51,7 +50,7 @@ impl TagFactory {
 }
 
 impl TransportFactory for TagFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if flow.tag == 0 {
             return Box::new(DctcpSender::new(*flow, self.legacy, env));
         }
@@ -60,7 +59,7 @@ impl TransportFactory for TagFactory {
             UpgradedKind::Homa(c) => Box::new(HomaSender::new(*flow, *c, env)),
         }
     }
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if flow.tag == 0 {
             return Box::new(DctcpReceiver::new(*flow, self.legacy, env));
         }
@@ -68,12 +67,6 @@ impl TransportFactory for TagFactory {
             UpgradedKind::Ep(c) => Box::new(EpReceiver::new(*flow, *c, env)),
             UpgradedKind::Homa(c) => Box::new(HomaReceiver::new(*flow, *c, env)),
         }
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        Some(Box::new(TagFactory {
-            legacy: self.legacy,
-            upgraded: self.upgraded,
-        }))
     }
 }
 

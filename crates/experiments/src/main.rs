@@ -15,7 +15,8 @@
 //! names; `--fig none` runs nothing (with `--plot`: render charts from the
 //! CSVs already in `--out`). Two entries are explicit-only, never
 //! part of `all`: the trace replay (`--trace F` names its input, a
-//! `src,dst,size_bytes,start_us` flow trace) and the O(10k)-host Clos on
+//! `src,dst,size_bytes,start_us` flow trace; without `--fig custom` it is
+//! a usage error) and the O(10k)-host Clos on
 //! the streaming bounded-memory recorder — combine that one with
 //! `--par-sim N` for the partitioned engine and watch the heartbeat for
 //! events/sec, arena growth, and process RSS.
@@ -44,7 +45,7 @@
 //! are listed at exit, and the exit code is nonzero (as it is when a CSV
 //! or a chart cannot be written). `--inject-panic LABEL` deliberately fails the named task
 //! (labels as printed in failure reports, e.g. `fig10:naive:r0.50:s0`)
-//! to exercise that path end to end.
+//! to exercise that path end to end; a label no task has is a usage error.
 
 use std::path::PathBuf;
 // lint:allow(wall-clock): per-figure elapsed-time reporting only.
@@ -148,6 +149,17 @@ fn main() {
         }
     }
 
+    // A word after `--trace` that no selected figure reads as a replay
+    // file was almost surely meant as a tracing filter.
+    if let Some(file) = custom::TRACE_FILE.get() {
+        if !selected(&fig).any(|f| f.name == "custom") {
+            let file = file.display();
+            usage_error(&format!(
+                "--trace {file} names a replay file, which only --fig custom reads; \
+                 to trace packets write --trace={file}"
+            ));
+        }
+    }
     if let Some(spec) = &packet_trace {
         if orchestrate::par_sim() >= 2 {
             usage_error(
@@ -206,6 +218,11 @@ fn main() {
             eprintln!("  {failure}");
         }
         eprintln!("the remaining points completed; failed cells render as NaN");
+    }
+    if let Some(label) = orchestrate::unmatched_injection() {
+        usage_error(&format!("--inject-panic {label} matched no task"));
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

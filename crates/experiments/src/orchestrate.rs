@@ -54,9 +54,10 @@ static PAR_SIM: AtomicUsize = AtomicUsize::new(1);
 /// to report failed cells and choose its exit code.
 static FAILURES: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
 
-/// Fault-injection hook: a task whose qualified label equals this value
-/// panics on entry. Used by tests and CI to prove isolation end to end.
-static INJECT_PANIC: Mutex<Option<String>> = Mutex::new(None);
+/// Fault-injection hook: a task whose qualified label equals this label
+/// panics on entry, and sets the flag beside it. Used by tests and CI to
+/// prove isolation end to end.
+static INJECT_PANIC: Mutex<Option<(String, bool)>> = Mutex::new(None);
 
 /// Sets the worker-thread count used by [`grid`]. `0` restores the
 /// default (available parallelism). `1` runs the tasks one after another
@@ -91,7 +92,16 @@ pub fn par_sim() -> usize {
 /// `group:label` (or bare label) equals `label` panics on entry.
 /// `None` disarms it.
 pub fn inject_panic(label: Option<String>) {
-    *INJECT_PANIC.lock().expect("inject registry poisoned") = label;
+    *INJECT_PANIC.lock().expect("inject registry poisoned") = label.map(|l| (l, false));
+}
+
+/// The label [`inject_panic`] armed, if no task has matched it: a
+/// misspelt label would otherwise pass a fault-injection check silently.
+pub fn unmatched_injection() -> Option<String> {
+    match &*INJECT_PANIC.lock().expect("inject registry poisoned") {
+        Some((label, false)) => Some(label.clone()),
+        _ => None,
+    }
 }
 
 /// Drains the process-wide failure registry (oldest first).
@@ -260,11 +270,13 @@ fn run_one<T>(state: &PoolState, label: String, run: impl FnOnce() -> T) -> Resu
         .expect("active registry poisoned")
         .push((label.clone(), Arc::clone(&probe)));
 
-    let armed = INJECT_PANIC
-        .lock()
-        .expect("inject registry poisoned")
-        .as_deref()
-        .is_some_and(|l| l == qualified || l == label);
+    let armed = match &mut *INJECT_PANIC.lock().expect("inject registry poisoned") {
+        Some((l, fired)) if *l == qualified || *l == label => {
+            *fired = true;
+            true
+        }
+        _ => false,
+    };
     // The progress probe and the packet tracer (--trace) wrap every
     // point the same way: both are thread-local, so install/collect must
     // bracket the run on this worker thread. Observation-only — results
@@ -385,14 +397,8 @@ fn partition_segment(active: &[(String, Arc<ProgressProbe>)]) -> String {
     if let Some(ratio) = worst {
         out.push_str(&format!(" | domains max/min {ratio:.2}"));
     }
-    if grows > 0 || high_water > 0 {
+    if high_water > 0 {
         out.push_str(&format!(" | arena grows {grows} hw {high_water}"));
-    }
-    // Any growth after construction means the preallocation sizing was
-    // wrong for this workload — the exact failure the hinted-cap fix
-    // addresses — so make it impossible to miss in the log.
-    if grows > 0 {
-        out.push_str(" (WARN: arena preallocation undersized)");
     }
     out
 }
@@ -558,18 +564,13 @@ mod tests {
         skewed.publish_domain_events(1, 100);
         skewed.publish_arena(2, 512);
         let seg = partition_segment(&[("b".to_string(), balanced), ("s".to_string(), skewed)]);
-        assert_eq!(
-            seg,
-            " | domains max/min 3.00 | arena grows 2 hw 512 \
-             (WARN: arena preallocation undersized)"
-        );
+        assert_eq!(seg, " | domains max/min 3.00 | arena grows 2 hw 512");
 
-        // High-water alone (a healthy preallocated run) reports without
-        // the warning.
-        let healthy = Arc::new(ProgressProbe::new());
-        healthy.publish_arena(0, 256);
-        let seg = partition_segment(&[("h".to_string(), healthy)]);
-        assert_eq!(seg, " | arena grows 0 hw 256");
+        // A serial run reports its arena alone.
+        let serial = Arc::new(ProgressProbe::new());
+        serial.publish_arena(9, 300);
+        let seg = partition_segment(&[("h".to_string(), serial)]);
+        assert_eq!(seg, " | arena grows 9 hw 300");
     }
 
     /// RSS reporting is best-effort but must be well-formed where

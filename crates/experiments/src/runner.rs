@@ -73,9 +73,7 @@ pub fn run(
     stop: Stop,
 ) -> Recorder {
     let domains = orchestrate::par_sim();
-    let mut sim = ParSim::new(topo, factory, domains, flows.len(), || {
-        recorder.fresh_like()
-    });
+    let mut sim = ParSim::new(topo, factory, domains, || recorder.fresh_like());
     if let Some(p) = orchestrate::task_probe() {
         sim.attach_progress(p);
     }

@@ -222,7 +222,7 @@ mod tests {
         let run_par = || {
             let (topo, factory, flows) = build_point(&spec);
             let mut merged = Recorder::new().with_streaming();
-            let mut par = ParSim::new(topo, factory, 2, flows.len(), || merged.fresh_like());
+            let mut par = ParSim::new(topo, factory, 2, || merged.fresh_like());
             assert_eq!(par.n_domains(), 2, "a multi-pod clos must partition");
             for fl in &flows {
                 par.schedule_flow(*fl);

@@ -605,22 +605,11 @@ mod tests {
 
     /// An engine that does not cut is the bare `Sim` over the same fabric
     /// and flows, down to the rendered sweep row: a star, a one-rack
-    /// fabric, one domain asked for, a factory that cannot clone.
+    /// fabric, one domain asked for.
     #[test]
     fn one_domain_engine_renders_the_bare_sims_bytes() {
         use crate::runner::star_topo;
-        use flexpass_simnet::sim::NetEnv;
-        use flexpass_simnet::{Endpoint, ParSim, Sim};
-
-        struct NoClone(Box<dyn TransportFactory>);
-        impl TransportFactory for NoClone {
-            fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-                self.0.sender(flow, env)
-            }
-            fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-                self.0.receiver(flow, env)
-            }
-        }
+        use flexpass_simnet::{ParSim, Sim};
 
         let (scheme, ratio, deploy_seed) = (Scheme::FlexPass, 0.5, 7);
         let spec = SweepSpec {
@@ -655,14 +644,9 @@ mod tests {
             let profile = scheme.profile(&ProfileParams::simulation(one_rack.link_rate), 0.5);
             (star_topo(one_rack.n_hosts(), &profile), factory, flows)
         };
-        let no_clone = || {
-            let (topo, factory, flows) = point(small);
-            let factory: Box<dyn TransportFactory> = Box::new(NoClone(factory));
-            (topo, factory, flows)
-        };
         let csv = |rec: &Recorder| to_csv(&[point_from_recorder(scheme, ratio, rec)]).render();
         let bare = |(topo, factory, flows): Point| {
-            let mut sim = Sim::with_flow_capacity(topo, factory, Recorder::new(), flows.len());
+            let mut sim = Sim::new(topo, factory, Recorder::new());
             for f in &flows {
                 sim.schedule_flow(*f);
             }
@@ -671,15 +655,14 @@ mod tests {
             csv(&sim.observer)
         };
 
-        let cases: [(&str, &dyn Fn() -> Point, usize); 4] = [
+        let cases: [(&str, &dyn Fn() -> Point, usize); 3] = [
             ("star", &star, 4),
             ("one rack", &|| point(one_rack), 2),
             ("n = 1", &|| point(small), 1),
-            ("factory cannot clone", &no_clone, 2),
         ];
         for (name, build, n) in cases {
             let (topo, factory, flows) = build();
-            let mut par = ParSim::new(topo, factory, n, flows.len(), Recorder::new);
+            let mut par = ParSim::new(topo, factory, n, Recorder::new);
             assert_eq!(par.n_domains(), 1, "{name}");
             for f in &flows {
                 par.schedule_flow(*f);

@@ -87,6 +87,45 @@ fn trace_with_a_cut_fabric_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(out);
 }
 
+/// `--trace WORD` names `--fig custom`'s replay file; with any other
+/// selection it used to exit 0 having traced nothing.
+#[test]
+fn trace_word_without_the_replay_figure_is_a_usage_error() {
+    for fig in ["fig1a", "all", "none"] {
+        let stderr = assert_usage_error(
+            &["--fig", fig, "--scale", "smoke", "--trace", "rto"],
+            "only --fig custom reads",
+        );
+        assert!(stderr.contains("--trace=rto"), "{fig}: {stderr}");
+    }
+}
+
+/// A misspelt `--inject-panic` label used to exit 0, turning a fault
+/// check into a silent pass.
+#[test]
+fn inject_panic_label_matching_no_task_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("flexpass-cli-inject-{}", std::process::id()));
+    let out = dir.to_str().expect("utf-8 temp path");
+    let label = "fig1a:ep_vs_dctcpX";
+    let args = [
+        "--fig",
+        "fig1a",
+        "--scale",
+        "smoke",
+        "--out",
+        out,
+        "--inject-panic",
+        label,
+    ];
+    let (code, stderr) = run(&args);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("--inject-panic {label} matched no task")),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn unknown_figure_lists_the_valid_names() {
     // `fig16` is a paper figure but not a `--fig` name (`fig15` emits its

@@ -127,24 +127,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar.
+    /// Creates an empty calendar; it grows to what the run schedules.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty calendar pre-sized for roughly `n` concurrent
-    /// events, avoiding repeated growth at sweep start.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut timer_gens = Vec::with_capacity(n.min(1 << 16) + 1);
-        timer_gens.push(0);
         EventQueue {
-            wheel: TimingWheel::with_capacity(n),
+            wheel: TimingWheel::new(),
             next_seq: 0,
             popped: 0,
             last_time: Time::ZERO,
             clamped: 0,
             cancelled: 0,
-            timer_gens,
+            timer_gens: vec![0],
             free_slots: Vec::new(),
         }
     }
@@ -492,16 +484,6 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.popped(), 0);
         assert_eq!(q.now(), Time::ZERO);
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(1024);
-        q.schedule(Time::from_nanos(2), "b");
-        q.schedule(Time::from_nanos(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.clamped(), 0);
     }
 
     // Release-only: in debug builds a past-time schedule panics via

@@ -35,8 +35,8 @@ pub struct ProgressProbe {
     n_domains: AtomicUsize,
     /// Events processed per partition domain (first `n_domains` slots).
     domain_events: [AtomicU64; MAX_DOMAINS],
-    /// Packet-arena slab growths since construction (post-warm-up growth
-    /// means the preallocation was short).
+    /// Packet-arena slab doublings since construction (the slab starts
+    /// empty, so about log2 of the high-water mark).
     arena_grows: AtomicU64,
     /// Packet-arena high-water mark (peak live packets).
     arena_high_water: AtomicU64,

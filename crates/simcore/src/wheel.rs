@@ -115,21 +115,14 @@ impl<T> Default for TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
-    /// Creates an empty wheel.
+    /// Creates an empty wheel. Buckets and heaps grow on demand and stay
+    /// allocated once touched.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty wheel sized for roughly `n` concurrent entries.
-    ///
-    /// Only the current-slot side heap is pre-sized (wheel buckets grow on
-    /// demand and stay allocated once touched).
-    pub fn with_capacity(n: usize) -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             run: Vec::new(),
-            cur: BinaryHeap::with_capacity(n.min(SLOTS_PER_LEVEL)),
+            cur: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cur_slot: 0,
             len: 0,

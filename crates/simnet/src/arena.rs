@@ -9,11 +9,10 @@
 //! The same `next` field that threads the free list through unused slots
 //! threads the intrusive FIFO of [`crate::queue::PacketQueue`] through
 //! live ones — a queued packet's successor link costs no allocation and no
-//! separate node. The slab is preallocated by
-//! [`crate::sim::Sim::with_flow_capacity`] from the topology's queue
-//! capacity hints; an acquire that finds it full doubles it, so a shortfall
-//! of any size costs O(log n) growth events, each counted as telemetry
-//! ([`PacketArena::grows`]) that the zero-alloc gate watches.
+//! separate node. A simulator's slab starts empty; an acquire that finds it
+//! full doubles it, so it reaches a high-water mark of `n` packets in about
+//! log2 `n` growth events during warm-up, each counted as telemetry
+//! ([`PacketArena::grows`]), and the zero-alloc gate checks none follow.
 //!
 //! Lifecycle: `acquire` (endpoint send) → enqueue (NIC/switch queue links
 //! the id) → dequeue (port serves the id) → `release` (deliver or drop
@@ -59,7 +58,7 @@ struct Slot {
     pkt: Packet,
 }
 
-/// Preallocated slab of packets addressed by generation-checked ids.
+/// Slab of packets addressed by generation-checked ids.
 #[derive(Debug)]
 pub struct PacketArena {
     slots: Vec<Slot>,
@@ -77,8 +76,7 @@ impl Default for PacketArena {
 }
 
 impl PacketArena {
-    /// An empty arena; slots are added on demand. Prefer
-    /// [`PacketArena::with_capacity`] on the datapath.
+    /// An empty arena; slots are added on demand.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }

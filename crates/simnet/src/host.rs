@@ -36,9 +36,9 @@
 //! entries still pop as events, find no flow, and do nothing — exactly the
 //! event sequence of a table that kept them.
 //!
-//! The slab and the index are sized by [`Host::reserve_flows`]
-//! (proportional to its argument; [`Host::new`] allocates nothing) and
-//! otherwise double, so steady-state churn stays off the heap.
+//! [`Host::new`] allocates neither; the slab and the index double as the
+//! live-flow count first reaches each size, so steady-state churn stays
+//! off the heap.
 
 use flexpass_simcore::event::EventQueue;
 use flexpass_simcore::rng::mix64;
@@ -193,19 +193,6 @@ impl Host {
         }
     }
 
-    /// Reserves the flow table for `n` concurrent flows, so steady-state
-    /// registration and timer churn stays off the heap. Only capacity is
-    /// taken: a host writes its table when it first registers a flow, and
-    /// one that never does never touches the memory.
-    pub fn reserve_flows(&mut self, n: usize) {
-        if n > 0 {
-            let len = n.saturating_mul(2).next_power_of_two();
-            self.slots.reserve_exact(n.saturating_sub(self.slots.len()));
-            self.index
-                .reserve_exact(len.saturating_sub(self.index.len()));
-        }
-    }
-
     /// Counters snapshot.
     pub fn counters(&self) -> HostCounters {
         self.counters
@@ -295,10 +282,7 @@ impl Host {
             return;
         }
         if (self.live_flows() + 1) * 2 > self.index.len() {
-            // Double, or take at once what `reserve_flows` set aside: the
-            // largest power of two the buffer holds.
-            let reserved = (self.index.capacity() + 1).next_power_of_two() / 2;
-            self.rebuild_index((self.index.len() * 2).max(4).max(reserved));
+            self.rebuild_index((self.index.len() * 2).max(4));
         }
         let live = Slot::Live(Live {
             flow,
@@ -601,29 +585,20 @@ mod tests {
     }
 
     /// `Sim` builds 10,240 of these for the scale point: an idle host owns
-    /// no table memory, and a reservation is as large as asked, not larger.
+    /// no table memory, and the first registration takes a four-entry index.
     #[test]
-    fn table_memory_follows_the_reservation() {
+    fn idle_host_owns_no_table_memory() {
         use std::mem::size_of;
         assert_eq!((size_of::<Slot>(), size_of::<IndexEntry>()), (64, 16));
         let mut h = Host::new(0, &profile());
         assert_eq!((h.slots.capacity(), h.index.capacity()), (0, 0));
-        h.reserve_flows(0);
-        assert_eq!(h.index.capacity(), 0);
-        h.reserve_flows(2);
-        assert_eq!((h.slots.capacity(), h.index.capacity()), (2, 4));
-        h.reserve_flows(600);
-        assert_eq!((h.slots.capacity(), h.index.capacity()), (600, 2048));
-        // Reserved, not written: the first registration sizes the index
-        // to the whole reservation in one step.
-        assert_eq!(h.index.len(), 0);
         let mut arena = PacketArena::new();
         let mut scratch = Scratch::default();
         h.register(1, count_ep(1), &mut scratch.ctx(Time::ZERO, &mut arena));
-        assert_eq!((h.index.len(), h.index.capacity()), (2048, 2048));
+        assert_eq!((h.slots.len(), h.index.len()), (1, 4));
     }
 
-    /// Registration past the reservation doubles the index, a freed slot
+    /// Registration past half the index doubles it, a freed slot
     /// is reused, and every flow resolves whatever order it arrived in.
     #[test]
     fn table_grows_and_reuses_slots() {

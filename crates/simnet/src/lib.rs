@@ -5,7 +5,7 @@
 //! * [`packet`] — the on-wire packet model: traffic classes (DSCP analog),
 //!   ECN bits, drop-precedence color, and transport payload headers.
 //! * [`arena`] — the generation-indexed packet arena: every in-flight
-//!   packet lives in one preallocated slab slot, addressed by a
+//!   packet lives in one slab slot, addressed by a
 //!   [`arena::PacketId`] whose generation tag rejects stale handles.
 //! * [`queue`] — a byte-accounted FIFO with ECN marking and per-color
 //!   (selective-drop) accounting.

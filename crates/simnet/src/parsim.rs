@@ -1,8 +1,9 @@
 //! The simulation engine the experiments, the bench crate and the engine
 //! tests drive: a whole [`Topology`] and one factory go in, and the engine
-//! cuts the fabric itself ([`partition`]). One domain — `domains < 2`, a
-//! fabric with no useful cut, a factory that cannot clone — is a plain
-//! [`Sim`] run inline on the calling thread, so thread-local observers
+//! cuts the fabric itself ([`partition`]); every domain builds its
+//! endpoints from that one factory. One domain — `domains < 2` or a fabric
+//! with no useful cut — is a plain [`Sim`] run inline on the calling
+//! thread, so thread-local observers
 //! (`audit`, `trace`) installed by the caller see every event. Two or
 //! more domains run on scoped threads under conservative windowed
 //! synchronization.
@@ -75,27 +76,21 @@ pub struct ParSim<O: NetObserver + Send> {
 
 impl<O: NetObserver + Send> ParSim<O> {
     /// Cuts `topo` into at most `domains` domains and builds one [`Sim`]
-    /// per domain, each with a clone of `factory`, an observer from
-    /// `observer` (called once per domain, in domain order) and calendar
-    /// and flow tables sized for `expected_flows`. A factory that cannot
-    /// [`TransportFactory::try_clone`] runs one domain.
+    /// per domain, all sharing `factory`, each with an observer from
+    /// `observer` (called once per domain, in domain order).
     pub fn new(
         topo: Topology,
         factory: Box<dyn TransportFactory>,
         domains: usize,
-        expected_flows: usize,
         mut observer: impl FnMut() -> O,
     ) -> Self {
-        let clones: Option<Vec<_>> = (1..domains).map(|_| factory.try_clone()).collect();
-        let mut factories = clones.unwrap_or_default();
-        factories.push(factory);
-        // Fewer racks than factories: the surplus clones drop at the zip.
+        let factory: Arc<dyn TransportFactory> = Arc::from(factory);
         let Partition {
             parts,
             domain_of,
             host_domain,
             lookahead,
-        } = partition(topo, factories.len());
+        } = partition(topo, domains);
         let cut = parts.len() > 1;
         assert!(
             !cut || lookahead > TimeDelta::ZERO,
@@ -103,10 +98,9 @@ impl<O: NetObserver + Send> ParSim<O> {
         );
         let sims = parts
             .into_iter()
-            .zip(factories)
             .enumerate()
-            .map(|(me, (topo, factory))| {
-                let mut sim = Sim::with_flow_capacity(topo, factory, observer(), expected_flows);
+            .map(|(me, topo)| {
+                let mut sim = Sim::sharing(topo, Arc::clone(&factory), observer());
                 if cut {
                     sim.set_partition(PartitionCtx {
                         domain_of: Arc::clone(&domain_of),
@@ -514,8 +508,7 @@ mod tests {
 
     /// Windowed blast transport: the sender emits a burst of packets per
     /// timer tick until the flow's bytes are sent; the receiver counts
-    /// and completes. Simple, deterministic, and stateless per flow, so
-    /// the factory clones trivially.
+    /// and completes. Simple, deterministic, and stateless per flow.
     struct PacedSender {
         spec: FlowSpec,
         next_seq: u32,
@@ -595,22 +588,19 @@ mod tests {
     struct PacedFactory;
 
     impl TransportFactory for PacedFactory {
-        fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             Box::new(PacedSender {
                 spec: *flow,
                 next_seq: 0,
                 done: false,
             })
         }
-        fn receiver(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn receiver(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             Box::new(CountReceiver {
                 spec: *flow,
                 got: Bytes::ZERO,
                 done: false,
             })
-        }
-        fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-            Some(Box::new(PacedFactory))
         }
     }
 
@@ -676,7 +666,7 @@ mod tests {
         flows: &[FlowSpec],
         n: usize,
     ) -> (RunResult, usize) {
-        let mut par = ParSim::new(topo, factory, n, flows.len(), FctLog::default);
+        let mut par = ParSim::new(topo, factory, n, FctLog::default);
         for f in flows {
             par.schedule_flow(*f);
         }
@@ -736,7 +726,7 @@ mod tests {
             }
         }
         let topo = clos(ClosParams::small());
-        let mut par = ParSim::new(topo, Box::new(PacedFactory), 2, 4, || SampleCount(0));
+        let mut par = ParSim::new(topo, Box::new(PacedFactory), 2, || SampleCount(0));
         assert_eq!(par.n_domains(), 2, "clos partitions");
         par.enable_sampling(TimeDelta::micros(10));
         for f in clos_flows(48, 4) {
@@ -763,18 +753,15 @@ mod tests {
         }
         struct PanicFactory;
         impl TransportFactory for PanicFactory {
-            fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+            fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
                 PacedFactory.sender(flow, env)
             }
-            fn receiver(&mut self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn receiver(&self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(PanicReceiver)
-            }
-            fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-                Some(Box::new(PanicFactory))
             }
         }
         let topo = clos(ClosParams::small());
-        let mut par = ParSim::new(topo, Box::new(PanicFactory), 2, 1, FctLog::default);
+        let mut par = ParSim::new(topo, Box::new(PanicFactory), 2, FctLog::default);
         assert_eq!(par.n_domains(), 2, "clos partitions");
         par.schedule_flow(FlowSpec {
             id: 1,
@@ -797,16 +784,6 @@ mod tests {
     /// that cannot cut: identical events, completions and per-flow FCTs.
     #[test]
     fn one_domain_engine_is_the_bare_sim() {
-        /// A factory with the default `try_clone` (`None`).
-        struct NoClone;
-        impl TransportFactory for NoClone {
-            fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-                PacedFactory.sender(flow, env)
-            }
-            fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-                PacedFactory.receiver(flow, env)
-            }
-        }
         let p = profile(Rate::from_gbps(40));
         let star = || Topology::star(8, Rate::from_gbps(40), TimeDelta::micros(2), &p, &p);
         let one_rack = || {
@@ -819,25 +796,16 @@ mod tests {
             })
         };
         let small = || clos(ClosParams::small());
-        let paced = || Box::new(PacedFactory) as Box<dyn TransportFactory>;
-        let no_clone = || Box::new(NoClone) as Box<dyn TransportFactory>;
-        type Case<'a> = (
-            &'a str,
-            &'a dyn Fn() -> Topology,
-            &'a dyn Fn() -> Box<dyn TransportFactory>,
-            usize,
-        );
-        let cases: [Case; 4] = [
-            ("star", &star, &paced, 4),
-            ("one rack", &one_rack, &paced, 2),
-            ("n = 1", &small, &paced, 1),
-            ("factory cannot clone", &small, &no_clone, 2),
+        let cases: [(&str, &dyn Fn() -> Topology, usize); 3] = [
+            ("star", &star, 4),
+            ("one rack", &one_rack, 2),
+            ("n = 1", &small, 1),
         ];
-        for (name, topo, factory, n) in cases {
+        for (name, topo, n) in cases {
             let flows = clos_flows(topo().hosts.len(), 12);
-            let serial = serial_over(topo(), factory(), &flows);
+            let serial = serial_over(topo(), Box::new(PacedFactory), &flows);
             assert_eq!(serial.1, flows.len(), "{name}: serial run completes");
-            let (par, k) = par_over(topo(), factory(), &flows, n);
+            let (par, k) = par_over(topo(), Box::new(PacedFactory), &flows, n);
             assert_eq!(k, 1, "{name}: one domain");
             assert_eq!(par, serial, "{name}");
         }
@@ -851,7 +819,7 @@ mod tests {
         let topo = Topology::star(4, Rate::from_gbps(40), TimeDelta::micros(2), &p, &p);
         crate::trace::install(Default::default());
         audit::install();
-        let mut par = ParSim::new(topo, Box::new(PacedFactory), 4, 3, FctLog::default);
+        let mut par = ParSim::new(topo, Box::new(PacedFactory), 4, FctLog::default);
         for f in clos_flows(4, 3) {
             par.schedule_flow(f);
         }
@@ -881,7 +849,7 @@ mod tests {
                 fg: false,
             })
             .collect();
-        let mut par = ParSim::new(clos(params), Box::new(PacedFactory), 2, 4, FctLog::default);
+        let mut par = ParSim::new(clos(params), Box::new(PacedFactory), 2, FctLog::default);
         let mut sim = Sim::new(clos(params), Box::new(PacedFactory), FctLog::default());
         for f in &flows {
             par.schedule_flow(*f);

@@ -19,8 +19,8 @@
 //! Storage is an **intrusive singly-linked FIFO of [`PacketId`]s**: the
 //! queue holds only `head`/`tail`/`len`, and each packet's successor link
 //! is threaded through its [`PacketArena`] slot. Enqueue and dequeue are
-//! pointer writes into the preallocated slab — no per-packet heap node,
-//! no ring-buffer doubling mid-sim. While a packet is queued the queue
+//! pointer writes into the slab — no per-packet heap node, no ring-buffer
+//! doubling mid-sim. While a packet is queued the queue
 //! *owns* its id (the one live copy that will be handed onward), which is
 //! what makes reconstructing successor ids from slot generations sound.
 
@@ -28,7 +28,6 @@ use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
 use crate::audit;
-use crate::consts::CTRL_WIRE;
 use crate::packet::Color;
 use crate::trace;
 
@@ -86,19 +85,6 @@ impl QueueConfig {
         self.red_threshold = Some(bytes);
         self
     }
-
-    /// Most packets this queue's *static* cap can hold — its contribution
-    /// to arena pre-sizing — or `None` when uncapped (shared buffer or
-    /// transport windows bound occupancy instead). Counted in minimum-size
-    /// ([`CTRL_WIRE`]) packets, the densest admissible packing.
-    pub fn capacity_hint(&self) -> Option<usize> {
-        if self.cap_bytes == WireBytes::MAX {
-            return None;
-        }
-        let per_pkt = CTRL_WIRE.get().max(1);
-        // lint:allow(raw-cast): bytes / bytes-per-packet is a packet count
-        Some(self.cap_bytes.get().div_ceil(per_pkt) as usize)
-    }
 }
 
 /// Counters exported by each queue.
@@ -153,7 +139,7 @@ impl PacketQueue {
 
     /// Creates an empty queue with the given configuration. The queue
     /// itself owns no packet storage — backing slots live in the shared
-    /// [`PacketArena`], pre-sized from [`QueueConfig::capacity_hint`].
+    /// [`PacketArena`].
     pub fn new(cfg: QueueConfig) -> Self {
         PacketQueue {
             head: None,
@@ -441,16 +427,6 @@ mod tests {
             }
         }
         assert_eq!(admitted, 11);
-    }
-
-    #[test]
-    fn capacity_hint_counts_min_size_packets() {
-        assert_eq!(QueueConfig::plain().capacity_hint(), None);
-        // 1000 / 84 rounds up to 12 slots.
-        assert_eq!(
-            QueueConfig::capped(WireBytes::new(1_000)).capacity_hint(),
-            Some(12)
-        );
     }
 
     /// A `VecDeque<Packet>`-backed oracle re-implementing the queue's

@@ -5,6 +5,8 @@
 //! port service opportunities, endpoint timers, and flow starts. All
 //! behaviour is deterministic given the topology, factory, and workload.
 
+use std::sync::Arc;
+
 use flexpass_simcore::event::EventQueue;
 use flexpass_simcore::progress::PUBLISH_EVERY;
 use flexpass_simcore::rng::SimRng;
@@ -129,24 +131,16 @@ pub struct PartitionCtx {
 /// Creates the two endpoint halves of each flow. Scheme layers (oWF, Naïve,
 /// FlexPass, ...) implement this to mix transports across hosts.
 ///
-/// `Send` is a supertrait so a factory can be built on the orchestrating
-/// thread and moved into the worker thread that drives the simulation
-/// (see the experiments crate's parallel sweep). Factories hold only
-/// configuration and the deployment map, so this is free in practice.
-pub trait TransportFactory: Send {
+/// Endpoint construction is a pure function of `(flow, env)`: a factory
+/// holds only configuration and the deployment map. So every domain of a
+/// cut fabric ([`crate::ParSim`]) builds from one shared factory, and
+/// `Send + Sync` lets it be made on the orchestrating thread and read from
+/// the worker and domain threads that drive the simulation.
+pub trait TransportFactory: Send + Sync {
     /// Builds the sender endpoint.
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint>;
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint>;
     /// Builds the receiver endpoint.
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint>;
-    /// An independent copy for a partition domain, or `None` if the
-    /// factory carries per-run state that cannot be duplicated. Returning
-    /// `Some` asserts that endpoint construction is a pure function of
-    /// `(flow, env)` — the clones never compare notes, so any shared
-    /// mutable state would diverge between domains. `None` (the default)
-    /// makes the engine ([`crate::ParSim`]) run the fabric as one domain.
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        None
-    }
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint>;
 }
 
 /// Simulation events.
@@ -225,7 +219,7 @@ pub struct Sim<O: NetObserver> {
     /// Rack of each host.
     pub rack_of: Vec<usize>,
     flows: Vec<FlowSpec>,
-    factory: Box<dyn TransportFactory>,
+    factory: Arc<dyn TransportFactory>,
     env: NetEnv,
     /// The measurement observer.
     pub observer: O,
@@ -262,82 +256,41 @@ pub struct Sim<O: NetObserver> {
 }
 
 impl<O: NetObserver> Sim<O> {
-    /// Builds a simulator over a wired topology.
+    /// Builds a simulator over a wired topology. The calendar, the packet
+    /// arena and every host's flow table start empty and double as the run
+    /// first needs more, so all of their growth falls in warm-up.
     pub fn new(topo: Topology, factory: Box<dyn TransportFactory>, observer: O) -> Self {
-        Self::with_flow_capacity(topo, factory, observer, 0)
+        Self::sharing(topo, Arc::from(factory), observer)
     }
 
-    /// Like [`Sim::new`], but pre-sizes the event calendar and flow table
-    /// for `expected_flows` scheduled flows, avoiding repeated growth at
-    /// sweep start. Purely a capacity hint: scheduling more flows works,
-    /// and simulated outcomes are identical either way.
+    /// [`Sim::new`]; the flow count is ignored.
     pub fn with_flow_capacity(
         topo: Topology,
         factory: Box<dyn TransportFactory>,
         observer: O,
-        expected_flows: usize,
+        _expected_flows: usize,
     ) -> Self {
+        Self::new(topo, factory, observer)
+    }
+
+    /// [`Sim::new`] over a factory other simulators share (the domains of
+    /// one [`crate::ParSim`]).
+    pub(crate) fn sharing(topo: Topology, factory: Arc<dyn TransportFactory>, observer: O) -> Self {
         let env = NetEnv {
             host_rate: topo.host_rate,
             base_rtt: topo.base_rtt,
             n_hosts: topo.hosts.len(),
         };
-        // Each scheduled flow contributes its FlowStart entry up front plus
-        // a handful of in-flight events while active; a small multiple of
-        // the flow count is a good calendar working-set estimate.
-        let cal = expected_flows.saturating_mul(4);
-        let mut nodes = topo.nodes;
-
-        // Arena sizing: bounded queues state their worst-case packet count
-        // (capacity_hint counts minimum-size frames), which is a ceiling on
-        // the live-packet population, not a target — cap the hinted term so
-        // a large Clos with deep buffers does not pre-reserve megabytes per
-        // run. The cap scales with host count: a fixed 65,536 was tuned for
-        // the paper's 192-host fabric and silently undersized 10k-host
-        // topologies, forcing warm-path arena growth. Warm-up growth
-        // (tracked by the arena) still absorbs any residual shortfall.
-        const MAX_HINTED_SLOTS: usize = 65_536;
-        const HINT_SLOTS_PER_HOST: usize = 32;
-        let hinted_cap = MAX_HINTED_SLOTS.max(topo.hosts.len().saturating_mul(HINT_SLOTS_PER_HOST));
-        let mut hinted: usize = 0;
-        for node in &nodes {
-            let ports: &[Port] = match node {
-                Node::Switch(s) => &s.ports,
-                Node::Host(h) => std::slice::from_ref(&h.nic),
-            };
-            for p in ports {
-                for qi in 0..p.num_queues() {
-                    if let Some(h) = p.queue(qi).config().capacity_hint() {
-                        hinted = hinted.saturating_add(h);
-                    }
-                }
-            }
-        }
-        let slots = expected_flows
-            .saturating_mul(16)
-            .max(hinted.min(hinted_cap))
-            .max(256);
-
-        // Per-host flow tables: each flow registers two endpoints; spread
-        // them across hosts with headroom for skewed workloads.
-        let n_hosts = topo.hosts.len().max(1);
-        let per_host = expected_flows.saturating_mul(4).div_ceil(n_hosts);
-        for node in &mut nodes {
-            if let Node::Host(h) = node {
-                h.reserve_flows(per_host);
-            }
-        }
-
         Sim {
-            events: EventQueue::with_capacity(cal),
-            nodes,
+            events: EventQueue::new(),
+            nodes: topo.nodes,
             hosts: topo.hosts,
             rack_of: topo.rack_of,
-            flows: Vec::with_capacity(expected_flows),
+            flows: Vec::new(),
             factory,
             env,
             observer,
-            arena: PacketArena::with_capacity(slots),
+            arena: PacketArena::new(),
             scratch: Scratch::default(),
             sample_scratch: QueueSample::new(),
             scratch_audit: [
@@ -351,8 +304,8 @@ impl<O: NetObserver> Sim<O> {
             loss: None,
             injected_losses: 0,
             partition: None,
-            roles: Vec::with_capacity(expected_flows),
-            outbox: Vec::with_capacity(64),
+            roles: Vec::new(),
+            outbox: Vec::new(),
             last_completion: Time::ZERO,
             sender_half_starts: 0,
             progress: None,
@@ -381,7 +334,8 @@ impl<O: NetObserver> Sim<O> {
     }
 
     /// Arena occupancy and growth statistics `(live, high_water, capacity,
-    /// grows)` — growths after warm-up mean the preallocation was short.
+    /// grows)`. The slab starts empty and doubles, so `grows` is about
+    /// log2 of `high_water`.
     pub fn arena_stats(&self) -> (usize, usize, usize, u64) {
         (
             self.arena.live(),
@@ -998,13 +952,13 @@ mod tests {
     struct BlastFactory;
 
     impl TransportFactory for BlastFactory {
-        fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             Box::new(BlastSender {
                 spec: *flow,
                 sent: false,
             })
         }
-        fn receiver(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn receiver(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             Box::new(CountReceiver {
                 spec: *flow,
                 got: Bytes::ZERO,
@@ -1052,48 +1006,25 @@ mod tests {
     }
 
     /// The whole driver must be `Send` so one sweep point can run on a
-    /// worker thread: `Endpoint` and `TransportFactory` carry `Send`
-    /// supertraits, everything else is owned data. A compile-time check.
+    /// worker thread, and a factory `Sync` so the domains of a cut fabric
+    /// share it: `Endpoint` and `TransportFactory` carry those supertraits,
+    /// everything else is owned data. A compile-time check.
     #[test]
     fn sim_is_send() {
         fn assert_send<T: Send>() {}
+        fn assert_sync<T: Sync>() {}
         assert_send::<Sim<NullObserver>>();
-        assert_send::<Box<dyn TransportFactory>>();
+        assert_sync::<Arc<dyn TransportFactory>>();
         assert_send::<Box<dyn Endpoint>>();
     }
 
-    /// Regression: the hinted arena preallocation was capped at a fixed
-    /// 65,536 slots tuned for the paper's 192-host fabric, silently
-    /// undersizing 10k-host topologies (forcing warm-path growth). The
-    /// cap now scales with host count; small fabrics keep the old bound.
+    /// A simulator owns no packet slots until a packet needs one.
     #[test]
-    fn arena_hint_cap_scales_with_host_count() {
-        let deep = SwitchProfile {
-            port: PortConfig {
-                rate: Rate::from_gbps(10),
-                queues: vec![(
-                    QueueConfig::capped(WireBytes::new(10_000_000)),
-                    QueueSched::strict(0),
-                )],
-            },
-            class_map: ClassMap::Single,
-            shared_buffer: None,
-        };
-        let mk = |hosts: usize| {
-            let topo = Topology::star(
-                hosts,
-                Rate::from_gbps(10),
-                TimeDelta::micros(5),
-                &deep,
-                &deep,
-            );
-            Sim::new(topo, Box::new(BlastFactory), NullObserver)
-        };
-        // Small fabric: the hinted sum exceeds every cap, so the old
-        // fixed bound still applies.
-        assert_eq!(mk(128).arena_stats().2, 65_536);
-        // Large fabric: the cap follows host count instead of clamping.
-        assert_eq!(mk(4_096).arena_stats().2, 4_096 * 32);
+    fn arena_starts_empty() {
+        let p = profile(Rate::from_gbps(10));
+        let topo = Topology::star(128, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+        let sim = Sim::new(topo, Box::new(BlastFactory), NullObserver);
+        assert_eq!(sim.arena_stats(), (0, 0, 0, 0));
     }
 
     #[test]
@@ -1230,13 +1161,13 @@ mod tests {
         }
         struct TimerFactory;
         impl TransportFactory for TimerFactory {
-            fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(TimerEp {
                     fired: false,
                     flow: flow.id,
                 })
             }
-            fn receiver(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn receiver(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(TimerEp {
                     fired: false,
                     flow: flow.id,
@@ -1305,14 +1236,14 @@ mod tests {
         }
         struct F(std::sync::Arc<std::sync::Mutex<Seen>>);
         impl TransportFactory for F {
-            fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(Ep {
                     flow: flow.id,
                     seen: self.0.clone(),
                     done: false,
                 })
             }
-            fn receiver(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn receiver(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(Ep {
                     flow: flow.id,
                     seen: self.0.clone(),
@@ -1417,7 +1348,7 @@ mod tests {
     }
 
     impl TransportFactory for EdgeFactory {
-        fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             let &(_, armed_us, at_driver) = self
                 .scripts
                 .iter()
@@ -1431,7 +1362,7 @@ mod tests {
                 fired: self.fired.clone(),
             })
         }
-        fn receiver(&mut self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+        fn receiver(&self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
             Box::new(Absent)
         }
     }
@@ -1636,13 +1567,13 @@ mod tests {
 
         struct F;
         impl TransportFactory for F {
-            fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(Burst {
                     flow: flow.id,
                     sent_data: false,
                 })
             }
-            fn receiver(&mut self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            fn receiver(&self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
                 Box::new(Count { credits: 0 })
             }
         }

@@ -35,9 +35,8 @@ fn profile() -> SwitchProfile {
 }
 
 /// Paced blast sender: four packets per 2 µs timer tick until the flow's
-/// bytes are out. Stateless per flow, so the factory clones trivially and
-/// the emission schedule is a pure function of the spec — identical in
-/// every domain layout.
+/// bytes are out. Stateless per flow, so the emission schedule is a pure
+/// function of the spec — identical in every domain layout.
 struct PacedSender {
     spec: FlowSpec,
     next_seq: u32,
@@ -114,22 +113,19 @@ impl Endpoint for CountReceiver {
 struct PacedFactory;
 
 impl TransportFactory for PacedFactory {
-    fn sender(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(PacedSender {
             spec: *flow,
             next_seq: 0,
             done: false,
         })
     }
-    fn receiver(&mut self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(CountReceiver {
             spec: *flow,
             got: Bytes::ZERO,
             done: false,
         })
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        Some(Box::new(PacedFactory))
     }
 }
 
@@ -189,13 +185,7 @@ fn run_serial(params: ClosParams, flows: &[FlowSpec]) -> RunResult {
 fn run_par(params: ClosParams, flows: &[FlowSpec], n: usize) -> RunResult {
     let p = profile();
     let topo = Topology::clos(params, &p, &p);
-    let mut par = ParSim::new(
-        topo,
-        Box::new(PacedFactory),
-        n,
-        flows.len(),
-        FctLog::default,
-    );
+    let mut par = ParSim::new(topo, Box::new(PacedFactory), n, FctLog::default);
     assert!(par.n_domains() >= 2, "multi-pod clos partitions");
     for f in flows {
         par.schedule_flow(*f);

@@ -321,14 +321,11 @@ impl Default for DctcpFactory {
 }
 
 impl TransportFactory for DctcpFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(DctcpSender::new(*flow, self.cfg, env))
     }
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(DctcpReceiver::new(*flow, self.cfg, env))
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        Some(Box::new(DctcpFactory { cfg: self.cfg }))
     }
 }
 

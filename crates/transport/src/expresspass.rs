@@ -529,14 +529,11 @@ impl Default for ExpressPassFactory {
 }
 
 impl TransportFactory for ExpressPassFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(EpSender::new(*flow, self.cfg, env))
     }
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(EpReceiver::new(*flow, self.cfg, env))
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        Some(Box::new(ExpressPassFactory { cfg: self.cfg }))
     }
 }
 

@@ -248,14 +248,11 @@ impl HomaFactory {
 }
 
 impl TransportFactory for HomaFactory {
-    fn sender(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(HomaSender::new(*flow, self.cfg, env))
     }
-    fn receiver(&mut self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
+    fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         Box::new(HomaReceiver::new(*flow, self.cfg, env))
-    }
-    fn try_clone(&self) -> Option<Box<dyn TransportFactory>> {
-        Some(Box::new(HomaFactory { cfg: self.cfg }))
     }
 }
 

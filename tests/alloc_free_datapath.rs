@@ -6,8 +6,10 @@
 //! including everything the lints cannot see (transport endpoints,
 //! `BTreeMap` node splits, trace sinks).
 //!
-//! Two windows share the one test function: a lightly loaded star (at most
-//! four flows per host) and a 64 → 1 incast (640 flows on one host).
+//! Three windows share the one test function: a lightly loaded star (at
+//! most four flows per host), a 64 → 1 incast (640 flows on one host) and
+//! a 64-host two-pod Clos. Every table starts empty, so these windows are
+//! the check that all growth falls in warm-up.
 //!
 //! It must stay the only test in this binary: the counter is process-wide,
 //! and a test running on another thread would allocate into the window.
@@ -97,17 +99,16 @@ fn warm_datapath_allocates_under_ceiling() {
     // Second window, high fan-in: ten waves of a 64 → 1 FlexPass incast on
     // the testbed fabric (ECN, selective drops, RTOs), so one host's flow
     // table holds 640 live endpoints that each re-arm pacing timers. The
-    // capacity hint is left at one wave: the table doubles to its working
-    // size during warm-up and must not touch the heap after it (last
-    // measured 1,308 allocations / 464,530 events = 0.0028, 640 live).
+    // table starts empty and doubles to its working size during warm-up;
+    // it must not touch the heap after it (last measured 1,308 allocations
+    // / 464,530 events = 0.0028, 640 live).
     const SENDERS: usize = 64;
     let profile = flexpass_profile(&ProfileParams::testbed(Rate::from_gbps(10)));
     let factory = FlexPassFactory::new(FlexPassConfig::new(0.5));
-    let mut sim = Sim::with_flow_capacity(
+    let mut sim = Sim::new(
         star_topo(SENDERS + 1, &profile),
         Box::new(factory),
         NullObserver,
-        SENDERS,
     );
     let senders: Vec<usize> = (0..SENDERS).collect();
     for wave in 0..10u64 {
@@ -121,4 +122,10 @@ fn warm_datapath_allocates_under_ceiling() {
         Node::Host(h) => assert!(h.live_flows() >= 500, "fan-in fell to {}", h.live_flows()),
         Node::Switch(_) => unreachable!("host id maps to a host"),
     }
+
+    // Third window, a fabric with switches between the racks: the 64-host
+    // two-pod Clos (ToR, agg and core tiers, ECMP), one long FlexPass flow
+    // per host (last measured 646 allocations / 661,871 events = 0.0010).
+    let mut sim = flexpass_bench::multipod_sim();
+    assert_window_under_ceiling("multipod", &mut sim, 300, 1_000);
 }
