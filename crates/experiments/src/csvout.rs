@@ -1,11 +1,13 @@
-//! A minimal CSV writer (hand-rolled to keep the dependency set small).
+//! The one CSV format (RFC 4180, hand-rolled to keep the dependency set
+//! small): the figures render through it, and `--plot` and the claims read
+//! their output back through [`Csv::parse`].
 
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 
 /// An in-memory CSV table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Csv {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -20,9 +22,39 @@ impl Csv {
         }
     }
 
+    /// Parses CSV text as [`Csv::render`] writes it. A row narrower than the
+    /// header (a run killed mid-write) is skipped with one stderr line
+    /// naming `path` and the row's line number, and cells past the header's
+    /// width are dropped, so every row can be indexed by any header column.
+    pub fn parse(path: &Path, text: &str) -> Csv {
+        let mut records = records(text).into_iter();
+        let header = records.next().map(|(_, h)| h).unwrap_or_default();
+        let rows = records
+            .filter(|(_, r)| r.iter().any(|c| !c.trim().is_empty()))
+            .filter_map(|(line, mut r)| {
+                let (file, width) = (path.display(), header.len());
+                if r.len() < width {
+                    eprintln!(
+                        "warning: {file}:{line}: row has {} of {width} columns, skipped",
+                        r.len()
+                    );
+                    return None;
+                }
+                r.truncate(width);
+                Some(r)
+            })
+            .collect();
+        Csv { header, rows }
+    }
+
     /// The column names.
     pub fn header(&self) -> &[String] {
         &self.header
+    }
+
+    /// The data rows, each as wide as the header.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Appends a row (must match the header width).
@@ -66,6 +98,13 @@ impl Csv {
         let mut f = fs::File::create(dir.join(format!("{name}.csv")))?;
         f.write_all(self.render().as_bytes())
     }
+
+    /// Parses `dir/name.csv`; `None` if it cannot be read (not written yet).
+    pub fn read(dir: &Path, name: &str) -> Option<Csv> {
+        let path = dir.join(format!("{name}.csv"));
+        let text = fs::read_to_string(&path).ok()?;
+        Some(Csv::parse(&path, &text))
+    }
 }
 
 fn render_row(out: &mut String, cells: &[String]) {
@@ -82,6 +121,41 @@ fn render_row(out: &mut String, cells: &[String]) {
         }
     }
     out.push('\n');
+}
+
+/// Splits CSV text into records, each with the 1-based line it starts on —
+/// the inverse of [`render_row`]: a quoted cell may hold commas, newlines
+/// and doubled quotes.
+fn records(text: &str) -> Vec<(usize, Vec<String>)> {
+    let mut out = Vec::new();
+    let (mut row, mut cell) = (Vec::new(), String::new());
+    let (mut line, mut start, mut quoted) = (1, 1, false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c == '\n' {
+            line += 1;
+        }
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                cell.push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => row.push(std::mem::take(&mut cell)),
+            '\n' if !quoted => {
+                row.push(std::mem::take(&mut cell));
+                out.push((start, std::mem::take(&mut row)));
+                start = line;
+            }
+            '\r' if !quoted => {}
+            c => cell.push(c),
+        }
+    }
+    if !cell.is_empty() || !row.is_empty() {
+        row.push(cell);
+        out.push((start, row));
+    }
+    out
 }
 
 /// Formats a float with six decimal places for CSV cells.
@@ -115,7 +189,7 @@ mod tests {
     }
 
     /// RFC 4180 regression: commas, quotes and newlines in cells must not
-    /// corrupt the table shape.
+    /// corrupt the table shape, and `parse` reads back what `render` wrote.
     #[test]
     fn quotes_special_cells() {
         let mut c = Csv::new(&["label", "value"]);
@@ -125,6 +199,8 @@ mod tests {
             c.render(),
             "label,value\n\"has,comma\",plain\n\"say \"\"hi\"\"\",\"line\nbreak\"\n"
         );
+        c.row(["".into(), "\"a,\"\"\r\nb".into()]);
+        assert_eq!(Csv::parse(Path::new("t.csv"), &c.render()), c);
     }
 
     #[test]
@@ -149,5 +225,6 @@ mod tests {
         c.write(&dir, "t").unwrap();
         let s = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(s, "x\n42\n");
+        assert_eq!(Csv::read(&dir, "t"), Some(c));
     }
 }

@@ -2,16 +2,17 @@
 //! competing with DCTCP for a shared 10 Gbps link without co-existence
 //! measures — the legacy flows starve.
 
-use flexpass::profiles::{homa_mix_profile, naive_profile, ProfileParams};
+use flexpass::config::FlexPassConfig;
+use flexpass::profiles::{homa_mix_profile, ProfileParams};
+use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
 use flexpass_metrics::Recorder;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 use flexpass_simcore::units::Bytes;
 use flexpass_simnet::endpoint::Endpoint;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::{NetEnv, TransportFactory};
-use flexpass_simnet::topology::Topology;
+use flexpass_simnet::switch::SwitchProfile;
 use flexpass_transport::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
-use flexpass_transport::expresspass::{EpConfig, EpReceiver, EpSender};
 use flexpass_transport::homa::{HomaConfig, HomaReceiver, HomaSender};
 
 use crate::csvout::{f, Csv};
@@ -19,53 +20,20 @@ use crate::figures::Output;
 use crate::orchestrate::{grid, or_nan};
 use crate::runner::{run, star_topo, Stop};
 
-/// Dispatches each flow to one of two transports by its tag
-/// (0 = legacy DCTCP, 1 = the new transport).
-pub struct TagFactory {
-    legacy: DctcpConfig,
-    upgraded: UpgradedKind,
-}
-
-enum UpgradedKind {
-    Ep(EpConfig),
-    Homa(HomaConfig),
-}
-
-impl TagFactory {
-    /// Legacy DCTCP vs plain ExpressPass.
-    pub fn dctcp_vs_ep(ep: EpConfig) -> Self {
-        TagFactory {
-            legacy: DctcpConfig::default(),
-            upgraded: UpgradedKind::Ep(ep),
-        }
-    }
-
-    /// Legacy DCTCP vs Homa-lite.
-    pub fn dctcp_vs_homa(h: HomaConfig) -> Self {
-        TagFactory {
-            legacy: DctcpConfig::default(),
-            upgraded: UpgradedKind::Homa(h),
-        }
-    }
-}
+/// Legacy DCTCP for tag 0, Homa-lite for tag 1.
+struct TagFactory(HomaConfig);
 
 impl TransportFactory for TagFactory {
     fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        if flow.tag == 0 {
-            return Box::new(DctcpSender::new(*flow, self.legacy, env));
-        }
-        match &self.upgraded {
-            UpgradedKind::Ep(c) => Box::new(EpSender::new(*flow, *c, env)),
-            UpgradedKind::Homa(c) => Box::new(HomaSender::new(*flow, *c, env)),
+        match flow.tag {
+            0 => Box::new(DctcpSender::new(*flow, DctcpConfig::default(), env)),
+            _ => Box::new(HomaSender::new(*flow, self.0, env)),
         }
     }
     fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        if flow.tag == 0 {
-            return Box::new(DctcpReceiver::new(*flow, self.legacy, env));
-        }
-        match &self.upgraded {
-            UpgradedKind::Ep(c) => Box::new(EpReceiver::new(*flow, *c, env)),
-            UpgradedKind::Homa(c) => Box::new(HomaReceiver::new(*flow, *c, env)),
+        match flow.tag {
+            0 => Box::new(DctcpReceiver::new(*flow, DctcpConfig::default(), env)),
+            _ => Box::new(HomaReceiver::new(*flow, self.0, env)),
         }
     }
 }
@@ -83,22 +51,38 @@ pub(crate) fn long_flow(id: u64, src: usize, dst: usize, tag: u32) -> FlowSpec {
     }
 }
 
-/// Runs long `flows` on a 10 G star for `window_ms` with 1 ms throughput
-/// bins — the drive shared by the testbed figures (1, 7, 9).
-pub(crate) fn run_testbed(
-    topo: Topology,
+/// Runs long `flows` on a 10 G star of `n_hosts` under `profile` for
+/// `window_ms` with 1 ms throughput bins — the drive shared by the testbed
+/// figures (1, 7, 9).
+fn run_testbed(
+    n_hosts: usize,
+    profile: &SwitchProfile,
     factory: Box<dyn TransportFactory>,
     flows: &[FlowSpec],
     window_ms: u64,
 ) -> Recorder {
-    run(
-        topo,
-        factory,
-        Recorder::new().with_throughput(TimeDelta::millis(1)),
-        flows,
-        None,
-        Stop::At(Time::from_millis(window_ms)),
-    )
+    let rec = Recorder::new().with_throughput(TimeDelta::millis(1));
+    let stop = Stop::At(Time::from_millis(window_ms));
+    run(star_topo(n_hosts, profile), factory, rec, flows, None, stop)
+}
+
+/// The testbed's hosts 1 and 2 upgraded, host 0 legacy: a flow from host 0
+/// stays DCTCP beside the upgraded flow from host 1.
+pub(crate) const HOST_0_LEGACY: [bool; 3] = [false, true, true];
+
+/// The 3-host testbed under `scheme` (w_q = 0.5): the `upgraded` hosts run
+/// it, the rest legacy DCTCP, and a flow is upgraded when both its ends
+/// are. Figures 1(a), 7 and 9 are this run with different flows and hosts.
+pub(crate) fn testbed(
+    scheme: Scheme,
+    upgraded: [bool; 3],
+    flows: &[FlowSpec],
+    window_ms: u64,
+) -> Recorder {
+    let profile = scheme.profile(&ProfileParams::testbed(Rate::from_gbps(10)), 0.5);
+    let deployment = Deployment::from_hosts(upgraded.to_vec());
+    let factory = SchemeFactory::new(scheme, deployment, FlexPassConfig::new(0.5), 0.5);
+    run_testbed(3, &profile, Box::new(factory), flows, window_ms)
 }
 
 /// The per-millisecond throughput of tag 0 and tag 1 over the window, in
@@ -141,11 +125,8 @@ fn fig1(group: &str, label: &str, out: &[Output], run: fn() -> Recorder) -> Vec<
 /// naive (shared-queue, full-credit-rate) configuration.
 pub fn fig1a(out: &[Output]) -> Vec<Csv> {
     fig1("fig1a", "ep_vs_dctcp", out, || {
-        let params = ProfileParams::testbed(Rate::from_gbps(10));
-        let factory = TagFactory::dctcp_vs_ep(EpConfig::default());
         let flows = [long_flow(1, 0, 2, 0), long_flow(2, 1, 2, 1)];
-        let topo = star_topo(3, &naive_profile(&params));
-        run_testbed(topo, Box::new(factory), &flows, 120)
+        testbed(Scheme::Naive, HOST_0_LEGACY, &flows, 120)
     })
 }
 
@@ -164,30 +145,12 @@ pub fn fig1b(out: &[Output]) -> Vec<Csv> {
             sched_prio: 0,
             ..HomaConfig::default()
         };
-        let factory = TagFactory::dctcp_vs_homa(homa);
         let mut flows = Vec::new();
         for i in 0..16u64 {
             flows.push(long_flow(i, i as usize, 32, 0)); // DCTCP
             flows.push(long_flow(16 + i, 16 + i as usize, 32, 1)); // Homa
         }
-        let topo = star_topo(33, &homa_mix_profile(&params));
-        run_testbed(topo, Box::new(factory), &flows, 120)
+        let factory = Box::new(TagFactory(homa));
+        run_testbed(33, &homa_mix_profile(&params), factory, &flows, 120)
     })
-}
-
-/// Mean of a per-millisecond series over the second half of the window
-/// (steady state).
-pub(crate) fn steady_mean(series: &[f64], window_ms: usize) -> f64 {
-    let lo = window_ms / 2;
-    let hi = window_ms.min(series.len());
-    if lo >= hi {
-        return 0.0;
-    }
-    series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-}
-
-/// Mean throughput of each series over the second half of the window
-/// (steady state), in Gbps — used by tests and EXPERIMENTS.md.
-pub fn steady_share(rec: &Recorder, tag: u32, window_ms: usize) -> f64 {
-    steady_mean(&rec.throughput_gbps(tag), window_ms)
 }

@@ -2,32 +2,14 @@
 //! (10 Gbps, w_q = 0.5): (a) one FlexPass flow alone, (b) two FlexPass
 //! flows, (c) one DCTCP + one FlexPass flow.
 
-use flexpass::config::FlexPassConfig;
-use flexpass::profiles::{flexpass_profile, ProfileParams};
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
+use flexpass::schemes::Scheme;
 use flexpass_metrics::Recorder;
-use flexpass_simcore::time::Rate;
 use flexpass_simnet::packet::{FlowSpec, Subflow};
 
 use crate::csvout::Csv;
-use crate::fig1::{long_flow, run_testbed, series_csv, steady_mean};
+use crate::fig1::{long_flow, series_csv, testbed, HOST_0_LEGACY};
 use crate::figures::Output;
 use crate::orchestrate::grid;
-use crate::runner::star_topo;
-
-/// FlexPass on the 3-host star with `upgraded_hosts` upgraded (w_q = 0.5).
-/// Figure 9(b) is the same testbed with a DCTCP competitor.
-pub(crate) fn run(flows: &[FlowSpec], upgraded_hosts: &[usize], window_ms: u64) -> Recorder {
-    let params = ProfileParams::testbed(Rate::from_gbps(10));
-    let topo = star_topo(3, &flexpass_profile(&params));
-    let mut up = vec![false; 3];
-    for &h in upgraded_hosts {
-        up[h] = true;
-    }
-    let deployment = Deployment::from_hosts(up);
-    let factory = SchemeFactory::new(Scheme::FlexPass, deployment, FlexPassConfig::new(0.5), 0.5);
-    run_testbed(topo, Box::new(factory), flows, window_ms)
-}
 
 /// Per-millisecond throughput of flow 1's proactive and reactive sub-flows
 /// and of the legacy tag over the window, in Gbps.
@@ -49,18 +31,14 @@ fn subflow_series(rec: &Recorder, window_ms: u64) -> Vec<[f64; 3]> {
 /// bandwidth.
 pub fn fig7(out: &[Output]) -> Vec<Csv> {
     let (fp, dctcp) = (long_flow(1, 0, 2, 1), long_flow(1, 0, 2, 0));
-    let panels: Vec<(&str, Vec<FlowSpec>, &[usize], u64)> = vec![
-        ("one_flexpass", vec![fp], &[0, 1, 2], 45),
-        (
-            "two_flexpass",
-            vec![fp, long_flow(2, 1, 2, 1)],
-            &[0, 1, 2],
-            90,
-        ),
+    let all = [true; 3];
+    let panels: Vec<(&str, Vec<FlowSpec>, [bool; 3], u64)> = vec![
+        ("one_flexpass", vec![fp], all, 45),
+        ("two_flexpass", vec![fp, long_flow(2, 1, 2, 1)], all, 90),
         (
             "dctcp_flexpass",
             vec![dctcp, long_flow(2, 1, 2, 1)],
-            &[1, 2],
+            HOST_0_LEGACY,
             90,
         ),
     ];
@@ -69,7 +47,8 @@ pub fn fig7(out: &[Output]) -> Vec<Csv> {
         panels,
         |(label, ..)| label.to_string(),
         |(_, flows, upgraded, window_ms)| {
-            subflow_series(&run(flows, upgraded, *window_ms), *window_ms)
+            let rec = testbed(Scheme::FlexPass, *upgraded, flows, *window_ms);
+            subflow_series(&rec, *window_ms)
         },
     );
     cells
@@ -79,14 +58,4 @@ pub fn fig7(out: &[Output]) -> Vec<Csv> {
             series_csv(out.columns, *window_ms, series.as_deref())
         })
         .collect()
-}
-
-/// Helper for tests: steady-state mean of a sub-flow series over the last
-/// half of the window, in Gbps.
-pub fn steady_subflow_gbps(rec: &Recorder, sub: Subflow, window_ms: usize) -> f64 {
-    let gbps: Vec<f64> = match rec.series((1, sub)) {
-        Some(s) => s.bins().iter().map(|b| b * 8.0 / 1e6).collect(),
-        None => return 0.0,
-    };
-    steady_mean(&gbps, window_ms)
 }

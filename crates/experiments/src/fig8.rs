@@ -18,27 +18,14 @@ use crate::figures::Output;
 use crate::orchestrate::{grid, or_nan};
 use crate::runner::{run, star_topo, DRAINED};
 
-/// One incast run: `n_flows` of 64 kB spread over 8 senders to host 8.
-/// Returns `(max FCT seconds, sender timeouts)`.
-pub fn run_incast(
-    profile: &SwitchProfile,
-    factory: Box<dyn TransportFactory>,
-    n_flows: usize,
-    seed_offset: u64,
-) -> (f64, u64) {
-    let topo = star_topo(9, profile);
-    let senders: Vec<usize> = (0..n_flows).map(|i| i % 8).collect();
-    let flows = incast(&senders, 8, 64_000, Time::from_micros(10 + seed_offset), 0);
-    let rec = run(topo, factory, Recorder::new(), &flows, None, DRAINED);
-    (rec.fct_stats(|_| true).max, rec.total_timeouts())
-}
-
 const TRANSPORTS: [&str; 3] = ["dctcp", "expresspass", "flexpass"];
 
-/// The paper's two-run average of one (flow count, transport) pair:
-/// `[mean longest FCT in seconds, timeouts of both runs]`.
+/// The paper's two-run average of one (flow count, transport) pair, each
+/// run `n` flows of 64 kB spread over 8 senders to host 8: `[mean longest
+/// FCT in seconds, timeouts of both runs]`.
 fn average_of_two(n: usize, transport: &str) -> [f64; 2] {
     let params = ProfileParams::testbed(Rate::from_gbps(10));
+    let senders: Vec<usize> = (0..n).map(|i| i % 8).collect();
     let mut fct = 0.0;
     let mut timeouts = 0;
     for r in 0..2 {
@@ -50,9 +37,17 @@ fn average_of_two(n: usize, transport: &str) -> [f64; 2] {
                 flexpass_profile(&params),
             ),
         };
-        let (m, t) = run_incast(&profile, factory, n, r * 3);
-        fct += m / 2.0;
-        timeouts += t;
+        let flows = incast(&senders, 8, 64_000, Time::from_micros(10 + r * 3), 0);
+        let rec = run(
+            star_topo(9, &profile),
+            factory,
+            Recorder::new(),
+            &flows,
+            None,
+            DRAINED,
+        );
+        fct += rec.fct_stats(|_| true).max / 2.0;
+        timeouts += rec.total_timeouts();
     }
     [fct, timeouts as f64]
 }

@@ -6,9 +6,11 @@
 //! figure modules take their headers from here (`Csv::new(out[0].columns)`)
 //! and return their tables in output order; [`Figure::run`] pairs each table
 //! with its output and refuses one whose header is not the output's column
-//! list. [`crate::plot::plot_results`] walks the same outputs, and the tests
-//! below hold the table against the committed checksums and the documents.
+//! list. [`crate::plot::plot_results`] walks the same outputs, a figure's
+//! [`Claim`]s read them ([`crate::claims::evaluate`]), and the tests below
+//! hold the table against the committed checksums and the documents.
 
+use crate::claims::Claim;
 use crate::csvout::Csv;
 use crate::runner::RunScale;
 use crate::{
@@ -55,6 +57,8 @@ pub struct Figure {
     run: RunFn,
     /// The CSVs it writes.
     pub outputs: &'static [Output],
+    /// What the paper claims about it, read from those CSVs.
+    pub claims: &'static [Claim],
 }
 
 impl Figure {
@@ -155,6 +159,7 @@ pub const FIGURES: &[Figure] = &[
                 y_label: "throughput (Gbps)",
             }],
         }],
+        claims: paper::FIG1A,
     },
     Figure {
         name: "fig1b",
@@ -164,6 +169,7 @@ pub const FIGURES: &[Figure] = &[
             "fig1b_homa_vs_dctcp",
             &["time_ms", "dctcp_gbps", "homa_gbps"],
         )],
+        claims: paper::FIG1B,
     },
     Figure {
         name: "fig5a",
@@ -173,6 +179,7 @@ pub const FIGURES: &[Figure] = &[
             "fig5a_rc3_split",
             &["variant", "deploy_ratio", "p99_small_ms", "reorder_mean_kb"],
         )],
+        claims: paper::FIG5A,
     },
     Figure {
         name: "fig5b",
@@ -182,6 +189,7 @@ pub const FIGURES: &[Figure] = &[
             "fig5b_alt_queueing",
             &["variant", "deploy_ratio", "p99_small_ms"],
         )],
+        claims: paper::FIG5B,
     },
     Figure {
         name: "fig7",
@@ -192,6 +200,7 @@ pub const FIGURES: &[Figure] = &[
             table("fig7b_two_flexpass", SUBFLOWS),
             table("fig7c_dctcp_flexpass", SUBFLOWS),
         ],
+        claims: paper::FIG7,
     },
     Figure {
         name: "fig8",
@@ -209,6 +218,7 @@ pub const FIGURES: &[Figure] = &[
                 y_label: "max FCT (ms)",
             }],
         }],
+        claims: paper::FIG8,
     },
     Figure {
         name: "fig9",
@@ -233,6 +243,7 @@ pub const FIGURES: &[Figure] = &[
                 &["scheme", "dctcp_starved_frac", "new_starved_frac"],
             ),
         ],
+        claims: paper::FIG9,
     },
     // Also produces the per-type data of Figures 12–13.
     Figure {
@@ -289,6 +300,7 @@ pub const FIGURES: &[Figure] = &[
                 )],
             },
         ],
+        claims: paper::FIG10,
     },
     Figure {
         name: "fig11",
@@ -304,6 +316,7 @@ pub const FIGURES: &[Figure] = &[
                 "p99 FCT (ms)",
             )],
         }],
+        claims: &[],
     },
     Figure {
         name: "fig14",
@@ -326,6 +339,7 @@ pub const FIGURES: &[Figure] = &[
                 "p99 FCT (ms)",
             )],
         }],
+        claims: &[],
     },
     // Covers Figure 16's average-FCT series.
     Figure {
@@ -343,6 +357,7 @@ pub const FIGURES: &[Figure] = &[
                 "p99_gain_vs_0",
             ],
         )],
+        claims: paper::FIG15,
     },
     Figure {
         name: "fig17",
@@ -365,6 +380,7 @@ pub const FIGURES: &[Figure] = &[
                 y_label: "avg FCT degradation (fraction)",
             }],
         }],
+        claims: paper::FIG17,
     },
     Figure {
         name: "fig18",
@@ -382,6 +398,7 @@ pub const FIGURES: &[Figure] = &[
                 y_label: "legacy p99 degradation (fraction)",
             }],
         }],
+        claims: paper::FIG18,
     },
     Figure {
         name: "queue",
@@ -403,6 +420,7 @@ pub const FIGURES: &[Figure] = &[
                 "timeouts",
             ],
         )],
+        claims: paper::QUEUE,
     },
     // This reproduction's design-choice study.
     Figure {
@@ -420,6 +438,7 @@ pub const FIGURES: &[Figure] = &[
                 "redundancy_frac",
             ],
         )],
+        claims: paper::ABLATION,
     },
     // Explicit-only: the default point simulates a 10,240-host fabric.
     Figure {
@@ -427,6 +446,7 @@ pub const FIGURES: &[Figure] = &[
         in_all: false,
         run: |scale, _| Ok(scale::scenario(scale)),
         outputs: &[table("scale_fct_sketch", SKETCH_COLUMNS)],
+        claims: &[],
     },
     // Explicit-only: needs `--trace FILE`.
     Figure {
@@ -445,8 +465,162 @@ pub const FIGURES: &[Figure] = &[
                 "p99_small_ms",
             ],
         )],
+        claims: &[],
     },
 ];
+
+/// The paper's claims, per figure. Each tolerance follows from the paper's
+/// value by one rule per kind, never from the measurement: a testbed share
+/// ±0.5 Gbps (5 % of the 10 G link), a fraction of time ±0.05, a count or
+/// an ordering exactly, "flat" within 5 %, any other number ± a quarter of
+/// itself (of the change, for a relative change: `0.56x` is −44 %). A claim
+/// that misses is `KnownDeviation`, and EXPERIMENTS.md says why.
+#[rustfmt::skip]
+mod paper {
+    use crate::claims::Class::{DirectionOnly, KnownDeviation, Reproduced};
+    use crate::claims::Cmp::{self, AtLeast, AtMost, Near};
+    use crate::claims::Fold::{self, Fall, Max, Min, One, Rise, Steady};
+    use crate::claims::{Claim, Class, Key, Read, Stat};
+
+    const fn claim(id: &'static str, paper: &'static str, class: Class, cmp: Cmp, stat: Stat) -> Claim {
+        Claim { id, paper, class, cmp, stat }
+    }
+    /// `column` of the rows of output `stem` that match `key`, folded.
+    const fn read(fold: Fold, stem: &'static str, key: Key, column: &'static str) -> Read {
+        Read { stem, key, column, fold }
+    }
+    const fn of(fold: Fold, stem: &'static str, key: Key, column: &'static str) -> Stat {
+        Stat::Of(read(fold, stem, key, column))
+    }
+    /// `column` of output `stem`'s row `num` over that of its row `den`.
+    const fn versus(stem: &'static str, column: &'static str, num: Key, den: Key) -> Stat {
+        Stat::Ratio([read(One, stem, num, column), read(One, stem, den, column)])
+    }
+    /// FlexPass's upgraded small-flow p99 over its legacy one at a ratio.
+    const fn upgraded_over_legacy(ratio: Key) -> Stat {
+        let stem = "fig12_p99_by_type";
+        Stat::Ratio([read(One, stem, ratio, "p99_small_upgraded_ms"), read(One, stem, ratio, "p99_small_legacy_ms")])
+    }
+
+    type Pair = (&'static str, &'static str);
+    const FP: Pair = ("scheme", "flexpass");
+    const NAIVE: Pair = ("scheme", "naive");
+    const LY: Pair = ("scheme", "ly");
+    const R0: Pair = ("deploy_ratio", "0.00");
+    const R25: Pair = ("deploy_ratio", "0.25");
+    const R50: Pair = ("deploy_ratio", "0.50");
+    const R75: Pair = ("deploy_ratio", "0.75");
+    const R100: Pair = ("deploy_ratio", "1.00");
+    const DCTCP: Pair = ("transport", "dctcp");
+    const N96: Pair = ("n_flows", "96");
+    const FULL: Pair = ("variant", "full");
+    const SWEEP: &str = "fig10_sweep";
+    const P99: &str = "p99_small_all_ms";
+    const DESIGN_CHOICES: &str = "ablation_design_choices";
+    const UPGRADED_P99: &str = "p99_small_upgraded_ms";
+
+    pub(super) const FIG1A: &[Claim] = &[
+        claim("dctcp_share", "DCTCP ≈ 0.5 Gbps (5 % of 10 G)", Reproduced, AtMost(0.5, 0.5),
+            of(Steady, "fig1a_ep_vs_dctcp", &[], "dctcp_gbps")),
+    ];
+    pub(super) const FIG1B: &[Claim] = &[
+        claim("dctcp_share", "DCTCP ≈ 0.5 Gbps (5 % of 10 G)", Reproduced, AtMost(0.5, 0.5),
+            of(Steady, "fig1b_homa_vs_dctcp", &[], "dctcp_gbps")),
+    ];
+    pub(super) const FIG5A: &[Claim] = &[
+        claim("rc3_reorder_buffer", "RC3 needs a much larger buffer (≥ 2x)", Reproduced, AtLeast(2.0, 0.0),
+            versus("fig5a_rc3_split", "reorder_mean_kb", &[("variant", "rc3_split"), R100], &[("variant", "flexpass"), R100])),
+    ];
+    pub(super) const FIG5B: &[Claim] = &[
+        claim("alt_queueing_p99", "alternative queueing p99 above FlexPass", KnownDeviation, AtMost(1.0, 0.0),
+            versus("fig5b_alt_queueing", "p99_small_ms", &[("variant", "flexpass"), R50], &[("variant", "alternative"), R50])),
+    ];
+    pub(super) const FIG7: &[Claim] = &[
+        claim("a_proactive_over_reactive", "each ≈ half the link (1x)", Reproduced, Near(1.0, 0.25),
+            Stat::Ratio([read(Steady, "fig7a_one_flexpass", &[], "proactive_gbps"), read(Steady, "fig7a_one_flexpass", &[], "reactive_gbps")])),
+        claim("b_reactive", "reactive ≈ 0 Gbps", KnownDeviation, AtMost(0.0, 0.5),
+            of(Steady, "fig7b_two_flexpass", &[], "reactive_gbps")),
+        claim("c_reactive", "reactive ≈ 0 Gbps", Reproduced, AtMost(0.0, 0.5),
+            of(Steady, "fig7c_dctcp_flexpass", &[], "reactive_gbps")),
+    ];
+    pub(super) const FIG8: &[Claim] = &[
+        claim("credit_timeouts", "EP/FlexPass: 0 at every fan-in", Reproduced, AtMost(0.0, 0.0),
+            of(Max, "fig8_incast", &[("transport", "expresspass|flexpass")], "timeouts")),
+        claim("dctcp_timeouts", "DCTCP times out beyond 48 flows", DirectionOnly, AtLeast(1.0, 0.0),
+            of(Max, "fig8_incast", &[DCTCP], "timeouts")),
+        claim("fp_max_fct_vs_dctcp", "up to -83.5 % (0.165x)", KnownDeviation, Near(0.165, 0.21),
+            versus("fig8_incast", "max_fct_ms", &[("transport", "flexpass"), N96], &[DCTCP, N96])),
+    ];
+    pub(super) const FIG9: &[Claim] = &[
+        claim("ep_dctcp_share", "DCTCP 0.93 Gbps (9.3 %)", Reproduced, Near(0.93, 0.5),
+            of(Steady, "fig9a_ep_vs_dctcp", &[], "dctcp_gbps")),
+        claim("fp_dctcp_share", "DCTCP 5.1 Gbps (51 %)", Reproduced, Near(5.1, 0.5),
+            of(Steady, "fig9b_fp_vs_dctcp", &[], "dctcp_gbps")),
+        claim("ep_dctcp_starved", "96.86 % of the time", Reproduced, Near(0.9686, 0.05),
+            of(One, "fig9c_starvation", &[("scheme", "expresspass")], "dctcp_starved_frac")),
+        claim("fp_dctcp_starved", "0.08 % of the time", Reproduced, Near(0.0008, 0.05),
+            of(One, "fig9c_starvation", &[FP], "dctcp_starved_frac")),
+    ];
+    pub(super) const FIG10: &[Claim] = &[
+        claim("fp_tail_cut_at_100", "p99 small -44 % (0.56x)", Reproduced, Near(0.56, 0.11),
+            versus(SWEEP, P99, &[FP, R100], &[FP, R0])),
+        claim("fp_avg_flat", "avg FCT: nearly no harm (1x)", Reproduced, AtMost(1.0, 0.05),
+            Stat::Ratio([read(Max, SWEEP, &[FP], "avg_all_ms"), read(One, SWEEP, &[FP, R0], "avg_all_ms")])),
+        claim("naive_legacy_inflation", "legacy p99 up to +87 % (1.87x)", DirectionOnly, AtLeast(1.0, 0.0),
+            Stat::Ratio([
+                read(Max, "fig12_p99_by_type", &[NAIVE, ("deploy_ratio", "0.25|0.50|0.75")], "p99_small_legacy_ms"),
+                read(One, "fig12_p99_by_type", &[NAIVE, R0], "p99_small_legacy_ms"),
+            ])),
+        claim("naive_tail_at_100", "p99 small -31 % (0.69x)", KnownDeviation, Near(0.69, 0.0775),
+            versus(SWEEP, P99, &[NAIVE, R100], &[NAIVE, R0])),
+        claim("ly_never_wins", "layering never beats the baseline", Reproduced, AtLeast(1.0, 0.0),
+            Stat::Ratio([read(Min, SWEEP, &[LY, ("deploy_ratio", "0.25|0.50|0.75|1.00")], P99), read(One, SWEEP, &[LY, R0], P99)])),
+        claim("fp_upgraded_vs_legacy_r0.25", "upgraded p99 below legacy", Reproduced, AtMost(1.0, 0.0),
+            upgraded_over_legacy(&[FP, R25])),
+        claim("fp_upgraded_vs_legacy_r0.50", "upgraded p99 below legacy", Reproduced, AtMost(1.0, 0.0),
+            upgraded_over_legacy(&[FP, R50])),
+        claim("fp_upgraded_vs_legacy_r0.75", "upgraded p99 below legacy", Reproduced, AtMost(1.0, 0.0),
+            upgraded_over_legacy(&[FP, R75])),
+        claim("legacy_stddev_fp_vs_naive", "legacy σ at 50 %: +19 % vs +127 %", DirectionOnly, AtMost(1.0, 0.0),
+            versus("fig13_stddev_by_type", "stddev_small_legacy_ms", &[FP, R50], &[NAIVE, R50])),
+    ];
+    pub(super) const FIG15: &[Claim] = &[
+        claim("fp_gain_every_workload", "p99 gain > 0 everywhere (up to 63 %)", Reproduced, AtLeast(0.0, 0.0),
+            of(Min, "fig15_16_workloads", &[FP, R100], "p99_gain_vs_0")),
+        claim("others_never_gain", "FlexPass the only scheme that gains", Reproduced, AtMost(0.0, 0.0),
+            of(Max, "fig15_16_workloads", &[("scheme", "naive|owf|ly"), R100], "p99_gain_vs_0")),
+    ];
+    pub(super) const FIG17: &[Claim] = &[
+        claim("avg_worse_at_lower_threshold", "lower threshold, worse avg FCT", Reproduced, AtMost(0.0, 0.0),
+            of(Rise, "fig17_seldrop_threshold", &[], "avg_fct_degradation")),
+        claim("p99_better_at_lower_threshold", "lower threshold, better p99", KnownDeviation, AtMost(0.0, 0.0),
+            of(Fall, "fig17_seldrop_threshold", &[], "p99_small_ms")),
+    ];
+    pub(super) const FIG18: &[Claim] = &[
+        claim("legacy_insensitive_to_wq", "insensitive (bound: naive's +72 %)", DirectionOnly, AtMost(0.72, 0.0),
+            of(Max, "fig18_wq_tradeoff", &[], "legacy_p99_max_degradation")),
+    ];
+    pub(super) const QUEUE: &[Claim] = &[
+        claim("zero_timeouts", "0 timeouts", Reproduced, AtMost(0.0, 0.0),
+            of(Max, "queue_study", &[], "timeouts")),
+        claim("q1_avg_kb_at_100", "22.0 kB", Reproduced, Near(22.0, 5.5),
+            of(One, "queue_study", &[R100], "q1_busy_avg_kb")),
+        claim("q1_p90_kb_at_100", "73.9 kB", Reproduced, Near(73.9, 18.475),
+            of(One, "queue_study", &[R100], "q1_busy_p90_kb")),
+        claim("q1_avg_kb_at_50", "10.6 kB", KnownDeviation, Near(10.6, 2.65),
+            of(One, "queue_study", &[R50], "q1_busy_avg_kb")),
+        claim("redundancy_at_50", "0.7 % of volume", Reproduced, AtMost(0.007, 0.00175),
+            of(One, "queue_study", &[R50], "redundancy_frac")),
+    ];
+    pub(super) const ABLATION: &[Claim] = &[
+        claim("no_proactive_retx_p99", "§4.2: retx spares reactive losses an RTO", DirectionOnly, AtLeast(1.0, 0.0),
+            versus(DESIGN_CHOICES, UPGRADED_P99, &[("variant", "no_proactive_retx"), R100], &[FULL, R100])),
+        claim("no_first_rtt_avg", "§4.1: first-RTT reactive skips the ramp-up", DirectionOnly, AtLeast(1.0, 0.0),
+            versus(DESIGN_CHOICES, "avg_upgraded_ms", &[("variant", "no_first_rtt"), R50], &[FULL, R50])),
+        claim("fixed_rate_credits_p99", "§4.3: another allocator works (1x)", Reproduced, Near(1.0, 0.25),
+            versus(DESIGN_CHOICES, UPGRADED_P99, &[("variant", "fixed_rate_credits"), R50], &[FULL, R50])),
+    ];
+}
 
 /// The table entries `--fig fig` selects, in table order: the `in_all`
 /// ones for `all`, otherwise the one of that name (none if unknown).
@@ -463,6 +637,7 @@ pub fn selected(fig: &str) -> impl Iterator<Item = &'static Figure> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::Key;
 
     const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
@@ -538,22 +713,63 @@ mod tests {
         assert_eq!(stems("scale"), checksummed("results/scale_smoke.sha256"));
     }
 
+    /// Every column a chart or a claim reads (a claim's key columns too) is
+    /// declared by its output, a claim's output is one of its own figure's
+    /// — so a claim skipped for a missing CSV is one whose figure did not
+    /// run — and no claim reads a type at a ratio without such flows.
     #[test]
-    fn charts_plot_columns_their_output_has() {
-        for out in FIGURES.iter().flat_map(|f| f.outputs) {
-            for chart in out.charts {
-                assert!(!chart.y.is_empty(), "{}: a chart without y", out.stem);
-                let named = chart.series.iter().chain([&chart.x]).chain(chart.y);
-                for column in named {
-                    assert!(
-                        out.columns.contains(column),
-                        "{}: chart column `{column}` is not in {:?}",
-                        out.stem,
-                        out.columns
-                    );
+    fn charts_and_claims_read_columns_their_output_has() {
+        let declared = |out: &Output, column: &&str| {
+            assert!(out.columns.contains(column), "{}: no `{column}`", out.stem);
+        };
+        for figure in FIGURES {
+            for out in figure.outputs {
+                for chart in out.charts {
+                    assert!(!chart.y.is_empty(), "{}: a chart without y", out.stem);
+                    let named = chart.series.iter().chain([&chart.x]).chain(chart.y);
+                    named.for_each(|column| declared(out, column));
+                }
+            }
+            for claim in figure.claims {
+                let ids = figure.claims.iter().filter(|c| c.id == claim.id).count();
+                assert_eq!(ids, 1, "{}: two claims {}", figure.name, claim.id);
+                for read in claim.stat.reads() {
+                    let empty = reads_an_empty_population(read.key, read.column);
+                    assert!(!empty, "{}: {read:?}", claim.id);
+                    let out = figure.outputs.iter().find(|o| o.stem == read.stem);
+                    let out = out.unwrap_or_else(|| panic!("{}: no {}", figure.name, read.stem));
+                    let named = read.key.iter().map(|(c, _)| c).chain([&read.column]);
+                    named.for_each(|column| declared(out, column));
                 }
             }
         }
+        assert!(FIGURES.iter().flat_map(|f| f.claims).count() >= 12);
+    }
+
+    /// Whether a claim reading `column` of the rows `key` selects may read
+    /// a per-type cell at a ratio where that type has no flows: the sweep
+    /// tables print `0.000000` for the upgraded flows at ratio 0.00 and the
+    /// legacy flows at 1.00.
+    fn reads_an_empty_population(key: Key, column: &str) -> bool {
+        let empty_at = match column {
+            c if c.contains("_upgraded") => "0.00",
+            c if c.contains("_legacy") => "1.00",
+            _ => return false,
+        };
+        let ratios = key.iter().find(|(c, _)| *c == "deploy_ratio");
+        ratios.is_none_or(|(_, v)| v.split('|').any(|r| r == empty_at))
+    }
+
+    #[test]
+    fn a_claim_on_an_empty_population_is_refused() {
+        let refused = reads_an_empty_population;
+        assert!(refused(
+            &[("deploy_ratio", "0.00")],
+            "p99_small_upgraded_ms"
+        ));
+        assert!(refused(&[("deploy_ratio", "0.50|1.00")], "avg_legacy_ms"));
+        assert!(refused(&[("scheme", "flexpass")], "avg_upgraded_ms"));
+        assert!(!refused(&[("deploy_ratio", "0.00")], "avg_legacy_ms"));
     }
 
     /// The driver's header check: a figure whose table is not under its
@@ -566,6 +782,7 @@ mod tests {
             in_all: false,
             run: |_, _| Ok(vec![Csv::new(&["a", "c"])]),
             outputs: &[table("stem", &["a", "b"])],
+            claims: &[],
         };
         let _ = WRONG.run(RunScale::Smoke);
     }
@@ -604,7 +821,8 @@ mod tests {
     /// A document cannot advertise a figure the binary rejects or a file it
     /// does not write: every name README.md, DESIGN.md and EXPERIMENTS.md
     /// print after `--fig`, every name in the first column of README's
-    /// `--fig` table, and every `<stem>.csv` they print is in [`FIGURES`].
+    /// `--fig` table, and every `<stem>.csv` they print is in [`FIGURES`]
+    /// — or is `claims.csv`, the one file the binary writes for no figure.
     #[test]
     fn documented_figures_exist() {
         let all_stems: Vec<&str> = FIGURES.iter().flat_map(|f| stems(f.name)).collect();
@@ -633,7 +851,7 @@ mod tests {
             }
             for stem in printed_stems(&text) {
                 assert!(
-                    all_stems.contains(&stem),
+                    stem == "claims" || all_stems.contains(&stem),
                     "{doc} prints `{stem}.csv`, which no figure writes"
                 );
                 files += 1;

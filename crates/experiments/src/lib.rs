@@ -7,7 +7,8 @@
 //! drawn from them — is one row of [`figures::FIGURES`]; the modules take
 //! their headers from it, the `flexpass-experiments` binary dispatches
 //! `--fig NAME` through it and writes what comes back, and [`plot`] walks
-//! the same rows. `EXPERIMENTS.md` records paper-vs-measured.
+//! the same rows, whose paper claims [`claims::evaluate`] checks into
+//! `claims.csv`. `EXPERIMENTS.md`'s paper-vs-measured is rendered from it.
 //!
 //! Three more pieces are shared by every scenario and exist once:
 //! [`sweep::build_point`] builds a deployment point on the Clos (the
@@ -34,6 +35,7 @@
 //! | [`custom`] | (extension) | replay of a user flow trace under any scheme, ratio or w_q |
 
 pub mod ablation;
+pub mod claims;
 pub mod csvout;
 pub mod custom;
 pub mod fig1;

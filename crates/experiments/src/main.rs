@@ -11,7 +11,9 @@
 //! The figure names are those of the library's figure table
 //! (`flexpass_experiments::figures::FIGURES`), which also owns each
 //! figure's CSV stems, columns and charts; this file parses flags and
-//! writes what the table's entries return. An unknown `--fig` lists the
+//! writes what the table's entries return. After them it writes
+//! `claims.csv`: every paper claim of the table evaluated over the CSVs in
+//! `--out` (`flexpass_experiments::claims`). An unknown `--fig` lists the
 //! names; `--fig none` runs nothing (with `--plot`: render charts from the
 //! CSVs already in `--out`). Two entries are explicit-only, never
 //! part of `all`: the trace replay (`--trace F` names its input, a
@@ -51,9 +53,10 @@ use std::path::PathBuf;
 // lint:allow(wall-clock): per-figure elapsed-time reporting only.
 use std::time::Instant;
 
+use flexpass_experiments::csvout::Csv;
 use flexpass_experiments::figures::{selected, FIGURES};
 use flexpass_experiments::runner::RunScale;
-use flexpass_experiments::{custom, orchestrate};
+use flexpass_experiments::{claims, custom, orchestrate};
 
 const USAGE: &str = "usage: flexpass-experiments [--fig NAME|all|none] [--out DIR] [--scale smoke|default|full] [--jobs N] [--par-sim N] [--plot] [--trace[=FILTER]] [--inject-panic LABEL]";
 
@@ -64,26 +67,17 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value following the flag at `args[i]`; a usage error if it is the
-/// last argument.
-fn value(args: &[String], i: usize) -> &str {
-    match args.get(i + 1) {
-        Some(v) => v,
-        None => usage_error(&format!("{} requires a value", args[i])),
-    }
+/// The value following `flag`; a usage error if there is none.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
 }
 
-/// The positive integer following the flag at `args[i]`; a usage error
-/// otherwise.
-fn positive(args: &[String], i: usize) -> usize {
-    match value(args, i).parse() {
-        Ok(n) if n >= 1 => n,
-        _ => usage_error(&format!(
-            "{} takes a positive integer, got {}",
-            args[i],
-            value(args, i)
-        )),
-    }
+/// The positive integer following `flag`; a usage error otherwise.
+fn positive(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+    let v = value(args, flag);
+    let n = v.parse().ok().filter(|&n| n >= 1);
+    n.unwrap_or_else(|| usage_error(&format!("{flag} takes a positive integer, got {v}")))
 }
 
 fn main() {
@@ -93,58 +87,34 @@ fn main() {
     let mut packet_trace: Option<String> = None;
     let mut plot = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fig" => {
-                fig = value(&args, i).to_string();
-                i += 2;
-            }
-            "--out" => {
-                out = PathBuf::from(value(&args, i));
-                i += 2;
-            }
-            "--plot" => {
-                plot = true;
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--fig" => fig = value(&mut args, &flag),
+            "--out" => out = PathBuf::from(value(&mut args, &flag)),
+            "--plot" => plot = true,
             // `--trace FILE` (the replay figure's input) predates
             // `--trace[=FILTER]` (packet-lifecycle tracing). A following
             // non-flag argument keeps the legacy replay meaning; bare
             // `--trace` (last arg or followed by a flag) arms tracing.
-            "--trace" => {
-                if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                    custom::TRACE_FILE.get_or_init(|| PathBuf::from(&args[i + 1]));
-                    i += 2;
-                } else {
-                    packet_trace = Some(String::new());
-                    i += 1;
+            "--trace" => match args.next_if(|a| !a.starts_with("--")) {
+                Some(file) => {
+                    custom::TRACE_FILE.get_or_init(|| PathBuf::from(file));
                 }
-            }
+                None => packet_trace = Some(String::new()),
+            },
             s if s.starts_with("--trace=") => {
                 packet_trace = Some(s["--trace=".len()..].to_string());
-                i += 1;
             }
             "--scale" => {
-                let v = value(&args, i);
-                scale = RunScale::parse(v).unwrap_or_else(|| {
+                let v = value(&mut args, &flag);
+                scale = RunScale::parse(&v).unwrap_or_else(|| {
                     usage_error(&format!("unknown scale {v} (smoke|default|full)"))
                 });
-                i += 2;
             }
-            "--jobs" => {
-                orchestrate::set_jobs(positive(&args, i));
-                i += 2;
-            }
-            "--par-sim" => {
-                orchestrate::set_par_sim(positive(&args, i));
-                i += 2;
-            }
-            "--inject-panic" => {
-                orchestrate::inject_panic(Some(value(&args, i).to_string()));
-                i += 2;
-            }
+            "--jobs" => orchestrate::set_jobs(positive(&mut args, &flag)),
+            "--par-sim" => orchestrate::set_par_sim(positive(&mut args, &flag)),
+            "--inject-panic" => orchestrate::inject_panic(Some(value(&mut args, &flag))),
             other => usage_error(&format!("unknown argument {other}")),
         }
     }
@@ -181,25 +151,24 @@ fn main() {
             names.join(" ")
         ));
     }
+    let write = |stem: &str, csv: &Csv| {
+        if let Err(e) = csv.write(&out, stem) {
+            eprintln!("cannot write {}/{stem}.csv: {e}", out.display());
+            std::process::exit(1);
+        }
+        println!("wrote {}/{stem}.csv ({} rows)", out.display(), csv.len());
+    };
     for figure in selected(&fig) {
         // lint:allow(wall-clock): figure wall-time banner.
         let t = Instant::now();
         eprintln!("== {} ==", figure.name);
         let tables = figure.run(scale).unwrap_or_else(|e| usage_error(&e));
         for (output, csv) in tables {
-            if let Err(e) = csv.write(&out, output.stem) {
-                eprintln!("cannot write {}/{}.csv: {e}", out.display(), output.stem);
-                std::process::exit(1);
-            }
-            println!(
-                "wrote {}/{}.csv ({} rows)",
-                out.display(),
-                output.stem,
-                csv.len()
-            );
+            write(output.stem, &csv);
         }
         eprintln!("== {} done in {:.1?} ==", figure.name, t.elapsed());
     }
+    write("claims", &claims::evaluate(&out));
 
     if plot {
         match flexpass_experiments::plot::plot_results(&out) {

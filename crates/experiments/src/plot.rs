@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use crate::csvout::Csv;
 use crate::figures::{Chart, FIGURES};
 
 /// One plotted series.
@@ -198,81 +199,20 @@ pub fn svg_line_chart(title: &str, x_label: &str, y_label: &str, series: &[Serie
     svg
 }
 
-/// Splits CSV text into records, each with the 1-based line it starts on —
-/// the inverse of `csvout::render_row` (RFC 4180): a quoted cell may hold
-/// commas, newlines and doubled quotes.
-fn csv_records(text: &str) -> Vec<(usize, Vec<String>)> {
-    let mut out = Vec::new();
-    let (mut row, mut cell) = (Vec::new(), String::new());
-    let (mut line, mut start, mut quoted) = (1, 1, false);
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '\n' {
-            line += 1;
-        }
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                chars.next();
-                cell.push('"');
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => row.push(std::mem::take(&mut cell)),
-            '\n' if !quoted => {
-                row.push(std::mem::take(&mut cell));
-                out.push((start, std::mem::take(&mut row)));
-                start = line;
-            }
-            '\r' if !quoted => {}
-            c => cell.push(c),
-        }
-    }
-    if !cell.is_empty() || !row.is_empty() {
-        row.push(cell);
-        out.push((start, row));
-    }
-    out
-}
-
-/// Parses one of our result CSVs into `(header, rows)`. A row narrower than
-/// the header (a run killed mid-write) is skipped with one stderr line
-/// naming `path` and the row's line number, so every returned row can be
-/// indexed by any header column.
-fn parse_csv(path: &Path, text: &str) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut records = csv_records(text).into_iter();
-    let header = records.next().map(|(_, h)| h).unwrap_or_default();
-    let rows = records
-        .filter(|(_, r)| r.iter().any(|c| !c.trim().is_empty()))
-        .filter(|(line, r)| {
-            let whole = r.len() >= header.len();
-            if !whole {
-                eprintln!(
-                    "warning: {}:{line}: row has {} of {} columns, skipped",
-                    path.display(),
-                    r.len(),
-                    header.len()
-                );
-            }
-            whole
-        })
-        .map(|(_, r)| r)
-        .collect();
-    (header, rows)
-}
-
 /// The series of `chart` over a parsed CSV: for each y column, one series
 /// per distinct tuple of the chart's key columns, named by the key values
 /// (and the y column, where the keys alone would not tell series apart).
 /// Cells that are not finite numbers — a failed point's `NaN` — are left
 /// out; `None` if the CSV lacks a column the chart names.
-fn chart_series(header: &[String], rows: &[Vec<String>], chart: &Chart) -> Option<Vec<Series>> {
-    let idx = |name: &str| header.iter().position(|h| h == name);
+fn chart_series(csv: &Csv, chart: &Chart) -> Option<Vec<Series>> {
+    let idx = |name: &str| csv.header().iter().position(|h| h == name);
     let keys: Vec<usize> = chart.series.iter().map(|k| idx(k)).collect::<Option<_>>()?;
     let x = idx(chart.x)?;
     let finite = |cell: &str| cell.parse::<f64>().ok().filter(|v| v.is_finite());
     let mut out: Vec<Series> = Vec::new();
     for &y_col in chart.y {
         let y = idx(y_col)?;
-        for r in rows {
+        for r in csv.rows() {
             let (Some(xv), Some(yv)) = (finite(&r[x]), finite(&r[y])) else {
                 continue;
             };
@@ -298,13 +238,11 @@ fn chart_series(header: &[String], rows: &[Vec<String>], chart: &Chart) -> Optio
 pub fn plot_results(dir: &Path) -> std::io::Result<usize> {
     let mut written = 0;
     for out in FIGURES.iter().flat_map(|fig| fig.outputs) {
-        let csv_path = dir.join(format!("{}.csv", out.stem));
-        let Ok(text) = std::fs::read_to_string(&csv_path) else {
+        let Some(csv) = Csv::read(dir, out.stem) else {
             continue;
         };
-        let (header, rows) = parse_csv(&csv_path, &text);
         for chart in out.charts {
-            let Some(series) = chart_series(&header, &rows, chart).filter(|s| !s.is_empty()) else {
+            let Some(series) = chart_series(&csv, chart).filter(|s| !s.is_empty()) else {
                 continue;
             };
             let svg = svg_line_chart(chart.title, chart.x_label, chart.y_label, &series);
@@ -364,15 +302,15 @@ mod tests {
 
     #[test]
     fn series_split_by_key_column() {
-        let (h, r) = parse_csv(Path::new("t.csv"), "scheme,x,y\na,0,1\na,1,2\nb,0,3\n");
-        let s = chart_series(&h, &r, &chart(&["scheme"], &["y"])).unwrap();
+        let csv = Csv::parse(Path::new("t.csv"), "scheme,x,y\na,0,1\na,1,2\nb,0,3\n");
+        let s = chart_series(&csv, &chart(&["scheme"], &["y"])).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(
             (s[0].name.as_str(), &s[0].points),
             ("a", &vec![(0.0, 1.0), (1.0, 2.0)])
         );
         assert_eq!((s[1].name.as_str(), &s[1].points), ("b", &vec![(0.0, 3.0)]));
-        assert!(chart_series(&h, &r, &chart(&["absent"], &["y"])).is_none());
+        assert!(chart_series(&csv, &chart(&["absent"], &["y"])).is_none());
     }
 
     /// Without key columns each listed y column is a series named after
@@ -380,8 +318,8 @@ mod tests {
     /// is left out rather than drawn.
     #[test]
     fn keyless_chart_plots_the_listed_y_columns() {
-        let (h, r) = parse_csv(Path::new("t.csv"), "x,y,z,w\n0,1,5,9\n1,NaN,6,9\n");
-        let s = chart_series(&h, &r, &chart(&[], &["y", "z"])).unwrap();
+        let csv = Csv::parse(Path::new("t.csv"), "x,y,z,w\n0,1,5,9\n1,NaN,6,9\n");
+        let s = chart_series(&csv, &chart(&[], &["y", "z"])).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!((s[0].name.as_str(), &s[0].points), ("y", &vec![(0.0, 1.0)]));
         assert_eq!(
@@ -418,8 +356,8 @@ mod tests {
                 }
             }
         }
-        let (h, r) = parse_csv(Path::new("t.csv"), &text);
-        let series = chart_series(&h, &r, &chart(&["scheme", "load"], &["y"])).unwrap();
+        let csv = Csv::parse(Path::new("t.csv"), &text);
+        let series = chart_series(&csv, &chart(&["scheme", "load"], &["y"])).unwrap();
         let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -439,7 +377,7 @@ mod tests {
             assert!(xs.windows(2).all(|w| w[0] < w[1]), "{xs:?}");
         }
         // The defect: one key column joins the loads, and x runs backwards.
-        let joined = chart_series(&h, &r, &chart(&["scheme"], &["y"])).unwrap();
+        let joined = chart_series(&csv, &chart(&["scheme"], &["y"])).unwrap();
         let lines = polyline_xs(&svg_line_chart("t", "x", "y", &joined));
         assert!(lines.iter().all(|xs| xs.windows(2).any(|w| w[0] > w[1])));
     }

@@ -2,28 +2,23 @@
 //! pool must not change results (byte-identical CSV for any `--jobs`
 //! value) and must isolate panicking points instead of killing the sweep.
 
+use std::sync::LazyLock;
+
 use flexpass::schemes::Scheme;
 use flexpass_experiments::orchestrate;
 use flexpass_experiments::runner::RunScale;
 use flexpass_experiments::sweep::{run_sweep_jobs, to_csv, SweepSpec};
-use flexpass_workload::FlowSizeCdf;
 
 /// 2 schemes x 2 ratios x 2 seeds = 8 points, each a few thousand events.
-fn tiny_spec() -> SweepSpec {
-    SweepSpec {
-        schemes: vec![Scheme::Naive, Scheme::FlexPass],
-        ratios: vec![0.0, 0.5],
-        cdf: FlowSizeCdf::web_search(),
-        load: 0.5,
-        mixed: false,
-        scale: RunScale::Smoke,
-        seed: 3,
-        wq: 0.5,
-        sel_drop: 150_000,
-        n_flows: Some(30),
-        seeds: 2,
-    }
-}
+static TINY: LazyLock<SweepSpec> = LazyLock::new(|| {
+    let mut spec = SweepSpec::fig10(RunScale::Smoke);
+    spec.schemes = vec![Scheme::Naive, Scheme::FlexPass];
+    spec.ratios = vec![0.0, 0.5];
+    spec.seed = 3;
+    spec.n_flows = Some(30);
+    spec.seeds = 2;
+    spec
+});
 
 /// The tentpole determinism claim: each point is a deterministic
 /// single-threaded simulation and results reassemble in spec order, so
@@ -31,9 +26,9 @@ fn tiny_spec() -> SweepSpec {
 /// workers.
 #[test]
 fn jobs_do_not_change_output() {
-    let spec = tiny_spec();
-    let serial = to_csv(&run_sweep_jobs(1, "jobs1", &spec)).render();
-    let parallel = to_csv(&run_sweep_jobs(4, "jobs4", &spec)).render();
+    let spec = &*TINY;
+    let serial = to_csv(&run_sweep_jobs(1, "jobs1", spec)).render();
+    let parallel = to_csv(&run_sweep_jobs(4, "jobs4", spec)).render();
     assert_eq!(
         serial, parallel,
         "CSV differs between --jobs 1 and --jobs 4"
@@ -47,10 +42,10 @@ fn jobs_do_not_change_output() {
 /// still aggregate), and the failure is recorded for the exit code.
 #[test]
 fn panicking_point_is_isolated() {
-    let spec = tiny_spec();
+    let spec = &*TINY;
     let victim = "iso:flexpass:r0.50:s1";
     orchestrate::inject_panic(Some(victim.to_string()));
-    let points = run_sweep_jobs(2, "iso", &spec);
+    let points = run_sweep_jobs(2, "iso", spec);
     orchestrate::inject_panic(None);
 
     // Every cell still produced a row, in spec order.
