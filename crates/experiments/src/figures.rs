@@ -13,9 +13,7 @@
 use crate::claims::Claim;
 use crate::csvout::Csv;
 use crate::runner::RunScale;
-use crate::{
-    ablation, custom, fig1, fig17, fig18, fig5, fig7, fig8, fig9, queue_study, scale, sweep,
-};
+use crate::{custom, fig1, fig7, fig8, fig9, queue_study, scale, sweep};
 
 /// One line chart of an output: a series per distinct value of the
 /// `series` columns and per `y` column, against `x`.
@@ -174,7 +172,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig5a",
         in_all: true,
-        run: |scale, out| Ok(fig5::fig5a(scale, out)),
+        run: |scale, out| Ok(sweep::fig5a(scale, out)),
         outputs: &[table(
             "fig5a_rc3_split",
             &["variant", "deploy_ratio", "p99_small_ms", "reorder_mean_kb"],
@@ -184,7 +182,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig5b",
         in_all: true,
-        run: |scale, out| Ok(fig5::fig5b(scale, out)),
+        run: |scale, out| Ok(sweep::fig5b(scale, out)),
         outputs: &[table(
             "fig5b_alt_queueing",
             &["variant", "deploy_ratio", "p99_small_ms"],
@@ -362,7 +360,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig17",
         in_all: true,
-        run: |scale, out| Ok(fig17::fig17(scale, out)),
+        run: |scale, out| Ok(sweep::fig17(scale, out)),
         outputs: &[Output {
             stem: "fig17_seldrop_threshold",
             columns: &[
@@ -385,7 +383,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig18",
         in_all: true,
-        run: |scale, out| Ok(fig18::fig18(scale, out)),
+        run: |scale, out| Ok(sweep::fig18(scale, out)),
         outputs: &[Output {
             stem: "fig18_wq_tradeoff",
             columns: &["wq", "legacy_p99_max_degradation", "p99_small_full_ms"],
@@ -426,7 +424,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "ablation",
         in_all: true,
-        run: |scale, out| Ok(ablation::ablation(scale, out)),
+        run: |scale, out| Ok(sweep::ablation(scale, out)),
         outputs: &[table(
             "ablation_design_choices",
             &[

@@ -22,26 +22,18 @@
 //! | Module | Paper figure | What it reproduces |
 //! |--------|--------------|--------------------|
 //! | [`fig1`] | Fig. 1 (a, b) | ExpressPass / Homa starving DCTCP on a shared 10 G link; the long-flow testbed helpers figures 7 and 9 reuse |
-//! | [`fig5`] | Fig. 5 (a, b) | RC3-style splitting and alternative queueing comparisons |
 //! | [`fig7`] | Fig. 7 (a–c) | per-sub-flow throughput on the testbed topology |
 //! | [`fig8`] | Fig. 8 | incast tail FCT vs number of flows |
 //! | [`fig9`] | Fig. 9 (a–c) | coexistence throughput + starvation time |
-//! | [`sweep`] | Figs. 10–16 | the point builder and the deployment-ratio sweeps (schemes × ratios × workloads × loads) |
-//! | [`fig17`] | Fig. 17 | selective-dropping threshold trade-off |
-//! | [`fig18`] | Fig. 18 | queue weight (w_q) trade-off |
+//! | [`sweep`] | Figs. 5, 10–18, ablation | [`sweep::build_point`] and every Clos rollout as sweeps: schemes, loads, workloads, thresholds, w_q, FlexPass design variants and ablations |
 //! | [`queue_study`] | §6.2 text | bounded-queue occupancy and redundancy fraction |
-//! | [`ablation`] | (extension) | design-choice ablations: proactive retx, first-RTT reactive, credit policy |
 //! | [`scale`] | (extension) | O(10k)-host Clos with streaming (bounded-memory) FCT sketches |
 //! | [`custom`] | (extension) | replay of a user flow trace under any scheme, ratio or w_q |
 
-pub mod ablation;
 pub mod claims;
 pub mod csvout;
 pub mod custom;
 pub mod fig1;
-pub mod fig17;
-pub mod fig18;
-pub mod fig5;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;

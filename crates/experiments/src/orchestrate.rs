@@ -508,36 +508,6 @@ mod tests {
         assert_eq!(cells[0].1, Some(12345));
     }
 
-    /// The heartbeat blind spot: a cell that only calls the frozen
-    /// `sweep::run_point` (as fig17/fig18 do) never names the probe, yet
-    /// its simulation must have published into it by the time it returns.
-    #[test]
-    fn run_point_publishes_into_its_tasks_probe() {
-        use crate::runner::RunScale;
-        use crate::sweep::{run_point, SweepSpec};
-        use flexpass::schemes::Scheme;
-
-        let spec = SweepSpec {
-            n_flows: Some(30),
-            ..SweepSpec::fig10(RunScale::Smoke)
-        };
-        let cells = grid_on(
-            1,
-            "test",
-            vec![spec],
-            |_| "point".to_string(),
-            |spec| {
-                let point = run_point(Scheme::FlexPass, 0.5, spec);
-                let probe = task_probe().expect("installed by run_one");
-                (point.flows, probe.events(), probe.vtime_ns())
-            },
-        );
-        let (flows, events, vtime_ns) = cells[0].1.expect("ok");
-        assert!(flows > 0.0, "the point completed no flows");
-        assert!(events > 0, "no events reached the task's probe");
-        assert!(vtime_ns > 0, "no virtual time reached the task's probe");
-    }
-
     #[test]
     fn jobs_default_is_positive() {
         assert!(jobs() >= 1);

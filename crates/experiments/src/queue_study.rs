@@ -2,7 +2,6 @@
 //! the rollout, the share of red (reactive) bytes in it, the selective-drop
 //! rate, and the proactive-retransmission redundancy fraction.
 
-use flexpass::config::FlexPassConfig;
 use flexpass::schemes::Scheme;
 use flexpass_metrics::Recorder;
 use flexpass_simcore::time::TimeDelta;
@@ -18,14 +17,13 @@ use crate::sweep::{run_spec_point, SweepSpec};
 fn run_queue_point(ratio: f64, scale: RunScale) -> [f64; 10] {
     let spec = SweepSpec {
         seed: 41,
+        rollout_seed: Some(99),
         ..SweepSpec::fig10(scale)
     };
     let mut rec = run_spec_point(
         Scheme::FlexPass,
         ratio,
         &spec,
-        99,
-        FlexPassConfig::new(0.5),
         Recorder::new().with_queue_watch(1),
         Some(TimeDelta::micros(100)),
     );

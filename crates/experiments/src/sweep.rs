@@ -1,10 +1,14 @@
-//! The deployment-ratio sweep engine behind Figures 10–16: a scheme is
-//! rolled out rack by rack from 0 % to 100 % and FCT statistics are
-//! collected per flow type (legacy vs upgraded).
+//! The deployment-ratio sweep engine behind every Clos figure (5, 10–18
+//! and the ablation): a scheme is rolled out rack by rack and FCT
+//! statistics are collected per flow type (legacy vs upgraded). A figure
+//! is a list of `(label prefix, SweepSpec)` run as one grid; what it turns
+//! (the scheme, a FlexPass variant, w_q, the selective-drop threshold, the
+//! load, the workload) is a field of its specs, and its rows are
+//! [`SweepPoint`] cells plus the few columns derived across points.
 //!
-//! Every (scheme, ratio, seed) triple is an independent deterministic
-//! simulation, so [`run_sweep_jobs`] fans them across the worker pool in
-//! [`crate::orchestrate`] and reassembles results in spec order — output
+//! Every (sweep, scheme, ratio, seed) is an independent deterministic
+//! simulation, so the sweeps fan across the worker pool in
+//! [`crate::orchestrate`] and results reassemble in spec order — output
 //! is byte-identical for any `--jobs` value. A point that panics is
 //! isolated: surviving seeds of the cell still aggregate, and the failure
 //! is reported at exit.
@@ -17,7 +21,7 @@
 //! variance): arithmetically averaging standard deviations would bias
 //! Figure 13 low, since the sqrt of a mean exceeds the mean of sqrts.
 
-use flexpass::config::FlexPassConfig;
+use flexpass::config::{CreditPolicy, FlexPassConfig};
 use flexpass::profiles::{host_variant, ProfileParams};
 use flexpass::schemes::{Deployment, Scheme, SchemeFactory, TAG_LEGACY, TAG_UPGRADED};
 use flexpass_metrics::Recorder;
@@ -59,11 +63,18 @@ pub struct SweepSpec {
     pub wq: f64,
     /// Selective-dropping threshold, bytes (paper default 150 kB).
     pub sel_drop: u64,
-    /// Overrides the scale preset's background flow count (benches).
+    /// Overrides the scale preset's background flow count (the secondary
+    /// figures' 600 at the default scale, and the benches).
     pub n_flows: Option<usize>,
     /// Number of independent seeds to average each point over (tail
     /// percentiles at reduced flow counts are noisy order statistics).
     pub seeds: u32,
+    /// The FlexPass endpoint configuration at the sweep's `wq` (a design
+    /// variant for Figure 5 and the ablation).
+    pub flexpass_cfg: fn(f64) -> FlexPassConfig,
+    /// The rollout's RNG seed, the same for every workload seed; `None`
+    /// draws it from each workload seed.
+    pub rollout_seed: Option<u64>,
 }
 
 impl SweepSpec {
@@ -82,14 +93,27 @@ impl SweepSpec {
             sel_drop: SEL_DROP,
             n_flows: None,
             seeds: 1,
+            flexpass_cfg: FlexPassConfig::new,
+            rollout_seed: None,
         }
     }
 
     /// The flow-count override of the secondary figures (5, 14–16, 18,
     /// ablation): 600 flows per point at the default scale, the preset's
     /// count otherwise.
-    pub(crate) fn reduced_flows(scale: RunScale) -> Option<usize> {
+    fn reduced_flows(scale: RunScale) -> Option<usize> {
         (scale == RunScale::Default).then_some(600)
+    }
+
+    /// FlexPass alone at `ratios`, workload seed `seed`: the base of the
+    /// figures that turn a FlexPass knob (5, 17, 18, ablation).
+    fn flexpass(scale: RunScale, ratios: &[f64], seed: u64) -> Self {
+        SweepSpec {
+            schemes: vec![Scheme::FlexPass],
+            ratios: ratios.to_vec(),
+            seed,
+            ..SweepSpec::fig10(scale)
+        }
     }
 }
 
@@ -119,7 +143,8 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// The point's statistics, named once: the formatted cell of CSV
-    /// column `column`, for every table that carries sweep points.
+    /// column `column`, for every table that carries sweep points (Figures
+    /// 5 and 17 name the all-flows p99 and average as their one FCT).
     ///
     /// # Panics
     ///
@@ -128,10 +153,10 @@ impl SweepPoint {
         match column {
             "scheme" => self.scheme.to_string(),
             "deploy_ratio" => format!("{:.2}", self.ratio),
-            "p99_small_all_ms" => f(self.p99_small[0] * 1e3),
+            "p99_small_all_ms" | "p99_small_ms" => f(self.p99_small[0] * 1e3),
             "p99_small_legacy_ms" => f(self.p99_small[1] * 1e3),
             "p99_small_upgraded_ms" => f(self.p99_small[2] * 1e3),
-            "avg_all_ms" => f(self.avg[0] * 1e3),
+            "avg_all_ms" | "avg_fct_ms" => f(self.avg[0] * 1e3),
             "avg_legacy_ms" => f(self.avg[1] * 1e3),
             "avg_upgraded_ms" => f(self.avg[2] * 1e3),
             "stddev_small_all_ms" => f(self.stddev_small[0] * 1e3),
@@ -262,87 +287,36 @@ pub fn build_point(
     (topo, Box::new(factory), flows)
 }
 
-/// Runs one (scheme, ratio) point of `spec` to completion into
-/// `recorder`: the rollout drawn from `deploy_seed`, the workload of
-/// [`build_flows`], the fabric of [`build_point`].
+/// Runs one (scheme, ratio) point of `spec` at its workload seed to
+/// completion into `recorder`: the rollout of `spec.rollout_seed` (or
+/// one drawn from the workload seed), the workload of [`build_flows`],
+/// the fabric of [`build_point`] with `spec.flexpass_cfg`'s endpoints.
 pub(crate) fn run_spec_point(
     scheme: Scheme,
     ratio: f64,
     spec: &SweepSpec,
-    deploy_seed: u64,
-    cfg: FlexPassConfig,
     recorder: Recorder,
     sampling: Option<TimeDelta>,
 ) -> Recorder {
     let clos = spec.scale.clos();
-    let deployment = rollout(&clos, ratio, deploy_seed);
+    let derived = || spec.seed.wrapping_mul(0x9E37).wrapping_add(7);
+    let deployment = rollout(&clos, ratio, spec.rollout_seed.unwrap_or_else(derived));
     let flows = build_flows(spec, &deployment, clos.n_hosts());
+    let cfg = (spec.flexpass_cfg)(spec.wq);
     let (topo, factory, flows) =
         build_point(clos, scheme, deployment, flows, cfg, spec.wq, spec.sel_drop);
     run(topo, factory, recorder, &flows, sampling, DRAINED)
 }
 
-/// One FlexPass point under the protocol variant `cfg`, at the secondary
-/// figures' flow count: the workload drawn from `seed`, the rollout from
-/// `deploy_seed`.
-pub(crate) fn run_variant(
-    cfg: FlexPassConfig,
-    ratio: f64,
-    scale: RunScale,
-    seed: u64,
-    deploy_seed: u64,
-) -> Recorder {
-    let spec = SweepSpec {
-        seed,
-        wq: cfg.wq,
-        n_flows: SweepSpec::reduced_flows(scale),
-        ..SweepSpec::fig10(scale)
-    };
-    let rec = Recorder::new();
-    run_spec_point(Scheme::FlexPass, ratio, &spec, deploy_seed, cfg, rec, None)
-}
-
-/// Mean reorder-buffer peak over the upgraded flows of a run, bytes.
-pub(crate) fn reorder_mean(rec: &Recorder) -> f64 {
-    let upgraded = || rec.flows.iter().filter(|r| r.tag == TAG_UPGRADED);
-    match upgraded().count() {
-        0 => 0.0,
-        n => upgraded().map(|r| r.reorder_peak as f64).sum::<f64>() / n as f64,
-    }
-}
-
-/// Runs one (scheme, ratio) point serially on the calling thread,
-/// averaging over `spec.seeds` seeds (see [`aggregate_seeds`]). Library
-/// consumers (benches, examples, figure 17/18 cells) use this directly;
-/// [`run_sweep_jobs`] runs the same per-seed simulations through the
-/// worker pool instead.
-pub fn run_point(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
-    let per_seed: Vec<SweepPoint> = (0..spec.seeds.max(1))
-        .map(|k| {
-            let mut s = spec.clone();
-            s.seed = seed_for(spec, k);
-            run_point_once(scheme, ratio, &s)
-        })
-        .collect();
-    aggregate_seeds(scheme.label(), ratio, &per_seed)
-}
-
-fn run_point_once(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
-    let rec = run_spec_point(
-        scheme,
-        ratio,
-        spec,
-        spec.seed.wrapping_mul(0x9E37).wrapping_add(7),
-        FlexPassConfig::new(spec.wq),
-        Recorder::new(),
-        None,
-    );
-    point_from_recorder(scheme, ratio, &rec)
-}
-
+/// The statistics a sweep keeps of one finished run.
 fn point_from_recorder(scheme: Scheme, ratio: f64, rec: &Recorder) -> SweepPoint {
     let by_type = |stat: fn(&Recorder, Option<u32>) -> f64| {
         [None, Some(TAG_LEGACY), Some(TAG_UPGRADED)].map(|tag| stat(rec, tag))
+    };
+    let upgraded = || rec.flows.iter().filter(|r| r.tag == TAG_UPGRADED);
+    let reorder_mean = match upgraded().count() {
+        0 => 0.0,
+        n => upgraded().map(|r| r.reorder_peak as f64).sum::<f64>() / n as f64,
     };
     SweepPoint {
         scheme: scheme.label(),
@@ -350,11 +324,23 @@ fn point_from_recorder(scheme: Scheme, ratio: f64, rec: &Recorder) -> SweepPoint
         p99_small: by_type(Recorder::p99_small),
         avg: by_type(Recorder::avg_fct),
         stddev_small: by_type(Recorder::stddev_small),
-        reorder_mean: reorder_mean(rec),
+        reorder_mean,
         timeouts: rec.total_timeouts() as f64,
         redundancy: rec.redundancy_fraction(),
         flows: rec.completed() as f64,
     }
+}
+
+/// Runs one (scheme, ratio) point averaged over `spec.seeds` seeds: the
+/// one-cell case of the sweep grid, as [`run_sweep_jobs`] is its
+/// one-sweep case. A seed that panics is dropped (see [`aggregate_seeds`]).
+pub fn run_point(scheme: Scheme, ratio: f64, spec: &SweepSpec) -> SweepPoint {
+    let cell = SweepSpec {
+        schemes: vec![scheme],
+        ratios: vec![ratio],
+        ..spec.clone()
+    };
+    run_sweep_jobs(orchestrate::jobs(), "point", &cell).remove(0)
 }
 
 /// Runs the full sweep with an explicit worker count: the flattened
@@ -388,9 +374,10 @@ fn run_sweeps(jobs: usize, group: &str, sweeps: &[(String, SweepSpec)]) -> Vec<V
         keys,
         |&(i, scheme, ratio, k)| format!("{}{}:r{ratio:.2}:s{k}", sweeps[i].0, scheme.label()),
         |&(i, scheme, ratio, k)| {
-            let mut s = sweeps[i].1.clone();
-            s.seed = seed_for(&s, k);
-            run_point_once(scheme, ratio, &s)
+            let mut spec = sweeps[i].1.clone();
+            spec.seed = seed_for(&spec, k);
+            let rec = run_spec_point(scheme, ratio, &spec, Recorder::new(), None);
+            point_from_recorder(scheme, ratio, &rec)
         },
     );
     let mut out = vec![Vec::new(); sweeps.len()];
@@ -404,11 +391,19 @@ fn run_sweeps(jobs: usize, group: &str, sweeps: &[(String, SweepSpec)]) -> Vec<V
     out
 }
 
-/// Renders `points` under `columns`, each a statistic of a sweep point.
-fn table(points: &[SweepPoint], columns: &[&str]) -> Csv {
+/// Renders the points of several sweeps, sweep after sweep, one row each
+/// under `columns`: `own(i, point, column)` fills the columns that are not
+/// a statistic of a point of sweep `i`, [`SweepPoint::cell`] the rest.
+fn rows<S: AsRef<[SweepPoint]>>(
+    columns: &[&str],
+    sweeps: &[S],
+    own: impl Fn(usize, &SweepPoint, &str) -> Option<String>,
+) -> Csv {
     let mut csv = Csv::new(columns);
-    for p in points {
-        csv.row_by(|column| p.cell(column));
+    for (i, points) in sweeps.iter().enumerate() {
+        for p in points.as_ref() {
+            csv.row_by(|column| own(i, p, column).unwrap_or_else(|| p.cell(column)));
+        }
     }
     csv
 }
@@ -422,7 +417,7 @@ fn table(points: &[SweepPoint], columns: &[&str]) -> Csv {
 /// deviations (sqrt of the mean per-seed variance). See
 /// [`aggregate_seeds`].
 pub fn to_csv(points: &[SweepPoint]) -> Csv {
-    table(points, SWEEP_COLUMNS)
+    rows(SWEEP_COLUMNS, &[points], |_, _, _| None)
 }
 
 /// Figure 10 (background only) or Figure 11 (mixed): the sweep's points
@@ -434,7 +429,63 @@ pub fn fig10_or_11(group: &str, mixed: bool, scale: RunScale, out: &[Output]) ->
         ..SweepSpec::fig10(scale)
     };
     let points = run_sweep_jobs(orchestrate::jobs(), group, &spec);
-    out.iter().map(|o| table(&points, o.columns)).collect()
+    out.iter()
+        .map(|o| rows(o.columns, &[&points], |_, _, _| None))
+        .collect()
+}
+
+/// A named FlexPass design: its endpoint configuration at a queue weight.
+type Design = (&'static str, fn(f64) -> FlexPassConfig);
+
+/// Figure 5: FlexPass against one alternative design (`other`, a name and
+/// its endpoint configuration) at each of `ratios`, ratio by ratio,
+/// FlexPass first: every (ratio, design) pair is a one-point sweep.
+fn fig5(group: &str, other: Design, ratios: &[f64], scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let designs: [Design; 2] = [("flexpass", FlexPassConfig::new), other];
+    let sweeps: Vec<(String, SweepSpec)> = ratios
+        .iter()
+        .flat_map(|&ratio| {
+            designs.map(|(name, flexpass_cfg)| {
+                let spec = SweepSpec {
+                    flexpass_cfg,
+                    rollout_seed: Some(77),
+                    n_flows: SweepSpec::reduced_flows(scale),
+                    ..SweepSpec::flexpass(scale, &[ratio], 11)
+                };
+                (format!("{name}:"), spec)
+            })
+        })
+        .collect();
+    let points = run_sweeps(orchestrate::jobs(), group, &sweeps);
+    let variant = |i: usize| designs[i % designs.len()].0.to_string();
+    vec![rows(out[0].columns, &points, |i, _, column| {
+        (column == "variant").then(|| variant(i))
+    })]
+}
+
+/// Figure 5(a): FlexPass vs RC3-style splitting at 50/100 % deployment —
+/// p99 FCT of small flows vs mean reordering buffer.
+pub fn fig5a(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    fig5(
+        "fig5a",
+        ("rc3_split", FlexPassConfig::rc3_splitting),
+        &[0.5, 1.0],
+        scale,
+        out,
+    )
+}
+
+/// Figure 5(b): FlexPass vs alternative queueing (the reactive sub-flow in
+/// the legacy queue) across deployment ratios.
+pub fn fig5b(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let ratios = [0.25, 0.5, 0.75, 1.0];
+    fig5(
+        "fig5b",
+        ("alternative", FlexPassConfig::alternative_queueing),
+        &ratios,
+        scale,
+        out,
+    )
 }
 
 /// Figure 14: p99 small-flow FCT vs deployment under loads 10/40/70 % for
@@ -454,29 +505,19 @@ pub fn fig14(scale: RunScale, out: &[Output]) -> Vec<Csv> {
             (format!("l{load:.1}:"), spec)
         })
         .collect();
-    let mut csv = Csv::new(out[0].columns);
-    for (load, points) in loads
-        .iter()
-        .zip(run_sweeps(orchestrate::jobs(), "fig14", &sweeps))
-    {
-        for p in &points {
-            csv.row_by(|column| match column {
-                "load" => format!("{load:.1}"),
-                _ => p.cell(column),
-            });
-        }
-    }
-    vec![csv]
+    let points = run_sweeps(orchestrate::jobs(), "fig14", &sweeps);
+    vec![rows(out[0].columns, &points, |i, _, column| {
+        (column == "load").then(|| format!("{:.1}", loads[i]))
+    })]
 }
 
 /// Figures 15/16: the sweep over all four realistic workloads, one grid.
 pub fn fig15_16(scale: RunScale, out: &[Output]) -> Vec<Csv> {
-    let ratios = vec![0.0, 0.5, 1.0];
     let sweeps: Vec<(String, SweepSpec)> = FlowSizeCdf::all()
         .into_iter()
         .map(|cdf| {
             let spec = SweepSpec {
-                ratios: ratios.clone(),
+                ratios: vec![0.0, 0.5, 1.0],
                 cdf,
                 n_flows: SweepSpec::reduced_flows(scale),
                 ..SweepSpec::fig10(scale)
@@ -484,31 +525,123 @@ pub fn fig15_16(scale: RunScale, out: &[Output]) -> Vec<Csv> {
             (format!("{}:", spec.cdf.name()), spec)
         })
         .collect();
-    let mut csv = Csv::new(out[0].columns);
-    for ((_, spec), points) in
-        sweeps
-            .iter()
-            .zip(run_sweeps(orchestrate::jobs(), "fig15_16", &sweeps))
-    {
-        // Gain relative to the 0 % (all-DCTCP) point of the same scheme,
-        // the first of the scheme's run of ratios.
-        for of_scheme in points.chunks(ratios.len()) {
-            let base = of_scheme[0].p99_small[0];
-            for p in of_scheme {
-                let gain = if base == 0.0 {
-                    0.0
-                } else {
-                    1.0 - p.p99_small[0] / base
-                };
-                csv.row_by(|column| match column {
-                    "workload" => spec.cdf.name().to_string(),
-                    "p99_gain_vs_0" => f(gain),
-                    _ => p.cell(column),
-                });
-            }
+    let points = run_sweeps(orchestrate::jobs(), "fig15_16", &sweeps);
+    vec![rows(out[0].columns, &points, |i, p, column| match column {
+        "workload" => Some(sweeps[i].1.cdf.name().to_string()),
+        "p99_gain_vs_0" => {
+            // Gain relative to the 0 % (all-DCTCP) point of the same
+            // scheme, the first of the scheme's run of ratios.
+            let of_scheme = points[i].iter().find(|q| q.scheme == p.scheme);
+            let base = of_scheme.map_or(0.0, |q| q.p99_small[0]);
+            let gain = if base == 0.0 {
+                0.0
+            } else {
+                1.0 - p.p99_small[0] / base
+            };
+            Some(f(gain))
         }
+        _ => None,
+    })]
+}
+
+/// Figure 17: the selective-dropping threshold trade-off at full
+/// deployment — a lower threshold improves small-flow tail FCT (tighter
+/// queue bound) but degrades overall average FCT (more reactive drops).
+pub fn fig17(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let thresholds = [50_000, 100_000, 150_000, 200_000];
+    let sweeps: Vec<(String, SweepSpec)> = thresholds
+        .iter()
+        .map(|&sel_drop| {
+            let spec = SweepSpec {
+                sel_drop,
+                ..SweepSpec::flexpass(scale, &[1.0], 21)
+            };
+            (format!("thr{}k:", sel_drop / 1000), spec)
+        })
+        .collect();
+    let points = run_sweeps(orchestrate::jobs(), "fig17", &sweeps);
+    // Degradation of overall average FCT relative to the most permissive
+    // threshold (largest), as the paper plots it.
+    let baseline = points.iter().flatten().last().map_or(1.0, |p| p.avg[0]);
+    vec![rows(out[0].columns, &points, |i, p, column| match column {
+        "sel_drop_kb" => Some((thresholds[i] / 1000).to_string()),
+        "avg_fct_degradation" => Some(f(p.avg[0] / baseline - 1.0)),
+        _ => None,
+    })]
+}
+
+/// Figure 18: the queue-weight (w_q) trade-off — smaller w_q shields
+/// legacy flows during the rollout; larger w_q improves FlexPass's tail
+/// FCT at full deployment. A weight's row comes from its three points: the
+/// all-DCTCP baseline under the same switch configuration, mid-rollout,
+/// full.
+pub fn fig18(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let weights = [0.4, 0.45, 0.5, 0.55, 0.6];
+    let sweeps: Vec<(String, SweepSpec)> = weights
+        .iter()
+        .map(|&wq| {
+            let spec = SweepSpec {
+                wq,
+                n_flows: SweepSpec::reduced_flows(scale),
+                ..SweepSpec::flexpass(scale, &[0.0, 0.5, 1.0], 31)
+            };
+            (format!("wq{wq:.2}:"), spec)
+        })
+        .collect();
+    let mut csv = Csv::new(out[0].columns);
+    for (wq, points) in weights
+        .iter()
+        .zip(run_sweeps(orchestrate::jobs(), "fig18", &sweeps))
+    {
+        let [base, mid, full] = [0, 1, 2].map(|i| points[i].p99_small);
+        // Growth of the legacy tail over its baseline, floored at zero by
+        // comparison: `f64::max` would turn a failed cell's NaN into 0.
+        let growth = mid[1] / base[1] - 1.0;
+        let worst = if base[1] == 0.0 || growth < 0.0 {
+            0.0
+        } else {
+            growth
+        };
+        csv.row([format!("{wq:.2}"), f(worst), f(full[0] * 1e3)]);
     }
     vec![csv]
+}
+
+/// The ablation of FlexPass's design choices (the paper motivates each in
+/// §4.2–4.3 but does not isolate them), each toggled off at 50 % and 100 %
+/// deployment: proactive retransmission (without it reactive tail losses
+/// wait for timers), first-RTT reactive transmission (without it FlexPass
+/// waits an RTT for credits like ExpressPass), and the credit allocator
+/// (pHost-style fixed-rate tokens for ExpressPass feedback, §4.3).
+pub fn ablation(scale: RunScale, out: &[Output]) -> Vec<Csv> {
+    let variants: [Design; 4] = [
+        ("full", FlexPassConfig::new),
+        ("no_proactive_retx", |wq| FlexPassConfig {
+            proactive_retx: false,
+            ..FlexPassConfig::new(wq)
+        }),
+        ("no_first_rtt", |wq| FlexPassConfig {
+            reactive_first_rtt: false,
+            ..FlexPassConfig::new(wq)
+        }),
+        ("fixed_rate_credits", |wq| FlexPassConfig {
+            credit_policy: CreditPolicy::FixedRate,
+            ..FlexPassConfig::new(wq)
+        }),
+    ];
+    let sweeps = variants.map(|(name, flexpass_cfg)| {
+        let spec = SweepSpec {
+            flexpass_cfg,
+            rollout_seed: Some(13),
+            n_flows: SweepSpec::reduced_flows(scale),
+            ..SweepSpec::flexpass(scale, &[0.5, 1.0], 61)
+        };
+        (format!("{name}:"), spec)
+    });
+    let points = run_sweeps(orchestrate::jobs(), "ablation", &sweeps);
+    vec![rows(out[0].columns, &points, |i, _, column| {
+        (column == "variant").then(|| variants[i].0.to_string())
+    })]
 }
 
 #[cfg(test)]
@@ -614,9 +747,9 @@ mod tests {
         let (scheme, ratio, deploy_seed) = (Scheme::FlexPass, 0.5, 7);
         let spec = SweepSpec {
             n_flows: Some(25),
+            rollout_seed: Some(deploy_seed),
             ..SweepSpec::fig10(RunScale::Smoke)
         };
-        let cfg = || FlexPassConfig::new(spec.wq);
         let small = spec.scale.clos();
         let one_rack = ClosParams {
             n_core: 1,
@@ -634,7 +767,7 @@ mod tests {
                 scheme,
                 deployment,
                 flows,
-                cfg(),
+                FlexPassConfig::new(spec.wq),
                 spec.wq,
                 spec.sel_drop,
             )
@@ -675,8 +808,52 @@ mod tests {
             assert_eq!(csv(&merged), bare(build()), "{name}");
         }
         // And through `runner::run`, which asks for `--par-sim`'s default 1.
-        let rec = Recorder::new();
-        let through_runner = run_spec_point(scheme, ratio, &spec, deploy_seed, cfg(), rec, None);
+        let through_runner = run_spec_point(scheme, ratio, &spec, Recorder::new(), None);
         assert_eq!(csv(&through_runner), bare(point(small)));
+    }
+
+    /// A variant sweep reaches `seeds`: each seed's workload follows
+    /// `seed_for` over the one fixed rollout, under the variant's
+    /// endpoints, and the cell is the aggregate of those one-seed points.
+    #[test]
+    fn variant_sweep_averages_its_seeds_over_a_fixed_rollout() {
+        let (ratio, rollout_seed) = (0.5, 77);
+        let spec = SweepSpec {
+            flexpass_cfg: FlexPassConfig::rc3_splitting,
+            rollout_seed: Some(rollout_seed),
+            n_flows: Some(25),
+            seeds: 2,
+            ..SweepSpec::flexpass(RunScale::Smoke, &[ratio], 11)
+        };
+        let one_seed = |k| {
+            let clos = spec.scale.clos();
+            let deployment = rollout(&clos, ratio, rollout_seed);
+            let workload = SweepSpec {
+                seed: seed_for(&spec, k),
+                ..spec.clone()
+            };
+            let flows = build_flows(&workload, &deployment, clos.n_hosts());
+            let cfg = FlexPassConfig::rc3_splitting(spec.wq);
+            let (topo, factory, flows) = build_point(
+                clos,
+                Scheme::FlexPass,
+                deployment,
+                flows,
+                cfg,
+                spec.wq,
+                spec.sel_drop,
+            );
+            let rec = run(topo, factory, Recorder::new(), &flows, None, DRAINED);
+            point_from_recorder(Scheme::FlexPass, ratio, &rec)
+        };
+        let seeds = [one_seed(0), one_seed(1)];
+        let row = |points: &[SweepPoint]| to_csv(points).render();
+        assert_ne!(
+            row(&seeds[..1]),
+            row(&seeds[1..]),
+            "the seeds ran one workload"
+        );
+        let want = aggregate_seeds("flexpass", ratio, &seeds);
+        assert_eq!(row(&run_sweep_jobs(2, "test", &spec)), row(&[want]));
     }
 }

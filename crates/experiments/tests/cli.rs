@@ -141,13 +141,14 @@ fn unknown_figure_lists_the_valid_names() {
     }
 }
 
-#[test]
-fn trace_host_beyond_the_fabric_is_an_input_error() {
-    let dir = std::env::temp_dir().join(format!("flexpass-cli-{}", std::process::id()));
+/// Replays a trace file holding `text` at smoke scale; returns the exit
+/// code and stderr.
+fn replay(tag: &str, text: &str) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("flexpass-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let trace = dir.join("trace.csv");
-    std::fs::write(&trace, "src,dst,size_bytes,start_us\n0,10000,1000,0\n").expect("write trace");
-    let (code, stderr) = run(&[
+    std::fs::write(&trace, text).expect("write trace");
+    let result = run(&[
         "--fig",
         "custom",
         "--scale",
@@ -158,10 +159,35 @@ fn trace_host_beyond_the_fabric_is_an_input_error() {
         dir.to_str().expect("utf-8 temp path"),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+#[test]
+fn trace_host_beyond_the_fabric_is_an_input_error() {
+    let (code, stderr) = replay("range", "src,dst,size_bytes,start_us\n0,10000,1000,0\n");
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("trace host 10000 out of range"), "{stderr}");
     assert!(stderr.contains("-host fabric"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A NaN size used to panic (exit 101); a negative or NaN host id used to
+/// replay as host 0. Each is an input error naming its column.
+#[test]
+fn trace_value_out_of_its_domain_is_an_input_error() {
+    for (row, field) in [
+        ("0,1,NaN,0", "size_bytes"),
+        ("-1,1,1000,0", "src"),
+        ("NaN,2,1000,0", "src"),
+    ] {
+        let (code, stderr) = replay("domain", &format!("{row}\n"));
+        assert_eq!(code, Some(2), "{row}: {stderr}");
+        assert!(
+            stderr.contains(&format!("trace line 1, {field}: ")),
+            "{row}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{row}: {stderr}");
+    }
 }
 
 #[test]
@@ -218,7 +244,12 @@ fn finite(cell: &str) -> bool {
 fn failed_cells_render_as_nan_not_zero() {
     let (code, tables) = run_into_temp(
         "fig18",
-        &["--fig", "fig18", "--inject-panic", "fig18:wq0.50:r0.50"],
+        &[
+            "--fig",
+            "fig18",
+            "--inject-panic",
+            "fig18:wq0.50:flexpass:r0.50:s0",
+        ],
         &["fig18_wq_tradeoff"],
     );
     assert_eq!(code, Some(1));

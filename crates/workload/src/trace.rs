@@ -13,25 +13,34 @@ use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::Bytes;
 use flexpass_simnet::packet::FlowSpec;
 
-/// A parse failure, with the offending line number (1-based).
+/// A parse failure: the offending line (1-based) and, for a bad value,
+/// the column it sits in.
 #[derive(Debug, PartialEq, Eq)]
 pub struct TraceError {
     /// Line number in the input.
     pub line: usize,
+    /// The offending column (`src`, `dst`, `size_bytes` or `start_us`);
+    /// `None` for a row that is malformed as a whole.
+    pub field: Option<&'static str>,
     /// What went wrong.
     pub reason: String,
 }
 
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
+        match self.field {
+            Some(field) => write!(f, "trace line {}, {field}: {}", self.line, self.reason),
+            None => write!(f, "trace line {}: {}", self.line, self.reason),
+        }
     }
 }
 
 impl std::error::Error for TraceError {}
 
-/// Parses a flow trace. Each data row is `src,dst,size_bytes,start_us`;
-/// flow ids are assigned sequentially from `first_id`; tags are 0 (the
+/// Parses a flow trace. Each data row is `src,dst,size_bytes,start_us`:
+/// host ids are non-negative integers, the size a finite number of bytes
+/// (at least 1), the start a finite non-negative time in microseconds.
+/// Flow ids are assigned sequentially from `first_id`; tags are 0 (the
 /// scheme layer re-tags by deployment).
 ///
 /// # Examples
@@ -57,40 +66,36 @@ pub fn parse_trace(text: &str, first_id: u64) -> Result<Vec<FlowSpec>, TraceErro
             continue; // Header.
         }
         let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-        if cells.len() != 4 {
-            return Err(TraceError {
-                line: lineno,
-                reason: format!("expected 4 columns, found {}", cells.len()),
-            });
-        }
-        let field = |idx: usize, name: &str| -> Result<f64, TraceError> {
-            cells[idx].parse::<f64>().map_err(|_| TraceError {
-                line: lineno,
-                reason: format!("bad {name}: {:?}", cells[idx]),
-            })
+        let error = |field, reason| TraceError {
+            line: lineno,
+            field,
+            reason,
         };
-        let src = field(0, "src")? as usize;
-        let dst = field(1, "dst")? as usize;
-        let size = field(2, "size_bytes")?;
-        let start_us = field(3, "start_us")?;
+        if cells.len() != 4 {
+            let reason = format!("expected 4 columns, found {}", cells.len());
+            return Err(error(None, reason));
+        }
+        let bad = |idx: usize, name: &'static str, want: &str| {
+            error(
+                Some(name),
+                format!("expected {want}, found {:?}", cells[idx]),
+            )
+        };
+        let host = |idx: usize, name| {
+            let host = cells[idx].parse::<usize>();
+            host.map_err(|_| bad(idx, name, "a non-negative integer host id"))
+        };
+        let number = |idx: usize, name, min: f64| match cells[idx].parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= min => Ok(v),
+            _ => Err(bad(idx, name, &format!("a finite number >= {min}"))),
+        };
+        let src = host(0, "src")?;
+        let dst = host(1, "dst")?;
         if src == dst {
-            return Err(TraceError {
-                line: lineno,
-                reason: "src == dst".into(),
-            });
+            return Err(error(None, "src == dst".into()));
         }
-        if size < 1.0 {
-            return Err(TraceError {
-                line: lineno,
-                reason: format!("size must be >= 1, found {size}"),
-            });
-        }
-        if start_us < 0.0 || !start_us.is_finite() {
-            return Err(TraceError {
-                line: lineno,
-                reason: format!("bad start time {start_us}"),
-            });
-        }
+        let size = number(2, "size_bytes", 1.0)?;
+        let start_us = number(3, "start_us", 0.0)?;
         flows.push(FlowSpec {
             id,
             src,
@@ -157,6 +162,54 @@ mod tests {
         assert!(parse_trace("1,2,100,-5\n", 0).is_err());
     }
 
+    /// The column a row's bad value sits in, or `None` if it parsed.
+    fn bad_field(row: &str) -> Option<&'static str> {
+        parse_trace(row, 0).err().map(|e| e.field.expect("a field"))
+    }
+
+    /// A host id is a non-negative integer: `-1` and `NaN` used to cast to
+    /// host 0 and replay silently, `1.5` to host 1.
+    #[test]
+    fn host_ids_are_non_negative_integers() {
+        for bad in ["-1", "NaN", "1.5", "inf"] {
+            assert_eq!(
+                bad_field(&format!("{bad},2,1000,0\n")),
+                Some("src"),
+                "{bad}"
+            );
+            assert_eq!(
+                bad_field(&format!("2,{bad},1000,0\n")),
+                Some("dst"),
+                "{bad}"
+            );
+        }
+    }
+
+    /// A size is a finite number of at least one byte: `NaN` used to panic
+    /// in `Bytes::from_f64`, past the `< 1` check it slips by.
+    #[test]
+    fn sizes_are_finite() {
+        for bad in ["NaN", "inf", "-inf", "0.5", "-3"] {
+            assert_eq!(
+                bad_field(&format!("0,1,{bad},0\n")),
+                Some("size_bytes"),
+                "{bad}"
+            );
+        }
+    }
+
+    /// A start is a finite, non-negative time.
+    #[test]
+    fn starts_are_finite_and_non_negative() {
+        for bad in ["NaN", "inf", "-5", "x"] {
+            assert_eq!(
+                bad_field(&format!("0,1,1000,{bad}\n")),
+                Some("start_us"),
+                "{bad}"
+            );
+        }
+    }
+
     #[test]
     fn round_trips() {
         let t = "src,dst,size_bytes,start_us\n0,1,1460,0\n2,3,5000,12.5\n";
@@ -172,5 +225,10 @@ mod tests {
         assert_eq!(err.line, 2);
         let msg = err.to_string();
         assert!(msg.contains("line 2"));
+        let err = parse_trace("0,1,NaN,0\n", 0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace line 1, size_bytes: expected a finite number >= 1, found \"NaN\""
+        );
     }
 }
