@@ -172,13 +172,17 @@ fn trace_host_beyond_the_fabric_is_an_input_error() {
 }
 
 /// A NaN size used to panic (exit 101); a negative or NaN host id used to
-/// replay as host 0. Each is an input error naming its column.
+/// replay as host 0; a size of 2^32 + 1 packets wrapped to one packet, and
+/// a start past the clock horizon overflowed the clock. Each is an input
+/// error naming its column.
 #[test]
 fn trace_value_out_of_its_domain_is_an_input_error() {
     for (row, field) in [
         ("0,1,NaN,0", "size_bytes"),
         ("-1,1,1000,0", "src"),
         ("NaN,2,1000,0", "src"),
+        ("0,1,6270652253620,0", "size_bytes"),
+        ("0,1,1000,1e16", "start_us"),
     ] {
         let (code, stderr) = replay("domain", &format!("{row}\n"));
         assert_eq!(code, Some(2), "{row}: {stderr}");

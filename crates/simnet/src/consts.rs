@@ -42,10 +42,14 @@ pub fn data_wire_bytes(payload: Bytes) -> WireBytes {
     (DATA_HEADER_WIRE + WireBytes::new(payload.get())).max(CTRL_WIRE)
 }
 
+/// Largest flow [`packets_for`] can count: `u32::MAX` full packets.
+pub const MAX_FLOW_BYTES: Bytes = Bytes::new(MTU_PAYLOAD.get() * u32::MAX as u64);
+
 /// Number of data packets needed to carry `size` bytes of application data.
 ///
 /// A zero-byte flow still takes one (runt) packet: connection setup and
-/// completion signalling ride on data packets in this model.
+/// completion signalling ride on data packets in this model. `size` is at
+/// most [`MAX_FLOW_BYTES`].
 pub fn packets_for(size: Bytes) -> PktCount {
     let n = size.div_ceil(MTU_PAYLOAD).max(1);
     debug_assert!(n <= u32::MAX as u64);
@@ -78,6 +82,7 @@ mod tests {
         assert_eq!(packets_for(Bytes::new(1460)), PktCount::new(1));
         assert_eq!(packets_for(Bytes::new(1461)), PktCount::new(2));
         assert_eq!(packets_for(Bytes::new(64_000)), PktCount::new(44));
+        assert_eq!(packets_for(MAX_FLOW_BYTES), PktCount::new(u32::MAX));
     }
 
     #[test]

@@ -556,13 +556,8 @@ impl<O: NetObserver> Sim<O> {
             Event::Timer { host, token } => {
                 let host = host as NodeId;
                 self.scratch.clear();
-                if let Some(Node::Host(h)) = self.nodes.get_mut(host) {
-                    let mut ctx = self.scratch.ctx(now, &mut self.arena);
-                    h.fire_timer(token, &self.events, &mut ctx);
-                } else {
-                    // lint:allow(panic-path): timers are only armed by hosts
-                    unreachable!("timer on a switch");
-                }
+                let mut ctx = self.scratch.ctx(now, &mut self.arena);
+                host_mut(&mut self.nodes, host).fire_timer(token, &self.events, &mut ctx);
                 self.flush(now, host);
             }
             Event::FlowStart { idx } => self.flow_start(now, idx as usize),
@@ -732,13 +727,8 @@ impl<O: NetObserver> Sim<O> {
     ) {
         let node = *self.hosts.get(host_id).expect("host id in range");
         self.scratch.clear();
-        if let Some(Node::Host(h)) = self.nodes.get_mut(node) {
-            let mut ctx = self.scratch.ctx(now, &mut self.arena);
-            h.register(flow, ep, &mut ctx);
-        } else {
-            // lint:allow(panic-path): topology construction pins host ids
-            unreachable!("host id maps to a non-host node");
-        }
+        let mut ctx = self.scratch.ctx(now, &mut self.arena);
+        host_mut(&mut self.nodes, node).register(flow, ep, &mut ctx);
         self.flush(now, node);
     }
 
@@ -748,12 +738,7 @@ impl<O: NetObserver> Sim<O> {
         let mut scratch = std::mem::take(&mut self.scratch);
         for pid in scratch.tx.drain(..) {
             audit::flow_tx(self.arena.get(pid).expect("staged tx id is live"));
-            let res = match self.nodes.get_mut(node).expect("flush node id in range") {
-                Node::Host(h) => h.nic_enqueue(&mut self.arena, pid),
-                // lint:allow(panic-path): flush is only called for hosts
-                Node::Switch(_) => unreachable!("flush on a switch"),
-            };
-            match res {
+            match host_mut(&mut self.nodes, node).nic_enqueue(&mut self.arena, pid) {
                 Ok(_q) => {
                     let nic_idle = self
                         .nodes
@@ -771,11 +756,7 @@ impl<O: NetObserver> Sim<O> {
                 }
             }
         }
-        let h = match self.nodes.get_mut(node).expect("flush node id in range") {
-            Node::Host(h) => h,
-            // lint:allow(panic-path): flush is only called for hosts
-            Node::Switch(_) => unreachable!("flush on a switch"),
-        };
+        let h = host_mut(&mut self.nodes, node);
         for cmd in scratch.timers.drain(..) {
             // The flow a timer belongs to rides in the token's high bits
             // (tokens are namespaced per endpoint; see [`timer_token`]):
@@ -828,6 +809,17 @@ impl<O: NetObserver> Sim<O> {
             audit::scratch_capacity(app_id, app as u64);
         }
         self.scratch = scratch;
+    }
+}
+
+/// The host at `node`: a free function over the node table, so the caller
+/// keeps the simulator's other fields borrowable.
+fn host_mut(nodes: &mut [Node], node: NodeId) -> &mut Host {
+    match nodes.get_mut(node) {
+        Some(Node::Host(h)) => h,
+        // lint:allow(panic-path): only hosts arm timers, own endpoints and
+        // stage packets, and `Topology` maps every host id to a host node.
+        _ => unreachable!("node {node} is not a host"),
     }
 }
 

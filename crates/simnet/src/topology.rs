@@ -13,6 +13,12 @@
 //! path to its rack's switch plus the access link. One BFS per rack fills
 //! one candidate list per (switch, rack); what a switch stores is therefore
 //! independent of how many hosts hang off each rack.
+//!
+//! `Graph::build` is where a fabric is checked, once: every host has one
+//! link, every rack one switch and every switch at most one rack, and every
+//! switch has a candidate port towards every rack with hosts. A fabric that
+//! breaks one of these panics at build, naming the offending node; the
+//! datapath relies on them without re-checking.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -75,7 +81,49 @@ impl Default for ClosParams {
     }
 }
 
+/// How a [`ClosParams`] divides into pods and core groups.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClosShape {
+    /// Pods: `n_agg / aggs_per_pod`.
+    pub pods: usize,
+    /// ToRs per pod: `n_tor / pods`.
+    pub tors_per_pod: usize,
+    /// Cores each aggregation switch links to: `n_core / aggs_per_pod`.
+    pub cores_per_agg: usize,
+}
+
+/// A [`ClosParams`] count that does not divide evenly (a zero divisor
+/// never does).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClosError {
+    /// The field that does not divide: `n_agg`, `n_tor` or `n_core`.
+    pub field: &'static str,
+    /// Its value.
+    pub count: usize,
+    /// What it must be a multiple of.
+    pub divisor: usize,
+}
+
 impl ClosParams {
+    /// Divides the fabric into pods and core groups, or names the count
+    /// that does not divide.
+    pub fn shape(&self) -> Result<ClosShape, ClosError> {
+        let split = |field, count: usize, divisor: usize| match count.checked_rem(divisor) {
+            Some(0) => Ok(count / divisor),
+            _ => Err(ClosError {
+                field,
+                count,
+                divisor,
+            }),
+        };
+        let pods = split("n_agg", self.n_agg, self.aggs_per_pod)?;
+        Ok(ClosShape {
+            pods,
+            tors_per_pod: split("n_tor", self.n_tor, pods)?,
+            cores_per_agg: split("n_core", self.n_core, self.aggs_per_pod)?,
+        })
+    }
+
     /// Total host count.
     pub fn n_hosts(&self) -> usize {
         self.n_tor * self.hosts_per_tor
@@ -212,12 +260,18 @@ impl Graph {
         ];
         for (h, &r) in rack_of.iter().enumerate() {
             let (sw, prop) = self.adj[hosts[h]][0];
+            if racks[r].switch != sw {
+                // The rack's first host: its switch must be free.
+                assert!(racks[r].switch == usize::MAX, "rack {r} spans two switches");
+                let other = racks.iter().position(|o| o.switch == sw);
+                assert!(
+                    other.is_none(),
+                    "switch {sw} serves racks {} and {r}",
+                    other.unwrap_or(r)
+                );
+                racks[r].switch = sw;
+            }
             let rack = &mut racks[r];
-            assert!(
-                rack.switch == usize::MAX || rack.switch == sw,
-                "rack {r} spans two switches"
-            );
-            rack.switch = sw;
             let port = self.adj[sw]
                 .iter()
                 .position(|&(v, _)| v == hosts[h])
@@ -271,11 +325,15 @@ impl Graph {
                     }
                 }
             }
+            // A switch the BFS reached has a neighbour one hop nearer (its
+            // BFS parent), so its candidate list is non-empty: `route`
+            // relies on this instead of checking per packet.
             for (id, node) in nodes.iter_mut().enumerate() {
                 let Node::Switch(sw) = node else { continue };
-                if id == root || dist[id] == u32::MAX {
+                if id == root {
                     continue;
                 }
+                assert!(dist[id] != u32::MAX, "switch {id} cannot reach rack {r}");
                 sw.routes[r] = self.adj[id]
                     .iter()
                     .enumerate()
@@ -288,7 +346,7 @@ impl Graph {
                 max_prop = max_prop.max(rack.far[0] + rack.far[1]);
             }
             for (r2, other) in racks.iter().enumerate() {
-                if r2 != r && dist.get(other.switch).is_some_and(|&d| d != u32::MAX) {
+                if r2 != r && other.switch != usize::MAX {
                     max_prop = max_prop.max(rack.far[0] + prop_to[other.switch] + other.far[0]);
                 }
             }
@@ -353,24 +411,16 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are not divisible into pods/core groups.
+    /// Panics if [`ClosParams::shape`] fails, or if some switch cannot
+    /// reach some rack (e.g. no cores joining the pods).
     pub fn clos(
         p: ClosParams,
         sw_profile: &SwitchProfile,
         host_profile: &SwitchProfile,
     ) -> Topology {
-        assert!(
-            p.n_agg.is_multiple_of(p.aggs_per_pod),
-            "aggs must divide into pods"
-        );
-        let pods = p.n_agg / p.aggs_per_pod;
-        assert!(p.n_tor.is_multiple_of(pods), "tors must divide into pods");
-        let tors_per_pod = p.n_tor / pods;
-        assert!(
-            p.n_core.is_multiple_of(p.aggs_per_pod),
-            "cores must divide into agg groups"
-        );
-        let cores_per_agg = p.n_core / p.aggs_per_pod;
+        let shape = p
+            .shape()
+            .expect("ClosParams divide into pods and core groups");
         let n_hosts = p.n_hosts();
 
         // Node layout: [cores][aggs][tors][hosts].
@@ -397,7 +447,7 @@ impl Topology {
         }
         // ToRs to both aggs in their pod, ascending agg order.
         for t in 0..p.n_tor {
-            let pod = t / tors_per_pod;
+            let pod = t / shape.tors_per_pod;
             for j in 0..p.aggs_per_pod {
                 let a = pod * p.aggs_per_pod + j;
                 g.link(tor_base + t, agg_base + a, p.fabric_prop);
@@ -406,8 +456,8 @@ impl Topology {
         // Aggs to their core group, ascending core order.
         for a in 0..p.n_agg {
             let j = a % p.aggs_per_pod;
-            for k in 0..cores_per_agg {
-                let c = j * cores_per_agg + k;
+            for k in 0..shape.cores_per_agg {
+                let c = j * shape.cores_per_agg + k;
                 g.link(agg_base + a, core_base + c, p.fabric_prop);
             }
         }
@@ -490,8 +540,8 @@ mod tests {
         assert_eq!(t.rack_of.iter().filter(|&&r| r == 0).count(), 6);
     }
 
-    /// `with_hosts` must round up to whole pods and always satisfy the
-    /// divisibility invariants `Topology::clos` asserts.
+    /// `with_hosts` must round up to whole pods and always have the
+    /// [`ClosParams::shape`] `Topology::clos` builds from.
     #[test]
     fn with_hosts_rounds_to_whole_pods() {
         let p = ClosParams::with_hosts(10_240);
@@ -505,18 +555,74 @@ mod tests {
         // Degenerate request still builds one pod.
         let p = ClosParams::with_hosts(0);
         assert_eq!(p.n_hosts(), 320);
-        // The invariants clos() asserts hold for a sweep of sizes (build
-        // the smallest one for real to exercise the wiring).
+        // Every size has a shape (build the smallest one for real to
+        // exercise the wiring).
         for hosts in [1, 320, 2_560, 10_240] {
-            let p = ClosParams::with_hosts(hosts);
-            assert!(p.n_agg.is_multiple_of(p.aggs_per_pod));
-            let pods = p.n_agg / p.aggs_per_pod;
-            assert!(p.n_tor.is_multiple_of(pods));
-            assert!(p.n_core.is_multiple_of(p.aggs_per_pod));
+            let shape = ClosParams::with_hosts(hosts).shape().unwrap();
+            assert_eq!((shape.tors_per_pod, shape.cores_per_agg), (8, 4));
+            assert_eq!(shape.pods, hosts.div_ceil(320));
         }
         let t = Topology::clos(ClosParams::with_hosts(1), &profile(), &profile());
         assert_eq!(t.hosts.len(), 320);
         assert_eq!(t.rack_of.iter().filter(|&&r| r == 0).count(), 40);
+    }
+
+    #[test]
+    fn shape_names_the_count_that_does_not_divide() {
+        let small = ClosParams::small();
+        let err = |field, count, divisor| {
+            Err(ClosError {
+                field,
+                count,
+                divisor,
+            })
+        };
+        assert_eq!(ClosParams { n_agg: 5, ..small }.shape(), err("n_agg", 5, 2));
+        assert_eq!(ClosParams { n_tor: 7, ..small }.shape(), err("n_tor", 7, 2));
+        assert_eq!(
+            ClosParams { n_core: 3, ..small }.shape(),
+            err("n_core", 3, 2)
+        );
+        let no_aggs = ClosParams {
+            aggs_per_pod: 0,
+            ..small
+        };
+        assert_eq!(no_aggs.shape(), err("n_agg", 4, 0));
+    }
+
+    /// Without cores the pods are islands: the fabric used to build and
+    /// then panic on the first cross-pod packet.
+    #[test]
+    #[should_panic(expected = "switch 2 cannot reach rack 0")]
+    fn clos_without_cores_fails_at_build() {
+        let p = ClosParams {
+            n_core: 0,
+            ..ClosParams::small()
+        };
+        Topology::clos(p, &profile(), &profile());
+    }
+
+    /// Two switches with one host each and no link between them.
+    #[test]
+    #[should_panic(expected = "switch 1 cannot reach rack 0")]
+    fn disconnected_graph_fails_at_build() {
+        let mut g = Graph::new(4);
+        for h in 0..2 {
+            g.host_of[2 + h] = Some(h);
+            g.link(h, 2 + h, TimeDelta::micros(1));
+        }
+        g.build(2, vec![0, 1], Rate::from_gbps(10), &profile(), &profile());
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 0 serves racks 0 and 1")]
+    fn two_racks_on_one_switch_fail_at_build() {
+        let mut g = Graph::new(3);
+        for h in 0..2 {
+            g.host_of[1 + h] = Some(h);
+            g.link(0, 1 + h, TimeDelta::micros(1));
+        }
+        g.build(2, vec![0, 1], Rate::from_gbps(10), &profile(), &profile());
     }
 
     #[test]

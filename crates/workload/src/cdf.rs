@@ -6,6 +6,11 @@
 //! point values are reconstructions of the published curves (the originals
 //! ship only as plots or ns-2 inputs); the shapes — small-flow mass and
 //! heavy tails — are what the reproduction depends on.
+//!
+//! [`FlowSizeCdf::new`] checks its points once and returns a [`CdfError`]
+//! naming the first bad one; every other method relies on that check. A
+//! single point is a valid point mass, so [`FlowSizeCdf::truncate`] is
+//! total.
 
 use flexpass_simcore::rng::SimRng;
 
@@ -13,28 +18,65 @@ use flexpass_simcore::rng::SimRng;
 #[derive(Clone, Debug)]
 pub struct FlowSizeCdf {
     name: &'static str,
+    /// Non-empty, bytes increasing, probabilities non-decreasing in
+    /// [0, 1] and ending at 1.
     points: Vec<(f64, f64)>,
 }
 
-impl FlowSizeCdf {
-    /// Builds a distribution from CDF points. Points must be strictly
-    /// increasing in bytes, non-decreasing in probability, and end at 1.0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points are malformed.
-    pub fn new(name: &'static str, points: Vec<(f64, f64)>) -> Self {
-        assert!(points.len() >= 2, "need at least two CDF points");
-        assert!(points[0].1 >= 0.0);
-        assert!(
-            (points.last().expect("non-empty").1 - 1.0).abs() < 1e-9,
-            "CDF must end at 1"
-        );
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0, "bytes must increase: {w:?}");
-            assert!(w[0].1 <= w[1].1, "cdf must not decrease: {w:?}");
+/// Why a list of points is not a flow-size CDF.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CdfError {
+    /// There are no points.
+    Empty,
+    /// Point `i` does not have more bytes than point `i - 1`.
+    BytesNotIncreasing(usize),
+    /// Point `i`'s probability is below point `i - 1`'s or outside [0, 1].
+    Probability(usize),
+    /// The last probability is not 1.
+    EndsBelowOne,
+}
+
+impl std::fmt::Display for CdfError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CdfError::Empty => write!(f, "CDF has no points"),
+            CdfError::BytesNotIncreasing(i) => write!(f, "CDF bytes do not increase at point {i}"),
+            CdfError::Probability(i) => {
+                write!(f, "CDF probability decreases or leaves [0, 1] at point {i}")
+            }
+            CdfError::EndsBelowOne => write!(f, "CDF must end at 1"),
         }
-        FlowSizeCdf { name, points }
+    }
+}
+
+impl std::error::Error for CdfError {}
+
+impl FlowSizeCdf {
+    /// Builds a distribution from CDF points `(bytes, probability)`: bytes
+    /// strictly increasing, probabilities non-decreasing in [0, 1] and
+    /// ending at 1. A single point `(x, 1.0)` is a point mass at `x`.
+    pub fn new(name: &'static str, points: Vec<(f64, f64)>) -> Result<Self, CdfError> {
+        let mut prev: Option<(f64, f64)> = None;
+        for (i, &(x, c)) in points.iter().enumerate() {
+            if !prev.is_none_or(|(x0, _)| x0 < x) {
+                return Err(CdfError::BytesNotIncreasing(i));
+            }
+            if !((0.0..=1.0).contains(&c) && prev.is_none_or(|(_, c0)| c0 <= c)) {
+                return Err(CdfError::Probability(i));
+            }
+            prev = Some((x, c));
+        }
+        match prev {
+            None => Err(CdfError::Empty),
+            Some((_, c)) if (c - 1.0).abs() >= 1e-9 => Err(CdfError::EndsBelowOne),
+            Some(_) => Ok(FlowSizeCdf { name, points }),
+        }
+    }
+
+    /// One of the published tables below, which are valid by inspection
+    /// (`all_distributions_valid` builds each).
+    fn published(name: &'static str, points: Vec<(f64, f64)>) -> Self {
+        Self::new(name, points).expect("published CDF tables are well formed")
     }
 
     /// The distribution's name (used in output labels).
@@ -52,21 +94,21 @@ impl FlowSizeCdf {
     /// The `u`-quantile of the distribution.
     pub fn quantile(&self, u: f64) -> u64 {
         let u = u.clamp(0.0, 1.0);
-        if u <= self.points[0].1 {
-            return self.points[0].0.max(1.0) as u64;
-        }
-        for w in self.points.windows(2) {
-            let (x0, c0) = w[0];
-            let (x1, c1) = w[1];
+        let mut below = None;
+        for &(x1, c1) in &self.points {
             if u <= c1 {
-                if c1 <= c0 {
-                    return x1 as u64;
-                }
-                let f = (u - c0) / (c1 - c0);
-                return (x0 + f * (x1 - x0)).max(1.0) as u64;
+                // `u` is above `below`'s probability, so `c1 > c0`.
+                let x = below.map_or(x1, |(x0, c0)| {
+                    let f = (u - c0) / (c1 - c0);
+                    x0 + f * (x1 - x0)
+                });
+                return x.max(1.0) as u64;
             }
+            below = Some((x1, c1));
         }
-        self.points.last().expect("non-empty").0 as u64
+        // Past the last probability (within `new`'s rounding of 1): the
+        // largest size. `new` admits no empty list, so `below` is set.
+        below.map_or(0, |(x, _)| x as u64)
     }
 
     /// Analytic mean of the piecewise-linear distribution, in bytes.
@@ -81,26 +123,32 @@ impl FlowSizeCdf {
     }
 
     /// Returns a copy truncated at `max_bytes` (tail mass collapses onto
-    /// the cap). Used to keep the heavy-tailed data-mining workload
-    /// simulable at reduced scale; documented in DESIGN.md.
+    /// the cap; a cap at or below the first point leaves a point mass on
+    /// it). Used to keep the heavy-tailed data-mining workload simulable at
+    /// reduced scale; documented in DESIGN.md.
     pub fn truncate(&self, max_bytes: f64) -> FlowSizeCdf {
-        let mut pts: Vec<(f64, f64)> = self
+        // A prefix of valid points below the cap, closed by the cap at
+        // probability 1, is valid again.
+        let mut points: Vec<(f64, f64)> = self
             .points
             .iter()
             .copied()
             .filter(|&(x, _)| x < max_bytes)
             .collect();
-        let last_c = pts.last().map_or(0.0, |p| p.1);
+        let last_c = points.last().map_or(0.0, |p| p.1);
         if last_c < 1.0 {
-            pts.push((max_bytes, 1.0));
+            points.push((max_bytes, 1.0));
         }
-        FlowSizeCdf::new(self.name, pts)
+        FlowSizeCdf {
+            name: self.name,
+            points,
+        }
     }
 
     /// Web search [Alizadeh 2010]: the paper's primary workload. Mix of
     /// small queries and multi-MB responses; mean ~1.6 MB.
     pub fn web_search() -> Self {
-        FlowSizeCdf::new(
+        Self::published(
             "websearch",
             vec![
                 (5_000.0, 0.0),
@@ -122,7 +170,7 @@ impl FlowSizeCdf {
     /// Data mining [Greenberg 2009, VL2]: extremely heavy tail — most
     /// flows are a few hundred bytes, a tiny fraction reach ~1 GB.
     pub fn data_mining() -> Self {
-        FlowSizeCdf::new(
+        Self::published(
             "datamining",
             vec![
                 (100.0, 0.0),
@@ -145,7 +193,7 @@ impl FlowSizeCdf {
     /// Cache follower [Roy 2015]: Facebook cache tier; mostly sub-2 kB
     /// objects with a moderate tail.
     pub fn cache_follower() -> Self {
-        FlowSizeCdf::new(
+        Self::published(
             "cachefollower",
             vec![
                 (65.0, 0.0),
@@ -164,7 +212,7 @@ impl FlowSizeCdf {
 
     /// Hadoop [Roy 2015]: Facebook Hadoop tier; dominated by small RPCs.
     pub fn hadoop() -> Self {
-        FlowSizeCdf::new(
+        Self::published(
             "hadoop",
             vec![
                 (116.0, 0.0),
@@ -198,7 +246,7 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate() {
-        let c = FlowSizeCdf::new("t", vec![(100.0, 0.0), (200.0, 0.5), (1000.0, 1.0)]);
+        let c = FlowSizeCdf::new("t", vec![(100.0, 0.0), (200.0, 0.5), (1000.0, 1.0)]).unwrap();
         assert_eq!(c.quantile(0.0), 100);
         assert_eq!(c.quantile(0.25), 150);
         assert_eq!(c.quantile(0.5), 200);
@@ -208,7 +256,7 @@ mod tests {
 
     #[test]
     fn mean_matches_hand_calculation() {
-        let c = FlowSizeCdf::new("t", vec![(100.0, 0.0), (200.0, 0.5), (1000.0, 1.0)]);
+        let c = FlowSizeCdf::new("t", vec![(100.0, 0.0), (200.0, 0.5), (1000.0, 1.0)]).unwrap();
         // 0.5*150 + 0.5*600 = 375.
         assert!((c.mean() - 375.0).abs() < 1e-9);
     }
@@ -267,9 +315,44 @@ mod tests {
         }
     }
 
+    /// A cap at or below the first point leaves a point mass on the cap.
     #[test]
-    #[should_panic(expected = "CDF must end at 1")]
+    fn truncate_below_first_point_is_a_point_mass() {
+        for cap in [5_000.0, 1_000.0] {
+            let c = FlowSizeCdf::web_search().truncate(cap);
+            for u in [0.0, 0.5, 1.0] {
+                assert_eq!(c.quantile(u), cap as u64);
+            }
+            assert!((c.mean() - cap).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn rejects_incomplete_cdf() {
-        FlowSizeCdf::new("bad", vec![(1.0, 0.0), (2.0, 0.9)]);
+        let err = FlowSizeCdf::new("bad", vec![(1.0, 0.0), (2.0, 0.9)]).unwrap_err();
+        assert_eq!(err, CdfError::EndsBelowOne);
+        assert_eq!(err.to_string(), "CDF must end at 1");
+    }
+
+    /// Each malformed table names its first bad point.
+    #[test]
+    fn rejects_malformed_points() {
+        let bad = |points: &[(f64, f64)]| FlowSizeCdf::new("bad", points.to_vec()).unwrap_err();
+        assert_eq!(bad(&[]), CdfError::Empty);
+        assert_eq!(
+            bad(&[(1.0, 0.0), (1.0, 1.0)]),
+            CdfError::BytesNotIncreasing(1)
+        );
+        assert_eq!(
+            bad(&[(1.0, 0.0), (f64::NAN, 1.0)]),
+            CdfError::BytesNotIncreasing(1)
+        );
+        assert_eq!(
+            bad(&[(1.0, 0.5), (2.0, 0.4), (3.0, 1.0)]),
+            CdfError::Probability(1)
+        );
+        assert_eq!(bad(&[(1.0, -0.1), (2.0, 1.0)]), CdfError::Probability(0));
+        assert_eq!(bad(&[(1.0, 1.5)]), CdfError::Probability(0));
+        assert_eq!(bad(&[(1.0, f64::NAN)]), CdfError::Probability(0));
     }
 }

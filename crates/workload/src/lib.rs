@@ -5,6 +5,6 @@ pub mod cdf;
 pub mod generate;
 pub mod trace;
 
-pub use cdf::FlowSizeCdf;
+pub use cdf::{CdfError, FlowSizeCdf};
 pub use generate::{background, foreground_incast, incast, BackgroundParams, ForegroundParams};
 pub use trace::{parse_trace, render_trace, TraceError};

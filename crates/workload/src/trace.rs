@@ -8,10 +8,21 @@
 //! 0,5,14600,0
 //! 3,7,1000000,125.5
 //! ```
+//!
+//! [`parse_trace`] rejects a row the simulator cannot run with a
+//! [`TraceError`] naming its line and column: besides malformed values, a
+//! size above [`MAX_FLOW_BYTES`] (its packet count would not fit a `u32`)
+//! and a start after [`MAX_START`] (the run's clock would overflow).
 
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::Bytes;
+use flexpass_simnet::consts::MAX_FLOW_BYTES;
 use flexpass_simnet::packet::FlowSpec;
+
+/// Latest start a trace row may ask for: 2^62 ns (about 146 years), a
+/// quarter of the `u64` nanosecond clock, so a run's spans added on top
+/// cannot overflow it.
+pub const MAX_START: Time = Time::from_nanos(1 << 62);
 
 /// A parse failure: the offending line (1-based) and, for a bad value,
 /// the column it sits in.
@@ -38,8 +49,9 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Parses a flow trace. Each data row is `src,dst,size_bytes,start_us`:
-/// host ids are non-negative integers, the size a finite number of bytes
-/// (at least 1), the start a finite non-negative time in microseconds.
+/// host ids are non-negative integers, the size a number of bytes in
+/// [1, [`MAX_FLOW_BYTES`]], the start a time in microseconds in
+/// [0, [`MAX_START`]].
 /// Flow ids are assigned sequentially from `first_id`; tags are 0 (the
 /// scheme layer re-tags by deployment).
 ///
@@ -85,8 +97,9 @@ pub fn parse_trace(text: &str, first_id: u64) -> Result<Vec<FlowSpec>, TraceErro
             let host = cells[idx].parse::<usize>();
             host.map_err(|_| bad(idx, name, "a non-negative integer host id"))
         };
-        let number = |idx: usize, name, min: f64| match cells[idx].parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= min => Ok(v),
+        let number = |idx: usize, name, min: f64, max: f64| match cells[idx].parse::<f64>() {
+            Ok(v) if (min..=max).contains(&v) => Ok(v),
+            Ok(v) if v.is_finite() && v > max => Err(bad(idx, name, &format!("at most {max}"))),
             _ => Err(bad(idx, name, &format!("a finite number >= {min}"))),
         };
         let src = host(0, "src")?;
@@ -94,8 +107,8 @@ pub fn parse_trace(text: &str, first_id: u64) -> Result<Vec<FlowSpec>, TraceErro
         if src == dst {
             return Err(error(None, "src == dst".into()));
         }
-        let size = number(2, "size_bytes", 1.0)?;
-        let start_us = number(3, "start_us", 0.0)?;
+        let size = number(2, "size_bytes", 1.0, MAX_FLOW_BYTES.as_f64())?;
+        let start_us = number(3, "start_us", 0.0, MAX_START.as_micros_f64())?;
         flows.push(FlowSpec {
             id,
             src,
@@ -208,6 +221,30 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    /// A size whose packet count overflows a `u32` used to wrap and
+    /// "complete" after one packet.
+    #[test]
+    fn sizes_beyond_a_u32_packet_count_are_rejected() {
+        assert_eq!(MAX_FLOW_BYTES.get(), 6_270_652_250_700);
+        assert!(parse_trace("0,1,6270652250700,0\n", 0).is_ok());
+        let err = parse_trace("0,1,6270652250701,0\n", 0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace line 1, size_bytes: expected at most 6270652250700, found \"6270652250701\""
+        );
+    }
+
+    /// A start past the clock horizon used to saturate or wrap the clock.
+    #[test]
+    fn starts_beyond_the_clock_horizon_are_rejected() {
+        assert!(parse_trace("0,1,1000,4611686018427387\n", 0).is_ok());
+        let err = parse_trace("0,1,1000,1e16\n", 0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace line 1, start_us: expected at most 4611686018427388, found \"1e16\""
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! * `lint` — the determinism & units static-analysis pass over the
 //!   simulation crates (see `lint.rs` and DESIGN.md "Determinism &
-//!   invariants"). Findings can be rendered for humans (default), as JSON
-//!   (`--format json`, for CI artifacts), or as GitHub Actions error
-//!   annotations (`--format github`). `--report alloc` dumps the
+//!   invariants"). Findings can be rendered for humans (default) or as
+//!   GitHub Actions error annotations (`--format github`). `--report
+//!   alloc` dumps the
 //!   allocation-site inventory of the hot datapath modules instead, and
 //!   `--report callgraph` the call-graph summary with every
 //!   panic/alloc-reachable witness chain.
@@ -21,7 +21,6 @@ use xtask::{lint, trace_report};
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Human,
-    Json,
     Github,
 }
 
@@ -96,7 +95,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
         };
         la.fmt = match value.as_str() {
             "human" => Format::Human,
-            "json" => Format::Json,
             "github" => Format::Github,
             other => return Err(format!("unknown format `{other}`")),
         };
@@ -108,7 +106,7 @@ fn print_usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint [--format human|json|github] [--report alloc|callgraph]");
+    eprintln!("  lint [--format human|github] [--report alloc|callgraph]");
     eprintln!("          run the determinism & units lint over the simulation crates;");
     eprintln!("          policy in xtask/src/config.rs");
     eprintln!("  trace-report PATH...");
@@ -150,7 +148,6 @@ fn run_lint(la: LintArgs) -> ExitCode {
                 eprintln!("xtask lint: {} finding(s)", findings.len());
             }
         }
-        Format::Json => println!("{}", to_json(findings)),
         Format::Github => {
             for f in findings {
                 // `::error` annotations surface inline on the PR diff. The
@@ -180,32 +177,8 @@ fn run_lint(la: LintArgs) -> ExitCode {
     }
 }
 
-/// Renders findings as a JSON array (hand-rolled: the workspace builds
-/// offline with no serde dependency).
-fn to_json(findings: &[lint::Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"text\":{},\"why\":{}}}",
-            json_str(&f.file),
-            f.line,
-            f.col,
-            json_str(f.rule),
-            json_str(&f.text),
-            json_str(f.why)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-/// Renders the hot-module allocation inventory as a JSON array, ordered by
+/// Renders the hot-module allocation inventory as a JSON array (hand-rolled:
+/// the workspace builds offline with no serde dependency), ordered by
 /// (file, line, col) — byte-stable across runs for diffing in CI.
 fn alloc_report_json(sites: &[xtask::rules::alloc::AllocSite]) -> String {
     let mut out = String::from("[");
@@ -364,25 +337,6 @@ mod tests {
         assert!(j.contains("\"chain\":[\"Port::next_packet\",\"helper\"]"));
         let empty = callgraph_report_json(&Default::default());
         assert!(empty.contains("\"witnesses\":[]"));
-    }
-
-    #[test]
-    fn json_output_shape() {
-        let findings = vec![lint::Finding {
-            file: "crates/simnet/src/x.rs".into(),
-            line: 3,
-            col: 7,
-            rule: "wall-clock",
-            text: "let t = Instant::now();".into(),
-            why: "wall-clock time in simulation logic; use simcore::time",
-        }];
-        let j = to_json(&findings);
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"file\":\"crates/simnet/src/x.rs\""));
-        assert!(j.contains("\"line\":3"));
-        assert!(j.contains("\"col\":7"));
-        assert!(j.contains("\"rule\":\"wall-clock\""));
-        assert_eq!(to_json(&[]), "[]");
     }
 
     #[test]
