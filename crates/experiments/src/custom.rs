@@ -141,15 +141,7 @@ pub fn replay(scale: RunScale, out: &[Output]) -> Result<Vec<Csv>, String> {
     let failed = |e: &dyn std::fmt::Display| format!("trace replay failed: {e}");
     let text = std::fs::read_to_string(path).map_err(|e| failed(&e))?;
     let flows = parse_trace(&text, 0).map_err(|e| failed(&e))?;
-    let (rec, csv) = run_trace(&flows, &spec, out[0].columns).map_err(|e| failed(&e))?;
-    if let Some(rec) = rec {
-        eprintln!(
-            "replayed {} flows: avg {:.3} ms, p99(<100kB) {:.3} ms",
-            rec.completed(),
-            rec.avg_fct(None) * 1e3,
-            rec.p99_small(None) * 1e3
-        );
-    }
+    let (_, csv) = run_trace(&flows, &spec, out[0].columns).map_err(|e| failed(&e))?;
     Ok(vec![csv])
 }
 

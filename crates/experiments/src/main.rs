@@ -25,7 +25,7 @@
 //!
 //! `--trace[=FILTER]` (no file argument) arms packet-lifecycle tracing:
 //! every simulation point writes `<out>/traces/<group>-<label>.jsonl`
-//! (events + telemetry summary; `FILTER` is a comma-separated event-kind
+//! (events + one `meta` line; `FILTER` is a comma-separated event-kind
 //! list, default all). Summarize with `cargo xtask trace-report`. Tracing
 //! is observation-only: CSVs stay byte-identical with it on or off. The
 //! tracer is thread-local and the domain threads of a cut fabric do not

@@ -5,10 +5,10 @@
 //! around it ([`install_for_run`] / [`finish_run`] are called by
 //! `orchestrate::run_one` on the worker thread). Each point writes
 //! `<out>/traces/<group>-<label>.jsonl`: the recorded events in time
-//! order, a `"kind":"meta"` line with the ring accounting, and one
-//! `"kind":"summary"` telemetry line (`flexpass_metrics::Telemetry`). A
-//! file holds exactly one run: it is truncated on write, so re-running
-//! into the same `--out` replaces the traces instead of doubling them.
+//! order, then one `"kind":"meta"` line with the ring accounting. Their
+//! totals are `cargo xtask trace-report`'s to fold. A file holds exactly
+//! one run: it is truncated on write, so re-running into the same `--out`
+//! replaces the traces instead of doubling them.
 //!
 //! Tracing is observation-only: the tracer records what the datapath
 //! already did and no simulation code branches on it, so experiment CSVs
@@ -21,12 +21,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once, OnceLock};
 
-use flexpass_metrics::Telemetry;
-use flexpass_simcore::time::TimeDelta;
 use flexpass_simtrace::{self as simtrace, TraceFilter};
-
-/// Telemetry bin width for the per-run summary line.
-const SUMMARY_BIN: TimeDelta = TimeDelta::micros(100);
 
 struct TraceCfg {
     filter: TraceFilter,
@@ -78,7 +73,6 @@ pub fn finish_run(label: &str) {
     }
     let log = simtrace::finish();
     let path = cfg.dir.join(format!("{}.jsonl", sanitize(label)));
-    let telemetry = Telemetry::from_events(&log.events, SUMMARY_BIN);
     let meta = format!(
         "{{\"kind\":\"meta\",\"label\":\"{}\",\"total\":{},\"dropped_oldest\":{},\"capacity\":{}}}\n",
         sanitize(label),
@@ -103,10 +97,7 @@ pub fn finish_run(label: &str) {
     let write = || -> std::io::Result<()> {
         let mut f = fs::File::create(&path)?;
         f.write_all(log.to_jsonl().as_bytes())?;
-        f.write_all(meta.as_bytes())?;
-        f.write_all(telemetry.summary_json().as_bytes())?;
-        f.write_all(b"\n")?;
-        Ok(())
+        f.write_all(meta.as_bytes())
     };
     if let Err(e) = write() {
         eprintln!("trace write failed for {}: {e}", path.display());

@@ -2,12 +2,8 @@
 //! the simulator's observer hooks, plus the derived statistics every figure
 //! needs (FCT percentiles by size/tag, throughput time series per
 //! transport and sub-flow, starvation time, queue occupancy, drop and
-//! retransmission accounting), and a [`Telemetry`] aggregator turning
-//! packet-lifecycle trace logs into per-queue-depth and credit-waste time
-//! series.
+//! retransmission accounting).
 
 pub mod recorder;
-pub mod telemetry;
 
 pub use recorder::{FctStats, FlowRecord, Recorder, SeriesKey};
-pub use telemetry::Telemetry;

@@ -6,9 +6,9 @@ use flexpass_simcore::stats::{bytes_to_gbps, FctSketch, Percentiles, TimeSeries}
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simnet::endpoint::{AppEvent, TxStats};
 use flexpass_simnet::packet::{FlowSpec, Packet, Payload, Subflow};
+use flexpass_simnet::port::Port;
 use flexpass_simnet::queue::DropReason;
 use flexpass_simnet::sim::{NetObserver, NodeId};
-use flexpass_simnet::switch::QueueSample;
 
 /// One completed flow.
 #[derive(Clone, Debug)]
@@ -533,16 +533,15 @@ impl NetObserver for Recorder {
         }
     }
 
-    fn on_queue_sample(&mut self, _node: NodeId, _port: usize, s: &QueueSample, _now: Time) {
-        if let Some(q) = self.queue_watch {
-            if q < s.bytes.len() {
-                self.q_bytes.push(s.bytes[q].as_f64());
-                if !s.bytes[q].is_zero() {
-                    self.q_busy_bytes.push(s.bytes[q].as_f64());
-                }
-                self.q_red_bytes.push(s.red_bytes[q].as_f64());
-                self.q_peak = self.q_peak.max(s.bytes[q].get());
+    fn on_queue_sample(&mut self, _node: NodeId, _port: usize, queues: &Port, _now: Time) {
+        if let Some(q) = self.queue_watch.filter(|&q| q < queues.num_queues()) {
+            let (bytes, red) = (queues.queue(q).bytes(), queues.queue(q).red_bytes());
+            self.q_bytes.push(bytes.as_f64());
+            if !bytes.is_zero() {
+                self.q_busy_bytes.push(bytes.as_f64());
             }
+            self.q_red_bytes.push(red.as_f64());
+            self.q_peak = self.q_peak.max(bytes.get());
         }
     }
 }
@@ -712,13 +711,32 @@ mod tests {
 
     #[test]
     fn queue_watch_percentiles() {
+        use flexpass_simcore::time::Rate;
+        use flexpass_simnet::arena::PacketArena;
+        use flexpass_simnet::packet::{CreditInfo, TrafficClass};
+        use flexpass_simnet::port::{PortConfig, QueueSched};
+        use flexpass_simnet::queue::QueueConfig;
+
+        let queue = |level| (QueueConfig::plain(), QueueSched::strict(level));
+        let mut port = Port::new(&PortConfig {
+            rate: Rate::from_gbps(10),
+            queues: vec![queue(0), queue(1), queue(2)],
+        });
+        let mut arena = PacketArena::new();
+        // Sample i sees i kB in the watched queue; two packets in five are red.
         let mut r = Recorder::new().with_queue_watch(1);
         for i in 0..100u64 {
-            let s = QueueSample {
-                bytes: vec![WireBytes::ZERO, WireBytes::new(i * 1000), WireBytes::ZERO],
-                red_bytes: vec![WireBytes::ZERO, WireBytes::new(i * 400), WireBytes::ZERO],
-            };
-            r.on_queue_sample(0, 0, &s, Time::from_micros(i));
+            r.on_queue_sample(0, 0, &port, Time::from_micros(i));
+            let pkt = Packet::new(
+                1,
+                0,
+                1,
+                WireBytes::new(1000),
+                TrafficClass::NewData,
+                Payload::Credit(CreditInfo { idx: 0 }),
+            );
+            let id = arena.acquire(if i % 5 < 2 { pkt.red() } else { pkt });
+            port.enqueue(&mut arena, 1, id).expect("plain queue admits");
         }
         assert_eq!(r.q_peak, 99_000);
         assert!((r.q_bytes.quantile(0.9) - 89_000.0).abs() < 1e-9);

@@ -504,22 +504,6 @@ impl TimeSeries {
             *dst += src;
         }
     }
-
-    /// Fraction of bins in `[from, to)` whose value is below `threshold`.
-    /// Returns 0 if the window contains no bins.
-    pub fn fraction_below(&self, threshold: f64, from: Time, to: Time) -> f64 {
-        let w = self.bin.as_nanos();
-        // lint:allow(raw-cast): ns / ns is a dimensionless bin index
-        let lo = (from.as_nanos() / w) as usize;
-        // lint:allow(raw-cast): ns / ns is a dimensionless bin index
-        let hi = to.as_nanos().div_ceil(w) as usize;
-        let hi = hi.min(self.bins.len());
-        if lo >= hi {
-            return 0.0;
-        }
-        let below = self.bins[lo..hi].iter().filter(|&&v| v < threshold).count();
-        below as f64 / (hi - lo) as f64
-    }
 }
 
 /// Converts bytes accumulated in a bin to the average rate in Gbps.
@@ -590,14 +574,12 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_bins_and_fraction() {
+    fn timeseries_bins() {
         let mut ts = TimeSeries::new(TimeDelta::millis(1));
         ts.add(Time::from_micros(100), 5.0);
         ts.add(Time::from_micros(900), 5.0);
         ts.add(Time::from_micros(1500), 2.0);
         assert_eq!(ts.bins(), &[10.0, 2.0]);
-        let f = ts.fraction_below(5.0, Time::ZERO, Time::from_millis(2));
-        assert_eq!(f, 0.5);
     }
 
     #[test]

@@ -64,5 +64,5 @@ pub use sim::{
     Event, FlowRole, NetEnv, NetObserver, NodeId, NullObserver, PartitionCtx, Sim, Stop,
     TransportFactory,
 };
-pub use switch::{QueueSample, Switch, SwitchProfile};
+pub use switch::{Switch, SwitchProfile};
 pub use topology::{ClosParams, Topology};

@@ -487,10 +487,10 @@ mod tests {
     use super::*;
     use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
     use crate::packet::{DataInfo, Payload, Subflow, TrafficClass};
-    use crate::port::{PortConfig, QueueSched};
+    use crate::port::{Port, PortConfig, QueueSched};
     use crate::queue::QueueConfig;
     use crate::sim::NetEnv;
-    use crate::switch::{ClassMap, QueueSample, SwitchProfile};
+    use crate::switch::{ClassMap, SwitchProfile};
     use crate::topology::ClosParams;
     use flexpass_simcore::time::Rate;
     use flexpass_simcore::units::Bytes;
@@ -715,13 +715,7 @@ mod tests {
     fn sampling_stops_after_completion() {
         struct SampleCount(u64);
         impl NetObserver for SampleCount {
-            fn on_queue_sample(
-                &mut self,
-                _node: NodeId,
-                _port: usize,
-                _s: &QueueSample,
-                _now: Time,
-            ) {
+            fn on_queue_sample(&mut self, _node: NodeId, _port: usize, _queues: &Port, _now: Time) {
                 self.0 += 1;
             }
         }

@@ -19,7 +19,7 @@ use crate::host::{Host, Scratch};
 use crate::packet::{FlowId, FlowSpec, Packet};
 use crate::port::{Decision, Port};
 use crate::queue::DropReason;
-use crate::switch::{QueueSample, Switch};
+use crate::switch::Switch;
 use crate::topology::Topology;
 use crate::trace;
 
@@ -80,8 +80,9 @@ pub trait NetObserver {
     fn on_delivered(&mut self, _pkt: &Packet, _now: Time) {}
     /// A packet was dropped.
     fn on_drop(&mut self, _pkt: &Packet, _reason: DropReason, _node: NodeId, _now: Time) {}
-    /// Periodic queue occupancy sample of one switch port.
-    fn on_queue_sample(&mut self, _node: NodeId, _port: usize, _sample: &QueueSample, _now: Time) {}
+    /// Periodic queue occupancy sample: egress port `port` of switch
+    /// `node`, whose queues the observer reads as they stand.
+    fn on_queue_sample(&mut self, _node: NodeId, _port: usize, _queues: &Port, _now: Time) {}
 }
 
 /// An observer that records nothing.
@@ -227,8 +228,6 @@ pub struct Sim<O: NetObserver> {
     /// generation-checked [`PacketId`]s.
     arena: PacketArena,
     scratch: Scratch,
-    /// Reusable queue-sample buffer (cleared, never reallocated).
-    sample_scratch: QueueSample,
     /// Audit identities for the scratch buffers `(tx, timers, app)`.
     scratch_audit: [audit::ComponentId; 3],
     completed: usize,
@@ -292,7 +291,6 @@ impl<O: NetObserver> Sim<O> {
             observer,
             arena: PacketArena::new(),
             scratch: Scratch::default(),
-            sample_scratch: QueueSample::new(),
             scratch_audit: [
                 audit::new_component_id(),
                 audit::new_component_id(),
@@ -562,19 +560,10 @@ impl<O: NetObserver> Sim<O> {
             }
             Event::FlowStart { idx } => self.flow_start(now, idx as usize),
             Event::Sample => {
-                // Split borrow: the switch list is read-only while the
-                // observer and the reusable sample buffer mutate.
-                let Sim {
-                    nodes,
-                    observer,
-                    sample_scratch,
-                    ..
-                } = self;
-                for (n, node) in nodes.iter().enumerate() {
+                for (n, node) in self.nodes.iter().enumerate() {
                     if let Node::Switch(sw) = node {
-                        for p in 0..sw.ports.len() {
-                            sw.sample_port_into(p, sample_scratch);
-                            observer.on_queue_sample(n, p, sample_scratch, now);
+                        for (p, port) in sw.ports.iter().enumerate() {
+                            self.observer.on_queue_sample(n, p, port, now);
                         }
                     }
                 }
@@ -1464,13 +1453,7 @@ mod tests {
             n: u64,
         }
         impl NetObserver for SampleCount {
-            fn on_queue_sample(
-                &mut self,
-                _node: NodeId,
-                _port: usize,
-                _s: &QueueSample,
-                _now: Time,
-            ) {
+            fn on_queue_sample(&mut self, _node: NodeId, _port: usize, _queues: &Port, _now: Time) {
                 self.n += 1;
             }
         }

@@ -105,32 +105,6 @@ pub struct SwitchCounters {
     pub forwarded: u64,
 }
 
-/// A point-in-time view of one port's queue occupancy.
-///
-/// Reused as a scratch buffer across samples: [`Switch::sample_port_into`]
-/// clears and refills it, so the backing `Vec`s are allocated once per
-/// observer, not twice per telemetry sample.
-#[derive(Clone, Debug, Default)]
-pub struct QueueSample {
-    /// Bytes per queue.
-    pub bytes: Vec<WireBytes>,
-    /// Red bytes per queue.
-    pub red_bytes: Vec<WireBytes>,
-}
-
-impl QueueSample {
-    /// An empty sample, ready to be filled by [`Switch::sample_port_into`].
-    pub fn new() -> Self {
-        QueueSample::default()
-    }
-
-    /// Drops the previous sample's contents, keeping capacity.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.red_bytes.clear();
-    }
-}
-
 /// The hosts attached to a switch: their rack and access ports.
 #[derive(Debug)]
 struct Access {
@@ -336,18 +310,6 @@ impl Switch {
             }
         }
     }
-
-    /// Snapshot of one port's queues, written into the caller's reusable
-    /// scratch buffer (cleared first) — the per-sample `collect` pair this
-    /// replaces was the hot path's last steady-state allocation site.
-    pub fn sample_port_into(&self, port_idx: usize, out: &mut QueueSample) {
-        let p = self.ports.get(port_idx).expect("sampled port in range");
-        out.clear();
-        for q in 0..p.num_queues() {
-            out.bytes.push(p.queue(q).bytes());
-            out.red_bytes.push(p.queue(q).red_bytes());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -541,20 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn sample_reports_occupancy() {
+    fn ports_report_occupancy_by_class() {
         let mut sw = wired_switch();
         let mut a = PacketArena::new();
         recv(&mut sw, &mut a, data_to(1, TrafficClass::NewData, true)).unwrap();
         recv(&mut sw, &mut a, data_to(1, TrafficClass::Legacy, false)).unwrap();
-        let mut s = QueueSample::new();
-        sw.sample_port_into(1, &mut s);
-        assert_eq!(s.bytes[1], DATA_WIRE);
-        assert_eq!(s.red_bytes[1], DATA_WIRE);
-        assert_eq!(s.bytes[2], DATA_WIRE);
-        assert_eq!(s.red_bytes[2], WireBytes::ZERO);
-        // Refill reuses the buffers: same shape, no stale entries.
-        sw.sample_port_into(0, &mut s);
-        assert_eq!(s.bytes.len(), 3);
-        assert_eq!(s.bytes[1], WireBytes::ZERO);
+        let (new_data, legacy) = (sw.ports[1].queue(1), sw.ports[1].queue(2));
+        assert_eq!(
+            (new_data.bytes(), new_data.red_bytes()),
+            (DATA_WIRE, DATA_WIRE)
+        );
+        assert_eq!(
+            (legacy.bytes(), legacy.red_bytes()),
+            (DATA_WIRE, WireBytes::ZERO)
+        );
+        assert_eq!(sw.ports[0].backlog_bytes(), WireBytes::ZERO);
     }
 }

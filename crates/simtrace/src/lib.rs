@@ -318,7 +318,7 @@ impl TraceEvent {
     }
 
     /// Parses one line produced by [`TraceEvent::to_json_line`]. Returns
-    /// `None` for blank lines, unknown kinds (e.g. the telemetry `summary`
+    /// `None` for blank lines, unknown kinds (e.g. a trace file's `meta`
     /// line), or missing fields.
     pub fn parse_json_line(line: &str) -> Option<TraceEvent> {
         let line = line.trim();
@@ -509,9 +509,9 @@ impl fmt::Display for TraceLog {
     }
 }
 
-/// Whole-trace totals: the one fold of a [`TraceEvent`] log. Consumers that
-/// need more — time bins (`flexpass-metrics`), files and retransmit
-/// timelines (`cargo xtask trace-report`) — fold their extras beside it.
+/// Whole-trace totals: the one fold of a [`TraceEvent`] log. Its one
+/// consumer, `cargo xtask trace-report`, folds only what a post-mortem over
+/// files adds (file counts, retransmit timelines) beside it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceTotals {
     by_kind: [u64; EventKind::ALL.len()],
@@ -525,6 +525,9 @@ pub struct TraceTotals {
     pub unmatched_waste: u64,
     /// flow → observed issues not yet consumed by a waste.
     outstanding: BTreeMap<u64, u64>,
+    /// The deepest queue observed, as `(bytes_after, queue)` of the first
+    /// enqueue or dequeue to reach that depth; `None` without either.
+    pub peak_depth: Option<(u64, u64)>,
 }
 
 impl TraceTotals {
@@ -539,6 +542,14 @@ impl TraceTotals {
                 *self.outstanding.entry(flow).or_insert(0) += 1;
             }
             TraceEvent::CreditWasted { flow, .. } => self.match_waste(flow),
+            TraceEvent::Enqueue {
+                queue, bytes_after, ..
+            }
+            | TraceEvent::Dequeue {
+                queue, bytes_after, ..
+            } if self.peak_depth.is_none_or(|(peak, _)| bytes_after > peak) => {
+                self.peak_depth = Some((bytes_after, queue));
+            }
             _ => {}
         }
     }
@@ -913,7 +924,7 @@ mod tests {
             assert_eq!((at, c as usize), (i, i), "{c:?}");
             assert_eq!(DropCause::from_name(c.name()), Some(c));
         }
-        assert_eq!(EventKind::from_name("summary"), None);
+        assert_eq!(EventKind::from_name("meta"), None);
         assert_eq!(DropCause::from_name("bogus"), None);
     }
 
@@ -927,6 +938,8 @@ mod tests {
         }
         assert_eq!(t.drop_sites[&(9, DropCause::SelectiveRed)], 1);
         assert_eq!((t.matched_waste, t.unmatched_waste), (1, 0));
+        // The enqueue left queue 3 at 1538 B, the dequeue emptied it.
+        assert_eq!(t.peak_depth, Some((1538, 3)));
         // Flow 8 has no issue outstanding any more, and flow 3's issue
         // cannot pay for it: matching is per flow.
         t.fold(&TraceEvent::CreditSent {
@@ -951,7 +964,7 @@ mod tests {
 
     #[test]
     fn parse_skips_blank_and_foreign_lines() {
-        let text = "\n{\"kind\":\"summary\",\"bins\":3}\n{\"kind\":\"rto\",\"t_ns\":1,\"flow\":2,\"backoff\":0}\nnot json\n";
+        let text = "\n{\"kind\":\"meta\",\"total\":3}\n{\"kind\":\"rto\",\"t_ns\":1,\"flow\":2,\"backoff\":0}\nnot json\n";
         let (events, skipped) = TraceLog::parse_jsonl(text);
         assert_eq!(events.len(), 1);
         assert_eq!(

@@ -453,12 +453,10 @@ mod tests {
                 &mut self,
                 _node: NodeId,
                 _port: usize,
-                s: &flexpass_simnet::switch::QueueSample,
+                queues: &flexpass_simnet::port::Port,
                 _now: Time,
             ) {
-                self.peak = self
-                    .peak
-                    .max(s.bytes.iter().copied().sum::<WireBytes>().get());
+                self.peak = self.peak.max(queues.backlog_bytes().get());
             }
         }
 

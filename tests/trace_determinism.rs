@@ -6,11 +6,12 @@
 use flexpass::config::FlexPassConfig;
 use flexpass::profiles::{flexpass_profile, host_variant, ProfileParams};
 use flexpass::FlexPassFactory;
-use flexpass_metrics::{Recorder, Telemetry};
+use flexpass_metrics::Recorder;
 use flexpass_simcore::time::TimeDelta;
 use flexpass_simnet::sim::Sim;
 use flexpass_simnet::topology::{ClosParams, Topology};
 use flexpass_simnet::trace;
+use flexpass_simtrace::TraceTotals;
 use flexpass_workload::{background, BackgroundParams, FlowSizeCdf};
 
 /// A run's complete observable outcome; FCTs compared by bit pattern (see
@@ -86,11 +87,15 @@ fn traced_run_is_bit_identical_to_untraced() {
     assert_eq!(skipped, 0, "unparseable lines in fresh trace");
     assert_eq!(parsed, log.events, "JSONL round trip altered events");
 
-    // ...and feed the telemetry aggregation.
-    let tel = Telemetry::from_events(&log.events, TimeDelta::micros(100));
-    assert!(tel.bins() > 0);
-    assert!(tel.enqueues.iter().sum::<u64>() > 0, "no enqueues folded");
-    assert!(!tel.queue_peak_depth.is_empty(), "no queue depth series");
+    // ...and fold into the totals `cargo xtask trace-report` prints.
+    let mut totals = TraceTotals::default();
+    log.events.iter().for_each(|ev| totals.fold(ev));
+    assert!(
+        totals.count(trace::EventKind::Enqueue) > 0,
+        "no enqueues folded"
+    );
+    let peak = totals.peak_depth.map_or(0, |(bytes, _)| bytes);
+    assert!(peak > 0, "no queue depth observed");
 }
 
 #[test]

@@ -170,14 +170,8 @@ pub fn build(sources: &[(String, String)], cfg: &LintConfig) -> Graph {
                 }
                 leaves.push(leaf(&ctx, &lines, s.tok, Family::Panic, s.kind.to_string()));
             }
-            for (tok, kind, gated) in rules::alloc::classify_scope(&ctx, scope) {
-                if !gated
-                    || suppressor.suppressed(
-                        ctx.toks,
-                        tok,
-                        &["alloc-in-datapath", "alloc-reachable"],
-                    )
-                {
+            for (tok, kind) in rules::alloc::classify_scope(&ctx, scope) {
+                if suppressor.suppressed(ctx.toks, tok, &["alloc-in-datapath", "alloc-reachable"]) {
                     continue;
                 }
                 leaves.push(leaf(&ctx, &lines, tok, Family::Alloc, kind));

@@ -12,8 +12,8 @@
 pub struct LintConfig {
     /// Files (workspace-relative) whose fn bodies are the per-event hot
     /// datapath: `alloc-in-datapath` and the hot half of `panic-path` apply
-    /// there, `--report alloc` inventories them, and every non-test,
-    /// non-constructor fn in them is a call-graph entry point for
+    /// there, and every non-test, non-constructor fn in them is a
+    /// call-graph entry point for
     /// `panic-reachable` / `alloc-reachable`.
     pub hot_modules: Vec<String>,
     /// Exact fn names exempt from the alloc rule: constructors are where

@@ -16,7 +16,7 @@
 //! * [`rules`] — the rule implementations over the AST, including the
 //!   interprocedural `reachable` pair on top of the call graph.
 //! * [`lint`] — the driver: file sweep, suppression comments, and the
-//!   allocation/callgraph reports.
+//!   findings with the size of the call graph they were checked on.
 //! * [`trace_report`] — post-mortem summary of `--trace` JSONL logs.
 
 pub mod callgraph;

@@ -53,8 +53,7 @@
 //!   in workload tables.
 //! * `alloc-in-datapath` — allocation-shaped expressions (constructions,
 //!   `vec!`/`format!`, copying conversions, non-`Copy` clones) in the hot
-//!   per-event modules, outside constructors. `xtask lint --report alloc`
-//!   dumps the full inventory including ungated growth sites.
+//!   per-event modules, outside constructors.
 //! * `unordered-iteration` — iteration over a type outside the
 //!   ordered-collections allowlist, where resolvable from declared types.
 //! * `panic-reachable` / `alloc-reachable` — interprocedural: a BFS over
@@ -81,8 +80,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::callgraph;
 use crate::config::LintConfig;
-use crate::rules::{self, alloc::AllocSite};
+use crate::rules;
 use crate::tokenize::{scan, Comment, Kind};
 
 /// Crate directories (relative to the workspace root) the pass covers.
@@ -164,16 +164,32 @@ impl fmt::Display for Finding {
 pub struct Outcome {
     /// The findings — any of them fails the build.
     pub findings: Vec<Finding>,
-    /// The allocation inventory of the hot modules (gated + growth sites).
-    pub alloc_report: Vec<AllocSite>,
-    /// The call-graph summary and witness inventory.
-    pub callgraph: rules::reachable::CallgraphReport,
+    /// Functions in the call graph the `*-reachable` rules walk.
+    pub fns: usize,
+    /// Resolved call edges between them.
+    pub edges: usize,
+}
+
+impl fmt::Display for Outcome {
+    /// The size of the analysis: the ledger a clean run reports.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let witnesses = self
+            .findings
+            .iter()
+            .filter(|f| f.rule.ends_with("-reachable"))
+            .count();
+        write!(
+            f,
+            "{} fns, {} call edges, {witnesses} reachable witnesses",
+            self.fns, self.edges
+        )
+    }
 }
 
 /// Lints every `src/**/*.rs` file of the covered crates under `root`, plus
 /// the individually covered [`LINTED_EXTRA_FILES`] and the restricted
 /// sweeps (header sizes in `tests/`, wall-clock in the outer layers); then
-/// builds the hot-module allocation report.
+/// walks the call graph of the fully linted files.
 pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
     let cfg = LintConfig::default();
     let mut findings = Vec::new();
@@ -246,33 +262,17 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<Outcome> {
     }
     // Interprocedural pass: call graph over all linted sources, witness
     // chains from the hot-module entry points.
-    let (cg_findings, callgraph) = rules::reachable::analyze(&cg_sources, &cfg);
-    findings.extend(cg_findings);
+    let graph = callgraph::build(&cg_sources, &cfg);
+    findings.extend(rules::reachable::findings(&graph));
     // Several witnesses can anchor at the same entry token; the text
-    // tie-break keeps the order (and every downstream report) byte-stable.
+    // tie-break keeps the order byte-stable.
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule, &a.text).cmp(&(&b.file, b.line, b.col, b.rule, &b.text))
     });
-
-    // Allocation inventory over the configured hot modules.
-    let mut alloc_report = Vec::new();
-    for rel in &cfg.hot_modules {
-        let Ok(src) = fs::read_to_string(root.join(rel)) else {
-            continue; // hot list is config; a renamed file just drops out
-        };
-        let scanned = scan(&src);
-        let ast = crate::parse::parse(&scanned.tokens);
-        let ctx = rules::FileCtx::new(rel, &scanned.tokens, &ast, &cfg);
-        let lines: Vec<&str> = src.lines().collect();
-        alloc_report.extend(rules::alloc::report(&ctx, &lines));
-    }
-    alloc_report
-        .sort_by(|a, b| (&a.file, a.line, a.col, &a.kind).cmp(&(&b.file, b.line, b.col, &b.kind)));
-
     Ok(Outcome {
         findings,
-        alloc_report,
-        callgraph,
+        fns: graph.fns.len(),
+        edges: graph.edge_count,
     })
 }
 

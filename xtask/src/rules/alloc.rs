@@ -16,13 +16,10 @@
 //!   locals and `self.field`s are resolved through their declared types;
 //!   unresolvable receivers are flagged conservatively).
 //!
-//! The same classification feeds `xtask lint --report alloc`, which also
-//! inventories *growth* sites (`push`, `insert`, `reserve`, …) as ungated
-//! context: a `push` on a preallocated buffer is fine at steady state but
-//! is where capacity growth would hide, so the report lists it while the
-//! lint stays quiet. The committed report is the work-list for the
-//! ROADMAP-1 arena/pool refactor, and the counting-allocator test
-//! (`tests/alloc_free_datapath.rs`) is its dynamic counterpart.
+//! Growth (`push`, `insert`, `reserve`, …) is not flagged: a `push` on a
+//! buffer that has reached its steady-state size does not allocate. The
+//! counting-allocator test (`tests/alloc_free_datapath.rs`) is the dynamic
+//! counterpart that catches growth past warm-up.
 
 use std::collections::BTreeMap;
 
@@ -51,96 +48,33 @@ const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
 /// Copying conversion methods that always allocate.
 const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect"];
 
-/// Methods that can grow a container — inventoried, not gated.
-const GROWTH_METHODS: &[&str] = &[
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "reserve",
-    "extend",
-    "resize",
-    "append",
-];
-
-/// One classified allocation site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSite {
-    /// Workspace-relative file.
-    pub file: String,
-    pub line: usize,
-    pub col: usize,
-    /// Enclosing fn, `Owner::name` for methods.
-    pub func: String,
-    /// Site classification (`Vec::new`, `vec!`, `clone`, `growth:push`, …).
-    pub kind: String,
-    /// Trimmed source line.
-    pub text: String,
-    /// Gated sites are lint findings; ungated ones are report-only.
-    pub gated: bool,
-    /// Anchor token index (for the lint driver).
-    pub tok: usize,
-}
-
-/// Classifies every allocation site in the file's hot fn bodies.
-pub fn report(ctx: &FileCtx, lines: &[&str]) -> Vec<AllocSite> {
-    let mut out = Vec::new();
+/// Emits the allocation sites of the file's non-constructor hot fn bodies
+/// as `alloc-in-datapath` candidates.
+pub fn candidates(ctx: &FileCtx, out: &mut Vec<Cand>) {
     if !ctx.hot_module {
-        return out;
+        return;
     }
     for scope in &ctx.fns {
         if scope.in_test || is_constructor(ctx, scope) {
             continue;
         }
-        let func = match scope.owner {
-            Some(o) => format!("{o}::{}", scope.item.name),
-            None => scope.item.name.clone(),
-        };
-        for (tok, kind, gated) in classify_scope(ctx, scope) {
-            let t = &ctx.toks[tok];
-            out.push(AllocSite {
-                file: ctx.file.to_string(),
-                line: t.line,
-                col: t.col,
-                func: func.clone(),
-                kind,
-                text: lines
-                    .get(t.line - 1)
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
-                gated,
-                tok,
-            });
-        }
-    }
-    out.sort_by(|a, b| (a.line, a.col, &a.kind).cmp(&(b.line, b.col, &b.kind)));
-    out.dedup();
-    out
-}
-
-/// Emits the gated sites as `alloc-in-datapath` candidates.
-pub fn candidates(ctx: &FileCtx, out: &mut Vec<Cand>) {
-    if !ctx.hot_module {
-        return;
-    }
-    // The per-line text is rebuilt by the driver; pass empty lines here.
-    for site in report(ctx, &[]) {
-        if site.gated {
-            out.push(Cand {
-                tok: site.tok,
-                rule: "alloc-in-datapath",
-                why: WHY_ALLOC,
-            });
-        }
+        let mut sites = classify_scope(ctx, scope);
+        sites.sort_unstable();
+        sites.dedup();
+        out.extend(sites.into_iter().map(|(tok, _)| Cand {
+            tok,
+            rule: "alloc-in-datapath",
+            why: WHY_ALLOC,
+        }));
     }
 }
 
 /// Classifies one fn scope's allocation sites regardless of module
-/// hotness or constructor status: `(token, kind, gated)` triples. The
-/// file-local rule applies the hot/constructor policy on top; the
-/// call-graph rule (`alloc-reachable`) consumes the gated sites as leaves
-/// wherever the scope is reachable from a datapath entry.
-pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String, bool)> {
+/// hotness or constructor status: `(token, kind)` pairs. The file-local
+/// rule applies the hot/constructor policy on top; the call-graph rule
+/// (`alloc-reachable`) takes them as leaves wherever the scope is
+/// reachable from a datapath entry.
+pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String)> {
     let env = fn_env(ctx, scope);
     let (bs, be) = scope.body;
     let mut out = Vec::new();
@@ -150,14 +84,14 @@ pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String, boo
             continue;
         }
         if p.is_macro && matches!(p.last(), "vec" | "format") {
-            out.push((p.last_tok(), format!("{}!", p.last()), true));
+            out.push((p.last_tok(), format!("{}!", p.last())));
             continue;
         }
         if p.is_call {
             for w in p.segs.windows(2) {
                 if ALLOC_TYPES.contains(&w[0].1.as_str()) && ALLOC_CTORS.contains(&w[1].1.as_str())
                 {
-                    out.push((w[1].0, format!("{}::{}", w[0].1, w[1].1), true));
+                    out.push((w[1].0, format!("{}::{}", w[0].1, w[1].1)));
                     break;
                 }
             }
@@ -168,14 +102,10 @@ pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String, boo
             continue;
         }
         let name = m.name.as_str();
-        if ALLOC_METHODS.contains(&name) {
-            out.push((m.tok, name.to_string(), true));
-        } else if name == "clone" {
-            if !receiver_is_copy(ctx, scope, &env, m) {
-                out.push((m.tok, "clone".to_string(), true));
-            }
-        } else if GROWTH_METHODS.contains(&name) {
-            out.push((m.tok, format!("growth:{name}"), false));
+        if ALLOC_METHODS.contains(&name)
+            || (name == "clone" && !receiver_is_copy(ctx, scope, &env, m))
+        {
+            out.push((m.tok, name.to_string()));
         }
     }
     out

@@ -18,7 +18,7 @@
 //!   rationales, and (in hot modules) subscripts and bare `/` / `%` as
 //!   implicit panic sites.
 //! * [`alloc`] — `alloc-in-datapath`: allocation-shaped expressions in the
-//!   hot per-event modules, plus the `--report alloc` inventory.
+//!   hot per-event modules.
 //! * [`iteration`] — `unordered-iteration`: loops over types without an
 //!   ordering guarantee.
 //! * [`reachable`] — `panic-reachable` / `alloc-reachable`: interprocedural

@@ -2,12 +2,12 @@
 //! trace logs.
 //!
 //! Reads the JSONL files written by the experiments binary under
-//! `--trace` (one `TraceEvent` per line, plus optional
-//! `"kind":"summary"` lines from `flexpass-metrics`), aggregates them,
-//! and prints the questions a post-mortem actually asks: where were
-//! packets dropped and why, what fraction of admitted packets were
-//! CE-marked, what fraction of credits bought no data, and which flows
-//! retransmitted when.
+//! `--trace` (one `TraceEvent` per line, then one `"kind":"meta"` line;
+//! files from older builds also carry a `"kind":"summary"` line, counted
+//! beside it), aggregates them, and prints the questions a post-mortem
+//! actually asks: where were packets dropped and why, what fraction of
+//! admitted packets were CE-marked, what fraction of credits bought no
+//! data, how deep a queue got, and which flows retransmitted when.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -130,6 +130,10 @@ impl Report {
             "  timer cancels      {}",
             t.count(EventKind::TimerCancel)
         );
+        let peak = t.peak_depth.map_or("n/a".to_string(), |(bytes, queue)| {
+            format!("{bytes} B (queue {queue})")
+        });
+        let _ = writeln!(out, "  peak queue depth   {peak}");
 
         if !self.retx.is_empty() {
             let mut flows: Vec<_> = self.retx.iter().collect();
@@ -282,6 +286,10 @@ mod tests {
         assert!(text.contains("ecn mark rate      1.0000 (1/1)"), "{text}");
         assert!(text.contains("credit waste       1.0000 (1/1)"), "{text}");
         assert!(!text.contains("TRUNCATED"), "{text}");
+        assert!(
+            text.contains("peak queue depth   1538 B (queue 3)"),
+            "{text}"
+        );
         assert!(text.contains("flow 7"), "{text}");
     }
 
@@ -315,6 +323,7 @@ mod tests {
             rendered.contains("[TRUNCATED: 2 waste(s) without observed issue]"),
             "{rendered}"
         );
+        assert!(rendered.contains("peak queue depth   n/a"), "{rendered}");
     }
 
     #[test]

@@ -4,21 +4,19 @@
 //! The golden half runs the built binary over the committed logs in
 //! `tests/trace_fixtures/` (one ordinary run, one ring-truncated run whose
 //! wastes outnumber their observed issues) and compares stdout byte for
-//! byte with `report.expected`, which was captured before the totals fold
-//! moved into `flexpass-simtrace`.
+//! byte with `report.expected`.
 //!
 //! The property half feeds random event sequences — cut at a random point,
-//! as a full ring cuts them — to the three consumers of a trace and checks
-//! that the report (through its JSONL round trip) and the binned telemetry
-//! land on the shared totals, and the totals on an independently stated
-//! oracle for the per-flow waste matching.
+//! as a full ring cuts them — to the shared totals and to the report, and
+//! checks that the report (through its JSONL round trip) lands on the
+//! totals, and the totals on independently stated oracles for the per-flow
+//! waste matching and the peak queue depth.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-use flexpass_metrics::Telemetry;
-use flexpass_simcore::time::TimeDelta;
 use flexpass_simtrace::{DropCause, EventKind, TraceEvent, TraceTotals};
 use proptest::prelude::*;
 use xtask::trace_report::Report;
@@ -124,21 +122,20 @@ proptest! {
         prop_assert_eq!(totals.events(), events.len() as u64);
         prop_assert_eq!(totals.unmatched_waste, unmatched_by_deficit(events));
         prop_assert_eq!(totals.matched_waste + totals.unmatched_waste, wasted);
+        let drops = totals.drop_sites.values().sum::<u64>();
+        prop_assert_eq!(drops, totals.count(EventKind::Drop));
+        // The peak is the first of the deepest enqueue/dequeue depths.
+        let depths = events.iter().filter_map(|ev| match *ev {
+            TraceEvent::Enqueue { queue, bytes_after, .. }
+            | TraceEvent::Dequeue { queue, bytes_after, .. } => Some((bytes_after, queue)),
+            _ => None,
+        });
+        prop_assert_eq!(totals.peak_depth, depths.min_by_key(|&(bytes, _)| Reverse(bytes)));
 
         let mut report = Report::default();
         let jsonl: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
         report.fold_text(&jsonl);
         prop_assert_eq!(&report.totals, &totals);
-
-        let tel = Telemetry::from_events(events, TimeDelta::micros(1));
-        prop_assert_eq!(&tel.totals, &totals);
-        let sum = |bins: &[u64]| bins.iter().sum::<u64>();
-        prop_assert_eq!(sum(&tel.enqueues), totals.count(EventKind::Enqueue));
-        prop_assert_eq!(sum(&tel.ecn_marks), totals.count(EventKind::EcnMark));
-        prop_assert_eq!(sum(&tel.drops), totals.drop_sites.values().sum::<u64>());
-        prop_assert_eq!(sum(&tel.credits_sent), totals.count(EventKind::CreditSent));
-        prop_assert_eq!(sum(&tel.credits_wasted), wasted);
-        prop_assert_eq!(tel.truncated(), totals.unmatched_waste > 0);
         if totals.unmatched_waste > 0 {
             prop_assert!(report.render().contains(&format!(
                 "[TRUNCATED: {} waste(s) without observed issue]",
