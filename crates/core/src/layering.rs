@@ -10,7 +10,6 @@ use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{AckInfo, CreditInfo, FlowSpec, Packet, Payload};
 use flexpass_simnet::sim::{timer_kind, NetEnv};
-use flexpass_simnet::trace;
 use flexpass_transport::common::{data_packet, DctcpWindow, RtoTimer, Scoreboard};
 use flexpass_transport::expresspass::{waste_credit, EpConfig};
 
@@ -131,7 +130,7 @@ impl Endpoint for LySender {
         if self.done {
             return;
         }
-        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.rto.back_off(ctx.now);
         // Only count a timeout when data was actually outstanding.
         if self.sb.lose_outstanding() {
             self.stats.timeouts += 1;

@@ -4,11 +4,12 @@
 
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
+use flexpass_simnet::hooks;
 use flexpass_simnet::packet::{
     AckInfo, CreditInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass,
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv};
-use flexpass_simnet::trace;
+use flexpass_simnet::trace::TraceEvent;
 use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, SeqSet};
 use flexpass_transport::expresspass::waste_credit;
 
@@ -279,7 +280,11 @@ impl FlexPassSender {
             self.stats.redundant_bytes += pkt.payload_bytes().get();
         }
         if retx {
-            trace::retransmit(self.spec.id, flow_seq);
+            hooks::record(|t_ns| TraceEvent::Retransmit {
+                t_ns,
+                flow: self.spec.id,
+                seq: i64::from(flow_seq),
+            });
         }
         ctx.send(pkt);
         self.update_rto(ctx);
@@ -462,7 +467,7 @@ impl FlexPassSender {
         // Full stall: presume all in-flight packets lost, re-request
         // credits, and restart the reactive window from one packet. Only
         // count a timeout when data was actually outstanding.
-        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.rto.back_off(ctx.now);
         let mut any_lost = false;
         for s in 0..self.n as usize {
             if self.states[s].in_flight() {

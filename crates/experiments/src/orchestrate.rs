@@ -29,8 +29,8 @@
 //! `std::thread` are legitimate: both stay strictly *outside* the
 //! simulations (`cargo xtask lint` enforces that elsewhere; the scoped
 //! `lint:allow` comments below are its blessed escape hatch). The
-//! `simaudit` runtime auditor is thread-local, so per-point audits keep
-//! working on worker threads.
+//! `simhooks` sinks, the auditor and the tracer, are thread-local, so
+//! per-point audits and traces keep working on worker threads.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -21,7 +21,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once, OnceLock};
 
-use flexpass_simtrace::{self as simtrace, TraceFilter};
+use flexpass_simnet::trace::{self, TraceFilter};
 
 struct TraceCfg {
     filter: TraceFilter,
@@ -59,7 +59,7 @@ pub fn enabled() -> bool {
 /// is armed. Must run on the thread that will run the simulation.
 pub fn install_for_run() {
     if let Some(cfg) = CFG.get() {
-        simtrace::install(cfg.filter);
+        trace::install(cfg.filter);
     }
 }
 
@@ -68,10 +68,10 @@ pub fn install_for_run() {
 /// never fail the run: the simulation result is already in hand.
 pub fn finish_run(label: &str) {
     let Some(cfg) = CFG.get() else { return };
-    if !simtrace::is_active() {
+    if !trace::is_active() {
         return;
     }
-    let log = simtrace::finish();
+    let log = trace::finish();
     let path = cfg.dir.join(format!("{}.jsonl", sanitize(label)));
     let meta = format!(
         "{{\"kind\":\"meta\",\"label\":\"{}\",\"total\":{},\"dropped_oldest\":{},\"capacity\":{}}}\n",
@@ -135,7 +135,7 @@ mod tests {
         // experiments through the pool). Disarmed, both calls are no-ops.
         if !enabled() {
             install_for_run();
-            assert!(!simtrace::is_active());
+            assert!(!trace::is_active());
             finish_run("unused");
         }
     }

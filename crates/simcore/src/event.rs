@@ -194,7 +194,7 @@ impl<E> EventQueue<E> {
             "scheduled event at {time:?} before current time {:?}",
             self.last_time
         );
-        flexpass_simaudit::on_event_schedule(time.as_nanos(), self.last_time.as_nanos());
+        flexpass_simhooks::on_event_schedule(time.as_nanos(), self.last_time.as_nanos());
         if time < self.last_time {
             self.clamped += 1;
         }
@@ -265,7 +265,7 @@ impl<E> EventQueue<E> {
             }
             self.popped += 1;
             self.last_time = time;
-            flexpass_simaudit::on_event_pop(time.as_nanos(), seq);
+            flexpass_simhooks::on_event_pop(time.as_nanos(), seq);
             return Some((time, entry.payload));
         }
     }

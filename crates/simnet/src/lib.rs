@@ -26,19 +26,19 @@
 //!   (`--par-sim N` on the experiments binary) and advances them in
 //!   conservative lock-step windows bounded by the cut's minimum link
 //!   propagation; a fabric it does not cut runs as one [`Sim`] inline.
-//! * [`audit`] — invariant-audit hooks (byte conservation ledgers, buffer
-//!   and shaper bounds), inert until an auditor is installed.
-//! * [`trace`] — packet-lifecycle trace hooks (enqueue/dequeue/mark/drop,
-//!   credits, retransmissions, timers), inert until a tracer is installed.
+//! * [`hooks`] — the datapath's calls into `flexpass-simhooks`, inert
+//!   until one of its two sinks is installed: the [`audit`] invariant
+//!   auditor (byte conservation ledgers, buffer and shaper bounds) and the
+//!   [`trace`] packet-lifecycle tracer.
 //!
 //! Transport protocols implement [`endpoint::Endpoint`] and are plugged in
 //! through [`sim::TransportFactory`]; see the `flexpass-transport` and
 //! `flexpass` crates.
 
 pub mod arena;
-pub mod audit;
 pub mod consts;
 pub mod endpoint;
+pub mod hooks;
 pub mod host;
 pub mod packet;
 pub mod parsim;
@@ -48,11 +48,11 @@ pub mod queue;
 pub mod sim;
 pub mod switch;
 pub mod topology;
-pub mod trace;
 
 pub use arena::{PacketArena, PacketId};
 pub use consts::*;
 pub use endpoint::{AppEvent, Endpoint, EndpointCtx, RxStats, TxStats};
+pub use flexpass_simhooks::{audit, trace};
 pub use packet::{
     AckInfo, Color, CreditInfo, DataInfo, FlowId, FlowSpec, GrantInfo, HostId, Packet, Payload,
     Subflow, TrafficClass,

@@ -20,8 +20,8 @@ use flexpass_simcore::time::{Rate, Time, TimeDelta};
 use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
-use crate::audit;
 use crate::consts::DATA_WIRE;
+use crate::hooks;
 use crate::queue::{DropReason, Enqueue, PacketQueue, QueueConfig};
 
 /// Scheduling attributes of one queue within a port.
@@ -149,7 +149,7 @@ struct Shaper {
     burst: u128,
     tokens: u128,
     last: Time,
-    audit_id: audit::ComponentId,
+    hook_id: hooks::ComponentId,
 }
 
 impl Shaper {
@@ -160,7 +160,7 @@ impl Shaper {
             burst,
             tokens: burst,
             last: Time::ZERO,
-            audit_id: audit::new_component_id(),
+            hook_id: hooks::new_component_id(),
         }
     }
 
@@ -173,14 +173,14 @@ impl Shaper {
         let dt = u128::from(now.saturating_since(self.last).as_nanos());
         self.tokens = (self.tokens + dt * u128::from(self.rate.as_bps())).min(self.burst);
         self.last = now;
-        audit::shaper_tokens(self.audit_id, self.tokens, self.burst);
+        hooks::on_shaper_tokens(self.hook_id, self.tokens, self.burst);
     }
 
     /// Consumes `need` tokens; caller must have checked availability.
     fn spend(&mut self, need: u128) {
         debug_assert!(self.tokens >= need, "shaper overspend");
         self.tokens -= need;
-        audit::shaper_tokens(self.audit_id, self.tokens, self.burst);
+        hooks::on_shaper_tokens(self.hook_id, self.tokens, self.burst);
     }
 
     fn eligible_at(&self, now: Time, need: u128) -> Time {
@@ -934,7 +934,7 @@ mod tests {
             ("fifo", PortConfig::single_fifo(Rate::from_gbps(10))),
             ("shuffled", shuffled_cfg()),
         ];
-        audit::install();
+        crate::audit::install();
         for (name, cfg) in &profiles {
             for seed in 0..8u64 {
                 let mut rng = SimRng::new(0x9027 ^ seed);
@@ -1014,7 +1014,7 @@ mod tests {
                 assert!(sent > 500, "{name} seed {seed}: tape served only {sent}");
             }
         }
-        let report = audit::finish();
+        let report = crate::audit::finish();
         assert!(report.is_clean(), "{report}");
         assert!(report.counters.dequeues > 0, "the auditor saw the tape");
     }

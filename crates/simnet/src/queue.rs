@@ -27,9 +27,9 @@
 use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
-use crate::audit;
+use crate::hooks::{self, HookPacket};
 use crate::packet::Color;
-use crate::trace;
+use crate::trace::TraceEvent;
 
 /// Why a packet was dropped at enqueue time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -119,8 +119,7 @@ pub struct PacketQueue {
     red_bytes: WireBytes,
     cfg: QueueConfig,
     counters: QueueCounters,
-    audit_id: audit::ComponentId,
-    trace_id: trace::QueueId,
+    hook_id: hooks::ComponentId,
 }
 
 /// Result of offering a packet to the queue.
@@ -149,8 +148,7 @@ impl PacketQueue {
             red_bytes: WireBytes::ZERO,
             cfg,
             counters: QueueCounters::default(),
-            audit_id: audit::new_component_id(),
-            trace_id: trace::new_queue_id(),
+            hook_id: hooks::new_component_id(),
         }
     }
 
@@ -225,7 +223,15 @@ impl PacketQueue {
                 let pkt = arena.get_mut(id).expect("offered id is live");
                 pkt.ecn_ce = true;
                 self.counters.ecn_marked += 1;
-                trace::ecn_mark(self.trace_id, arena.get(id).expect("offered id is live"));
+                hooks::record(|t_ns| {
+                    let p = arena.get(id).expect("offered id is live").info();
+                    TraceEvent::EcnMark {
+                        t_ns,
+                        queue: self.hook_id.0,
+                        flow: p.flow,
+                        seq: p.seq,
+                    }
+                });
             }
         }
         if color == Color::Red {
@@ -235,8 +241,7 @@ impl PacketQueue {
         self.counters.enqueued += 1;
         {
             let pkt = arena.get(id).expect("offered id is live");
-            audit::enqueue(self.audit_id, pkt, self.bytes);
-            trace::enqueue(self.trace_id, pkt, self.bytes);
+            hooks::on_enqueue(self.hook_id, pkt, self.bytes.get());
         }
         arena.clear_next(id);
         match self.tail {
@@ -267,8 +272,7 @@ impl PacketQueue {
         }
         {
             let pkt = arena.get(id).expect("queued id is live");
-            audit::dequeue(self.audit_id, pkt, self.bytes);
-            trace::dequeue(self.trace_id, pkt, self.bytes);
+            hooks::on_dequeue(self.hook_id, pkt, self.bytes.get());
         }
         Some(id)
     }

@@ -13,15 +13,15 @@ use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 
 use crate::arena::{PacketArena, PacketId};
-use crate::audit;
 use crate::endpoint::{AppEvent, Endpoint, TimerCmd};
+use crate::hooks;
 use crate::host::{Host, Scratch};
 use crate::packet::{FlowId, FlowSpec, Packet};
 use crate::port::{Decision, Port};
 use crate::queue::DropReason;
 use crate::switch::Switch;
 use crate::topology::Topology;
-use crate::trace;
+use crate::trace::{DropCause, TraceEvent};
 
 /// Index into the simulator's node table.
 pub type NodeId = usize;
@@ -228,8 +228,8 @@ pub struct Sim<O: NetObserver> {
     /// generation-checked [`PacketId`]s.
     arena: PacketArena,
     scratch: Scratch,
-    /// Audit identities for the scratch buffers `(tx, timers, app)`.
-    scratch_audit: [audit::ComponentId; 3],
+    /// Hook identities of the scratch buffers `(tx, timers, app)`.
+    scratch_ids: [hooks::ComponentId; 3],
     completed: usize,
     started: usize,
     sample_every: Option<TimeDelta>,
@@ -291,10 +291,10 @@ impl<O: NetObserver> Sim<O> {
             observer,
             arena: PacketArena::new(),
             scratch: Scratch::default(),
-            scratch_audit: [
-                audit::new_component_id(),
-                audit::new_component_id(),
-                audit::new_component_id(),
+            scratch_ids: [
+                hooks::new_component_id(),
+                hooks::new_component_id(),
+                hooks::new_component_id(),
             ],
             completed: 0,
             started: 0,
@@ -545,7 +545,6 @@ impl<O: NetObserver> Sim<O> {
     }
 
     fn dispatch(&mut self, now: Time, ev: Event) {
-        trace::now(now);
         match ev {
             Event::Arrive { node, pkt } => self.arrive(now, node as NodeId, pkt),
             Event::PortReady { node, port } => {
@@ -580,13 +579,12 @@ impl<O: NetObserver> Sim<O> {
     }
 
     fn arrive(&mut self, now: Time, node: NodeId, pid: PacketId) {
-        audit::wire_arrive(self.arena.get(pid).expect("arriving id is live"));
+        hooks::on_wire_arrive(self.arena.get(pid).expect("arriving id is live"));
         if let Some((p, rng)) = &mut self.loss {
             if matches!(self.nodes.get(node), Some(Node::Switch(_))) && rng.chance(*p) {
                 self.injected_losses += 1;
                 let pkt = self.arena.release(pid).expect("arriving id is live");
-                audit::flow_drop(&pkt);
-                trace::injected_loss(node, &pkt);
+                hooks::on_drop(node as u64, &pkt, DropCause::InjectedLoss);
                 return;
             }
         }
@@ -605,8 +603,7 @@ impl<O: NetObserver> Sim<O> {
                     }
                     Err((reason, pid)) => {
                         let pkt = self.arena.release(pid).expect("dropped id is live");
-                        audit::flow_drop(&pkt);
-                        trace::dropped(node, &pkt, reason);
+                        hooks::on_drop(node as u64, &pkt, reason.into());
                         self.observer.on_drop(&pkt, reason, node, now)
                     }
                 }
@@ -617,7 +614,7 @@ impl<O: NetObserver> Sim<O> {
                 // endpoint can stage replies into fresh slots.
                 let pkt = self.arena.release(pid).expect("arriving id is live");
                 debug_assert_eq!(h.host_id, pkt.dst, "misrouted packet");
-                audit::flow_rx(&pkt);
+                hooks::on_flow_rx(&pkt);
                 if pkt.is_data() {
                     self.observer.on_delivered(&pkt, now);
                 }
@@ -661,7 +658,7 @@ impl<O: NetObserver> Sim<O> {
                 let peer = p.peer;
                 let prop = p.prop;
                 p.busy_until = Some(now + ser);
-                audit::wire_depart(self.arena.get(pid).expect("sent id is live"));
+                hooks::on_wire_depart(self.arena.get(pid).expect("sent id is live"));
                 self.events
                     .schedule(now + ser, Event::port_ready(node, port));
                 if self.is_foreign(peer) {
@@ -726,7 +723,7 @@ impl<O: NetObserver> Sim<O> {
     fn flush(&mut self, now: Time, node: NodeId) {
         let mut scratch = std::mem::take(&mut self.scratch);
         for pid in scratch.tx.drain(..) {
-            audit::flow_tx(self.arena.get(pid).expect("staged tx id is live"));
+            hooks::on_flow_tx(self.arena.get(pid).expect("staged tx id is live"));
             match host_mut(&mut self.nodes, node).nic_enqueue(&mut self.arena, pid) {
                 Ok(_q) => {
                     let nic_idle = self
@@ -739,8 +736,7 @@ impl<O: NetObserver> Sim<O> {
                 }
                 Err((reason, pid)) => {
                     let pkt = self.arena.release(pid).expect("dropped id is live");
-                    audit::flow_drop(&pkt);
-                    trace::dropped(node, &pkt, reason);
+                    hooks::on_drop(node as u64, &pkt, reason.into());
                     self.observer.on_drop(&pkt, reason, node, now)
                 }
             }
@@ -773,7 +769,11 @@ impl<O: NetObserver> Sim<O> {
                     let slot = h.find(timer_flow(token));
                     if let Some(old) = slot.and_then(|s| h.take_armed(s, timer_kind(token))) {
                         self.events.cancel(old);
-                        trace::timer_cancel(token);
+                        hooks::record(|t_ns| TraceEvent::TimerCancel {
+                            t_ns,
+                            flow: timer_flow(token),
+                            kind: timer_kind(token),
+                        });
                     }
                 }
             }
@@ -790,12 +790,12 @@ impl<O: NetObserver> Sim<O> {
         }
         // Prove the scratch buffers are reused, not replaced: capacity may
         // only grow (warm-up), never shrink.
-        if audit::is_active() {
+        if crate::audit::is_active() {
             let (tx, timers, app) = scratch.capacities();
-            let [tx_id, timers_id, app_id] = self.scratch_audit;
-            audit::scratch_capacity(tx_id, tx as u64);
-            audit::scratch_capacity(timers_id, timers as u64);
-            audit::scratch_capacity(app_id, app as u64);
+            let [tx_id, timers_id, app_id] = self.scratch_ids;
+            hooks::on_scratch_capacity(tx_id, tx as u64);
+            hooks::on_scratch_capacity(timers_id, timers as u64);
+            hooks::on_scratch_capacity(app_id, app as u64);
         }
         self.scratch = scratch;
     }
@@ -1067,9 +1067,9 @@ mod tests {
         let mut sim = Sim::new(topo, Box::new(BlastFactory), NullObserver);
         sim.schedule_flow(flow(1, 0, 2, 100_000, Time::ZERO));
         sim.schedule_flow(flow(2, 1, 2, 60_000, Time::from_micros(3)));
-        audit::install();
+        crate::audit::install();
         sim.run_to_completion(TimeDelta::millis(1));
-        let report = audit::finish();
+        let report = crate::audit::finish();
         assert!(report.is_clean(), "{report}");
         assert!(sim.events_processed() > 500);
         assert_eq!(report.counters.events, sim.events_processed());

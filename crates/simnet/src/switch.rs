@@ -12,7 +12,7 @@ use std::sync::Arc;
 use flexpass_simcore::units::WireBytes;
 
 use crate::arena::{PacketArena, PacketId};
-use crate::audit;
+use crate::hooks;
 use crate::packet::{Packet, TrafficClass};
 use crate::port::{BufferPool, Port, PortConfig};
 use crate::queue::DropReason;
@@ -138,7 +138,7 @@ pub struct Switch {
     class_map: ClassMap,
     shared_buffer: Option<(WireBytes, f64)>,
     counters: SwitchCounters,
-    audit_id: audit::ComponentId,
+    hook_id: hooks::ComponentId,
 }
 
 impl Switch {
@@ -161,7 +161,7 @@ impl Switch {
             class_map: profile.class_map,
             shared_buffer: profile.shared_buffer,
             counters: SwitchCounters::default(),
-            audit_id: audit::new_component_id(),
+            hook_id: hooks::new_component_id(),
         }
     }
 
@@ -289,8 +289,8 @@ impl Switch {
                     self.counters.dropped_buffer += 1;
                     return Err((DropReason::Buffer, id));
                 }
-                audit::shared_buffer(self.audit_id, used + size, total);
-                audit::shared_count(self.audit_id, used, || self.scan_shared());
+                hooks::on_shared_buffer(self.hook_id, (used + size).get(), total.get());
+                hooks::on_shared_count(self.hook_id, used.get(), || self.scan_shared().get());
             }
         }
 

@@ -11,9 +11,10 @@ use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
 use flexpass_simnet::consts::{packets_for, payload_of_packet};
 use flexpass_simnet::endpoint::{AppEvent, EndpointCtx, RxStats, TxStats};
+use flexpass_simnet::hooks;
 use flexpass_simnet::packet::{AckInfo, FlowId, FlowSpec, Packet, Subflow, TrafficClass, MAX_SACK};
-use flexpass_simnet::sim::timer_token;
-use flexpass_simnet::trace;
+use flexpass_simnet::sim::{timer_flow, timer_token};
+use flexpass_simnet::trace::TraceEvent;
 
 /// Per-packet sender-side state (Figure 4 of the paper uses the same set,
 /// with "sent" split by sub-flow; single-loop transports use `Sent`).
@@ -590,7 +591,11 @@ pub fn data_packet(
     let pkt = Packet::data(spec, class, seq, Subflow::Only, sub_seq, retx);
     stats.count_data(pkt.payload_bytes(), retx);
     if retx {
-        trace::retransmit(spec.id, seq);
+        hooks::record(|t_ns| TraceEvent::Retransmit {
+            t_ns,
+            flow: spec.id,
+            seq: i64::from(seq),
+        });
     }
     pkt
 }
@@ -658,12 +663,18 @@ impl RtoTimer {
         self.deadline = None;
     }
 
-    /// A genuine timeout at `now`: doubles the next RTO and restarts the
-    /// progress clock. Returns the backoff exponent now in effect.
-    pub fn back_off(&mut self, now: Time) -> u32 {
+    /// A genuine timeout at `now`: doubles the next RTO, restarts the
+    /// progress clock, and traces the fire with the backoff exponent now in
+    /// effect.
+    pub fn back_off(&mut self, now: Time) {
         self.backoff += 1;
         self.last_progress = now;
-        self.backoff
+        let (flow, backoff) = (timer_flow(self.token), self.backoff);
+        hooks::record(|t_ns| TraceEvent::Rto {
+            t_ns,
+            flow,
+            backoff,
+        });
     }
 }
 

@@ -10,7 +10,6 @@ use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{AckInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
-use flexpass_simnet::trace;
 
 use crate::common::{
     data_packet, AckBuilder, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard,
@@ -200,7 +199,7 @@ impl DctcpSender {
         }
         // Timeout: every in-flight packet is presumed lost.
         self.stats.timeouts += 1;
-        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.rto.back_off(ctx.now);
         self.recovery = None;
         self.sb.lose_outstanding();
         self.win.on_timeout(self.sb.next_pending());

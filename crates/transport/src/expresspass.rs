@@ -16,11 +16,12 @@ use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::{Rate, TimeDelta};
 use flexpass_simnet::consts::{packets_for, DATA_WIRE};
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
+use flexpass_simnet::hooks;
 use flexpass_simnet::packet::{
     AckInfo, CreditInfo, DataInfo, FlowId, FlowSpec, Packet, Payload, Subflow, TrafficClass,
 };
 use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
-use flexpass_simnet::trace;
+use flexpass_simnet::trace::TraceEvent;
 
 use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
 
@@ -93,7 +94,7 @@ impl Default for EpConfig {
 /// it could trigger.
 pub fn waste_credit(stats: &mut TxStats, flow: FlowId) {
     stats.credits_wasted += 1;
-    trace::credit_wasted(flow);
+    hooks::record(|t_ns| TraceEvent::CreditWasted { t_ns, flow });
 }
 
 /// ExpressPass sender: transmits one data packet per received credit.
@@ -194,7 +195,7 @@ impl EpSender {
         // stalled; re-request credits. Only count a timeout when data was
         // actually outstanding — a credit-starved idle sender re-requesting
         // credits is not a loss-recovery timeout.
-        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.rto.back_off(ctx.now);
         if self.sb.lose_outstanding() {
             self.stats.timeouts += 1;
         }
@@ -420,7 +421,11 @@ impl CreditLoop {
             let idx = self.credit_idx;
             self.credit_idx += 1;
             self.engine.credits_sent_period += 1;
-            trace::credit_sent(self.spec.id, u64::from(idx));
+            hooks::record(|t_ns| TraceEvent::CreditSent {
+                t_ns,
+                flow: self.spec.id,
+                idx: u64::from(idx),
+            });
             ctx.send(Packet::to_sender(
                 &self.spec,
                 TrafficClass::Credit,

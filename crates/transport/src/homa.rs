@@ -17,7 +17,6 @@ use flexpass_simnet::packet::{
     AckInfo, FlowSpec, GrantInfo, Packet, Payload, Subflow, TrafficClass,
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
-use flexpass_simnet::trace;
 
 use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
 
@@ -163,7 +162,7 @@ impl Endpoint for HomaSender {
             return;
         }
         self.stats.timeouts += 1;
-        trace::rto(self.spec.id, self.rto.back_off(ctx.now));
+        self.rto.back_off(ctx.now);
         self.sb.lose_outstanding();
         self.pump(self.cfg.sched_prio, ctx);
     }

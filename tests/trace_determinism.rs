@@ -1,7 +1,8 @@
-//! Packet-lifecycle tracing must be observation-only (DESIGN.md "Packet-
-//! lifecycle tracing"): a traced run and an untraced run of the same
-//! scenario under the same seed must agree on every observable, bit for
-//! bit, and the trace itself must round-trip through its JSONL encoding.
+//! The hook layer's sinks must be observation-only (DESIGN.md "Hook
+//! layer"): a plain, an audited, a traced and an audited-plus-traced run of
+//! the same scenario under the same seed must agree on every observable,
+//! bit for bit, and the trace itself must round-trip through its JSONL
+//! encoding.
 
 use flexpass::config::FlexPassConfig;
 use flexpass::profiles::{flexpass_profile, host_variant, ProfileParams};
@@ -10,8 +11,7 @@ use flexpass_metrics::Recorder;
 use flexpass_simcore::time::TimeDelta;
 use flexpass_simnet::sim::Sim;
 use flexpass_simnet::topology::{ClosParams, Topology};
-use flexpass_simnet::trace;
-use flexpass_simtrace::TraceTotals;
+use flexpass_simnet::{audit, trace};
 use flexpass_workload::{background, BackgroundParams, FlowSizeCdf};
 
 /// A run's complete observable outcome; FCTs compared by bit pattern (see
@@ -77,7 +77,28 @@ fn traced_run_is_bit_identical_to_untraced() {
     let traced = run_smoke(7);
     let log = trace::finish();
 
+    audit::install();
+    let audited = run_smoke(7);
+    let report = audit::finish();
+
+    audit::install();
+    trace::install(trace::TraceFilter::all());
+    let both = run_smoke(7);
+    let both_log = trace::finish();
+    let both_report = audit::finish();
+
     assert_eq!(plain, traced, "tracing changed simulation results");
+    assert_eq!(plain, audited, "auditing changed simulation results");
+    assert_eq!(
+        plain, both,
+        "both sinks together changed simulation results"
+    );
+    assert!(report.is_clean(), "{report}");
+    assert!(both_report.is_clean(), "{both_report}");
+    assert!(
+        both_log.events == log.events,
+        "arming the auditor beside the tracer changed the trace"
+    );
     assert!(log.total > 0, "tracer observed nothing");
     assert!(!log.events.is_empty());
 
@@ -88,7 +109,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     assert_eq!(parsed, log.events, "JSONL round trip altered events");
 
     // ...and fold into the totals `cargo xtask trace-report` prints.
-    let mut totals = TraceTotals::default();
+    let mut totals = trace::TraceTotals::default();
     log.events.iter().for_each(|ev| totals.fold(ev));
     assert!(
         totals.count(trace::EventKind::Enqueue) > 0,

@@ -106,7 +106,7 @@ pub const LINTED_EXTRA_FILES: &[&str] = &["crates/experiments/src/orchestrate.rs
 /// confined to the experiment orchestrator (scoped `lint:allow`
 /// rationales).
 const WALL_CLOCK_SWEEP_CRATES: &[&str] = &[
-    "crates/simaudit",
+    "crates/simhooks",
     "crates/workload",
     "crates/metrics",
     "crates/experiments",

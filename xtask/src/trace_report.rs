@@ -15,7 +15,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use flexpass_simtrace::{EventKind, TraceEvent, TraceTotals};
+use flexpass_simhooks::trace::{EventKind, TraceEvent, TraceTotals};
 
 /// Aggregated view over every parsed event: the shared totals plus what
 /// only a post-mortem over files needs.
@@ -215,7 +215,7 @@ pub fn run(paths: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simtrace::DropCause;
+    use flexpass_simhooks::trace::DropCause;
 
     fn jsonl() -> String {
         let evs = [

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-use flexpass_simtrace::{DropCause, EventKind, TraceEvent, TraceTotals};
+use flexpass_simhooks::trace::{DropCause, EventKind, TraceEvent, TraceTotals};
 use proptest::prelude::*;
 use xtask::trace_report::Report;
 
