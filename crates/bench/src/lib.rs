@@ -4,6 +4,9 @@
 //! calendar and multipod workloads per layer, and the root package's
 //! `tests/alloc_free_datapath.rs` counts allocations over [`datapath_sim`].
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use flexpass::{FlexPassConfig, FlexPassFactory};
 use flexpass_simcore::event::EventQueue;
 use flexpass_simcore::rng::SimRng;

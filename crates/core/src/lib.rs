@@ -54,6 +54,9 @@
 //! assert_eq!(sim.flows_completed(), 1);
 //! ```
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod config;
 pub mod layering;
 pub mod profiles;

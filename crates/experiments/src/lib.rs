@@ -30,6 +30,9 @@
 //! | [`scale`] | (extension) | O(10k)-host Clos with streaming (bounded-memory) FCT sketches |
 //! | [`custom`] | (extension) | replay of a user flow trace under any scheme, ratio or w_q |
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod claims;
 pub mod csvout;
 pub mod custom;

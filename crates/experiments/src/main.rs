@@ -50,8 +50,6 @@
 //! to exercise that path end to end; a label no task has is a usage error.
 
 use std::path::PathBuf;
-// lint:allow(wall-clock): per-figure elapsed-time reporting only.
-use std::time::Instant;
 
 use flexpass_experiments::csvout::Csv;
 use flexpass_experiments::figures::{selected, FIGURES};
@@ -159,8 +157,11 @@ fn main() {
         println!("wrote {}/{stem}.csv ({} rows)", out.display(), csv.len());
     };
     for figure in selected(&fig) {
-        // lint:allow(wall-clock): figure wall-time banner.
-        let t = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the per-figure wall-time banner; no simulation reads it"
+        )]
+        let t = std::time::Instant::now();
         eprintln!("== {} ==", figure.name);
         let tables = figure.run(scale).unwrap_or_else(|e| usage_error(&e));
         for (output, csv) in tables {

@@ -25,23 +25,23 @@
 //!   `EventQueue` via a [`ProgressProbe`]), virtual time reached, and
 //!   wall-clock events/sec to stderr.
 //!
-//! This module is the one place in the workspace where wall-clock time and
-//! `std::thread` are legitimate: both stay strictly *outside* the
-//! simulations (`cargo xtask lint` enforces that elsewhere; the scoped
-//! `lint:allow` comments below are its blessed escape hatch). The
+//! This module is the one place in the workspace where wall-clock time,
+//! `std::thread` and blocking locks are legitimate: all stay strictly
+//! *outside* the simulations (`clippy.toml` bans them elsewhere; the
+//! `#[expect]` attributes below are the exemptions, each with its reason). The
 //! `simhooks` sinks, the auditor and the tracer, are thread-local, so
 //! per-point audits and traces keep working on worker threads.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 
 use flexpass_simcore::ProgressProbe;
 
 /// Heartbeat period. Short experiment groups finish before the first beat
 /// and stay silent; long sweeps report a few times a minute.
-// lint:allow(wall-clock): heartbeat pacing is orchestration, not simulation.
 const HEARTBEAT: std::time::Duration = std::time::Duration::from_secs(5);
 
 /// Requested worker count; 0 = use available parallelism.
@@ -52,12 +52,20 @@ static PAR_SIM: AtomicUsize = AtomicUsize::new(1);
 
 /// Process-wide record of every task that panicked, drained by the binary
 /// to report failed cells and choose its exit code.
-static FAILURES: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
+#[expect(
+    clippy::disallowed_types,
+    reason = "worker threads register failures; the binary drains them once"
+)]
+static FAILURES: std::sync::Mutex<Vec<TaskFailure>> = std::sync::Mutex::new(Vec::new());
 
 /// Fault-injection hook: a task whose qualified label equals this label
 /// panics on entry, and sets the flag beside it. Used by tests and CI to
 /// prove isolation end to end.
-static INJECT_PANIC: Mutex<Option<(String, bool)>> = Mutex::new(None);
+#[expect(
+    clippy::disallowed_types,
+    reason = "armed once by the binary, read by every worker thread"
+)]
+static INJECT_PANIC: std::sync::Mutex<Option<(String, bool)>> = std::sync::Mutex::new(None);
 
 /// Sets the worker-thread count used by [`grid`]. `0` restores the
 /// default (available parallelism). `1` runs the tasks one after another
@@ -69,7 +77,6 @@ pub fn set_jobs(n: usize) {
 /// The effective worker-thread count.
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::SeqCst) {
-        // lint:allow(thread-spawn): querying parallelism, not spawning.
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
@@ -139,6 +146,10 @@ pub(crate) fn task_probe() -> Option<Arc<ProgressProbe>> {
 }
 
 /// Shared progress state between workers and the heartbeat thread.
+#[expect(
+    clippy::disallowed_types,
+    reason = "workers register their probes, the heartbeat reads them"
+)]
 struct PoolState {
     group: String,
     total: usize,
@@ -146,7 +157,7 @@ struct PoolState {
     /// Events popped by tasks that already finished (success or panic).
     finished_events: AtomicU64,
     /// `(label, probe)` of tasks currently running.
-    active: Mutex<Vec<(String, Arc<ProgressProbe>)>>,
+    active: std::sync::Mutex<Vec<(String, Arc<ProgressProbe>)>>,
 }
 
 impl PoolState {
@@ -199,55 +210,56 @@ pub fn grid_on<K: Sync, T: Send>(
 ) -> Vec<(K, Option<T>)> {
     let n = keys.len();
     let workers = jobs.max(1).min(n.max(1));
-    let state = PoolState {
+    let state = &PoolState {
         group: group.to_string(),
         total: n,
         done: AtomicUsize::new(0),
         finished_events: AtomicU64::new(0),
-        active: Mutex::new(Vec::new()),
+        active: Default::default(),
     };
-
-    // One write-once slot per key, claimed via the shared index counter.
-    let slots: Vec<Mutex<Option<Result<T, TaskFailure>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    // Keys are claimed off a shared index counter; each worker returns the
+    // `(index, outcome)` pairs it ran.
     let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
+    let mut outcomes: Vec<Option<Result<T, TaskFailure>>> = (0..n).map(|_| None).collect();
+    // Dropping the sender stops the heartbeat.
+    let (stop, stopped) = mpsc::channel::<()>();
 
-    // lint:allow(thread-spawn): the pool itself — the one blessed home of
-    // threads in this workspace. Simulations stay single-threaded inside.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool itself, the one home of worker threads in this \
+                  workspace; simulations stay single-threaded inside"
+    )]
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::SeqCst);
-                if idx >= n {
-                    return;
-                }
-                let key = &keys[idx];
-                let outcome = run_one(&state, label(key), || cell(key));
-                *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
-            });
+        scope.spawn(move || heartbeat(state, &stopped));
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ran = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(key) = keys.get(idx) else {
+                            return ran;
+                        };
+                        ran.push((idx, run_one(state, label(key), || cell(key))));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (idx, outcome) in handle.join().expect("a cell's panic is caught in run_one") {
+                outcomes[idx] = Some(outcome);
+            }
         }
-        // Heartbeat: monitor-only; exits as soon as all workers are done.
-        scope.spawn(|| heartbeat(&state, &stop));
-        // The scope joins the workers only after this closure returns, and
-        // the heartbeat needs its stop signal first: wait on the counter.
-        while state.done.load(Ordering::SeqCst) < n {
-            // lint:allow(thread-spawn, wall-clock): waiting for workers.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
     });
 
     // Failures enter the registry in key order, whatever order they
     // happened in.
     let mut failures = FAILURES.lock().expect("failure registry poisoned");
     keys.into_iter()
-        .zip(slots)
-        .map(|(key, slot)| {
-            let outcome = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("every key was claimed and completed");
+        .zip(outcomes)
+        .map(|(key, outcome)| {
+            let outcome = outcome.expect("every key was claimed and completed");
             match outcome {
                 Ok(result) => (key, Some(result)),
                 Err(failure) => {
@@ -326,25 +338,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Periodically reports pool progress to stderr until `stop` is set.
-fn heartbeat(state: &PoolState, stop: &AtomicBool) {
-    // lint:allow(wall-clock): events/sec is a wall-clock rate over the
-    // orchestration layer; virtual time inside each point is untouched.
-    let started = std::time::Instant::now();
+/// Reports pool progress to stderr every [`HEARTBEAT`] until the pool
+/// drops the sending half of `stop`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "events/sec is a wall-clock rate over the orchestration layer; \
+              virtual time inside each point is untouched"
+)]
+fn heartbeat(state: &PoolState, stop: &mpsc::Receiver<()>) {
     let mut last_events = 0u64;
-    let mut last_at = started;
-    loop {
-        // Sleep in short slices so a finishing pool is not held open.
-        for _ in 0..(HEARTBEAT.as_millis() / 50).max(1) {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            // lint:allow(thread-spawn, wall-clock): heartbeat pacing.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
+    let mut last_at = std::time::Instant::now();
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(HEARTBEAT) {
         let done = state.done.load(Ordering::SeqCst);
         let (events, max_vt) = state.snapshot();
-        // lint:allow(wall-clock, float-time): wall-clock rate reporting.
+        // lint:allow(float-time): wall-clock rate reporting.
         let dt = last_at.elapsed().as_secs_f64();
         let rate = if dt > 0.0 {
             (events.saturating_sub(last_events)) as f64 / dt
@@ -352,7 +359,6 @@ fn heartbeat(state: &PoolState, stop: &AtomicBool) {
             0.0
         };
         last_events = events;
-        // lint:allow(wall-clock): heartbeat bookkeeping.
         last_at = std::time::Instant::now();
         let active = state.active.lock().expect("active registry poisoned");
         let names: Vec<&str> = active.iter().take(4).map(|(l, _)| l.as_str()).collect();

@@ -19,15 +19,20 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Once, OnceLock};
 
 use flexpass_simnet::trace::{self, TraceFilter};
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the pool's worker threads record their trace files here; \
+              no simulation reads it"
+)]
 struct TraceCfg {
     filter: TraceFilter,
     dir: PathBuf,
     /// Files this process has written, to catch two tasks sharing a label.
-    written: Mutex<BTreeSet<PathBuf>>,
+    written: std::sync::Mutex<BTreeSet<PathBuf>>,
 }
 
 static DUPLICATE_LABEL_WARNING: Once = Once::new();
@@ -45,7 +50,7 @@ pub fn enable(spec: &str, out_dir: &Path) -> Result<(), String> {
     CFG.set(TraceCfg {
         filter,
         dir,
-        written: Mutex::default(),
+        written: Default::default(),
     })
     .map_err(|_| "packet tracing enabled twice".to_string())
 }

@@ -34,6 +34,9 @@
 //! assert_eq!(t, Time::from_nanos(1_000));
 //! ```
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod event;
 pub mod mem;
 pub mod progress;

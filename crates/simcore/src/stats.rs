@@ -406,7 +406,6 @@ impl FctSketch {
         // lint:allow(raw-cast): nearest-rank index from a fraction.
         let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
-        // lint:allow(unordered-iteration): fixed-size array, index order.
         for (i, &c) in self.bins.iter().enumerate() {
             seen += c;
             if seen >= rank {
@@ -430,7 +429,6 @@ impl FctSketch {
     /// statistics merge as [`OnlineStats::merge`]. Merging per-domain
     /// sketches in ascending domain order is bit-deterministic.
     pub fn merge(&mut self, other: &FctSketch) {
-        // lint:allow(unordered-iteration): fixed-size arrays, index order.
         for (dst, src) in self.bins.iter_mut().zip(other.bins.iter()) {
             *dst += src;
         }

@@ -32,6 +32,9 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::cell::{Cell, RefCell};
 
 pub mod audit;

@@ -35,6 +35,9 @@
 //! through [`sim::TransportFactory`]; see the `flexpass-transport` and
 //! `flexpass` crates.
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod arena;
 pub mod consts;
 pub mod endpoint;

@@ -243,12 +243,15 @@ impl<O: NetObserver + Send> ParSim<O> {
             }
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the parallel engine's domain runners: one thread per domain, \
+                      each a single-threaded simulation in lock-step windows"
+        )]
         let partials: Vec<Option<audit::PartialAudit>> = std::thread::scope(|s| {
             let shared = &shared;
             let mut handles = Vec::with_capacity(k);
             for (me, ((sim, my_tx), my_rx)) in self.sims.iter_mut().zip(txs).zip(rxs).enumerate() {
-                // lint:allow(thread-spawn): the parallel engine's domain
-                // runners are a blessed thread home (xtask/src/config.rs).
                 handles.push(s.spawn(move || domain_loop(shared, me, sim, &my_tx, &my_rx)));
             }
             handles

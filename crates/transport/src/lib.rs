@@ -17,6 +17,9 @@
 //!   the receiver's [`Reassembly`], [`AckBuilder`] and
 //!   [`RxTail`](common::RxTail) (completion report + linger).
 
+// Test code is exempt from the determinism bans in clippy.toml.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod common;
 pub mod dctcp;
 pub mod expresspass;

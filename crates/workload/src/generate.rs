@@ -138,7 +138,7 @@ pub fn foreground_incast(p: &ForegroundParams) -> Vec<FlowSpec> {
         t += rng.exponential(mean_ia);
         let receiver = rng.index(p.n_hosts);
         let mut chosen = 0;
-        let mut tried = std::collections::HashSet::new();
+        let mut tried = std::collections::BTreeSet::new();
         while chosen < p.fanout {
             let s = rng.index(p.n_hosts);
             if s == receiver || !tried.insert(s) {

@@ -8,9 +8,9 @@
 //!
 //! * [`tokenize`] — hand-rolled lexer producing spanned tokens + comments.
 //! * [`parse`] — recursive-descent parser grouping tokens into items with
-//!   bodies, fields, variants and use-trees, plus expression extractors.
-//! * [`config`] — the lint policy, as code: hot modules, ordered-type
-//!   allowlist, known-infallible fns, thread homes, lock-free modules.
+//!   bodies, fields and variants, plus expression extractors.
+//! * [`config`] — the lint policy, as code: hot modules, constructor
+//!   names, known-infallible fns.
 //! * [`callgraph`] — workspace-wide call graph (nodes, resolved edges,
 //!   panic/alloc leaves) over the parsed sources.
 //! * [`rules`] — the rule implementations over the AST, including the

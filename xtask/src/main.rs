@@ -2,9 +2,9 @@
 //!
 //! Tasks:
 //!
-//! * `lint` — the determinism & units static-analysis pass over the
-//!   simulation crates (see `lint.rs` and DESIGN.md "Determinism &
-//!   invariants"). Findings can be rendered for humans (default) or as
+//! * `lint` — the units, panic and allocation static-analysis pass over
+//!   the simulation crates (see `lint.rs` and DESIGN.md "Static pass"; the
+//!   determinism bans are clippy's, in `clippy.toml`). Findings can be rendered for humans (default) or as
 //!   GitHub Actions error annotations (`--format github`); a clean run
 //!   prints the size of the call graph it checked.
 //! * `trace-report` — post-mortem summary of `--trace` JSONL logs (see
@@ -78,7 +78,7 @@ fn print_usage() {
     eprintln!();
     eprintln!("tasks:");
     eprintln!("  lint [--format human|github]");
-    eprintln!("          run the determinism & units lint over the simulation crates;");
+    eprintln!("          run the units, panic and allocation lint over the simulation crates;");
     eprintln!("          policy in xtask/src/config.rs");
     eprintln!("  trace-report PATH...");
     eprintln!("          summarize packet-lifecycle trace logs (JSONL files or");

@@ -4,7 +4,7 @@
 //! groups the flat token stream into *items* (functions, structs, enums,
 //! impls, modules, uses, consts, …) with their attributes, bodies, fields
 //! and variants, and provides expression-level extraction helpers (path
-//! references, method calls, `for` loops, `let` type ascriptions) that
+//! references, method calls, `let` type ascriptions) that
 //! rules run over item ranges.
 //!
 //! It is intentionally not a full Rust parser. Error handling is
@@ -33,7 +33,7 @@ pub enum ItemKind {
     Impl,
     /// `mod` (inline modules carry children).
     Mod,
-    /// `use` declaration (`use_paths` is the expanded tree).
+    /// `use` declaration.
     Use,
     /// `const` item (`body` is the initializer expression).
     Const,
@@ -70,16 +70,6 @@ pub struct Field {
     pub ty_root: String,
 }
 
-/// One expanded leaf of a `use` tree: `use std::{thread, time::Instant}`
-/// yields `[std, thread]` and `[std, time, Instant]`.
-#[derive(Debug)]
-pub struct UsePath {
-    /// Full path segments from the tree root (globs end in `*`).
-    pub segs: Vec<String>,
-    /// Token index of the last named segment, for anchoring findings.
-    pub anchor: usize,
-}
-
 /// One parsed item.
 #[derive(Debug)]
 pub struct Item {
@@ -114,8 +104,6 @@ pub struct Item {
     pub variants: Vec<(usize, String)>,
     /// For `Struct`: named fields.
     pub fields: Vec<Field>,
-    /// For `Use`: the expanded use-tree.
-    pub use_paths: Vec<UsePath>,
 }
 
 impl Item {
@@ -286,7 +274,6 @@ impl<'a> Parser<'a> {
             children: Vec::new(),
             variants: Vec::new(),
             fields: Vec::new(),
-            use_paths: Vec::new(),
         };
         if self.i >= end {
             item.end = self.i;
@@ -808,75 +795,7 @@ impl<'a> Parser<'a> {
 
     fn use_item(&mut self, item: &mut Item, end: usize) {
         item.kind = ItemKind::Use;
-        self.i += 1; // use
-        let mut prefix = Vec::new();
-        self.use_tree(&mut prefix, &mut item.use_paths, end);
-        if self.is_punct(self.i, ";") {
-            self.i += 1;
-        }
-    }
-
-    fn use_tree(&mut self, prefix: &mut Vec<String>, out: &mut Vec<UsePath>, end: usize) {
-        let entry_len = prefix.len();
-        loop {
-            if self.i >= end || self.is_punct(self.i, ";") {
-                break;
-            }
-            if self.is_punct(self.i, "::") && prefix.len() == entry_len {
-                self.i += 1; // leading `::`
-                continue;
-            }
-            if self.is_punct(self.i, "{") {
-                self.i += 1;
-                loop {
-                    if self.i >= end || self.is_punct(self.i, ";") {
-                        break;
-                    }
-                    if self.is_punct(self.i, "}") {
-                        self.i += 1;
-                        break;
-                    }
-                    if self.is_punct(self.i, ",") {
-                        self.i += 1;
-                        continue;
-                    }
-                    self.use_tree(prefix, out, end);
-                }
-                break;
-            }
-            if self.is_punct(self.i, "*") {
-                prefix.push("*".to_string());
-                out.push(UsePath {
-                    segs: prefix.clone(),
-                    anchor: self.i,
-                });
-                prefix.pop();
-                self.i += 1;
-                break;
-            }
-            if self.kind_at(self.i) == Some(Kind::Ident) && !self.is_ident(self.i, "as") {
-                let anchor = self.i;
-                prefix.push(self.toks[self.i].text.clone());
-                self.i += 1;
-                if self.is_punct(self.i, "::") {
-                    self.i += 1;
-                    continue; // next segment / group / glob
-                }
-                if self.is_ident(self.i, "as") {
-                    self.i += 1;
-                    if self.kind_at(self.i) == Some(Kind::Ident) || self.is_ident(self.i, "_") {
-                        self.i += 1;
-                    }
-                }
-                out.push(UsePath {
-                    segs: prefix.clone(),
-                    anchor,
-                });
-                break;
-            }
-            break; // anything else ends the tree
-        }
-        prefix.truncate(entry_len);
+        self.skip_to_semi(end);
     }
 
     fn const_item(&mut self, item: &mut Item, end: usize) {
@@ -1199,84 +1118,6 @@ fn receiver_chain(toks: &[Tok], idx: &[usize], p: usize) -> (Option<String>, Opt
     (root, field)
 }
 
-/// One `for pat in expr { … }` loop.
-#[derive(Debug)]
-pub struct ForLoop {
-    /// Token index of the `for` keyword.
-    pub tok: usize,
-    /// Half-open token range of the iterated expression.
-    pub iter: (usize, usize),
-}
-
-/// Extracts `for` loops from a token range. `for<'a>` higher-ranked bounds
-/// and `impl … for …` are not loops and are skipped.
-pub fn for_loops_in(toks: &[Tok], range: (usize, usize)) -> Vec<ForLoop> {
-    let idx = code_indices(toks, range);
-    let mut out = Vec::new();
-    for p in 0..idx.len() {
-        let k = idx[p];
-        if toks[k].kind != Kind::Ident || toks[k].text != "for" {
-            continue;
-        }
-        if idx
-            .get(p + 1)
-            .is_some_and(|&n| matches!(toks[n].text.as_str(), "<" | "<<"))
-        {
-            continue; // `for<'a>` bound
-        }
-        // Find `in` at depth 0 before any depth-0 `{`.
-        let mut depth = 0i64;
-        let mut q = p + 1;
-        let mut in_pos = None;
-        while q < idx.len() {
-            let t = &toks[idx[q]];
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "in" if depth == 0 && t.kind == Kind::Ident => {
-                    in_pos = Some(q);
-                    break;
-                }
-                _ => {}
-            }
-            if depth < 0 {
-                break;
-            }
-            q += 1;
-        }
-        let Some(inq) = in_pos else { continue };
-        // Iterated expression: from after `in` to the loop's `{` at depth 0
-        // (struct literals are illegal there, so the first depth-0 `{` is
-        // the loop body).
-        let mut depth = 0i64;
-        let mut r = inq + 1;
-        let mut body_open = None;
-        while r < idx.len() {
-            match toks[idx[r]].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    body_open = Some(r);
-                    break;
-                }
-                _ => {}
-            }
-            if depth < 0 {
-                break;
-            }
-            r += 1;
-        }
-        let Some(open) = body_open else { continue };
-        if inq + 1 < open {
-            out.push(ForLoop {
-                tok: k,
-                iter: (idx[inq + 1], idx[open - 1] + 1),
-            });
-        }
-    }
-    out
-}
-
 /// `let` type ascriptions in a range: `(name, type root)` pairs from
 /// `let name: Type = …` / `let mut name: Type;`.
 pub fn let_types_in(toks: &[Tok], range: (usize, usize)) -> Vec<(String, String)> {
@@ -1468,37 +1309,6 @@ mod tests {
     }
 
     #[test]
-    fn use_tree_expansion() {
-        let (toks, ast) = ast_of("use std::{thread, time::Instant, io::*};");
-        let paths: Vec<Vec<String>> = ast.items[0]
-            .use_paths
-            .iter()
-            .map(|p| p.segs.clone())
-            .collect();
-        assert_eq!(
-            paths,
-            [
-                vec!["std".to_string(), "thread".to_string()],
-                vec!["std".to_string(), "time".to_string(), "Instant".to_string()],
-                vec!["std".to_string(), "io".to_string(), "*".to_string()],
-            ]
-        );
-        // Anchors point at the leaf segments.
-        assert_eq!(toks[ast.items[0].use_paths[0].anchor].text, "thread");
-        assert_eq!(toks[ast.items[0].use_paths[1].anchor].text, "Instant");
-    }
-
-    #[test]
-    fn use_alias_and_glob() {
-        let (_, ast) = ast_of("use std::collections::HashMap as Map;\nuse foo::bar::*;");
-        assert_eq!(
-            ast.items[0].use_paths[0].segs,
-            ["std", "collections", "HashMap"]
-        );
-        assert_eq!(ast.items[1].use_paths[0].segs, ["foo", "bar", "*"]);
-    }
-
-    #[test]
     fn cfg_test_and_derive_copy_attrs() {
         let (_, ast) = ast_of(
             "#[cfg(test)]\nmod tests { fn t() {} }\n\
@@ -1616,19 +1426,6 @@ mod tests {
         assert_eq!(calls[1].recv_field, None);
         assert_eq!(calls[2].recv_root, None);
         assert_eq!(calls[3].recv_root, None);
-    }
-
-    #[test]
-    fn for_loops_and_ranges() {
-        let (toks, ast) =
-            ast_of("fn f(&self) { for (k, v) in &self.map { g(k, v); } for i in 0..4 { g(i); } }");
-        let body = ast.items[0].body.expect("body");
-        let loops = for_loops_in(&toks, body);
-        assert_eq!(loops.len(), 2);
-        let expr0: Vec<&str> = (loops[0].iter.0..loops[0].iter.1)
-            .map(|i| toks[i].text.as_str())
-            .collect();
-        assert_eq!(expr0, ["&", "self", ".", "map"]);
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! from findings keeps every rule a pure function of the token stream +
 //! AST, which is what the fixture corpus pins down.
 //!
-//! Rule families:
+//! Rule families (the determinism bans — hash collections, wall clocks,
+//! threads, blocking locks — are clippy's, in `clippy.toml`):
 //!
-//! * [`determinism`] — `hash-collections`, `wall-clock`, `ambient-rng`,
-//!   `thread-spawn`, `sync-locks`: nondeterminism sources banned from
-//!   simulation code, and blocking locks banned from the lock-free
-//!   modules (the parallel engine synchronizes with channels + barriers).
 //! * [`units`] — `float-time`, `raw-cast`, `unit-mixing`,
 //!   `raw-header-size`: byte/time unit-discipline checks.
 //! * [`panics`] — `panic-path`: panics, `.unwrap()`, empty `.expect("")`
@@ -19,16 +16,12 @@
 //!   implicit panic sites.
 //! * [`alloc`] — `alloc-in-datapath`: allocation-shaped expressions in the
 //!   hot per-event modules.
-//! * [`iteration`] — `unordered-iteration`: loops over types without an
-//!   ordering guarantee.
 //! * [`reachable`] — `panic-reachable` / `alloc-reachable`: interprocedural
 //!   twins of `panic-path` and `alloc-in-datapath` over the workspace call
 //!   graph (`crate::callgraph`), reporting shortest witness chains from
 //!   the datapath entry points (workspace level, not per file).
 
 pub mod alloc;
-pub mod determinism;
-pub mod iteration;
 pub mod panics;
 pub mod reachable;
 pub mod units;
@@ -37,9 +30,6 @@ use crate::config::LintConfig;
 use crate::parse::{self, Ast, Item, ItemKind, MethodCall, PathRef};
 use crate::tokenize::Tok;
 
-pub const WHY_HASH: &str = "randomized iteration order; use BTreeMap/BTreeSet";
-pub const WHY_CLOCK: &str = "wall-clock time in simulation logic; use simcore::time";
-pub const WHY_RNG: &str = "unseeded randomness; use an explicitly seeded SimRng";
 pub const WHY_FLOAT_TIME: &str =
     "float time arithmetic outside simcore::time; keep time in integer ns";
 pub const WHY_RAW_CAST: &str =
@@ -48,16 +38,10 @@ pub const WHY_PANIC: &str =
     "panic in simulation code; handle the case or justify with lint:allow(panic-path)";
 pub const WHY_MIXING: &str =
     "arithmetic mixing wire bytes and payload bytes; cross domains in simnet::consts only";
-pub const WHY_THREAD: &str =
-    "threads in simulation logic; only the experiment orchestrator may spawn/sleep threads";
-pub const WHY_LOCKS: &str =
-    "blocking lock in a lock-free module; synchronize with channels and barriers only";
 pub const WHY_HEADER_SIZE: &str =
     "raw header/frame-size literal; use simnet::consts (DATA_HEADER_WIRE / CTRL_WIRE / DATA_WIRE)";
 pub const WHY_ALLOC: &str =
     "allocation in the per-event datapath; preallocate in a constructor or reuse a buffer";
-pub const WHY_ITER: &str =
-    "iteration over a type outside the ordered-collections allowlist; event order may drift";
 pub const WHY_PANIC_REACH: &str =
     "panic reachable from a datapath entry point; make the chain infallible, allowlist a \
      proven-infallible fn in xtask/src/config.rs, or justify the leaf with a lint:allow";
@@ -107,9 +91,6 @@ pub struct FileCtx<'a> {
     pub exempt: Vec<bool>,
     /// Token is an item's own name (definitions are not uses).
     pub def_name: Vec<bool>,
-    /// Token is inside a `use` declaration (path rules consult the
-    /// expanded use-tree instead).
-    pub in_use: Vec<bool>,
     /// Token is inside an attribute's token tree.
     pub in_attr: Vec<bool>,
     /// Token is inside a fn body or const/static initializer.
@@ -125,10 +106,6 @@ pub struct FileCtx<'a> {
     pub fns: Vec<FnScope<'a>>,
     /// File matches the configured hot-module list.
     pub hot_module: bool,
-    /// File is a blessed thread home (`thread-spawn` does not apply).
-    pub thread_home: bool,
-    /// File matches the lock-free-module list (`sync-locks` applies).
-    pub lock_free: bool,
     pub float_home: bool,
     pub unit_home: bool,
 }
@@ -186,7 +163,6 @@ impl<'a> FileCtx<'a> {
             cfg,
             exempt,
             def_name,
-            in_use,
             in_attr,
             in_body,
             paths,
@@ -194,11 +170,6 @@ impl<'a> FileCtx<'a> {
             bodies,
             fns,
             hot_module: cfg.hot_modules.iter().any(|m| file.ends_with(m.as_str())),
-            thread_home: cfg.thread_homes.iter().any(|m| file.ends_with(m.as_str())),
-            lock_free: cfg
-                .lock_free_modules
-                .iter()
-                .any(|m| file.ends_with(m.as_str())),
             float_home: file.ends_with(FLOAT_TIME_HOME),
             unit_home: UNIT_HOMES.iter().any(|h| file.ends_with(h)),
         }
@@ -279,11 +250,9 @@ fn collect_fns<'a>(
 /// candidates.
 pub fn run_file_rules(ctx: &FileCtx) -> Vec<Cand> {
     let mut cands = Vec::new();
-    determinism::candidates(ctx, &mut cands);
     units::candidates(ctx, &mut cands);
     panics::candidates(ctx, &mut cands);
     alloc::candidates(ctx, &mut cands);
-    iteration::candidates(ctx, &mut cands);
     cands.sort_by_key(|c| (c.tok, c.rule));
     cands.dedup_by_key(|c| (c.tok, c.rule));
     cands

@@ -59,6 +59,8 @@ pub struct Comment {
     pub start_line: usize,
     /// 1-based last line (differs from `start_line` for block comments).
     pub end_line: usize,
+    /// 1-based column (chars) the comment starts at.
+    pub col: usize,
 }
 
 /// Result of scanning one file.
@@ -196,6 +198,7 @@ pub fn scan(src: &str) -> Scan {
             text,
             start_line: 1,
             end_line: 1,
+            col: 1,
         });
     }
 
@@ -220,6 +223,7 @@ pub fn scan(src: &str) -> Scan {
                 text,
                 start_line: line,
                 end_line: line,
+                col,
             });
             continue;
         }
@@ -253,6 +257,7 @@ pub fn scan(src: &str) -> Scan {
                 text,
                 start_line: line,
                 end_line: cur.line,
+                col,
             });
             continue;
         }

@@ -166,7 +166,7 @@ fn fixtures_cover_every_rule() {
     let fixtures = load_fixtures();
     let dir_fixtures = load_dir_fixtures();
     assert!(
-        fixtures.len() >= 12,
+        fixtures.len() >= lint::RULES.len(),
         "expected a corpus, found {}",
         fixtures.len()
     );
@@ -187,6 +187,8 @@ fn fixtures_cover_every_rule() {
             let rule = line.split_whitespace().nth(1).expect("line:col rule");
             if let Some((rule_name, _)) = lint::RULES.iter().find(|(n, _)| *n == rule) {
                 *by_rule.entry(rule_name).or_insert(0) += 1;
+            } else if rule == lint::UNKNOWN_RULE {
+                *by_rule.entry(lint::UNKNOWN_RULE).or_insert(0) += 1;
             } else {
                 panic!("{name}: unknown rule `{rule}` in sidecar");
             }
@@ -195,6 +197,7 @@ fn fixtures_cover_every_rule() {
     let missing: Vec<&str> = lint::RULES
         .iter()
         .map(|(n, _)| *n)
+        .chain([lint::UNKNOWN_RULE])
         .filter(|n| !by_rule.contains_key(n))
         .collect();
     assert!(missing.is_empty(), "rules without fixtures: {missing:?}");
