@@ -95,7 +95,7 @@ impl Endpoint for FlexPassReceiver {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
             Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
-            Payload::CreditStop => self.credit.stop(),
+            Payload::CreditStop => self.credit.stop(ctx),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }

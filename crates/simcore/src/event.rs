@@ -20,17 +20,30 @@
 //! returned, never advance `now()`, never count as `popped()`, and never
 //! reach the audit hooks — so a run with cancellations pops the same
 //! delivered sequence as if the cancelled events had never been scheduled.
+//!
+//! A pending timer may be *muted* ([`EventQueue::mute`]): its owner promises
+//! that the next pops would only re-arm it one period later. The calendar
+//! then keeps that promise itself. A muted pop counts, advances `now()` and
+//! reaches the hooks like any pop; the entry goes back `period` later under
+//! the same handle with the next sequence number — the `(time, seq)` the
+//! owner's own re-arm would have drawn — and [`EventQueue::step`] returns
+//! the step without a payload. Re-armed entries wait on a FIFO lane beside
+//! the wheel: all mutes share one period, so a lane filled in pop order is
+//! sorted as it stands, and a re-arm costs a push, not a wheel placement
+//! and a sort.
 
+use std::collections::VecDeque;
 use std::num::NonZeroU32;
 
-use crate::time::Time;
+use crate::time::{Time, TimeDelta};
 use crate::wheel::TimingWheel;
 
 /// Identifies one armed cancellable timer.
 ///
 /// The handle is a `(slot, generation)` pair into the queue's timer slab.
 /// Slots are recycled, but each reuse bumps the generation, so a stale
-/// handle (already fired or cancelled) can never alias a newer timer:
+/// handle (already fired or cancelled) cannot alias a newer timer until
+/// its slot has been reused 2^31 times:
 /// [`EventQueue::cancel`] and [`EventQueue::is_pending`] on it are no-ops.
 ///
 /// Slot 0 of the slab is never handed out, so the slot number is non-zero
@@ -55,17 +68,62 @@ struct Scheduled<E> {
     timer: Option<TimerHandle>,
 }
 
+/// One timer slab slot in one 4-byte word, since the liveness check of
+/// every pop reads it and the slab holds a slot per calendar entry of a
+/// cancellable timer, dead ones included: the generation of the slot's
+/// timer in the low 31 bits, and [`MUTED`] on top.
+#[derive(Clone, Copy, Default)]
+struct TimerSlot(u32);
+
+/// The slot's timer is muted. A slot's generation wraps after 2^31 reuses.
+const MUTED: u32 = 1 << 31;
+
+impl TimerSlot {
+    fn generation(self) -> u32 {
+        self.0 & !MUTED
+    }
+
+    /// An entry whose handle carries another generation is dead.
+    fn is_dead(self, h: TimerHandle) -> bool {
+        self.generation() != h.generation
+    }
+
+    fn is_muted(self) -> bool {
+        self.0 & MUTED != 0
+    }
+
+    fn set_muted(&mut self, muted: bool) {
+        self.0 = self.generation() | if muted { MUTED } else { 0 };
+    }
+
+    /// Ends the slot's current timer (it fired or was cancelled):
+    /// outstanding handles go stale and the mute, if any, is dropped.
+    fn retire(&mut self) {
+        self.0 = self.generation().wrapping_add(1) & !MUTED;
+    }
+}
+
+/// What a popped calendar entry does.
+enum Fate {
+    /// A cancelled leftover: discarded unseen.
+    Dead,
+    /// Its payload is returned.
+    Deliver,
+    /// A muted timer: placed again on the lane.
+    Rearm,
+}
+
 /// Liveness filter for cascade-time reaping: flags cancelled entries so
 /// the wheel drops them at the first cascade touch, recycling their slab
 /// slot on the spot (the generation was already bumped by `cancel`).
 /// Borrows the slab fields individually so the wheel can be borrowed
 /// mutably alongside.
 fn dead_filter<'a, E>(
-    gens: &'a [u32],
+    timers: &'a [TimerSlot],
     free: &'a mut Vec<NonZeroU32>,
 ) -> impl FnMut(&Scheduled<E>) -> bool + 'a {
     move |e| match e.timer {
-        Some(h) if gens.get(h.index()).is_some_and(|&g| g != h.generation) => {
+        Some(h) if timers.get(h.index()).is_some_and(|t| t.is_dead(h)) => {
             free.push(h.slot);
             true
         }
@@ -112,10 +170,20 @@ pub struct EventQueue<E> {
     clamped: u64,
     /// Successful [`cancel`](Self::cancel) calls.
     cancelled: u64,
-    /// Generation counter per timer slab slot. A calendar entry whose
-    /// recorded generation no longer matches is dead and is skipped on pop.
-    /// Slot 0 is a placeholder no handle refers to (see [`TimerHandle`]).
-    timer_gens: Vec<u32>,
+    /// Pops of muted timers, which the calendar re-armed itself.
+    rearmed: u64,
+    /// The timer slab. A calendar entry whose recorded generation no
+    /// longer matches its slot's is dead and is skipped on pop. Slot 0 is a
+    /// placeholder no handle refers to (see [`TimerHandle`]).
+    timers: Vec<TimerSlot>,
+    /// The one period timers are muted with, set by the first mute (a
+    /// simulation has one: its update period).
+    mute_period: Option<TimeDelta>,
+    /// The entries the calendar re-armed, as `(time, seq, entry)`. Filled in
+    /// pop order with `(pop time + mute_period, next seq)`, the lane is
+    /// sorted as it stands; the earliest entry of the calendar is the
+    /// earlier of the wheel's head and the lane's front.
+    lane: VecDeque<(Time, u64, Scheduled<E>)>,
     /// Slab slots whose calendar entry has drained and can be reused.
     free_slots: Vec<NonZeroU32>,
 }
@@ -136,7 +204,10 @@ impl<E> EventQueue<E> {
             last_time: Time::ZERO,
             clamped: 0,
             cancelled: 0,
-            timer_gens: vec![0],
+            rearmed: 0,
+            timers: vec![TimerSlot::default()],
+            mute_period: None,
+            lane: VecDeque::new(),
             free_slots: Vec::new(),
         }
     }
@@ -165,18 +236,19 @@ impl<E> EventQueue<E> {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                let s = u32::try_from(self.timer_gens.len())
+                let s = u32::try_from(self.timers.len())
                     .ok()
                     .and_then(NonZeroU32::new)
                     .expect("timer slab holds slot 0 and fewer than 2^32 slots");
-                self.timer_gens.push(0);
+                self.timers.push(TimerSlot::default());
                 s
             }
         };
-        let generation = *self
-            .timer_gens
+        let generation = self
+            .timers
             .get(slot.get() as usize)
-            .expect("slab slot just allocated");
+            .expect("slab slot just allocated")
+            .generation();
         let handle = TimerHandle { slot, generation };
         self.schedule_entry(
             time,
@@ -205,68 +277,154 @@ impl<E> EventQueue<E> {
             time,
             seq,
             entry,
-            &mut dead_filter(&self.timer_gens, &mut self.free_slots),
+            &mut dead_filter(&self.timers, &mut self.free_slots),
         );
     }
 
     /// Cancels a pending cancellable event. Returns `true` if the handle
     /// was still live; `false` (a no-op) if it already fired or was
     /// already cancelled. O(1): the calendar entry is discarded lazily.
+    /// A mute on the handle ends with it.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        match self.timer_gens.get_mut(handle.index()) {
-            Some(g) if *g == handle.generation => {
-                *g = g.wrapping_add(1);
+        match self.live_slot(handle) {
+            Some(t) => {
+                t.retire();
                 self.cancelled += 1;
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
     /// True while `handle`'s event is still scheduled (not yet fired or
     /// cancelled).
     pub fn is_pending(&self, handle: TimerHandle) -> bool {
-        self.timer_gens.get(handle.index()) == Some(&handle.generation)
+        self.timers
+            .get(handle.index())
+            .is_some_and(|t| !t.is_dead(handle))
     }
 
-    /// True if the entry is a cancelled leftover; recycles its slab slot
-    /// either way (live entries are about to be delivered).
-    fn reap(&mut self, entry: &Scheduled<E>) -> bool {
-        match entry.timer {
-            None => false,
-            Some(h) => {
-                let g = self
-                    .timer_gens
-                    .get_mut(h.index())
-                    .expect("slab slot valid while its handle is outstanding");
-                let dead = *g != h.generation;
-                if !dead {
-                    // Delivered: invalidate outstanding handles.
-                    *g = g.wrapping_add(1);
-                }
-                self.free_slots.push(h.slot);
-                dead
-            }
+    /// Mutes the pending timer `handle`: from its next pop on, the calendar
+    /// re-arms it `period` later itself instead of returning its payload
+    /// (see [`step`](Self::step)), until [`unmute`](Self::unmute) or
+    /// [`cancel`](Self::cancel). The caller promises that delivering those
+    /// pops would have done nothing but that re-arm. Returns `false`, and
+    /// leaves the timer as it was, when the handle is no longer pending,
+    /// `period` is zero, or it differs from the period of an earlier mute;
+    /// refusing is always safe, as the owner then re-arms itself.
+    pub fn mute(&mut self, handle: TimerHandle, period: TimeDelta) -> bool {
+        if period == TimeDelta::ZERO || self.mute_period.is_some_and(|p| p != period) {
+            return false;
         }
+        let Some(t) = self.live_slot(handle) else {
+            return false;
+        };
+        t.set_muted(true);
+        self.mute_period = Some(period);
+        true
     }
 
-    /// Removes and returns the earliest live event, if any.
+    /// Lifts a mute: the next pop of `handle` returns its payload again.
+    /// Returns whether the handle is pending (a no-op otherwise).
+    pub fn unmute(&mut self, handle: TimerHandle) -> bool {
+        self.live_slot(handle).map(|t| t.set_muted(false)).is_some()
+    }
+
+    /// The slab slot `handle` names, while its timer is pending.
+    fn live_slot(&mut self, handle: TimerHandle) -> Option<&mut TimerSlot> {
+        self.timers
+            .get_mut(handle.index())
+            .filter(|t| !t.is_dead(handle))
+    }
+
+    /// What a popped entry does. A timer that fires, and a dead entry,
+    /// give their slab slot back.
+    fn settle(&mut self, entry: &Scheduled<E>) -> Fate {
+        let Some(h) = entry.timer else {
+            return Fate::Deliver;
+        };
+        let t = self
+            .timers
+            .get_mut(h.index())
+            .expect("slab slot valid while its handle is outstanding");
+        if t.is_dead(h) {
+            self.free_slots.push(h.slot);
+            return Fate::Dead;
+        }
+        if t.is_muted() {
+            return Fate::Rearm;
+        }
+        // Delivered: invalidate outstanding handles.
+        t.retire();
+        self.free_slots.push(h.slot);
+        Fate::Deliver
+    }
+
+    /// Pops the earliest live event: `(time, Some(payload))`, or
+    /// `(time, None)` for a muted timer, which the calendar has just put
+    /// back one period later. Either way the step counts in
+    /// [`popped`](Self::popped), advances `now()` and reaches the hooks.
     ///
     /// Cancelled entries encountered on the way are discarded without any
     /// observable effect (no `popped` tick, no `now()` advance, no audit
     /// callback).
-    pub fn pop(&mut self) -> Option<(Time, E)> {
+    pub fn step(&mut self) -> Option<(Time, Option<E>)> {
         loop {
-            let (time, seq, entry) = self
-                .wheel
-                .pop_reap(&mut dead_filter(&self.timer_gens, &mut self.free_slots))?;
-            if self.reap(&entry) {
+            let (time, seq, entry) = if self.lane_is_next() {
+                self.lane.pop_front().expect("the lane has a front")
+            } else {
+                self.wheel
+                    .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))?
+            };
+            let fate = self.settle(&entry);
+            if let Fate::Dead = fate {
                 continue;
             }
             self.popped += 1;
             self.last_time = time;
             flexpass_simhooks::on_event_pop(time.as_nanos(), seq);
-            return Some((time, entry.payload));
+            return Some(match fate {
+                Fate::Rearm => {
+                    self.rearm(time, entry);
+                    (time, None)
+                }
+                _ => (time, Some(entry.payload)),
+            });
+        }
+    }
+
+    /// True when the lane's front comes before the wheel's head.
+    fn lane_is_next(&self) -> bool {
+        match (self.lane.front(), self.wheel.peek()) {
+            (Some(&(time, seq, _)), Some((t, s, _))) => (time, seq) < (t, s),
+            (front, _) => front.is_some(),
+        }
+    }
+
+    /// Puts a muted timer popped at `time` back on the lane, one period
+    /// later under the next sequence number. Kept out of line: most pops
+    /// deliver, and the pop loop stays as small as it was without mutes.
+    #[inline(never)]
+    fn rearm(&mut self, time: Time, entry: Scheduled<E>) {
+        let at = time + self.mute_period.expect("a muted timer has a period");
+        flexpass_simhooks::on_event_schedule(at.as_nanos(), self.last_time.as_nanos());
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.rearmed += 1;
+        self.lane.push_back((at, seq, entry));
+    }
+
+    /// Removes and returns the earliest live event, if any: [`step`]
+    /// without the muted re-arms, which it passes over (each still counts
+    /// as a pop). A calendar holding a muted timer never drains, so code
+    /// that mutes drives the calendar through [`step`].
+    ///
+    /// [`step`]: Self::step
+    pub fn pop(&mut self) -> Option<(Time, E)> {
+        loop {
+            if let (time, Some(payload)) = self.step()? {
+                return Some((time, payload));
+            }
         }
     }
 
@@ -277,39 +435,40 @@ impl<E> EventQueue<E> {
     /// leak into `run_until`-style deadline checks.
     pub fn peek_time(&mut self) -> Option<Time> {
         loop {
-            let dead = {
-                let (time, _, entry) = self.wheel.peek()?;
-                match entry.timer {
-                    Some(h)
-                        if self
-                            .timer_gens
-                            .get(h.index())
-                            .is_some_and(|&g| g != h.generation) =>
-                    {
-                        true
-                    }
-                    _ => return Some(time),
-                }
+            let from_lane = self.lane_is_next();
+            let (time, entry) = if from_lane {
+                self.lane
+                    .front()
+                    .map(|(time, _, entry)| (*time, entry))
+                    .expect("the lane has a front")
+            } else {
+                self.wheel.peek().map(|(time, _, entry)| (time, entry))?
             };
-            debug_assert!(dead);
-            let (_, _, entry) = self
-                .wheel
-                .pop_reap(&mut dead_filter(&self.timer_gens, &mut self.free_slots))
-                .expect("peeked entry exists");
-            let reaped = self.reap(&entry);
-            debug_assert!(reaped);
+            match entry.timer {
+                Some(h) if self.timers.get(h.index()).is_some_and(|t| t.is_dead(h)) => {}
+                _ => return Some(time),
+            }
+            let (_, _, entry) = if from_lane {
+                self.lane.pop_front().expect("the lane has a front")
+            } else {
+                self.wheel
+                    .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))
+                    .expect("peeked entry exists")
+            };
+            let fate = self.settle(&entry);
+            debug_assert!(matches!(fate, Fate::Dead));
         }
     }
 
     /// Number of pending calendar entries, *including* cancelled ones not
     /// yet lazily discarded.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.wheel.len() + self.lane.len()
     }
 
     /// True when no calendar entries are pending (live or cancelled).
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.len() == 0
     }
 
     /// Total number of live events popped so far (a cheap progress metric).
@@ -332,6 +491,13 @@ impl<E> EventQueue<E> {
     /// Number of successful [`cancel`](Self::cancel) calls so far.
     pub fn cancelled(&self) -> u64 {
         self.cancelled
+    }
+
+    /// Number of muted pops so far: steps without a payload, each of which
+    /// re-armed its timer (see [`mute`](Self::mute)). They count in
+    /// [`popped`](Self::popped) too.
+    pub fn rearmed(&self) -> u64 {
+        self.rearmed
     }
 }
 
@@ -484,6 +650,47 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.popped(), 0);
         assert_eq!(q.now(), Time::ZERO);
+    }
+
+    #[test]
+    fn muted_timer_rearms_itself_until_unmuted() {
+        let mut q = EventQueue::new();
+        let h = q.schedule_cancelable(Time::from_nanos(10), "tick");
+        q.schedule(Time::from_nanos(25), "other");
+        assert!(q.mute(h, TimeDelta::nanos(10)));
+        // Pops at 10 and 20 are steps without a payload; the handle stays
+        // pending across them, and the re-armed entry at 30 ties with
+        // nothing scheduled before it.
+        assert_eq!(q.step(), Some((Time::from_nanos(10), None)));
+        assert_eq!(q.step(), Some((Time::from_nanos(20), None)));
+        assert!(q.is_pending(h));
+        assert_eq!(q.step(), Some((Time::from_nanos(25), Some("other"))));
+        assert!(q.unmute(h));
+        assert_eq!(q.pop(), Some((Time::from_nanos(30), "tick")));
+        assert_eq!((q.popped(), q.rearmed()), (4, 2));
+        // Fired: muting or unmuting the stale handle does nothing.
+        assert!(!q.mute(h, TimeDelta::nanos(10)) && !q.unmute(h));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancel_and_slot_reuse_end_a_mute() {
+        let mut q = EventQueue::new();
+        let h1 = q.schedule_cancelable(Time::from_nanos(10), 1);
+        assert!(q.mute(h1, TimeDelta::nanos(5)));
+        assert!(q.cancel(h1));
+        assert!(q.peek_time().is_none()); // reaps h1's entry, freeing its slot
+        let h2 = q.schedule_cancelable(Time::from_nanos(20), 2);
+        assert_eq!(h1.slot, h2.slot);
+        assert_eq!(q.step(), Some((Time::from_nanos(20), Some(2))));
+        // A zero period is refused, and so is one other than the 5 ns the
+        // calendar was first muted with.
+        let h3 = q.schedule_cancelable(Time::from_nanos(30), 3);
+        assert!(!q.mute(h3, TimeDelta::ZERO));
+        assert!(!q.mute(h3, TimeDelta::nanos(3)));
+        assert!(q.mute(h3, TimeDelta::nanos(5)));
+        assert!(q.unmute(h3));
+        assert_eq!(q.step(), Some((Time::from_nanos(30), Some(3))));
     }
 
     // Release-only: in debug builds a past-time schedule panics via

@@ -22,7 +22,7 @@
 /// let mut b = SimRng::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }

@@ -3,10 +3,11 @@
 //! The calendar's contract (DESIGN.md "Determinism & invariants"): pops are
 //! totally ordered by `(time, insertion order)` — time never goes backwards,
 //! and events scheduled for the same instant fire in FIFO order. Both the
-//! batch and the interleaved schedule/pop paths must uphold it.
+//! batch and the interleaved schedule/pop paths must uphold it, and a muted
+//! timer's pop re-arms it exactly as a re-schedule at that instant would.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use flexpass_simcore::event::EventQueue;
 use flexpass_simcore::time::{Time, TimeDelta};
@@ -15,86 +16,189 @@ use flexpass_simcore::TimerHandle;
 use proptest::prelude::*;
 
 /// Reference model for the differential test: the calendar as one binary
-/// heap over `(time, insertion seq)` with cancellation as a set lookup at
-/// pop. The payload of every entry is its own sequence number, which also
-/// serves as the cancellation handle.
+/// heap over `(time, insertion seq)`. A cancellable entry is a timer,
+/// identified by its index in `timers`; cancellation is a lookup at pop,
+/// and a muted timer is re-armed by hand when it pops. The payload of
+/// every entry is the sequence number it was first scheduled under.
+/// A reference entry: `(time, seq, payload, timer)`.
+type RefEntry = (Time, u64, u64, Option<usize>);
+
 #[derive(Default)]
 struct RefCalendar {
-    /// `(time, seq, cancellable)`, earliest first.
-    heap: BinaryHeap<Reverse<(Time, u64, bool)>>,
-    /// Cancellable entries neither fired nor cancelled yet.
-    pending: BTreeSet<u64>,
+    /// Earliest first.
+    heap: BinaryHeap<Reverse<RefEntry>>,
+    timers: Vec<RefTimer>,
+    /// The period of the first successful mute.
+    period: Option<TimeDelta>,
     next_seq: u64,
     popped: u64,
+    rearmed: u64,
+}
+
+#[derive(Default)]
+struct RefTimer {
+    /// Sequence number of the timer's live entry; `None` once it fired or
+    /// was cancelled.
+    pending: Option<u64>,
+    mute: Option<TimeDelta>,
 }
 
 impl RefCalendar {
-    fn schedule(&mut self, time: Time, cancellable: bool) -> u64 {
+    /// Schedules an entry; returns its payload and, if cancellable, its
+    /// timer.
+    fn schedule(&mut self, time: Time, cancellable: bool) -> (u64, Option<usize>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse((time, seq, cancellable)));
-        if cancellable {
-            self.pending.insert(seq);
+        let timer = cancellable.then(|| {
+            self.timers.push(RefTimer {
+                pending: Some(seq),
+                mute: None,
+            });
+            self.timers.len() - 1
+        });
+        self.heap.push(Reverse((time, seq, seq, timer)));
+        (seq, timer)
+    }
+
+    fn cancel(&mut self, id: usize) -> bool {
+        let t = &mut self.timers[id];
+        t.mute = None;
+        t.pending.take().is_some()
+    }
+
+    /// The calendar's contract: a pending timer takes any non-zero period
+    /// equal to the first one muted with; anything else is refused.
+    fn mute(&mut self, id: usize, period: TimeDelta) -> bool {
+        if self.timers[id].pending.is_none() || period == TimeDelta::ZERO {
+            return false;
         }
-        seq
+        if *self.period.get_or_insert(period) != period {
+            return false;
+        }
+        self.timers[id].mute = Some(period);
+        true
     }
 
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.pending.remove(&seq)
+    fn unmute(&mut self, id: usize) -> bool {
+        let t = &mut self.timers[id];
+        t.mute = None;
+        t.pending.is_some()
     }
 
-    fn pop(&mut self) -> Option<(Time, u64)> {
+    fn is_live(&self, seq: u64, timer: Option<usize>) -> bool {
+        timer.is_none_or(|id| self.timers[id].pending == Some(seq))
+    }
+
+    /// The earliest live entry.
+    fn head(&self) -> Option<&RefEntry> {
+        self.heap
+            .iter()
+            .map(|Reverse(e)| e)
+            .filter(|(_, seq, _, timer)| self.is_live(*seq, *timer))
+            .min()
+    }
+
+    /// The timer whose entry is the earliest live one, if that entry is a
+    /// timer's.
+    fn head_timer(&self) -> Option<usize> {
+        self.head().and_then(|e| e.3)
+    }
+
+    fn step(&mut self) -> Option<(Time, Option<u64>)> {
         loop {
-            let Reverse((time, seq, cancellable)) = self.heap.pop()?;
-            if cancellable && !self.pending.remove(&seq) {
+            let Reverse((time, seq, payload, timer)) = self.heap.pop()?;
+            if !self.is_live(seq, timer) {
                 continue;
             }
             self.popped += 1;
-            return Some((time, seq));
+            if let Some(id) = timer {
+                if let Some(period) = self.timers[id].mute {
+                    self.rearmed += 1;
+                    let rearm = self.next_seq;
+                    self.next_seq += 1;
+                    self.timers[id].pending = Some(rearm);
+                    self.heap
+                        .push(Reverse((time + period, rearm, payload, timer)));
+                    return Some((time, None));
+                }
+                self.timers[id].pending = None;
+            }
+            return Some((time, Some(payload)));
         }
     }
 }
 
 /// The calendar and the reference model driven in lock step: every
-/// schedule, cancellation and pop goes to both, and every observable they
-/// return is compared on the spot.
+/// schedule, cancellation, mute and pop goes to both, and every
+/// observable they return is compared on the spot.
 #[derive(Default)]
 struct Pair {
     wheel: EventQueue<u64>,
     heap: RefCalendar,
-    /// Outstanding cancellable timers as (queue handle, model seq) pairs,
-    /// so a cancellation targets the same logical timer in both. Entries
-    /// stay after their timer fires: cancelling those must fail in both.
-    handles: Vec<(TimerHandle, u64)>,
+    /// Outstanding cancellable timers as (queue handle, model timer)
+    /// pairs, so a cancellation or a mute targets the same logical timer
+    /// in both. Entries stay after their timer fires: cancelling or muting
+    /// those must fail in both.
+    handles: Vec<(TimerHandle, usize)>,
     last_time: Time,
 }
 
 impl Pair {
     fn schedule(&mut self, dt: u64, cancellable: bool) {
         let at = self.last_time + TimeDelta::nanos(dt);
-        let seq = self.heap.schedule(at, cancellable);
-        if cancellable {
-            self.handles
-                .push((self.wheel.schedule_cancelable(at, seq), seq));
-        } else {
-            self.wheel.schedule(at, seq);
+        let (payload, timer) = self.heap.schedule(at, cancellable);
+        match timer {
+            Some(id) => self
+                .handles
+                .push((self.wheel.schedule_cancelable(at, payload), id)),
+            None => self.wheel.schedule(at, payload),
         }
     }
 
     fn cancel(&mut self, i: usize) {
         if !self.handles.is_empty() {
-            let (h, seq) = self.handles.swap_remove(i % self.handles.len());
+            let (h, id) = self.handles.swap_remove(i % self.handles.len());
             assert_eq!(
                 self.wheel.cancel(h),
-                self.heap.cancel(seq),
+                self.heap.cancel(id),
                 "calendar disagreed with the heap on cancel result"
             );
         }
     }
 
+    fn mute(&mut self, i: usize, period: Option<TimeDelta>) {
+        if let Some(&(h, id)) = self.handles.get(i % self.handles.len().max(1)) {
+            let (a, b) = match period {
+                Some(p) => (self.wheel.mute(h, p), self.heap.mute(id, p)),
+                None => (self.wheel.unmute(h), self.heap.unmute(id)),
+            };
+            assert_eq!(a, b, "calendar disagreed with the heap on (un)mute result");
+        }
+    }
+
+    /// Mutes the timer at the head of the calendar, if the head is one.
+    fn mute_head(&mut self, period: TimeDelta) {
+        let head = self.heap.head_timer();
+        let handle = self.handles.iter().find(|e| Some(e.1) == head);
+        if let Some(&(h, id)) = handle {
+            assert!(self.wheel.is_pending(h), "head timer not pending");
+            assert_eq!(self.wheel.mute(h, period), self.heap.mute(id, period));
+        }
+    }
+
     fn pop(&mut self) -> bool {
-        let a = self.wheel.pop();
-        assert_eq!(a, self.heap.pop(), "calendar diverged from the heap on pop");
+        assert_eq!(
+            self.wheel.peek_time(),
+            self.heap.head().map(|e| e.0),
+            "calendar disagreed with the heap on the next event's time"
+        );
+        let a = self.wheel.step();
+        assert_eq!(
+            a,
+            self.heap.step(),
+            "calendar diverged from the heap on pop"
+        );
+        assert_eq!(self.wheel.popped(), self.heap.popped, "pop counts differ");
         if let Some((t, _)) = a {
             assert!(t >= self.last_time, "time went backwards");
             self.last_time = t;
@@ -102,10 +206,15 @@ impl Pair {
         a.is_some()
     }
 
-    /// Drains both to the end: the full residual sequence must match.
+    /// Unmutes every timer, then drains both to the end: the full residual
+    /// sequence must match.
     fn drain(mut self) {
+        for i in 0..self.handles.len() {
+            self.mute(i, None);
+        }
         while self.pop() {}
         assert_eq!(self.wheel.popped(), self.heap.popped);
+        assert_eq!(self.wheel.rearmed(), self.heap.rearmed);
     }
 }
 
@@ -120,17 +229,40 @@ enum Op {
     ScheduleCancelable(u64),
     /// Cancel the pending handle at (index % live handles), if any.
     Cancel(usize),
+    /// Mute (`Some(period)`) or unmute (`None`) the handle at (index %
+    /// handles), whether or not it is still pending.
+    Mute(usize, Option<TimeDelta>),
+    /// Mute the timer at the head of the calendar, if the head is one.
+    MuteHead(TimeDelta),
 }
 
-fn decode(kind: u8, arg: u64) -> Op {
-    match kind % 7 {
+/// A mute period: mostly the test case's own (`base`, a few nanoseconds,
+/// so re-arms tie with entries scheduled a few nanoseconds ahead),
+/// sometimes zero or another one, which the calendar refuses.
+fn period(base: u64, arg: u64) -> TimeDelta {
+    TimeDelta::nanos(match arg % 16 {
+        0 => 0,
+        1 => 1 << 33,
+        2 => base + 1,
+        _ => base,
+    })
+}
+
+fn decode(base: u64, kind: u8, arg: u64) -> Op {
+    match kind % 12 {
         0 | 1 => Op::Pop,
         // Mix short offsets (dense ties, same-slot collisions) with long
         // ones that reach every wheel level and the overflow heap.
         2 => Op::Schedule(arg % 2_000_000),
         3 => Op::Schedule(arg % (1 << 36)),
-        4 | 5 => Op::ScheduleCancelable(arg % 2_000_000),
-        _ => Op::Cancel(arg as usize),
+        4 => Op::Schedule(arg % 8),
+        5 => Op::ScheduleCancelable(arg % 2_000_000),
+        6 => Op::ScheduleCancelable(arg % 8),
+        7 => Op::Cancel(arg as usize),
+        8 => Op::Mute((arg >> 20) as usize, Some(period(base, arg))),
+        9 => Op::Mute((arg >> 20) as usize, None),
+        10 => Op::MuteHead(period(base, arg)),
+        _ => Op::Pop,
     }
 }
 
@@ -190,23 +322,29 @@ proptest! {
     }
 
     /// Differential check: the calendar is observably a binary heap over
-    /// `(time, insertion order)`. Any interleaving of schedules, pops and
-    /// cancellations — including same-instant ties and cancel-then-pop races
-    /// (lazy deletion) — must yield the identical `(time, payload)` pop
-    /// sequence from `EventQueue` and from the reference model.
+    /// `(time, insertion order)`. Any interleaving of schedules, pops,
+    /// cancellations and mutes — including same-instant ties,
+    /// cancel-then-pop races (lazy deletion), cancels of muted timers,
+    /// mutes of stale handles and of the calendar's head — must yield the
+    /// identical `(time, payload)` step sequence (payload-less steps
+    /// included) from `EventQueue` and from the reference model, which
+    /// re-arms a muted timer by hand.
     #[test]
     fn wheel_and_heap_pop_identically_under_cancellation(
         tape in prop::collection::vec((0u8..=255, 0u64..u64::MAX), 1..300),
+        base in 1u64..7,
     ) {
         let mut pair = Pair::default();
         for (kind, arg) in tape {
-            match decode(kind, arg) {
+            match decode(base, kind, arg) {
                 Op::Pop => {
                     pair.pop();
                 }
                 Op::Schedule(dt) => pair.schedule(dt, false),
                 Op::ScheduleCancelable(dt) => pair.schedule(dt, true),
                 Op::Cancel(i) => pair.cancel(i),
+                Op::Mute(i, period) => pair.mute(i, period),
+                Op::MuteHead(period) => pair.mute_head(period),
             }
         }
         pair.drain();

@@ -6,7 +6,7 @@
 //! requests and application events through an [`EndpointCtx`], which the host
 //! drains into the simulator.
 
-use flexpass_simcore::time::Time;
+use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::Bytes;
 
 use crate::arena::{PacketArena, PacketId};
@@ -118,6 +118,10 @@ pub enum TimerCmd {
     Cancel(u64),
 }
 
+/// A mute hint: `(token, Some(period))` mutes the armed timer of `token`,
+/// `(token, None)` lifts the mute (see [`EndpointCtx::mute_timer`]).
+pub type MuteHint = (u64, Option<TimeDelta>);
+
 /// Output channel endpoints write into during a callback.
 ///
 /// `send` moves the packet straight into the [`PacketArena`] and stages
@@ -130,11 +134,13 @@ pub struct EndpointCtx<'a> {
     tx: &'a mut Vec<PacketId>,
     timers: &'a mut Vec<TimerCmd>,
     app: &'a mut Vec<AppEvent>,
+    /// Where mute hints go; `None` drops them.
+    mutes: Option<&'a mut Vec<MuteHint>>,
 }
 
 impl<'a> EndpointCtx<'a> {
     /// Builds a context around the host's scratch buffers and the packet
-    /// arena.
+    /// arena. It drops mute hints, so every timer tick is delivered.
     pub fn new(
         now: Time,
         arena: &'a mut PacketArena,
@@ -148,6 +154,15 @@ impl<'a> EndpointCtx<'a> {
             tx,
             timers,
             app,
+            mutes: None,
+        }
+    }
+
+    /// [`EndpointCtx::new`] that also collects mute hints into `mutes`.
+    pub(crate) fn with_mutes(self, mutes: &'a mut Vec<MuteHint>) -> Self {
+        EndpointCtx {
+            mutes: Some(mutes),
+            ..self
         }
     }
 
@@ -183,6 +198,20 @@ impl<'a> EndpointCtx<'a> {
     /// cancelling an already-fired or never-armed token is safe.
     pub fn cancel_timer(&mut self, token: u64) {
         self.timers.push(TimerCmd::Cancel(token));
+    }
+
+    /// Hints that the armed timer of `token` is idle: with `Some(period)`,
+    /// each of its pops would only re-arm it `period` later, so the
+    /// calendar may do that itself without calling the endpoint; `None`
+    /// withdraws the hint, and must come before anything makes the next
+    /// pop do more. The hint applies, after this callback's timer
+    /// commands, to the timer the token then has armed; re-arming or
+    /// cancelling the token ends it. A hint changes who re-arms the timer,
+    /// never what happens, so a driver may drop it.
+    pub fn mute_timer(&mut self, token: u64, period: Option<TimeDelta>) {
+        if let Some(mutes) = &mut self.mutes {
+            mutes.push((token, period));
+        }
     }
 
     /// Raises an application event.

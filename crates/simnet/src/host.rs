@@ -34,7 +34,8 @@
 //! `Cancel` issued while finishing still finds the handle it names. Timers
 //! left armed at that point are *forgotten*, not cancelled: their calendar
 //! entries still pop as events, find no flow, and do nothing — exactly the
-//! event sequence of a table that kept them.
+//! event sequence of a table that kept them. A forgotten timer is unmuted
+//! first, so it pops once into nobody instead of re-arming forever.
 //!
 //! [`Host::new`] allocates neither; the slab and the index double as the
 //! live-flow count first reaches each size, so steady-state churn stays
@@ -47,7 +48,7 @@ use flexpass_simcore::units::Bytes;
 use flexpass_simcore::TimerHandle;
 
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, TimerCmd};
+use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, MuteHint, TimerCmd};
 use crate::packet::{FlowId, HostId, Packet};
 use crate::port::Port;
 use crate::queue::DropReason;
@@ -363,6 +364,11 @@ impl Host {
         }
     }
 
+    /// The handle slot `s` holds armed for `kind`, left in place.
+    pub(crate) fn armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
+        self.live_mut(s).armed_mut(kind).and_then(|a| *a)
+    }
+
     /// Removes and returns the handle slot `s` holds armed for `kind`.
     pub(crate) fn take_armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
         let hd = self.live_mut(s).armed_mut(kind)?.take();
@@ -392,16 +398,21 @@ impl Host {
 
     /// Retires the endpoint that finished in the callback just flushed,
     /// if one did: its slot joins the free list and its index entry is
-    /// vacated. Handles it still held are forgotten, not cancelled — the
-    /// calendar entries pop as events that find no flow.
-    pub(crate) fn retire_finished(&mut self) {
+    /// vacated. Handles it still held are unmuted in `events` and
+    /// forgotten, not cancelled — the calendar entries pop once as events
+    /// that find no flow.
+    pub(crate) fn retire_finished<E>(&mut self, events: &mut EventQueue<E>) {
         let Some(pos) = self.finished.take() else {
             return;
         };
         let slot = self.live_mut(FlowSlot(pos));
         let flow = slot.flow;
-        let forgotten = slot.armed.iter().flatten().count();
-        self.armed -= u32::try_from(forgotten).expect("at most MAX_ARMED_KINDS");
+        let mut forgotten = 0;
+        for &hd in slot.armed.iter().flatten() {
+            events.unmute(hd);
+            forgotten += 1;
+        }
+        self.armed -= forgotten;
         self.index_remove(flow);
         // Drops the endpoint.
         *self
@@ -445,6 +456,8 @@ pub struct Scratch {
     pub timers: Vec<TimerCmd>,
     /// Application events.
     pub app: Vec<AppEvent>,
+    /// Mute hints, in issue order.
+    pub mutes: Vec<MuteHint>,
 }
 
 impl Scratch {
@@ -453,6 +466,7 @@ impl Scratch {
         self.tx.clear();
         self.timers.clear();
         self.app.clear();
+        self.mutes.clear();
     }
 
     /// Current backing capacities `(tx, timers, app)` — watched by the
@@ -466,9 +480,11 @@ impl Scratch {
         )
     }
 
-    /// Builds an [`EndpointCtx`] over these buffers and the packet arena.
+    /// Builds an [`EndpointCtx`] over these buffers and the packet arena;
+    /// it collects mute hints.
     pub fn ctx<'a>(&'a mut self, now: Time, arena: &'a mut PacketArena) -> EndpointCtx<'a> {
         EndpointCtx::new(now, arena, &mut self.tx, &mut self.timers, &mut self.app)
+            .with_mutes(&mut self.mutes)
     }
 }
 
@@ -554,7 +570,7 @@ mod tests {
     /// retirement that ends its flush.
     fn deliver(h: &mut Host, flow: FlowId, scratch: &mut Scratch, arena: &mut PacketArena) -> bool {
         let claimed = h.deliver(&ctrl_pkt(flow), &mut scratch.ctx(Time::ZERO, arena));
-        h.retire_finished();
+        h.retire_finished(&mut EventQueue::<()>::new());
         claimed
     }
 
@@ -906,7 +922,7 @@ mod tests {
                 }
             }
             sb.clear();
-            h.retire_finished();
+            h.retire_finished(&mut self.events);
             r.retire_finished();
             assert_eq!(h.live_flows(), r.flows.len());
             assert_eq!(h.armed_timers(), r.armed.len());

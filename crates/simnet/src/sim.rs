@@ -386,6 +386,12 @@ impl<O: NetObserver> Sim<O> {
         self.events.cancelled()
     }
 
+    /// Timer pops the calendar completed itself by re-arming a muted timer
+    /// (run statistic; they count in [`Sim::events_processed`] too).
+    pub fn timers_rearmed(&self) -> u64 {
+        self.events.rearmed()
+    }
+
     /// Attaches a progress probe the event loop publishes into every
     /// [`PUBLISH_EVERY`] events (see [`flexpass_simcore::progress`]).
     /// Purely observational — cannot change any simulated outcome.
@@ -494,13 +500,17 @@ impl<O: NetObserver> Sim<O> {
     }
 
     /// Pops and dispatches one event; `false` when the calendar is empty.
-    /// Every loop advances through here, so this is the progress probe's
-    /// only publisher.
+    /// A muted timer's pop is a step the calendar completed itself (it
+    /// re-armed the timer), so there is nothing to dispatch. Every loop
+    /// advances through here, so this is the progress probe's only
+    /// publisher.
     fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.events.pop() else {
+        let Some((now, ev)) = self.events.step() else {
             return false;
         };
-        self.dispatch(now, ev);
+        if let Some(ev) = ev {
+            self.dispatch(now, ev);
+        }
         if let Some(probe) = &self.progress {
             let popped = self.events.popped();
             if popped & (PUBLISH_EVERY - 1) == 0 {
@@ -719,7 +729,8 @@ impl<O: NetObserver> Sim<O> {
     }
 
     /// Drains the scratch buffers after a host callback: transmit packets
-    /// through the NIC, schedule timers, surface app events.
+    /// through the NIC, schedule timers, apply mute hints, surface app
+    /// events.
     fn flush(&mut self, now: Time, node: NodeId) {
         let mut scratch = std::mem::take(&mut self.scratch);
         for pid in scratch.tx.drain(..) {
@@ -778,9 +789,22 @@ impl<O: NetObserver> Sim<O> {
                 }
             }
         }
+        // Mute hints name the timer each token has armed once the commands
+        // above have run.
+        for (token, period) in scratch.mutes.drain(..) {
+            let armed = h
+                .find(timer_flow(token))
+                .and_then(|s| h.armed(s, timer_kind(token)));
+            if let Some(hd) = armed {
+                match period {
+                    Some(period) => self.events.mute(hd, period),
+                    None => self.events.unmute(hd),
+                };
+            }
+        }
         // Only now may an endpoint that finished in this callback leave
         // the table: the commands above could still name its timers.
-        h.retire_finished();
+        h.retire_finished(&mut self.events);
         for ev in scratch.app.drain(..) {
             if matches!(ev, AppEvent::FlowCompleted { .. }) {
                 self.completed += 1;
@@ -1420,6 +1444,98 @@ mod tests {
                 assert_eq!((h.live_flows(), h.armed_timers()), (0, 0));
             }
         }
+    }
+
+    /// Sender half with a 10 µs periodic kind-2 tick that, with `hints`,
+    /// mutes itself at its first pop; a kind-1 timer at 95 µs finishes
+    /// the endpoint with the tick still armed.
+    struct TickEp {
+        flow: FlowId,
+        hints: bool,
+        done: bool,
+        fired: Fired,
+    }
+
+    impl Endpoint for TickEp {
+        fn activate(&mut self, ctx: &mut EndpointCtx) {
+            ctx.arm_timer(ctx.now + TimeDelta::micros(10), timer_token(self.flow, 2));
+            ctx.set_timer(ctx.now + TimeDelta::micros(95), timer_token(self.flow, 1));
+        }
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut EndpointCtx) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+            self.fired
+                .lock()
+                .expect("lock")
+                .push((self.flow, timer_kind(token), ctx.now));
+            if timer_kind(token) == 1 {
+                self.done = true;
+                return;
+            }
+            let period = TimeDelta::micros(10);
+            ctx.arm_timer(ctx.now + period, token);
+            if self.hints {
+                ctx.mute_timer(token, Some(period));
+            }
+        }
+        fn finished(&self) -> bool {
+            self.done
+        }
+    }
+
+    struct TickFactory {
+        hints: bool,
+        fired: Fired,
+    }
+
+    impl TransportFactory for TickFactory {
+        fn sender(&self, flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            Box::new(TickEp {
+                flow: flow.id,
+                hints: self.hints,
+                done: false,
+                fired: self.fired.clone(),
+            })
+        }
+        fn receiver(&self, _flow: &FlowSpec, _env: &NetEnv) -> Box<dyn Endpoint> {
+            Box::new(Absent)
+        }
+    }
+
+    /// An endpoint mutes its periodic tick and then finishes without
+    /// cancelling it: retirement unmutes the tick, which pops once into
+    /// nobody, so the calendar drains with the event and cancel counts of
+    /// the same script with its hints dropped; only the endpoint calls
+    /// differ.
+    #[test]
+    fn a_muted_tick_around_a_finishing_endpoint() {
+        let run = |hints| {
+            let p = profile(Rate::from_gbps(10));
+            let topo = Topology::star(2, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
+            let fired = Fired::default();
+            let factory = TickFactory {
+                hints,
+                fired: fired.clone(),
+            };
+            let mut sim = Sim::new(topo, Box::new(factory), NullObserver);
+            sim.schedule_flow(flow(1, 0, 1, 100, Time::ZERO));
+            sim.run_until(Time::from_millis(1));
+            let calls = fired.lock().expect("lock").len();
+            let counts = (
+                sim.events_processed(),
+                sim.timers_cancelled(),
+                sim.now(),
+                sim.next_event_time(),
+            );
+            (counts, sim.timers_rearmed(), calls)
+        };
+        let at = Time::from_micros;
+        // The flow start, ticks at 10..=90 µs, the finishing timer at
+        // 95 µs and the tick at 100 µs that finds nobody.
+        let counts = (12, 0, at(100), None);
+        assert_eq!(run(false), (counts, 0, 10));
+        // Only the first tick reaches the endpoint; the calendar re-arms
+        // the other eight.
+        assert_eq!(run(true), (counts, 8, 2));
     }
 
     /// A flow id must fit the 48 bits a timer token leaves it: one bit

@@ -35,7 +35,7 @@ const TK_RTO: u16 = 5;
 const TK_LINGER: u16 = 6;
 
 /// ExpressPass parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpConfig {
     /// Traffic class for data packets.
     pub data_class: TrafficClass,
@@ -233,12 +233,15 @@ impl Endpoint for EpSender {
     }
 }
 
+/// Fewest credits a period must have sent for its feedback update to run.
+const MIN_CREDIT_SAMPLE: u64 = 8;
+
 /// The ExpressPass credit-rate feedback engine, shared between the plain
 /// ExpressPass receiver and the FlexPass proactive sub-flow.
 ///
 /// Rates are expressed as the *data* rate the credits trigger (bps); the
 /// credit packets themselves are `CTRL_WIRE / DATA_WIRE` times smaller.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CreditEngine {
     cfg: EpConfig,
     max_rate: f64,
@@ -289,17 +292,22 @@ impl CreditEngine {
         base.mul_f64(factor)
     }
 
+    /// True while this period has sent too few credits for an update.
+    fn sample_short(&self) -> bool {
+        self.credits_sent_period < MIN_CREDIT_SAMPLE
+    }
+
     /// Runs one feedback update over the counters accumulated since the
     /// last call (SIGCOMM '17 algorithm: binary-search increase under the
-    /// target loss, multiplicative decrease above it).
-    /// Updates are skipped (counters keep accumulating) until at least a
-    /// handful of credits were sent: with per-RTT update periods and a low
-    /// current rate, a 1-credit sample would read as 0 % or 100 % loss
-    /// depending on pipeline phase and pin the rate at the minimum.
-    pub fn feedback_update(&mut self) {
-        const MIN_CREDIT_SAMPLE: u64 = 8;
-        if self.credits_sent_period < MIN_CREDIT_SAMPLE {
-            return;
+    /// target loss, multiplicative decrease above it); returns whether it
+    /// ran. Updates are skipped (counters keep accumulating, nothing
+    /// changes) until at least a handful of credits were sent: with
+    /// per-RTT update periods and a low current rate, a 1-credit sample
+    /// would read as 0 % or 100 % loss depending on pipeline phase and pin
+    /// the rate at the minimum.
+    pub fn feedback_update(&mut self) -> bool {
+        if self.sample_short() {
+            return false;
         }
         let delivered = self.data_rcvd_period.min(self.credits_sent_period);
         let loss = 1.0 - delivered as f64 / self.credits_sent_period as f64;
@@ -323,13 +331,33 @@ impl CreditEngine {
             .clamp(self.max_rate * self.cfg.min_rate_frac, self.max_rate);
         self.credits_sent_period = 0;
         self.data_rcvd_period = 0;
+        true
     }
+}
+
+/// Where a [`CreditLoop`]'s feedback tick stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tick {
+    /// Not in the calendar.
+    Off,
+    /// Armed; its pop reaches the loop.
+    Armed,
+    /// Armed and muted: the sample is short, so every pop would only
+    /// re-arm the tick, and the calendar does that itself.
+    Muted,
 }
 
 /// The receiver half of the credit loop: paces credits towards the sender
 /// at the [`CreditEngine`]'s rate and lets the engine re-tune that rate once
 /// per update period. Shared by the ExpressPass receiver and the FlexPass
 /// proactive sub-flow, which differ only in the engine's configuration.
+///
+/// Under incast most feedback ticks find the sample short and do nothing
+/// but re-arm. After one such tick the loop mutes the tick
+/// ([`EndpointCtx::mute_timer`]) so the calendar re-arms it alone, and
+/// unmutes it on the credit that completes the sample and on
+/// [`stop`](Self::stop), the two things that make the next tick act.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CreditLoop {
     spec: FlowSpec,
     engine: CreditEngine,
@@ -338,6 +366,7 @@ pub struct CreditLoop {
     crediting: bool,
     /// A pacing tick is in the calendar (whether or not `crediting`).
     chain_live: bool,
+    feedback: Tick,
     update_period: TimeDelta,
     credit_token: u64,
     feedback_token: u64,
@@ -359,6 +388,7 @@ impl CreditLoop {
             credit_idx: 0,
             crediting: false,
             chain_live: false,
+            feedback: Tick::Off,
             update_period: env.base_rtt.max(TimeDelta::micros(20)),
             credit_token: timer_token(spec.id, credit_kind),
             feedback_token: timer_token(spec.id, feedback_kind),
@@ -376,7 +406,7 @@ impl CreditLoop {
     }
 
     /// Starts (or resumes) issuing credits. A new pacing chain is armed only
-    /// when the previous one has died.
+    /// when the previous one has died; so is a feedback tick.
     pub fn start(&mut self, ctx: &mut EndpointCtx) {
         if self.crediting {
             return;
@@ -385,21 +415,41 @@ impl CreditLoop {
         if !self.chain_live {
             self.chain_live = true;
             ctx.arm_timer(ctx.now, self.credit_token);
-            ctx.arm_timer(ctx.now + self.update_period, self.feedback_token);
+            self.arm_feedback(ctx);
+        } else if self.feedback == Tick::Off {
+            // The feedback tick ended during the pause; the pacing tick
+            // is still to come and will credit again.
+            self.arm_feedback(ctx);
         }
     }
 
-    /// Mid-flow `CreditStop`: stops issuing credits. The pacing chain is
-    /// left to fire once more and observe `!crediting`; that stale fire is
-    /// what tells a later [`start`](Self::start) to arm a new chain.
-    pub fn stop(&mut self) {
+    fn arm_feedback(&mut self, ctx: &mut EndpointCtx) {
+        ctx.arm_timer(ctx.now + self.update_period, self.feedback_token);
+        self.feedback = Tick::Armed;
+    }
+
+    /// Hands the feedback tick back to the loop if it is muted.
+    fn unmute_feedback(&mut self, ctx: &mut EndpointCtx) {
+        if self.feedback == Tick::Muted {
+            ctx.mute_timer(self.feedback_token, None);
+            self.feedback = Tick::Armed;
+        }
+    }
+
+    /// Mid-flow `CreditStop`: stops issuing credits. The pacing and
+    /// feedback ticks are left to fire once more and observe `!crediting`;
+    /// that stale fire is what tells a later [`start`](Self::start) to arm
+    /// a new chain.
+    pub fn stop(&mut self, ctx: &mut EndpointCtx) {
         self.crediting = false;
+        self.unmute_feedback(ctx);
     }
 
     /// The flow completed. Completion is final (the owner never restarts a
     /// completed flow), so both chains are cancelled outright.
     pub fn halt(&mut self, ctx: &mut EndpointCtx) {
         self.crediting = false;
+        self.feedback = Tick::Off;
         ctx.cancel_timer(self.credit_token);
         ctx.cancel_timer(self.feedback_token);
     }
@@ -421,6 +471,9 @@ impl CreditLoop {
             let idx = self.credit_idx;
             self.credit_idx += 1;
             self.engine.credits_sent_period += 1;
+            if !self.engine.sample_short() {
+                self.unmute_feedback(ctx);
+            }
             hooks::record(|t_ns| TraceEvent::CreditSent {
                 t_ns,
                 flow: self.spec.id,
@@ -432,9 +485,17 @@ impl CreditLoop {
                 Payload::Credit(CreditInfo { idx }),
             ));
             ctx.arm_timer(ctx.now + self.engine.credit_interval(), token);
-        } else if token == self.feedback_token && self.crediting {
-            self.engine.feedback_update();
-            ctx.arm_timer(ctx.now + self.update_period, token);
+        } else if token == self.feedback_token {
+            if !self.crediting {
+                self.feedback = Tick::Off;
+                return;
+            }
+            let acted = self.engine.feedback_update();
+            self.arm_feedback(ctx);
+            if !acted {
+                ctx.mute_timer(token, Some(self.update_period));
+                self.feedback = Tick::Muted;
+            }
         }
     }
 }
@@ -496,7 +557,7 @@ impl Endpoint for EpReceiver {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
             Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
-            Payload::CreditStop => self.credit.stop(),
+            Payload::CreditStop => self.credit.stop(ctx),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }
@@ -802,11 +863,11 @@ mod tests {
         assert_eq!((cmds.len(), sent), (1, 1));
         assert!(matches!(cmds[0], TimerCmd::Arm(at, tok) if tok == credit && at > us(0)));
 
-        cl.stop();
+        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
         // Restarting before the stale tick fires must not stack a second
         // chain on the one still in the calendar.
         assert!(call(us(1), &mut |ctx| cl.start(ctx)).0.is_empty());
-        cl.stop();
+        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
         // The stale ticks fire, send nothing and do not re-arm.
         assert_eq!(
             call(us(2), &mut |ctx| cl.on_timer(credit, ctx)),
@@ -828,5 +889,159 @@ mod tests {
         );
         assert_eq!(call(us(30), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
         assert_eq!(cl.credits_sent(), 2);
+    }
+
+    /// The pause outlives the feedback tick but not the pacing tick (at
+    /// the minimum rate a credit interval exceeds the update period): the
+    /// feedback tick fires while stopped and ends its chain, and the
+    /// restart, finding the pacing tick still to come, must arm a new
+    /// feedback tick, or the loop credits at a frozen rate for good.
+    #[test]
+    fn restart_after_the_feedback_tick_ended_rearms_it() {
+        use flexpass_simnet::endpoint::TimerCmd;
+
+        let env = NetEnv {
+            host_rate: Rate::from_gbps(10),
+            base_rtt: TimeDelta::micros(20),
+            n_hosts: 2,
+        };
+        let spec = flow(7, 0, 1, 100 * 1460, Time::ZERO);
+        let (credit, feedback) = (timer_token(7, TK_CREDIT), timer_token(7, TK_FEEDBACK));
+        let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
+        let mut call = |at: Time, f: &mut dyn FnMut(&mut EndpointCtx)| {
+            f(&mut EndpointCtx::new(
+                at,
+                &mut arena,
+                &mut tx,
+                &mut timers,
+                &mut app,
+            ));
+            (std::mem::take(&mut timers), std::mem::take(&mut tx).len())
+        };
+        let us = Time::from_micros;
+
+        assert_eq!(call(us(0), &mut |ctx| cl.start(ctx)).0.len(), 2);
+        assert_eq!(call(us(0), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
+        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
+        // The feedback tick fires while stopped: it ends its chain.
+        assert_eq!(
+            call(us(20), &mut |ctx| cl.on_timer(feedback, ctx)),
+            (vec![], 0)
+        );
+        // The pacing tick is still in the calendar, so the restart arms
+        // no credit tick, but it does arm a feedback tick.
+        let (cmds, _) = call(us(21), &mut |ctx| cl.start(ctx));
+        assert_eq!(cmds, vec![TimerCmd::Arm(us(41), feedback)]);
+        // The pacing tick credits again, and the feedback tick re-arms.
+        assert_eq!(call(us(30), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
+        let (cmds, _) = call(us(41), &mut |ctx| cl.on_timer(feedback, ctx));
+        assert_eq!(cmds, vec![TimerCmd::Arm(us(61), feedback)]);
+    }
+
+    /// The promise a mute makes: while the loop holds its feedback tick
+    /// muted, delivering that tick would only re-arm it. Seeded sequences
+    /// of start, stop, halt, credit ticks, feedback ticks and data drive a
+    /// loop, and the calendar's side is modelled from what the loop
+    /// issues: a tick is in the calendar from its arming until it fires or
+    /// is cancelled, a mute hint applies after the callback's commands to
+    /// the tick then armed, and re-arming or cancelling ends the mute. A
+    /// tick the calendar holds muted goes to a clone instead, which must
+    /// emit exactly `[Arm(now + update_period)]`, send nothing, and end
+    /// equal to the loop.
+    #[test]
+    fn a_muted_feedback_tick_would_only_rearm() {
+        use flexpass_simnet::endpoint::TimerCmd;
+        use flexpass_simnet::host::Scratch;
+
+        let env = NetEnv {
+            host_rate: Rate::from_gbps(10),
+            base_rtt: TimeDelta::micros(20),
+            n_hosts: 2,
+        };
+        let (mut muted_ticks, mut acting_ticks) = (0u64, 0u64);
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(seed);
+            let spec = flow(seed, 0, 1, 100 * 1460, Time::ZERO);
+            let (credit, feedback) = (timer_token(seed, TK_CREDIT), timer_token(seed, TK_FEEDBACK));
+            let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
+            let mut arena = flexpass_simnet::arena::PacketArena::new();
+            let mut scratch = Scratch::default();
+            let mut sent = Vec::new();
+            // The calendar: which ticks are armed, and the feedback mute.
+            let (mut credit_armed, mut feedback_armed, mut muted) = (false, false, false);
+            // Credit ticks per feedback tick, around the sample of 8.
+            let credit_weight = 1 + rng.next_below(12);
+            let (mut now, mut halted) = (Time::ZERO, false);
+            for step in 0..1_000 {
+                now += TimeDelta::nanos(rng.next_below(4_000));
+                let op = if step == 0 { 0 } else { rng.next_below(28) };
+                if (3..=6).contains(&op) && feedback_armed && muted {
+                    let mut clone = cl.clone();
+                    scratch.clear();
+                    clone.on_timer(feedback, &mut scratch.ctx(now, &mut arena));
+                    let rearm = TimerCmd::Arm(now + cl.update_period, feedback);
+                    assert_eq!(
+                        (scratch.timers.as_slice(), scratch.tx.len()),
+                        (&[rearm][..], 0)
+                    );
+                    assert!(clone == cl, "seed {seed} step {step}: a muted tick acted");
+                    muted_ticks += 1;
+                    continue;
+                }
+                scratch.clear();
+                {
+                    let ctx = &mut scratch.ctx(now, &mut arena);
+                    match op {
+                        0 => cl.start(ctx),
+                        1 => cl.stop(ctx),
+                        2 if rng.chance(0.05) => {
+                            cl.halt(ctx);
+                            halted = true;
+                        }
+                        3..=6 if feedback_armed => {
+                            feedback_armed = false;
+                            muted = false;
+                            acting_ticks += u64::from(!cl.engine.sample_short());
+                            cl.on_timer(feedback, ctx);
+                        }
+                        op if op >= 7 && op < 7 + credit_weight && credit_armed => {
+                            credit_armed = false;
+                            cl.on_timer(credit, ctx);
+                        }
+                        _ => cl.on_data(),
+                    }
+                }
+                for cmd in &scratch.timers {
+                    match *cmd {
+                        TimerCmd::Arm(_, t) if t == credit => credit_armed = true,
+                        TimerCmd::Cancel(t) if t == credit => credit_armed = false,
+                        TimerCmd::Arm(_, t) if t == feedback => {
+                            (feedback_armed, muted) = (true, false)
+                        }
+                        TimerCmd::Cancel(t) if t == feedback => {
+                            (feedback_armed, muted) = (false, false)
+                        }
+                        other => panic!("unexpected timer command {other:?}"),
+                    }
+                }
+                for &(t, period) in &scratch.mutes {
+                    assert_eq!(
+                        (t, period.is_none_or(|p| p == cl.update_period)),
+                        (feedback, true)
+                    );
+                    muted = feedback_armed && period.is_some();
+                }
+                assert_eq!(cl.feedback == Tick::Muted, muted, "seed {seed} step {step}");
+                arena.drain_into(&mut scratch.tx, &mut sent);
+                sent.clear();
+                if halted {
+                    break;
+                }
+            }
+        }
+        assert!(muted_ticks > 1_000, "only {muted_ticks} muted ticks");
+        assert!(acting_ticks > 200, "only {acting_ticks} acting ticks");
     }
 }
