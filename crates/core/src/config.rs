@@ -1,6 +1,5 @@
 //! FlexPass protocol configuration.
 
-use flexpass_simcore::time::TimeDelta;
 use flexpass_simnet::packet::TrafficClass;
 use flexpass_transport::expresspass::EpConfig;
 
@@ -31,22 +30,14 @@ pub enum SplitPolicy {
     Rc3Tail,
 }
 
-/// All FlexPass knobs with the paper's defaults.
+/// The FlexPass knobs the evaluation turns: `w_q` and the design
+/// ablations. The rest are constants of the transports FlexPass composes
+/// (`flexpass_transport::dctcp`, `::expresspass`, `::common`).
 #[derive(Clone, Copy, Debug)]
 pub struct FlexPassConfig {
     /// Queue weight `w_q` reserved for FlexPass (Q1); also scales the credit
     /// allocation rate (§4.1).
     pub wq: f64,
-    /// Reactive sub-flow initial window, in packets.
-    pub init_cwnd: f64,
-    /// Reactive DCTCP gain `g`.
-    pub g: f64,
-    /// Reactive maximum window, in packets.
-    pub max_cwnd: f64,
-    /// Sender RTO floor.
-    pub min_rto: TimeDelta,
-    /// Credit feedback-loop knobs (`max_rate_frac` is overwritten by `wq`).
-    pub ep: EpConfig,
     /// Enable "proactive retransmission" of unacked reactive packets
     /// (§4.2 optimizing for tail latency). Disable for ablations.
     pub proactive_retx: bool,
@@ -61,31 +52,33 @@ pub struct FlexPassConfig {
     pub split: SplitPolicy,
     /// Credit allocation algorithm for the proactive sub-flow.
     pub credit_policy: CreditPolicy,
-    /// Receiver linger before teardown.
-    pub linger: TimeDelta,
 }
 
 impl FlexPassConfig {
     /// The paper's configuration for a given queue weight `w_q`.
     pub fn new(wq: f64) -> Self {
         assert!(wq > 0.0 && wq < 1.0, "w_q must be in (0, 1)");
-        let ep = EpConfig {
-            max_rate_frac: wq,
-            ..EpConfig::default()
-        };
         FlexPassConfig {
             wq,
-            init_cwnd: 10.0,
-            g: 1.0 / 16.0,
-            max_cwnd: 4096.0,
-            min_rto: TimeDelta::millis(4),
-            ep,
             proactive_retx: true,
             reactive_first_rtt: true,
             reactive_class: TrafficClass::NewData,
             split: SplitPolicy::Shared,
             credit_policy: CreditPolicy::EpFeedback,
-            linger: TimeDelta::millis(16),
+        }
+    }
+
+    /// The proactive sub-flow's credit loop: credits are allocated against
+    /// the guaranteed bandwidth `w_q` only (§4.1), and a fixed-rate loop
+    /// paces at that rate from the start.
+    pub fn credit_loop(&self) -> EpConfig {
+        let init_rate_frac = match self.credit_policy {
+            CreditPolicy::EpFeedback => EpConfig::default().init_rate_frac,
+            CreditPolicy::FixedRate => 1.0,
+        };
+        EpConfig {
+            max_rate_frac: self.wq,
+            init_rate_frac,
         }
     }
 
@@ -117,12 +110,27 @@ mod tests {
     fn default_matches_paper() {
         let c = FlexPassConfig::new(0.5);
         assert_eq!(c.wq, 0.5);
-        assert_eq!(c.ep.max_rate_frac, 0.5);
         assert!(c.proactive_retx);
         assert!(c.reactive_first_rtt);
         assert_eq!(c.split, SplitPolicy::Shared);
         assert_eq!(c.reactive_class, TrafficClass::NewData);
-        assert_eq!(c.min_rto, TimeDelta::millis(4));
+    }
+
+    #[test]
+    fn credit_loop_caps_at_wq_and_fixed_rate_starts_there() {
+        for i in 1..100 {
+            let wq = f64::from(i) / 100.0;
+            let feedback = FlexPassConfig::new(wq).credit_loop();
+            assert_eq!(feedback.max_rate_frac, wq);
+            assert_eq!(feedback.init_rate_frac, EpConfig::default().init_rate_frac);
+            let fixed = FlexPassConfig {
+                credit_policy: CreditPolicy::FixedRate,
+                ..FlexPassConfig::new(wq)
+            }
+            .credit_loop();
+            assert_eq!(fixed.max_rate_frac, wq);
+            assert_eq!(fixed.init_rate_frac, 1.0);
+        }
     }
 
     #[test]

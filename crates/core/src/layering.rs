@@ -8,10 +8,11 @@
 
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
-use flexpass_simnet::packet::{AckInfo, CreditInfo, FlowSpec, Packet, Payload};
+use flexpass_simnet::packet::{AckInfo, CreditInfo, FlowSpec, Packet, Payload, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv};
-use flexpass_transport::common::{data_packet, DctcpWindow, RtoTimer, Scoreboard};
-use flexpass_transport::expresspass::{waste_credit, EpConfig};
+use flexpass_transport::common::{data_packet, DctcpWindow, RtoTimer, Scoreboard, MIN_RTO};
+use flexpass_transport::dctcp::{G, INIT_CWND, MAX_CWND};
+use flexpass_transport::expresspass::waste_credit;
 
 /// Timer kind: sender retransmission backstop.
 const TK_RTO: u16 = 13;
@@ -19,7 +20,6 @@ const TK_RTO: u16 = 13;
 /// The Layering sender: ExpressPass clocking + DCTCP window limit.
 pub struct LySender {
     spec: FlowSpec,
-    cfg: EpConfig,
     sb: Scoreboard,
     win: DctcpWindow,
     dupacks: u32,
@@ -30,12 +30,11 @@ pub struct LySender {
 
 impl LySender {
     /// Creates a sender for `spec`.
-    pub fn new(spec: FlowSpec, cfg: EpConfig, _env: &NetEnv) -> Self {
+    pub fn new(spec: FlowSpec, _env: &NetEnv) -> Self {
         LySender {
             spec,
-            cfg,
             sb: Scoreboard::new(packets_for(spec.size).get()),
-            win: DctcpWindow::new(10.0, 1.0 / 16.0, 4096.0),
+            win: DctcpWindow::new(INIT_CWND, G, MAX_CWND),
             dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
@@ -49,14 +48,14 @@ impl LySender {
     }
 
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto.update(ctx, !self.done, self.cfg.min_rto);
+        self.rto.update(ctx, !self.done, MIN_RTO);
     }
 
     fn send_request(&mut self, ctx: &mut EndpointCtx) {
         let pkts = self.sb.total();
         ctx.send(Packet::to_receiver(
             &self.spec,
-            self.cfg.ctrl_class,
+            TrafficClass::NewCtrl,
             Payload::CreditReq { pkts },
         ));
         self.update_rto(ctx);
@@ -75,7 +74,7 @@ impl LySender {
             waste_credit(&mut self.stats, self.spec.id);
             return;
         };
-        let class = self.cfg.data_class;
+        let class = TrafficClass::NewData;
         let pkt = data_packet(&self.spec, class, seq, credit.idx, retx, &mut self.stats);
         ctx.send(pkt.ecn());
         self.update_rto(ctx);
@@ -182,7 +181,7 @@ mod tests {
 
     #[test]
     fn window_gates_credits() {
-        let mut s = LySender::new(spec(100 * 1460), EpConfig::default(), &env());
+        let mut s = LySender::new(spec(100 * 1460), &env());
         let mut arena = flexpass_simnet::arena::PacketArena::new();
         let mut tx_ids = Vec::new();
         let mut tx = Vec::new();
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn acks_open_window_for_more_credits() {
-        let mut s = LySender::new(spec(100 * 1460), EpConfig::default(), &env());
+        let mut s = LySender::new(spec(100 * 1460), &env());
         let mut arena = flexpass_simnet::arena::PacketArena::new();
         let mut tx_ids = Vec::new();
         let mut tm = Vec::new();

@@ -21,7 +21,7 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — all protocol knobs with the paper's defaults.
+//! * [`config`] — the protocol knobs the evaluation turns (`w_q`, ablations).
 //! * [`sender`] / [`receiver`] — the FlexPass endpoints.
 //! * [`profiles`] — switch/NIC queue configurations for every deployment
 //!   scheme (FlexPass, Naïve, Oracle WFQ, Layering, Homa-mix, DCTCP-only).

@@ -26,9 +26,10 @@ pub struct ProfileParams {
     pub legacy_ecn: WireBytes,
     /// Switch shared buffer and dynamic threshold alpha.
     pub shared_buffer: (WireBytes, f64),
-    /// Static credit-queue buffer (paper: < 1 kB).
-    pub credit_cap: WireBytes,
 }
+
+/// Static credit-queue buffer (paper: < 1 kB).
+const CREDIT_CAP: WireBytes = WireBytes::new(1_000);
 
 impl ProfileParams {
     /// §6.2 large-scale simulation settings (40 Gbps fabric).
@@ -40,7 +41,6 @@ impl ProfileParams {
             fp_red: WireBytes::new(150_000),
             legacy_ecn: WireBytes::new(100_000),
             shared_buffer: (WireBytes::new(4_500_000), 0.25),
-            credit_cap: WireBytes::new(1_000),
         }
     }
 
@@ -53,7 +53,6 @@ impl ProfileParams {
             fp_red: WireBytes::new(100_000),
             legacy_ecn: WireBytes::new(60_000),
             shared_buffer: (WireBytes::new(4_500_000), 0.25),
-            credit_cap: WireBytes::new(1_000),
         }
     }
 
@@ -75,7 +74,7 @@ pub fn flexpass_profile(p: &ProfileParams) -> SwitchProfile {
             rate: p.rate,
             queues: vec![
                 (
-                    QueueConfig::capped(p.credit_cap),
+                    QueueConfig::capped(CREDIT_CAP),
                     QueueSched::strict(0).shaped(crate_, cburst),
                 ),
                 (
@@ -109,7 +108,7 @@ pub fn naive_profile(p: &ProfileParams) -> SwitchProfile {
             rate: p.rate,
             queues: vec![
                 (
-                    QueueConfig::capped(p.credit_cap),
+                    QueueConfig::capped(CREDIT_CAP),
                     QueueSched::strict(0).shaped(crate_, cburst),
                 ),
                 (
@@ -141,7 +140,7 @@ pub fn owf_profile(p: &ProfileParams, upgraded_frac: f64) -> SwitchProfile {
             rate: p.rate,
             queues: vec![
                 (
-                    QueueConfig::capped(p.credit_cap),
+                    QueueConfig::capped(CREDIT_CAP),
                     QueueSched::strict(0).shaped(crate_, cburst),
                 ),
                 (QueueConfig::plain(), QueueSched::weighted(1, frac)),

@@ -35,19 +35,13 @@ impl FlexPassReceiver {
     /// against the minimum guaranteed bandwidth only).
     pub fn new(spec: FlowSpec, cfg: FlexPassConfig, env: &NetEnv) -> Self {
         let n = packets_for(spec.size).get();
-        let mut ep = cfg.ep;
-        if cfg.credit_policy == CreditPolicy::FixedRate {
-            // pHost-style: pace at the guaranteed rate from the start and
-            // never adapt (the feedback tick is dropped in `on_timer`).
-            ep.init_rate_frac = 1.0;
-        }
         FlexPassReceiver {
             spec,
             cfg,
-            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            tail: RxTail::new(&spec, TK_LINGER),
             racks: AckBuilder::new(n),
             packs: AckBuilder::new(n),
-            credit: CreditLoop::new(&spec, ep, env, TK_CREDIT, TK_FEEDBACK),
+            credit: CreditLoop::new(&spec, cfg.credit_loop(), env, TK_CREDIT, TK_FEEDBACK),
         }
     }
 
@@ -102,8 +96,8 @@ impl Endpoint for FlexPassReceiver {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        // A fixed-rate loop never adapts: its feedback chain ends at the
-        // first tick.
+        // A fixed-rate loop (pHost-style) never adapts: its feedback chain
+        // ends at the first tick.
         if timer_kind(token) == TK_FEEDBACK && self.cfg.credit_policy == CreditPolicy::FixedRate {
             return;
         }

@@ -10,7 +10,7 @@ use flexpass_simnet::endpoint::Endpoint;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::{NetEnv, TransportFactory};
 use flexpass_simnet::switch::SwitchProfile;
-use flexpass_transport::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
+use flexpass_transport::dctcp::{DctcpReceiver, DctcpSender};
 use flexpass_transport::expresspass::{EpConfig, EpReceiver, EpSender};
 
 use crate::config::FlexPassConfig;
@@ -163,7 +163,6 @@ impl Deployment {
 pub struct SchemeFactory {
     scheme: Scheme,
     deployment: Deployment,
-    dctcp: DctcpConfig,
     ep: EpConfig,
     fp: FlexPassConfig,
 }
@@ -187,7 +186,6 @@ impl SchemeFactory {
         SchemeFactory {
             scheme,
             deployment,
-            dctcp: DctcpConfig::default(),
             ep,
             fp: fp_cfg,
         }
@@ -202,18 +200,18 @@ impl SchemeFactory {
 impl TransportFactory for SchemeFactory {
     fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if !self.deployment.flow_upgraded(flow) {
-            return Box::new(DctcpSender::new(*flow, self.dctcp, env));
+            return Box::new(DctcpSender::new(*flow, env));
         }
         match self.scheme {
-            Scheme::Naive | Scheme::OracleWfq => Box::new(EpSender::new(*flow, self.ep, env)),
-            Scheme::Layering => Box::new(LySender::new(*flow, self.ep, env)),
+            Scheme::Naive | Scheme::OracleWfq => Box::new(EpSender::new(*flow, env)),
+            Scheme::Layering => Box::new(LySender::new(*flow, env)),
             Scheme::FlexPass => Box::new(FlexPassSender::new(*flow, self.fp, env)),
         }
     }
 
     fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         if !self.deployment.flow_upgraded(flow) {
-            return Box::new(DctcpReceiver::new(*flow, self.dctcp, env));
+            return Box::new(DctcpReceiver::new(*flow, env));
         }
         match self.scheme {
             Scheme::Naive | Scheme::OracleWfq | Scheme::Layering => {

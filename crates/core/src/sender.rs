@@ -10,7 +10,8 @@ use flexpass_simnet::packet::{
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv};
 use flexpass_simnet::trace::TraceEvent;
-use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, SeqSet};
+use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, SeqSet, MIN_RTO};
+use flexpass_transport::dctcp::{G, INIT_CWND, MAX_CWND};
 use flexpass_transport::expresspass::waste_credit;
 
 use crate::config::{FlexPassConfig, SplitPolicy};
@@ -131,7 +132,7 @@ impl FlexPassSender {
             pseq_of: vec![None; n as usize],
             reactive: SubflowTx::default(),
             proactive: SubflowTx::default(),
-            rwin: DctcpWindow::new(cfg.init_cwnd, cfg.g, cfg.max_cwnd),
+            rwin: DctcpWindow::new(INIT_CWND, G, MAX_CWND),
             head: 0,
             tail: i64::from(n) - 1,
             acked: 0,
@@ -157,14 +158,14 @@ impl FlexPassSender {
 
     /// Keeps the full-stall RTO armed while the flow is live.
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto.update(ctx, !self.done, self.cfg.min_rto);
+        self.rto.update(ctx, !self.done, MIN_RTO);
     }
 
     /// Keeps the reactive tail-loss timer armed while reactive slots are
     /// outstanding.
     fn update_reactive_rto(&mut self, ctx: &mut EndpointCtx) {
         let live = !self.done && self.reactive.inflight > 0;
-        self.r_rto.update(ctx, live, self.cfg.min_rto);
+        self.r_rto.update(ctx, live, MIN_RTO);
     }
 
     fn send_request(&mut self, ctx: &mut EndpointCtx) {

@@ -12,7 +12,7 @@ use flexpass_simnet::endpoint::Endpoint;
 use flexpass_simnet::packet::FlowSpec;
 use flexpass_simnet::sim::{NetEnv, TransportFactory};
 use flexpass_simnet::switch::SwitchProfile;
-use flexpass_transport::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
+use flexpass_transport::dctcp::{DctcpReceiver, DctcpSender};
 use flexpass_transport::homa::{HomaConfig, HomaReceiver, HomaSender};
 
 use crate::csvout::{f, Csv};
@@ -26,13 +26,13 @@ struct TagFactory(HomaConfig);
 impl TransportFactory for TagFactory {
     fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         match flow.tag {
-            0 => Box::new(DctcpSender::new(*flow, DctcpConfig::default(), env)),
+            0 => Box::new(DctcpSender::new(*flow, env)),
             _ => Box::new(HomaSender::new(*flow, self.0, env)),
         }
     }
     fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
         match flow.tag {
-            0 => Box::new(DctcpReceiver::new(*flow, DctcpConfig::default(), env)),
+            0 => Box::new(DctcpReceiver::new(*flow, env)),
             _ => Box::new(HomaReceiver::new(*flow, self.0, env)),
         }
     }
@@ -143,7 +143,6 @@ pub fn fig1b(out: &[Output]) -> Vec<Csv> {
         let homa = HomaConfig {
             unsched_prio: 0,
             sched_prio: 0,
-            ..HomaConfig::default()
         };
         let mut flows = Vec::new();
         for i in 0..16u64 {

@@ -85,8 +85,20 @@ fn main() {
     let mut packet_trace: Option<String> = None;
     let mut plot = false;
 
+    // Each setting may be given once: a repeat is a usage error, never
+    // silently resolved in favour of the first or the last.
+    let mut given = std::collections::BTreeSet::new();
+    let mut once = |setting: &str| {
+        if !given.insert(setting.to_owned()) {
+            usage_error(&format!("{setting} given twice"));
+        }
+    };
     let mut args = std::env::args().skip(1).peekable();
     while let Some(flag) = args.next() {
+        // `--plot` is a switch; `--trace` is sorted out below.
+        if flag != "--plot" && !flag.starts_with("--trace") {
+            once(&flag);
+        }
         match flag.as_str() {
             "--fig" => fig = value(&mut args, &flag),
             "--out" => out = PathBuf::from(value(&mut args, &flag)),
@@ -97,11 +109,16 @@ fn main() {
             // `--trace` (last arg or followed by a flag) arms tracing.
             "--trace" => match args.next_if(|a| !a.starts_with("--")) {
                 Some(file) => {
+                    once("--trace FILE");
                     custom::TRACE_FILE.get_or_init(|| PathBuf::from(file));
                 }
-                None => packet_trace = Some(String::new()),
+                None => {
+                    once("--trace[=FILTER]");
+                    packet_trace = Some(String::new());
+                }
             },
             s if s.starts_with("--trace=") => {
+                once("--trace[=FILTER]");
                 packet_trace = Some(s["--trace=".len()..].to_string());
             }
             "--scale" => {

@@ -36,6 +36,59 @@ fn flag_missing_its_value_is_a_usage_error() {
     }
 }
 
+/// A repeated setting used to be resolved silently: the last `--fig` won
+/// and the first replay file did.
+#[test]
+fn a_setting_given_twice_is_a_usage_error() {
+    for (args, flag) in [
+        (
+            &["--fig", "fig10", "--fig", "fig9", "--scale", "smoke"][..],
+            "--fig",
+        ),
+        (&["--fig", "none", "--out", "a", "--out", "b"], "--out"),
+        (
+            &["--fig", "none", "--scale", "smoke", "--scale", "smoke"],
+            "--scale",
+        ),
+        (&["--fig", "none", "--jobs", "1", "--jobs", "2"], "--jobs"),
+        (
+            &["--fig", "none", "--par-sim", "1", "--par-sim", "1"],
+            "--par-sim",
+        ),
+        (
+            &["--inject-panic", "a", "--inject-panic", "b"],
+            "--inject-panic",
+        ),
+        (
+            &["--fig", "custom", "--trace", "a.csv", "--trace", "b.csv"],
+            "--trace FILE",
+        ),
+        (
+            &["--fig", "none", "--trace=rto", "--trace=drop"],
+            "--trace[=FILTER]",
+        ),
+        (
+            &["--fig", "none", "--trace", "--trace=drop"],
+            "--trace[=FILTER]",
+        ),
+    ] {
+        assert_usage_error(args, &format!("{flag} given twice"));
+    }
+    // A replay file and a tracing filter are two settings: parsing gets
+    // past both, to the check that tracing needs a single domain.
+    let args = [
+        "--fig",
+        "custom",
+        "--trace",
+        "a.csv",
+        "--trace=rto",
+        "--par-sim",
+        "2",
+    ];
+    let stderr = assert_usage_error(&args, "--trace cannot be combined with --par-sim");
+    assert!(!stderr.contains("given twice"), "{stderr}");
+}
+
 #[test]
 fn unknown_flag_is_a_usage_error() {
     let (code, stderr) = run(&["--no-such-flag"]);

@@ -56,8 +56,9 @@ use crate::sim::{timer_flow, timer_kind};
 use crate::switch::{ClassMap, SwitchProfile};
 
 /// Most cancellable timer kinds one endpoint may hold armed at once; a
-/// slot stores their handles inline. The transports arm at most three
-/// (credit pacing, feedback, linger); [`Host`] panics on a fifth.
+/// slot stores their handles inline. The transports arm at most two
+/// (credit pacing + feedback, or RTO + reactive RTO; the linger timer is
+/// fire-and-forget); [`Host`] panics on a fifth.
 pub const MAX_ARMED_KINDS: usize = 4;
 
 /// Per-host counters.

@@ -16,6 +16,13 @@ use flexpass_simnet::packet::{AckInfo, FlowId, FlowSpec, Packet, Subflow, Traffi
 use flexpass_simnet::sim::{timer_flow, timer_token};
 use flexpass_simnet::trace::TraceEvent;
 
+/// Retransmission timeout floor of every transport (the paper's `RTO_min`).
+pub const MIN_RTO: TimeDelta = TimeDelta::millis(4);
+
+/// How long a completed receiver lingers to re-ACK stray retransmissions
+/// before it is torn down.
+pub const LINGER: TimeDelta = TimeDelta::millis(16);
+
 /// Per-packet sender-side state (Figure 4 of the paper uses the same set,
 /// with "sent" split by sub-flow; single-loop transports use `Sent`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -639,7 +646,7 @@ impl RtoTimer {
     /// Keeps the timer armed at its deadline while `live`; cancels it
     /// otherwise. Issues a calendar command only when the armed state
     /// changes. Only DCTCP samples RTTs, so only it passes an estimate as
-    /// `base_rto`; the other senders pass their configured `min_rto`.
+    /// `base_rto`; the other senders pass [`MIN_RTO`].
     pub fn update(&mut self, ctx: &mut EndpointCtx, live: bool, base_rto: TimeDelta) {
         if !live {
             if self.deadline.take().is_some() {
@@ -679,13 +686,12 @@ impl RtoTimer {
 }
 
 /// The tail every receiver shares: reassembly, the one `FlowCompleted`
-/// report, and a linger period (to keep re-ACKing stray retransmissions)
-/// before teardown.
+/// report, and a [`LINGER`] period (to keep re-ACKing stray
+/// retransmissions) before teardown.
 #[derive(Clone, Debug)]
 pub struct RxTail {
     flow: FlowId,
     reasm: Reassembly,
-    linger: TimeDelta,
     linger_token: u64,
     completed: bool,
     torn_down: bool,
@@ -694,11 +700,10 @@ pub struct RxTail {
 impl RxTail {
     /// Creates the tail for `spec`; the linger timer uses kind
     /// `linger_kind`.
-    pub fn new(spec: &FlowSpec, linger: TimeDelta, linger_kind: u16) -> Self {
+    pub fn new(spec: &FlowSpec, linger_kind: u16) -> Self {
         RxTail {
             flow: spec.id,
             reasm: Reassembly::new(spec.size, packets_for(spec.size)),
-            linger,
             linger_token: timer_token(spec.id, linger_kind),
             completed: false,
             torn_down: false,
@@ -743,7 +748,7 @@ impl RxTail {
                 reorder_peak_bytes: self.reasm.reorder_peak().get(),
             },
         });
-        ctx.set_timer(ctx.now + self.linger, self.linger_token);
+        ctx.set_timer(ctx.now + LINGER, self.linger_token);
     }
 
     /// Timer dispatch: the linger timer tears the receiver down.

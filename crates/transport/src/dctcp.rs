@@ -5,14 +5,14 @@
 //! 4 ms `RTO_min`, and the DCTCP ECN-fraction window (see
 //! [`crate::common::DctcpWindow`]).
 
-use flexpass_simcore::time::{Time, TimeDelta};
+use flexpass_simcore::time::Time;
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::packet::{AckInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 
 use crate::common::{
-    data_packet, AckBuilder, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard,
+    data_packet, AckBuilder, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard, MIN_RTO,
 };
 
 /// Timer kind: sender retransmission timer.
@@ -20,48 +20,16 @@ const TK_RTO: u16 = 1;
 /// Timer kind: receiver linger before teardown.
 const TK_LINGER: u16 = 2;
 
-/// DCTCP parameters (paper defaults for the large-scale simulations).
-#[derive(Clone, Copy, Debug)]
-pub struct DctcpConfig {
-    /// Initial congestion window in packets.
-    pub init_cwnd: f64,
-    /// ECN-fraction EWMA gain.
-    pub g: f64,
-    /// Minimum retransmission timeout (paper: 4 ms).
-    pub min_rto: TimeDelta,
-    /// Upper bound on the window, in packets.
-    pub max_cwnd: f64,
-    /// Traffic class for data and ACKs (Legacy for the baseline; schemes
-    /// may remap).
-    pub class: TrafficClass,
-    /// How long a completed receiver lingers to re-ACK stray
-    /// retransmissions before tearing down.
-    pub linger: TimeDelta,
-    /// Acknowledge every Nth in-order packet (1 = per-packet, the
-    /// simulation default; 2 = standard delayed ACKs). Out-of-order
-    /// arrivals and CE-marked packets are always acknowledged immediately
-    /// so loss detection and DCTCP's mark feedback stay timely.
-    pub ack_every: u32,
-}
-
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig {
-            init_cwnd: 10.0,
-            g: 1.0 / 16.0,
-            min_rto: TimeDelta::millis(4),
-            max_cwnd: 4096.0,
-            class: TrafficClass::Legacy,
-            linger: TimeDelta::millis(16),
-            ack_every: 1,
-        }
-    }
-}
+/// Initial congestion window, in packets.
+pub const INIT_CWND: f64 = 10.0;
+/// ECN-fraction EWMA gain `g`.
+pub const G: f64 = 1.0 / 16.0;
+/// Upper bound on the congestion window, in packets.
+pub const MAX_CWND: f64 = 4096.0;
 
 /// DCTCP sender endpoint.
 pub struct DctcpSender {
     spec: FlowSpec,
-    cfg: DctcpConfig,
     sb: Scoreboard,
     sent_at: Vec<Option<Time>>,
     win: DctcpWindow,
@@ -80,15 +48,14 @@ pub struct DctcpSender {
 
 impl DctcpSender {
     /// Creates a sender for `spec`.
-    pub fn new(spec: FlowSpec, cfg: DctcpConfig, _env: &NetEnv) -> Self {
+    pub fn new(spec: FlowSpec, _env: &NetEnv) -> Self {
         let n = packets_for(spec.size).get();
         DctcpSender {
             spec,
-            cfg,
             sb: Scoreboard::new(n),
             sent_at: vec![None; n as usize],
-            win: DctcpWindow::new(cfg.init_cwnd, cfg.g, cfg.max_cwnd),
-            rtt: RttEstimator::new(cfg.min_rto),
+            win: DctcpWindow::new(INIT_CWND, G, MAX_CWND),
+            rtt: RttEstimator::new(MIN_RTO),
             dupacks: 0,
             recovery: None,
             rto: RtoTimer::new(spec.id, TK_RTO),
@@ -125,7 +92,14 @@ impl DctcpSender {
                 break;
             };
             self.sent_at[seq as usize] = Some(ctx.now);
-            let pkt = data_packet(&self.spec, self.cfg.class, seq, seq, retx, &mut self.stats);
+            let pkt = data_packet(
+                &self.spec,
+                TrafficClass::Legacy,
+                seq,
+                seq,
+                retx,
+                &mut self.stats,
+            );
             ctx.send(pkt.ecn());
         }
     }
@@ -239,22 +213,17 @@ impl Endpoint for DctcpSender {
 /// retransmissions.
 pub struct DctcpReceiver {
     spec: FlowSpec,
-    cfg: DctcpConfig,
     tail: RxTail,
     acks: AckBuilder,
-    /// In-order packets received since the last ACK (delayed acking).
-    unacked: u32,
 }
 
 impl DctcpReceiver {
     /// Creates a receiver for `spec`.
-    pub fn new(spec: FlowSpec, cfg: DctcpConfig, _env: &NetEnv) -> Self {
+    pub fn new(spec: FlowSpec, _env: &NetEnv) -> Self {
         DctcpReceiver {
             spec,
-            cfg,
-            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            tail: RxTail::new(&spec, TK_LINGER),
             acks: AckBuilder::new(packets_for(spec.size).get()),
-            unacked: 0,
         }
     }
 }
@@ -265,26 +234,15 @@ impl Endpoint for DctcpReceiver {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         if let Payload::Data(d) = pkt.payload {
             self.tail.on_data(d.flow_seq);
-            let in_order = d.sub_seq == self.acks.cum();
             self.acks.on_packet(d.sub_seq);
-            self.unacked += 1;
-            // Delayed acking: hold back clean in-order arrivals below the
-            // threshold; always ACK marks, reordering, and flow tail.
-            let must_ack = pkt.ecn_ce
-                || !in_order
-                || self.unacked >= self.cfg.ack_every
-                || self.tail.reasm().complete();
-            if must_ack {
-                self.unacked = 0;
-                let info = self
-                    .acks
-                    .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
-                ctx.send(Packet::to_sender(
-                    &self.spec,
-                    self.cfg.class,
-                    Payload::Ack(info),
-                ));
-            }
+            let info = self
+                .acks
+                .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
+            ctx.send(Packet::to_sender(
+                &self.spec,
+                TrafficClass::Legacy,
+                Payload::Ack(info),
+            ));
             self.tail.finish_if_complete(ctx);
         }
     }
@@ -299,39 +257,29 @@ impl Endpoint for DctcpReceiver {
 }
 
 /// Factory producing plain DCTCP flows.
-pub struct DctcpFactory {
-    /// Configuration applied to every flow.
-    pub cfg: DctcpConfig,
-}
+#[derive(Default)]
+pub struct DctcpFactory;
 
 impl DctcpFactory {
-    /// Factory with default (paper) parameters.
+    /// Factory with the paper's parameters.
     pub fn new() -> Self {
-        DctcpFactory {
-            cfg: DctcpConfig::default(),
-        }
-    }
-}
-
-impl Default for DctcpFactory {
-    fn default() -> Self {
-        Self::new()
+        DctcpFactory
     }
 }
 
 impl TransportFactory for DctcpFactory {
     fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        Box::new(DctcpSender::new(*flow, self.cfg, env))
+        Box::new(DctcpSender::new(*flow, env))
     }
     fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        Box::new(DctcpReceiver::new(*flow, self.cfg, env))
+        Box::new(DctcpReceiver::new(*flow, env))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::Rate;
+    use flexpass_simcore::time::{Rate, TimeDelta};
     use flexpass_simcore::units::{Bytes, WireBytes};
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
@@ -571,36 +519,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn delayed_acks_halve_ack_traffic_without_stalling() {
-        // ack_every = 2: a long flow completes at full speed with roughly
-        // half the ACK packets.
-        let p = profile(Rate::from_gbps(10), 60, None);
-        let run = |ack_every: u32| {
-            let topo = Topology::star(2, Rate::from_gbps(10), TimeDelta::micros(5), &p, &p);
-            let mut f = DctcpFactory::new();
-            f.cfg.ack_every = ack_every;
-            let mut sim = Sim::new(
-                topo,
-                Box::new(f),
-                Fct {
-                    done: Vec::new(),
-                    drops: 0,
-                },
-            );
-            sim.schedule_flow(flow(1, 0, 1, 5_000_000, Time::ZERO));
-            sim.run_to_completion(TimeDelta::millis(20));
-            (sim.observer.done[0].1, sim.events_processed())
-        };
-        let (fct1, ev1) = run(1);
-        let (fct2, ev2) = run(2);
-        // Similar completion time...
-        let (a, b) = (fct1.as_secs_f64(), fct2.as_secs_f64());
-        assert!((a - b).abs() / a < 0.25, "delayed acks stalled: {a} vs {b}");
-        // ...with meaningfully fewer events (fewer ACK packets in flight).
-        assert!(ev2 < ev1, "expected fewer events: {ev2} vs {ev1}");
-    }
-
     /// Builds an ACK packet for flow 7 (receiver at host 1, sender at 0).
     fn ack_pkt(cum: u32, sack: &[(u32, u32)], acked_flow_seq: u32, ece: bool) -> Packet {
         let mut blocks = [(0u32, 0u32); flexpass_simnet::packet::MAX_SACK];
@@ -642,9 +560,8 @@ mod tests {
     /// retransmit the second hole stalled until the RTO.
     #[test]
     fn fast_retransmit_survives_sack_progress_and_partial_acks() {
-        let cfg = DctcpConfig::default(); // init_cwnd = 10
         let spec = flow(7, 0, 1, 14_600, Time::ZERO); // n = 10 packets
-        let mut tx = DctcpSender::new(spec, cfg, &env());
+        let mut tx = DctcpSender::new(spec, &env()); // INIT_CWND = 10
         let mut arena = flexpass_simnet::arena::PacketArena::new();
         let mut staged = Vec::new();
         let mut tx_v = Vec::new();
@@ -716,12 +633,9 @@ mod tests {
     /// second window decrease in the same loss window.
     #[test]
     fn single_loss_window_decreases_once() {
-        let cfg = DctcpConfig {
-            init_cwnd: 8.0,
-            ..Default::default()
-        };
         let spec = flow(7, 0, 1, 29_200, Time::ZERO); // n = 20 packets
-        let mut tx = DctcpSender::new(spec, cfg, &env());
+        let mut tx = DctcpSender::new(spec, &env());
+        tx.win = DctcpWindow::new(8.0, G, MAX_CWND);
         let mut arena = flexpass_simnet::arena::PacketArena::new();
         let mut tx_v = Vec::new();
         let mut timers = Vec::new();
@@ -779,14 +693,8 @@ mod tests {
     #[test]
     fn receiver_linger_reacks_stray_retx() {
         let _ = NullObserver;
-        let cfg = DctcpConfig::default();
         let spec = flow(9, 0, 1, 2920, Time::ZERO);
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
-        let mut rx = DctcpReceiver::new(spec, cfg, &env);
+        let mut rx = DctcpReceiver::new(spec, &env());
         let mut arena = flexpass_simnet::arena::PacketArena::new();
         let mut tx_v = Vec::new();
         let mut timers = Vec::new();
@@ -805,5 +713,43 @@ mod tests {
         let _ = ctx;
         assert_eq!(tx_v.len(), 3);
         assert_eq!(app.len(), 1);
+    }
+
+    /// The receiver acknowledges every data packet at once: a clean
+    /// in-order one, a CE-marked one (echoing the mark) and one that
+    /// arrives out of order.
+    #[test]
+    fn receiver_acks_every_packet_immediately() {
+        let spec = flow(9, 0, 1, 5 * 1460, Time::ZERO);
+        let mut rx = DctcpReceiver::new(spec, &env());
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let mut staged = Vec::new();
+        let mut acks = Vec::new();
+        let mut timers = Vec::new();
+        let mut app = Vec::new();
+        let mk =
+            |seq: u32| Packet::data(&spec, TrafficClass::Legacy, seq, Subflow::Only, seq, false);
+        let mut marked = mk(1);
+        marked.ecn_ce = true;
+        for (pkt, cum, ece) in [(mk(0), 1, false), (marked, 2, true), (mk(3), 2, false)] {
+            {
+                let mut ctx =
+                    EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
+                rx.on_packet(&pkt, &mut ctx);
+            }
+            acks.clear();
+            arena.drain_into(&mut staged, &mut acks);
+            let [ack] = &acks[..] else {
+                panic!("expected exactly one ACK, got {}", acks.len());
+            };
+            let Payload::Ack(info) = ack.payload else {
+                panic!("expected an ACK, got {:?}", ack.payload);
+            };
+            assert_eq!((info.cum, info.ece), (cum, ece));
+        }
+        assert!(
+            timers.is_empty() && app.is_empty(),
+            "the flow is not complete"
+        );
     }
 }

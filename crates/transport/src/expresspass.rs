@@ -23,7 +23,7 @@ use flexpass_simnet::packet::{
 use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
 use flexpass_simnet::trace::TraceEvent;
 
-use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
+use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard, MIN_RTO};
 
 /// Timer kind: receiver credit pacing tick.
 const TK_CREDIT: u16 = 3;
@@ -34,61 +34,45 @@ const TK_RTO: u16 = 5;
 /// Timer kind: receiver linger teardown.
 const TK_LINGER: u16 = 6;
 
-/// ExpressPass parameters.
+/// The credit-rate knobs the evaluation turns; every other feedback
+/// parameter is a constant of this module.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpConfig {
-    /// Traffic class for data packets.
-    pub data_class: TrafficClass,
-    /// Traffic class for control packets (requests, ACKs).
-    pub ctrl_class: TrafficClass,
     /// Fraction of the host line rate the triggered data may reach (1.0 for
     /// plain ExpressPass; `w_q` under FlexPass / oWF).
     pub max_rate_frac: f64,
-    /// Target credit-loss rate of the feedback loop.
-    pub target_loss: f64,
-    /// Initial binary-search weight.
-    pub w_init: f64,
-    /// Minimum binary-search weight.
-    pub w_min: f64,
     /// Initial credit rate as a fraction of the maximum.
     pub init_rate_frac: f64,
-    /// Minimum credit rate as a fraction of the maximum.
-    pub min_rate_frac: f64,
-    /// Credit pacing jitter: each interval is scaled by a uniform factor in
-    /// `[1 - j/2, 1 + j/2]`. Without jitter, equal-rate flows phase-lock at
-    /// the shaped credit queues and drops concentrate on the same flows
-    /// forever (the simulator is deterministic; real ExpressPass jitters
-    /// credit pacing for the same reason).
-    pub pacing_jitter: f64,
-    /// Maximum rate increase per feedback update, in bps of triggered data
-    /// (the paper sets S_max to 50 Mbps of credits ~ 1 Gbps of data).
-    /// Without it the binary-search increase overshoots wildly whenever the
-    /// fair share is far below the per-flow maximum (e.g. high incast).
-    pub max_step_bps: f64,
-    /// Sender-side retransmission / credit re-request timeout floor.
-    pub min_rto: TimeDelta,
-    /// Receiver linger before teardown.
-    pub linger: TimeDelta,
 }
 
 impl Default for EpConfig {
     fn default() -> Self {
         EpConfig {
-            data_class: TrafficClass::NewData,
-            ctrl_class: TrafficClass::NewCtrl,
             max_rate_frac: 1.0,
-            target_loss: 0.125,
-            w_init: 0.5,
-            w_min: 0.01,
             init_rate_frac: 0.5,
-            min_rate_frac: 0.01,
-            pacing_jitter: 0.5,
-            max_step_bps: 1e9,
-            min_rto: TimeDelta::millis(4),
-            linger: TimeDelta::millis(16),
         }
     }
 }
+
+/// Target credit-loss rate of the feedback loop.
+pub const TARGET_LOSS: f64 = 0.125;
+/// Initial binary-search weight.
+pub const W_INIT: f64 = 0.5;
+/// Minimum binary-search weight.
+pub const W_MIN: f64 = 0.01;
+/// Minimum credit rate as a fraction of the maximum.
+pub const MIN_RATE_FRAC: f64 = 0.01;
+/// Credit pacing jitter: each interval is scaled by a uniform factor in
+/// `[1 - j/2, 1 + j/2]`. Without jitter, equal-rate flows phase-lock at
+/// the shaped credit queues and drops concentrate on the same flows
+/// forever (the simulator is deterministic; real ExpressPass jitters
+/// credit pacing for the same reason).
+pub const PACING_JITTER: f64 = 0.5;
+/// Maximum rate increase per feedback update, in bps of triggered data
+/// (the paper sets S_max to 50 Mbps of credits ~ 1 Gbps of data).
+/// Without it the binary-search increase overshoots wildly whenever the
+/// fair share is far below the per-flow maximum (e.g. high incast).
+pub const MAX_STEP_BPS: f64 = 1e9;
 
 /// Accounts for (and traces) a credit of `flow` that arrived with nothing
 /// it could trigger.
@@ -100,7 +84,6 @@ pub fn waste_credit(stats: &mut TxStats, flow: FlowId) {
 /// ExpressPass sender: transmits one data packet per received credit.
 pub struct EpSender {
     spec: FlowSpec,
-    cfg: EpConfig,
     sb: Scoreboard,
     dupacks: u32,
     rto: RtoTimer,
@@ -110,10 +93,9 @@ pub struct EpSender {
 
 impl EpSender {
     /// Creates a sender for `spec`.
-    pub fn new(spec: FlowSpec, cfg: EpConfig, _env: &NetEnv) -> Self {
+    pub fn new(spec: FlowSpec, _env: &NetEnv) -> Self {
         EpSender {
             spec,
-            cfg,
             sb: Scoreboard::new(packets_for(spec.size).get()),
             dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
@@ -131,13 +113,13 @@ impl EpSender {
         let pkts = self.sb.total();
         ctx.send(Packet::to_receiver(
             &self.spec,
-            self.cfg.ctrl_class,
+            TrafficClass::NewCtrl,
             Payload::CreditReq { pkts },
         ));
     }
 
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto.update(ctx, !self.done, self.cfg.min_rto);
+        self.rto.update(ctx, !self.done, MIN_RTO);
     }
 
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
@@ -146,7 +128,7 @@ impl EpSender {
             waste_credit(&mut self.stats, self.spec.id);
             ctx.send(Packet::to_receiver(
                 &self.spec,
-                self.cfg.ctrl_class,
+                TrafficClass::NewCtrl,
                 Payload::CreditStop,
             ));
             return;
@@ -154,7 +136,7 @@ impl EpSender {
         // A fresh credit carries a lost packet first, then new data.
         match self.sb.pick() {
             Some((seq, retx)) => {
-                let class = self.cfg.data_class;
+                let class = TrafficClass::NewData;
                 let pkt = data_packet(&self.spec, class, seq, credit.idx, retx, &mut self.stats);
                 ctx.send(pkt);
                 self.update_rto(ctx);
@@ -243,7 +225,6 @@ const MIN_CREDIT_SAMPLE: u64 = 8;
 /// credit packets themselves are `CTRL_WIRE / DATA_WIRE` times smaller.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CreditEngine {
-    cfg: EpConfig,
     max_rate: f64,
     cur_rate: f64,
     w: f64,
@@ -262,10 +243,9 @@ impl CreditEngine {
     pub fn new(cfg: EpConfig, env: &NetEnv, seed: u64) -> Self {
         let max_rate = env.host_rate.as_bps() as f64 * cfg.max_rate_frac;
         CreditEngine {
-            cfg,
             max_rate,
             cur_rate: max_rate * cfg.init_rate_frac,
-            w: cfg.w_init,
+            w: W_INIT,
             prev_increase: false,
             rng: SimRng::new(seed ^ 0xC0DE_CAFE),
             credits_sent_period: 0,
@@ -287,8 +267,7 @@ impl CreditEngine {
     pub fn credit_interval(&mut self) -> TimeDelta {
         let rate = Rate::from_bps((self.cur_rate.round() as u64).max(1));
         let base = rate.serialize_wire(DATA_WIRE);
-        let j = self.cfg.pacing_jitter;
-        let factor = 1.0 + j * (self.rng.next_f64() - 0.5);
+        let factor = 1.0 + PACING_JITTER * (self.rng.next_f64() - 0.5);
         base.mul_f64(factor)
     }
 
@@ -312,23 +291,23 @@ impl CreditEngine {
         let delivered = self.data_rcvd_period.min(self.credits_sent_period);
         let loss = 1.0 - delivered as f64 / self.credits_sent_period as f64;
         let w_max = 0.5;
-        if loss <= self.cfg.target_loss {
+        if loss <= TARGET_LOSS {
             if self.prev_increase {
                 self.w = (self.w + w_max) / 2.0;
             }
             self.prev_increase = true;
-            let target = (1.0 - self.w) * self.cur_rate
-                + self.w * self.max_rate * (1.0 + self.cfg.target_loss);
+            let target =
+                (1.0 - self.w) * self.cur_rate + self.w * self.max_rate * (1.0 + TARGET_LOSS);
             // S_max: bound the per-update increase.
-            self.cur_rate = target.min(self.cur_rate + self.cfg.max_step_bps);
+            self.cur_rate = target.min(self.cur_rate + MAX_STEP_BPS);
         } else {
-            self.cur_rate *= (1.0 - loss) * (1.0 + self.cfg.target_loss);
-            self.w = (self.w / 2.0).max(self.cfg.w_min);
+            self.cur_rate *= (1.0 - loss) * (1.0 + TARGET_LOSS);
+            self.w = (self.w / 2.0).max(W_MIN);
             self.prev_increase = false;
         }
         self.cur_rate = self
             .cur_rate
-            .clamp(self.max_rate * self.cfg.min_rate_frac, self.max_rate);
+            .clamp(self.max_rate * MIN_RATE_FRAC, self.max_rate);
         self.credits_sent_period = 0;
         self.data_rcvd_period = 0;
         true
@@ -504,19 +483,17 @@ impl CreditLoop {
 /// data, and acknowledges every packet.
 pub struct EpReceiver {
     spec: FlowSpec,
-    cfg: EpConfig,
     tail: RxTail,
     acks: AckBuilder,
     credit: CreditLoop,
 }
 
 impl EpReceiver {
-    /// Creates a receiver for `spec`.
+    /// Creates a receiver for `spec` whose credit loop runs under `cfg`.
     pub fn new(spec: FlowSpec, cfg: EpConfig, env: &NetEnv) -> Self {
         EpReceiver {
             spec,
-            cfg,
-            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            tail: RxTail::new(&spec, TK_LINGER),
             acks: AckBuilder::new(packets_for(spec.size).get()),
             credit: CreditLoop::new(&spec, cfg, env, TK_CREDIT, TK_FEEDBACK),
         }
@@ -541,7 +518,7 @@ impl EpReceiver {
             .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.flow_seq);
         ctx.send(Packet::to_sender(
             &self.spec,
-            self.cfg.ctrl_class,
+            TrafficClass::NewCtrl,
             Payload::Ack(info),
         ));
         if self.tail.completing() {
@@ -574,32 +551,22 @@ impl Endpoint for EpReceiver {
 }
 
 /// Factory producing plain ExpressPass flows.
-pub struct ExpressPassFactory {
-    /// Configuration applied to every flow.
-    pub cfg: EpConfig,
-}
+#[derive(Default)]
+pub struct ExpressPassFactory;
 
 impl ExpressPassFactory {
     /// Factory with default parameters (full-rate credit allocation).
     pub fn new() -> Self {
-        ExpressPassFactory {
-            cfg: EpConfig::default(),
-        }
-    }
-}
-
-impl Default for ExpressPassFactory {
-    fn default() -> Self {
-        Self::new()
+        ExpressPassFactory
     }
 }
 
 impl TransportFactory for ExpressPassFactory {
     fn sender(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        Box::new(EpSender::new(*flow, self.cfg, env))
+        Box::new(EpSender::new(*flow, env))
     }
     fn receiver(&self, flow: &FlowSpec, env: &NetEnv) -> Box<dyn Endpoint> {
-        Box::new(EpReceiver::new(*flow, self.cfg, env))
+        Box::new(EpReceiver::new(*flow, EpConfig::default(), env))
     }
 }
 

@@ -9,7 +9,6 @@
 //! transports (real Homa uses resend requests; the difference is immaterial
 //! for the aggregate-throughput motivation experiment this backs).
 
-use flexpass_simcore::time::TimeDelta;
 use flexpass_simcore::units::Bytes;
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
@@ -18,53 +17,38 @@ use flexpass_simnet::packet::{
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 
-use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard};
+use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard, MIN_RTO};
 
 /// Timer kind: sender retransmission backstop.
 const TK_RTO: u16 = 7;
 /// Timer kind: receiver linger teardown.
 const TK_LINGER: u16 = 8;
 
-/// Homa-lite parameters.
+/// The Homa-lite priorities Figure 1(b) turns.
 #[derive(Clone, Copy, Debug)]
 pub struct HomaConfig {
-    /// One RTT worth of data (the unscheduled window and the granted
-    /// in-flight target).
-    pub rtt_bytes: Bytes,
     /// Priority used by unscheduled packets (0 is the network's highest).
     pub unsched_prio: u8,
     /// Priority granted to scheduled packets of large messages.
     pub sched_prio: u8,
-    /// Data traffic class.
-    pub data_class: TrafficClass,
-    /// Control traffic class (grants, ACKs).
-    pub ctrl_class: TrafficClass,
-    /// Sender retransmission floor.
-    pub min_rto: TimeDelta,
-    /// Receiver linger before teardown.
-    pub linger: TimeDelta,
 }
 
 impl Default for HomaConfig {
     fn default() -> Self {
         HomaConfig {
-            // 25 kB ~ BDP of a 10 Gbps link at 20 us RTT.
-            rtt_bytes: Bytes::new(25_000),
             unsched_prio: 1,
             sched_prio: 6,
-            data_class: TrafficClass::NewData,
-            ctrl_class: TrafficClass::NewCtrl,
-            min_rto: TimeDelta::millis(4),
-            linger: TimeDelta::millis(16),
         }
     }
 }
 
-impl HomaConfig {
-    /// The unscheduled / grant window in packets.
-    pub fn rtt_pkts(&self) -> u32 {
-        packets_for(self.rtt_bytes).get()
-    }
+/// One RTT worth of data (the unscheduled window and the granted in-flight
+/// target): 25 kB ~ BDP of a 10 Gbps link at 20 us RTT.
+const RTT_BYTES: Bytes = Bytes::new(25_000);
+
+/// The unscheduled / grant window in packets.
+fn rtt_pkts() -> u32 {
+    packets_for(RTT_BYTES).get()
 }
 
 /// Homa-lite sender.
@@ -87,7 +71,7 @@ impl HomaSender {
             spec,
             cfg,
             sb: Scoreboard::new(n),
-            granted: cfg.rtt_pkts().min(n),
+            granted: rtt_pkts().min(n),
             dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
@@ -96,14 +80,14 @@ impl HomaSender {
     }
 
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto.update(ctx, !self.done, self.cfg.min_rto);
+        self.rto.update(ctx, !self.done, MIN_RTO);
     }
 
     /// Sends everything currently authorized by `granted`: retransmissions
     /// first, all at priority `prio`.
     fn pump(&mut self, prio: u8, ctx: &mut EndpointCtx) {
         while let Some((seq, retx)) = self.sb.pick_below(self.granted) {
-            let class = self.cfg.data_class;
+            let class = TrafficClass::NewData;
             let pkt = data_packet(&self.spec, class, seq, seq, retx, &mut self.stats);
             ctx.send(pkt.with_prio(prio));
         }
@@ -190,9 +174,9 @@ impl HomaReceiver {
         HomaReceiver {
             spec,
             cfg,
-            tail: RxTail::new(&spec, cfg.linger, TK_LINGER),
+            tail: RxTail::new(&spec, TK_LINGER),
             acks: AckBuilder::new(n),
-            granted: cfg.rtt_pkts().min(n),
+            granted: rtt_pkts().min(n),
         }
     }
 }
@@ -207,11 +191,11 @@ impl Endpoint for HomaReceiver {
             let info = self
                 .acks
                 .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
-            let class = self.cfg.ctrl_class;
+            let class = TrafficClass::NewCtrl;
             ctx.send(Packet::to_sender(&self.spec, class, Payload::Ack(info)));
             // Grant to keep one RTT of data outstanding (self-clocked).
             let reasm = self.tail.reasm();
-            let target = (reasm.received_count() + self.cfg.rtt_pkts()).min(reasm.total());
+            let target = (reasm.received_count() + rtt_pkts()).min(reasm.total());
             if target > self.granted && !reasm.complete() {
                 self.granted = target;
                 let grant = GrantInfo {
@@ -258,7 +242,7 @@ impl TransportFactory for HomaFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::{Rate, Time};
+    use flexpass_simcore::time::{Rate, Time, TimeDelta};
     use flexpass_simcore::units::WireBytes;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
@@ -359,13 +343,13 @@ mod tests {
 
     #[test]
     fn grants_cap_in_flight() {
-        let cfg = HomaConfig::default();
-        assert_eq!(cfg.rtt_pkts(), 18);
+        assert_eq!(rtt_pkts(), 18);
         let env = NetEnv {
             host_rate: Rate::from_gbps(10),
             base_rtt: TimeDelta::micros(20),
             n_hosts: 2,
         };
+        let cfg = HomaConfig::default();
         let s = HomaSender::new(flow(1, 0, 1, 10_000_000, Time::ZERO), cfg, &env);
         assert_eq!(s.granted, 18);
     }

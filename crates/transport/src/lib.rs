@@ -26,6 +26,6 @@ pub mod expresspass;
 pub mod homa;
 
 pub use common::{AckBuilder, DctcpWindow, PktState, Reassembly, RttEstimator};
-pub use dctcp::{DctcpConfig, DctcpFactory, DctcpReceiver, DctcpSender};
+pub use dctcp::{DctcpFactory, DctcpReceiver, DctcpSender};
 pub use expresspass::{CreditEngine, EpConfig, EpReceiver, EpSender, ExpressPassFactory};
 pub use homa::{HomaConfig, HomaFactory, HomaReceiver, HomaSender};

@@ -6,7 +6,7 @@ use flexpass_simcore::time::TimeDelta;
 use flexpass_simnet::consts::DATA_WIRE;
 use flexpass_simnet::sim::NetEnv;
 use flexpass_transport::common::{DctcpWindow, RttEstimator};
-use flexpass_transport::expresspass::{CreditEngine, EpConfig};
+use flexpass_transport::expresspass::{CreditEngine, EpConfig, MIN_RATE_FRAC};
 use proptest::prelude::*;
 
 proptest! {
@@ -93,7 +93,7 @@ proptest! {
             eng.feedback_update();
             prop_assert!(eng.rate() <= max * 1.0001, "rate {} > max {max}", eng.rate());
             prop_assert!(
-                eng.rate() >= max * cfg.min_rate_frac * 0.9999,
+                eng.rate() >= max * MIN_RATE_FRAC * 0.9999,
                 "rate {} below floor",
                 eng.rate()
             );
