@@ -22,7 +22,6 @@ pub struct LySender {
     spec: FlowSpec,
     sb: Scoreboard,
     win: DctcpWindow,
-    dupacks: u32,
     rto: RtoTimer,
     stats: TxStats,
     done: bool,
@@ -35,7 +34,6 @@ impl LySender {
             spec,
             sb: Scoreboard::new(packets_for(spec.size).get()),
             win: DctcpWindow::new(INIT_CWND, G, MAX_CWND),
-            dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
@@ -81,20 +79,13 @@ impl LySender {
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.sb.snd_una();
-        let newly = self.sb.apply_ack(ack, |_| {});
+        let (newly, marked) = self.sb.read_ack(ack);
         if newly > 0 {
             self.rto.progress(ctx.now);
-            self.dupacks = 0;
             self.win
                 .on_ack(newly, ack.acked_flow_seq, ack.ece, self.sb.next_pending());
-        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
-            self.dupacks += 1;
-            if self.dupacks == 3 {
-                self.dupacks = 0;
-                self.sb.mark_lost(self.sb.snd_una());
-                self.win.on_loss(ack.cum, self.sb.next_pending());
-            }
+        } else if marked.is_some() {
+            self.win.on_loss(ack.cum, self.sb.next_pending());
         }
         if self.sb.all_acked() && !self.done {
             self.done = true;

@@ -12,7 +12,8 @@
 //!   packets are colored *red* so switches can selectively drop them the
 //!   moment they would build a queue.
 //!
-//! The sender keeps the paper's per-packet state machine (Figure 4):
+//! The sender runs the paper's per-packet state machine (Figure 4) on the
+//! reliability kit's scoreboard, the one every sender keeps:
 //! `Pending → SentReactive/SentProactive → Acked`, with `Lost` detected per
 //! sub-flow; credits drain in the priority order **Lost → Pending → Sent as
 //! reactive** (the last being the tail-latency-saving "proactive

@@ -1,6 +1,11 @@
 //! The FlexPass sender: the Figure-4 per-packet state machine over a shared
 //! send buffer, with a credit-clocked proactive sub-flow and a
 //! DCTCP-windowed reactive sub-flow.
+//!
+//! The per-packet states live in the kit's [`Scoreboard`], the same one the
+//! single-loop senders keep; what is FlexPass's own is `SubflowTx`, the
+//! slot bookkeeping of each sub-flow's sequence space, and the policy that
+//! maps a closed slot back to its packet.
 
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
@@ -10,7 +15,7 @@ use flexpass_simnet::packet::{
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv};
 use flexpass_simnet::trace::TraceEvent;
-use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, SeqSet, MIN_RTO};
+use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, Scoreboard, MIN_RTO};
 use flexpass_transport::dctcp::{G, INIT_CWND, MAX_CWND};
 use flexpass_transport::expresspass::waste_credit;
 
@@ -63,22 +68,45 @@ impl SubflowTx {
         true
     }
 
-    /// Open slots strictly below `below` that are presumed lost because at
-    /// least `dup_thresh` later slots were acknowledged. Results are
+    /// Applies a cumulative + selective ACK; fills `newly` (cleared first)
+    /// with the slots it closed. The buffer is caller-owned scratch so
+    /// per-ACK processing allocates nothing once warm.
+    fn apply_ack(&mut self, ack: &AckInfo, newly: &mut Vec<u32>) {
+        newly.clear();
+        for s in self.clean..ack.cum.min(self.next_seq()) {
+            if self.close(s) {
+                newly.push(s);
+            }
+        }
+        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
+            for s in lo..hi.min(self.next_seq()) {
+                if self.close(s) {
+                    newly.push(s);
+                }
+            }
+            if hi > 0 {
+                self.high_acked = self.high_acked.max(hi - 1);
+            }
+        }
+        if ack.cum > 0 {
+            self.high_acked = self.high_acked.max(ack.cum - 1);
+        }
+    }
+
+    /// Open slots presumed lost because at least `dup_thresh` later slots
+    /// were acknowledged. Results are
     /// appended to the caller's reusable `lost` buffer (cleared first) so
     /// the per-ACK path stays allocation-free in steady state.
-    fn sweep_lost(&mut self, dup_thresh: u32, lost: &mut Vec<u32>) {
+    fn sweep_lost(&self, dup_thresh: u32, lost: &mut Vec<u32>) {
         lost.clear();
         if self.high_acked < dup_thresh {
             return;
         }
         let limit = self.high_acked.saturating_sub(dup_thresh - 1);
-        let mut s = self.clean;
-        while s < limit.min(self.map.len() as u32) {
+        for s in self.clean..limit.min(self.next_seq()) {
             if !self.closed[s as usize] {
                 lost.push(s);
             }
-            s += 1;
         }
     }
 }
@@ -87,9 +115,8 @@ impl SubflowTx {
 pub struct FlexPassSender {
     spec: FlowSpec,
     cfg: FlexPassConfig,
-    n: u32,
     /// Figure-4 per-packet states, indexed by `flow_seq`.
-    states: Vec<PktState>,
+    sb: Scoreboard,
     /// Last reactive sub-seq each packet was assigned, if any.
     rseq_of: Vec<Option<u32>>,
     /// Last proactive sub-seq each packet was assigned, if any.
@@ -97,11 +124,8 @@ pub struct FlexPassSender {
     reactive: SubflowTx,
     proactive: SubflowTx,
     rwin: DctcpWindow,
-    /// Frontier for head allocation (lowest possibly-pending `flow_seq`).
-    head: u32,
     /// Frontier for RC3-style tail allocation.
     tail: i64,
-    acked: u32,
     /// Full-stall timer: no ACK on either sub-flow for a (backed-off) RTO.
     rto: RtoTimer,
     /// Reactive tail-loss timer: progress is a reactive ACK closing
@@ -110,11 +134,6 @@ pub struct FlexPassSender {
     /// Reusable sub-seq scratch for ACK application and loss sweeps
     /// (take/restore around iteration; never reallocated once warm).
     seq_scratch: Vec<u32>,
-    /// Packets currently in state `Lost`.
-    lost: SeqSet,
-    /// Packets currently in state `SentReactive` (proactive-retx
-    /// candidates).
-    sent_reactive: SeqSet,
     stats: TxStats,
     done: bool,
 }
@@ -126,21 +145,16 @@ impl FlexPassSender {
         FlexPassSender {
             spec,
             cfg,
-            n,
-            states: vec![PktState::Pending; n as usize],
+            sb: Scoreboard::new(n),
             rseq_of: vec![None; n as usize],
             pseq_of: vec![None; n as usize],
             reactive: SubflowTx::default(),
             proactive: SubflowTx::default(),
             rwin: DctcpWindow::new(INIT_CWND, G, MAX_CWND),
-            head: 0,
             tail: i64::from(n) - 1,
-            acked: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             r_rto: RtoTimer::new(spec.id, TK_R_RTO),
             seq_scratch: Vec::new(),
-            lost: SeqSet::default(),
-            sent_reactive: SeqSet::default(),
             stats: TxStats::default(),
             done: false,
         }
@@ -172,22 +186,16 @@ impl FlexPassSender {
         ctx.send(Packet::to_receiver(
             &self.spec,
             TrafficClass::NewCtrl,
-            Payload::CreditReq { pkts: self.n },
+            Payload::CreditReq {
+                pkts: self.sb.total(),
+            },
         ));
         self.update_rto(ctx);
     }
 
-    /// Lowest `Pending` packet from the head, advancing the frontier.
-    fn next_head_pending(&mut self) -> Option<u32> {
-        while self.head < self.n && self.states[self.head as usize] != PktState::Pending {
-            self.head += 1;
-        }
-        (self.head < self.n).then_some(self.head)
-    }
-
     /// Highest `Pending` packet from the tail (RC3 variant).
     fn next_tail_pending(&mut self) -> Option<u32> {
-        while self.tail >= 0 && self.states[self.tail as usize] != PktState::Pending {
+        while self.tail >= 0 && self.sb.state(self.tail as u32) != PktState::Pending {
             self.tail -= 1;
         }
         (self.tail >= 0).then_some(self.tail as u32)
@@ -210,11 +218,10 @@ impl FlexPassSender {
 
     /// Sends `flow_seq` on the reactive sub-flow.
     fn send_reactive(&mut self, flow_seq: u32, ctx: &mut EndpointCtx) {
-        debug_assert_eq!(self.states[flow_seq as usize], PktState::Pending);
+        debug_assert_eq!(self.sb.state(flow_seq), PktState::Pending);
         let sub_seq = self.reactive.assign(flow_seq);
         self.rseq_of[flow_seq as usize] = Some(sub_seq);
-        self.states[flow_seq as usize] = PktState::SentReactive;
-        self.sent_reactive.insert(flow_seq);
+        self.sb.set(flow_seq, PktState::SentReactive);
         let pkt = self.data_packet(flow_seq, Subflow::Reactive, sub_seq, false);
         self.stats.count_data(pkt.payload_bytes(), false);
         ctx.send(pkt);
@@ -228,7 +235,7 @@ impl FlexPassSender {
         let cwnd = self.rwin.cwnd_pkts();
         while self.reactive.inflight < cwnd {
             let seq = match self.cfg.split {
-                SplitPolicy::Shared => self.next_head_pending(),
+                SplitPolicy::Shared => self.sb.next_new(),
                 SplitPolicy::Rc3Tail => self.next_tail_pending(),
             };
             match seq {
@@ -256,12 +263,15 @@ impl FlexPassSender {
             NewData,
             ProactiveRetx,
         }
-        let retx_candidate = self.sent_reactive.first();
-        let (flow_seq, kind) = if let Some(s) = self.lost.first() {
+        let (flow_seq, kind) = if let Some(s) = self.sb.first_lost() {
             (s, Kind::LossRecovery)
-        } else if let Some(s) = self.next_head_pending() {
+        } else if let Some(s) = self.sb.next_new() {
             (s, Kind::NewData)
-        } else if let Some(s) = retx_candidate.filter(|_| self.cfg.proactive_retx) {
+        } else if let Some(s) = self
+            .sb
+            .first_sent_reactive()
+            .filter(|_| self.cfg.proactive_retx)
+        {
             (s, Kind::ProactiveRetx)
         } else {
             waste_credit(&mut self.stats, self.spec.id);
@@ -270,9 +280,7 @@ impl FlexPassSender {
         let retx = !matches!(kind, Kind::NewData);
         let sub_seq = self.proactive.assign(flow_seq);
         self.pseq_of[flow_seq as usize] = Some(sub_seq);
-        self.lost.remove(flow_seq);
-        self.sent_reactive.remove(flow_seq);
-        self.states[flow_seq as usize] = PktState::SentProactive;
+        self.sb.set(flow_seq, PktState::SentProactive);
         let pkt = self.data_packet(flow_seq, Subflow::Proactive, sub_seq, retx);
         self.stats
             .count_data(pkt.payload_bytes(), matches!(kind, Kind::LossRecovery));
@@ -297,13 +305,10 @@ impl FlexPassSender {
     /// Marks `flow_seq` acknowledged, closing any open sub-flow slots that
     /// carried it.
     fn ack_flow_seq(&mut self, flow_seq: u32) {
-        if self.states[flow_seq as usize] == PktState::Acked {
+        if self.sb.state(flow_seq) == PktState::Acked {
             return;
         }
-        self.states[flow_seq as usize] = PktState::Acked;
-        self.lost.remove(flow_seq);
-        self.sent_reactive.remove(flow_seq);
-        self.acked += 1;
+        self.sb.set(flow_seq, PktState::Acked);
         if let Some(r) = self.rseq_of[flow_seq as usize] {
             self.reactive.close(r);
         }
@@ -312,59 +317,55 @@ impl FlexPassSender {
         }
     }
 
-    /// Applies an ACK to one sub-flow's bookkeeping; fills `newly`
-    /// (cleared first) with newly closed slots that were acknowledged (not
-    /// merely swept). The buffer is caller-owned scratch so per-ACK
-    /// processing allocates nothing once warm.
-    fn apply_subflow_ack(sub: &mut SubflowTx, ack: &AckInfo, newly: &mut Vec<u32>) {
-        newly.clear();
-        let upper = ack.cum.min(sub.next_seq());
-        let mut s = sub.clean;
-        while s < upper {
-            if sub.close(s) {
-                newly.push(s);
-            }
-            s += 1;
-        }
-        for r in 0..ack.sack_n as usize {
-            let (lo, hi) = ack.sack[r];
-            for s in lo..hi.min(sub.next_seq()) {
-                if sub.close(s) {
-                    newly.push(s);
-                }
-            }
-            if hi > 0 {
-                sub.high_acked = sub.high_acked.max(hi - 1);
-            }
-        }
-        if ack.cum > 0 {
-            sub.high_acked = sub.high_acked.max(ack.cum - 1);
+    /// The slot bookkeeping of sub-flow `sub`.
+    fn tx(&mut self, sub: Subflow) -> &mut SubflowTx {
+        match sub {
+            Subflow::Reactive => &mut self.reactive,
+            _ => &mut self.proactive,
         }
     }
 
-    fn on_reactive_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
+    /// Closes slot `sub_seq` of sub-flow `sub` as lost. If that slot
+    /// carried the packet's latest copy — the packet is still in the
+    /// sub-flow's sent state — the packet becomes `Lost`, to be recovered
+    /// on the proactive sub-flow (§4.2, §4.3).
+    fn lose_slot(&mut self, sub: Subflow, sub_seq: u32) {
+        let tx = self.tx(sub);
+        tx.close(sub_seq);
+        let flow_seq = tx.map[sub_seq as usize];
+        let sent = match sub {
+            Subflow::Reactive => PktState::SentReactive,
+            _ => PktState::SentProactive,
+        };
+        if self.sb.state(flow_seq) == sent {
+            self.sb.set(flow_seq, PktState::Lost);
+        }
+    }
+
+    /// Applies an ACK of sub-flow `sub`: acknowledges the packets of the
+    /// slots it closes, then loses the open slots with >= 3 acknowledged
+    /// above them (SACK-based loss detection). Returns how many slots the
+    /// ACK closed and whether the sweep lost any.
+    fn apply_and_sweep(&mut self, sub: Subflow, ack: &AckInfo) -> (u64, bool) {
         let mut seqs = std::mem::take(&mut self.seq_scratch);
-        Self::apply_subflow_ack(&mut self.reactive, ack, &mut seqs);
+        self.tx(sub).apply_ack(ack, &mut seqs);
         let n_new = seqs.len() as u64;
         for &sub_seq in &seqs {
-            let flow_seq = self.reactive.map[sub_seq as usize];
+            let flow_seq = self.tx(sub).map[sub_seq as usize];
             self.ack_flow_seq(flow_seq);
         }
-        // SACK-based loss detection: open slots with >= 3 acked above.
-        self.reactive.sweep_lost(3, &mut seqs);
+        self.tx(sub).sweep_lost(3, &mut seqs);
         let had_loss = !seqs.is_empty();
         for &sub_seq in &seqs {
-            self.reactive.close(sub_seq);
-            let flow_seq = self.reactive.map[sub_seq as usize];
-            if self.states[flow_seq as usize] == PktState::SentReactive {
-                // Recovery happens on the proactive sub-flow (§4.2).
-                self.states[flow_seq as usize] = PktState::Lost;
-                self.sent_reactive.remove(flow_seq);
-                self.lost.insert(flow_seq);
-            }
+            self.lose_slot(sub, sub_seq);
         }
         seqs.clear();
         self.seq_scratch = seqs;
+        (n_new, had_loss)
+    }
+
+    fn on_reactive_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
+        let (n_new, had_loss) = self.apply_and_sweep(Subflow::Reactive, ack);
         if n_new > 0 {
             self.rto.progress(ctx.now);
             self.r_rto.progress(ctx.now);
@@ -392,28 +393,9 @@ impl FlexPassSender {
     }
 
     fn on_proactive_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let mut seqs = std::mem::take(&mut self.seq_scratch);
-        Self::apply_subflow_ack(&mut self.proactive, ack, &mut seqs);
-        if !seqs.is_empty() {
+        if self.apply_and_sweep(Subflow::Proactive, ack).0 > 0 {
             self.rto.progress(ctx.now);
         }
-        for &sub_seq in &seqs {
-            let flow_seq = self.proactive.map[sub_seq as usize];
-            self.ack_flow_seq(flow_seq);
-        }
-        // Proactive losses are non-congestive (e.g. failures) but must be
-        // recovered with the highest priority (§4.3).
-        self.proactive.sweep_lost(3, &mut seqs);
-        for &sub_seq in &seqs {
-            self.proactive.close(sub_seq);
-            let flow_seq = self.proactive.map[sub_seq as usize];
-            if self.states[flow_seq as usize] == PktState::SentProactive {
-                self.states[flow_seq as usize] = PktState::Lost;
-                self.lost.insert(flow_seq);
-            }
-        }
-        seqs.clear();
-        self.seq_scratch = seqs;
         self.check_done(ctx);
         self.update_rto(ctx);
         // A proactive ACK can close stale reactive slots via `ack_flow_seq`.
@@ -421,7 +403,7 @@ impl FlexPassSender {
     }
 
     fn check_done(&mut self, ctx: &mut EndpointCtx) {
-        if self.acked >= self.n && !self.done {
+        if self.sb.all_acked() && !self.done {
             self.done = true;
             ctx.emit(AppEvent::SenderDone {
                 flow: self.spec.id,
@@ -440,18 +422,10 @@ impl FlexPassSender {
         if self.done || self.reactive.inflight == 0 {
             return;
         }
-        let mut s = self.reactive.clean;
-        while (s as usize) < self.reactive.map.len() {
+        for s in self.reactive.clean..self.reactive.next_seq() {
             if !self.reactive.closed[s as usize] {
-                self.reactive.close(s);
-                let flow_seq = self.reactive.map[s as usize];
-                if self.states[flow_seq as usize] == PktState::SentReactive {
-                    self.states[flow_seq as usize] = PktState::Lost;
-                    self.sent_reactive.remove(flow_seq);
-                    self.lost.insert(flow_seq);
-                }
+                self.lose_slot(Subflow::Reactive, s);
             }
-            s += 1;
         }
         self.rwin.on_timeout(self.reactive.next_seq());
         self.r_rto.progress(ctx.now);
@@ -469,23 +443,18 @@ impl FlexPassSender {
         // credits, and restart the reactive window from one packet. Only
         // count a timeout when data was actually outstanding.
         self.rto.back_off(ctx.now);
-        let mut any_lost = false;
-        for s in 0..self.n as usize {
-            if self.states[s].in_flight() {
-                any_lost = true;
-                if let Some(r) = self.rseq_of[s] {
-                    self.reactive.close(r);
-                }
-                if let Some(p) = self.pseq_of[s] {
-                    self.proactive.close(p);
-                }
-                self.states[s] = PktState::Lost;
-                self.sent_reactive.remove(s as u32);
-                self.lost.insert(s as u32);
-            }
-        }
-        if any_lost {
+        if self.sb.in_flight() > 0 {
             self.stats.timeouts += 1;
+        }
+        for s in 0..self.sb.total() {
+            if self.sb.state(s).in_flight() {
+                if let Some(r) = self.rseq_of[s as usize] {
+                    self.lose_slot(Subflow::Reactive, r);
+                }
+                if let Some(p) = self.pseq_of[s as usize] {
+                    self.lose_slot(Subflow::Proactive, p);
+                }
+            }
         }
         self.rwin.on_timeout(self.reactive.next_seq());
         self.send_request(ctx);
@@ -688,7 +657,7 @@ mod tests {
             _ => panic!("expected proactive data"),
         }
         assert_eq!(s.stats().proactive_retx_pkts, 1);
-        assert_eq!(s.states[0], PktState::SentProactive);
+        assert_eq!(s.sb.state(0), PktState::SentProactive);
     }
 
     #[test]
@@ -711,7 +680,7 @@ mod tests {
         h.with(Time::ZERO, |ctx| {
             s.on_packet(&sack_ack(Subflow::Reactive, 2, 5, 9), ctx)
         });
-        assert_eq!(s.states[2], PktState::Lost);
+        assert_eq!(s.sb.state(2), PktState::Lost);
         // Next credit must carry packet 2 (loss recovery beats new data).
         let before = h.tx.len();
         h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
@@ -739,7 +708,7 @@ mod tests {
         h.with(Time::ZERO, |ctx| {
             s.on_packet(&sack_ack(Subflow::Reactive, 0, 1, 8), ctx)
         });
-        assert_eq!(s.states[0], PktState::Lost);
+        assert_eq!(s.sb.state(0), PktState::Lost);
         for d in h.data_sent() {
             if d.sub == Subflow::Reactive {
                 assert!(!d.retx, "reactive retransmission is forbidden");
@@ -766,8 +735,30 @@ mod tests {
         h.with(Time::ZERO, |ctx| {
             s.on_packet(&ack(Subflow::Proactive, 1, false), ctx)
         });
-        assert_eq!(s.states[0], PktState::Acked);
+        assert_eq!(s.sb.state(0), PktState::Acked);
         assert_eq!(s.reactive.inflight, 2);
+    }
+
+    #[test]
+    fn reactive_loss_spares_a_packet_resent_proactively() {
+        let mut s = FlexPassSender::new(spec(5 * 1460), FlexPassConfig::new(0.5), &env());
+        let mut h = H::default();
+        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        // All 5 packets went reactive; a credit resends packet 0 proactively.
+        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        assert_eq!(s.sb.state(0), PktState::SentProactive);
+        // SACKs of reactive slots 1..5 sweep slot 0 as lost, but the
+        // packet's latest copy rides the proactive sub-flow: not `Lost`.
+        h.with(Time::ZERO, |ctx| {
+            s.on_packet(&sack_ack(Subflow::Reactive, 0, 1, 5), ctx)
+        });
+        assert_eq!(s.reactive.inflight, 0);
+        assert_eq!(s.sb.state(0), PktState::SentProactive);
+        // So the next credit has nothing to carry.
+        let before = h.tx.len();
+        h.with(Time::ZERO, |ctx| s.on_packet(&credit(1), ctx));
+        assert_eq!(h.tx.len(), before);
+        assert_eq!(s.stats().credits_wasted, 1);
     }
 
     #[test]
@@ -848,7 +839,7 @@ mod tests {
             s.on_timer(timer_token(5, TK_RTO), ctx)
         });
         assert_eq!(s.stats().timeouts, 1);
-        assert!(s.states.iter().take(10).all(|st| *st == PktState::Lost));
+        assert!((0..10).all(|i| s.sb.state(i) == PktState::Lost));
         assert_eq!(s.reactive.inflight, 0);
         // A second CreditReq went out.
         let reqs =

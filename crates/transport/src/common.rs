@@ -1,11 +1,11 @@
 //! The reliability kit shared by every transport.
 //!
-//! Sender side: the per-packet [`Scoreboard`] (cumulative + SACK marking,
-//! lost-first transmission order), the [`RtoTimer`], the [`RttEstimator`]
-//! and the [`DctcpWindow`]. Receiver side: [`Reassembly`], the
-//! [`AckBuilder`] and the completion-and-linger [`RxTail`]. Each transport
-//! keeps only its own policy: what clocks a transmission and how it reads
-//! duplicate ACKs.
+//! Sender side: the per-packet [`Scoreboard`] of every sender, FlexPass's
+//! included (cumulative + SACK marking, lost-first transmission order, the
+//! triple-duplicate-ACK rule), the [`RtoTimer`], the [`RttEstimator`] and
+//! the [`DctcpWindow`]. Receiver side: [`Reassembly`], the [`AckBuilder`]
+//! and the completion-and-linger [`RxTail`]. Each transport keeps only its
+//! own policy: what clocks a transmission and what a loss does to it.
 
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
@@ -23,8 +23,10 @@ pub const MIN_RTO: TimeDelta = TimeDelta::millis(4);
 /// before it is torn down.
 pub const LINGER: TimeDelta = TimeDelta::millis(16);
 
-/// Per-packet sender-side state (Figure 4 of the paper uses the same set,
-/// with "sent" split by sub-flow; single-loop transports use `Sent`).
+/// Per-packet sender-side state, kept by a [`Scoreboard`]. FlexPass's
+/// sender is the paper's Figure-4 machine over `Pending`, `SentReactive`,
+/// `SentProactive`, `Lost` and `Acked`; single-loop senders use `Sent` in
+/// place of the two sub-flow states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PktState {
     /// Never transmitted.
@@ -398,68 +400,71 @@ impl DctcpWindow {
     }
 }
 
-/// A sorted set of sequence numbers (the `Lost` set, FlexPass's
-/// `SentReactive` set).
+/// A sorted set of sequence numbers (a [`Scoreboard`]'s `Lost` and
+/// `SentReactive` sets).
 ///
 /// These sets are small, churny and regularly drain to empty. A `BTreeSet`
 /// frees its root node at that point and reallocates it on the next
 /// insert, which shows up as steady-state datapath allocations; a sorted
 /// `Vec` keeps its buffer.
 #[derive(Clone, Debug, Default)]
-pub struct SeqSet(Vec<u32>);
+struct SeqSet(Vec<u32>);
 
 impl SeqSet {
     /// Inserts `x` (no-op if already present).
-    pub fn insert(&mut self, x: u32) {
+    fn insert(&mut self, x: u32) {
         if let Err(pos) = self.0.binary_search(&x) {
             self.0.insert(pos, x);
         }
     }
 
     /// Removes `x` (no-op if absent).
-    pub fn remove(&mut self, x: u32) {
+    fn remove(&mut self, x: u32) {
         if let Ok(pos) = self.0.binary_search(&x) {
             self.0.remove(pos);
         }
     }
 
     /// The lowest member.
-    pub fn first(&self) -> Option<u32> {
+    fn first(&self) -> Option<u32> {
         self.0.first().copied()
-    }
-
-    /// True when the set has no members.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
-/// A single-loop sender's per-packet scoreboard: which packets are pending,
-/// in flight, lost or acknowledged, and which to transmit next.
+/// A sender's per-packet scoreboard: which packets are pending, in flight,
+/// lost or acknowledged, and which to transmit next. Every sender keeps
+/// one; FlexPass's covers both of its sub-flows.
 ///
-/// The set of `Lost` packets always equals the packets whose state is
-/// [`PktState::Lost`], and `in_flight` the number whose state is
-/// [`PktState::Sent`]; every transition goes through the methods here.
+/// [`set`](Self::set) is the only write to a packet's state. It keeps the
+/// derived state in step: the `Lost` set and the `SentReactive` set hold
+/// exactly the packets in those states, `in_flight` counts the packets in
+/// any sent state and `acked` the [`PktState::Acked`] ones. Single-loop
+/// senders use `Sent` and read ACKs through [`read_ack`](Self::read_ack),
+/// which holds the triple-duplicate-ACK rule.
 #[derive(Clone, Debug)]
 pub struct Scoreboard {
-    states: Vec<PktState>,
+    states: Box<[PktState]>,
     snd_una: u32,
     next_pending: u32,
     acked: u32,
     in_flight: u32,
+    dupacks: u32,
     lost: SeqSet,
+    sent_reactive: SeqSet,
 }
 
 impl Scoreboard {
     /// Creates a scoreboard of `n` pending packets.
     pub fn new(n: u32) -> Self {
         Scoreboard {
-            states: vec![PktState::Pending; n as usize],
+            states: vec![PktState::Pending; n as usize].into_boxed_slice(),
             snd_una: 0,
             next_pending: 0,
             acked: 0,
             in_flight: 0,
+            dupacks: 0,
             lost: SeqSet::default(),
+            sent_reactive: SeqSet::default(),
         }
     }
 
@@ -468,12 +473,36 @@ impl Scoreboard {
         self.states.len() as u32
     }
 
+    /// The state of packet `seq`.
+    pub fn state(&self, seq: u32) -> PktState {
+        self.states[seq as usize]
+    }
+
+    /// Moves packet `seq` to state `to`, keeping the derived sets and
+    /// counts in step. Every transition goes through here.
+    pub fn set(&mut self, seq: u32, to: PktState) {
+        let from = std::mem::replace(&mut self.states[seq as usize], to);
+        match from {
+            PktState::Lost => self.lost.remove(seq),
+            PktState::SentReactive => self.sent_reactive.remove(seq),
+            PktState::Acked => self.acked -= 1,
+            _ => {}
+        }
+        match to {
+            PktState::Lost => self.lost.insert(seq),
+            PktState::SentReactive => self.sent_reactive.insert(seq),
+            PktState::Acked => self.acked += 1,
+            _ => {}
+        }
+        self.in_flight = self.in_flight + u32::from(to.in_flight()) - u32::from(from.in_flight());
+    }
+
     /// Lowest sequence not yet cumulatively acknowledged.
     pub fn snd_una(&self) -> u32 {
         self.snd_una
     }
 
-    /// The send frontier: every packet below it has been transmitted.
+    /// The send frontier: no packet below it is pending.
     pub fn next_pending(&self) -> u32 {
         self.next_pending
     }
@@ -488,9 +517,24 @@ impl Scoreboard {
         self.acked >= self.total()
     }
 
-    /// True while any packet is marked lost and not yet retransmitted.
-    pub fn has_lost(&self) -> bool {
-        !self.lost.is_empty()
+    /// The lowest packet in state `Lost`.
+    pub fn first_lost(&self) -> Option<u32> {
+        self.lost.first()
+    }
+
+    /// The lowest packet in state `SentReactive`.
+    pub fn first_sent_reactive(&self) -> Option<u32> {
+        self.sent_reactive.first()
+    }
+
+    /// The lowest never-sent packet, advancing the send frontier to it;
+    /// the packet stays `Pending`.
+    pub fn next_new(&mut self) -> Option<u32> {
+        let n = self.total();
+        while self.next_pending < n && self.state(self.next_pending) != PktState::Pending {
+            self.next_pending += 1;
+        }
+        (self.next_pending < n).then_some(self.next_pending)
     }
 
     /// Applies a cumulative + selective acknowledgment and returns how many
@@ -512,18 +556,32 @@ impl Scoreboard {
     }
 
     fn mark_acked(&mut self, seq: u32, on_newly: &mut impl FnMut(u32)) -> u64 {
-        let st = &mut self.states[seq as usize];
-        if *st == PktState::Acked {
+        if self.state(seq) == PktState::Acked {
             return 0;
         }
-        if st.in_flight() {
-            self.in_flight -= 1;
-        }
-        *st = PktState::Acked;
-        self.lost.remove(seq);
-        self.acked += 1;
+        self.set(seq, PktState::Acked);
         on_newly(seq);
         1
+    }
+
+    /// [`apply_ack`](Self::apply_ack) under the triple-duplicate-ACK rule:
+    /// the third ACK in a row that acknowledges nothing new and repeats the
+    /// cumulative point below the flow's end marks `snd_una` lost, and the
+    /// count restarts. Returns the packets newly acknowledged and, on that
+    /// third duplicate, `Some` of whether `snd_una` was in flight.
+    pub fn read_ack(&mut self, ack: &AckInfo) -> (u64, Option<bool>) {
+        let prev_una = self.snd_una;
+        let newly = self.apply_ack(ack, |_| {});
+        if newly > 0 {
+            self.dupacks = 0;
+        } else if ack.cum == prev_una && ack.cum < self.total() {
+            self.dupacks += 1;
+            if self.dupacks == 3 {
+                self.dupacks = 0;
+                return (0, Some(self.mark_lost(self.snd_una)));
+            }
+        }
+        (newly, None)
     }
 
     /// Chooses the next packet to transmit — the lowest lost packet first,
@@ -536,27 +594,15 @@ impl Scoreboard {
     /// [`pick`](Self::pick), with new data limited to sequences below
     /// `limit` (a grant); retransmissions are not limited.
     pub fn pick_below(&mut self, limit: u32) -> Option<(u32, bool)> {
-        let n = self.total();
-        let (seq, retx) = match self.lost.first() {
-            Some(seq) => {
-                self.lost.remove(seq);
-                (seq, true)
-            }
+        let (seq, retx) = match self.first_lost() {
+            Some(seq) => (seq, true),
             None => {
-                while self.next_pending < n
-                    && self.states[self.next_pending as usize] != PktState::Pending
-                {
-                    self.next_pending += 1;
-                }
-                if self.next_pending >= limit.min(n) {
-                    return None;
-                }
-                self.next_pending += 1;
-                (self.next_pending - 1, false)
+                let seq = self.next_new().filter(|&s| s < limit)?;
+                self.next_pending = seq + 1;
+                (seq, false)
             }
         };
-        self.states[seq as usize] = PktState::Sent;
-        self.in_flight += 1;
+        self.set(seq, PktState::Sent);
         Some((seq, retx))
     }
 
@@ -564,17 +610,15 @@ impl Scoreboard {
     /// [`pick`](Self::pick) retransmits it ahead of new data. Returns
     /// whether it was.
     pub fn mark_lost(&mut self, seq: u32) -> bool {
-        if !self.states[seq as usize].in_flight() {
+        if !self.state(seq).in_flight() {
             return false;
         }
-        self.states[seq as usize] = PktState::Lost;
-        self.lost.insert(seq);
-        self.in_flight -= 1;
+        self.set(seq, PktState::Lost);
         true
     }
 
-    /// Timeout reaction: presumes every in-flight packet lost. Returns
-    /// whether any was in flight.
+    /// Timeout reaction: presumes every in-flight packet below the send
+    /// frontier lost. Returns whether any was in flight.
     pub fn lose_outstanding(&mut self) -> bool {
         let mut any = false;
         for s in self.snd_una..self.next_pending.min(self.total()) {
@@ -936,6 +980,44 @@ mod tests {
         timers
     }
 
+    /// A random ACK over a flow sent up to `frontier`: cumulative point
+    /// `cum` when given, else random. Ranges may overlap, be empty, or run
+    /// past the flow.
+    fn random_ack(rng: &mut SimRng, frontier: u32, cum: Option<u32>) -> AckInfo {
+        let mut ack = AckInfo {
+            sub: Subflow::Only,
+            cum: cum.unwrap_or_else(|| rng.next_below(u64::from(frontier) + 2) as u32),
+            sack: [(0, 0); MAX_SACK],
+            sack_n: rng.next_below(MAX_SACK as u64 + 1) as u8,
+            ece: false,
+            acked_flow_seq: 0,
+        };
+        for r in 0..ack.sack_n as usize {
+            let lo = rng.next_below(u64::from(frontier) + 1) as u32;
+            ack.sack[r] = (lo, lo + rng.next_below(6) as u32);
+        }
+        ack
+    }
+
+    /// The model's reading of `ack`: every covered packet not yet acked
+    /// becomes `Acked`, in the order the scoreboard reports them.
+    fn model_ack(st: &mut [PktState], una: &mut u32, ack: &AckInfo) -> Vec<u32> {
+        let n = st.len() as u32;
+        let mut covered: Vec<u32> = (0..ack.cum.min(n)).collect();
+        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
+            covered.extend(lo..hi.min(n));
+        }
+        let mut newly = Vec::new();
+        for s in covered {
+            if st[s as usize] != PktState::Acked {
+                st[s as usize] = PktState::Acked;
+                newly.push(s);
+            }
+        }
+        *una = (*una).max(ack.cum.min(n));
+        newly
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -989,30 +1071,34 @@ mod tests {
             }
         }
 
-        /// `Scoreboard` against a naive per-packet model over random
-        /// send / cum+SACK / loss tapes.
+        /// `Scoreboard` against a naive per-packet model (one state per
+        /// packet, derived sets and counts recomputed by scanning) over
+        /// random pick / next-new / set / cum+SACK / duplicate-ACK / loss
+        /// tapes.
         #[test]
         fn scoreboard_matches_naive_model(seed in 0u64..100_000, n in 1u32..120) {
+            use PktState::*;
             let mut rng = SimRng::new(seed);
             let mut sb = Scoreboard::new(n);
-            // The model: one flag per packet and property.
-            let mut acked = vec![false; n as usize];
-            let mut sent = vec![false; n as usize];
-            let mut lost = vec![false; n as usize];
-            let (mut una, mut frontier) = (0u32, 0u32);
+            let mut st = vec![Pending; n as usize];
+            let (mut una, mut frontier, mut dups) = (0u32, 0u32, 0u32);
+            // The lazy never-sent frontier: it skips packets that are no
+            // longer pending only when asked for one.
+            let advance = |st: &[PktState], frontier: &mut u32| {
+                while *frontier < n && st[*frontier as usize] != Pending {
+                    *frontier += 1;
+                }
+            };
             for _ in 0..400 {
-                match rng.next_below(8) {
+                match rng.next_below(12) {
                     0..=3 => {
                         let limit = match rng.chance(0.5) {
                             true => n,
                             false => rng.next_below(u64::from(n) + 1) as u32,
                         };
-                        let first_lost = lost.iter().position(|&l| l);
+                        let first_lost = st.iter().position(|&x| x == Lost);
                         if first_lost.is_none() {
-                            // ACKs may cover packets that were never sent.
-                            while frontier < n && acked[frontier as usize] {
-                                frontier += 1;
-                            }
+                            advance(&st, &mut frontier);
                         }
                         let want = match first_lost {
                             Some(s) => Some((s as u32, true)),
@@ -1021,71 +1107,85 @@ mod tests {
                         };
                         prop_assert_eq!(sb.pick_below(limit), want);
                         if let Some((s, retx)) = want {
-                            lost[s as usize] = false;
-                            sent[s as usize] = true;
+                            st[s as usize] = Sent;
                             if !retx {
                                 frontier += 1;
                             }
                         }
                     }
                     4..=5 => {
-                        // Ranges may overlap, be empty, or run past the flow.
-                        let mut ack = AckInfo {
-                            sub: Subflow::Only,
-                            cum: rng.next_below(u64::from(frontier) + 2) as u32,
-                            sack: [(0, 0); MAX_SACK],
-                            sack_n: rng.next_below(MAX_SACK as u64 + 1) as u8,
-                            ece: false,
-                            acked_flow_seq: 0,
-                        };
-                        for r in 0..ack.sack_n as usize {
-                            let lo = rng.next_below(u64::from(frontier) + 1) as u32;
-                            ack.sack[r] = (lo, lo + rng.next_below(6) as u32);
-                        }
-                        let mut covered: Vec<u32> = (0..ack.cum.min(n)).collect();
-                        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
-                            covered.extend(lo..hi.min(n));
-                        }
-                        let mut want_new = Vec::new();
-                        for s in covered {
-                            if !acked[s as usize] {
-                                acked[s as usize] = true;
-                                sent[s as usize] = false;
-                                lost[s as usize] = false;
-                                want_new.push(s);
-                            }
-                        }
-                        una = una.max(ack.cum.min(n));
+                        let ack = random_ack(&mut rng, frontier, None);
+                        let want_new = model_ack(&mut st, &mut una, &ack);
                         let mut got_new = Vec::new();
                         let newly = sb.apply_ack(&ack, |s| got_new.push(s));
                         prop_assert_eq!(newly, want_new.len() as u64);
                         prop_assert_eq!(got_new, want_new);
                     }
-                    6 => {
-                        let s = rng.next_below(u64::from(n)) as u32;
-                        prop_assert_eq!(sb.mark_lost(s), sent[s as usize]);
-                        lost[s as usize] |= std::mem::take(&mut sent[s as usize]);
+                    6..=7 => {
+                        // Mostly duplicates of the cumulative point, some
+                        // carrying SACK news.
+                        let dup = rng.chance(0.8).then_some(una);
+                        let ack = random_ack(&mut rng, frontier, dup);
+                        let prev_una = una;
+                        let newly = model_ack(&mut st, &mut una, &ack).len() as u64;
+                        let mut want = (newly, None);
+                        if newly > 0 {
+                            dups = 0;
+                        } else if ack.cum == prev_una && ack.cum < n {
+                            dups += 1;
+                            if dups == 3 {
+                                dups = 0;
+                                let marked = st[una as usize].in_flight();
+                                if marked {
+                                    st[una as usize] = Lost;
+                                }
+                                want = (0, Some(marked));
+                            }
+                        }
+                        prop_assert_eq!(sb.read_ack(&ack), want);
                     }
-                    _ => {
-                        prop_assert_eq!(sb.lose_outstanding(), sent.iter().any(|&x| x));
-                        for s in 0..n as usize {
-                            lost[s] |= std::mem::take(&mut sent[s]);
+                    8 => {
+                        let s = rng.next_below(u64::from(n)) as u32;
+                        if matches!(st[s as usize], Pending | Lost) {
+                            let to = if rng.chance(0.5) { SentReactive } else { SentProactive };
+                            sb.set(s, to);
+                            st[s as usize] = to;
                         }
                     }
+                    9 => {
+                        advance(&st, &mut frontier);
+                        prop_assert_eq!(sb.next_new(), (frontier < n).then_some(frontier));
+                    }
+                    10 => {
+                        let s = rng.next_below(u64::from(n)) as u32;
+                        let was = st[s as usize].in_flight();
+                        prop_assert_eq!(sb.mark_lost(s), was);
+                        if was {
+                            st[s as usize] = Lost;
+                        }
+                    }
+                    _ => {
+                        let mut any = false;
+                        // Only below the send frontier (`set` may have sent
+                        // packets above it).
+                        for s in una..frontier {
+                            if st[s as usize].in_flight() {
+                                st[s as usize] = Lost;
+                                any = true;
+                            }
+                        }
+                        prop_assert_eq!(sb.lose_outstanding(), any);
+                    }
                 }
+                let first = |want: PktState| st.iter().position(|&x| x == want).map(|s| s as u32);
                 prop_assert_eq!(sb.snd_una(), una);
                 prop_assert_eq!(sb.next_pending(), frontier);
-                prop_assert_eq!(sb.in_flight() as usize, sent.iter().filter(|&&x| x).count());
-                prop_assert_eq!(sb.has_lost(), lost.iter().any(|&x| x));
-                prop_assert_eq!(sb.all_acked(), acked.iter().all(|&x| x));
+                prop_assert_eq!(sb.in_flight() as usize, st.iter().filter(|x| x.in_flight()).count());
+                prop_assert_eq!(sb.first_lost(), first(Lost));
+                prop_assert_eq!(sb.first_sent_reactive(), first(SentReactive));
+                prop_assert_eq!(sb.all_acked(), st.iter().all(|&x| x == Acked));
                 for s in 0..n {
-                    let want = match (acked[s as usize], sent[s as usize], lost[s as usize]) {
-                        (true, _, _) => PktState::Acked,
-                        (_, true, _) => PktState::Sent,
-                        (_, _, true) => PktState::Lost,
-                        _ => PktState::Pending,
-                    };
-                    prop_assert_eq!(sb.states[s as usize], want);
+                    prop_assert_eq!(sb.state(s), st[s as usize]);
                 }
             }
         }

@@ -34,6 +34,8 @@ pub struct DctcpSender {
     sent_at: Vec<Option<Time>>,
     win: DctcpWindow,
     rtt: RttEstimator,
+    /// Its own count, not [`Scoreboard::read_ack`]'s: it restarts only when
+    /// the cumulative point moves and fires once per recovery.
     dupacks: u32,
     /// Fast-recovery high-water mark: `Some(point)` while recovering from a
     /// triple-duplicate-ACK loss, where `point` was the send frontier when
@@ -76,7 +78,9 @@ impl DctcpSender {
 
     /// True while anything is in flight, awaiting retransmission or unsent.
     fn has_work(&self) -> bool {
-        self.sb.in_flight() > 0 || self.sb.has_lost() || self.sb.next_pending() < self.sb.total()
+        self.sb.in_flight() > 0
+            || self.sb.first_lost().is_some()
+            || self.sb.next_pending() < self.sb.total()
     }
 
     fn update_rto(&mut self, ctx: &mut EndpointCtx) {

@@ -85,7 +85,6 @@ pub fn waste_credit(stats: &mut TxStats, flow: FlowId) {
 pub struct EpSender {
     spec: FlowSpec,
     sb: Scoreboard,
-    dupacks: u32,
     rto: RtoTimer,
     stats: TxStats,
     done: bool,
@@ -97,7 +96,6 @@ impl EpSender {
         EpSender {
             spec,
             sb: Scoreboard::new(packets_for(spec.size).get()),
-            dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
@@ -146,17 +144,9 @@ impl EpSender {
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.sb.snd_una();
-        if self.sb.apply_ack(ack, |_| {}) > 0 {
+        // A third duplicate marks a loss; the next credit carries it.
+        if self.sb.read_ack(ack).0 > 0 {
             self.rto.progress(ctx.now);
-            self.dupacks = 0;
-        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
-            self.dupacks += 1;
-            if self.dupacks == 3 {
-                self.dupacks = 0;
-                // Next credit will carry the retransmission.
-                self.sb.mark_lost(self.sb.snd_una());
-            }
         }
         if self.sb.all_acked() && !self.done {
             self.done = true;

@@ -57,7 +57,6 @@ pub struct HomaSender {
     cfg: HomaConfig,
     sb: Scoreboard,
     granted: u32,
-    dupacks: u32,
     rto: RtoTimer,
     stats: TxStats,
     done: bool,
@@ -72,7 +71,6 @@ impl HomaSender {
             cfg,
             sb: Scoreboard::new(n),
             granted: rtt_pkts().min(n),
-            dupacks: 0,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
@@ -95,18 +93,12 @@ impl HomaSender {
     }
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
-        let prev_una = self.sb.snd_una();
-        if self.sb.apply_ack(ack, |_| {}) > 0 {
+        let (newly, marked) = self.sb.read_ack(ack);
+        if newly > 0 {
             self.rto.progress(ctx.now);
-            self.dupacks = 0;
-        } else if ack.cum == prev_una && ack.cum < self.sb.total() {
-            self.dupacks += 1;
-            if self.dupacks == 3 {
-                self.dupacks = 0;
-                if self.sb.mark_lost(self.sb.snd_una()) {
-                    self.pump(self.cfg.sched_prio, ctx);
-                }
-            }
+        }
+        if marked == Some(true) {
+            self.pump(self.cfg.sched_prio, ctx);
         }
         if self.sb.all_acked() && !self.done {
             self.done = true;

@@ -12,7 +12,7 @@
 //!   (Figure 1b).
 //! * [`common`] — the reliability kit every transport here and FlexPass
 //!   compose: the sender's [`Scoreboard`](common::Scoreboard) (cumulative +
-//!   SACK marking, sorted lost set, lost-first pick),
+//!   SACK marking, lost-first pick, the triple-duplicate-ACK rule),
 //!   [`RtoTimer`](common::RtoTimer), [`RttEstimator`] and [`DctcpWindow`];
 //!   the receiver's [`Reassembly`], [`AckBuilder`] and
 //!   [`RxTail`](common::RxTail) (completion report + linger).

@@ -2,8 +2,8 @@
 //!
 //! The simulation must be bit-for-bit reproducible under a fixed seed, its
 //! byte accounting must keep the payload and wire domains apart (see
-//! `simcore::units`), and its per-event datapath must head toward
-//! zero-alloc (ROADMAP-1). The determinism bans (hash collections, wall
+//! `simcore::units`), and its warm per-event datapath must stay off the heap
+//! (DESIGN.md §13). The determinism bans (hash collections, wall
 //! clocks, threads, blocking locks) are clippy's, in the workspace's
 //! `clippy.toml`: clippy resolves names, so an alias, a glob import or a
 //! re-export cannot hide a use. This pass checks what a path ban cannot
