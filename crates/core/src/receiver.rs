@@ -5,7 +5,7 @@ use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{Endpoint, EndpointCtx};
 use flexpass_simnet::packet::{DataInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv};
-use flexpass_transport::common::{AckBuilder, RxTail};
+use flexpass_transport::common::{RxTail, SeqFrontier};
 use flexpass_transport::expresspass::CreditLoop;
 
 use crate::config::{CreditPolicy, FlexPassConfig};
@@ -19,13 +19,13 @@ const TK_LINGER: u16 = 12;
 
 /// The FlexPass receiver endpoint.
 pub struct FlexPassReceiver {
-    spec: FlowSpec,
     cfg: FlexPassConfig,
     tail: RxTail,
-    /// ACK scoreboard of the reactive sub-flow (rseq space).
-    racks: AckBuilder,
-    /// ACK scoreboard of the proactive sub-flow (pseq space).
-    packs: AckBuilder,
+    /// Arrivals on the reactive sub-flow (rseq space), which its ACKs
+    /// report.
+    racks: SeqFrontier,
+    /// Arrivals on the proactive sub-flow (pseq space).
+    packs: SeqFrontier,
     credit: CreditLoop,
 }
 
@@ -36,11 +36,10 @@ impl FlexPassReceiver {
     pub fn new(spec: FlowSpec, cfg: FlexPassConfig, env: &NetEnv) -> Self {
         let n = packets_for(spec.size).get();
         FlexPassReceiver {
-            spec,
             cfg,
             tail: RxTail::new(&spec, TK_LINGER),
-            racks: AckBuilder::new(n),
-            packs: AckBuilder::new(n),
+            racks: SeqFrontier::with_capacity(n),
+            packs: SeqFrontier::with_capacity(n),
             credit: CreditLoop::new(&spec, cfg.credit_loop(), env, TK_CREDIT, TK_FEEDBACK),
         }
     }
@@ -58,7 +57,7 @@ impl FlexPassReceiver {
     fn on_data(&mut self, pkt: &Packet, d: DataInfo, ctx: &mut EndpointCtx) {
         // Reassemble on the per-flow sequence; duplicates (e.g. a reactive
         // original racing its proactive retransmission) are discarded here.
-        self.tail.on_data(d.flow_seq);
+        self.tail.reassemble(d.flow_seq);
 
         // Acknowledge on the sub-flow the copy actually arrived on.
         let (acks, sub) = match d.sub {
@@ -68,10 +67,10 @@ impl FlexPassReceiver {
                 (&mut self.packs, Subflow::Proactive)
             }
         };
-        acks.on_packet(d.sub_seq);
-        let info = acks.build(sub, pkt.ecn_ce, d.flow_seq, d.sub_seq);
+        acks.insert(d.sub_seq);
+        let info = acks.ack(sub, pkt.ecn_ce, d.flow_seq, d.sub_seq);
         ctx.send(Packet::to_sender(
-            &self.spec,
+            self.tail.spec(),
             TrafficClass::NewCtrl,
             Payload::Ack(info),
         ));

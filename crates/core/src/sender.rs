@@ -15,7 +15,9 @@ use flexpass_simnet::packet::{
 };
 use flexpass_simnet::sim::{timer_kind, NetEnv};
 use flexpass_simnet::trace::TraceEvent;
-use flexpass_transport::common::{DctcpWindow, PktState, RtoTimer, Scoreboard, MIN_RTO};
+use flexpass_transport::common::{
+    DctcpWindow, PktState, RtoTimer, Scoreboard, SeqFrontier, MIN_RTO,
+};
 use flexpass_transport::dctcp::{G, INIT_CWND, MAX_CWND};
 use flexpass_transport::expresspass::waste_credit;
 
@@ -32,10 +34,9 @@ const TK_R_RTO: u16 = 14;
 struct SubflowTx {
     /// `sub_seq -> flow_seq`.
     map: Vec<u32>,
-    /// Slot closed: acknowledged, deemed lost, or superseded.
-    closed: Vec<bool>,
-    /// All slots below this index are closed (scan frontier).
-    clean: u32,
+    /// Closed slots: acknowledged, deemed lost, or superseded. Every slot
+    /// below its frontier is closed, so scans start there.
+    closed: SeqFrontier,
     /// Open (in-flight) slots.
     inflight: u32,
     /// Highest slot acknowledged (cumulative or selective).
@@ -46,7 +47,6 @@ impl SubflowTx {
     fn assign(&mut self, flow_seq: u32) -> u32 {
         let sub_seq = self.map.len() as u32;
         self.map.push(flow_seq);
-        self.closed.push(false);
         self.inflight += 1;
         sub_seq
     }
@@ -56,15 +56,13 @@ impl SubflowTx {
     }
 
     fn close(&mut self, sub_seq: u32) -> bool {
-        let i = sub_seq as usize;
-        if i >= self.closed.len() || self.closed[i] {
+        // Overlapping SACK ranges re-close most slots: the read-only test
+        // keeps that common case to one load.
+        if sub_seq >= self.next_seq() || self.closed.contains(sub_seq) {
             return false;
         }
-        self.closed[i] = true;
+        self.closed.insert(sub_seq);
         self.inflight -= 1;
-        while (self.clean as usize) < self.closed.len() && self.closed[self.clean as usize] {
-            self.clean += 1;
-        }
         true
     }
 
@@ -73,7 +71,7 @@ impl SubflowTx {
     /// per-ACK processing allocates nothing once warm.
     fn apply_ack(&mut self, ack: &AckInfo, newly: &mut Vec<u32>) {
         newly.clear();
-        for s in self.clean..ack.cum.min(self.next_seq()) {
+        for s in self.closed.cum()..ack.cum.min(self.next_seq()) {
             if self.close(s) {
                 newly.push(s);
             }
@@ -103,8 +101,8 @@ impl SubflowTx {
             return;
         }
         let limit = self.high_acked.saturating_sub(dup_thresh - 1);
-        for s in self.clean..limit.min(self.next_seq()) {
-            if !self.closed[s as usize] {
+        for s in self.closed.cum()..limit.min(self.next_seq()) {
+            if !self.closed.contains(s) {
                 lost.push(s);
             }
         }
@@ -422,8 +420,8 @@ impl FlexPassSender {
         if self.done || self.reactive.inflight == 0 {
             return;
         }
-        for s in self.reactive.clean..self.reactive.next_seq() {
-            if !self.reactive.closed[s as usize] {
+        for s in self.reactive.closed.cum()..self.reactive.next_seq() {
+            if !self.reactive.closed.contains(s) {
                 self.lose_slot(Subflow::Reactive, s);
             }
         }

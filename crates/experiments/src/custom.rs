@@ -16,6 +16,12 @@ use crate::orchestrate::{grid, or_nan};
 use crate::runner::{run, RunScale, DRAINED};
 use crate::sweep::{build_point, rollout, SEL_DROP};
 
+/// Queue weight `w_q` of a replay.
+const WQ: f64 = 0.5;
+
+/// Seed of a replay's rack rollout.
+const DEPLOY_SEED: u64 = 1;
+
 /// Settings for a custom trace replay.
 #[derive(Clone, Debug)]
 pub struct CustomSpec {
@@ -23,12 +29,8 @@ pub struct CustomSpec {
     pub scheme: Scheme,
     /// Fraction of racks upgraded.
     pub ratio: f64,
-    /// Queue weight w_q.
-    pub wq: f64,
     /// Fabric scale (host ids in the trace must fit).
     pub scale: RunScale,
-    /// Deployment RNG seed.
-    pub seed: u64,
 }
 
 impl Default for CustomSpec {
@@ -36,9 +38,7 @@ impl Default for CustomSpec {
         CustomSpec {
             scheme: Scheme::FlexPass,
             ratio: 1.0,
-            wq: 0.5,
             scale: RunScale::Default,
-            seed: 1,
         }
     }
 }
@@ -90,10 +90,10 @@ pub fn run_trace(
             let (topo, factory, flows) = build_point(
                 clos,
                 spec.scheme,
-                rollout(&clos, spec.ratio, spec.seed),
+                rollout(&clos, spec.ratio, DEPLOY_SEED),
                 flows.to_vec(),
-                FlexPassConfig::new(spec.wq),
-                spec.wq,
+                FlexPassConfig::new(WQ),
+                WQ,
                 SEL_DROP,
             );
             run(topo, factory, Recorder::new(), &flows, None, DRAINED)
@@ -187,7 +187,6 @@ mod tests {
             scale: RunScale::Smoke,
             scheme: Scheme::Naive,
             ratio: 0.5,
-            ..CustomSpec::default()
         };
         let (rec, _) = run_trace(&again, &spec, columns()).unwrap();
         assert_eq!(rec.expect("the replay ran").completed(), 2);

@@ -23,15 +23,15 @@
 //!
 //! A delivered packet, a timer event and a `TimerCmd::Arm` / `Cancel` each
 //! resolve their flow with **one index probe** ([`Host::deliver`],
-//! [`Host::fire_timer`], `Host::find`) and then work on the slot: a re-arm
-//! cancels the handle the slot holds and overwrites it in place.
+//! [`Host::fire_timer`], `Host::settle`) and then work on the slot: a
+//! re-arm cancels the handle the slot holds and overwrites it in place.
 //!
 //! # Retirement
 //!
 //! An endpoint that reports `finished()` keeps its slot until the
-//! simulator has applied the commands that callback staged
-//! (`Host::retire_finished`, called at the end of `Sim::flush`), so a
-//! `Cancel` issued while finishing still finds the handle it names. Timers
+//! commands that callback staged are applied: `Host::settle` (which
+//! `Sim::flush` calls) retires it last, so a `Cancel` issued while
+//! finishing still finds the handle it names. Timers
 //! left armed at that point are *forgotten*, not cancelled: their calendar
 //! entries still pop as events, find no flow, and do nothing — exactly the
 //! event sequence of a table that kept them. A forgotten timer is unmuted
@@ -49,11 +49,13 @@ use flexpass_simcore::TimerHandle;
 
 use crate::arena::{PacketArena, PacketId};
 use crate::endpoint::{AppEvent, Endpoint, EndpointCtx, MuteHint, TimerCmd};
+use crate::hooks;
 use crate::packet::{FlowId, HostId, Packet};
 use crate::port::Port;
 use crate::queue::DropReason;
 use crate::sim::{timer_flow, timer_kind};
 use crate::switch::{ClassMap, SwitchProfile};
+use crate::trace::TraceEvent;
 
 /// Most cancellable timer kinds one endpoint may hold armed at once; a
 /// slot stores their handles inline. The transports arm at most two
@@ -105,7 +107,7 @@ impl Live {
 /// A live slot of one host's flow table: what an index probe resolves a
 /// flow to. Valid until that flow retires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FlowSlot(u32);
+struct FlowSlot(u32);
 
 impl FlowSlot {
     fn pos(self) -> usize {
@@ -242,7 +244,7 @@ impl Host {
     }
 
     /// The slot holding `flow`, if the flow is live here.
-    pub(crate) fn find(&self, flow: FlowId) -> Option<FlowSlot> {
+    fn find(&self, flow: FlowId) -> Option<FlowSlot> {
         self.probe(flow).map(|(_, slot)| FlowSlot(slot))
     }
 
@@ -366,12 +368,12 @@ impl Host {
     }
 
     /// The handle slot `s` holds armed for `kind`, left in place.
-    pub(crate) fn armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
+    fn armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
         self.live_mut(s).armed_mut(kind).and_then(|a| *a)
     }
 
     /// Removes and returns the handle slot `s` holds armed for `kind`.
-    pub(crate) fn take_armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
+    fn take_armed(&mut self, s: FlowSlot, kind: u16) -> Option<TimerHandle> {
         let hd = self.live_mut(s).armed_mut(kind)?.take();
         self.armed -= 1;
         hd
@@ -384,7 +386,7 @@ impl Host {
     ///
     /// Panics if the endpoint already holds [`MAX_ARMED_KINDS`] other
     /// kinds armed.
-    pub(crate) fn set_armed(&mut self, s: FlowSlot, kind: u16, hd: TimerHandle) {
+    fn set_armed(&mut self, s: FlowSlot, kind: u16, hd: TimerHandle) {
         let live = self.live_mut(s);
         let (k, a) = live
             .kinds
@@ -397,12 +399,74 @@ impl Host {
         self.armed += 1;
     }
 
+    /// Settles a callback at `now`: applies the timer commands, then the
+    /// mute hints, it staged in `scratch` (draining both) to `events`,
+    /// whose timer payload for a token is `event(token)`; then retires its
+    /// endpoint if it finished.
+    ///
+    /// The flow a timer belongs to rides in the token's high bits (tokens
+    /// are namespaced per endpoint; see
+    /// [`timer_token`](crate::sim::timer_token)): one probe of the flow
+    /// table finds the slot holding its armed handles. A flow that is not
+    /// live holds none, and a timer armed for it fires as a no-op.
+    pub(crate) fn settle<E>(
+        &mut self,
+        now: Time,
+        scratch: &mut Scratch,
+        events: &mut EventQueue<E>,
+        event: impl Fn(u64) -> E,
+    ) {
+        for cmd in scratch.timers.drain(..) {
+            match cmd {
+                TimerCmd::Set(at, token) => events.schedule(at.max(now), event(token)),
+                TimerCmd::Arm(at, token) => {
+                    let slot = self.find(timer_flow(token));
+                    let kind = timer_kind(token);
+                    if let Some(old) = slot.and_then(|s| self.take_armed(s, kind)) {
+                        events.cancel(old);
+                    }
+                    let hd = events.schedule_cancelable(at.max(now), event(token));
+                    if let Some(s) = slot {
+                        self.set_armed(s, kind, hd);
+                    }
+                }
+                TimerCmd::Cancel(token) => {
+                    let slot = self.find(timer_flow(token));
+                    if let Some(old) = slot.and_then(|s| self.take_armed(s, timer_kind(token))) {
+                        events.cancel(old);
+                        hooks::record(|t_ns| TraceEvent::TimerCancel {
+                            t_ns,
+                            flow: timer_flow(token),
+                            kind: timer_kind(token),
+                        });
+                    }
+                }
+            }
+        }
+        // Mute hints name the timer each token has armed once the commands
+        // above have run.
+        for (token, period) in scratch.mutes.drain(..) {
+            let armed = self
+                .find(timer_flow(token))
+                .and_then(|s| self.armed(s, timer_kind(token)));
+            if let Some(hd) = armed {
+                match period {
+                    Some(period) => events.mute(hd, period),
+                    None => events.unmute(hd),
+                };
+            }
+        }
+        // Only now may an endpoint that finished in this callback leave
+        // the table: the commands above could still name its timers.
+        self.retire_finished(events);
+    }
+
     /// Retires the endpoint that finished in the callback just flushed,
     /// if one did: its slot joins the free list and its index entry is
     /// vacated. Handles it still held are unmuted in `events` and
     /// forgotten, not cancelled — the calendar entries pop once as events
     /// that find no flow.
-    pub(crate) fn retire_finished<E>(&mut self, events: &mut EventQueue<E>) {
+    fn retire_finished<E>(&mut self, events: &mut EventQueue<E>) {
         let Some(pos) = self.finished.take() else {
             return;
         };
@@ -688,8 +752,8 @@ mod tests {
     /// The sorted-`Vec` tables `Host` held before the slab, kept as the
     /// reference model. The method bodies are the ones this file had, with
     /// the one specified difference: a retiring flow's armed entries are
-    /// forgotten (`retire_finished`), where the old table kept them until
-    /// they fired as no-ops.
+    /// unmuted and forgotten (`retire_finished`), where the old table kept
+    /// them until they fired as no-ops.
     struct RefTables {
         flows: Vec<(FlowId, Box<dyn Endpoint>)>,
         armed: Vec<(u64, TimerHandle)>,
@@ -761,10 +825,43 @@ mod tests {
             }
         }
 
-        fn retire_finished(&mut self) {
+        fn retire_finished(&mut self, events: &mut EventQueue<u64>) {
             if let Some(flow) = self.finished.take() {
+                for &(_, hd) in self.armed.iter().filter(|e| timer_flow(e.0) == flow) {
+                    events.unmute(hd);
+                }
                 self.armed.retain(|e| timer_flow(e.0) != flow);
             }
+        }
+
+        /// The old `Sim::flush` timer and mute loops over these tables.
+        fn settle(&mut self, now: Time, scratch: &mut Scratch, events: &mut EventQueue<u64>) {
+            for cmd in scratch.timers.drain(..) {
+                match cmd {
+                    TimerCmd::Set(at, token) => events.schedule(at.max(now), token),
+                    TimerCmd::Arm(at, token) => {
+                        if let Some(old) = self.take_armed(token) {
+                            events.cancel(old);
+                        }
+                        let hd = events.schedule_cancelable(at.max(now), token);
+                        self.arm_timer(token, hd);
+                    }
+                    TimerCmd::Cancel(token) => {
+                        if let Some(old) = self.take_armed(token) {
+                            events.cancel(old);
+                        }
+                    }
+                }
+            }
+            for (token, period) in scratch.mutes.drain(..) {
+                if let Some(hd) = self.armed_handle(token) {
+                    match period {
+                        Some(period) => events.mute(hd, period),
+                        None => events.unmute(hd),
+                    };
+                }
+            }
+            self.retire_finished(events);
         }
     }
 
@@ -773,10 +870,13 @@ mod tests {
 
     type CallLog = std::sync::Arc<std::sync::Mutex<Vec<(FlowId, u64)>>>;
 
+    /// The one period every mute hint names (the calendar takes one).
+    const MUTE_PERIOD: TimeDelta = TimeDelta::nanos(7_000);
+
     /// An endpoint driven by its own seeded stream: every callback logs
-    /// itself, stages up to three timer commands on its own tokens, and
-    /// (outside `activate`) finishes one time in fifty — in that same
-    /// callback, commands and all.
+    /// itself, stages up to three timer commands on its own tokens, now
+    /// and then a mute hint, and (outside `activate`) finishes one time in
+    /// fifty — in that same callback, commands and all.
     struct ScriptEp {
         flow: FlowId,
         rng: SimRng,
@@ -795,6 +895,10 @@ mod tests {
                     1 => ctx.set_timer(at, token),
                     _ => ctx.arm_timer(at, token),
                 }
+            }
+            if self.rng.chance(0.1) {
+                let token = timer_token(self.flow, KINDS[self.rng.index(KINDS.len())]);
+                ctx.mute_timer(token, self.rng.chance(0.7).then_some(MUTE_PERIOD));
             }
             self.done = may_finish && self.rng.chance(0.02);
         }
@@ -815,12 +919,14 @@ mod tests {
         }
     }
 
-    /// The slab table and the reference under one calendar, each with its
-    /// own copy of every endpoint.
+    /// The slab table and the reference, each with its own copy of every
+    /// endpoint and its own calendar. Both calendars see the same
+    /// operations in the same order, so they stay in lockstep and hand out
+    /// equal handles.
     struct Pair {
         host: Host,
         reference: RefTables,
-        events: EventQueue<u64>,
+        events: [EventQueue<u64>; 2],
         arena: PacketArena,
         scratch: [Scratch; 2],
         logs: [CallLog; 2],
@@ -837,7 +943,7 @@ mod tests {
         }
 
         fn register(&mut self, flow: FlowId, salt: u64) {
-            let now = self.events.now();
+            let now = self.events[0].now();
             let (a, b) = (self.endpoint(0, flow, salt), self.endpoint(1, flow, salt));
             let [sa, sb] = &mut self.scratch;
             self.host
@@ -848,7 +954,7 @@ mod tests {
         }
 
         fn deliver(&mut self, flow: FlowId) {
-            let now = self.events.now();
+            let now = self.events[0].now();
             let [sa, sb] = &mut self.scratch;
             let pkt = ctrl_pkt(flow);
             let claimed = self.host.deliver(&pkt, &mut sa.ctx(now, &mut self.arena));
@@ -859,17 +965,20 @@ mod tests {
             self.flush();
         }
 
-        /// Pops the next timer event and fires it: the reference through
-        /// the old `Sim::dispatch` arm, verbatim.
+        /// Pops the next timer event from both calendars and fires it: the
+        /// reference through the old `Sim::dispatch` arm, verbatim.
         fn fire(&mut self) {
-            let Some((now, token)) = self.events.pop() else {
+            let [ea, eb] = &mut self.events;
+            let popped = ea.pop();
+            assert_eq!(popped, eb.pop(), "the calendars diverged");
+            let Some((now, token)) = popped else {
                 return;
             };
             let [sa, sb] = &mut self.scratch;
             self.host
-                .fire_timer(token, &self.events, &mut sa.ctx(now, &mut self.arena));
+                .fire_timer(token, ea, &mut sa.ctx(now, &mut self.arena));
             if let Some(hd) = self.reference.armed_handle(token) {
-                if !self.events.is_pending(hd) {
+                if !eb.is_pending(hd) {
                     self.reference.take_armed(token);
                 }
             }
@@ -878,14 +987,15 @@ mod tests {
             self.flush();
         }
 
-        /// `Sim::flush`'s timer loop over both tables, then the checks:
-        /// same endpoint called, same handle handed back for cancellation,
-        /// same table sizes.
+        /// Settles the callback on both sides — the host through
+        /// [`Host::settle`], the one `Sim::flush` calls — then the checks:
+        /// same endpoint called, same handle armed for every token the
+        /// callback named, same table sizes, same calendars.
         fn flush(&mut self) {
-            let now = self.events.now();
             let [sa, sb] = &mut self.scratch;
             assert_eq!(
-                sa.timers, sb.timers,
+                (&sa.timers, &sa.mutes),
+                (&sb.timers, &sb.mutes),
                 "the two copies of an endpoint diverged"
             );
             let [la, lb] = &self.logs;
@@ -894,45 +1004,34 @@ mod tests {
                 std::mem::take(&mut *lb.lock().expect("lock")),
                 "a different endpoint was called"
             );
+            let named: Vec<u64> = (sa.timers.iter())
+                .map(|cmd| match *cmd {
+                    TimerCmd::Set(_, t) | TimerCmd::Arm(_, t) | TimerCmd::Cancel(t) => t,
+                })
+                .chain(sa.mutes.iter().map(|m| m.0))
+                .collect();
+            let [ea, eb] = &mut self.events;
             let (h, r) = (&mut self.host, &mut self.reference);
-            for cmd in sa.timers.drain(..) {
-                match cmd {
-                    TimerCmd::Set(at, token) => self.events.schedule(at.max(now), token),
-                    TimerCmd::Arm(at, token) => {
-                        let slot = h.find(timer_flow(token));
-                        let kind = timer_kind(token);
-                        let old = slot.and_then(|s| h.take_armed(s, kind));
-                        assert_eq!(old, r.take_armed(token), "re-arm of {token:#x}");
-                        if let Some(old) = old {
-                            self.events.cancel(old);
-                        }
-                        let hd = self.events.schedule_cancelable(at.max(now), token);
-                        if let Some(s) = slot {
-                            h.set_armed(s, kind, hd);
-                        }
-                        r.arm_timer(token, hd);
-                    }
-                    TimerCmd::Cancel(token) => {
-                        let slot = h.find(timer_flow(token));
-                        let old = slot.and_then(|s| h.take_armed(s, timer_kind(token)));
-                        assert_eq!(old, r.take_armed(token), "cancel of {token:#x}");
-                        if let Some(old) = old {
-                            self.events.cancel(old);
-                        }
-                    }
-                }
-            }
+            h.settle(ea.now(), sa, ea, |token| token);
+            r.settle(eb.now(), sb, eb);
+            sa.clear();
             sb.clear();
-            h.retire_finished(&mut self.events);
-            r.retire_finished();
+            for token in named {
+                let armed = h
+                    .find(timer_flow(token))
+                    .and_then(|s| h.armed(s, timer_kind(token)));
+                assert_eq!(armed, r.armed_handle(token), "armed handle of {token:#x}");
+            }
             assert_eq!(h.live_flows(), r.flows.len());
             assert_eq!(h.armed_timers(), r.armed.len());
+            assert_eq!((ea.len(), ea.cancelled()), (eb.len(), eb.cancelled()));
         }
     }
 
     /// Differential test against the sorted-`Vec` reference: seeded random
     /// register / re-register / deliver / stray / arm / re-arm / cancel /
-    /// fire / finish sequences with at least 1,000 flows live throughout.
+    /// mute / unmute / fire / finish sequences with at least 1,000 flows
+    /// live throughout.
     #[test]
     fn slab_table_matches_sorted_vec_reference() {
         const LIVE: usize = 1_100;
@@ -945,7 +1044,7 @@ mod tests {
                     armed: Vec::new(),
                     finished: None,
                 },
-                events: EventQueue::new(),
+                events: [EventQueue::new(), EventQueue::new()],
                 arena: PacketArena::new(),
                 scratch: Default::default(),
                 logs: Default::default(),
@@ -980,6 +1079,7 @@ mod tests {
             assert!(min_live >= 1_000, "seed {seed}: only {min_live} flows live");
             assert!(max_armed >= 1_500, "seed {seed}: only {max_armed} armed");
             assert!(fired > 30_000 && p.host.counters().stray_rx > 100);
+            assert!(p.events[0].rearmed() > 100, "seed {seed}: mutes never held");
             assert_eq!(
                 free_slots(&p.host) + p.host.live_flows(),
                 p.host.slots.len()

@@ -13,7 +13,7 @@ use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::{AppEvent, Endpoint, TimerCmd};
+use crate::endpoint::{AppEvent, Endpoint};
 use crate::hooks;
 use crate::host::{Host, Scratch};
 use crate::packet::{FlowId, FlowSpec, Packet};
@@ -21,7 +21,7 @@ use crate::port::{Decision, Port};
 use crate::queue::DropReason;
 use crate::switch::Switch;
 use crate::topology::Topology;
-use crate::trace::{DropCause, TraceEvent};
+use crate::trace::DropCause;
 
 /// Index into the simulator's node table.
 pub type NodeId = usize;
@@ -752,59 +752,9 @@ impl<O: NetObserver> Sim<O> {
                 }
             }
         }
-        let h = host_mut(&mut self.nodes, node);
-        for cmd in scratch.timers.drain(..) {
-            // The flow a timer belongs to rides in the token's high bits
-            // (tokens are namespaced per endpoint; see [`timer_token`]):
-            // one probe of the host's flow table finds the slot holding
-            // its armed handles. A flow that is not live holds none, and
-            // a timer armed for it fires as a no-op.
-            match cmd {
-                TimerCmd::Set(at, token) => {
-                    self.events.schedule(at.max(now), Event::timer(node, token));
-                }
-                TimerCmd::Arm(at, token) => {
-                    let slot = h.find(timer_flow(token));
-                    let kind = timer_kind(token);
-                    if let Some(old) = slot.and_then(|s| h.take_armed(s, kind)) {
-                        self.events.cancel(old);
-                    }
-                    let hd = self
-                        .events
-                        .schedule_cancelable(at.max(now), Event::timer(node, token));
-                    if let Some(s) = slot {
-                        h.set_armed(s, kind, hd);
-                    }
-                }
-                TimerCmd::Cancel(token) => {
-                    let slot = h.find(timer_flow(token));
-                    if let Some(old) = slot.and_then(|s| h.take_armed(s, timer_kind(token))) {
-                        self.events.cancel(old);
-                        hooks::record(|t_ns| TraceEvent::TimerCancel {
-                            t_ns,
-                            flow: timer_flow(token),
-                            kind: timer_kind(token),
-                        });
-                    }
-                }
-            }
-        }
-        // Mute hints name the timer each token has armed once the commands
-        // above have run.
-        for (token, period) in scratch.mutes.drain(..) {
-            let armed = h
-                .find(timer_flow(token))
-                .and_then(|s| h.armed(s, timer_kind(token)));
-            if let Some(hd) = armed {
-                match period {
-                    Some(period) => self.events.mute(hd, period),
-                    None => self.events.unmute(hd),
-                };
-            }
-        }
-        // Only now may an endpoint that finished in this callback leave
-        // the table: the commands above could still name its timers.
-        h.retire_finished(&mut self.events);
+        host_mut(&mut self.nodes, node).settle(now, &mut scratch, &mut self.events, |token| {
+            Event::timer(node, token)
+        });
         for ev in scratch.app.drain(..) {
             if matches!(ev, AppEvent::FlowCompleted { .. }) {
                 self.completed += 1;

@@ -3,16 +3,21 @@
 //! Sender side: the per-packet [`Scoreboard`] of every sender, FlexPass's
 //! included (cumulative + SACK marking, lost-first transmission order, the
 //! triple-duplicate-ACK rule), the [`RtoTimer`], the [`RttEstimator`] and
-//! the [`DctcpWindow`]. Receiver side: [`Reassembly`], the [`AckBuilder`]
-//! and the completion-and-linger [`RxTail`]. Each transport keeps only its
-//! own policy: what clocks a transmission and what a loss does to it.
+//! the [`DctcpWindow`]. Receiver side: one arrival set per sequence space,
+//! each a [`SeqFrontier`] (bitmap + cumulative point, which builds the
+//! cumulative + SACK ACK). [`Reassembly`] keeps the per-flow one; the
+//! completion-and-linger [`RxTail`] around it ACKs single-loop flows from
+//! it. Each transport keeps only its own policy: what clocks a
+//! transmission and what a loss does to it.
 
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
 use flexpass_simnet::consts::{packets_for, payload_of_packet};
 use flexpass_simnet::endpoint::{AppEvent, EndpointCtx, RxStats, TxStats};
 use flexpass_simnet::hooks;
-use flexpass_simnet::packet::{AckInfo, FlowId, FlowSpec, Packet, Subflow, TrafficClass, MAX_SACK};
+use flexpass_simnet::packet::{
+    AckInfo, DataInfo, FlowId, FlowSpec, Packet, Payload, Subflow, TrafficClass, MAX_SACK,
+};
 use flexpass_simnet::sim::{timer_flow, timer_token};
 use flexpass_simnet::trace::TraceEvent;
 
@@ -102,17 +107,128 @@ impl RttEstimator {
     }
 }
 
+/// A set of sequence numbers and its contiguous frontier, the lowest
+/// sequence not in the set: the kit's one "set a bit, walk the frontier".
+/// Every arrival record is one — per flow in [`Reassembly`], per sub-flow
+/// in FlexPass's receiver — and [`ack`](Self::ack) builds the ACK from it;
+/// so is the FlexPass sender's record of closed sub-flow slots.
+///
+/// The bitmap grows on demand to the highest member, so the SACK scans of
+/// [`ack`](Self::ack) stop at the highest arrival; capacity reserved up
+/// front keeps it from reallocating within a flow.
+#[derive(Clone, Debug, Default)]
+pub struct SeqFrontier {
+    bits: Vec<bool>,
+    cum: u32,
+}
+
+impl SeqFrontier {
+    /// An empty set with room for `n` members before it reallocates.
+    pub fn with_capacity(n: u32) -> Self {
+        SeqFrontier {
+            bits: Vec::with_capacity(n as usize),
+            cum: 0,
+        }
+    }
+
+    /// Inserts `seq`, advancing the frontier past every member it joins.
+    /// Returns whether `seq` was new.
+    pub fn insert(&mut self, seq: u32) -> bool {
+        let i = seq as usize;
+        if i >= self.bits.len() {
+            self.bits.resize(i + 1, false);
+        }
+        if std::mem::replace(&mut self.bits[i], true) {
+            return false;
+        }
+        while self.contains(self.cum) {
+            self.cum += 1;
+        }
+        true
+    }
+
+    /// Whether `seq` is in the set.
+    pub fn contains(&self, seq: u32) -> bool {
+        self.bits.get(seq as usize).is_some_and(|&b| b)
+    }
+
+    /// The frontier: every sequence below it is in the set, and it is not
+    /// (the cumulative ACK value).
+    pub fn cum(&self) -> u32 {
+        self.cum
+    }
+
+    /// Builds an [`AckInfo`] over this set for sub-flow `sub`, echoing
+    /// `ece`, with up to [`MAX_SACK`] ranges above the cumulative point.
+    ///
+    /// Per RFC 2018 the first SACK block is the contiguous range containing
+    /// the most recently received segment (`recent`); without this, holes
+    /// beyond the third range would hide all later arrivals from the sender
+    /// and wedge its in-flight accounting. Remaining blocks report the
+    /// lowest ranges above `cum`. Scans are bounded so per-packet ACK
+    /// generation stays O(1) even for multi-hundred-megabyte flows.
+    pub fn ack(&self, sub: Subflow, ece: bool, acked_flow_seq: u32, recent: u32) -> AckInfo {
+        const SACK_SCAN_WINDOW: usize = 512;
+        let mut sack = [(0u32, 0u32); MAX_SACK];
+        let mut sack_n = 0usize;
+
+        // Block 1: the range around `recent`, when it sits above cum.
+        if recent >= self.cum && (recent as usize) < self.bits.len() {
+            debug_assert!(self.bits[recent as usize]);
+            let mut lo = recent as usize;
+            let floor = (recent as usize).saturating_sub(SACK_SCAN_WINDOW);
+            while lo > floor && lo > self.cum as usize && self.bits[lo - 1] {
+                lo -= 1;
+            }
+            let mut hi = recent as usize + 1;
+            let ceil = (recent as usize + SACK_SCAN_WINDOW).min(self.bits.len());
+            while hi < ceil && self.bits[hi] {
+                hi += 1;
+            }
+            sack[0] = (lo as u32, hi as u32);
+            sack_n = 1;
+        }
+
+        // Remaining blocks: lowest ranges above cum, skipping block 1.
+        let mut i = self.cum as usize;
+        let end = self.bits.len().min(self.cum as usize + SACK_SCAN_WINDOW);
+        while i < end && sack_n < MAX_SACK {
+            if self.bits[i] {
+                let lo = i as u32;
+                while i < end && self.bits[i] {
+                    i += 1;
+                }
+                let range = (lo, i as u32);
+                if sack_n == 0 || range != sack[0] {
+                    sack[sack_n] = range;
+                    sack_n += 1;
+                }
+            } else {
+                i += 1;
+            }
+        }
+        AckInfo {
+            sub,
+            cum: self.cum,
+            sack,
+            sack_n: sack_n as u8,
+            ece,
+            acked_flow_seq,
+        }
+    }
+}
+
 /// Receiver-side reassembly over the per-flow sequence space.
 ///
-/// Tracks which packets arrived, the in-order delivery point, duplicate
-/// packets, and the peak number of bytes buffered out of order — the
-/// "reordering buffer" metric of Figure 5(a).
+/// Tracks which packets arrived (one [`SeqFrontier`], whose frontier is the
+/// in-order delivery point), duplicate packets, and the peak number of
+/// bytes buffered out of order — the "reordering buffer" metric of
+/// Figure 5(a).
 #[derive(Clone, Debug)]
 pub struct Reassembly {
     size: Bytes,
     n: u32,
-    received: Vec<bool>,
-    cum: u32,
+    arrived: SeqFrontier,
     got: u32,
     dup: u64,
     buffered: Bytes,
@@ -125,8 +241,7 @@ impl Reassembly {
         Reassembly {
             size,
             n: n.get(),
-            received: vec![false; n.as_usize()],
-            cum: 0,
+            arrived: SeqFrontier::with_capacity(n.get()),
             got: 0,
             dup: 0,
             buffered: Bytes::ZERO,
@@ -141,25 +256,28 @@ impl Reassembly {
             debug_assert!(false, "flow_seq {flow_seq} out of range {}", self.n);
             return false;
         }
-        if self.received[flow_seq as usize] {
+        let cum = self.arrived.cum();
+        if !self.arrived.insert(flow_seq) {
             self.dup += 1;
             return false;
         }
-        self.received[flow_seq as usize] = true;
         self.got += 1;
-        if flow_seq == self.cum {
-            while self.cum < self.n && self.received[self.cum as usize] {
-                if self.cum != flow_seq {
-                    // Was buffered out of order; now delivered.
-                    self.buffered -= payload_of_packet(self.size, self.cum);
-                }
-                self.cum += 1;
+        if flow_seq == cum {
+            // Delivered in order, and with it every packet buffered up to
+            // the new frontier.
+            for s in cum + 1..self.arrived.cum() {
+                self.buffered -= payload_of_packet(self.size, s);
             }
         } else {
             self.buffered += payload_of_packet(self.size, flow_seq);
             self.peak = self.peak.max(self.buffered);
         }
         true
+    }
+
+    /// The packets arrived so far.
+    pub fn arrived(&self) -> &SeqFrontier {
+        &self.arrived
     }
 
     /// True once every packet has arrived.
@@ -185,108 +303,6 @@ impl Reassembly {
     /// Peak out-of-order buffered bytes.
     pub fn reorder_peak(&self) -> Bytes {
         self.peak
-    }
-
-    /// Whether `flow_seq` has been received.
-    pub fn has(&self, flow_seq: u32) -> bool {
-        self.received[flow_seq as usize]
-    }
-}
-
-/// Builds cumulative + selective acknowledgments over a sub-flow sequence
-/// space at the receiver.
-#[derive(Clone, Debug)]
-pub struct AckBuilder {
-    received: Vec<bool>,
-    cum: u32,
-}
-
-impl AckBuilder {
-    /// Creates a builder for a sub-flow expecting up to `n` packets. The
-    /// space grows on demand, so `n` is only a capacity hint.
-    pub fn new(n: u32) -> Self {
-        AckBuilder {
-            received: Vec::with_capacity(n as usize),
-            cum: 0,
-        }
-    }
-
-    /// Records arrival of sub-flow packet `sub_seq`.
-    pub fn on_packet(&mut self, sub_seq: u32) {
-        if sub_seq as usize >= self.received.len() {
-            self.received.resize(sub_seq as usize + 1, false);
-        }
-        self.received[sub_seq as usize] = true;
-        while (self.cum as usize) < self.received.len() && self.received[self.cum as usize] {
-            self.cum += 1;
-        }
-    }
-
-    /// Next expected sub-flow sequence (cumulative ACK value).
-    pub fn cum(&self) -> u32 {
-        self.cum
-    }
-
-    /// Builds an [`AckInfo`] for sub-flow `sub`, echoing `ece`, with up to
-    /// [`MAX_SACK`] ranges above the cumulative point.
-    ///
-    /// Per RFC 2018 the first SACK block is the contiguous range containing
-    /// the most recently received segment (`recent`); without this, holes
-    /// beyond the third range would hide all later arrivals from the sender
-    /// and wedge its in-flight accounting. Remaining blocks report the
-    /// lowest ranges above `cum`. Scans are bounded so per-packet ACK
-    /// generation stays O(1) even for multi-hundred-megabyte flows.
-    pub fn build(&self, sub: Subflow, ece: bool, acked_flow_seq: u32, recent: u32) -> AckInfo {
-        const SACK_SCAN_WINDOW: usize = 512;
-        let mut sack = [(0u32, 0u32); MAX_SACK];
-        let mut sack_n = 0usize;
-
-        // Block 1: the range around `recent`, when it sits above cum.
-        if recent >= self.cum && (recent as usize) < self.received.len() {
-            debug_assert!(self.received[recent as usize]);
-            let mut lo = recent as usize;
-            let floor = (recent as usize).saturating_sub(SACK_SCAN_WINDOW);
-            while lo > floor && lo > self.cum as usize && self.received[lo - 1] {
-                lo -= 1;
-            }
-            let mut hi = recent as usize + 1;
-            let ceil = (recent as usize + SACK_SCAN_WINDOW).min(self.received.len());
-            while hi < ceil && self.received[hi] {
-                hi += 1;
-            }
-            sack[0] = (lo as u32, hi as u32);
-            sack_n = 1;
-        }
-
-        // Remaining blocks: lowest ranges above cum, skipping block 1.
-        let mut i = self.cum as usize;
-        let end = self
-            .received
-            .len()
-            .min(self.cum as usize + SACK_SCAN_WINDOW);
-        while i < end && sack_n < MAX_SACK {
-            if self.received[i] {
-                let lo = i as u32;
-                while i < end && self.received[i] {
-                    i += 1;
-                }
-                let range = (lo, i as u32);
-                if sack_n == 0 || range != sack[0] {
-                    sack[sack_n] = range;
-                    sack_n += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-        AckInfo {
-            sub,
-            cum: self.cum,
-            sack,
-            sack_n: sack_n as u8,
-            ece,
-            acked_flow_seq,
-        }
     }
 }
 
@@ -731,10 +747,12 @@ impl RtoTimer {
 
 /// The tail every receiver shares: reassembly, the one `FlowCompleted`
 /// report, and a [`LINGER`] period (to keep re-ACKing stray
-/// retransmissions) before teardown.
+/// retransmissions) before teardown. A single-loop receiver reassembles
+/// and acknowledges through [`on_data`](Self::on_data), which builds each
+/// ACK from the reassembly's own arrival set.
 #[derive(Clone, Debug)]
 pub struct RxTail {
-    flow: FlowId,
+    spec: FlowSpec,
     reasm: Reassembly,
     linger_token: u64,
     completed: bool,
@@ -746,12 +764,17 @@ impl RxTail {
     /// `linger_kind`.
     pub fn new(spec: &FlowSpec, linger_kind: u16) -> Self {
         RxTail {
-            flow: spec.id,
+            spec: *spec,
             reasm: Reassembly::new(spec.size, packets_for(spec.size)),
             linger_token: timer_token(spec.id, linger_kind),
             completed: false,
             torn_down: false,
         }
+    }
+
+    /// The flow this tail receives.
+    pub fn spec(&self) -> &FlowSpec {
+        &self.spec
     }
 
     /// The reassembly state.
@@ -761,8 +784,26 @@ impl RxTail {
 
     /// Records arrival of per-flow packet `flow_seq` (duplicates are
     /// counted and otherwise ignored).
-    pub fn on_data(&mut self, flow_seq: u32) {
+    pub fn reassemble(&mut self, flow_seq: u32) {
         self.reasm.on_packet(flow_seq);
+    }
+
+    /// Reassembles data packet `pkt` (header `d`) and acknowledges it over
+    /// the per-flow sequence, echoing its CE mark, in traffic class
+    /// `class`.
+    pub fn on_data(
+        &mut self,
+        pkt: &Packet,
+        d: DataInfo,
+        class: TrafficClass,
+        ctx: &mut EndpointCtx,
+    ) {
+        self.reassemble(d.flow_seq);
+        let info = self
+            .reasm
+            .arrived
+            .ack(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.flow_seq);
+        ctx.send(Packet::to_sender(&self.spec, class, Payload::Ack(info)));
     }
 
     /// True once completion has been reported.
@@ -785,7 +826,7 @@ impl RxTail {
         }
         self.completed = true;
         ctx.emit(AppEvent::FlowCompleted {
-            flow: self.flow,
+            flow: self.spec.id,
             stats: RxStats {
                 pkts_received: self.reasm.received_count() as u64 + self.reasm.duplicates(),
                 dup_pkts: self.reasm.duplicates(),
@@ -870,33 +911,33 @@ mod tests {
     }
 
     #[test]
-    fn ack_builder_cum_and_sack() {
-        let mut a = AckBuilder::new(16);
-        a.on_packet(0);
-        a.on_packet(1);
-        a.on_packet(3);
-        a.on_packet(4);
-        a.on_packet(7);
-        let ack = a.build(Subflow::Only, false, 7, 7);
+    fn frontier_ack_cum_and_sack() {
+        let mut a = SeqFrontier::with_capacity(16);
+        for s in [0, 1, 3, 4, 7] {
+            assert!(a.insert(s));
+        }
+        assert!(!a.insert(3), "a repeat is not new");
+        let ack = a.ack(Subflow::Only, false, 7, 7);
         assert_eq!(ack.cum, 2);
         assert_eq!(ack.sack_n, 2);
         // Block 1 holds the most recent arrival's range (RFC 2018).
         assert_eq!(ack.sack[0], (7, 8));
         assert_eq!(ack.sack[1], (3, 5));
-        a.on_packet(2);
-        let ack = a.build(Subflow::Only, true, 2, 2);
+        assert!(a.insert(2));
+        let ack = a.ack(Subflow::Only, true, 2, 2);
         assert_eq!(ack.cum, 5);
         assert!(ack.ece);
+        assert!(a.contains(7) && !a.contains(5) && !a.contains(99));
     }
 
     #[test]
-    fn ack_builder_caps_sack_ranges() {
-        let mut a = AckBuilder::new(32);
+    fn frontier_ack_caps_sack_ranges() {
+        let mut a = SeqFrontier::with_capacity(32);
         // Alternate received/missing to create many ranges.
         for i in (1..20).step_by(2) {
-            a.on_packet(i);
+            a.insert(i);
         }
-        let ack = a.build(Subflow::Only, false, 19, 19);
+        let ack = a.ack(Subflow::Only, false, 19, 19);
         assert_eq!(ack.cum, 0);
         assert_eq!(ack.sack_n as usize, MAX_SACK);
         // The newest arrival is always reported first.

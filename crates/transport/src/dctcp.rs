@@ -8,11 +8,11 @@
 use flexpass_simcore::time::Time;
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
-use flexpass_simnet::packet::{AckInfo, FlowSpec, Packet, Payload, Subflow, TrafficClass};
+use flexpass_simnet::packet::{AckInfo, FlowSpec, Packet, Payload, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 
 use crate::common::{
-    data_packet, AckBuilder, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard, MIN_RTO,
+    data_packet, DctcpWindow, RtoTimer, RttEstimator, RxTail, Scoreboard, MIN_RTO,
 };
 
 /// Timer kind: sender retransmission timer.
@@ -216,18 +216,14 @@ impl Endpoint for DctcpSender {
 /// flow completion detection, and a linger period to re-ACK stray
 /// retransmissions.
 pub struct DctcpReceiver {
-    spec: FlowSpec,
     tail: RxTail,
-    acks: AckBuilder,
 }
 
 impl DctcpReceiver {
     /// Creates a receiver for `spec`.
     pub fn new(spec: FlowSpec, _env: &NetEnv) -> Self {
         DctcpReceiver {
-            spec,
             tail: RxTail::new(&spec, TK_LINGER),
-            acks: AckBuilder::new(packets_for(spec.size).get()),
         }
     }
 }
@@ -237,16 +233,7 @@ impl Endpoint for DctcpReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         if let Payload::Data(d) = pkt.payload {
-            self.tail.on_data(d.flow_seq);
-            self.acks.on_packet(d.sub_seq);
-            let info = self
-                .acks
-                .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
-            ctx.send(Packet::to_sender(
-                &self.spec,
-                TrafficClass::Legacy,
-                Payload::Ack(info),
-            ));
+            self.tail.on_data(pkt, d, TrafficClass::Legacy, ctx);
             self.tail.finish_if_complete(ctx);
         }
     }
@@ -285,6 +272,7 @@ mod tests {
     use super::*;
     use flexpass_simcore::time::{Rate, TimeDelta};
     use flexpass_simcore::units::{Bytes, WireBytes};
+    use flexpass_simnet::packet::Subflow;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
     use flexpass_simnet::sim::timer_token;

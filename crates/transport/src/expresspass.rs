@@ -18,12 +18,12 @@ use flexpass_simnet::consts::{packets_for, DATA_WIRE};
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
 use flexpass_simnet::hooks;
 use flexpass_simnet::packet::{
-    AckInfo, CreditInfo, DataInfo, FlowId, FlowSpec, Packet, Payload, Subflow, TrafficClass,
+    AckInfo, CreditInfo, DataInfo, FlowId, FlowSpec, Packet, Payload, TrafficClass,
 };
 use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
 use flexpass_simnet::trace::TraceEvent;
 
-use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard, MIN_RTO};
+use crate::common::{data_packet, RtoTimer, RxTail, Scoreboard, MIN_RTO};
 
 /// Timer kind: receiver credit pacing tick.
 const TK_CREDIT: u16 = 3;
@@ -472,9 +472,7 @@ impl CreditLoop {
 /// ExpressPass receiver: paces credits under feedback control, reassembles
 /// data, and acknowledges every packet.
 pub struct EpReceiver {
-    spec: FlowSpec,
     tail: RxTail,
-    acks: AckBuilder,
     credit: CreditLoop,
 }
 
@@ -482,9 +480,7 @@ impl EpReceiver {
     /// Creates a receiver for `spec` whose credit loop runs under `cfg`.
     pub fn new(spec: FlowSpec, cfg: EpConfig, env: &NetEnv) -> Self {
         EpReceiver {
-            spec,
             tail: RxTail::new(&spec, TK_LINGER),
-            acks: AckBuilder::new(packets_for(spec.size).get()),
             credit: CreditLoop::new(&spec, cfg, env, TK_CREDIT, TK_FEEDBACK),
         }
     }
@@ -501,16 +497,7 @@ impl EpReceiver {
 
     fn on_data(&mut self, pkt: &Packet, d: DataInfo, ctx: &mut EndpointCtx) {
         self.credit.on_data();
-        self.tail.on_data(d.flow_seq);
-        self.acks.on_packet(d.flow_seq);
-        let info = self
-            .acks
-            .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.flow_seq);
-        ctx.send(Packet::to_sender(
-            &self.spec,
-            TrafficClass::NewCtrl,
-            Payload::Ack(info),
-        ));
+        self.tail.on_data(pkt, d, TrafficClass::NewCtrl, ctx);
         if self.tail.completing() {
             self.credit.halt(ctx);
         }

@@ -12,12 +12,10 @@
 use flexpass_simcore::units::Bytes;
 use flexpass_simnet::consts::packets_for;
 use flexpass_simnet::endpoint::{AppEvent, Endpoint, EndpointCtx, TxStats};
-use flexpass_simnet::packet::{
-    AckInfo, FlowSpec, GrantInfo, Packet, Payload, Subflow, TrafficClass,
-};
+use flexpass_simnet::packet::{AckInfo, FlowSpec, GrantInfo, Packet, Payload, TrafficClass};
 use flexpass_simnet::sim::{timer_kind, NetEnv, TransportFactory};
 
-use crate::common::{data_packet, AckBuilder, RtoTimer, RxTail, Scoreboard, MIN_RTO};
+use crate::common::{data_packet, RtoTimer, RxTail, Scoreboard, MIN_RTO};
 
 /// Timer kind: sender retransmission backstop.
 const TK_RTO: u16 = 7;
@@ -152,10 +150,8 @@ impl Endpoint for HomaSender {
 /// Homa-lite receiver: grants to keep one RTT in flight, acknowledges every
 /// packet, reassembles, and completes.
 pub struct HomaReceiver {
-    spec: FlowSpec,
     cfg: HomaConfig,
     tail: RxTail,
-    acks: AckBuilder,
     granted: u32,
 }
 
@@ -164,10 +160,8 @@ impl HomaReceiver {
     pub fn new(spec: FlowSpec, cfg: HomaConfig, _env: &NetEnv) -> Self {
         let n = packets_for(spec.size).get();
         HomaReceiver {
-            spec,
             cfg,
             tail: RxTail::new(&spec, TK_LINGER),
-            acks: AckBuilder::new(n),
             granted: rtt_pkts().min(n),
         }
     }
@@ -178,13 +172,8 @@ impl Endpoint for HomaReceiver {
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         if let Payload::Data(d) = pkt.payload {
-            self.tail.on_data(d.flow_seq);
-            self.acks.on_packet(d.sub_seq);
-            let info = self
-                .acks
-                .build(Subflow::Only, pkt.ecn_ce, d.flow_seq, d.sub_seq);
             let class = TrafficClass::NewCtrl;
-            ctx.send(Packet::to_sender(&self.spec, class, Payload::Ack(info)));
+            self.tail.on_data(pkt, d, class, ctx);
             // Grant to keep one RTT of data outstanding (self-clocked).
             let reasm = self.tail.reasm();
             let target = (reasm.received_count() + rtt_pkts()).min(reasm.total());
@@ -194,7 +183,11 @@ impl Endpoint for HomaReceiver {
                     upto: target,
                     prio: self.cfg.sched_prio,
                 };
-                ctx.send(Packet::to_sender(&self.spec, class, Payload::Grant(grant)));
+                ctx.send(Packet::to_sender(
+                    self.tail.spec(),
+                    class,
+                    Payload::Grant(grant),
+                ));
             }
             self.tail.finish_if_complete(ctx);
         }

@@ -14,7 +14,10 @@
 //!   compose: the sender's [`Scoreboard`](common::Scoreboard) (cumulative +
 //!   SACK marking, lost-first pick, the triple-duplicate-ACK rule),
 //!   [`RtoTimer`](common::RtoTimer), [`RttEstimator`] and [`DctcpWindow`];
-//!   the receiver's [`Reassembly`], [`AckBuilder`] and
+//!   on the receive side, one arrival set per sequence space, each a
+//!   [`SeqFrontier`] (bitmap + cumulative point, from which every ACK is
+//!   built): the per-flow one lives in [`Reassembly`], which the
+//!   single-loop receivers also ACK from through
 //!   [`RxTail`](common::RxTail) (completion report + linger).
 
 // Test code is exempt from the determinism bans in clippy.toml.
@@ -25,7 +28,7 @@ pub mod dctcp;
 pub mod expresspass;
 pub mod homa;
 
-pub use common::{AckBuilder, DctcpWindow, PktState, Reassembly, RttEstimator};
+pub use common::{DctcpWindow, PktState, Reassembly, RttEstimator, SeqFrontier};
 pub use dctcp::{DctcpFactory, DctcpReceiver, DctcpSender};
 pub use expresspass::{CreditEngine, EpConfig, EpReceiver, EpSender, ExpressPassFactory};
 pub use homa::{HomaConfig, HomaFactory, HomaReceiver, HomaSender};

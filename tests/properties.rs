@@ -8,10 +8,10 @@ use flexpass_simcore::rng::SimRng;
 use flexpass_simcore::stats::Percentiles;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
-use flexpass_simnet::packet::FlowSpec;
+use flexpass_simnet::packet::{FlowSpec, Subflow};
 use flexpass_simnet::sim::Sim;
 use flexpass_simnet::topology::Topology;
-use flexpass_transport::common::{AckBuilder, Reassembly};
+use flexpass_transport::common::{Reassembly, SeqFrontier};
 use flexpass_transport::dctcp::DctcpFactory;
 use flexpass_workload::FlowSizeCdf;
 use proptest::prelude::*;
@@ -20,51 +20,73 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Reassembly delivers exactly once for any arrival order with
-    /// arbitrary duplication, and the reorder peak never exceeds the flow
-    /// size.
+    /// arbitrary duplication, its reorder peak is the most bytes ever
+    /// buffered above the first missing packet, and after every arrival,
+    /// duplicates included, the ACK built from its arrival set equals that
+    /// of a standalone `SeqFrontier` fed the same arrivals: the identity
+    /// the single-loop receivers' one bitmap rests on.
     #[test]
     fn reassembly_any_order(seed in 0u64..1000, n in 1u32..200, dup_rate in 0.0f64..0.5) {
         let size = Bytes::new(1460) * u64::from(n);
         let mut r = Reassembly::new(size, PktCount::new(n));
+        let mut acks = SeqFrontier::with_capacity(n);
         let mut rng = SimRng::new(seed);
         let mut order: Vec<u32> = (0..n).collect();
         for i in (1..order.len()).rev() {
             let j = rng.index(i + 1);
             order.swap(i, j);
         }
+        let (mut got, mut peak) = (vec![false; n as usize], 0u64);
         let mut delivered = 0;
+        let mut arrive = |s: u32, r: &mut Reassembly| -> bool {
+            let new = r.on_packet(s);
+            prop_assert_eq!(acks.insert(s), new);
+            let ece = s.is_multiple_of(2);
+            prop_assert_eq!(
+                r.arrived().ack(Subflow::Only, ece, s, s),
+                acks.ack(Subflow::Only, ece, s, s)
+            );
+            got[s as usize] = true;
+            let first_missing = got.iter().position(|&g| !g).unwrap_or(got.len());
+            let buffered = got[first_missing..].iter().filter(|&&g| g).count() as u64;
+            peak = peak.max(buffered * 1460);
+            new
+        };
         for &s in &order {
-            if r.on_packet(s) {
+            if arrive(s, &mut r) {
                 delivered += 1;
             }
             if rng.chance(dup_rate) {
-                prop_assert!(!r.on_packet(s), "duplicate accepted");
+                prop_assert!(!arrive(s, &mut r), "duplicate accepted");
             }
         }
         prop_assert_eq!(delivered, n);
         prop_assert!(r.complete());
-        prop_assert!(r.reorder_peak() <= size);
+        prop_assert_eq!(r.reorder_peak(), Bytes::new(peak));
     }
 
-    /// The ACK builder's cumulative pointer equals the first missing
-    /// sequence, and SACK ranges only cover received packets.
+    /// The frontier set's cumulative point equals the first missing
+    /// sequence for any arrival order, and SACK ranges only cover
+    /// received packets, the first one the most recent arrival.
     #[test]
     fn ack_builder_invariants(seed in 0u64..1000, n in 1u32..300, frac in 0.1f64..1.0) {
-        let mut a = AckBuilder::new(n);
+        let mut a = SeqFrontier::with_capacity(n);
         let mut rng = SimRng::new(seed);
+        let mut order: Vec<u32> = (0..n).filter(|_| rng.chance(frac)).collect();
+        for i in (1..order.len()).rev() {
+            let j = rng.index(i + 1);
+            order.swap(i, j);
+        }
         let mut got = vec![false; n as usize];
-        let mut last = 0u32;
-        for s in 0..n {
-            if rng.chance(frac) {
-                a.on_packet(s);
-                got[s as usize] = true;
-                last = s;
-            }
+        for &s in &order {
+            prop_assert!(a.insert(s));
+            got[s as usize] = true;
         }
         let first_missing = got.iter().position(|&g| !g).map(|p| p as u32).unwrap_or(n);
-        prop_assert_eq!(a.cum(), first_missing.min(a.cum().max(first_missing)));
-        if got[last as usize] {
-            let ack = a.build(flexpass_simnet::packet::Subflow::Only, false, last, last);
+        prop_assert_eq!(a.cum(), first_missing);
+        if let Some(&last) = order.last() {
+            let ack = a.ack(Subflow::Only, false, last, last);
+            prop_assert_eq!(ack.cum, first_missing);
             for k in 0..ack.sack_n as usize {
                 let (lo, hi) = ack.sack[k];
                 prop_assert!(lo < hi);
