@@ -63,7 +63,7 @@ impl LySender {
         self.stats.credits_received += 1;
         // The layering gate: credits beyond the DCTCP window are wasted,
         // like credits with nothing left to send.
-        let picked = if self.done || self.sb.in_flight() >= self.win.cwnd_pkts() {
+        let picked = if self.sb.in_flight() >= self.win.cwnd_pkts() {
             None
         } else {
             self.sb.pick()
@@ -117,9 +117,6 @@ impl Endpoint for LySender {
             return;
         }
         self.rto.fired();
-        if self.done {
-            return;
-        }
         self.rto.back_off(ctx.now);
         // Only count a timeout when data was actually outstanding.
         if self.sb.lose_outstanding() {

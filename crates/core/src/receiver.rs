@@ -88,7 +88,6 @@ impl Endpoint for FlexPassReceiver {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
             Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
-            Payload::CreditStop => self.credit.stop(ctx),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }
@@ -275,24 +274,20 @@ mod tests {
 
     #[test]
     fn completion_stops_crediting() {
+        use flexpass_simnet::endpoint::TimerCmd;
+
         let mut r = FlexPassReceiver::new(spec(1460), FlexPassConfig::new(0.5), &env());
         let mut h = H::default();
         h.with(Time::ZERO, |ctx| r.on_packet(&req(), ctx));
+        h.tm.clear();
         h.with(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Reactive, 0, false), ctx)
         });
-        // The pacing timer fires once more and dies without sending.
-        let before =
-            h.tx.iter()
-                .filter(|p| matches!(p.payload, Payload::Credit(_)))
-                .count();
-        let (at, tok) = h.armed(0);
-        h.with(at, |ctx| r.on_timer(tok, ctx));
-        let after =
-            h.tx.iter()
-                .filter(|p| matches!(p.payload, Payload::Credit(_)))
-                .count();
-        assert_eq!(before, after);
+        // Completion cancels both credit-loop ticks.
+        for kind in [TK_CREDIT, TK_FEEDBACK] {
+            let cancel = TimerCmd::Cancel(timer_token(7, kind));
+            assert!(h.tm.contains(&cancel), "{cancel:?} not in {:?}", h.tm);
+        }
         // Linger tears down.
         let linger_tok = timer_token(7, TK_LINGER);
         h.with(Time::from_millis(20), |ctx| r.on_timer(linger_tok, ctx));

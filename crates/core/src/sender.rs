@@ -247,15 +247,6 @@ impl FlexPassSender {
     /// priority order — Lost, then Pending, then Sent-as-reactive.
     fn on_credit(&mut self, _credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
-        if self.done {
-            waste_credit(&mut self.stats, self.spec.id);
-            ctx.send(Packet::to_receiver(
-                &self.spec,
-                TrafficClass::NewCtrl,
-                Payload::CreditStop,
-            ));
-            return;
-        }
         enum Kind {
             LossRecovery,
             NewData,
@@ -417,9 +408,6 @@ impl FlexPassSender {
     /// window conservatively.
     fn on_reactive_rto(&mut self, ctx: &mut EndpointCtx) {
         self.r_rto.fired();
-        if self.done || self.reactive.inflight == 0 {
-            return;
-        }
         for s in self.reactive.closed.cum()..self.reactive.next_seq() {
             if !self.reactive.closed.contains(s) {
                 self.lose_slot(Subflow::Reactive, s);
@@ -434,9 +422,6 @@ impl FlexPassSender {
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
         self.rto.fired();
-        if self.done {
-            return;
-        }
         // Full stall: presume all in-flight packets lost, re-request
         // credits, and restart the reactive window from one packet. Only
         // count a timeout when data was actually outstanding.

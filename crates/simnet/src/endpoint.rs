@@ -235,7 +235,9 @@ pub trait Endpoint: Send {
     /// Called when a previously requested timer fires.
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx);
 
-    /// True once the endpoint has no further work; the host then drops it.
+    /// True once the endpoint has no further work. After the callback that
+    /// first reports it, the host applies that callback's commands, drops
+    /// the endpoint and never calls it again.
     fn finished(&self) -> bool;
 }
 
@@ -260,7 +262,7 @@ mod tests {
                 pkt.src,
                 CTRL_WIRE,
                 TrafficClass::NewCtrl,
-                Payload::CreditStop,
+                Payload::CreditReq { pkts: 0 },
             ));
         }
         fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
@@ -293,7 +295,7 @@ mod tests {
                 1,
                 CTRL_WIRE,
                 TrafficClass::NewCtrl,
-                Payload::CreditStop,
+                Payload::CreditReq { pkts: 0 },
             );
             ep.on_packet(&pkt, &mut ctx);
             ep.on_timer(7, &mut ctx);

@@ -611,7 +611,7 @@ mod tests {
             0,
             CTRL_WIRE,
             TrafficClass::NewCtrl,
-            Payload::CreditStop,
+            Payload::CreditReq { pkts: 0 },
         )
     }
 
@@ -714,7 +714,7 @@ mod tests {
             1,
             CTRL_WIRE,
             TrafficClass::Legacy,
-            Payload::CreditStop,
+            Payload::CreditReq { pkts: 0 },
         );
         let id = arena.acquire(legacy);
         assert_eq!(h.nic_enqueue(&mut arena, id).unwrap(), 2);
@@ -886,6 +886,7 @@ mod tests {
 
     impl ScriptEp {
         fn act(&mut self, what: u64, may_finish: bool, ctx: &mut EndpointCtx) {
+            assert!(!self.done, "flow {} called after it finished", self.flow);
             self.log.lock().expect("lock").push((self.flow, what));
             for _ in 0..self.rng.next_below(4) {
                 let token = timer_token(self.flow, KINDS[self.rng.index(KINDS.len())]);

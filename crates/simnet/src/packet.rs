@@ -142,8 +142,6 @@ pub enum Payload {
         /// Total flow length in packets.
         pkts: u32,
     },
-    /// Tells the receiver to stop sending credits (sender finished).
-    CreditStop,
     /// Homa grant.
     Grant(GrantInfo),
 }
@@ -234,8 +232,7 @@ impl Packet {
         )
     }
 
-    /// Control packet (credit request, credit stop) from `spec`'s sender to
-    /// its receiver.
+    /// Control packet (credit request) from `spec`'s sender to its receiver.
     pub fn to_receiver(spec: &FlowSpec, class: TrafficClass, payload: Payload) -> Packet {
         Packet::new(spec.id, spec.src, spec.dst, CTRL_WIRE, class, payload)
     }
@@ -254,7 +251,7 @@ impl Packet {
             0,
             WireBytes::ZERO,
             TrafficClass::NewCtrl,
-            Payload::CreditStop,
+            Payload::CreditReq { pkts: 0 },
         )
     }
 
@@ -359,7 +356,7 @@ mod tests {
             1,
             CTRL_WIRE,
             TrafficClass::NewCtrl,
-            Payload::CreditStop,
+            Payload::CreditReq { pkts: 0 },
         );
         assert!(!p.is_data());
         assert_eq!(p.payload_bytes(), Bytes::ZERO);

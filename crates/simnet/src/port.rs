@@ -957,7 +957,7 @@ mod tests {
                             1,
                             WireBytes::new(wire),
                             TrafficClass::NewCtrl,
-                            Payload::CreditStop,
+                            Payload::CreditReq { pkts: 0 },
                         );
                         if rng.chance(0.3) {
                             pkt = pkt.red();

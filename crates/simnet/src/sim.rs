@@ -1582,7 +1582,7 @@ mod tests {
                     1,
                     crate::consts::DATA_WIRE,
                     TrafficClass::Legacy,
-                    Payload::CreditStop,
+                    Payload::CreditReq { pkts: 0 },
                 ));
             }
             fn finished(&self) -> bool {
@@ -1707,7 +1707,7 @@ mod tests {
                 1,
                 CTRL_WIRE,
                 TrafficClass::Legacy,
-                Payload::CreditStop,
+                Payload::CreditReq { pkts: 0 },
             )
         };
         let probe_a = a.arena.acquire(probe_pkt());

@@ -492,7 +492,7 @@ mod tests {
             dst,
             crate::consts::DATA_WIRE,
             TrafficClass::Legacy,
-            Payload::CreditStop,
+            Payload::CreditReq { pkts: 0 },
         )
     }
 

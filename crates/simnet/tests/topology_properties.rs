@@ -27,7 +27,7 @@ fn pkt(flow: u64, src: usize, dst: usize) -> Packet {
         dst,
         flexpass_simnet::consts::DATA_WIRE,
         TrafficClass::Legacy,
-        Payload::CreditStop,
+        Payload::CreditReq { pkts: 0 },
     )
 }
 

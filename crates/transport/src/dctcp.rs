@@ -172,9 +172,6 @@ impl DctcpSender {
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
         self.rto.fired();
-        if self.done || !self.has_work() {
-            return;
-        }
         // Timeout: every in-flight packet is presumed lost.
         self.stats.timeouts += 1;
         self.rto.back_off(ctx.now);

@@ -122,15 +122,6 @@ impl EpSender {
 
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
-        if self.done {
-            waste_credit(&mut self.stats, self.spec.id);
-            ctx.send(Packet::to_receiver(
-                &self.spec,
-                TrafficClass::NewCtrl,
-                Payload::CreditStop,
-            ));
-            return;
-        }
         // A fresh credit carries a lost packet first, then new data.
         match self.sb.pick() {
             Some((seq, retx)) => {
@@ -160,9 +151,6 @@ impl EpSender {
 
     fn on_rto(&mut self, ctx: &mut EndpointCtx) {
         self.rto.fired();
-        if self.done {
-            return;
-        }
         // No progress for a full RTO: presume in-flight data lost and credits
         // stalled; re-request credits. Only count a timeout when data was
         // actually outstanding — a credit-starved idle sender re-requesting
@@ -304,28 +292,21 @@ impl CreditEngine {
     }
 }
 
-/// Where a [`CreditLoop`]'s feedback tick stands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tick {
-    /// Not in the calendar.
-    Off,
-    /// Armed; its pop reaches the loop.
-    Armed,
-    /// Armed and muted: the sample is short, so every pop would only
-    /// re-arm the tick, and the calendar does that itself.
-    Muted,
-}
-
 /// The receiver half of the credit loop: paces credits towards the sender
 /// at the [`CreditEngine`]'s rate and lets the engine re-tune that rate once
 /// per update period. Shared by the ExpressPass receiver and the FlexPass
 /// proactive sub-flow, which differ only in the engine's configuration.
 ///
+/// A loop goes idle → crediting → halted. [`start`](Self::start) arms one
+/// pacing tick and one feedback tick, each re-arming itself when it fires;
+/// [`halt`](Self::halt) cancels both, and the owner never restarts a
+/// completed flow. So a tick only ever fires while the loop is crediting.
+///
 /// Under incast most feedback ticks find the sample short and do nothing
 /// but re-arm. After one such tick the loop mutes the tick
 /// ([`EndpointCtx::mute_timer`]) so the calendar re-arms it alone, and
-/// unmutes it on the credit that completes the sample and on
-/// [`stop`](Self::stop), the two things that make the next tick act.
+/// unmutes it only on the credit that completes the sample, the one thing
+/// that makes the next tick act.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CreditLoop {
     spec: FlowSpec,
@@ -333,9 +314,9 @@ pub struct CreditLoop {
     /// Index of the next credit; also the number sent so far.
     credit_idx: u32,
     crediting: bool,
-    /// A pacing tick is in the calendar (whether or not `crediting`).
-    chain_live: bool,
-    feedback: Tick,
+    /// The feedback tick is muted: the sample is short, so every pop would
+    /// only re-arm the tick, and the calendar does that itself.
+    muted: bool,
     update_period: TimeDelta,
     credit_token: u64,
     feedback_token: u64,
@@ -356,8 +337,7 @@ impl CreditLoop {
             engine: CreditEngine::new(cfg, env, spec.id),
             credit_idx: 0,
             crediting: false,
-            chain_live: false,
-            feedback: Tick::Off,
+            muted: false,
             update_period: env.base_rtt.max(TimeDelta::micros(20)),
             credit_token: timer_token(spec.id, credit_kind),
             feedback_token: timer_token(spec.id, feedback_kind),
@@ -374,51 +354,26 @@ impl CreditLoop {
         u64::from(self.credit_idx)
     }
 
-    /// Starts (or resumes) issuing credits. A new pacing chain is armed only
-    /// when the previous one has died; so is a feedback tick.
+    /// Starts issuing credits: arms the pacing and the feedback tick. A
+    /// repeat request while crediting arms nothing.
     pub fn start(&mut self, ctx: &mut EndpointCtx) {
         if self.crediting {
             return;
         }
         self.crediting = true;
-        if !self.chain_live {
-            self.chain_live = true;
-            ctx.arm_timer(ctx.now, self.credit_token);
-            self.arm_feedback(ctx);
-        } else if self.feedback == Tick::Off {
-            // The feedback tick ended during the pause; the pacing tick
-            // is still to come and will credit again.
-            self.arm_feedback(ctx);
-        }
+        ctx.arm_timer(ctx.now, self.credit_token);
+        self.arm_feedback(ctx);
     }
 
     fn arm_feedback(&mut self, ctx: &mut EndpointCtx) {
         ctx.arm_timer(ctx.now + self.update_period, self.feedback_token);
-        self.feedback = Tick::Armed;
+        self.muted = false;
     }
 
-    /// Hands the feedback tick back to the loop if it is muted.
-    fn unmute_feedback(&mut self, ctx: &mut EndpointCtx) {
-        if self.feedback == Tick::Muted {
-            ctx.mute_timer(self.feedback_token, None);
-            self.feedback = Tick::Armed;
-        }
-    }
-
-    /// Mid-flow `CreditStop`: stops issuing credits. The pacing and
-    /// feedback ticks are left to fire once more and observe `!crediting`;
-    /// that stale fire is what tells a later [`start`](Self::start) to arm
-    /// a new chain.
-    pub fn stop(&mut self, ctx: &mut EndpointCtx) {
-        self.crediting = false;
-        self.unmute_feedback(ctx);
-    }
-
-    /// The flow completed. Completion is final (the owner never restarts a
-    /// completed flow), so both chains are cancelled outright.
+    /// The flow completed: cancels both ticks.
     pub fn halt(&mut self, ctx: &mut EndpointCtx) {
         self.crediting = false;
-        self.feedback = Tick::Off;
+        self.muted = false;
         ctx.cancel_timer(self.credit_token);
         ctx.cancel_timer(self.feedback_token);
     }
@@ -429,19 +384,16 @@ impl CreditLoop {
         self.engine.data_rcvd_period += 1;
     }
 
-    /// Timer dispatch for the pacing and feedback chains; other tokens are
+    /// Timer dispatch for the pacing and feedback ticks; other tokens are
     /// ignored.
     pub fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         if token == self.credit_token {
-            if !self.crediting {
-                self.chain_live = false;
-                return;
-            }
             let idx = self.credit_idx;
             self.credit_idx += 1;
             self.engine.credits_sent_period += 1;
-            if !self.engine.sample_short() {
-                self.unmute_feedback(ctx);
+            if self.muted && !self.engine.sample_short() {
+                ctx.mute_timer(self.feedback_token, None);
+                self.muted = false;
             }
             hooks::record(|t_ns| TraceEvent::CreditSent {
                 t_ns,
@@ -455,15 +407,11 @@ impl CreditLoop {
             ));
             ctx.arm_timer(ctx.now + self.engine.credit_interval(), token);
         } else if token == self.feedback_token {
-            if !self.crediting {
-                self.feedback = Tick::Off;
-                return;
-            }
             let acted = self.engine.feedback_update();
             self.arm_feedback(ctx);
             if !acted {
                 ctx.mute_timer(token, Some(self.update_period));
-                self.feedback = Tick::Muted;
+                self.muted = true;
             }
         }
     }
@@ -511,7 +459,6 @@ impl Endpoint for EpReceiver {
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut EndpointCtx) {
         match pkt.payload {
             Payload::CreditReq { .. } if !self.tail.completed() => self.credit.start(ctx),
-            Payload::CreditStop => self.credit.stop(ctx),
             Payload::Data(d) => self.on_data(pkt, d, ctx),
             _ => {}
         }
@@ -762,10 +709,11 @@ mod tests {
         assert!(sim.observer.wasted > 0);
     }
 
-    /// A mid-flow stop lets the stale pacing chain fire once and die
-    /// silently; the restart then arms exactly one new chain.
+    /// A credit request arms one pacing tick and one feedback tick, a
+    /// repeat request arms nothing, and the pacing tick credits and
+    /// re-arms itself.
     #[test]
-    fn credit_loop_stop_then_restart_rearms_one_chain() {
+    fn credit_loop_start_arms_one_chain() {
         use flexpass_simnet::endpoint::TimerCmd;
 
         let env = NetEnv {
@@ -806,87 +754,12 @@ mod tests {
         let (cmds, sent) = call(us(0), &mut |ctx| cl.on_timer(credit, ctx));
         assert_eq!((cmds.len(), sent), (1, 1));
         assert!(matches!(cmds[0], TimerCmd::Arm(at, tok) if tok == credit && at > us(0)));
-
-        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
-        // Restarting before the stale tick fires must not stack a second
-        // chain on the one still in the calendar.
-        assert!(call(us(1), &mut |ctx| cl.start(ctx)).0.is_empty());
-        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
-        // The stale ticks fire, send nothing and do not re-arm.
-        assert_eq!(
-            call(us(2), &mut |ctx| cl.on_timer(credit, ctx)),
-            (vec![], 0)
-        );
-        assert_eq!(
-            call(us(20), &mut |ctx| cl.on_timer(feedback, ctx)),
-            (vec![], 0)
-        );
         assert_eq!(cl.credits_sent(), 1);
-        // Now the restart arms one new pacing tick and one feedback tick.
-        let (cmds, _) = call(us(30), &mut |ctx| cl.start(ctx));
-        assert_eq!(
-            cmds,
-            vec![
-                TimerCmd::Arm(us(30), credit),
-                TimerCmd::Arm(us(50), feedback)
-            ]
-        );
-        assert_eq!(call(us(30), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
-        assert_eq!(cl.credits_sent(), 2);
-    }
-
-    /// The pause outlives the feedback tick but not the pacing tick (at
-    /// the minimum rate a credit interval exceeds the update period): the
-    /// feedback tick fires while stopped and ends its chain, and the
-    /// restart, finding the pacing tick still to come, must arm a new
-    /// feedback tick, or the loop credits at a frozen rate for good.
-    #[test]
-    fn restart_after_the_feedback_tick_ended_rearms_it() {
-        use flexpass_simnet::endpoint::TimerCmd;
-
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
-        let spec = flow(7, 0, 1, 100 * 1460, Time::ZERO);
-        let (credit, feedback) = (timer_token(7, TK_CREDIT), timer_token(7, TK_FEEDBACK));
-        let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
-        let mut call = |at: Time, f: &mut dyn FnMut(&mut EndpointCtx)| {
-            f(&mut EndpointCtx::new(
-                at,
-                &mut arena,
-                &mut tx,
-                &mut timers,
-                &mut app,
-            ));
-            (std::mem::take(&mut timers), std::mem::take(&mut tx).len())
-        };
-        let us = Time::from_micros;
-
-        assert_eq!(call(us(0), &mut |ctx| cl.start(ctx)).0.len(), 2);
-        assert_eq!(call(us(0), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
-        assert!(call(us(1), &mut |ctx| cl.stop(ctx)).0.is_empty());
-        // The feedback tick fires while stopped: it ends its chain.
-        assert_eq!(
-            call(us(20), &mut |ctx| cl.on_timer(feedback, ctx)),
-            (vec![], 0)
-        );
-        // The pacing tick is still in the calendar, so the restart arms
-        // no credit tick, but it does arm a feedback tick.
-        let (cmds, _) = call(us(21), &mut |ctx| cl.start(ctx));
-        assert_eq!(cmds, vec![TimerCmd::Arm(us(41), feedback)]);
-        // The pacing tick credits again, and the feedback tick re-arms.
-        assert_eq!(call(us(30), &mut |ctx| cl.on_timer(credit, ctx)).1, 1);
-        let (cmds, _) = call(us(41), &mut |ctx| cl.on_timer(feedback, ctx));
-        assert_eq!(cmds, vec![TimerCmd::Arm(us(61), feedback)]);
     }
 
     /// The promise a mute makes: while the loop holds its feedback tick
     /// muted, delivering that tick would only re-arm it. Seeded sequences
-    /// of start, stop, halt, credit ticks, feedback ticks and data drive a
+    /// of start, halt, credit ticks, feedback ticks and data drive a
     /// loop, and the calendar's side is modelled from what the loop
     /// issues: a tick is in the calendar from its arming until it fires or
     /// is cancelled, a mute hint applies after the callback's commands to
@@ -939,7 +812,6 @@ mod tests {
                     let ctx = &mut scratch.ctx(now, &mut arena);
                     match op {
                         0 => cl.start(ctx),
-                        1 => cl.stop(ctx),
                         2 if rng.chance(0.05) => {
                             cl.halt(ctx);
                             halted = true;
@@ -977,7 +849,7 @@ mod tests {
                     );
                     muted = feedback_armed && period.is_some();
                 }
-                assert_eq!(cl.feedback == Tick::Muted, muted, "seed {seed} step {step}");
+                assert_eq!(cl.muted, muted, "seed {seed} step {step}");
                 arena.drain_into(&mut scratch.tx, &mut sent);
                 sent.clear();
                 if halted {

@@ -132,9 +132,6 @@ impl Endpoint for HomaSender {
             return;
         }
         self.rto.fired();
-        if self.done {
-            return;
-        }
         self.stats.timeouts += 1;
         self.rto.back_off(ctx.now);
         self.sb.lose_outstanding();
