@@ -21,6 +21,14 @@
 //! reach the audit hooks — so a run with cancellations pops the same
 //! delivered sequence as if the cancelled events had never been scheduled.
 //!
+//! A pending timer whose deadline only moves later (an RTO pushed back by
+//! every ACK) keeps its one calendar entry ([`EventQueue::rearm_later`]):
+//! the re-arm draws the sequence number a fresh schedule would and records
+//! the new `(time, seq)` as the timer's *due key* in the slab. An entry
+//! that pops under another key than its timer's due key is pushed back
+//! under the due key, as unseen as a dead entry, so the delivered sequence
+//! is that of a cancel plus a schedule.
+//!
 //! A pending timer may be *muted* ([`EventQueue::mute`]): its owner promises
 //! that the next pops would only re-arm it one period later. The calendar
 //! then keeps that promise itself. A muted pop counts, advances `now()` and
@@ -68,10 +76,11 @@ struct Scheduled<E> {
     timer: Option<TimerHandle>,
 }
 
-/// One timer slab slot in one 4-byte word, since the liveness check of
-/// every pop reads it and the slab holds a slot per calendar entry of a
-/// cancellable timer, dead ones included: the generation of the slot's
-/// timer in the low 31 bits, and [`MUTED`] on top.
+/// The liveness word of one timer slab slot, in 4 bytes, since the
+/// liveness check of every pop and cascade reads it and the slab holds a
+/// slot per calendar entry of a cancellable timer, dead ones included: the
+/// generation of the slot's timer in the low 31 bits, and [`MUTED`] on
+/// top. The slot's due key lives beside it, in `EventQueue::due`.
 #[derive(Clone, Copy, Default)]
 struct TimerSlot(u32);
 
@@ -107,6 +116,9 @@ impl TimerSlot {
 enum Fate {
     /// A cancelled leftover: discarded unseen.
     Dead,
+    /// A timer re-armed later since the entry was placed: pushed back
+    /// unseen under this due key.
+    Moved(Time, u64),
     /// Its payload is returned.
     Deliver,
     /// A muted timer: placed again on the lane.
@@ -172,10 +184,17 @@ pub struct EventQueue<E> {
     cancelled: u64,
     /// Pops of muted timers, which the calendar re-armed itself.
     rearmed: u64,
+    /// Successful [`rearm_later`](Self::rearm_later) calls.
+    deferred: u64,
     /// The timer slab. A calendar entry whose recorded generation no
     /// longer matches its slot's is dead and is skipped on pop. Slot 0 is a
     /// placeholder no handle refers to (see [`TimerHandle`]).
     timers: Vec<TimerSlot>,
+    /// `due[i]`: the `(time, seq)` slot `i`'s pending timer fires under.
+    /// Its calendar entry may sit under an earlier key after a
+    /// [`rearm_later`](Self::rearm_later); kept beside `timers` so the
+    /// liveness words the cascades scan stay dense.
+    due: Vec<(Time, u64)>,
     /// The one period timers are muted with, set by the first mute (a
     /// simulation has one: its update period).
     mute_period: Option<TimeDelta>,
@@ -205,7 +224,9 @@ impl<E> EventQueue<E> {
             clamped: 0,
             cancelled: 0,
             rearmed: 0,
+            deferred: 0,
             timers: vec![TimerSlot::default()],
+            due: vec![(Time::ZERO, 0)],
             mute_period: None,
             lane: VecDeque::new(),
             free_slots: Vec::new(),
@@ -241,6 +262,7 @@ impl<E> EventQueue<E> {
                     .and_then(NonZeroU32::new)
                     .expect("timer slab holds slot 0 and fewer than 2^32 slots");
                 self.timers.push(TimerSlot::default());
+                self.due.push((Time::ZERO, 0));
                 s
             }
         };
@@ -250,17 +272,20 @@ impl<E> EventQueue<E> {
             .expect("slab slot just allocated")
             .generation();
         let handle = TimerHandle { slot, generation };
-        self.schedule_entry(
+        let key = self.schedule_entry(
             time,
             Scheduled {
                 payload,
                 timer: Some(handle),
             },
         );
+        *self.due_mut(handle) = key;
         handle
     }
 
-    fn schedule_entry(&mut self, time: Time, entry: Scheduled<E>) {
+    /// Places `entry` under `time` (clamped to `now`) and the next
+    /// sequence number, and returns that key.
+    fn schedule_entry(&mut self, time: Time, entry: Scheduled<E>) -> (Time, u64) {
         debug_assert!(
             time >= self.last_time,
             "scheduled event at {time:?} before current time {:?}",
@@ -273,12 +298,25 @@ impl<E> EventQueue<E> {
         let time = time.max(self.last_time);
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.place(time, seq, entry);
+        (time, seq)
+    }
+
+    /// Puts `entry` into the wheel under `(time, seq)`.
+    fn place(&mut self, time: Time, seq: u64, entry: Scheduled<E>) {
         self.wheel.push_reap(
             time,
             seq,
             entry,
             &mut dead_filter(&self.timers, &mut self.free_slots),
         );
+    }
+
+    /// The due key of `handle`'s slab slot.
+    fn due_mut(&mut self, handle: TimerHandle) -> &mut (Time, u64) {
+        self.due
+            .get_mut(handle.index())
+            .expect("slab slot valid while its handle is outstanding")
     }
 
     /// Cancels a pending cancellable event. Returns `true` if the handle
@@ -294,6 +332,28 @@ impl<E> EventQueue<E> {
             }
             None => false,
         }
+    }
+
+    /// Moves the pending timer `handle` to `time` without a new calendar
+    /// entry: observably a [`cancel`](Self::cancel) plus a
+    /// [`schedule_cancelable`](Self::schedule_cancelable) of the same
+    /// payload at `time`, except that the handle stays valid. The re-arm
+    /// draws the sequence number that schedule would, so ties break as
+    /// they would have. Returns `false`, and leaves the timer as it was,
+    /// when the handle is not pending, the timer is muted, or `time` is
+    /// earlier than its current deadline; the caller then cancels and
+    /// schedules.
+    pub fn rearm_later(&mut self, handle: TimerHandle, time: Time) -> bool {
+        let unmuted = self.live_slot(handle).is_some_and(|t| !t.is_muted());
+        if !unmuted || time < self.due_mut(handle).0 {
+            return false;
+        }
+        flexpass_simhooks::on_event_schedule(time.as_nanos(), self.last_time.as_nanos());
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        *self.due_mut(handle) = (time, seq);
+        self.deferred += 1;
+        true
     }
 
     /// True while `handle`'s event is still scheduled (not yet fired or
@@ -339,7 +399,7 @@ impl<E> EventQueue<E> {
 
     /// What a popped entry does. A timer that fires, and a dead entry,
     /// give their slab slot back.
-    fn settle(&mut self, entry: &Scheduled<E>) -> Fate {
+    fn settle(&mut self, time: Time, seq: u64, entry: &Scheduled<E>) -> Fate {
         let Some(h) = entry.timer else {
             return Fate::Deliver;
         };
@@ -350,6 +410,13 @@ impl<E> EventQueue<E> {
         if t.is_dead(h) {
             self.free_slots.push(h.slot);
             return Fate::Dead;
+        }
+        let due = *self
+            .due
+            .get(h.index())
+            .expect("slab slot valid while its handle is outstanding");
+        if due != (time, seq) {
+            return Fate::Moved(due.0, due.1);
         }
         if t.is_muted() {
             return Fate::Rearm;
@@ -365,20 +432,21 @@ impl<E> EventQueue<E> {
     /// back one period later. Either way the step counts in
     /// [`popped`](Self::popped), advances `now()` and reaches the hooks.
     ///
-    /// Cancelled entries encountered on the way are discarded without any
+    /// Cancelled entries encountered on the way are discarded, and entries
+    /// of timers re-armed later put back under their due key, without any
     /// observable effect (no `popped` tick, no `now()` advance, no audit
     /// callback).
     pub fn step(&mut self) -> Option<(Time, Option<E>)> {
         loop {
-            let (time, seq, entry) = if self.lane_is_next() {
-                self.lane.pop_front().expect("the lane has a front")
-            } else {
-                self.wheel
-                    .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))?
-            };
-            let fate = self.settle(&entry);
-            if let Fate::Dead = fate {
-                continue;
+            let (time, seq, entry) = self.pop_head()?;
+            let fate = self.settle(time, seq, &entry);
+            match fate {
+                Fate::Dead => continue,
+                Fate::Moved(due, due_seq) => {
+                    self.place(due, due_seq, entry);
+                    continue;
+                }
+                Fate::Deliver | Fate::Rearm => {}
             }
             self.popped += 1;
             self.last_time = time;
@@ -390,6 +458,16 @@ impl<E> EventQueue<E> {
                 }
                 _ => (time, Some(entry.payload)),
             });
+        }
+    }
+
+    /// Removes the earliest calendar entry, dead or alive.
+    fn pop_head(&mut self) -> Option<(Time, u64, Scheduled<E>)> {
+        if self.lane_is_next() {
+            self.lane.pop_front()
+        } else {
+            self.wheel
+                .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))
         }
     }
 
@@ -411,6 +489,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.rearmed += 1;
+        *self.due_mut(entry.timer.expect("a muted entry is a timer's")) = (at, seq);
         self.lane.push_back((at, seq, entry));
     }
 
@@ -431,33 +510,34 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending *live* event.
     ///
     /// Takes `&mut self` because cancelled leftovers at the calendar head
-    /// are drained here — otherwise a dead entry's stale timestamp could
-    /// leak into `run_until`-style deadline checks.
+    /// are drained here, and entries of timers re-armed later put back —
+    /// otherwise a stale timestamp could leak into `run_until`-style
+    /// deadline checks.
     pub fn peek_time(&mut self) -> Option<Time> {
         loop {
-            let from_lane = self.lane_is_next();
-            let (time, entry) = if from_lane {
+            let (time, seq, entry) = if self.lane_is_next() {
                 self.lane
                     .front()
-                    .map(|(time, _, entry)| (*time, entry))
+                    .map(|(time, seq, entry)| (*time, *seq, entry))
                     .expect("the lane has a front")
             } else {
-                self.wheel.peek().map(|(time, _, entry)| (time, entry))?
+                self.wheel.peek()?
             };
-            match entry.timer {
-                Some(h) if self.timers.get(h.index()).is_some_and(|t| t.is_dead(h)) => {}
-                _ => return Some(time),
+            if !entry.timer.is_some_and(|h| self.is_stale(h, time, seq)) {
+                return Some(time);
             }
-            let (_, _, entry) = if from_lane {
-                self.lane.pop_front().expect("the lane has a front")
-            } else {
-                self.wheel
-                    .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))
-                    .expect("peeked entry exists")
-            };
-            let fate = self.settle(&entry);
-            debug_assert!(matches!(fate, Fate::Dead));
+            let (time, seq, entry) = self.pop_head().expect("peeked entry exists");
+            match self.settle(time, seq, &entry) {
+                Fate::Moved(due, due_seq) => self.place(due, due_seq, entry),
+                fate => debug_assert!(matches!(fate, Fate::Dead)),
+            }
         }
+    }
+
+    /// True when `handle`'s entry under `(time, seq)` is not the one to
+    /// deliver: its timer was cancelled, or re-armed later.
+    fn is_stale(&self, handle: TimerHandle, time: Time, seq: u64) -> bool {
+        !self.is_pending(handle) || self.due.get(handle.index()) != Some(&(time, seq))
     }
 
     /// Number of pending calendar entries, *including* cancelled ones not
@@ -498,6 +578,12 @@ impl<E> EventQueue<E> {
     /// [`popped`](Self::popped) too.
     pub fn rearmed(&self) -> u64 {
         self.rearmed
+    }
+
+    /// Number of successful [`rearm_later`](Self::rearm_later) calls so
+    /// far: re-arms that cost neither a cancel nor a calendar entry.
+    pub fn deferred(&self) -> u64 {
+        self.deferred
     }
 }
 
@@ -691,6 +777,41 @@ mod tests {
         assert!(q.mute(h3, TimeDelta::nanos(5)));
         assert!(q.unmute(h3));
         assert_eq!(q.step(), Some((Time::from_nanos(30), Some(3))));
+    }
+
+    #[test]
+    fn later_rearms_keep_one_calendar_entry() {
+        let mut q = EventQueue::new();
+        let h = q.schedule_cancelable(Time::from_nanos(10), "rto");
+        for i in 1..=10_000 {
+            assert!(q.rearm_later(h, Time::from_micros(i)));
+        }
+        assert_eq!((q.len(), q.cancelled(), q.deferred()), (1, 0, 10_000));
+        assert_eq!(q.pop(), Some((Time::from_millis(10), "rto")));
+        assert!(q.pop().is_none());
+        assert_eq!(q.popped(), 1);
+    }
+
+    #[test]
+    fn rearm_later_refuses_earlier_muted_and_stale_timers() {
+        let mut q = EventQueue::new();
+        let h = q.schedule_cancelable(Time::from_nanos(50), 1);
+        q.schedule(Time::from_nanos(60), 2);
+        assert!(!q.rearm_later(h, Time::from_nanos(49)));
+        // A later deadline is taken, and so is an equal one; either ties
+        // after the entry at 60 as a fresh schedule would.
+        assert!(q.rearm_later(h, Time::from_nanos(60)));
+        assert!(q.rearm_later(h, Time::from_nanos(60)));
+        // The entry at 50 is put back unseen: peek and pop see 60.
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(60)));
+        assert_eq!(q.now(), Time::ZERO);
+        assert!(q.mute(h, TimeDelta::nanos(5)));
+        assert!(!q.rearm_later(h, Time::from_nanos(70)));
+        assert!(q.unmute(h));
+        assert_eq!(q.pop(), Some((Time::from_nanos(60), 2)));
+        assert_eq!(q.pop(), Some((Time::from_nanos(60), 1)));
+        assert!(!q.rearm_later(h, Time::from_nanos(80)));
+        assert_eq!((q.popped(), q.deferred(), q.len()), (2, 2, 0));
     }
 
     // Release-only: in debug builds a past-time schedule panics via

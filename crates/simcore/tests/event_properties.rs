@@ -3,8 +3,10 @@
 //! The calendar's contract (DESIGN.md "Determinism & invariants"): pops are
 //! totally ordered by `(time, insertion order)` — time never goes backwards,
 //! and events scheduled for the same instant fire in FIFO order. Both the
-//! batch and the interleaved schedule/pop paths must uphold it, and a muted
-//! timer's pop re-arms it exactly as a re-schedule at that instant would.
+//! batch and the interleaved schedule/pop paths must uphold it, a muted
+//! timer's pop re-arms it exactly as a re-schedule at that instant would,
+//! and a timer moved later in place pops exactly as a cancel plus a
+//! schedule would have.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,8 +20,9 @@ use proptest::prelude::*;
 /// Reference model for the differential test: the calendar as one binary
 /// heap over `(time, insertion seq)`. A cancellable entry is a timer,
 /// identified by its index in `timers`; cancellation is a lookup at pop,
-/// and a muted timer is re-armed by hand when it pops. The payload of
-/// every entry is the sequence number it was first scheduled under.
+/// a muted timer is re-armed by hand when it pops, and a re-arm is a
+/// cancel plus a schedule of the same payload. The payload of every entry
+/// is the sequence number it was first scheduled under.
 /// A reference entry: `(time, seq, payload, timer)`.
 type RefEntry = (Time, u64, u64, Option<usize>);
 
@@ -33,31 +36,53 @@ struct RefCalendar {
     next_seq: u64,
     popped: u64,
     rearmed: u64,
+    /// The instant of the last pop.
+    now: Time,
 }
 
-#[derive(Default)]
 struct RefTimer {
     /// Sequence number of the timer's live entry; `None` once it fired or
     /// was cancelled.
     pending: Option<u64>,
     mute: Option<TimeDelta>,
+    /// The time of the timer's latest entry.
+    due: Time,
+    payload: u64,
 }
 
 impl RefCalendar {
     /// Schedules an entry; returns its payload and, if cancellable, its
     /// timer.
     fn schedule(&mut self, time: Time, cancellable: bool) -> (u64, Option<usize>) {
+        let payload = self.next_seq;
+        (payload, self.push(time, payload, cancellable))
+    }
+
+    /// Schedules `payload` under the next sequence number; returns its
+    /// timer if cancellable.
+    fn push(&mut self, time: Time, payload: u64, cancellable: bool) -> Option<usize> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let timer = cancellable.then(|| {
             self.timers.push(RefTimer {
                 pending: Some(seq),
                 mute: None,
+                due: time,
+                payload,
             });
             self.timers.len() - 1
         });
-        self.heap.push(Reverse((time, seq, seq, timer)));
-        (seq, timer)
+        self.heap.push(Reverse((time, seq, payload, timer)));
+        timer
+    }
+
+    /// Re-arms timer `id` at `time` as a cancel plus a schedule of its
+    /// payload; returns the new timer and the cancel's result.
+    fn rearm(&mut self, id: usize, time: Time) -> (usize, bool) {
+        let was_pending = self.cancel(id);
+        let payload = self.timers[id].payload;
+        let new = self.push(time, payload, true).expect("a timer");
+        (new, was_pending)
     }
 
     fn cancel(&mut self, id: usize) -> bool {
@@ -117,12 +142,15 @@ impl RefCalendar {
                     let rearm = self.next_seq;
                     self.next_seq += 1;
                     self.timers[id].pending = Some(rearm);
+                    self.timers[id].due = time + period;
                     self.heap
                         .push(Reverse((time + period, rearm, payload, timer)));
+                    self.now = time;
                     return Some((time, None));
                 }
                 self.timers[id].pending = None;
             }
+            self.now = time;
             return Some((time, Some(payload)));
         }
     }
@@ -141,6 +169,8 @@ struct Pair {
     /// those must fail in both.
     handles: Vec<(TimerHandle, usize)>,
     last_time: Time,
+    /// Re-arms the calendar took in place.
+    deferred: u64,
 }
 
 impl Pair {
@@ -178,20 +208,77 @@ impl Pair {
 
     /// Mutes the timer at the head of the calendar, if the head is one.
     fn mute_head(&mut self, period: TimeDelta) {
-        let head = self.heap.head_timer();
-        let handle = self.handles.iter().find(|e| Some(e.1) == head);
-        if let Some(&(h, id)) = handle {
+        if let Some(&(h, id)) = self.head_handle() {
             assert!(self.wheel.is_pending(h), "head timer not pending");
             assert_eq!(self.wheel.mute(h, period), self.heap.mute(id, period));
         }
     }
 
+    /// The handle pair of the timer at the head of the calendar, if the
+    /// head is one.
+    fn head_handle(&self) -> Option<&(TimerHandle, usize)> {
+        let head = self.heap.head_timer();
+        self.handles.iter().find(|e| Some(e.1) == head)
+    }
+
+    /// Re-arms the handle at (index % handles) `offset` ns from its
+    /// latest deadline (no earlier than now), pending or not.
+    fn rearm(&mut self, i: usize, offset: i64) {
+        if !self.handles.is_empty() {
+            self.rearm_at(i % self.handles.len(), offset);
+        }
+    }
+
+    /// [`rearm`](Self::rearm) aimed at the calendar's head timer.
+    fn rearm_head(&mut self, offset: i64) {
+        let head = self.head_handle().copied();
+        if let Some(k) = head.and_then(|e| self.handles.iter().position(|&f| f == e)) {
+            self.rearm_at(k, offset);
+        }
+    }
+
+    /// The queue side as `Host::settle` drives it: `rearm_later`, and
+    /// when that refuses, a cancel plus a fresh `schedule_cancelable`. The
+    /// calendar must take the re-arm in place exactly when the timer is
+    /// pending, unmuted and not moved earlier.
+    fn rearm_at(&mut self, k: usize, offset: i64) {
+        let (h, id) = self.handles[k];
+        let (due, payload) = (self.heap.timers[id].due, self.heap.timers[id].payload);
+        let at = Time::from_nanos(due.as_nanos().saturating_add_signed(offset)).max(self.last_time);
+        let in_place = self.heap.timers[id].pending.is_some()
+            && self.heap.timers[id].mute.is_none()
+            && at >= due;
+        let (new_id, was_pending) = self.heap.rearm(id, at);
+        let h = if self.wheel.rearm_later(h, at) {
+            assert!(in_place, "calendar moved a timer it must refuse");
+            self.deferred += 1;
+            h
+        } else {
+            assert!(!in_place, "calendar refused a later re-arm");
+            assert_eq!(
+                self.wheel.cancel(h),
+                was_pending,
+                "cancel result after refusal"
+            );
+            self.wheel.schedule_cancelable(at, payload)
+        };
+        self.handles[k] = (h, new_id);
+    }
+
+    /// Peeks at the next event's time, then steps.
     fn pop(&mut self) -> bool {
         assert_eq!(
             self.wheel.peek_time(),
             self.heap.head().map(|e| e.0),
             "calendar disagreed with the heap on the next event's time"
         );
+        assert_eq!(self.wheel.now(), self.heap.now, "peek moved the clock");
+        self.step()
+    }
+
+    /// Steps without a peek first, so the step itself meets the stale
+    /// entries at the head.
+    fn step(&mut self) -> bool {
         let a = self.wheel.step();
         assert_eq!(
             a,
@@ -199,6 +286,7 @@ impl Pair {
             "calendar diverged from the heap on pop"
         );
         assert_eq!(self.wheel.popped(), self.heap.popped, "pop counts differ");
+        assert_eq!(self.wheel.now(), self.heap.now, "clocks differ");
         if let Some((t, _)) = a {
             assert!(t >= self.last_time, "time went backwards");
             self.last_time = t;
@@ -215,6 +303,7 @@ impl Pair {
         while self.pop() {}
         assert_eq!(self.wheel.popped(), self.heap.popped);
         assert_eq!(self.wheel.rearmed(), self.heap.rearmed);
+        assert_eq!(self.wheel.deferred(), self.deferred);
     }
 }
 
@@ -225,6 +314,8 @@ impl Pair {
 #[derive(Debug, Clone)]
 enum Op {
     Pop,
+    /// A pop without the peek before it.
+    Step,
     Schedule(u64),
     ScheduleCancelable(u64),
     /// Cancel the pending handle at (index % live handles), if any.
@@ -234,6 +325,11 @@ enum Op {
     Mute(usize, Option<TimeDelta>),
     /// Mute the timer at the head of the calendar, if the head is one.
     MuteHead(TimeDelta),
+    /// Re-arm the handle at (index % handles) this many ns from its
+    /// latest deadline, whether or not it is still pending or muted.
+    Rearm(usize, i64),
+    /// Re-arm the timer at the head of the calendar, if the head is one.
+    RearmHead(i64),
 }
 
 /// A mute period: mostly the test case's own (`base`, a few nanoseconds,
@@ -248,9 +344,22 @@ fn period(base: u64, arg: u64) -> TimeDelta {
     })
 }
 
+/// A re-arm offset from the timer's deadline: as often equal, later
+/// (near, or far enough to reach every wheel level) or earlier.
+fn rearm_offset(arg: u64) -> i64 {
+    let near = (arg % 2_000_000) as i64;
+    match (arg >> 32) % 4 {
+        0 => 0,
+        1 => near,
+        2 => (arg % (1 << 36)) as i64,
+        _ => -near,
+    }
+}
+
 fn decode(base: u64, kind: u8, arg: u64) -> Op {
-    match kind % 12 {
-        0 | 1 => Op::Pop,
+    match kind % 15 {
+        0 => Op::Pop,
+        1 => Op::Step,
         // Mix short offsets (dense ties, same-slot collisions) with long
         // ones that reach every wheel level and the overflow heap.
         2 => Op::Schedule(arg % 2_000_000),
@@ -262,6 +371,8 @@ fn decode(base: u64, kind: u8, arg: u64) -> Op {
         8 => Op::Mute((arg >> 20) as usize, Some(period(base, arg))),
         9 => Op::Mute((arg >> 20) as usize, None),
         10 => Op::MuteHead(period(base, arg)),
+        12 | 13 => Op::Rearm((arg >> 40) as usize, rearm_offset(arg)),
+        14 => Op::RearmHead(rearm_offset(arg)),
         _ => Op::Pop,
     }
 }
@@ -323,12 +434,15 @@ proptest! {
 
     /// Differential check: the calendar is observably a binary heap over
     /// `(time, insertion order)`. Any interleaving of schedules, pops,
-    /// cancellations and mutes — including same-instant ties,
+    /// cancellations, mutes and re-arms — including same-instant ties,
     /// cancel-then-pop races (lazy deletion), cancels of muted timers,
-    /// mutes of stale handles and of the calendar's head — must yield the
-    /// identical `(time, payload)` step sequence (payload-less steps
-    /// included) from `EventQueue` and from the reference model, which
-    /// re-arms a muted timer by hand.
+    /// mutes of stale handles and of the calendar's head, and re-arms to
+    /// the same, a later or an earlier deadline of pending, muted, fired
+    /// and head timers — must yield the identical `(time, payload)` step
+    /// sequence (payload-less steps included), `peek_time`, `popped()` and
+    /// `now()` from `EventQueue` and from the reference model, which
+    /// re-arms a muted timer by hand and a re-armed one by cancel and
+    /// schedule.
     #[test]
     fn wheel_and_heap_pop_identically_under_cancellation(
         tape in prop::collection::vec((0u8..=255, 0u64..u64::MAX), 1..300),
@@ -340,11 +454,16 @@ proptest! {
                 Op::Pop => {
                     pair.pop();
                 }
+                Op::Step => {
+                    pair.step();
+                }
                 Op::Schedule(dt) => pair.schedule(dt, false),
                 Op::ScheduleCancelable(dt) => pair.schedule(dt, true),
                 Op::Cancel(i) => pair.cancel(i),
                 Op::Mute(i, period) => pair.mute(i, period),
                 Op::MuteHead(period) => pair.mute_head(period),
+                Op::Rearm(i, offset) => pair.rearm(i, offset),
+                Op::RearmHead(offset) => pair.rearm_head(offset),
             }
         }
         pair.drain();

@@ -112,7 +112,10 @@ pub enum TimerCmd {
     /// Fire-and-forget timer at `(at, token)`; never cancelled.
     Set(Time, u64),
     /// Arm (or re-arm, replacing any previous arming of the same token)
-    /// a cancellable timer at `(at, token)`.
+    /// a cancellable timer at `(at, token)`. A re-arm to a deadline no
+    /// earlier than the armed one moves that timer in place; otherwise
+    /// the armed one is cancelled and a new one scheduled. Either way the
+    /// calendar pops as if it had been cancelled and rescheduled.
     Arm(Time, u64),
     /// Cancel the armed timer for `token`, if any.
     Cancel(u64),
@@ -185,7 +188,8 @@ impl<'a> EndpointCtx<'a> {
 
     /// Arms a cancellable timer for `token` at absolute time `at`,
     /// *replacing* any previously armed timer with the same token
-    /// (cancel-and-replace semantics). At most one armed timer exists per
+    /// (cancel-and-replace semantics; see [`TimerCmd::Arm`] for how the
+    /// calendar keeps one entry). At most one armed timer exists per
     /// `(endpoint host, token)` at a time, and an endpoint may hold at most
     /// [`MAX_ARMED_KINDS`](crate::host::MAX_ARMED_KINDS) kinds armed at
     /// once. A timer still armed when the endpoint finishes is not

@@ -24,7 +24,9 @@
 //! A delivered packet, a timer event and a `TimerCmd::Arm` / `Cancel` each
 //! resolve their flow with **one index probe** ([`Host::deliver`],
 //! [`Host::fire_timer`], `Host::settle`) and then work on the slot: a
-//! re-arm cancels the handle the slot holds and overwrites it in place.
+//! re-arm moves the handle the slot holds to the later deadline
+//! (`EventQueue::rearm_later`), or, for an earlier deadline or a muted
+//! timer, cancels it and overwrites it in place.
 //!
 //! # Retirement
 //!
@@ -408,7 +410,10 @@ impl Host {
     /// are namespaced per endpoint; see
     /// [`timer_token`](crate::sim::timer_token)): one probe of the flow
     /// table finds the slot holding its armed handles. A flow that is not
-    /// live holds none, and a timer armed for it fires as a no-op.
+    /// live holds none, and a timer armed for it fires as a no-op. An
+    /// `Arm` moves the handle its slot holds when the calendar lets it
+    /// ([`EventQueue::rearm_later`]), and cancels and replaces it
+    /// otherwise: the same calendar, one entry fewer.
     pub(crate) fn settle<E>(
         &mut self,
         now: Time,
@@ -420,12 +425,17 @@ impl Host {
             match cmd {
                 TimerCmd::Set(at, token) => events.schedule(at.max(now), event(token)),
                 TimerCmd::Arm(at, token) => {
+                    let at = at.max(now);
                     let slot = self.find(timer_flow(token));
                     let kind = timer_kind(token);
+                    let held = slot.and_then(|s| self.armed(s, kind));
+                    if held.is_some_and(|hd| events.rearm_later(hd, at)) {
+                        continue;
+                    }
                     if let Some(old) = slot.and_then(|s| self.take_armed(s, kind)) {
                         events.cancel(old);
                     }
-                    let hd = events.schedule_cancelable(at.max(now), event(token));
+                    let hd = events.schedule_cancelable(at, event(token));
                     if let Some(s) = slot {
                         self.set_armed(s, kind, hd);
                     }
@@ -834,12 +844,18 @@ mod tests {
             }
         }
 
-        /// The old `Sim::flush` timer and mute loops over these tables.
+        /// The old `Sim::flush` timer and mute loops over these tables,
+        /// with `Host::settle`'s in-place move of a re-arm to a later
+        /// deadline.
         fn settle(&mut self, now: Time, scratch: &mut Scratch, events: &mut EventQueue<u64>) {
             for cmd in scratch.timers.drain(..) {
                 match cmd {
                     TimerCmd::Set(at, token) => events.schedule(at.max(now), token),
                     TimerCmd::Arm(at, token) => {
+                        let held = self.armed_handle(token);
+                        if held.is_some_and(|hd| events.rearm_later(hd, at.max(now))) {
+                            continue;
+                        }
                         if let Some(old) = self.take_armed(token) {
                             events.cancel(old);
                         }
@@ -1025,7 +1041,10 @@ mod tests {
             }
             assert_eq!(h.live_flows(), r.flows.len());
             assert_eq!(h.armed_timers(), r.armed.len());
-            assert_eq!((ea.len(), ea.cancelled()), (eb.len(), eb.cancelled()));
+            assert_eq!(
+                (ea.len(), ea.cancelled(), ea.deferred()),
+                (eb.len(), eb.cancelled(), eb.deferred())
+            );
         }
     }
 
@@ -1081,6 +1100,10 @@ mod tests {
             assert!(max_armed >= 1_500, "seed {seed}: only {max_armed} armed");
             assert!(fired > 30_000 && p.host.counters().stray_rx > 100);
             assert!(p.events[0].rearmed() > 100, "seed {seed}: mutes never held");
+            assert!(
+                p.events[0].deferred() > 1_000,
+                "seed {seed}: no re-arm moved"
+            );
             assert_eq!(
                 free_slots(&p.host) + p.host.live_flows(),
                 p.host.slots.len()

@@ -386,6 +386,13 @@ impl<O: NetObserver> Sim<O> {
         self.events.cancelled()
     }
 
+    /// Re-arms that moved a pending timer to a later deadline in place,
+    /// without a cancel or a new calendar entry (run statistic; see
+    /// `EventQueue::rearm_later`).
+    pub fn timers_deferred(&self) -> u64 {
+        self.events.deferred()
+    }
+
     /// Timer pops the calendar completed itself by re-arming a muted timer
     /// (run statistic; they count in [`Sim::events_processed`] too).
     pub fn timers_rearmed(&self) -> u64 {
@@ -1228,8 +1235,8 @@ mod tests {
                 assert_eq!(h.armed_timers(), 0, "armed-timer table not drained");
             }
         }
-        // Each endpoint cancelled C and replaced B once: 2 endpoints x 2.
-        assert_eq!(sim.timers_cancelled(), 4);
+        // Each endpoint cancelled C and moved B later in place once.
+        assert_eq!((sim.timers_cancelled(), sim.timers_deferred()), (2, 2));
     }
 
     /// What an [`EdgeEp`] does when its driver timer (kind 1, 10 µs after

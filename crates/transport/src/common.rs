@@ -676,7 +676,8 @@ pub fn data_packet(
 /// is a monotone maximum — a fresh arm starts at `now + rto`, a re-arm
 /// never moves an armed deadline earlier — so progress that shrinks the
 /// RTO (backoff reset, lower RTT estimate) cannot pull in a timeout the
-/// flow was already promised.
+/// flow was already promised, and every re-arm keeps the timer's one
+/// calendar entry (see `TimerCmd::Arm`).
 #[derive(Clone, Copy, Debug)]
 pub struct RtoTimer {
     token: u64,
