@@ -55,15 +55,16 @@ impl SubflowTx {
         self.map.len() as u32
     }
 
-    fn close(&mut self, sub_seq: u32) -> bool {
-        // Overlapping SACK ranges re-close most slots: the read-only test
-        // keeps that common case to one load.
-        if sub_seq >= self.next_seq() || self.closed.contains(sub_seq) {
-            return false;
+    fn close(&mut self, sub_seq: u32) {
+        if sub_seq < self.next_seq() && self.closed.insert(sub_seq) {
+            self.inflight -= 1;
         }
-        self.closed.insert(sub_seq);
-        self.inflight -= 1;
-        true
+    }
+
+    /// The lowest open slot in `from..to`.
+    fn next_open(&self, from: u32, to: u32) -> Option<u32> {
+        let to = to.min(self.next_seq());
+        Some(self.closed.next(from, to, false)).filter(|&s| s < to)
     }
 
     /// Applies a cumulative + selective ACK; fills `newly` (cleared first)
@@ -71,23 +72,15 @@ impl SubflowTx {
     /// per-ACK processing allocates nothing once warm.
     fn apply_ack(&mut self, ack: &AckInfo, newly: &mut Vec<u32>) {
         newly.clear();
-        for s in self.closed.cum()..ack.cum.min(self.next_seq()) {
-            if self.close(s) {
-                newly.push(s);
-            }
-        }
-        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
-            for s in lo..hi.min(self.next_seq()) {
-                if self.close(s) {
-                    newly.push(s);
-                }
-            }
+        for (mut lo, hi) in ack.ranges(self.closed.cum()) {
             if hi > 0 {
                 self.high_acked = self.high_acked.max(hi - 1);
             }
-        }
-        if ack.cum > 0 {
-            self.high_acked = self.high_acked.max(ack.cum - 1);
+            while let Some(s) = self.next_open(lo, hi) {
+                self.close(s);
+                newly.push(s);
+                lo = s + 1;
+            }
         }
     }
 
@@ -97,14 +90,11 @@ impl SubflowTx {
     /// the per-ACK path stays allocation-free in steady state.
     fn sweep_lost(&self, dup_thresh: u32, lost: &mut Vec<u32>) {
         lost.clear();
-        if self.high_acked < dup_thresh {
-            return;
-        }
-        let limit = self.high_acked.saturating_sub(dup_thresh - 1);
-        for s in self.closed.cum()..limit.min(self.next_seq()) {
-            if !self.closed.contains(s) {
-                lost.push(s);
-            }
+        let limit = (self.high_acked + 1).saturating_sub(dup_thresh);
+        let mut at = self.closed.cum();
+        while let Some(s) = self.next_open(at, limit) {
+            lost.push(s);
+            at = s + 1;
         }
     }
 }
@@ -408,10 +398,10 @@ impl FlexPassSender {
     /// window conservatively.
     fn on_reactive_rto(&mut self, ctx: &mut EndpointCtx) {
         self.r_rto.fired();
-        for s in self.reactive.closed.cum()..self.reactive.next_seq() {
-            if !self.reactive.closed.contains(s) {
-                self.lose_slot(Subflow::Reactive, s);
-            }
+        let mut at = self.reactive.closed.cum();
+        while let Some(s) = self.reactive.next_open(at, u32::MAX) {
+            self.lose_slot(Subflow::Reactive, s);
+            at = s + 1;
         }
         self.rwin.on_timeout(self.reactive.next_seq());
         self.r_rto.progress(ctx.now);
@@ -488,11 +478,13 @@ impl Endpoint for FlexPassSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexpass_simcore::rng::SimRng;
     use flexpass_simcore::time::{Rate, Time, TimeDelta};
     use flexpass_simcore::units::Bytes;
     use flexpass_simnet::consts::CTRL_WIRE;
     use flexpass_simnet::packet::{Color, DataInfo};
     use flexpass_simnet::sim::timer_token;
+    use proptest::prelude::*;
 
     fn env() -> NetEnv {
         NetEnv {
@@ -847,5 +839,85 @@ mod tests {
         let mut lost = Vec::new();
         t.sweep_lost(3, &mut lost);
         assert_eq!(lost, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// A random sub-flow ACK over `next` assigned slots: the cumulative
+    /// point is stale (at or below `frontier`, the lowest open slot) or
+    /// random, and the SACK blocks may overlap, be empty or run past
+    /// `next`.
+    fn random_sub_ack(rng: &mut SimRng, next: u32, frontier: u32) -> AckInfo {
+        let cum = match rng.chance(0.5) {
+            true => rng.next_below(u64::from(frontier) + 1) as u32,
+            false => rng.next_below(u64::from(next) + 8) as u32,
+        };
+        let mut sack = [(0, 0); 3];
+        for b in &mut sack {
+            let lo = rng.next_below(u64::from(next) + 8) as u32;
+            *b = (lo, lo + rng.next_below(40) as u32);
+        }
+        let sack_n = rng.next_below(4) as u8;
+        AckInfo {
+            sub: Subflow::Reactive,
+            cum,
+            sack,
+            sack_n,
+            ece: false,
+            acked_flow_seq: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `SubflowTx` against a `Vec<bool>` model of its closed slots over
+        /// random assign / ACK / slot-loss tapes: the slots an ACK closes,
+        /// in ACK order (the cumulative range, then each block ascending),
+        /// the open count, the highest acknowledged slot and the
+        /// `sweep_lost(3)` output.
+        #[test]
+        fn subflow_tx_matches_model(seed in 0u64..100_000) {
+            let mut rng = SimRng::new(seed);
+            let mut t = SubflowTx::default();
+            let (mut closed, mut high) = (Vec::<bool>::new(), 0u32);
+            let (mut newly, mut lost) = (Vec::new(), Vec::new());
+            for _ in 0..300 {
+                let next = closed.len() as u32;
+                match rng.next_below(5) {
+                    0 => {
+                        for _ in 0..=rng.next_below(8) {
+                            prop_assert_eq!(t.assign(7), closed.len() as u32);
+                            closed.push(false);
+                        }
+                    }
+                    1 if next > 0 => {
+                        let s = rng.next_below(u64::from(next)) as usize;
+                        t.close(s as u32);
+                        closed[s] = true;
+                    }
+                    _ => {
+                        let frontier = closed.iter().position(|&c| !c).unwrap_or(closed.len());
+                        let ack = random_sub_ack(&mut rng, next, frontier as u32);
+                        let mut want = Vec::new();
+                        let blocks = ack.sack[..ack.sack_n as usize].iter();
+                        for &(lo, hi) in std::iter::once(&(0, ack.cum)).chain(blocks) {
+                            for s in lo..hi.min(next) {
+                                if !std::mem::replace(&mut closed[s as usize], true) {
+                                    want.push(s);
+                                }
+                            }
+                            high = high.max(hi.saturating_sub(1));
+                        }
+                        t.apply_ack(&ack, &mut newly);
+                        prop_assert_eq!(&newly, &want);
+                    }
+                }
+                prop_assert_eq!(t.inflight as usize, closed.iter().filter(|&&c| !c).count());
+                prop_assert_eq!(t.high_acked, high);
+                let limit = (high + 1).saturating_sub(3).min(closed.len() as u32);
+                let want: Vec<u32> = (0..limit).filter(|&s| !closed[s as usize]).collect();
+                t.sweep_lost(3, &mut lost);
+                prop_assert_eq!(&lost, &want);
+            }
+        }
     }
 }

@@ -111,6 +111,17 @@ pub struct AckInfo {
     pub acked_flow_seq: u32,
 }
 
+impl AckInfo {
+    /// What this ACK acknowledges, as ranges `[lo, hi)` in the order a
+    /// sender applies them: `from..cum` (`from` is the sender's own
+    /// cumulative point), then each SACK block.
+    #[inline]
+    pub fn ranges(&self, from: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let sack = self.sack.iter().take(self.sack_n.into()).copied();
+        std::iter::once((from, self.cum)).chain(sack)
+    }
+}
+
 /// Credit packet header (ExpressPass).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CreditInfo {

@@ -4,11 +4,12 @@
 //! included (cumulative + SACK marking, lost-first transmission order, the
 //! triple-duplicate-ACK rule), the [`RtoTimer`], the [`RttEstimator`] and
 //! the [`DctcpWindow`]. Receiver side: one arrival set per sequence space,
-//! each a [`SeqFrontier`] (bitmap + cumulative point, which builds the
-//! cumulative + SACK ACK). [`Reassembly`] keeps the per-flow one; the
-//! completion-and-linger [`RxTail`] around it ACKs single-loop flows from
-//! it. Each transport keeps only its own policy: what clocks a
-//! transmission and what a loss does to it.
+//! each a [`SeqFrontier`] (word bitset + cumulative point, which builds the
+//! cumulative + SACK ACK and whose one search every range scan here uses).
+//! [`Reassembly`] keeps the per-flow one; the completion-and-linger
+//! [`RxTail`] around it ACKs single-loop flows from it. Each transport
+//! keeps only its own policy: what clocks a transmission and what a loss
+//! does to it.
 
 use flexpass_simcore::time::{Time, TimeDelta};
 use flexpass_simcore::units::{Bytes, PktCount};
@@ -108,17 +109,20 @@ impl RttEstimator {
 }
 
 /// A set of sequence numbers and its contiguous frontier, the lowest
-/// sequence not in the set: the kit's one "set a bit, walk the frontier".
-/// Every arrival record is one — per flow in [`Reassembly`], per sub-flow
-/// in FlexPass's receiver — and [`ack`](Self::ack) builds the ACK from it;
-/// so is the FlexPass sender's record of closed sub-flow slots.
+/// sequence not in the set: the kit's one sequence set. Every arrival
+/// record is one — per flow in [`Reassembly`], per sub-flow in FlexPass's
+/// receiver — and [`ack`](Self::ack) builds the ACK from it; so are a
+/// [`Scoreboard`]'s acknowledged packets and the FlexPass sender's closed
+/// sub-flow slots.
 ///
-/// The bitmap grows on demand to the highest member, so the SACK scans of
-/// [`ack`](Self::ack) stop at the highest arrival; capacity reserved up
-/// front keeps it from reallocating within a flow.
+/// The set is a word bitset that grows on demand to the highest member;
+/// positions past it read as absent. [`next`](Self::next) is its one
+/// search, so every range scan over it visits only the positions it acts
+/// on and steps over the rest a word at a time. Capacity reserved up front
+/// keeps it from reallocating within a flow.
 #[derive(Clone, Debug, Default)]
 pub struct SeqFrontier {
-    bits: Vec<bool>,
+    words: Vec<u64>,
     cum: u32,
 }
 
@@ -126,30 +130,53 @@ impl SeqFrontier {
     /// An empty set with room for `n` members before it reallocates.
     pub fn with_capacity(n: u32) -> Self {
         SeqFrontier {
-            bits: Vec::with_capacity(n as usize),
+            words: Vec::with_capacity(n.div_ceil(64) as usize),
             cum: 0,
         }
     }
 
     /// Inserts `seq`, advancing the frontier past every member it joins.
     /// Returns whether `seq` was new.
+    #[inline]
     pub fn insert(&mut self, seq: u32) -> bool {
-        let i = seq as usize;
-        if i >= self.bits.len() {
-            self.bits.resize(i + 1, false);
+        let (w, bit) = ((seq / 64) as usize, 1 << (seq % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
         }
-        if std::mem::replace(&mut self.bits[i], true) {
+        let word = &mut self.words[w];
+        if std::mem::replace(word, *word | bit) & bit != 0 {
             return false;
         }
-        while self.contains(self.cum) {
-            self.cum += 1;
+        if seq == self.cum {
+            self.cum = self.next(seq, u32::MAX, false);
         }
         true
     }
 
     /// Whether `seq` is in the set.
     pub fn contains(&self, seq: u32) -> bool {
-        self.bits.get(seq as usize).is_some_and(|&b| b)
+        self.words
+            .get((seq / 64) as usize)
+            .is_some_and(|w| w >> (seq % 64) & 1 == 1)
+    }
+
+    /// The lowest position in `from..to` that is a member (`member`) or is
+    /// absent (`!member`); `to` when there is none. An absent position is
+    /// never below the frontier, so that search starts at it.
+    #[inline]
+    pub fn next(&self, from: u32, to: u32, member: bool) -> u32 {
+        let mut i = if member { from } else { from.max(self.cum) };
+        while i < to {
+            let Some(&w) = self.words.get((i / 64) as usize) else {
+                return if member { to } else { i };
+            };
+            let hits = (if member { w } else { !w }) >> (i % 64);
+            if hits != 0 {
+                return (i + hits.trailing_zeros()).min(to);
+            }
+            i = (i | 63).saturating_add(1);
+        }
+        to
     }
 
     /// The frontier: every sequence below it is in the set, and it is not
@@ -168,43 +195,35 @@ impl SeqFrontier {
     /// lowest ranges above `cum`. Scans are bounded so per-packet ACK
     /// generation stays O(1) even for multi-hundred-megabyte flows.
     pub fn ack(&self, sub: Subflow, ece: bool, acked_flow_seq: u32, recent: u32) -> AckInfo {
-        const SACK_SCAN_WINDOW: usize = 512;
+        const SACK_SCAN_WINDOW: u32 = 512;
         let mut sack = [(0u32, 0u32); MAX_SACK];
         let mut sack_n = 0usize;
 
-        // Block 1: the range around `recent`, when it sits above cum.
-        if recent >= self.cum && (recent as usize) < self.bits.len() {
-            debug_assert!(self.bits[recent as usize]);
-            let mut lo = recent as usize;
-            let floor = (recent as usize).saturating_sub(SACK_SCAN_WINDOW);
-            while lo > floor && lo > self.cum as usize && self.bits[lo - 1] {
-                lo -= 1;
+        // Block 1: the run around `recent`, when it sits above cum, cut at
+        // the scan window on either side. It starts at the first member
+        // past the last gap below `recent`.
+        if recent >= self.cum && self.contains(recent) {
+            let mut lo = recent.saturating_sub(SACK_SCAN_WINDOW).max(self.cum);
+            let mut gap = self.next(lo, recent, false);
+            while gap < recent {
+                lo = self.next(gap, recent, true);
+                gap = self.next(lo, recent, false);
             }
-            let mut hi = recent as usize + 1;
-            let ceil = (recent as usize + SACK_SCAN_WINDOW).min(self.bits.len());
-            while hi < ceil && self.bits[hi] {
-                hi += 1;
-            }
-            sack[0] = (lo as u32, hi as u32);
+            sack[0] = (lo, self.next(recent, recent + SACK_SCAN_WINDOW, false));
             sack_n = 1;
         }
 
-        // Remaining blocks: lowest ranges above cum, skipping block 1.
-        let mut i = self.cum as usize;
-        let end = self.bits.len().min(self.cum as usize + SACK_SCAN_WINDOW);
-        while i < end && sack_n < MAX_SACK {
-            if self.bits[i] {
-                let lo = i as u32;
-                while i < end && self.bits[i] {
-                    i += 1;
-                }
-                let range = (lo, i as u32);
-                if sack_n == 0 || range != sack[0] {
-                    sack[sack_n] = range;
-                    sack_n += 1;
-                }
-            } else {
-                i += 1;
+        // Remaining blocks: lowest runs above cum, skipping block 1.
+        let (end, mut hi) = (self.cum + SACK_SCAN_WINDOW, self.cum);
+        while sack_n < MAX_SACK {
+            let lo = self.next(hi, end, true);
+            if lo == end {
+                break;
+            }
+            hi = self.next(lo, end, false);
+            if sack_n == 0 || (lo, hi) != sack[0] {
+                sack[sack_n] = (lo, hi);
+                sack_n += 1;
             }
         }
         AckInfo {
@@ -454,15 +473,17 @@ impl SeqSet {
 /// [`set`](Self::set) is the only write to a packet's state. It keeps the
 /// derived state in step: the `Lost` set and the `SentReactive` set hold
 /// exactly the packets in those states, `in_flight` counts the packets in
-/// any sent state and `acked` the [`PktState::Acked`] ones. Single-loop
-/// senders use `Sent` and read ACKs through [`read_ack`](Self::read_ack),
-/// which holds the triple-duplicate-ACK rule.
+/// any sent state, and a [`SeqFrontier`] holds the [`PktState::Acked`]
+/// ones, so an ACK's ranges are scanned only where they are news. `Acked`
+/// is terminal: no packet leaves it. Single-loop senders use `Sent` and
+/// read ACKs through [`read_ack`](Self::read_ack), which holds the
+/// triple-duplicate-ACK rule.
 #[derive(Clone, Debug)]
 pub struct Scoreboard {
     states: Box<[PktState]>,
     snd_una: u32,
     next_pending: u32,
-    acked: u32,
+    acked: SeqFrontier,
     in_flight: u32,
     dupacks: u32,
     lost: SeqSet,
@@ -476,7 +497,7 @@ impl Scoreboard {
             states: vec![PktState::Pending; n as usize].into_boxed_slice(),
             snd_una: 0,
             next_pending: 0,
-            acked: 0,
+            acked: SeqFrontier::with_capacity(n),
             in_flight: 0,
             dupacks: 0,
             lost: SeqSet::default(),
@@ -495,19 +516,20 @@ impl Scoreboard {
     }
 
     /// Moves packet `seq` to state `to`, keeping the derived sets and
-    /// counts in step. Every transition goes through here.
+    /// counts in step. Every transition goes through here; none leaves
+    /// `Acked`.
     pub fn set(&mut self, seq: u32, to: PktState) {
         let from = std::mem::replace(&mut self.states[seq as usize], to);
+        debug_assert_ne!(from, PktState::Acked, "packet {seq} left Acked");
         match from {
             PktState::Lost => self.lost.remove(seq),
             PktState::SentReactive => self.sent_reactive.remove(seq),
-            PktState::Acked => self.acked -= 1,
             _ => {}
         }
         match to {
             PktState::Lost => self.lost.insert(seq),
             PktState::SentReactive => self.sent_reactive.insert(seq),
-            PktState::Acked => self.acked += 1,
+            PktState::Acked => _ = self.acked.insert(seq),
             _ => {}
         }
         self.in_flight = self.in_flight + u32::from(to.in_flight()) - u32::from(from.in_flight());
@@ -530,7 +552,7 @@ impl Scoreboard {
 
     /// True once every packet is acknowledged.
     pub fn all_acked(&self) -> bool {
-        self.acked >= self.total()
+        self.acked.cum() >= self.total()
     }
 
     /// The lowest packet in state `Lost`.
@@ -557,27 +579,18 @@ impl Scoreboard {
     /// packets it newly acknowledged. `on_newly` sees each of them once:
     /// the cumulative range first, then each SACK block, ascending.
     pub fn apply_ack(&mut self, ack: &AckInfo, mut on_newly: impl FnMut(u32)) -> u64 {
-        let n = self.total();
-        let mut newly = 0;
-        while self.snd_una < ack.cum.min(n) {
-            newly += self.mark_acked(self.snd_una, &mut on_newly);
-            self.snd_una += 1;
-        }
-        for &(lo, hi) in &ack.sack[..ack.sack_n as usize] {
-            for s in lo..hi.min(n) {
-                newly += self.mark_acked(s, &mut on_newly);
+        let (n, mut newly) = (self.total(), 0);
+        for (lo, hi) in ack.ranges(self.snd_una) {
+            let mut s = self.acked.next(lo, hi.min(n), false);
+            while s < hi.min(n) {
+                self.set(s, PktState::Acked);
+                on_newly(s);
+                newly += 1;
+                s = self.acked.next(s + 1, hi.min(n), false);
             }
         }
+        self.snd_una = self.snd_una.max(ack.cum.min(n));
         newly
-    }
-
-    fn mark_acked(&mut self, seq: u32, on_newly: &mut impl FnMut(u32)) -> u64 {
-        if self.state(seq) == PktState::Acked {
-            return 0;
-        }
-        self.set(seq, PktState::Acked);
-        on_newly(seq);
-        1
     }
 
     /// [`apply_ack`](Self::apply_ack) under the triple-duplicate-ACK rule:
@@ -945,6 +958,115 @@ mod tests {
         assert_eq!(ack.sack[0], (19, 20));
     }
 
+    /// `SeqFrontier` as it was before the word bitset: a `Vec<bool>` with
+    /// `insert`, `contains`, `cum` and `ack` kept verbatim, the reference
+    /// `frontier_matches_bool_reference` drives.
+    #[derive(Default)]
+    struct RefFrontier {
+        bits: Vec<bool>,
+        cum: u32,
+    }
+
+    impl RefFrontier {
+        fn insert(&mut self, seq: u32) -> bool {
+            let i = seq as usize;
+            if i >= self.bits.len() {
+                self.bits.resize(i + 1, false);
+            }
+            if std::mem::replace(&mut self.bits[i], true) {
+                return false;
+            }
+            while self.contains(self.cum) {
+                self.cum += 1;
+            }
+            true
+        }
+
+        fn contains(&self, seq: u32) -> bool {
+            self.bits.get(seq as usize).is_some_and(|&b| b)
+        }
+
+        fn cum(&self) -> u32 {
+            self.cum
+        }
+
+        fn ack(&self, sub: Subflow, ece: bool, acked_flow_seq: u32, recent: u32) -> AckInfo {
+            const SACK_SCAN_WINDOW: usize = 512;
+            let mut sack = [(0u32, 0u32); MAX_SACK];
+            let mut sack_n = 0usize;
+
+            // Block 1: the range around `recent`, when it sits above cum.
+            if recent >= self.cum && (recent as usize) < self.bits.len() {
+                debug_assert!(self.bits[recent as usize]);
+                let mut lo = recent as usize;
+                let floor = (recent as usize).saturating_sub(SACK_SCAN_WINDOW);
+                while lo > floor && lo > self.cum as usize && self.bits[lo - 1] {
+                    lo -= 1;
+                }
+                let mut hi = recent as usize + 1;
+                let ceil = (recent as usize + SACK_SCAN_WINDOW).min(self.bits.len());
+                while hi < ceil && self.bits[hi] {
+                    hi += 1;
+                }
+                sack[0] = (lo as u32, hi as u32);
+                sack_n = 1;
+            }
+
+            // Remaining blocks: lowest ranges above cum, skipping block 1.
+            let mut i = self.cum as usize;
+            let end = self.bits.len().min(self.cum as usize + SACK_SCAN_WINDOW);
+            while i < end && sack_n < MAX_SACK {
+                if self.bits[i] {
+                    let lo = i as u32;
+                    while i < end && self.bits[i] {
+                        i += 1;
+                    }
+                    let range = (lo, i as u32);
+                    if sack_n == 0 || range != sack[0] {
+                        sack[sack_n] = range;
+                        sack_n += 1;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            AckInfo {
+                sub,
+                cum: self.cum,
+                sack,
+                sack_n: sack_n as u8,
+                ece,
+                acked_flow_seq,
+            }
+        }
+    }
+
+    /// The sequences one step of `frontier_matches_bool_reference` inserts,
+    /// the last one being the ACK's `recent`: a run (often longer than the
+    /// 512-slot scan window, so block 1 is cut at its floor or ceiling), a
+    /// run with one hole at bit 63, 64 or 65 of a word, the frontier itself,
+    /// the frontier + 512, a repeat below the frontier, or one random
+    /// sequence.
+    fn frontier_inserts(rng: &mut SimRng, cum: u32, out: &mut Vec<u32>) {
+        out.clear();
+        let at = cum + rng.next_below(700) as u32;
+        match rng.next_below(6) {
+            0 => out.extend(at..at + 1 + rng.next_below(700) as u32),
+            1 => {
+                let word = 64 * (at / 64);
+                let hole = word + 63 + rng.next_below(3) as u32;
+                out.extend((word..word + 200).filter(|&s| s != hole));
+            }
+            2 => out.push(cum),
+            3 => out.push(cum + 512),
+            4 if cum > 0 => out.push(rng.next_below(u64::from(cum)) as u32),
+            _ => out.push(at),
+        }
+        if rng.chance(0.5) {
+            out.reverse();
+        }
+    }
+
     #[test]
     fn dctcp_window_slow_start_then_reduce() {
         let mut w = DctcpWindow::new(10.0, 1.0 / 16.0, 1000.0);
@@ -1110,6 +1232,41 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+
+        /// The word-bitset `SeqFrontier` against its `Vec<bool>` reference
+        /// over random inserts: equal `insert` results, `cum`, `contains`
+        /// and `ack` after every insert (with `recent` the inserted
+        /// sequence, at, above or below the frontier), and `next` in both
+        /// polarities equal to a linear scan.
+        #[test]
+        fn frontier_matches_bool_reference(seed in 0u64..100_000) {
+            let mut rng = SimRng::new(seed);
+            let (mut a, mut r) = (SeqFrontier::default(), RefFrontier::default());
+            let mut seqs = Vec::new();
+            for step in 0..40u32 {
+                frontier_inserts(&mut rng, r.cum(), &mut seqs);
+                for &s in &seqs {
+                    prop_assert_eq!(a.insert(s), r.insert(s));
+                    prop_assert_eq!(a.cum(), r.cum());
+                    prop_assert_eq!(a.ack(Subflow::Only, false, step, s), r.ack(Subflow::Only, false, step, s));
+                }
+                let top = r.bits.len() as u32 + 70;
+                for s in 0..top {
+                    prop_assert_eq!(a.contains(s), r.contains(s));
+                }
+                for _ in 0..20 {
+                    let from = rng.next_below(u64::from(top)) as u32;
+                    let to = from + rng.next_below(600) as u32;
+                    for member in [false, true] {
+                        let want = (from..to).find(|&s| r.contains(s) == member).unwrap_or(to);
+                        prop_assert_eq!(a.next(from, to, member), want);
+                    }
+                }
+                let from = rng.next_below(u64::from(top)) as u32;
+                let gap = (from..).find(|&s| !r.contains(s));
+                prop_assert_eq!(Some(a.next(from, u32::MAX, false)), gap);
             }
         }
 

@@ -15,7 +15,8 @@
 //!   SACK marking, lost-first pick, the triple-duplicate-ACK rule),
 //!   [`RtoTimer`](common::RtoTimer), [`RttEstimator`] and [`DctcpWindow`];
 //!   on the receive side, one arrival set per sequence space, each a
-//!   [`SeqFrontier`] (bitmap + cumulative point, from which every ACK is
+//!   [`SeqFrontier`] (word bitset + cumulative point, whose one search
+//!   every range scan of the kit goes through, and from which every ACK is
 //!   built): the per-flow one lives in [`Reassembly`], which the
 //!   single-loop receivers also ACK from through
 //!   [`RxTail`](common::RxTail) (completion report + linger).
