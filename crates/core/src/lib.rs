@@ -22,14 +22,15 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — the protocol knobs the evaluation turns (`w_q`, ablations).
+//! * [`config`] — the protocol knobs the evaluation turns (`w_q`, ablations,
+//!   the Figure 5 variants).
 //! * [`sender`] / [`receiver`] — the FlexPass endpoints.
 //! * [`profiles`] — switch/NIC queue configurations for every deployment
-//!   scheme (FlexPass, Naïve, Oracle WFQ, Layering, Homa-mix, DCTCP-only).
+//!   scheme (FlexPass, Naïve (Layering's too), Oracle WFQ, Homa-mix,
+//!   DCTCP-only).
 //! * [`schemes`] — the deployment model (per-rack upgrades) and the
-//!   [`schemes::SchemeFactory`] mixing legacy and upgraded flows.
-//! * [`layering`] — the Layering (LY) comparison scheme: ExpressPass with a
-//!   DCTCP window overlay.
+//!   [`schemes::SchemeFactory`] mixing legacy and upgraded flows; a
+//!   Layering (LY) flow is ExpressPass with a DCTCP-gated sender.
 //!
 //! # Examples
 //!
@@ -59,7 +60,6 @@
 #![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod config;
-pub mod layering;
 pub mod profiles;
 pub mod receiver;
 pub mod schemes;

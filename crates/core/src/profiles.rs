@@ -160,13 +160,6 @@ pub fn owf_profile(p: &ProfileParams, upgraded_frac: f64) -> SwitchProfile {
     }
 }
 
-/// The Layering (LY) profile [Wei 2019]: like Naïve (shared data queue,
-/// full-rate credits) but the upgraded sender overlays a DCTCP window, so
-/// its data must see ECN marks — the shared queue's threshold applies.
-pub fn layering_profile(p: &ProfileParams) -> SwitchProfile {
-    naive_profile(p)
-}
-
 /// A DCTCP-only network (0 % deployment baseline): one ECN queue.
 pub fn dctcp_profile(p: &ProfileParams) -> SwitchProfile {
     SwitchProfile {

@@ -14,10 +14,7 @@ use flexpass_transport::dctcp::{DctcpReceiver, DctcpSender};
 use flexpass_transport::expresspass::{EpConfig, EpReceiver, EpSender};
 
 use crate::config::FlexPassConfig;
-use crate::layering::LySender;
-use crate::profiles::{
-    flexpass_profile, layering_profile, naive_profile, owf_profile, ProfileParams,
-};
+use crate::profiles::{flexpass_profile, naive_profile, owf_profile, ProfileParams};
 use crate::receiver::FlexPassReceiver;
 use crate::sender::FlexPassSender;
 
@@ -65,7 +62,8 @@ impl Scheme {
         match self {
             Scheme::Naive => naive_profile(p),
             Scheme::OracleWfq => owf_profile(p, upgraded_frac),
-            Scheme::Layering => layering_profile(p),
+            // LY's window reads the marks of Naïve's shared ECN queue.
+            Scheme::Layering => naive_profile(p),
             Scheme::FlexPass => flexpass_profile(p),
         }
     }
@@ -204,7 +202,7 @@ impl TransportFactory for SchemeFactory {
         }
         match self.scheme {
             Scheme::Naive | Scheme::OracleWfq => Box::new(EpSender::new(*flow, env)),
-            Scheme::Layering => Box::new(LySender::new(*flow, env)),
+            Scheme::Layering => Box::new(EpSender::layered(*flow, env)),
             Scheme::FlexPass => Box::new(FlexPassSender::new(*flow, self.fp, env)),
         }
     }

@@ -5,7 +5,7 @@
 //! triple-duplicate-ACK rule), the [`RtoTimer`], the [`RttEstimator`] and
 //! the [`DctcpWindow`]. Receiver side: one arrival set per sequence space,
 //! each a [`SeqFrontier`] (word bitset + cumulative point, which builds the
-//! cumulative + SACK ACK and whose one search every range scan here uses).
+//! cumulative + SACK ACK and whose word searches every range scan here uses).
 //! [`Reassembly`] keeps the per-flow one; the completion-and-linger
 //! [`RxTail`] around it ACKs single-loop flows from it. Each transport
 //! keeps only its own policy: what clocks a transmission and what a loss
@@ -116,10 +116,11 @@ impl RttEstimator {
 /// sub-flow slots.
 ///
 /// The set is a word bitset that grows on demand to the highest member;
-/// positions past it read as absent. [`next`](Self::next) is its one
-/// search, so every range scan over it visits only the positions it acts
-/// on and steps over the rest a word at a time. Capacity reserved up front
-/// keeps it from reallocating within a flow.
+/// positions past it read as absent. [`next`](Self::next) is its forward
+/// search and `last_absent` its one backward one, so every range scan over
+/// it visits only the positions it acts on and steps over the rest a word
+/// at a time. Capacity reserved up front keeps it from reallocating within
+/// a flow.
 #[derive(Clone, Debug, Default)]
 pub struct SeqFrontier {
     words: Vec<u64>,
@@ -179,6 +180,24 @@ impl SeqFrontier {
         to
     }
 
+    /// The highest absent position in `from..to`, if any: [`next`]'s
+    /// absent search run backwards, a word at a time.
+    ///
+    /// [`next`]: Self::next
+    fn last_absent(&self, from: u32, to: u32) -> Option<u32> {
+        let mut end = to;
+        while end > from {
+            let (top, base) = (end - 1, (end - 1) & !63);
+            let w = self.words.get((top / 64) as usize).copied().unwrap_or(0);
+            let gaps = !w & (u64::MAX >> (63 - top % 64));
+            if gaps != 0 {
+                return Some(base + 63 - gaps.leading_zeros()).filter(|&gap| gap >= from);
+            }
+            end = base;
+        }
+        None
+    }
+
     /// The frontier: every sequence below it is in the set, and it is not
     /// (the cumulative ACK value).
     pub fn cum(&self) -> u32 {
@@ -200,15 +219,11 @@ impl SeqFrontier {
         let mut sack_n = 0usize;
 
         // Block 1: the run around `recent`, when it sits above cum, cut at
-        // the scan window on either side. It starts at the first member
-        // past the last gap below `recent`.
+        // the scan window on either side. It starts just past the last gap
+        // below `recent`.
         if recent >= self.cum && self.contains(recent) {
-            let mut lo = recent.saturating_sub(SACK_SCAN_WINDOW).max(self.cum);
-            let mut gap = self.next(lo, recent, false);
-            while gap < recent {
-                lo = self.next(gap, recent, true);
-                gap = self.next(lo, recent, false);
-            }
+            let floor = recent.saturating_sub(SACK_SCAN_WINDOW).max(self.cum);
+            let lo = self.last_absent(floor, recent).map_or(floor, |gap| gap + 1);
             sack[0] = (lo, self.next(recent, recent + SACK_SCAN_WINDOW, false));
             sack_n = 1;
         }
@@ -1239,7 +1254,7 @@ mod tests {
         /// over random inserts: equal `insert` results, `cum`, `contains`
         /// and `ack` after every insert (with `recent` the inserted
         /// sequence, at, above or below the frontier), and `next` in both
-        /// polarities equal to a linear scan.
+        /// polarities and `last_absent` equal to a linear scan.
         #[test]
         fn frontier_matches_bool_reference(seed in 0u64..100_000) {
             let mut rng = SimRng::new(seed);
@@ -1263,6 +1278,8 @@ mod tests {
                         let want = (from..to).find(|&s| r.contains(s) == member).unwrap_or(to);
                         prop_assert_eq!(a.next(from, to, member), want);
                     }
+                    let gap = (from..to).rev().find(|&s| !r.contains(s));
+                    prop_assert_eq!(a.last_absent(from, to), gap);
                 }
                 let from = rng.next_below(u64::from(top)) as u32;
                 let gap = (from..).find(|&s| !r.contains(s));

@@ -23,7 +23,8 @@ use flexpass_simnet::packet::{
 use flexpass_simnet::sim::{timer_kind, timer_token, NetEnv, TransportFactory};
 use flexpass_simnet::trace::TraceEvent;
 
-use crate::common::{data_packet, RtoTimer, RxTail, Scoreboard, MIN_RTO};
+use crate::common::{data_packet, DctcpWindow, RtoTimer, RxTail, Scoreboard, MIN_RTO};
+use crate::dctcp::{G, INIT_CWND, MAX_CWND};
 
 /// Timer kind: receiver credit pacing tick.
 const TK_CREDIT: u16 = 3;
@@ -82,9 +83,16 @@ pub fn waste_credit(stats: &mut TxStats, flow: FlowId) {
 }
 
 /// ExpressPass sender: transmits one data packet per received credit.
+///
+/// A layered sender ([`layered`](Self::layered), the Layering scheme of
+/// §6.2 [Wei 2019]) also keeps a DCTCP window over its data, which is
+/// ECN-capable so the window sees marks: a credit that arrives while the
+/// window is full is wasted, like one with nothing left to send. That
+/// window throttles even when no legacy traffic competes.
 pub struct EpSender {
     spec: FlowSpec,
     sb: Scoreboard,
+    win: Option<DctcpWindow>,
     rto: RtoTimer,
     stats: TxStats,
     done: bool,
@@ -96,9 +104,19 @@ impl EpSender {
         EpSender {
             spec,
             sb: Scoreboard::new(packets_for(spec.size).get()),
+            win: None,
             rto: RtoTimer::new(spec.id, TK_RTO),
             stats: TxStats::default(),
             done: false,
+        }
+    }
+
+    /// Creates a sender for `spec` whose credits are gated by a DCTCP
+    /// window.
+    pub fn layered(spec: FlowSpec, env: &NetEnv) -> Self {
+        EpSender {
+            win: Some(DctcpWindow::new(INIT_CWND, G, MAX_CWND)),
+            ..EpSender::new(spec, env)
         }
     }
 
@@ -122,12 +140,17 @@ impl EpSender {
 
     fn on_credit(&mut self, credit: CreditInfo, ctx: &mut EndpointCtx) {
         self.stats.credits_received += 1;
-        // A fresh credit carries a lost packet first, then new data.
-        match self.sb.pick() {
+        // A fresh credit carries a lost packet first, then new data, unless
+        // the window is full.
+        let picked = match &self.win {
+            Some(w) if self.sb.in_flight() >= w.cwnd_pkts() => None,
+            _ => self.sb.pick(),
+        };
+        match picked {
             Some((seq, retx)) => {
                 let class = TrafficClass::NewData;
                 let pkt = data_packet(&self.spec, class, seq, credit.idx, retx, &mut self.stats);
-                ctx.send(pkt);
+                ctx.send(if self.win.is_some() { pkt.ecn() } else { pkt });
                 self.update_rto(ctx);
             }
             None => waste_credit(&mut self.stats, self.spec.id),
@@ -136,8 +159,15 @@ impl EpSender {
 
     fn on_ack(&mut self, ack: &AckInfo, ctx: &mut EndpointCtx) {
         // A third duplicate marks a loss; the next credit carries it.
-        if self.sb.read_ack(ack).0 > 0 {
+        let (newly, marked) = self.sb.read_ack(ack);
+        let snd_nxt = self.sb.next_pending();
+        if newly > 0 {
             self.rto.progress(ctx.now);
+            if let Some(win) = &mut self.win {
+                win.on_ack(newly, ack.acked_flow_seq, ack.ece, snd_nxt);
+            }
+        } else if let (Some(win), Some(_)) = (&mut self.win, marked) {
+            win.on_loss(ack.cum, snd_nxt);
         }
         if self.sb.all_acked() && !self.done {
             self.done = true;
@@ -158,6 +188,9 @@ impl EpSender {
         self.rto.back_off(ctx.now);
         if self.sb.lose_outstanding() {
             self.stats.timeouts += 1;
+        }
+        if let Some(win) = &mut self.win {
+            win.on_timeout(self.sb.next_pending());
         }
         self.send_request(ctx);
         self.update_rto(ctx);
@@ -500,11 +533,13 @@ mod tests {
     use flexpass_simcore::time::Time;
     use flexpass_simcore::units::{Bytes, WireBytes};
     use flexpass_simnet::consts::{CREDIT_RATE_FULL_FRACTION, CTRL_WIRE};
+    use flexpass_simnet::packet::Subflow;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
     use flexpass_simnet::sim::{NetObserver, NullObserver, Sim};
     use flexpass_simnet::switch::{ClassMap, SwitchProfile};
     use flexpass_simnet::topology::Topology;
+    use proptest::prelude::*;
 
     /// An ExpressPass-only profile: Q0 credits shaped to the full credit
     /// fraction, Q1 for data/control.
@@ -541,6 +576,22 @@ mod tests {
             tag: 0,
             fg: false,
         }
+    }
+
+    fn env() -> NetEnv {
+        NetEnv {
+            host_rate: Rate::from_gbps(10),
+            base_rtt: TimeDelta::micros(20),
+            n_hosts: 2,
+        }
+    }
+
+    fn credit(spec: &FlowSpec, idx: u32) -> Packet {
+        Packet::to_sender(
+            spec,
+            TrafficClass::Credit,
+            Payload::Credit(CreditInfo { idx }),
+        )
     }
 
     struct Fct {
@@ -632,11 +683,7 @@ mod tests {
 
     #[test]
     fn credit_feedback_rate_rises_without_loss() {
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
+        let env = env();
         let mut eng = CreditEngine::new(EpConfig::default(), &env, 1);
         let initial = eng.rate();
         // Simulate lossless periods: every credit produces data.
@@ -651,11 +698,7 @@ mod tests {
 
     #[test]
     fn credit_feedback_rate_drops_on_loss() {
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
+        let env = env();
         let mut eng = CreditEngine::new(EpConfig::default(), &env, 2);
         eng.cur_rate = 10e9;
         eng.credits_sent_period = 100;
@@ -716,11 +759,7 @@ mod tests {
     fn credit_loop_start_arms_one_chain() {
         use flexpass_simnet::endpoint::TimerCmd;
 
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
+        let env = env();
         let spec = flow(7, 0, 1, 100 * 1460, Time::ZERO);
         let (credit, feedback) = (timer_token(7, TK_CREDIT), timer_token(7, TK_FEEDBACK));
         let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
@@ -772,11 +811,7 @@ mod tests {
         use flexpass_simnet::endpoint::TimerCmd;
         use flexpass_simnet::host::Scratch;
 
-        let env = NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        };
+        let env = env();
         let (mut muted_ticks, mut acting_ticks) = (0u64, 0u64);
         for seed in 0..64u64 {
             let mut rng = SimRng::new(seed);
@@ -859,5 +894,163 @@ mod tests {
         }
         assert!(muted_ticks > 1_000, "only {muted_ticks} muted ticks");
         assert!(acting_ticks > 200, "only {acting_ticks} acting ticks");
+    }
+
+    #[test]
+    fn window_gates_credits() {
+        let spec = flow(3, 0, 1, 100 * 1460, Time::ZERO);
+        let mut s = EpSender::layered(spec, &env());
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let mut tx_ids = Vec::new();
+        let mut tx = Vec::new();
+        let mut tm = Vec::new();
+        let mut app = Vec::new();
+        {
+            let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_ids, &mut tm, &mut app);
+            s.activate(&mut ctx);
+            // Initial window is 10: the 11th credit is wasted.
+            for i in 0..12 {
+                s.on_packet(&credit(&spec, i), &mut ctx);
+            }
+        }
+        arena.drain_into(&mut tx_ids, &mut tx);
+        assert_eq!(s.stats.data_pkts, 10);
+        assert_eq!(s.stats.credits_wasted, 2);
+        let data = tx.iter().filter(|p| p.is_data()).count();
+        assert_eq!(data, 10);
+        // LY data must be ECN-capable (the window needs marks).
+        assert!(tx.iter().filter(|p| p.is_data()).all(|p| p.ecn_capable));
+    }
+
+    #[test]
+    fn acks_open_window_for_more_credits() {
+        let spec = flow(3, 0, 1, 100 * 1460, Time::ZERO);
+        let mut s = EpSender::layered(spec, &env());
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let mut tx_ids = Vec::new();
+        let mut tm = Vec::new();
+        let mut app = Vec::new();
+        let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_ids, &mut tm, &mut app);
+        s.activate(&mut ctx);
+        for i in 0..10 {
+            s.on_packet(&credit(&spec, i), &mut ctx);
+        }
+        assert_eq!(s.sb.in_flight(), 10);
+        let ack = AckInfo {
+            sub: Subflow::Only,
+            cum: 5,
+            sack: [(0, 0); 3],
+            sack_n: 0,
+            ece: false,
+            acked_flow_seq: 4,
+        };
+        s.on_packet(
+            &Packet::to_sender(&spec, TrafficClass::NewCtrl, Payload::Ack(ack)),
+            &mut ctx,
+        );
+        assert_eq!(s.sb.in_flight(), 5);
+        s.on_packet(&credit(&spec, 10), &mut ctx);
+        assert_eq!(s.stats.data_pkts, 11);
+    }
+
+    /// Drives a plain or a layered sender over a random tape of credits,
+    /// data delivered or dropped (each delivery answered by the cumulative
+    /// and SACK ACK of the receiver's arrival set, ECN-echo at random) and
+    /// RTO fires, then a lossless tail until the flow completes; checks
+    /// the invariants of `sender_holds_credit_window_and_done_invariants`
+    /// after every step.
+    fn sender_tape(seed: u64, layered: bool) {
+        use crate::common::SeqFrontier;
+        use flexpass_simnet::host::Scratch;
+
+        let mut rng = SimRng::new(seed);
+        let n = 1 + rng.next_below(80) as u32;
+        let spec = flow(seed, 0, 1, u64::from(n) * 1460, Time::ZERO);
+        let mut s = match layered {
+            true => EpSender::layered(spec, &env()),
+            false => EpSender::new(spec, &env()),
+        };
+        let rto = timer_token(spec.id, TK_RTO);
+        let mut arena = flexpass_simnet::arena::PacketArena::new();
+        let (mut scratch, mut sent) = (Scratch::default(), Vec::new());
+        // The receiver's arrivals and the data still on the wire.
+        let (mut arrived, mut wire) = (SeqFrontier::default(), Vec::new());
+        let (mut credits, mut data, mut dones) = (0u64, 0u64, 0u32);
+        let (mut idx, mut now) = (0u32, Time::ZERO);
+        for step in 0..5_000u32 {
+            // The lossless tail: a credit, then every packet on the wire,
+            // then an RTO when nothing is left to deliver.
+            let tail = step >= 600;
+            let op = match tail {
+                false => rng.next_below(10),
+                true if s.done => break,
+                true if !wire.is_empty() => 4,
+                true if step % 2 == 0 => 0,
+                true => 8,
+            };
+            now += TimeDelta::micros(1 + rng.next_below(50));
+            let before = s.sb.in_flight();
+            scratch.clear();
+            let ctx = &mut scratch.ctx(now, &mut arena);
+            match op {
+                0..=3 => {
+                    credits += 1;
+                    s.on_packet(&credit(&spec, idx), ctx);
+                    idx += 1;
+                }
+                4..=7 if !wire.is_empty() => {
+                    let seq = wire.swap_remove(rng.index(wire.len()));
+                    if tail || rng.chance(0.85) {
+                        arrived.insert(seq);
+                        let ack = arrived.ack(Subflow::Only, rng.chance(0.3), seq, seq);
+                        let class = TrafficClass::NewCtrl;
+                        s.on_packet(&Packet::to_sender(&spec, class, Payload::Ack(ack)), ctx);
+                    }
+                }
+                8 if !s.done => s.on_timer(rto, ctx),
+                _ => {}
+            }
+            arena.drain_into(&mut scratch.tx, &mut sent);
+            for p in sent.drain(..) {
+                if let Payload::Data(d) = p.payload {
+                    data += 1;
+                    prop_assert_eq!(p.ecn_capable, layered);
+                    wire.push(d.flow_seq);
+                }
+            }
+            prop_assert!(data <= credits, "{} data on {} credits", data, credits);
+            if let (0..=3, Some(w)) = (op, &s.win) {
+                let (after, cwnd) = (s.sb.in_flight(), w.cwnd_pkts());
+                prop_assert!(
+                    after <= cwnd.max(before),
+                    "{} in flight, cwnd {}",
+                    after,
+                    cwnd
+                );
+            }
+            for ev in &scratch.app {
+                prop_assert!(matches!(ev, AppEvent::SenderDone { .. }));
+                prop_assert_eq!(arrived.cum(), n);
+                dones += 1;
+            }
+        }
+        prop_assert_eq!(dones, 1, "layered {}: {} packets", layered, n);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A plain and a layered sender over random tapes (see
+        /// `sender_tape`): a data packet is only ever sent on a credit; a
+        /// credit never takes the layered sender's in-flight count past
+        /// its window (a loss may shrink the window under packets already
+        /// in flight); data is ECN-capable exactly when layered; and
+        /// `SenderDone` comes once, only after the receiver holds every
+        /// packet.
+        #[test]
+        fn sender_holds_credit_window_and_done_invariants(seed in 0u64..100_000) {
+            sender_tape(seed, false);
+            sender_tape(seed, true);
+        }
     }
 }

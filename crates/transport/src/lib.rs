@@ -6,7 +6,8 @@
 //!   control of FlexPass's reactive sub-flow.
 //! * [`expresspass`] — ExpressPass [Cho 2017]: receiver-driven, credit-
 //!   scheduled transport with per-switch credit shaping and credit-rate
-//!   feedback control; the proactive control loop FlexPass adopts.
+//!   feedback control; the proactive control loop FlexPass adopts. Its
+//!   sender, gated by a DCTCP window, is also the Layering (LY) baseline.
 //! * [`homa`] — a simplified Homa [Montazeri 2018]: receiver-driven grants
 //!   over strict priority queues; used for the motivation experiment
 //!   (Figure 1b).
@@ -15,7 +16,7 @@
 //!   SACK marking, lost-first pick, the triple-duplicate-ACK rule),
 //!   [`RtoTimer`](common::RtoTimer), [`RttEstimator`] and [`DctcpWindow`];
 //!   on the receive side, one arrival set per sequence space, each a
-//!   [`SeqFrontier`] (word bitset + cumulative point, whose one search
+//!   [`SeqFrontier`] (word bitset + cumulative point, whose word searches
 //!   every range scan of the kit goes through, and from which every ACK is
 //!   built): the per-flow one lives in [`Reassembly`], which the
 //!   single-loop receivers also ACK from through

@@ -11,8 +11,7 @@
 
 use flexpass::config::FlexPassConfig;
 use flexpass::profiles::{
-    dctcp_profile, flexpass_profile, homa_mix_profile, host_variant, layering_profile,
-    naive_profile, ProfileParams,
+    dctcp_profile, flexpass_profile, homa_mix_profile, host_variant, naive_profile, ProfileParams,
 };
 use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
 use flexpass::FlexPassFactory;
@@ -170,7 +169,7 @@ fn layering_golden() {
             FlexPassConfig::new(params.wq),
             0.5,
         )),
-        &layering_profile(&params),
+        &Scheme::Layering.profile(&params, 0.5),
     );
     assert_eq!(
         g,
