@@ -1,7 +1,7 @@
 //! The paper's claims, checked against the CSVs the binary writes.
 //!
 //! A [`Claim`] hangs on its figure's row of [`crate::figures::FIGURES`]:
-//! the paper's value, a [`Class`], a [`Cmp`] and a [`Stat`] — data naming
+//! the paper's value, a class, a comparison and a statistic — data naming
 //! the output columns it reads, which the table's tests hold to the
 //! outputs' declared columns. [`evaluate`] skips a claim whose CSVs are
 //! absent, as `--plot` skips a chart.
@@ -13,7 +13,7 @@ use crate::figures::FIGURES;
 
 /// How far a claim is expected to reproduce (the `class` column).
 #[derive(Clone, Copy, Debug)]
-pub enum Class {
+pub(crate) enum Class {
     /// The paper's value within the tolerance, or the ordering it states.
     Reproduced,
     /// A direction, not a size: the paper's is not matched, or not stated.
@@ -25,7 +25,7 @@ pub enum Class {
 /// How the cells a [`Read`] selects, in file order, become one number. An
 /// empty selection or a `NaN` cell (a failed point) yields `NaN`.
 #[derive(Clone, Copy, Debug)]
-pub enum Fold {
+pub(crate) enum Fold {
     /// The cell of the one selected row.
     One,
     /// The largest cell.
@@ -41,24 +41,24 @@ pub enum Fold {
 }
 
 /// `(column, value)` pairs a row must match; a value `a|b` matches either.
-pub type Key = &'static [(&'static str, &'static str)];
+pub(crate) type Key = &'static [(&'static str, &'static str)];
 
 /// One column of the rows of an output that match a key, folded.
 #[derive(Debug)]
-pub struct Read {
+pub(crate) struct Read {
     /// The output's stem.
-    pub stem: &'static str,
+    pub(crate) stem: &'static str,
     /// Which rows.
-    pub key: Key,
+    pub(crate) key: Key,
     /// Which column.
-    pub column: &'static str,
+    pub(crate) column: &'static str,
     /// How its cells become one number.
-    pub fold: Fold,
+    pub(crate) fold: Fold,
 }
 
 impl Read {
     /// This read over `csv`, a table of the output `stem` names.
-    pub fn fold(&self, csv: &Csv) -> f64 {
+    pub(crate) fn fold(&self, csv: &Csv) -> f64 {
         let col = |name: &str| csv.header().iter().position(|h| h == name);
         let key: Option<Vec<(usize, &str)>> =
             self.key.iter().map(|&(c, v)| Some((col(c)?, v))).collect();
@@ -92,27 +92,40 @@ impl Read {
 
 /// What a claim measures.
 #[derive(Debug)]
-pub enum Stat {
+pub(crate) enum Stat {
     /// One folded column.
     Of(Read),
     /// The first over the second.
     Ratio([Read; 2]),
+    /// The first plus the second.
+    Sum([Read; 2]),
 }
 
 impl Stat {
     /// The reads it is made of.
+    #[cfg(test)]
     pub(crate) fn reads(&self) -> &[Read] {
         match self {
             Stat::Of(read) => std::slice::from_ref(read),
-            Stat::Ratio(pair) => pair,
+            Stat::Ratio(pair) | Stat::Sum(pair) => pair,
         }
+    }
+
+    /// Its value over the tables in `dir`; `None` if one is absent.
+    fn measure(&self, dir: &Path) -> Option<f64> {
+        let fold = |r: &Read| Some(r.fold(&Csv::read(dir, r.stem)?));
+        Some(match self {
+            Stat::Of(read) => fold(read)?,
+            Stat::Ratio([a, b]) => fold(a)? / fold(b)?,
+            Stat::Sum([a, b]) => fold(a)? + fold(b)?,
+        })
     }
 }
 
 /// When a measured value agrees with the paper: a bound and the tolerance
 /// allowed around it. Never for `NaN`.
 #[derive(Clone, Copy, Debug)]
-pub enum Cmp {
+pub(crate) enum Cmp {
     /// `measured <= bound + tolerance`.
     AtMost(f64, f64),
     /// `measured >= bound - tolerance`.
@@ -135,15 +148,15 @@ impl Cmp {
 #[derive(Debug)]
 pub struct Claim {
     /// Its name within the figure.
-    pub id: &'static str,
+    pub(crate) id: &'static str,
     /// The paper's value, as text.
-    pub paper: &'static str,
+    pub(crate) paper: &'static str,
     /// How far it is expected to reproduce.
-    pub class: Class,
+    pub(crate) class: Class,
     /// When the measurement agrees.
-    pub cmp: Cmp,
+    pub(crate) cmp: Cmp,
     /// What is measured.
-    pub stat: Stat,
+    pub(crate) stat: Stat,
 }
 
 /// Every claim of the figure table whose CSVs are all in `dir`, in table
@@ -152,11 +165,7 @@ pub fn evaluate(dir: &Path) -> Csv {
     let mut csv = Csv::new(&["figure", "claim", "paper", "measured", "holds", "class"]);
     for figure in FIGURES {
         for claim in figure.claims {
-            let reads = claim.stat.reads().iter();
-            let values: Option<Vec<f64>> = reads
-                .map(|r| Some(r.fold(&Csv::read(dir, r.stem)?)))
-                .collect();
-            let Some(m) = values.and_then(|v| v.into_iter().reduce(|a, b| a / b)) else {
+            let Some(m) = claim.stat.measure(dir) else {
                 continue;
             };
             let holds = if claim.cmp.holds(m) { "yes" } else { "no" };

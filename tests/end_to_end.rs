@@ -57,8 +57,9 @@ fn flexpass_full_deployment_completes_cleanly() {
     );
 }
 
-/// Mid-rollout (50 % of racks), every scheme completes all flows and the
-/// upgraded flows' small-flow tail is no worse than 3x the legacy tail.
+/// Mid-rollout (50 % of racks), every scheme completes all flows and both
+/// legacy and upgraded flows ran. The upgraded-vs-legacy tail is the claim
+/// table's `fig10/fp_upgraded_vs_legacy_*` rows.
 #[test]
 fn mid_rollout_all_schemes_complete() {
     for scheme in Scheme::ALL {

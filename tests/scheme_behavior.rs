@@ -1,9 +1,8 @@
-//! Behavioural integration tests for the comparison schemes and the
-//! FlexPass variants on the testbed topology.
+//! Behavioural integration tests for the FlexPass variants on the testbed
+//! topology.
 
 use flexpass::config::{CreditPolicy, FlexPassConfig};
-use flexpass::profiles::{flexpass_profile, host_variant, naive_profile, ProfileParams};
-use flexpass::schemes::{Deployment, Scheme, SchemeFactory};
+use flexpass::profiles::{flexpass_profile, host_variant, ProfileParams};
 use flexpass::FlexPassFactory;
 use flexpass_metrics::Recorder;
 use flexpass_simcore::time::{Rate, Time, TimeDelta};
@@ -26,30 +25,6 @@ fn flow(id: u64, src: usize, dst: usize, size: u64, start_us: u64) -> FlowSpec {
 fn star(profile: &flexpass_simnet::switch::SwitchProfile, n: usize) -> Topology {
     let host = host_variant(profile);
     Topology::star(n, profile.port.rate, TimeDelta::micros(5), profile, &host)
-}
-
-/// The Layering scheme completes reliably and wastes credits whenever its
-/// window gate is closed (the §6.2 explanation for its poor performance).
-#[test]
-fn layering_scheme_completes_and_gates() {
-    let params = ProfileParams::testbed(Rate::from_gbps(10));
-    let profile = naive_profile(&params);
-    let topo = star(&profile, 3);
-    let factory = SchemeFactory::new(
-        Scheme::Layering,
-        Deployment::full(3),
-        FlexPassConfig::new(0.5),
-        1.0,
-    );
-    let mut sim = Sim::new(topo, Box::new(factory), Recorder::new());
-    sim.schedule_flow(flow(1, 0, 2, 5_000_000, 0));
-    sim.run_to_completion(TimeDelta::millis(20));
-    let rec = &sim.observer;
-    assert_eq!(rec.completed(), 1);
-    let tx = rec.tx_by_tag.values().next().copied().unwrap_or_default();
-    // LY's window cannot keep up with full-rate credits: some are wasted
-    // even with no competing traffic.
-    assert!(tx.credits_wasted > 0, "LY should gate credits");
 }
 
 /// The RC3-splitting variant completes but buffers far more out-of-order
