@@ -111,68 +111,14 @@ impl Endpoint for FlexPassReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexpass_simcore::time::{Rate, Time, TimeDelta};
+    use flexpass_simcore::time::Time;
     use flexpass_simcore::units::Bytes;
-    use flexpass_simnet::endpoint::AppEvent;
+    use flexpass_simnet::endpoint::{AppEvent, TimerCmd};
+    use flexpass_simnet::loopback::{flow, Driver, ENV};
     use flexpass_simnet::sim::timer_token;
 
-    fn env() -> NetEnv {
-        NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        }
-    }
-
     fn spec(size: u64) -> FlowSpec {
-        FlowSpec {
-            id: 7,
-            src: 0,
-            dst: 1,
-            size: Bytes::new(size),
-            start: Time::ZERO,
-            tag: 0,
-            fg: false,
-        }
-    }
-
-    #[derive(Default)]
-    struct H {
-        arena: flexpass_simnet::arena::PacketArena,
-        tx_ids: Vec<flexpass_simnet::arena::PacketId>,
-        tx: Vec<Packet>,
-        tm: Vec<flexpass_simnet::endpoint::TimerCmd>,
-        app: Vec<AppEvent>,
-    }
-
-    impl H {
-        fn with<R>(&mut self, now: Time, f: impl FnOnce(&mut EndpointCtx) -> R) -> R {
-            let r = {
-                let mut ctx = EndpointCtx::new(
-                    now,
-                    &mut self.arena,
-                    &mut self.tx_ids,
-                    &mut self.tm,
-                    &mut self.app,
-                );
-                f(&mut ctx)
-            };
-            // Staged ids become packets in emission order, as the driver's
-            // flush would see them.
-            self.arena.drain_into(&mut self.tx_ids, &mut self.tx);
-            r
-        }
-
-        /// First buffered Set/Arm request as `(at, token)`.
-        fn armed(&self, i: usize) -> (Time, u64) {
-            match self.tm[i] {
-                flexpass_simnet::endpoint::TimerCmd::Set(at, tok)
-                | flexpass_simnet::endpoint::TimerCmd::Arm(at, tok) => (at, tok),
-                flexpass_simnet::endpoint::TimerCmd::Cancel(_) => {
-                    panic!("expected an arming command at index {i}")
-                }
-            }
-        }
+        flow(7, Bytes::new(size))
     }
 
     fn data(flow_seq: u32, sub: Subflow, sub_seq: u32, ce: bool) -> Packet {
@@ -198,35 +144,38 @@ mod tests {
 
     #[test]
     fn credit_request_starts_pacing() {
-        let mut r = FlexPassReceiver::new(spec(4 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| r.on_packet(&req(), ctx));
+        let mut r = FlexPassReceiver::new(spec(4 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| r.on_packet(&req(), ctx));
         // Pacing + feedback timers armed.
-        assert_eq!(h.tm.len(), 2);
+        assert_eq!(drv.out.timers.len(), 2);
         // Fire the pacing timer: a credit goes out.
-        let (at, tok) = h.armed(0);
-        h.with(at, |ctx| r.on_timer(tok, ctx));
-        let credits =
-            h.tx.iter()
-                .filter(|p| matches!(p.payload, Payload::Credit(_)))
-                .count();
+        let TimerCmd::Arm(at, tok) = drv.out.timers[0] else {
+            panic!("expected an Arm, got {:?}", drv.out.timers[0]);
+        };
+        drv.call(at, |ctx| r.on_timer(tok, ctx));
+        let credits = drv
+            .sent
+            .iter()
+            .filter(|p| matches!(p.payload, Payload::Credit(_)))
+            .count();
         assert_eq!(credits, 1);
-        assert_eq!(h.tx[0].class, TrafficClass::Credit);
+        assert_eq!(drv.sent[0].class, TrafficClass::Credit);
         assert_eq!(r.credits_sent(), 1);
     }
 
     #[test]
     fn acks_ride_correct_subflow_and_echo_ce() {
-        let mut r = FlexPassReceiver::new(spec(4 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| {
+        let mut r = FlexPassReceiver::new(spec(4 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Reactive, 0, true), ctx)
         });
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(1, Subflow::Proactive, 0, false), ctx)
         });
-        assert_eq!(h.tx.len(), 2);
-        match h.tx[0].payload {
+        assert_eq!(drv.sent.len(), 2);
+        match drv.sent[0].payload {
             Payload::Ack(a) => {
                 assert_eq!(a.sub, Subflow::Reactive);
                 assert!(a.ece);
@@ -234,7 +183,7 @@ mod tests {
             }
             _ => panic!("expected reactive ack"),
         }
-        match h.tx[1].payload {
+        match drv.sent[1].payload {
             Payload::Ack(a) => {
                 assert_eq!(a.sub, Subflow::Proactive);
                 assert!(!a.ece);
@@ -246,20 +195,21 @@ mod tests {
 
     #[test]
     fn duplicate_copies_discarded_in_reassembly() {
-        let mut r = FlexPassReceiver::new(spec(2 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
+        let mut r = FlexPassReceiver::new(spec(2 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
         // Packet 0 arrives reactive, then again as a proactive retx.
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Reactive, 0, false), ctx)
         });
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Proactive, 0, false), ctx)
         });
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(1, Subflow::Proactive, 1, false), ctx)
         });
         assert!(r.reasm_complete_for_test());
-        let done: Vec<_> = h
+        let done: Vec<_> = drv
+            .out
             .app
             .iter()
             .filter_map(|e| match e {
@@ -274,23 +224,25 @@ mod tests {
 
     #[test]
     fn completion_stops_crediting() {
-        use flexpass_simnet::endpoint::TimerCmd;
-
-        let mut r = FlexPassReceiver::new(spec(1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| r.on_packet(&req(), ctx));
-        h.tm.clear();
-        h.with(Time::ZERO, |ctx| {
+        let mut r = FlexPassReceiver::new(spec(1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| r.on_packet(&req(), ctx));
+        drv.out.timers.clear();
+        drv.call(Time::ZERO, |ctx| {
             r.on_packet(&data(0, Subflow::Reactive, 0, false), ctx)
         });
         // Completion cancels both credit-loop ticks.
         for kind in [TK_CREDIT, TK_FEEDBACK] {
             let cancel = TimerCmd::Cancel(timer_token(7, kind));
-            assert!(h.tm.contains(&cancel), "{cancel:?} not in {:?}", h.tm);
+            assert!(
+                drv.out.timers.contains(&cancel),
+                "{cancel:?} not in {:?}",
+                drv.out.timers
+            );
         }
         // Linger tears down.
         let linger_tok = timer_token(7, TK_LINGER);
-        h.with(Time::from_millis(20), |ctx| r.on_timer(linger_tok, ctx));
+        drv.call(Time::from_millis(20), |ctx| r.on_timer(linger_tok, ctx));
         assert!(r.finished());
     }
 

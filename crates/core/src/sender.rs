@@ -479,127 +479,65 @@ impl Endpoint for FlexPassSender {
 mod tests {
     use super::*;
     use flexpass_simcore::rng::SimRng;
-    use flexpass_simcore::time::{Rate, Time, TimeDelta};
+    use flexpass_simcore::time::Time;
     use flexpass_simcore::units::Bytes;
-    use flexpass_simnet::consts::CTRL_WIRE;
+    use flexpass_simnet::loopback::{flow, Driver, ENV};
     use flexpass_simnet::packet::{Color, DataInfo};
     use flexpass_simnet::sim::timer_token;
     use proptest::prelude::*;
 
-    fn env() -> NetEnv {
-        NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        }
-    }
-
     fn spec(size: u64) -> FlowSpec {
-        FlowSpec {
-            id: 5,
-            src: 0,
-            dst: 1,
-            size: Bytes::new(size),
-            start: Time::ZERO,
-            tag: 0,
-            fg: false,
-        }
+        flow(5, Bytes::new(size))
     }
 
-    /// Test harness holding the ctx output buffers between calls.
-    #[derive(Default)]
-    struct H {
-        arena: flexpass_simnet::arena::PacketArena,
-        tx_ids: Vec<flexpass_simnet::arena::PacketId>,
-        tx: Vec<Packet>,
-        tm: Vec<flexpass_simnet::endpoint::TimerCmd>,
-        app: Vec<AppEvent>,
-    }
-
-    impl H {
-        fn with<R>(&mut self, now: Time, f: impl FnOnce(&mut EndpointCtx) -> R) -> R {
-            let r = {
-                let mut ctx = EndpointCtx::new(
-                    now,
-                    &mut self.arena,
-                    &mut self.tx_ids,
-                    &mut self.tm,
-                    &mut self.app,
-                );
-                f(&mut ctx)
-            };
-            // Staged ids become packets in emission order, as the driver's
-            // flush would see them.
-            self.arena.drain_into(&mut self.tx_ids, &mut self.tx);
-            r
-        }
-        fn data_sent(&self) -> Vec<DataInfo> {
-            self.tx
-                .iter()
-                .filter_map(|p| match p.payload {
-                    Payload::Data(d) => Some(d),
-                    _ => None,
-                })
-                .collect()
-        }
+    /// The data headers among `sent`, in emission order.
+    fn data_sent(sent: &[Packet]) -> Vec<DataInfo> {
+        sent.iter()
+            .filter_map(|p| match p.payload {
+                Payload::Data(d) => Some(d),
+                _ => None,
+            })
+            .collect()
     }
 
     fn credit(idx: u32) -> Packet {
-        Packet::new(
-            5,
-            1,
-            0,
-            CTRL_WIRE,
-            TrafficClass::Credit,
-            Payload::Credit(CreditInfo { idx }),
-        )
+        let credit = Payload::Credit(CreditInfo { idx });
+        Packet::to_sender(&spec(0), TrafficClass::Credit, credit)
     }
 
     fn ack(sub: Subflow, cum: u32, ece: bool) -> Packet {
-        Packet::new(
-            5,
-            1,
-            0,
-            CTRL_WIRE,
-            TrafficClass::NewCtrl,
-            Payload::Ack(AckInfo {
-                sub,
-                cum,
-                sack: [(0, 0); 3],
-                sack_n: 0,
-                ece,
-                acked_flow_seq: cum.saturating_sub(1),
-            }),
-        )
+        let ack = AckInfo {
+            sub,
+            cum,
+            sack: [(0, 0); 3],
+            sack_n: 0,
+            ece,
+            acked_flow_seq: cum.saturating_sub(1),
+        };
+        Packet::to_sender(&spec(0), TrafficClass::NewCtrl, Payload::Ack(ack))
     }
 
+    /// [`ack`] with `[lo, hi)` as its one SACK block.
     fn sack_ack(sub: Subflow, cum: u32, lo: u32, hi: u32) -> Packet {
-        Packet::new(
-            5,
-            1,
-            0,
-            CTRL_WIRE,
-            TrafficClass::NewCtrl,
-            Payload::Ack(AckInfo {
-                sub,
-                cum,
-                sack: [(lo, hi), (0, 0), (0, 0)],
-                sack_n: 1,
-                ece: false,
-                acked_flow_seq: hi.saturating_sub(1),
-            }),
-        )
+        let mut pkt = ack(sub, cum, false);
+        if let Payload::Ack(a) = &mut pkt.payload {
+            (a.sack[0], a.sack_n, a.acked_flow_seq) = ((lo, hi), 1, hi.saturating_sub(1));
+        }
+        pkt
     }
 
     #[test]
     fn first_rtt_reactive_burst_and_credit_request() {
-        let mut s = FlexPassSender::new(spec(100 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(100 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // One CreditReq + init_cwnd (10) reactive packets.
-        assert_eq!(h.tx.len(), 11);
-        assert!(matches!(h.tx[0].payload, Payload::CreditReq { pkts: 100 }));
-        for p in &h.tx[1..] {
+        assert_eq!(drv.sent.len(), 11);
+        assert!(matches!(
+            drv.sent[0].payload,
+            Payload::CreditReq { pkts: 100 }
+        ));
+        for p in &drv.sent[1..] {
             match p.payload {
                 Payload::Data(d) => {
                     assert_eq!(d.sub, Subflow::Reactive);
@@ -615,15 +553,15 @@ mod tests {
     #[test]
     fn credit_sends_pending_then_proactive_retx() {
         let cfg = FlexPassConfig::new(0.5);
-        let mut s = FlexPassSender::new(spec(3 * 1460), cfg, &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(3 * 1460), cfg, &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // All 3 packets went reactive (cwnd 10 > 3). A credit now has no
         // Lost/Pending left: proactive retransmission of packet 0.
-        let before = h.tx.len();
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
-        assert_eq!(h.tx.len(), before + 1);
-        match h.tx.last().unwrap().payload {
+        let before = drv.sent.len();
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        assert_eq!(drv.sent.len(), before + 1);
+        match drv.sent.last().unwrap().payload {
             Payload::Data(d) => {
                 assert_eq!(d.sub, Subflow::Proactive);
                 assert_eq!(d.flow_seq, 0);
@@ -639,27 +577,27 @@ mod tests {
     fn proactive_retx_disabled_wastes_credit() {
         let mut cfg = FlexPassConfig::new(0.5);
         cfg.proactive_retx = false;
-        let mut s = FlexPassSender::new(spec(3 * 1460), cfg, &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        let mut s = FlexPassSender::new(spec(3 * 1460), cfg, &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
         assert_eq!(s.stats().credits_wasted, 1);
     }
 
     #[test]
     fn lost_has_highest_credit_priority() {
-        let mut s = FlexPassSender::new(spec(50 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(50 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // Reactive sent 0..10. SACK far above rseq 2 implies it was lost.
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             s.on_packet(&sack_ack(Subflow::Reactive, 2, 5, 9), ctx)
         });
         assert_eq!(s.sb.state(2), PktState::Lost);
         // Next credit must carry packet 2 (loss recovery beats new data).
-        let before = h.tx.len();
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
-        match h.tx[before..]
+        let before = drv.sent.len();
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        match drv.sent[before..]
             .iter()
             .find(|p| p.is_data())
             .expect("data sent")
@@ -676,22 +614,21 @@ mod tests {
 
     #[test]
     fn reactive_never_retransmits() {
-        let mut s = FlexPassSender::new(spec(30 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(30 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // Loss detected on rseq 0 via sacks above; window opens on 7 acks.
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             s.on_packet(&sack_ack(Subflow::Reactive, 0, 1, 8), ctx)
         });
         assert_eq!(s.sb.state(0), PktState::Lost);
-        for d in h.data_sent() {
+        for d in data_sent(&drv.sent) {
             if d.sub == Subflow::Reactive {
                 assert!(!d.retx, "reactive retransmission is forbidden");
             }
         }
         // And the lost packet never reappears with a reactive header.
-        let reactive0 = h
-            .data_sent()
+        let reactive0 = data_sent(&drv.sent)
             .iter()
             .filter(|d| d.sub == Subflow::Reactive && d.flow_seq == 0)
             .count();
@@ -700,14 +637,14 @@ mod tests {
 
     #[test]
     fn proactive_ack_clears_stale_reactive_slot() {
-        let mut s = FlexPassSender::new(spec(3 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(3 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         assert_eq!(s.reactive.inflight, 3);
         // Credit triggers proactive retx of packet 0; its proactive ACK must
         // release the reactive slot so the window is not pinned.
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        drv.call(Time::ZERO, |ctx| {
             s.on_packet(&ack(Subflow::Proactive, 1, false), ctx)
         });
         assert_eq!(s.sb.state(0), PktState::Acked);
@@ -716,37 +653,37 @@ mod tests {
 
     #[test]
     fn reactive_loss_spares_a_packet_resent_proactively() {
-        let mut s = FlexPassSender::new(spec(5 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(5 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // All 5 packets went reactive; a credit resends packet 0 proactively.
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
         assert_eq!(s.sb.state(0), PktState::SentProactive);
         // SACKs of reactive slots 1..5 sweep slot 0 as lost, but the
         // packet's latest copy rides the proactive sub-flow: not `Lost`.
-        h.with(Time::ZERO, |ctx| {
+        drv.call(Time::ZERO, |ctx| {
             s.on_packet(&sack_ack(Subflow::Reactive, 0, 1, 5), ctx)
         });
         assert_eq!(s.reactive.inflight, 0);
         assert_eq!(s.sb.state(0), PktState::SentProactive);
         // So the next credit has nothing to carry.
-        let before = h.tx.len();
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(1), ctx));
-        assert_eq!(h.tx.len(), before);
+        let before = drv.sent.len();
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(1), ctx));
+        assert_eq!(drv.sent.len(), before);
         assert_eq!(s.stats().credits_wasted, 1);
     }
 
     #[test]
     fn completes_via_mixed_acks() {
-        let mut s = FlexPassSender::new(spec(4 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
-        h.with(Time::ZERO, |ctx| {
+        let mut s = FlexPassSender::new(spec(4 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
+        drv.call(Time::ZERO, |ctx| {
             s.on_packet(&ack(Subflow::Reactive, 4, false), ctx)
         });
         assert!(s.done);
-        assert_eq!(h.app.len(), 1);
-        match h.app[0] {
+        assert_eq!(drv.out.app.len(), 1);
+        match drv.out.app[0] {
             AppEvent::SenderDone { stats, .. } => {
                 assert_eq!(stats.data_pkts, 4);
                 assert_eq!(stats.timeouts, 0);
@@ -757,9 +694,9 @@ mod tests {
 
     #[test]
     fn ece_shrinks_reactive_window() {
-        let mut s = FlexPassSender::new(spec(500 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(500 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // Ack everything outstanding with marks, repeatedly; the window must
         // stay bounded rather than doubling away.
         let mut cum = 0;
@@ -767,7 +704,7 @@ mod tests {
             let upto = s.reactive.next_seq();
             while cum < upto {
                 cum += 1;
-                h.with(Time::ZERO, |ctx| {
+                drv.call(Time::ZERO, |ctx| {
                     s.on_packet(&ack(Subflow::Reactive, cum, true), ctx)
                 });
             }
@@ -782,20 +719,19 @@ mod tests {
     #[test]
     fn rc3_tail_allocation() {
         let cfg = FlexPassConfig::rc3_splitting(0.5);
-        let mut s = FlexPassSender::new(spec(100 * 1460), cfg, &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(100 * 1460), cfg, &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // Reactive packets come from the end of the flow.
-        let reactive_seqs: Vec<u32> = h
-            .data_sent()
+        let reactive_seqs: Vec<u32> = data_sent(&drv.sent)
             .iter()
             .filter(|d| d.sub == Subflow::Reactive)
             .map(|d| d.flow_seq)
             .collect();
         assert_eq!(reactive_seqs, (90..100).rev().collect::<Vec<_>>());
         // Credits pull from the head.
-        h.with(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
-        match h.tx.last().unwrap().payload {
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(0), ctx));
+        match drv.sent.last().unwrap().payload {
             Payload::Data(d) => {
                 assert_eq!(d.flow_seq, 0);
                 assert_eq!(d.sub, Subflow::Proactive);
@@ -806,21 +742,22 @@ mod tests {
 
     #[test]
     fn rto_marks_all_inflight_lost_and_rerequests() {
-        let mut s = FlexPassSender::new(spec(20 * 1460), FlexPassConfig::new(0.5), &env());
-        let mut h = H::default();
-        h.with(Time::ZERO, |ctx| s.activate(ctx));
+        let mut s = FlexPassSender::new(spec(20 * 1460), FlexPassConfig::new(0.5), &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| s.activate(ctx));
         // Fire the timer well past the deadline.
-        h.with(Time::from_millis(100), |ctx| {
+        drv.call(Time::from_millis(100), |ctx| {
             s.on_timer(timer_token(5, TK_RTO), ctx)
         });
         assert_eq!(s.stats().timeouts, 1);
         assert!((0..10).all(|i| s.sb.state(i) == PktState::Lost));
         assert_eq!(s.reactive.inflight, 0);
         // A second CreditReq went out.
-        let reqs =
-            h.tx.iter()
-                .filter(|p| matches!(p.payload, Payload::CreditReq { .. }))
-                .count();
+        let reqs = drv
+            .sent
+            .iter()
+            .filter(|p| matches!(p.payload, Payload::CreditReq { .. }))
+            .count();
         assert_eq!(reqs, 2);
     }
 

@@ -21,6 +21,8 @@
 //!   paper's 3-tier Clos (8 core / 16 agg / 32 ToR / 192 hosts, 3:1
 //!   oversubscribed).
 //! * [`sim`] — the deterministic event-driven driver tying it together.
+//! * [`loopback`] — endpoints without a fabric: one callback at a time, or
+//!   a sender/receiver pair exchanging one flow, for tests and benches.
 //! * [`parsim`] / [`partition`] — the engine callers drive: [`ParSim`]
 //!   cuts the fabric itself into per-thread domains at rack granularity
 //!   (`--par-sim N` on the experiments binary) and advances them in
@@ -43,6 +45,7 @@ pub mod consts;
 pub mod endpoint;
 pub mod hooks;
 pub mod host;
+pub mod loopback;
 pub mod packet;
 pub mod parsim;
 pub mod partition;

@@ -883,8 +883,8 @@ impl RxTail {
 mod tests {
     use super::*;
     use flexpass_simcore::rng::SimRng;
-    use flexpass_simnet::arena::PacketArena;
     use flexpass_simnet::endpoint::TimerCmd;
+    use flexpass_simnet::loopback::Driver;
     use proptest::prelude::*;
 
     #[test]
@@ -1145,20 +1145,6 @@ mod tests {
         assert!(!PktState::Pending.in_flight());
     }
 
-    /// Timer commands `f` issues in a callback at `now`.
-    fn timer_cmds(now: Time, f: impl FnOnce(&mut EndpointCtx)) -> Vec<TimerCmd> {
-        let mut arena = PacketArena::new();
-        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
-        f(&mut EndpointCtx::new(
-            now,
-            &mut arena,
-            &mut tx,
-            &mut timers,
-            &mut app,
-        ));
-        timers
-    }
-
     /// A random ACK over a flow sent up to `frontier`: cumulative point
     /// `cum` when given, else random. Ranges may overlap, be empty, or run
     /// past the flow.
@@ -1210,6 +1196,7 @@ mod tests {
             let token = timer_token(9, 1);
             let mut now = Time::ZERO;
             let mut armed: Option<Time> = None;
+            let mut drv = Driver::default();
             for _ in 0..300 {
                 now += TimeDelta::micros(rng.next_below(3_000));
                 if let Some(d) = armed.filter(|&d| d <= now) {
@@ -1226,10 +1213,12 @@ mod tests {
                     op => {
                         let live = op != 1;
                         let base = TimeDelta::micros(100 + rng.next_below(4_000));
-                        let cmds = timer_cmds(now, |ctx| t.update(ctx, live, base));
+                        drv.clear();
+                        drv.call(now, |ctx| t.update(ctx, live, base));
+                        let cmds = &drv.out.timers;
                         match (live, armed) {
                             (false, Some(_)) => {
-                                prop_assert_eq!(&cmds, &vec![TimerCmd::Cancel(token)]);
+                                prop_assert_eq!(cmds, &[TimerCmd::Cancel(token)]);
                                 armed = None;
                             }
                             (false, None) => prop_assert!(cmds.is_empty()),

@@ -269,11 +269,12 @@ mod tests {
     use super::*;
     use flexpass_simcore::time::{Rate, TimeDelta};
     use flexpass_simcore::units::{Bytes, WireBytes};
+    use flexpass_simnet::loopback::{Driver, ENV};
     use flexpass_simnet::packet::Subflow;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
     use flexpass_simnet::sim::timer_token;
-    use flexpass_simnet::sim::{NetObserver, NodeId, NullObserver, Sim};
+    use flexpass_simnet::sim::{NetObserver, NodeId, Sim};
     use flexpass_simnet::switch::{ClassMap, SwitchProfile};
     use flexpass_simnet::topology::Topology;
 
@@ -514,29 +515,16 @@ mod tests {
         for (i, r) in sack.iter().enumerate() {
             blocks[i] = *r;
         }
-        Packet::new(
-            7,
-            1,
-            0,
-            flexpass_simnet::consts::CTRL_WIRE,
-            TrafficClass::Legacy,
-            Payload::Ack(AckInfo {
-                sub: Subflow::Only,
-                cum,
-                sack: blocks,
-                sack_n: sack.len() as u8,
-                ece,
-                acked_flow_seq,
-            }),
-        )
-    }
-
-    fn env() -> NetEnv {
-        NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
-        }
+        let ack = AckInfo {
+            sub: Subflow::Only,
+            cum,
+            sack: blocks,
+            sack_n: sack.len() as u8,
+            ece,
+            acked_flow_seq,
+        };
+        let spec = flow(7, 0, 1, 0, Time::ZERO);
+        Packet::to_sender(&spec, TrafficClass::Legacy, Payload::Ack(ack))
     }
 
     /// Regression: duplicate ACKs whose SACK blocks carry new information
@@ -550,67 +538,49 @@ mod tests {
     #[test]
     fn fast_retransmit_survives_sack_progress_and_partial_acks() {
         let spec = flow(7, 0, 1, 14_600, Time::ZERO); // n = 10 packets
-        let mut tx = DctcpSender::new(spec, &env()); // INIT_CWND = 10
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut staged = Vec::new();
-        let mut tx_v = Vec::new();
-        let mut timers = Vec::new();
-        let mut app = Vec::new();
-        let retx_seqs = |tx_v: &[Packet]| -> Vec<u32> {
-            tx_v.iter()
+        let mut tx = DctcpSender::new(spec, &ENV); // INIT_CWND = 10
+        let mut drv = Driver::default();
+        let retx_seqs = |sent: &[Packet]| -> Vec<u32> {
+            sent.iter()
                 .filter_map(|p| match p.payload {
                     Payload::Data(d) if d.retx => Some(d.flow_seq),
                     _ => None,
                 })
                 .collect()
         };
-        {
-            let mut ctx =
-                EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
-            tx.activate(&mut ctx);
-        }
-        arena.drain_into(&mut staged, &mut tx_v);
-        assert_eq!(tx_v.len(), 10, "initial window should cover the flow");
+        drv.call(Time::ZERO, |ctx| tx.activate(ctx));
+        assert_eq!(drv.sent.len(), 10, "initial window should cover the flow");
 
         // Packets 0 and 1 are lost; 2..=9 arrive, each generating a
         // duplicate cumulative ACK with a growing SACK block.
-        {
-            let mut ctx =
-                EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
+        drv.call(Time::ZERO, |ctx| {
             for k in 3..=10u32 {
-                tx.on_packet(&ack_pkt(0, &[(2, k)], k - 1, false), &mut ctx);
+                tx.on_packet(&ack_pkt(0, &[(2, k)], k - 1, false), ctx);
             }
-        }
-        arena.drain_into(&mut staged, &mut tx_v);
+        });
         assert_eq!(
-            retx_seqs(&tx_v),
+            retx_seqs(&drv.sent),
             vec![0],
             "three dupacks (with SACK news) must fast-retransmit the hole"
         );
 
         // The retransmitted 0 arrives: a partial ACK (cum = 1 < recovery
         // point). The sender must expose and retransmit hole 1 immediately.
-        {
-            let mut ctx =
-                EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
-            tx.on_packet(&ack_pkt(1, &[(2, 10)], 0, false), &mut ctx);
-        }
-        arena.drain_into(&mut staged, &mut tx_v);
+        drv.call(Time::ZERO, |ctx| {
+            tx.on_packet(&ack_pkt(1, &[(2, 10)], 0, false), ctx)
+        });
         assert_eq!(
-            retx_seqs(&tx_v),
+            retx_seqs(&drv.sent),
             vec![0, 1],
             "partial ACK must retransmit the next hole without new dupacks"
         );
 
         // The retransmitted 1 completes the flow.
-        {
-            let mut ctx =
-                EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
-            tx.on_packet(&ack_pkt(10, &[], 1, false), &mut ctx);
-        }
-        arena.drain_into(&mut staged, &mut tx_v);
+        drv.call(Time::ZERO, |ctx| {
+            tx.on_packet(&ack_pkt(10, &[], 1, false), ctx)
+        });
         assert_eq!(tx.stats().timeouts, 0, "recovery must not need the RTO");
-        assert!(matches!(app[..], [AppEvent::SenderDone { .. }]));
+        assert!(matches!(drv.out.app[..], [AppEvent::SenderDone { .. }]));
     }
 
     /// Regression: the window's high-water sequence must come from acked
@@ -623,25 +593,25 @@ mod tests {
     #[test]
     fn single_loss_window_decreases_once() {
         let spec = flow(7, 0, 1, 29_200, Time::ZERO); // n = 20 packets
-        let mut tx = DctcpSender::new(spec, &env());
+        let mut tx = DctcpSender::new(spec, &ENV);
         tx.win = DctcpWindow::new(8.0, G, MAX_CWND);
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut tx_v = Vec::new();
-        let mut timers = Vec::new();
-        let mut app = Vec::new();
-        let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_v, &mut timers, &mut app);
-        tx.activate(&mut ctx);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| tx.activate(ctx));
 
         // Three pure duplicate ACKs: one halving, recover_until = 8.
-        for _ in 0..3 {
-            tx.on_packet(&ack_pkt(0, &[], 1, false), &mut ctx);
-        }
+        drv.call(Time::ZERO, |ctx| {
+            for _ in 0..3 {
+                tx.on_packet(&ack_pkt(0, &[], 1, false), ctx);
+            }
+        });
         assert!((tx.cwnd() - 4.0).abs() < 1e-9, "cwnd {}", tx.cwnd());
 
         // An ECE-marked dupack SACKing packet 5 (below the recovery point)
         // but stamped with acked_flow_seq = 9: evidence stops at 5, so no
         // second decrease is allowed.
-        tx.on_packet(&ack_pkt(0, &[(5, 6)], 9, true), &mut ctx);
+        drv.call(Time::ZERO, |ctx| {
+            tx.on_packet(&ack_pkt(0, &[(5, 6)], 9, true), ctx)
+        });
         assert!(
             tx.cwnd() > 3.9,
             "window halved twice in one loss window: cwnd {}",
@@ -681,27 +651,25 @@ mod tests {
 
     #[test]
     fn receiver_linger_reacks_stray_retx() {
-        let _ = NullObserver;
         let spec = flow(9, 0, 1, 2920, Time::ZERO);
-        let mut rx = DctcpReceiver::new(spec, &env());
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut tx_v = Vec::new();
-        let mut timers = Vec::new();
-        let mut app = Vec::new();
-        let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_v, &mut timers, &mut app);
+        let mut rx = DctcpReceiver::new(spec, &ENV);
+        let mut drv = Driver::default();
         let mk =
             |seq: u32| Packet::data(&spec, TrafficClass::Legacy, seq, Subflow::Only, seq, false);
-        rx.on_packet(&mk(0), &mut ctx);
-        rx.on_packet(&mk(1), &mut ctx);
+        drv.call(Time::ZERO, |ctx| {
+            rx.on_packet(&mk(0), ctx);
+            rx.on_packet(&mk(1), ctx);
+        });
         assert!(!rx.finished(), "receiver lingers after completion");
         // Duplicate after completion still generates an ACK.
-        rx.on_packet(&mk(1), &mut ctx);
+        drv.call(Time::ZERO, |ctx| rx.on_packet(&mk(1), ctx));
         // Linger timer tears it down.
-        rx.on_timer(timer_token(9, TK_LINGER), &mut ctx);
+        drv.call(Time::ZERO, |ctx| {
+            rx.on_timer(timer_token(9, TK_LINGER), ctx)
+        });
         assert!(rx.finished());
-        let _ = ctx;
-        assert_eq!(tx_v.len(), 3);
-        assert_eq!(app.len(), 1);
+        assert_eq!(drv.sent.len(), 3);
+        assert_eq!(drv.out.app.len(), 1);
     }
 
     /// The receiver acknowledges every data packet at once: a clean
@@ -710,26 +678,17 @@ mod tests {
     #[test]
     fn receiver_acks_every_packet_immediately() {
         let spec = flow(9, 0, 1, 5 * 1460, Time::ZERO);
-        let mut rx = DctcpReceiver::new(spec, &env());
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut staged = Vec::new();
-        let mut acks = Vec::new();
-        let mut timers = Vec::new();
-        let mut app = Vec::new();
+        let mut rx = DctcpReceiver::new(spec, &ENV);
+        let mut drv = Driver::default();
         let mk =
             |seq: u32| Packet::data(&spec, TrafficClass::Legacy, seq, Subflow::Only, seq, false);
         let mut marked = mk(1);
         marked.ecn_ce = true;
         for (pkt, cum, ece) in [(mk(0), 1, false), (marked, 2, true), (mk(3), 2, false)] {
-            {
-                let mut ctx =
-                    EndpointCtx::new(Time::ZERO, &mut arena, &mut staged, &mut timers, &mut app);
-                rx.on_packet(&pkt, &mut ctx);
-            }
-            acks.clear();
-            arena.drain_into(&mut staged, &mut acks);
-            let [ack] = &acks[..] else {
-                panic!("expected exactly one ACK, got {}", acks.len());
+            drv.sent.clear();
+            drv.call(Time::ZERO, |ctx| rx.on_packet(&pkt, ctx));
+            let [ack] = &drv.sent[..] else {
+                panic!("expected exactly one ACK, got {}", drv.sent.len());
             };
             let Payload::Ack(info) = ack.payload else {
                 panic!("expected an ACK, got {:?}", ack.payload);
@@ -737,7 +696,7 @@ mod tests {
             assert_eq!((info.cum, info.ece), (cum, ece));
         }
         assert!(
-            timers.is_empty() && app.is_empty(),
+            drv.out.timers.is_empty() && drv.out.app.is_empty(),
             "the flow is not complete"
         );
     }

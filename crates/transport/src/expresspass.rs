@@ -533,10 +533,11 @@ mod tests {
     use flexpass_simcore::time::Time;
     use flexpass_simcore::units::{Bytes, WireBytes};
     use flexpass_simnet::consts::{CREDIT_RATE_FULL_FRACTION, CTRL_WIRE};
+    use flexpass_simnet::loopback::{Driver, ENV};
     use flexpass_simnet::packet::Subflow;
     use flexpass_simnet::port::{PortConfig, QueueSched};
     use flexpass_simnet::queue::QueueConfig;
-    use flexpass_simnet::sim::{NetObserver, NullObserver, Sim};
+    use flexpass_simnet::sim::{NetObserver, Sim};
     use flexpass_simnet::switch::{ClassMap, SwitchProfile};
     use flexpass_simnet::topology::Topology;
     use proptest::prelude::*;
@@ -575,14 +576,6 @@ mod tests {
             start,
             tag: 0,
             fg: false,
-        }
-    }
-
-    fn env() -> NetEnv {
-        NetEnv {
-            host_rate: Rate::from_gbps(10),
-            base_rtt: TimeDelta::micros(20),
-            n_hosts: 2,
         }
     }
 
@@ -683,8 +676,7 @@ mod tests {
 
     #[test]
     fn credit_feedback_rate_rises_without_loss() {
-        let env = env();
-        let mut eng = CreditEngine::new(EpConfig::default(), &env, 1);
+        let mut eng = CreditEngine::new(EpConfig::default(), &ENV, 1);
         let initial = eng.rate();
         // Simulate lossless periods: every credit produces data.
         for _ in 0..10 {
@@ -698,8 +690,7 @@ mod tests {
 
     #[test]
     fn credit_feedback_rate_drops_on_loss() {
-        let env = env();
-        let mut eng = CreditEngine::new(EpConfig::default(), &env, 2);
+        let mut eng = CreditEngine::new(EpConfig::default(), &ENV, 2);
         eng.cur_rate = 10e9;
         eng.credits_sent_period = 100;
         eng.data_rcvd_period = 50;
@@ -748,7 +739,6 @@ mod tests {
         sim.schedule_flow(flow(1, 0, 1, 1460, Time::ZERO));
         sim.run_to_completion(TimeDelta::millis(10));
         // Credits beyond the single packet are wasted until the ACK returns.
-        let _ = NullObserver;
         assert!(sim.observer.wasted > 0);
     }
 
@@ -757,42 +747,26 @@ mod tests {
     /// re-arms itself.
     #[test]
     fn credit_loop_start_arms_one_chain() {
-        use flexpass_simnet::endpoint::TimerCmd;
+        use flexpass_simnet::endpoint::TimerCmd::Arm;
 
-        let env = env();
         let spec = flow(7, 0, 1, 100 * 1460, Time::ZERO);
         let (credit, feedback) = (timer_token(7, TK_CREDIT), timer_token(7, TK_FEEDBACK));
-        let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let (mut tx, mut timers, mut app) = (Vec::new(), Vec::new(), Vec::new());
-        // One callback at `at`; returns the timer commands and packets sent.
-        let mut call = |at: Time, f: &mut dyn FnMut(&mut EndpointCtx)| {
-            f(&mut EndpointCtx::new(
-                at,
-                &mut arena,
-                &mut tx,
-                &mut timers,
-                &mut app,
-            ));
-            (std::mem::take(&mut timers), std::mem::take(&mut tx).len())
-        };
+        let mut cl = CreditLoop::new(&spec, EpConfig::default(), &ENV, TK_CREDIT, TK_FEEDBACK);
+        let mut drv = Driver::default();
         let us = Time::from_micros;
 
-        let (cmds, sent) = call(us(0), &mut |ctx| cl.start(ctx));
-        assert_eq!(sent, 0);
-        assert_eq!(
-            cmds,
-            vec![
-                TimerCmd::Arm(us(0), credit),
-                TimerCmd::Arm(us(20), feedback)
-            ]
-        );
+        drv.call(us(0), |ctx| cl.start(ctx));
+        assert_eq!(drv.out.timers, [Arm(us(0), credit), Arm(us(20), feedback)]);
+        assert!(drv.sent.is_empty());
         // A second request while crediting arms nothing.
-        assert!(call(us(0), &mut |ctx| cl.start(ctx)).0.is_empty());
+        drv.clear();
+        drv.call(us(0), |ctx| cl.start(ctx));
+        assert!(drv.out.timers.is_empty());
         // The live chain sends a credit and re-arms itself.
-        let (cmds, sent) = call(us(0), &mut |ctx| cl.on_timer(credit, ctx));
-        assert_eq!((cmds.len(), sent), (1, 1));
-        assert!(matches!(cmds[0], TimerCmd::Arm(at, tok) if tok == credit && at > us(0)));
+        drv.call(us(0), |ctx| cl.on_timer(credit, ctx));
+        let cmds = &drv.out.timers;
+        assert_eq!((cmds.len(), drv.sent.len()), (1, 1));
+        assert!(matches!(cmds[0], Arm(at, tok) if tok == credit && at > us(0)));
         assert_eq!(cl.credits_sent(), 1);
     }
 
@@ -809,18 +783,14 @@ mod tests {
     #[test]
     fn a_muted_feedback_tick_would_only_rearm() {
         use flexpass_simnet::endpoint::TimerCmd;
-        use flexpass_simnet::host::Scratch;
 
-        let env = env();
         let (mut muted_ticks, mut acting_ticks) = (0u64, 0u64);
         for seed in 0..64u64 {
             let mut rng = SimRng::new(seed);
             let spec = flow(seed, 0, 1, 100 * 1460, Time::ZERO);
             let (credit, feedback) = (timer_token(seed, TK_CREDIT), timer_token(seed, TK_FEEDBACK));
-            let mut cl = CreditLoop::new(&spec, EpConfig::default(), &env, TK_CREDIT, TK_FEEDBACK);
-            let mut arena = flexpass_simnet::arena::PacketArena::new();
-            let mut scratch = Scratch::default();
-            let mut sent = Vec::new();
+            let mut cl = CreditLoop::new(&spec, EpConfig::default(), &ENV, TK_CREDIT, TK_FEEDBACK);
+            let mut drv = Driver::default();
             // The calendar: which ticks are armed, and the feedback mute.
             let (mut credit_armed, mut feedback_armed, mut muted) = (false, false, false);
             // Credit ticks per feedback tick, around the sample of 8.
@@ -831,40 +801,37 @@ mod tests {
                 let op = if step == 0 { 0 } else { rng.next_below(28) };
                 if (3..=6).contains(&op) && feedback_armed && muted {
                     let mut clone = cl.clone();
-                    scratch.clear();
-                    clone.on_timer(feedback, &mut scratch.ctx(now, &mut arena));
+                    drv.clear();
+                    drv.call(now, |ctx| clone.on_timer(feedback, ctx));
                     let rearm = TimerCmd::Arm(now + cl.update_period, feedback);
                     assert_eq!(
-                        (scratch.timers.as_slice(), scratch.tx.len()),
+                        (drv.out.timers.as_slice(), drv.sent.len()),
                         (&[rearm][..], 0)
                     );
                     assert!(clone == cl, "seed {seed} step {step}: a muted tick acted");
                     muted_ticks += 1;
                     continue;
                 }
-                scratch.clear();
-                {
-                    let ctx = &mut scratch.ctx(now, &mut arena);
-                    match op {
-                        0 => cl.start(ctx),
-                        2 if rng.chance(0.05) => {
-                            cl.halt(ctx);
-                            halted = true;
-                        }
-                        3..=6 if feedback_armed => {
-                            feedback_armed = false;
-                            muted = false;
-                            acting_ticks += u64::from(!cl.engine.sample_short());
-                            cl.on_timer(feedback, ctx);
-                        }
-                        op if op >= 7 && op < 7 + credit_weight && credit_armed => {
-                            credit_armed = false;
-                            cl.on_timer(credit, ctx);
-                        }
-                        _ => cl.on_data(),
+                drv.clear();
+                drv.call(now, |ctx| match op {
+                    0 => cl.start(ctx),
+                    2 if rng.chance(0.05) => {
+                        cl.halt(ctx);
+                        halted = true;
                     }
-                }
-                for cmd in &scratch.timers {
+                    3..=6 if feedback_armed => {
+                        feedback_armed = false;
+                        muted = false;
+                        acting_ticks += u64::from(!cl.engine.sample_short());
+                        cl.on_timer(feedback, ctx);
+                    }
+                    op if op >= 7 && op < 7 + credit_weight && credit_armed => {
+                        credit_armed = false;
+                        cl.on_timer(credit, ctx);
+                    }
+                    _ => cl.on_data(),
+                });
+                for cmd in &drv.out.timers {
                     match *cmd {
                         TimerCmd::Arm(_, t) if t == credit => credit_armed = true,
                         TimerCmd::Cancel(t) if t == credit => credit_armed = false,
@@ -877,7 +844,7 @@ mod tests {
                         other => panic!("unexpected timer command {other:?}"),
                     }
                 }
-                for &(t, period) in &scratch.mutes {
+                for &(t, period) in &drv.out.mutes {
                     assert_eq!(
                         (t, period.is_none_or(|p| p == cl.update_period)),
                         (feedback, true)
@@ -885,8 +852,6 @@ mod tests {
                     muted = feedback_armed && period.is_some();
                 }
                 assert_eq!(cl.muted, muted, "seed {seed} step {step}");
-                arena.drain_into(&mut scratch.tx, &mut sent);
-                sent.clear();
                 if halted {
                     break;
                 }
@@ -899,42 +864,34 @@ mod tests {
     #[test]
     fn window_gates_credits() {
         let spec = flow(3, 0, 1, 100 * 1460, Time::ZERO);
-        let mut s = EpSender::layered(spec, &env());
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut tx_ids = Vec::new();
-        let mut tx = Vec::new();
-        let mut tm = Vec::new();
-        let mut app = Vec::new();
-        {
-            let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_ids, &mut tm, &mut app);
-            s.activate(&mut ctx);
+        let mut s = EpSender::layered(spec, &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| {
+            s.activate(ctx);
             // Initial window is 10: the 11th credit is wasted.
             for i in 0..12 {
-                s.on_packet(&credit(&spec, i), &mut ctx);
+                s.on_packet(&credit(&spec, i), ctx);
             }
-        }
-        arena.drain_into(&mut tx_ids, &mut tx);
+        });
         assert_eq!(s.stats.data_pkts, 10);
         assert_eq!(s.stats.credits_wasted, 2);
-        let data = tx.iter().filter(|p| p.is_data()).count();
-        assert_eq!(data, 10);
+        let data = drv.sent.iter().filter(|p| p.is_data());
+        assert_eq!(data.clone().count(), 10);
         // LY data must be ECN-capable (the window needs marks).
-        assert!(tx.iter().filter(|p| p.is_data()).all(|p| p.ecn_capable));
+        assert!(data.clone().all(|p| p.ecn_capable));
     }
 
     #[test]
     fn acks_open_window_for_more_credits() {
         let spec = flow(3, 0, 1, 100 * 1460, Time::ZERO);
-        let mut s = EpSender::layered(spec, &env());
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let mut tx_ids = Vec::new();
-        let mut tm = Vec::new();
-        let mut app = Vec::new();
-        let mut ctx = EndpointCtx::new(Time::ZERO, &mut arena, &mut tx_ids, &mut tm, &mut app);
-        s.activate(&mut ctx);
-        for i in 0..10 {
-            s.on_packet(&credit(&spec, i), &mut ctx);
-        }
+        let mut s = EpSender::layered(spec, &ENV);
+        let mut drv = Driver::default();
+        drv.call(Time::ZERO, |ctx| {
+            s.activate(ctx);
+            for i in 0..10 {
+                s.on_packet(&credit(&spec, i), ctx);
+            }
+        });
         assert_eq!(s.sb.in_flight(), 10);
         let ack = AckInfo {
             sub: Subflow::Only,
@@ -944,12 +901,10 @@ mod tests {
             ece: false,
             acked_flow_seq: 4,
         };
-        s.on_packet(
-            &Packet::to_sender(&spec, TrafficClass::NewCtrl, Payload::Ack(ack)),
-            &mut ctx,
-        );
+        let ack = Packet::to_sender(&spec, TrafficClass::NewCtrl, Payload::Ack(ack));
+        drv.call(Time::ZERO, |ctx| s.on_packet(&ack, ctx));
         assert_eq!(s.sb.in_flight(), 5);
-        s.on_packet(&credit(&spec, 10), &mut ctx);
+        drv.call(Time::ZERO, |ctx| s.on_packet(&credit(&spec, 10), ctx));
         assert_eq!(s.stats.data_pkts, 11);
     }
 
@@ -961,18 +916,16 @@ mod tests {
     /// after every step.
     fn sender_tape(seed: u64, layered: bool) {
         use crate::common::SeqFrontier;
-        use flexpass_simnet::host::Scratch;
 
         let mut rng = SimRng::new(seed);
         let n = 1 + rng.next_below(80) as u32;
         let spec = flow(seed, 0, 1, u64::from(n) * 1460, Time::ZERO);
         let mut s = match layered {
-            true => EpSender::layered(spec, &env()),
-            false => EpSender::new(spec, &env()),
+            true => EpSender::layered(spec, &ENV),
+            false => EpSender::new(spec, &ENV),
         };
         let rto = timer_token(spec.id, TK_RTO);
-        let mut arena = flexpass_simnet::arena::PacketArena::new();
-        let (mut scratch, mut sent) = (Scratch::default(), Vec::new());
+        let mut drv = Driver::default();
         // The receiver's arrivals and the data still on the wire.
         let (mut arrived, mut wire) = (SeqFrontier::default(), Vec::new());
         let (mut credits, mut data, mut dones) = (0u64, 0u64, 0u32);
@@ -990,9 +943,8 @@ mod tests {
             };
             now += TimeDelta::micros(1 + rng.next_below(50));
             let before = s.sb.in_flight();
-            scratch.clear();
-            let ctx = &mut scratch.ctx(now, &mut arena);
-            match op {
+            drv.clear();
+            drv.call(now, |ctx| match op {
                 0..=3 => {
                     credits += 1;
                     s.on_packet(&credit(&spec, idx), ctx);
@@ -1009,9 +961,8 @@ mod tests {
                 }
                 8 if !s.done => s.on_timer(rto, ctx),
                 _ => {}
-            }
-            arena.drain_into(&mut scratch.tx, &mut sent);
-            for p in sent.drain(..) {
+            });
+            for p in &drv.sent {
                 if let Payload::Data(d) = p.payload {
                     data += 1;
                     prop_assert_eq!(p.ecn_capable, layered);
@@ -1028,7 +979,7 @@ mod tests {
                     cwnd
                 );
             }
-            for ev in &scratch.app {
+            for ev in &drv.out.app {
                 prop_assert!(matches!(ev, AppEvent::SenderDone { .. }));
                 prop_assert_eq!(arrived.cum(), n);
                 dones += 1;
