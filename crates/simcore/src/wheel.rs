@@ -22,7 +22,7 @@
 //!   strictly later time. Same-instant entries always share a slot, so
 //!   FIFO tie-breaks reduce to the `seq` ordering between those two heads
 //!   — identical to a plain binary heap.
-//! * **Eager normalisation.** After every `push`/`pop` the wheel restores
+//! * **Eager normalisation.** After every push and pop the wheel restores
 //!   the invariant *`run` or `cur` is non-empty whenever `len > 0`* by
 //!   advancing the cursor to the next occupied slot (cascading coarser
 //!   levels down as needed). This keeps `peek` a `&self` O(1) operation,
@@ -85,7 +85,7 @@ impl<T> Ord for CalEntry<T> {
 
 /// Hierarchical timing wheel with a sorted overflow level.
 ///
-/// Same `push`/`pop`/`peek` contract as one `BinaryHeap` over
+/// Same push/pop/peek contract as one `BinaryHeap` over
 /// `(time, seq)` — pops are globally ordered — but near-future scheduling
 /// is O(1) and pops take the back of the current slot's sorted run (or the
 /// head of its side heap) plus an occasional cascade, instead of
@@ -131,17 +131,14 @@ impl<T> TimingWheel<T> {
 
     /// Inserts an entry. `seq` must be unique and increasing per insertion;
     /// ties on `time` pop in `seq` order (FIFO).
-    pub fn push(&mut self, time: Time, seq: u64, payload: T) {
-        self.push_reap(time, seq, payload, &mut |_| false);
-    }
-
-    /// [`push`](Self::push) with a liveness filter: any entry for which
-    /// `dead` returns `true` is silently dropped whenever a cascade or
-    /// promotion touches it, instead of being carried toward delivery.
-    /// Dropping is unobservable in the pop sequence (the caller would have
-    /// discarded the entry at the head anyway), but on cancellation-heavy
-    /// schedules it keeps dead timers from cascading through every level
-    /// and being sorted into the current slot.
+    ///
+    /// `dead` is a liveness filter: any entry for which it returns `true`
+    /// is silently dropped whenever a cascade or promotion touches it,
+    /// instead of being carried toward delivery. Dropping is unobservable
+    /// in the pop sequence (the caller would have discarded the entry at
+    /// the head anyway), but on cancellation-heavy schedules it keeps dead
+    /// timers from cascading through every level and being sorted into
+    /// the current slot.
     pub fn push_reap(
         &mut self,
         time: Time,
@@ -156,16 +153,11 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Removes and returns the earliest `(time, seq)` entry.
-    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        self.pop_reap(&mut |_| false)
-    }
-
-    /// [`pop`](Self::pop) with a liveness filter (see
-    /// [`push_reap`](Self::push_reap)). The returned entry itself is *not*
-    /// filtered — entries already promoted into the current slot are
-    /// delivered and discarded by the caller — only the cascade work this
-    /// pop triggers.
+    /// Removes and returns the earliest `(time, seq)` entry, under the
+    /// liveness filter of [`push_reap`](Self::push_reap). The returned
+    /// entry itself is *not* filtered — entries already promoted into the
+    /// current slot are delivered and discarded by the caller — only the
+    /// cascade work this pop triggers.
     pub fn pop_reap(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<(Time, u64, T)> {
         let e = if self.run_is_next() {
             self.run.pop()
@@ -361,15 +353,25 @@ mod tests {
     use super::*;
     use std::cmp::Reverse;
 
+    /// The calendar with every entry live: what the reaping calls reduce
+    /// to when nothing is cancelled.
+    fn push<T>(w: &mut TimingWheel<T>, time: Time, seq: u64, payload: T) {
+        w.push_reap(time, seq, payload, &mut |_| false);
+    }
+
+    fn pop<T>(w: &mut TimingWheel<T>) -> Option<(Time, u64, T)> {
+        w.pop_reap(&mut |_| false)
+    }
+
     fn drain<T>(w: &mut TimingWheel<T>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| w.pop().map(|(t, s, _)| (t.as_nanos(), s))).collect()
+        std::iter::from_fn(|| pop(w).map(|(t, s, _)| (t.as_nanos(), s))).collect()
     }
 
     #[test]
     fn single_slot_fifo() {
         let mut w = TimingWheel::new();
         for i in 0..10u64 {
-            w.push(Time::from_nanos(500), i, ());
+            push(&mut w, Time::from_nanos(500), i, ());
         }
         let order = drain(&mut w);
         assert_eq!(order, (0..10).map(|i| (500, i)).collect::<Vec<_>>());
@@ -388,7 +390,7 @@ mod tests {
         ];
         let mut w = TimingWheel::new();
         for (i, &t) in times.iter().enumerate() {
-            w.push(Time::from_nanos(t), i as u64, ());
+            push(&mut w, Time::from_nanos(t), i as u64, ());
         }
         let order = drain(&mut w);
         let mut want: Vec<(u64, u64)> = times
@@ -405,8 +407,8 @@ mod tests {
         // Normalisation runs the cursor ahead to slot(10_000); a later push
         // at t=200 (an earlier slot) must still pop first.
         let mut w = TimingWheel::new();
-        w.push(Time::from_nanos(10_000), 0, ());
-        w.push(Time::from_nanos(200), 1, ());
+        push(&mut w, Time::from_nanos(10_000), 0, ());
+        push(&mut w, Time::from_nanos(200), 1, ());
         assert_eq!(drain(&mut w), vec![(200, 1), (10_000, 0)]);
     }
 
@@ -416,17 +418,17 @@ mod tests {
         // drains; entries placed into it afterwards go to the side heap and
         // must still interleave with the run in (time, seq) order.
         let mut w = TimingWheel::new();
-        w.push(Time::from_nanos(5), 0, ());
+        push(&mut w, Time::from_nanos(5), 0, ());
         for (seq, t) in [(1, 1500), (2, 1100), (3, 1900), (4, 1500)] {
-            w.push(Time::from_nanos(t), seq, ());
+            push(&mut w, Time::from_nanos(t), seq, ());
         }
-        assert_eq!(w.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 0)));
+        assert_eq!(pop(&mut w).map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 0)));
         assert_eq!(w.run.len(), 4, "slot 1 promoted into the run");
         // Earlier than the run tail, equal to a run entry (FIFO by seq: it
         // follows both 1500s already there), later than the run head, and
         // earlier than the cursor's slot altogether.
         for (seq, t) in [(5, 1050), (6, 1500), (7, 1950), (8, 900)] {
-            w.push(Time::from_nanos(t), seq, ());
+            push(&mut w, Time::from_nanos(t), seq, ());
         }
         assert_eq!(w.cur.len(), 4, "late arrivals wait in the side heap");
         assert_eq!(w.peek().map(|(t, s, _)| (t.as_nanos(), s)), Some((900, 8)));
@@ -451,19 +453,19 @@ mod tests {
         // leaves a zero-capacity slot behind, and every slot re-grows on
         // every wheel rotation (`tests/alloc_free_datapath.rs` counts it).
         let mut w = TimingWheel::new();
-        w.push(Time::from_nanos(5), 0, ()); // holds the cursor at slot 0
+        push(&mut w, Time::from_nanos(5), 0, ()); // holds the cursor at slot 0
         for i in 1..=100u64 {
-            w.push(Time::from_nanos((1 << SLOT_BITS) + i), i, ());
+            push(&mut w, Time::from_nanos((1 << SLOT_BITS) + i), i, ());
         }
-        w.push(Time::from_nanos(2 << SLOT_BITS), 101, ());
+        push(&mut w, Time::from_nanos(2 << SLOT_BITS), 101, ());
         let grown = w.slots[1].capacity();
         assert!(grown >= 100);
         // Leaving slot 0 promotes slot 1's bucket, buffer and all.
-        w.pop();
+        pop(&mut w);
         assert_eq!((w.cur_slot, w.run.capacity()), (1, grown));
         // Draining it promotes slot 2, which receives the spent buffer.
         for _ in 0..100 {
-            w.pop();
+            pop(&mut w);
         }
         assert_eq!(w.cur_slot, 2);
         assert_eq!(w.slots[2].capacity(), grown, "spent run buffer dropped");
@@ -494,11 +496,11 @@ mod tests {
                     _ => next(1 << 36),
                 };
                 let t = Time::from_nanos(last + dt);
-                w.push(t, seq, ());
+                push(&mut w, t, seq, ());
                 h.push(Reverse((t, seq)));
                 seq += 1;
             } else {
-                let a = w.pop().map(|(t, s, _)| (t, s));
+                let a = pop(&mut w).map(|(t, s, _)| (t, s));
                 let b = h.pop().map(|Reverse(e)| e);
                 assert_eq!(a, b);
                 if let Some((t, _)) = a {
@@ -512,7 +514,7 @@ mod tests {
             );
         }
         loop {
-            let a = w.pop().map(|(t, s, _)| (t, s));
+            let a = pop(&mut w).map(|(t, s, _)| (t, s));
             let b = h.pop().map(|Reverse(e)| e);
             assert_eq!(a, b);
             if a.is_none() {
@@ -524,11 +526,11 @@ mod tests {
     #[test]
     fn far_future_overflow_roundtrip() {
         let mut w = TimingWheel::new();
-        w.push(Time::from_nanos(u64::MAX - 1), 0, "far");
-        w.push(Time::from_nanos(3), 1, "near");
-        assert_eq!(w.pop().map(|(_, _, p)| p), Some("near"));
-        assert_eq!(w.pop().map(|(_, _, p)| p), Some("far"));
-        assert!(w.pop().is_none());
+        push(&mut w, Time::from_nanos(u64::MAX - 1), 0, "far");
+        push(&mut w, Time::from_nanos(3), 1, "near");
+        assert_eq!(pop(&mut w).map(|(_, _, p)| p), Some("near"));
+        assert_eq!(pop(&mut w).map(|(_, _, p)| p), Some("far"));
+        assert!(pop(&mut w).is_none());
         assert!(w.is_empty());
     }
 
@@ -538,6 +540,6 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
         assert!(w.peek().is_none());
-        assert!(w.pop().is_none());
+        assert!(pop(&mut w).is_none());
     }
 }

@@ -117,6 +117,25 @@ struct Access {
     ports: Vec<u16>,
 }
 
+impl Access {
+    /// The access table of `rack` from its `(host, access port)` pairs.
+    fn new(rack: usize, hosts: &[(usize, u16)]) -> Self {
+        let base = hosts.iter().map(|&(h, _)| h).min().unwrap_or(0);
+        let end = hosts.iter().map(|&(h, _)| h + 1).max().unwrap_or(0);
+        let mut ports = vec![u16::MAX; end - base];
+        for &(h, port) in hosts {
+            *ports
+                .get_mut(h - base)
+                .expect("host within its rack's range") = port;
+        }
+        Access {
+            rack: u32::try_from(rack).expect("rack index fits u32"),
+            base,
+            ports,
+        }
+    }
+}
+
 /// An output-queued switch.
 #[derive(Debug)]
 pub struct Switch {
@@ -175,27 +194,17 @@ impl Switch {
         self.class_map
     }
 
-    /// Installs the fabric's shared host→rack table and an empty candidate
-    /// list per rack (the topology builder fills them in).
-    pub(crate) fn install_routes(&mut self, rack_of: Arc<[u32]>, n_racks: usize) {
+    /// Installs the fabric's shared host→rack table and the per-rack
+    /// candidate lists (the topology builder fills them in).
+    pub(crate) fn install_routes(&mut self, rack_of: Arc<[u32]>, routes: Vec<Vec<u16>>) {
         self.rack_of = rack_of;
-        self.routes = vec![Vec::new(); n_racks];
+        self.routes = routes;
     }
 
     /// Makes this the switch of `rack`, with its `(host, access port)`
     /// pairs (the topology builder proves no switch serves two racks).
     pub(crate) fn attach_hosts(&mut self, rack: usize, hosts: &[(usize, u16)]) {
-        let base = hosts.iter().map(|&(h, _)| h).min().unwrap_or(0);
-        let end = hosts.iter().map(|&(h, _)| h + 1).max().unwrap_or(0);
-        let mut ports = vec![u16::MAX; end - base];
-        for &(h, port) in hosts {
-            ports[h - base] = port;
-        }
-        self.access = Access {
-            rack: u32::try_from(rack).expect("rack index fits u32"),
-            base,
-            ports,
-        };
+        self.access = Access::new(rack, hosts);
     }
 
     /// The fabric-wide host→rack table this switch routes by.
@@ -378,8 +387,7 @@ mod tests {
     fn wired_switch() -> Switch {
         let mut sw = Switch::new(&flexpass_profile(), 2, 0);
         // Host 0 (rack 0) behind port 0, host 1 (rack 1) behind port 1.
-        sw.install_routes(Arc::from([0, 1]), 2);
-        sw.routes = vec![vec![0], vec![1]];
+        sw.install_routes(Arc::from([0, 1]), vec![vec![0], vec![1]]);
         sw
     }
 

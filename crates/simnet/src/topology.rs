@@ -290,7 +290,7 @@ impl Graph {
             .collect();
         for node in &mut nodes {
             if let Node::Switch(s) = node {
-                s.install_routes(Arc::clone(&host_rack), n_racks);
+                s.install_routes(Arc::clone(&host_rack), vec![Vec::new(); n_racks]);
             }
         }
         for (r, rack) in racks.iter().enumerate() {

@@ -7,8 +7,8 @@
 //! (`panic-reachable` / `alloc-reachable`), which BFS from the datapath
 //! entry points and report shortest witness chains.
 //!
-//! Call resolution (best-effort, deterministic — see DESIGN.md §12 for the
-//! known imprecision):
+//! Call resolution (best-effort, deterministic — see DESIGN.md §11–12 for
+//! the known imprecision):
 //!
 //! * `self.m(..)` → method `m` on the enclosing impl type;
 //! * `Type::f(..)` / `Self::f(..)` → the method on that type (the impl's
@@ -22,21 +22,23 @@
 //! * `module::f(..)` (lowercase qualifier) → the free fn `f` in the file
 //!   named `module.rs`, else the unique workspace free fn;
 //! * any other method receiver → the unique workspace method of that name,
-//!   if exactly one exists (std methods with no workspace definition
-//!   simply resolve to nothing).
+//!   if exactly one exists. This fallback can invent an edge: a std
+//!   `.iter()` or `.next()` resolves to the one workspace method of that
+//!   name, even in a crate the caller cannot depend on.
 //!
 //! Unresolvable calls (trait-object dispatch, fn pointers, closures,
-//! macro-generated code) produce no edge: the rules are deliberately
-//! under-approximate and rely on the file-local rules plus the dynamic
-//! allocation count of `tests/alloc_free_datapath.rs` to cover the
-//! remainder.
+//! macro-generated code) produce no edge. The graph is thus neither sound
+//! nor complete, which is why every file of the per-event path is a hot
+//! module, checked file by file, and the graph only covers what leaves
+//! them; the dynamic allocation count of `tests/alloc_free_datapath.rs`
+//! covers the rest.
 
 use std::collections::BTreeMap;
 
 use crate::config::LintConfig;
 use crate::lint::Suppressor;
 use crate::parse;
-use crate::rules::{self, FileCtx};
+use crate::rules::{self, FileCtx, FnScope};
 use crate::tokenize::scan;
 
 /// Leaf family: which interprocedural rule the leaf feeds.
@@ -72,9 +74,6 @@ pub struct FnNode {
     pub hot: bool,
     /// Constructor by the alloc rule's definition (never an entry point).
     pub is_ctor: bool,
-    /// Named in `LintConfig::known_infallible`: the BFS does not
-    /// traverse into it and its leaves are trusted to be unreachable.
-    pub infallible: bool,
     /// Resolved callees (node indices), sorted by callee qname.
     pub callees: Vec<usize>,
     pub leaves: Vec<Leaf>,
@@ -217,15 +216,11 @@ pub fn build(sources: &[(String, String)], cfg: &LintConfig) -> Graph {
             decls.push(FnDecl {
                 node: FnNode {
                     file: rel.clone(),
-                    qname: qname.clone(),
+                    qname,
                     line: t.line,
                     col: t.col,
                     hot: ctx.hot_module,
                     is_ctor: rules::alloc::is_constructor(&ctx, scope),
-                    infallible: cfg
-                        .known_infallible
-                        .iter()
-                        .any(|n| n == &qname || n == &name),
                     callees: Vec::new(),
                     leaves,
                 },
@@ -233,7 +228,7 @@ pub fn build(sources: &[(String, String)], cfg: &LintConfig) -> Graph {
                 name,
                 file_idx,
                 is_free: scope.owner.is_none(),
-                env: rules::alloc::fn_env(&ctx, scope),
+                env: fn_env(&ctx, scope),
                 calls,
             });
         }
@@ -337,4 +332,13 @@ fn leaf(ctx: &FileCtx, lines: &[&str], tok: usize, family: Family, kind: String)
             .map(|l| l.trim().to_string())
             .unwrap_or_default(),
     }
+}
+
+/// Declared types in scope: params and `let` ascriptions.
+fn fn_env(ctx: &FileCtx, scope: &FnScope) -> BTreeMap<String, String> {
+    let sig = (scope.item.sig_start, scope.item.sig_end());
+    parse::param_types_in(ctx.toks, sig)
+        .into_iter()
+        .chain(parse::let_types_in(ctx.toks, scope.body))
+        .collect()
 }

@@ -1,11 +1,8 @@
 //! The lint policy.
 //!
 //! [`LintConfig::default`] *is* the committed workspace policy — there is
-//! no configuration file. Changing which modules are hot or which fns the
-//! call graph trusts is an edit to this file, reviewed as a diff like any
-//! other code. The fields stay
-//! public so the fixture corpus can lint a pretend tree under a variation
-//! of the policy (`tests/fixtures.rs` extends `known_infallible`).
+//! no configuration file. Changing which modules are hot is an edit to
+//! this file, reviewed as a diff like any other code.
 
 /// The full lint configuration.
 #[derive(Debug, Clone)]
@@ -21,10 +18,6 @@ pub struct LintConfig {
     pub constructor_names: Vec<String>,
     /// Fn-name prefixes exempt from the alloc rule.
     pub constructor_prefixes: Vec<String>,
-    /// Fns (qname `Owner::name` or bare name) the call graph treats as
-    /// infallible and never traverses into — reserved for hand-proven
-    /// helpers where per-call-site `lint:allow` would be noise.
-    pub known_infallible: Vec<String>,
 }
 
 fn strings(names: &[&str]) -> Vec<String> {
@@ -38,6 +31,7 @@ impl Default for LintConfig {
                 "crates/simnet/src/arena.rs",
                 "crates/simnet/src/queue.rs",
                 "crates/simnet/src/port.rs",
+                "crates/simnet/src/switch.rs",
                 "crates/simnet/src/sim.rs",
                 "crates/simnet/src/packet.rs",
                 "crates/simnet/src/host.rs",
@@ -47,10 +41,6 @@ impl Default for LintConfig {
             ]),
             constructor_names: strings(&["new", "default"]),
             constructor_prefixes: strings(&["new_", "with_"]),
-            // SimRng::next_u64 is the xoshiro256** core: every subscript is
-            // a constant index into the fixed [u64; 4] state array, so no
-            // bounds check can fail.
-            known_infallible: strings(&["SimRng::next_u64"]),
         }
     }
 }
@@ -70,6 +60,7 @@ mod tests {
                 "crates/simnet/src/arena.rs",
                 "crates/simnet/src/queue.rs",
                 "crates/simnet/src/port.rs",
+                "crates/simnet/src/switch.rs",
                 "crates/simnet/src/sim.rs",
                 "crates/simnet/src/packet.rs",
                 "crates/simnet/src/host.rs",
@@ -78,6 +69,5 @@ mod tests {
                 "crates/simcore/src/event.rs",
             ]
         );
-        assert_eq!(cfg.known_infallible, ["SimRng::next_u64"]);
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * [`tokenize`] — hand-rolled lexer producing spanned tokens + comments.
 //! * [`parse`] — recursive-descent parser grouping tokens into items with
-//!   bodies, fields and variants, plus expression extractors.
-//! * [`config`] — the lint policy, as code: hot modules, constructor
-//!   names, known-infallible fns.
+//!   bodies and struct fields, plus expression extractors.
+//! * [`config`] — the lint policy, as code: hot modules and constructor
+//!   names.
 //! * [`callgraph`] — workspace-wide call graph (nodes, resolved edges,
 //!   panic/alloc leaves) over the parsed sources.
 //! * [`rules`] — the rule implementations over the AST, including the

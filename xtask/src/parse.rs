@@ -2,10 +2,9 @@
 //!
 //! This is the structural layer between `tokenize` and the lint rules: it
 //! groups the flat token stream into *items* (functions, structs, enums,
-//! impls, modules, uses, consts, …) with their attributes, bodies, fields
-//! and variants, and provides expression-level extraction helpers (path
-//! references, method calls, `let` type ascriptions) that
-//! rules run over item ranges.
+//! impls, modules, uses, consts, …) with their bodies and struct fields,
+//! and provides expression-level extraction helpers (path references,
+//! method calls, `let` type ascriptions) that rules run over item ranges.
 //!
 //! It is intentionally not a full Rust parser. Error handling is
 //! *recovery, not rejection*: anything the parser cannot classify becomes
@@ -24,7 +23,7 @@ pub enum ItemKind {
     Fn,
     /// `struct` / `union` (fields captured for named structs).
     Struct,
-    /// `enum` (variants captured).
+    /// `enum`.
     Enum,
     /// `trait` (children are its method declarations).
     Trait,
@@ -46,17 +45,6 @@ pub enum ItemKind {
     /// Anything else (item-level macro invocations, foreign blocks,
     /// `extern crate`, or unparsable constructs).
     Other,
-}
-
-/// One attribute (`#[…]` or `#![…]`) with its identifier soup.
-#[derive(Debug)]
-pub struct Attr {
-    /// Token range `[start, end)` including `#`, brackets, and contents.
-    pub start: usize,
-    /// Exclusive end.
-    pub end: usize,
-    /// All identifier tokens inside, in order (`cfg`, `test`, `derive`, …).
-    pub idents: Vec<String>,
 }
 
 /// A named struct field with the root of its type path.
@@ -84,10 +72,6 @@ pub struct Item {
     /// Directly carries a `#[cfg(test)]`-equivalent attribute. (Negations
     /// like `cfg(not(test))` do not count.)
     pub cfg_test: bool,
-    /// Carries `#[derive(.., Copy, ..)]`.
-    pub derives_copy: bool,
-    /// Attributes, outer and inner.
-    pub attrs: Vec<Attr>,
     /// Token range `[start, end)` including attributes.
     pub start: usize,
     /// Exclusive token end.
@@ -100,8 +84,6 @@ pub struct Item {
     pub body: Option<(usize, usize)>,
     /// Nested items of `Mod` / `Impl` / `Trait` bodies.
     pub children: Vec<Item>,
-    /// For `Enum`: `(name token index, name)` per variant.
-    pub variants: Vec<(usize, String)>,
     /// For `Struct`: named fields.
     pub fields: Vec<Field>,
 }
@@ -136,22 +118,6 @@ impl Ast {
             }
         }
         go(&self.items, false, f);
-    }
-
-    /// Finds the first item of `kind` named `name`, anywhere in the tree.
-    pub fn find_named(&self, kind: ItemKind, name: &str) -> Option<&Item> {
-        fn go<'a>(items: &'a [Item], kind: ItemKind, name: &str) -> Option<&'a Item> {
-            for it in items {
-                if it.kind == kind && it.name == name {
-                    return Some(it);
-                }
-                if let Some(found) = go(&it.children, kind, name) {
-                    return Some(found);
-                }
-            }
-            None
-        }
-        go(&self.items, kind, name)
     }
 }
 
@@ -202,13 +168,10 @@ impl<'a> Parser<'a> {
         out
     }
 
-    /// Parses attributes, returning them and whether they contain
-    /// `#[cfg(test)]` / `#[derive(Copy)]`.
-    fn attributes(&mut self, end: usize) -> (Vec<Attr>, bool, bool) {
-        let mut attrs = Vec::new();
-        let (mut cfg_test, mut derives_copy) = (false, false);
+    /// Skips attributes, returning whether one of them is `#[cfg(test)]`.
+    fn attributes(&mut self, end: usize) -> bool {
+        let mut cfg_test = false;
         while self.i < end && self.is_punct(self.i, "#") {
-            let astart = self.i;
             let mut j = self.i + 1;
             if self.is_punct(j, "!") {
                 j += 1;
@@ -243,36 +206,25 @@ impl<'a> Parser<'a> {
             {
                 cfg_test = true;
             }
-            if first == Some("derive") && idents.iter().any(|s| s == "Copy") {
-                derives_copy = true;
-            }
-            attrs.push(Attr {
-                start: astart,
-                end: j,
-                idents,
-            });
             self.i = j;
         }
-        (attrs, cfg_test, derives_copy)
+        cfg_test
     }
 
     fn item(&mut self, end: usize) -> Item {
         let start = self.i;
-        let (attrs, cfg_test, derives_copy) = self.attributes(end);
+        let cfg_test = self.attributes(end);
         let sig_start = self.i;
         let mut item = Item {
             kind: ItemKind::Other,
             name: String::new(),
             name_tok: None,
             cfg_test,
-            derives_copy,
-            attrs,
             start,
             end: sig_start, // fixed up below
             sig_start,
             body: None,
             children: Vec::new(),
-            variants: Vec::new(),
             fields: Vec::new(),
         };
         if self.i >= end {
@@ -641,60 +593,10 @@ impl<'a> Parser<'a> {
                     continue;
                 }
                 "{" => {
-                    let (bs, be) = self.brace_body(end);
-                    item.body = Some((bs, be));
-                    item.variants = self.parse_variants(bs, be);
+                    item.body = Some(self.brace_body(end));
                     return;
                 }
                 _ => self.i += 1,
-            }
-        }
-    }
-
-    /// Parses variant names inside an enum body range.
-    fn parse_variants(&self, bs: usize, be: usize) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        let mut j = bs;
-        loop {
-            // Skip attributes before the variant.
-            while j < be && self.is_punct(j, "#") && self.is_punct(j + 1, "[") {
-                let mut d = 0usize;
-                j += 1;
-                while j < be {
-                    if self.is_punct(j, "[") {
-                        d += 1;
-                    } else if self.is_punct(j, "]") {
-                        d -= 1;
-                        if d == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-            }
-            if j >= be {
-                return out;
-            }
-            if self.kind_at(j) == Some(Kind::Ident) {
-                out.push((j, self.toks[j].text.clone()));
-            }
-            // Skip to the variant-separating comma at depth 0.
-            let mut depth = 0i64;
-            while j < be {
-                match self.text(j) {
-                    "{" | "(" | "[" => depth += 1,
-                    "}" | ")" | "]" => depth -= 1,
-                    "," if depth == 0 => {
-                        j += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j >= be {
-                return out;
             }
         }
     }
@@ -936,19 +838,6 @@ impl PathRef {
     /// Last segment's token index.
     pub fn last_tok(&self) -> usize {
         self.segs.last().map(|(i, _)| *i).unwrap_or(0)
-    }
-
-    /// Index of the first segment equal to `name`, if any.
-    pub fn seg_named(&self, name: &str) -> Option<usize> {
-        self.segs.iter().position(|(_, s)| s == name)
-    }
-
-    /// True when segments `a::b` appear consecutively in the path.
-    pub fn has_pair(&self, a: &str, b: &str) -> Option<usize> {
-        self.segs
-            .windows(2)
-            .find(|w| w[0].1 == a && w[1].1 == b)
-            .map(|w| w[1].0)
     }
 }
 
@@ -1301,22 +1190,20 @@ mod tests {
                 (ItemKind::Fn, "main"),
             ]
         );
-        assert_eq!(ast.items[3].variants.len(), 3);
-        assert_eq!(ast.items[3].variants[1].1, "B");
         assert_eq!(ast.items[5].children.len(), 1);
         assert_eq!(ast.items[5].children[0].kind, ItemKind::Fn);
         assert_eq!(ast.items[6].children[0].name, "f");
     }
 
     #[test]
-    fn cfg_test_and_derive_copy_attrs() {
+    fn cfg_test_attrs() {
         let (_, ast) = ast_of(
             "#[cfg(test)]\nmod tests { fn t() {} }\n\
              #[derive(Clone, Copy, Debug)]\nstruct P { a: u64 }\n\
              #[cfg(not(test))]\nfn prod() {}",
         );
         assert!(ast.items[0].cfg_test);
-        assert!(ast.items[1].derives_copy);
+        assert!(!ast.items[1].cfg_test);
         assert!(!ast.items[2].cfg_test);
     }
 
@@ -1386,7 +1273,7 @@ mod tests {
         let paths = paths_in(&toks, body);
         let inst = paths
             .iter()
-            .find(|p| p.seg_named("Instant").is_some())
+            .find(|p| p.segs.iter().any(|(_, s)| s == "Instant"))
             .expect("Instant path");
         assert_eq!(
             inst.segs
@@ -1407,7 +1294,7 @@ mod tests {
         let paths = paths_in(&toks, body);
         let v = paths
             .iter()
-            .find(|p| p.seg_named("Vec").is_some())
+            .find(|p| p.segs.iter().any(|(_, s)| s == "Vec"))
             .expect("Vec path");
         assert_eq!(v.last(), "with_capacity");
         assert!(v.is_call);

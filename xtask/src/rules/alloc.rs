@@ -11,19 +11,14 @@
 //!   `Box::new`, `String::from`, … (any configured-alloc type × ctor);
 //! * the allocating macros `vec![…]` and `format!(…)`;
 //! * copying conversions: `.to_vec()`, `.to_string()`, `.to_owned()`,
-//!   `.collect()`;
-//! * `.clone()` on receivers that don't resolve to a `Copy` type (params,
-//!   locals and `self.field`s are resolved through their declared types;
-//!   unresolvable receivers are flagged conservatively).
+//!   `.collect()`, and every `.clone()`. A clone of a `Copy` value is
+//!   clippy's `clone_on_copy` (denied in the workspace `Cargo.toml`), so
+//!   any `.clone()` that compiles clean is one this rule should see.
 //!
 //! Growth (`push`, `insert`, `reserve`, …) is not flagged: a `push` on a
 //! buffer that has reached its steady-state size does not allocate. The
 //! counting-allocator test (`tests/alloc_free_datapath.rs`) is the dynamic
 //! counterpart that catches growth past warm-up.
-
-use std::collections::BTreeMap;
-
-use crate::parse::{let_types_in, param_types_in, MethodCall};
 
 use super::{Cand, FileCtx, FnScope, WHY_ALLOC};
 
@@ -45,8 +40,8 @@ const ALLOC_TYPES: &[&str] = &[
 /// Associated fns on [`ALLOC_TYPES`] that allocate.
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
 
-/// Copying conversion methods that always allocate.
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect"];
+/// Copying conversion methods.
+const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
 
 /// Emits the allocation sites of the file's non-constructor hot fn bodies
 /// as `alloc-in-datapath` candidates.
@@ -75,7 +70,6 @@ pub fn candidates(ctx: &FileCtx, out: &mut Vec<Cand>) {
 /// (`alloc-reachable`) takes them as leaves wherever the scope is
 /// reachable from a datapath entry.
 pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String)> {
-    let env = fn_env(ctx, scope);
     let (bs, be) = scope.body;
     let mut out = Vec::new();
     for p in &ctx.paths {
@@ -101,11 +95,8 @@ pub fn classify_scope(ctx: &FileCtx, scope: &FnScope) -> Vec<(usize, String)> {
         if m.tok < bs || m.tok >= be {
             continue;
         }
-        let name = m.name.as_str();
-        if ALLOC_METHODS.contains(&name)
-            || (name == "clone" && !receiver_is_copy(ctx, scope, &env, m))
-        {
-            out.push((m.tok, name.to_string()));
+        if ALLOC_METHODS.contains(&m.name.as_str()) {
+            out.push((m.tok, m.name.clone()));
         }
     }
     out
@@ -138,36 +129,4 @@ pub fn is_constructor(ctx: &FileCtx, scope: &FnScope) -> bool {
         }
     }
     false
-}
-
-/// Declared types in scope: params and `let` ascriptions.
-pub fn fn_env(ctx: &FileCtx, scope: &FnScope) -> BTreeMap<String, String> {
-    let mut env = BTreeMap::new();
-    for (name, ty) in param_types_in(ctx.toks, (scope.item.sig_start, scope.item.sig_end())) {
-        env.insert(name, ty);
-    }
-    for (name, ty) in let_types_in(ctx.toks, scope.body) {
-        env.insert(name, ty);
-    }
-    env
-}
-
-/// Resolves a `.clone()` receiver to a type and checks `Copy`. Only simple
-/// chains resolve (`x`, `self.field`); anything else is conservatively
-/// non-`Copy`.
-fn receiver_is_copy(
-    ctx: &FileCtx,
-    scope: &FnScope,
-    env: &BTreeMap<String, String>,
-    m: &MethodCall,
-) -> bool {
-    let ty = match (&m.recv_root, &m.recv_field) {
-        (Some(root), None) if root == "self" => scope.owner.map(str::to_string),
-        (Some(root), Some(field)) if root == "self" => {
-            scope.owner.and_then(|o| ctx.struct_field_type(o, field))
-        }
-        (Some(root), None) => env.get(root).cloned(),
-        _ => None,
-    };
-    ty.is_some_and(|t| ctx.type_is_copy(&t))
 }

@@ -43,8 +43,8 @@ pub const WHY_HEADER_SIZE: &str =
 pub const WHY_ALLOC: &str =
     "allocation in the per-event datapath; preallocate in a constructor or reuse a buffer";
 pub const WHY_PANIC_REACH: &str =
-    "panic reachable from a datapath entry point; make the chain infallible, allowlist a \
-     proven-infallible fn in xtask/src/config.rs, or justify the leaf with a lint:allow";
+    "panic reachable from a datapath entry point; make the chain infallible or justify the \
+     leaf with a lint:allow";
 pub const WHY_ALLOC_REACH: &str =
     "allocation reachable from a datapath entry point; preallocate, hoist the allocation out \
      of the chain, or justify the leaf with a lint:allow";
@@ -102,7 +102,7 @@ pub struct FileCtx<'a> {
     /// Fn bodies and const/static initializers with their test flag
     /// (expression-scoped rules run over these).
     pub bodies: Vec<(usize, usize, bool)>,
-    /// Fn scopes, for the receiver/type-resolving rules.
+    /// Fn scopes, for the alloc rule and the call graph.
     pub fns: Vec<FnScope<'a>>,
     /// File matches the configured hot-module list.
     pub hot_module: bool,
@@ -173,50 +173,6 @@ impl<'a> FileCtx<'a> {
             float_home: file.ends_with(FLOAT_TIME_HOME),
             unit_home: UNIT_HOMES.iter().any(|h| file.ends_with(h)),
         }
-    }
-
-    /// Root type of a struct defined in this file, looked up by name.
-    pub fn struct_field_type(&self, struct_name: &str, field: &str) -> Option<String> {
-        let s = self.ast.find_named(ItemKind::Struct, struct_name)?;
-        s.fields
-            .iter()
-            .find(|f| f.name == field)
-            .map(|f| f.ty_root.clone())
-    }
-
-    /// Whether a type root is `Copy`: a numeric/char/bool builtin, or a
-    /// struct/enum in this file deriving `Copy`.
-    pub fn type_is_copy(&self, ty: &str) -> bool {
-        if matches!(
-            ty,
-            "u8" | "u16"
-                | "u32"
-                | "u64"
-                | "u128"
-                | "usize"
-                | "i8"
-                | "i16"
-                | "i32"
-                | "i64"
-                | "i128"
-                | "isize"
-                | "f32"
-                | "f64"
-                | "bool"
-                | "char"
-        ) {
-            return true;
-        }
-        let mut copy = false;
-        self.ast.walk(&mut |it, _| {
-            if matches!(it.kind, ItemKind::Struct | ItemKind::Enum)
-                && it.name == ty
-                && it.derives_copy
-            {
-                copy = true;
-            }
-        });
-        copy
     }
 }
 

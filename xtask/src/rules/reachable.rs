@@ -11,12 +11,10 @@
 //!
 //! Leaves inside hot-module files are *not* reported here — the file-local
 //! rules already flag them — so the interprocedural rules cover exactly
-//! the cross-file blind spot. Fns named in `LintConfig::known_infallible`
-//! are not traversed into: the allowlist is for hand-proven helpers (e.g.
-//! masked ring indexing) where a `lint:allow` at every call site would be
-//! noise. A `lint:allow(panic-path)` / `lint:allow(panic-reachable)` (or
-//! the `alloc-*` pair) on the leaf itself also removes it from the leaf
-//! set, with the same adjacency rules as every other suppression.
+//! the cross-file blind spot. A `lint:allow(panic-path)` /
+//! `lint:allow(panic-reachable)` (or the `alloc-*` pair) on the leaf
+//! itself removes it from the leaf set, with the same adjacency rules as
+//! every other suppression.
 
 use std::collections::VecDeque;
 
@@ -30,10 +28,7 @@ use super::{WHY_ALLOC_REACH, WHY_PANIC_REACH};
 /// the entry of its shortest chain.
 pub fn findings(graph: &Graph) -> Vec<Finding> {
     let mut entry_ids: Vec<usize> = (0..graph.fns.len())
-        .filter(|&i| {
-            let f = &graph.fns[i];
-            !f.infallible && f.hot && !f.is_ctor
-        })
+        .filter(|&i| graph.fns[i].hot && !graph.fns[i].is_ctor)
         .collect();
     entry_ids.sort_by(|&a, &b| {
         (&graph.fns[a].qname, &graph.fns[a].file).cmp(&(&graph.fns[b].qname, &graph.fns[b].file))
@@ -53,7 +48,7 @@ pub fn findings(graph: &Graph) -> Vec<Finding> {
     }
     while let Some(u) = queue.pop_front() {
         for &v in &graph.fns[u].callees {
-            if seen[v] || graph.fns[v].infallible {
+            if seen[v] {
                 continue;
             }
             seen[v] = true;

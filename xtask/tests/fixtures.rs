@@ -10,8 +10,7 @@
 //! A *directory* `tests/lint_fixtures/<name>/` is a multi-file fixture for
 //! the interprocedural call-graph rules: every member `.rs` file declares
 //! its pretended path with `//@ file:` (so one member can live in a hot
-//! module and another outside it) and `//@ infallible:` lines extend the
-//! `known_infallible` allowlist. The sidecar `<name>.expected` sits next
+//! module and another outside it). The sidecar `<name>.expected` sits next
 //! to the directory and uses `file:line:col rule` lines (the file
 //! disambiguates multi-file anchors).
 
@@ -85,8 +84,6 @@ struct DirFixture {
     name: String,
     /// `(declared path, source)` per member, in filename order.
     members: Vec<(String, String)>,
-    /// Extra `known-infallible` names from `//@ infallible:` directives.
-    infallible: Vec<String>,
     expected: Vec<String>,
 }
 
@@ -113,7 +110,6 @@ fn load_dir_fixtures() -> Vec<DirFixture> {
         files.sort();
         assert!(!files.is_empty(), "{name}: no .rs members");
         let mut members = Vec::new();
-        let mut infallible = Vec::new();
         for f in files {
             let src = fs::read_to_string(&f).expect("read member");
             let mut file = None;
@@ -123,8 +119,6 @@ fn load_dir_fixtures() -> Vec<DirFixture> {
                 };
                 if let Some(v) = d.strip_prefix("file:") {
                     file = Some(v.trim().to_string());
-                } else if let Some(v) = d.strip_prefix("infallible:") {
-                    infallible.push(v.trim().to_string());
                 } else {
                     panic!("{name}: unknown directive `{line}`");
                 }
@@ -145,7 +139,6 @@ fn load_dir_fixtures() -> Vec<DirFixture> {
         out.push(DirFixture {
             name,
             members,
-            infallible,
             expected,
         });
     }
@@ -216,9 +209,7 @@ fn fixtures_cover_every_rule() {
 fn dir_fixtures_match_expected_witnesses() {
     let mut failures = Vec::new();
     for f in load_dir_fixtures() {
-        let mut cfg = LintConfig::default();
-        cfg.known_infallible.extend(f.infallible.iter().cloned());
-        let findings = reachable::check_sources(&f.members, &cfg);
+        let findings = reachable::check_sources(&f.members, &LintConfig::default());
         let mut got: Vec<String> = findings
             .iter()
             .map(|fi| format!("{}:{}:{} {}", fi.file, fi.line, fi.col, fi.rule))
