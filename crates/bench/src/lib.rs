@@ -47,8 +47,10 @@ pub fn uniform_workload(_backend: Backend, n: u64) -> u64 {
 /// horizon) while re-arming a cancellable RTO-style timer ~1 ms out — 90%
 /// of which are cancelled before they fire, the common fate of a
 /// retransmission timer under steady acks. The calendar population is
-/// dominated by pending-and-doomed far timers, which the wheel parks in a
-/// coarse level until cascade-time reaping discards them.
+/// dominated by pending-and-doomed far timers, which cascade down the
+/// wheel until the calendar head discards them. No endpoint cancels per
+/// ack any more (an RTO pushed back moves in place with `rearm_later`),
+/// so this loop times a pattern the simulator no longer runs.
 /// Returns the number of *live* events delivered.
 pub fn timer_heavy_workload(_backend: Backend, n: u64) -> u64 {
     let mut q = EventQueue::new();

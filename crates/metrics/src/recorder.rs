@@ -21,12 +21,8 @@ pub struct FlowRecord {
     pub fct: f64,
     /// Scheme tag (0 = legacy, 1 = upgraded by convention).
     pub tag: u32,
-    /// Foreground (incast) flow.
-    pub fg: bool,
     /// Peak out-of-order reassembly buffer at the receiver, bytes.
     pub reorder_peak: u64,
-    /// Duplicate packets discarded at the receiver.
-    pub dup_pkts: u64,
 }
 
 /// Key of a throughput time series: `(flow tag, sub-flow)`.
@@ -65,7 +61,6 @@ struct LiveFlow {
     size: u64,
     start: Time,
     tag: u32,
-    fg: bool,
     /// `RX_DONE | TX_DONE` bits; in streaming mode the entry is dropped
     /// once both endpoints have retired the flow, keeping the map
     /// O(live flows).
@@ -287,13 +282,6 @@ impl Recorder {
         self.series.get(&key)
     }
 
-    /// All recorded series keys.
-    pub fn series_keys(&self) -> Vec<SeriesKey> {
-        let mut k: Vec<SeriesKey> = self.series.keys().copied().collect();
-        k.sort_by_key(|(t, s)| (*t, *s as u8));
-        k
-    }
-
     /// Aggregate throughput in Gbps per bin for a tag (summing sub-flows).
     pub fn throughput_gbps(&self, tag: u32) -> Vec<f64> {
         let bin = match self.throughput_bin {
@@ -464,7 +452,6 @@ impl NetObserver for Recorder {
                 size: spec.size.get(),
                 start: now,
                 tag: spec.tag,
-                fg: spec.fg,
                 done: 0,
             },
         );
@@ -492,9 +479,7 @@ impl NetObserver for Recorder {
                             size: lf.size,
                             fct,
                             tag: lf.tag,
-                            fg: lf.fg,
                             reorder_peak: stats.reorder_peak_bytes,
-                            dup_pkts: stats.dup_pkts,
                         });
                     }
                 }
@@ -652,7 +637,6 @@ mod tests {
         // And not starved against a 1 Gbps capacity at 20 %.
         let f = r.starvation_fraction(1, 1.0, 0.2, Time::ZERO, Time::from_millis(1));
         assert_eq!(f, 0.0);
-        assert_eq!(r.series_keys(), vec![(1, Subflow::Proactive)]);
     }
 
     /// Regression: a window ending mid-bin must weight the trailing bin by

@@ -12,10 +12,10 @@
 //! On top of the plain calendar sits a cancellable timer layer:
 //! [`EventQueue::schedule_cancelable`] returns a generation-tagged
 //! [`TimerHandle`]; [`EventQueue::cancel`] invalidates it in O(1) and the
-//! dead entry is lazily discarded — at the latest when it reaches the head
-//! of the calendar, or earlier when a wheel cascade touches it (dead
-//! entries are dropped instead of re-placed, so cancellation-heavy loads
-//! never carry them through the levels).
+//! dead entry is lazily discarded when it reaches the head of the
+//! calendar. Until then it cascades through the wheel like a live entry
+//! and keeps its slab slot: the transports cancel a timer when its flow
+//! ends or its credit loop halts, not per ACK, so dead entries are few.
 //! Cancelled entries are invisible to every observable: they are never
 //! returned, never advance `now()`, never count as `popped()`, and never
 //! reach the audit hooks — so a run with cancellations pops the same
@@ -77,7 +77,7 @@ struct Scheduled<E> {
 }
 
 /// The liveness word of one timer slab slot, in 4 bytes, since the
-/// liveness check of every pop and cascade reads it and the slab holds a
+/// liveness check of every timer pop reads it and the slab holds a
 /// slot per calendar entry of a cancellable timer, dead ones included: the
 /// generation of the slot's timer in the low 31 bits, and [`MUTED`] on
 /// top. The slot's due key lives beside it, in `EventQueue::due`.
@@ -123,24 +123,6 @@ enum Fate {
     Deliver,
     /// A muted timer: placed again on the lane.
     Rearm,
-}
-
-/// Liveness filter for cascade-time reaping: flags cancelled entries so
-/// the wheel drops them at the first cascade touch, recycling their slab
-/// slot on the spot (the generation was already bumped by `cancel`).
-/// Borrows the slab fields individually so the wheel can be borrowed
-/// mutably alongside.
-fn dead_filter<'a, E>(
-    timers: &'a [TimerSlot],
-    free: &'a mut Vec<NonZeroU32>,
-) -> impl FnMut(&Scheduled<E>) -> bool + 'a {
-    move |e| match e.timer {
-        Some(h) if timers.get(h.index()).is_some_and(|t| t.is_dead(h)) => {
-            free.push(h.slot);
-            true
-        }
-        _ => false,
-    }
 }
 
 /// A deterministic min-calendar of timestamped events.
@@ -193,7 +175,7 @@ pub struct EventQueue<E> {
     /// `due[i]`: the `(time, seq)` slot `i`'s pending timer fires under.
     /// Its calendar entry may sit under an earlier key after a
     /// [`rearm_later`](Self::rearm_later); kept beside `timers` so the
-    /// liveness words the cascades scan stay dense.
+    /// liveness words stay dense.
     due: Vec<(Time, u64)>,
     /// The one period timers are muted with, set by the first mute (a
     /// simulation has one: its update period).
@@ -304,12 +286,7 @@ impl<E> EventQueue<E> {
 
     /// Puts `entry` into the wheel under `(time, seq)`.
     fn place(&mut self, time: Time, seq: u64, entry: Scheduled<E>) {
-        self.wheel.push_reap(
-            time,
-            seq,
-            entry,
-            &mut dead_filter(&self.timers, &mut self.free_slots),
-        );
+        self.wheel.push(time, seq, entry);
     }
 
     /// The due key of `handle`'s slab slot.
@@ -466,8 +443,7 @@ impl<E> EventQueue<E> {
         if self.lane_is_next() {
             self.lane.pop_front()
         } else {
-            self.wheel
-                .pop_reap(&mut dead_filter(&self.timers, &mut self.free_slots))
+            self.wheel.pop()
         }
     }
 
@@ -736,6 +712,33 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.popped(), 0);
         assert_eq!(q.now(), Time::ZERO);
+    }
+
+    /// A cancelled timer far out leaves the calendar at the head, not at
+    /// the cascades that carry it down: until then it counts in `len()`
+    /// and holds its slab slot, and the pops are those of a calendar it
+    /// was never scheduled in.
+    #[test]
+    fn cancelled_far_timer_leaves_at_the_head() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_micros(1), "near");
+        let rto = q.schedule_cancelable(Time::from_millis(1_000), "rto");
+        q.schedule(Time::from_millis(1_100), "after");
+        assert!(q.cancel(rto));
+        // Popping `near` cascades the 1 s entry from the wheel's top level
+        // down to the head slot; it is still stored there.
+        assert_eq!(q.pop(), Some((Time::from_micros(1), "near")));
+        assert_eq!(q.len(), 2);
+        let other = q.schedule_cancelable(Time::from_millis(1_200), "other");
+        assert_ne!(other.slot, rto.slot, "slot reused before the head passed");
+        assert_eq!(q.pop(), Some((Time::from_millis(1_100), "after")));
+        assert_eq!(q.len(), 1);
+        let again = q.schedule_cancelable(Time::from_millis(1_300), "again");
+        assert_eq!(again.slot, rto.slot);
+        assert_eq!(q.pop(), Some((Time::from_millis(1_200), "other")));
+        assert_eq!(q.pop(), Some((Time::from_millis(1_300), "again")));
+        assert!(q.pop().is_none());
+        assert_eq!((q.popped(), q.cancelled()), (4, 1));
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator (e.g. one per host).
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = &mut self.s;
@@ -192,15 +187,6 @@ mod tests {
                 assert_eq!(symmetric_flow_hash(a, b, 5), symmetric_flow_hash(b, a, 5));
             }
         }
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = SimRng::new(9);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

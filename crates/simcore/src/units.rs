@@ -191,11 +191,6 @@ impl PktCount {
         self.0
     }
 
-    /// The count as a `usize` (buffer sizing).
-    pub const fn as_usize(self) -> usize {
-        self.0 as usize
-    }
-
     /// Checked addition; `None` on overflow.
     pub const fn checked_add(self, rhs: PktCount) -> Option<PktCount> {
         match self.0.checked_add(rhs.0) {

@@ -131,34 +131,18 @@ impl<T> TimingWheel<T> {
 
     /// Inserts an entry. `seq` must be unique and increasing per insertion;
     /// ties on `time` pop in `seq` order (FIFO).
-    ///
-    /// `dead` is a liveness filter: any entry for which it returns `true`
-    /// is silently dropped whenever a cascade or promotion touches it,
-    /// instead of being carried toward delivery. Dropping is unobservable
-    /// in the pop sequence (the caller would have discarded the entry at
-    /// the head anyway), but on cancellation-heavy schedules it keeps dead
-    /// timers from cascading through every level and being sorted into
-    /// the current slot.
-    pub fn push_reap(
-        &mut self,
-        time: Time,
-        seq: u64,
-        payload: T,
-        dead: &mut dyn FnMut(&T) -> bool,
-    ) {
+    pub fn push(&mut self, time: Time, seq: u64, payload: T) {
         self.place(CalEntry { time, seq, payload });
         self.len += 1;
         if self.run.is_empty() && self.cur.is_empty() {
-            self.advance(dead);
+            self.advance();
         }
     }
 
-    /// Removes and returns the earliest `(time, seq)` entry, under the
-    /// liveness filter of [`push_reap`](Self::push_reap). The returned
-    /// entry itself is *not* filtered — entries already promoted into the
-    /// current slot are delivered and discarded by the caller — only the
-    /// cascade work this pop triggers.
-    pub fn pop_reap(&mut self, dead: &mut dyn FnMut(&T) -> bool) -> Option<(Time, u64, T)> {
+    /// Removes and returns the earliest `(time, seq)` entry. The wheel
+    /// keeps every entry until it pops here: whether an entry is still
+    /// wanted is the caller's question, asked of the popped head.
+    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
         let e = if self.run_is_next() {
             self.run.pop()
         } else {
@@ -166,7 +150,7 @@ impl<T> TimingWheel<T> {
         }?;
         self.len -= 1;
         if self.run.is_empty() && self.cur.is_empty() && self.len > 0 {
-            self.advance(dead);
+            self.advance();
         }
         Some((e.time, e.seq, e.payload))
     }
@@ -240,12 +224,10 @@ impl<T> TimingWheel<T> {
 
     /// Advances the cursor until the current slot holds an entry,
     /// cascading coarser levels (and the overflow heap) down as needed.
-    /// Entries flagged by `dead` are dropped at the first touch instead of
-    /// being re-placed or promoted.
     ///
     /// Precondition: `run` and `cur` are empty (no-op when the wheel is
     /// empty).
-    fn advance(&mut self, dead: &mut dyn FnMut(&T) -> bool) {
+    fn advance(&mut self) {
         loop {
             if !self.run.is_empty() || !self.cur.is_empty() || self.len == 0 {
                 return;
@@ -261,9 +243,6 @@ impl<T> TimingWheel<T> {
                 // lint:allow(panic-path): idx is a bit position in a u64
                 // mask, so < 64 = SLOTS_PER_LEVEL.
                 let mut bucket = std::mem::take(&mut self.slots[idx as usize]);
-                let before = bucket.len();
-                bucket.retain(|e| !dead(&e.payload));
-                self.len -= before - bucket.len();
                 // One in-place sort instead of a heapify plus a sift per
                 // pop: `(time, seq)` keys are unique, so the unstable sort
                 // has exactly one result. The spent run buffer is recycled
@@ -275,8 +254,7 @@ impl<T> TimingWheel<T> {
                 bucket.sort_unstable();
                 // lint:allow(panic-path): same idx bound as the take above.
                 self.slots[idx as usize] = std::mem::replace(&mut self.run, bucket);
-                // If the whole bucket was dead, keep advancing.
-                continue;
+                return;
             }
             // Level 0 exhausted: cascade the earliest occupied slot of the
             // lowest occupied level. Every entry there precedes everything
@@ -307,11 +285,7 @@ impl<T> TimingWheel<T> {
                     // lint:allow(panic-path): flat bounds proven above.
                     let mut bucket = std::mem::take(&mut self.slots[flat]);
                     for e in bucket.drain(..) {
-                        if dead(&e.payload) {
-                            self.len -= 1;
-                        } else {
-                            self.place(e);
-                        }
+                        self.place(e);
                     }
                     // lint:allow(panic-path): flat bounds proven above.
                     self.slots[flat] = bucket;
@@ -323,26 +297,21 @@ impl<T> TimingWheel<T> {
                 continue;
             }
             // Wheel fully drained: pull the next top-level block out of the
-            // overflow heap (all in-wheel levels are empty here).
-            match self.overflow.peek() {
-                None => return, // only dead entries remained and were dropped
-                Some(head) => {
-                    // Jump straight to the earliest entry's slot so it
-                    // lands in `cur` when re-placed.
-                    self.cur_slot = head.time.as_nanos() >> SLOT_BITS;
-                }
-            }
+            // overflow heap (all in-wheel levels are empty here, and
+            // `len > 0`). Jump straight to the earliest entry's slot so it
+            // lands in `cur` when re-placed.
+            let head = self
+                .overflow
+                .peek()
+                .expect("entries left after the wheel drains are in overflow");
+            self.cur_slot = head.time.as_nanos() >> SLOT_BITS;
             let block = self.cur_slot >> WHEEL_BITS;
             while let Some(head) = self.overflow.peek() {
                 if (head.time.as_nanos() >> SLOT_BITS) >> WHEEL_BITS != block {
                     break;
                 }
                 let e = self.overflow.pop().expect("peeked entry exists");
-                if dead(&e.payload) {
-                    self.len -= 1;
-                } else {
-                    self.place(e);
-                }
+                self.place(e);
             }
         }
     }
@@ -353,25 +322,15 @@ mod tests {
     use super::*;
     use std::cmp::Reverse;
 
-    /// The calendar with every entry live: what the reaping calls reduce
-    /// to when nothing is cancelled.
-    fn push<T>(w: &mut TimingWheel<T>, time: Time, seq: u64, payload: T) {
-        w.push_reap(time, seq, payload, &mut |_| false);
-    }
-
-    fn pop<T>(w: &mut TimingWheel<T>) -> Option<(Time, u64, T)> {
-        w.pop_reap(&mut |_| false)
-    }
-
     fn drain<T>(w: &mut TimingWheel<T>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| pop(w).map(|(t, s, _)| (t.as_nanos(), s))).collect()
+        std::iter::from_fn(|| w.pop().map(|(t, s, _)| (t.as_nanos(), s))).collect()
     }
 
     #[test]
     fn single_slot_fifo() {
         let mut w = TimingWheel::new();
         for i in 0..10u64 {
-            push(&mut w, Time::from_nanos(500), i, ());
+            w.push(Time::from_nanos(500), i, ());
         }
         let order = drain(&mut w);
         assert_eq!(order, (0..10).map(|i| (500, i)).collect::<Vec<_>>());
@@ -390,7 +349,7 @@ mod tests {
         ];
         let mut w = TimingWheel::new();
         for (i, &t) in times.iter().enumerate() {
-            push(&mut w, Time::from_nanos(t), i as u64, ());
+            w.push(Time::from_nanos(t), i as u64, ());
         }
         let order = drain(&mut w);
         let mut want: Vec<(u64, u64)> = times
@@ -407,8 +366,8 @@ mod tests {
         // Normalisation runs the cursor ahead to slot(10_000); a later push
         // at t=200 (an earlier slot) must still pop first.
         let mut w = TimingWheel::new();
-        push(&mut w, Time::from_nanos(10_000), 0, ());
-        push(&mut w, Time::from_nanos(200), 1, ());
+        w.push(Time::from_nanos(10_000), 0, ());
+        w.push(Time::from_nanos(200), 1, ());
         assert_eq!(drain(&mut w), vec![(200, 1), (10_000, 0)]);
     }
 
@@ -418,17 +377,17 @@ mod tests {
         // drains; entries placed into it afterwards go to the side heap and
         // must still interleave with the run in (time, seq) order.
         let mut w = TimingWheel::new();
-        push(&mut w, Time::from_nanos(5), 0, ());
+        w.push(Time::from_nanos(5), 0, ());
         for (seq, t) in [(1, 1500), (2, 1100), (3, 1900), (4, 1500)] {
-            push(&mut w, Time::from_nanos(t), seq, ());
+            w.push(Time::from_nanos(t), seq, ());
         }
-        assert_eq!(pop(&mut w).map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 0)));
+        assert_eq!(w.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 0)));
         assert_eq!(w.run.len(), 4, "slot 1 promoted into the run");
         // Earlier than the run tail, equal to a run entry (FIFO by seq: it
         // follows both 1500s already there), later than the run head, and
         // earlier than the cursor's slot altogether.
         for (seq, t) in [(5, 1050), (6, 1500), (7, 1950), (8, 900)] {
-            push(&mut w, Time::from_nanos(t), seq, ());
+            w.push(Time::from_nanos(t), seq, ());
         }
         assert_eq!(w.cur.len(), 4, "late arrivals wait in the side heap");
         assert_eq!(w.peek().map(|(t, s, _)| (t.as_nanos(), s)), Some((900, 8)));
@@ -453,19 +412,19 @@ mod tests {
         // leaves a zero-capacity slot behind, and every slot re-grows on
         // every wheel rotation (`tests/alloc_free_datapath.rs` counts it).
         let mut w = TimingWheel::new();
-        push(&mut w, Time::from_nanos(5), 0, ()); // holds the cursor at slot 0
+        w.push(Time::from_nanos(5), 0, ()); // holds the cursor at slot 0
         for i in 1..=100u64 {
-            push(&mut w, Time::from_nanos((1 << SLOT_BITS) + i), i, ());
+            w.push(Time::from_nanos((1 << SLOT_BITS) + i), i, ());
         }
-        push(&mut w, Time::from_nanos(2 << SLOT_BITS), 101, ());
+        w.push(Time::from_nanos(2 << SLOT_BITS), 101, ());
         let grown = w.slots[1].capacity();
         assert!(grown >= 100);
         // Leaving slot 0 promotes slot 1's bucket, buffer and all.
-        pop(&mut w);
+        w.pop();
         assert_eq!((w.cur_slot, w.run.capacity()), (1, grown));
         // Draining it promotes slot 2, which receives the spent buffer.
         for _ in 0..100 {
-            pop(&mut w);
+            w.pop();
         }
         assert_eq!(w.cur_slot, 2);
         assert_eq!(w.slots[2].capacity(), grown, "spent run buffer dropped");
@@ -496,11 +455,11 @@ mod tests {
                     _ => next(1 << 36),
                 };
                 let t = Time::from_nanos(last + dt);
-                push(&mut w, t, seq, ());
+                w.push(t, seq, ());
                 h.push(Reverse((t, seq)));
                 seq += 1;
             } else {
-                let a = pop(&mut w).map(|(t, s, _)| (t, s));
+                let a = w.pop().map(|(t, s, _)| (t, s));
                 let b = h.pop().map(|Reverse(e)| e);
                 assert_eq!(a, b);
                 if let Some((t, _)) = a {
@@ -514,7 +473,7 @@ mod tests {
             );
         }
         loop {
-            let a = pop(&mut w).map(|(t, s, _)| (t, s));
+            let a = w.pop().map(|(t, s, _)| (t, s));
             let b = h.pop().map(|Reverse(e)| e);
             assert_eq!(a, b);
             if a.is_none() {
@@ -526,11 +485,11 @@ mod tests {
     #[test]
     fn far_future_overflow_roundtrip() {
         let mut w = TimingWheel::new();
-        push(&mut w, Time::from_nanos(u64::MAX - 1), 0, "far");
-        push(&mut w, Time::from_nanos(3), 1, "near");
-        assert_eq!(pop(&mut w).map(|(_, _, p)| p), Some("near"));
-        assert_eq!(pop(&mut w).map(|(_, _, p)| p), Some("far"));
-        assert!(pop(&mut w).is_none());
+        w.push(Time::from_nanos(u64::MAX - 1), 0, "far");
+        w.push(Time::from_nanos(3), 1, "near");
+        assert_eq!(w.pop().map(|(_, _, p)| p), Some("near"));
+        assert_eq!(w.pop().map(|(_, _, p)| p), Some("far"));
+        assert!(w.pop().is_none());
         assert!(w.is_empty());
     }
 
@@ -540,6 +499,6 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
         assert!(w.peek().is_none());
-        assert!(pop(&mut w).is_none());
+        assert!(w.pop().is_none());
     }
 }

@@ -497,6 +497,7 @@ mod tests {
     use crate::topology::ClosParams;
     use flexpass_simcore::time::Rate;
     use flexpass_simcore::units::Bytes;
+    use proptest::prelude::*;
 
     fn profile(rate: Rate) -> SwitchProfile {
         SwitchProfile {
@@ -611,14 +612,10 @@ mod tests {
     /// comparison via sorting.
     #[derive(Default)]
     struct FctLog {
-        started: Vec<(u64, u64)>,
         completed: Vec<(u64, u64)>,
     }
 
     impl NetObserver for FctLog {
-        fn on_flow_start(&mut self, spec: &FlowSpec, now: Time) {
-            self.started.push((spec.id, now.as_nanos()));
-        }
         fn on_app_event(&mut self, ev: &AppEvent, now: Time) {
             if let AppEvent::FlowCompleted { flow, .. } = ev {
                 self.completed.push((*flow, now.as_nanos()));
@@ -699,6 +696,85 @@ mod tests {
         let (result, k) = par_over(clos(params), Box::new(PacedFactory), flows, n);
         assert_eq!(k, n, "clos partitions");
         result
+    }
+
+    /// [`run_par`] on a multi-pod fabric the engine may cut into fewer
+    /// than `n` domains.
+    fn run_par_multi_pod(params: ClosParams, flows: &[FlowSpec], n: usize) -> RunResult {
+        let (result, k) = par_over(clos(params), Box::new(PacedFactory), flows, n);
+        assert!(k >= 2, "multi-pod clos partitions");
+        result
+    }
+
+    /// Derives a valid flow set from opaque seeds: `src != dst` by
+    /// construction, sizes a few packets to a couple dozen, starts jittered
+    /// by primes so no two flows share an instant.
+    fn flows_from_seeds(seeds: &[u64], n_hosts: usize) -> Vec<FlowSpec> {
+        seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let src = (s % n_hosts as u64) as usize;
+                let hop = 1 + ((s >> 8) as usize % (n_hosts - 1));
+                FlowSpec {
+                    id: i as u64,
+                    src,
+                    dst: (src + hop) % n_hosts,
+                    size: Bytes::new(6_000 + (s >> 16) % 30_000),
+                    start: Time::from_nanos(i as u64 * 977 + (s >> 32) % 739),
+                    tag: 0,
+                    fg: false,
+                }
+            })
+            .collect()
+    }
+
+    // Differential properties on randomized multi-pod Clos fabrics. The
+    // paced transport has no congestion feedback and the flow starts carry
+    // prime-offset jitter, so no two same-instant events contend for a
+    // port and serial and partitioned runs are exactly comparable.
+    // Feedback transports at saturation agree only up to calendar tie
+    // order across a cut (see the module doc); the bench crate bounds that
+    // drift separately.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Serial and partitioned runs of a randomized multi-pod fabric
+        /// agree exactly: completions, per-flow FCTs, and adjusted event
+        /// counts, at 2 and 4 domains.
+        #[test]
+        fn par_engine_matches_serial_on_random_fabrics(
+            n_tor in prop::sample::select(vec![4usize, 6, 8]),
+            hosts_per_tor in prop::sample::select(vec![2usize, 3, 4]),
+            seeds in prop::collection::vec(0u64..u64::MAX, 4..13),
+        ) {
+            let params = ClosParams { n_tor, hosts_per_tor, ..ClosParams::small() };
+            let flows = flows_from_seeds(&seeds, n_tor * hosts_per_tor);
+            let serial = run_serial(params, &flows);
+            prop_assert_eq!(serial.1, flows.len(), "serial run must complete every flow");
+            for n in [2usize, 4] {
+                let par = run_par_multi_pod(params, &flows, n);
+                prop_assert_eq!(par.1, serial.1, "completions diverged at n={}", n);
+                prop_assert_eq!(&par.2, &serial.2, "per-flow FCTs diverged at n={}", n);
+                prop_assert_eq!(par.0, serial.0, "event counts diverged at n={}", n);
+            }
+        }
+
+        /// The partitioned engine is deterministic: two runs at the same
+        /// domain count are bit-for-bit identical in everything we can see.
+        #[test]
+        fn par_engine_is_deterministic(
+            n_tor in prop::sample::select(vec![4usize, 8]),
+            seeds in prop::collection::vec(0u64..u64::MAX, 4..10),
+        ) {
+            let params = ClosParams { n_tor, hosts_per_tor: 3, ..ClosParams::small() };
+            let flows = flows_from_seeds(&seeds, n_tor * 3);
+            for n in [2usize, 4] {
+                let first = run_par_multi_pod(params, &flows, n);
+                let second = run_par_multi_pod(params, &flows, n);
+                prop_assert_eq!(first, second, "nondeterministic run at n={}", n);
+            }
+        }
     }
 
     #[test]
